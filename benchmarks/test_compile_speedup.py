@@ -1,13 +1,13 @@
-"""Compiled-plan IR-step wall clock vs the interpreter on VGG-11.
+"""Compiled-graph IR-step wall clock vs the uncompiled graph on VGG-11.
 
 The compiler's perf claim: a Split-CNN transform multiplies op count by
 the patch grid, and most of the new ops are small per-patch convs — so
-(a) sibling fusion collapses the S per-patch convs of a stage back into
-one batched im2col call, and (b) the lowered :class:`CompiledPlan`
-removes the per-op registry/dict bookkeeping the interpreter pays.  This
-benchmark times one IR step of VGG-11 (CIFAR head) three ways — unsplit
-inference, split-2x2 inference, split-2x2 training — interpreter vs
-compiled plan, asserting byte-identity on every row and a >= 1.3x
+sibling fusion collapses the S per-patch convs of a stage back into one
+batched im2col call.  Both graphs run on the one executor
+(``CompiledPlan`` is ``GraphExecutor``'s old name), so the speedup is
+the rewrites'.  This benchmark times one IR step of VGG-11 (CIFAR head)
+three ways — unsplit inference, split-2x2 inference, split-2x2 training
+— uncompiled vs compiled graph, asserting byte-identity on every row and a >= 1.3x
 compiled speedup on the split inference row (>= 1.0x / 0.9x floors under
 ``REPRO_SMOKE=1``, where repeats shrink and CI runners are noisy).
 """
@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.compile import CompiledPlan, compile_graph
+from repro.compile import compile_graph
 from repro.core import to_split_cnn
 from repro.experiments import format_table
 from repro.graph import (
@@ -57,7 +57,7 @@ def _row(name, model, mode, x, y):
     report = compile_graph(compiled, params=params)
 
     interpreter = GraphExecutor(reference, params)
-    plan = CompiledPlan(compiled, params)
+    plan = GraphExecutor(compiled, params)
     expected = interpreter.run(x, targets)
     actual = plan.run(x, targets)
     assert expected.keys() == actual.keys()

@@ -18,8 +18,9 @@ Artifact passes (not run by :func:`analyze_graph` — they take richer
 targets than a graph):
 
 - **lowering** (``SCA4xx``): :func:`verify_lowering` independently
-  checks a lowered :class:`~repro.compile.plan.CompiledPlan` against
-  its source graph;
+  re-derives the lowered tables of a
+  :class:`~repro.graph.executor.GraphExecutor` (every execution,
+  compiled or not) from its source graph;
 - **config-lint** (``SCA5xx``): :func:`lint_engine_config` /
   :func:`lint_fleet_config` / :func:`lint_dense_config` audit serving,
   fleet, and patch-inference configuration.

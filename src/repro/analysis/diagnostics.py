@@ -8,7 +8,7 @@ than to message text.  Codes are grouped by pass:
 - ``SCA1xx`` — concurrency hazards under the wavefront executor;
 - ``SCA2xx`` — determinism audit;
 - ``SCA3xx`` — abstract interpretation (interval/dtype dataflow);
-- ``SCA4xx`` — lowering verification of :class:`CompiledPlan` artifacts;
+- ``SCA4xx`` — lowering verification of the executor's build-time tables;
 - ``SCA5xx`` — serving/fleet/infer configuration lint.
 
 Findings anchor to graph objects (op ids, tensor ids, TSO ids), not to

@@ -1,18 +1,22 @@
 """Lowering verifier (``SCA4xx``): an independent semantic check of a
-:class:`~repro.compile.plan.CompiledPlan` against its source graph.
+:class:`~repro.graph.executor.GraphExecutor`'s lowered tables against
+its source graph.
 
-:class:`CompiledPlan` lowers the interpreter's per-op bookkeeping into
-dense arrays at build time — kernel bindings, wavefront dependency
-counts, eager-free refcounts, seed pairs, forward-twin references, and a
-persistent-value table.  A bug anywhere in that lowering silently breaks
-byte-identity (or worse, frees live values), so this pass re-derives
-every array **from raw graph structure only** — ``tensor.producer``,
-``op.inputs``/``op.saved``, ``forward_of`` links — sharing no derivation
-code with :mod:`repro.compile` or with the graph helpers the plan itself
-calls (:meth:`Graph.op_dependencies`, :func:`compute_free_plan`,
-:func:`resolve_final_gradients`).  Same independence discipline as the
-PR-2 HMMS plan verifier: two implementations of the contract, compared
-array by array.
+The executor (``repro.compile.CompiledPlan`` is the same class under its
+old name) lowers every graph it is given — pipeline-compiled or straight
+from the builder — into dense arrays at build time: kernel bindings,
+wavefront dependency counts, eager-free refcounts, seed pairs,
+forward-twin references, and a persistent-value table.  A bug anywhere
+in that lowering silently breaks byte-identity (or worse, frees live
+values), so this pass re-derives every array **from raw graph structure
+only** — ``tensor.producer``, ``op.inputs``/``op.saved``, ``forward_of``
+links — sharing no derivation code with the executor or with the graph
+helpers it calls (:meth:`Graph.op_dependencies`,
+:func:`compute_free_plan`, :func:`resolve_final_gradients`).  Same
+independence discipline as the PR-2 HMMS plan verifier: two
+implementations of the contract, compared array by array.  Since there
+is one executor, the check covers every execution, not only compiled
+ones.
 
 Codes:
 
@@ -37,8 +41,8 @@ from ..graph.ir import Graph, OpNode
 from ..graph.registry import op_def
 from .diagnostics import Diagnostic
 
-if TYPE_CHECKING:                            # no runtime compile import
-    from ..compile.plan import CompiledPlan
+if TYPE_CHECKING:                            # no runtime executor import
+    from ..compile import CompiledPlan
 
 __all__ = ["verify_lowering"]
 

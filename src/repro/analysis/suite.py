@@ -45,7 +45,7 @@ from .diagnostics import (
 )
 
 if TYPE_CHECKING:
-    from ..compile.plan import CompiledPlan
+    from ..compile import CompiledPlan
     from ..hmms.storage import StorageAssignment
 
 __all__ = [

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(wavefront scheduler; bit-identical logits)")
     serve.add_argument("--compile", action="store_true",
                        help="compile cached graphs (fusion + constant "
-                            "folding) and serve lowered CompiledPlans")
+                            "folding) and serve the rewritten graphs")
 
     fleet = sub.add_parser(
         "fleet-bench",
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="execute compiled vs interpreted graphs "
                                "and require byte-identical outputs")
     compile_.add_argument("--workers", type=int, default=1,
-                          help="CompiledPlan threads for --check")
+                          help="executor threads for --check")
 
     lint = sub.add_parser(
         "lint",
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--inference", action="store_true",
                       help="lint the inference graph (purity enforced)")
     lint.add_argument("--compile", action="store_true",
-                      help="compile the graph and verify the lowered "
-                           "plan (SCA4xx)")
+                      help="run the compile pipeline first (the lowered "
+                           "tables are verified either way, SCA4xx)")
     lint.add_argument("--config", action="store_true",
                       help="lint the serving-engine configuration for "
                            "the model (SCA5xx) instead of its graph")
@@ -664,7 +664,7 @@ def _cmd_fleet_bench(args) -> int:
 def _cmd_compile(args) -> int:
     import numpy as np
 
-    from .compile import CompiledPlan, default_pipeline
+    from .compile import default_pipeline
     from .graph import (
         GraphExecutor, build_inference_graph, build_training_graph,
     )
@@ -694,7 +694,7 @@ def _cmd_compile(args) -> int:
     interpreter = GraphExecutor(
         reference, GraphExecutor.parameters_from_model(reference, model),
         dropout_seed=0)
-    plan = CompiledPlan(graph, params, dropout_seed=0, workers=args.workers)
+    plan = GraphExecutor(graph, params, dropout_seed=0, workers=args.workers)
     rng = np.random.default_rng(0)
     input_shape = next(t for t in reference.tensors.values()
                        if t.kind == "input").shape
@@ -717,27 +717,24 @@ def _cmd_compile(args) -> int:
 
 def _lint_build(model, batch: int, inference: bool, compiled: bool,
                 workers: int):
-    """(graph, plan) for one lint configuration.  Compiled inference
+    """(graph, executor) for one lint configuration.  Compiled inference
     mirrors the serving engine (eval-mode batchnorm so folding applies);
-    interpreted inference mirrors the uncompiled serve path."""
-    from .graph import build_inference_graph, build_training_graph
-
-    if not compiled:
-        if inference:
-            return build_inference_graph(model, batch), None
-        return build_training_graph(model, batch), None
-
-    from .compile import CompiledPlan, default_pipeline
-    from .graph import GraphExecutor
+    interpreted inference mirrors the uncompiled serve path.  Either way
+    the executor's lowered tables go to the SCA4xx verifier."""
+    from .compile import default_pipeline
+    from .graph import (
+        GraphExecutor, build_inference_graph, build_training_graph,
+    )
 
     if inference:
-        graph = build_inference_graph(model, batch, eval_batchnorm=True)
+        graph = build_inference_graph(model, batch, eval_batchnorm=compiled)
     else:
         graph = build_training_graph(model, batch)
     params = GraphExecutor.parameters_from_model(graph, model)
-    default_pipeline().run(graph, params=params)
-    plan = CompiledPlan(graph, params, dropout_seed=0, workers=workers)
-    return graph, plan
+    if compiled:
+        default_pipeline().run(graph, params=params)
+    return graph, GraphExecutor(graph, params, dropout_seed=0,
+                                workers=workers)
 
 
 def _lint_matrix(args, suite) -> int:

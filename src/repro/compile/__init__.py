@@ -1,14 +1,15 @@
-"""Pass-based graph compiler: fusion, constant folding, backend
-selection, and a lowered execution plan.
+"""Pass-based graph compiler: fusion, constant folding and backend
+selection over the graph IR.
 
 Entry points:
 
 - :func:`compile_graph` / :func:`default_pipeline` — run the standard
   byte-identity pipeline (chain + sibling fusion, constant folding) over
   a graph in place; returns a :class:`CompileReport`.
-- :class:`CompiledPlan` — execute a (compiled or plain) graph with the
-  interpreter's kernels but precomputed dispatch, slots, free plan, and
-  seeds.
+- ``CompiledPlan`` — the old name of
+  :class:`repro.graph.GraphExecutor`, which lowers every graph (compiled
+  or plain) to flat tables and runs it; kept as a plain binding for
+  callers that import it from here.
 - ``default_pipeline(select_backends=True)`` — additionally run the
   per-shape conv backend selector (opt-in: FFT results are not bitwise
   identical to direct).
@@ -19,8 +20,10 @@ from .pipeline import (
     CompileContext, CompileError, CompileReport, Pass, PassResult, Pipeline,
     compile_graph, default_pipeline,
 )
-from .plan import CompiledPlan
 from .rewrites import FOLD_CONSTANTS, FUSE_OPS, fold_constants, fuse_ops
+from ..graph.executor import GraphExecutor
+
+CompiledPlan = GraphExecutor
 
 __all__ = [
     "CompileContext", "CompileError", "CompileReport", "CompiledPlan",

@@ -1,58 +1,51 @@
-"""Numeric interpreter for the serialized computation-graph IR.
+"""The IR executor: a graph lowered to flat tables, run on numpy arrays.
 
-Executes a training graph (forward + backward ops) directly on numpy
-arrays, independently of the autograd engine that normally runs the
-models.  Two uses:
+Executes a training or inference graph independently of the autograd
+engine that normally runs the models.  Three uses:
 
-1. **Cross-validation** — running the same training step through (a) the
-   autograd engine and (b) the IR executor must produce identical losses
-   and parameter gradients; this pins down the graph builder and the
-   backward generator end to end (``tests/test_executor.py``).
-2. **Measured profiling** — the paper's §4.3 obtains per-layer times by
-   timing 20 repeated executions; :class:`repro.profile.measured.
-   MeasuredCostModel` drives this executor to do exactly that.
+1. **Cross-validation** — the same training step through (a) the autograd
+   engine and (b) this executor must produce identical losses and
+   parameter gradients; that pins down the graph builder and the backward
+   generator end to end (``tests/test_executor.py``).
+2. **Measured profiling** — the paper's §4.3 times 20 repeated executions
+   per layer; :class:`repro.profile.measured.MeasuredCostModel` drives
+   :meth:`GraphExecutor.execute_op` to do exactly that.
+3. **Serving and patch inference** — the engine and the inferer run
+   (optionally pipeline-compiled) graphs through it.
 
-Kernels live in :mod:`repro.graph.registry` — one per op type, dispatched
-through the same :class:`~repro.graph.registry.OpDef` record the builder,
-backward generator, cost model, and HMMS storage pass consume.
+There is one executor.  A graph rewritten by :mod:`repro.compile` and a
+graph straight from the builder are lowered the same way at construction
+time: kernels bound once per op (``_steps``; :meth:`execute_op` is the
+single per-op seam every run loop, timing loop and tracer goes through),
+values and saved contexts in dense lists indexed by tensor / op id, the
+eager-free refcounts, dropout seed pairs, forward-twin references and the
+wavefront dependency counts as dense per-run templates.
+:func:`repro.analysis.verify_lowering` re-derives every one of those
+tables from raw graph structure (SCA401-405) without sharing code with
+this module.  ``repro.compile.CompiledPlan`` is this class under its old
+name.
 
-Backward ops run against the *saved context* of their forward op: each
-fused :class:`~repro.tensor.autograd.Function` instantiated during the
-forward pass is cached (keyed by forward op id) and its ``backward`` is
-invoked directly — bit-identical gradient semantics with the autograd
-engine, without re-running the forward kernel inside every backward
-handler.  Pass ``reuse_contexts=False`` to restore the historical
-replay-the-forward behavior (the benchmark baseline).
+Kernels live in :mod:`repro.graph.registry`, one per op type.  Backward
+ops run against the *saved context* of their forward op — the fused
+:class:`~repro.tensor.autograd.Function` instantiated by the forward
+kernel — so gradients are bit-identical with the autograd engine.
 
-**Wavefront parallelism** — ``workers=N`` replaces the serialized walk of
-``graph.ops`` with a ready-queue scheduler over the op dependency DAG
-(:meth:`Graph.op_dependencies`): every op whose producers have retired is
-submitted to a ``ThreadPoolExecutor``, so the independent patch chains a
-Split-CNN transform creates (paper §3.2: no inter-patch communication in
-the first-``d`` layers) execute concurrently.  numpy's BLAS-backed
-kernels release the GIL, so the threads genuinely overlap on multicore
-hosts.  Results are bit-identical to serial execution for any worker
-count because
+**Wavefront parallelism** — ``workers=N`` replaces the serialized walk
+with a ready-queue scheduler over the op dependency DAG
+(:meth:`Graph.op_dependencies`) on a thread pool, so the independent
+patch chains a Split-CNN transform creates (paper §3.2) can overlap.
+Results are bit-identical to serial execution for any worker count: every
+op reads and writes *fixed* tensors (``grad_acc`` chains fix the gradient
+reduction order structurally), dropout masks come from per-op seeded
+streams ``(dropout_seed, op seed)``, and a parameter's total gradient is
+the structural tail of its ``grad_acc`` chain, never a tensor-id maximum.
 
-- every op reads and writes *fixed* tensors — in particular the
-  ``grad_acc`` accumulation chains emitted by the backward generator fix
-  the gradient reduction order structurally, independent of the order in
-  which contributions complete;
-- dropout masks are drawn from per-op seeded streams
-  (``(dropout_seed, op.id)``), not from shared RNG state;
-- the final gradient of a multiply-consumed parameter is selected by
-  following the ``grad_acc`` chain to its structural end, never by
-  tensor-id ordering.
-
-**Eager value release** — with ``eager_free`` (the default) each
-intermediate value is dropped as soon as its last consumer retires, using
-the refcount schedule of :func:`~repro.graph.liveness.compute_free_plan`;
-saved forward contexts are likewise dropped once every backward op of
-their forward op has run.  Peak executor memory then tracks the graph's
-true liveness profile instead of holding one whole step.  Pass
-``eager_free=False`` to keep every value and context until the next run
-(the §4.3 profiling loop re-times individual ops after a run and needs
-them all).
+**Eager value release** — with ``eager_free`` (the default) a value is
+dropped when its last consumer retires (:func:`~repro.graph.liveness.
+compute_free_plan`) and a saved context when the last backward twin of
+its forward op has run, so peak memory tracks the graph's liveness
+profile.  ``eager_free=False`` keeps everything until the next run (the
+§4.3 loop re-times individual ops after a run and needs them all).
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +65,8 @@ __all__ = ["GraphExecutor", "resolve_final_gradients", "OUTPUT_NAMES"]
 
 #: Tensor names whose values are run outputs (never freed eagerly).
 OUTPUT_NAMES = ("loss", "logits")
-_OUTPUT_NAMES = OUTPUT_NAMES
+
+_Kernel = Callable[["GraphExecutor", OpNode], None]
 
 
 def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
@@ -118,26 +112,20 @@ def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
 
 
 class GraphExecutor:
-    """Executes a serialized training graph numerically.
+    """Executes a serialized training or inference graph numerically.
 
     Parameters
     ----------
-    graph: a graph produced by :func:`repro.graph.build_training_graph`.
+    graph: a graph produced by :func:`repro.graph.build_training_graph` /
+        :func:`~repro.graph.build_inference_graph`, optionally rewritten
+        by a :class:`repro.compile.Pipeline`.
     parameters: mapping from parameter tensor *name* to its array; use
         :meth:`parameters_from_model` to extract them in builder order.
     dropout_seed: base seed for dropout masks; each dropout op derives its
-        own stream from ``(dropout_seed, op.id)`` so distinct layers draw
-        distinct masks while staying replayable.
-    reuse_contexts: reuse each forward op's saved ``Function`` context in
-        its backward twin (default).  ``False`` replays the forward kernel
-        inside every backward handler instead — the pre-registry behavior,
-        kept for the ``benchmarks/test_executor_replay.py`` comparison.
-        Incompatible with ``workers > 1`` (replay re-executes forward
-        kernels at unpredictable times) and disables ``eager_free``
-        (replay re-reads forward inputs long after their last graph-level
-        consumer).
+        own stream from ``(dropout_seed, op seed)`` so distinct layers
+        draw distinct masks while staying replayable.
     workers: number of threads for wavefront execution.  ``1`` (default)
-        walks ``graph.ops`` serially; ``N > 1`` executes every
+        walks the ops serially; ``N > 1`` executes every
         dependency-satisfied op concurrently with bit-identical results.
     eager_free: drop each intermediate value after its last consumer op
         retires (and each saved context after its last backward twin).
@@ -153,30 +141,27 @@ class GraphExecutor:
     """
 
     def __init__(self, graph: Graph, parameters: Dict[str, np.ndarray],
-                 dropout_seed: int = 0, reuse_contexts: bool = True,
-                 workers: int = 1, eager_free: bool = True,
-                 preflight: bool = False) -> None:
+                 dropout_seed: int = 0, workers: int = 1,
+                 eager_free: bool = True, preflight: bool = False) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if preflight:
             # Deferred import: repro.analysis consumes this module.
             from ..analysis import analyze_graph
             analyze_graph(graph, workers=workers).raise_if_failed()
-        if workers > 1 and not reuse_contexts:
-            raise ValueError(
-                "workers > 1 requires reuse_contexts=True: forward replay "
-                "re-executes forward kernels from backward handlers, which "
-                "races under concurrent execution"
-            )
         self.graph = graph
         self.dropout_seed = dropout_seed
-        self.reuse_contexts = reuse_contexts
         self.workers = workers
-        self.eager_free = eager_free and reuse_contexts
+        self.eager_free = eager_free
         self.targets: Optional[np.ndarray] = None
-        self.values: Dict[int, np.ndarray] = {}
-        self._contexts: Dict[int, Any] = {}
-        self._param_names: Dict[int, str] = {}
+
+        num_tensors = 1 + max((t.id for t in graph.tensors.values()),
+                              default=0)
+        num_ops = 1 + max((op.id for op in graph.ops), default=0)
+
+        # -- persistent values (parameters + constants), seeded once ----
+        base: List[Optional[np.ndarray]] = [None] * num_tensors
+        persistent = set()
         for tensor in graph.tensors.values():
             if tensor.kind == "parameter":
                 if tensor.name not in parameters:
@@ -187,38 +172,84 @@ class GraphExecutor:
                         f"parameter {tensor.name!r}: expected {tensor.shape}, "
                         f"got {array.shape}"
                     )
-                self.values[tensor.id] = array
-                self._param_names[tensor.id] = tensor.name
+                base[tensor.id] = array
+                persistent.add(tensor.id)
             elif tensor.kind == "constant":
                 try:
-                    self.values[tensor.id] = graph.constants[tensor.id]
+                    base[tensor.id] = graph.constants[tensor.id]
                 except KeyError:
                     raise KeyError(
                         f"constant tensor {tensor.name!r} (id {tensor.id}) "
                         "has no value in graph.constants"
                     ) from None
-        self._persistent = frozenset(
-            set(self._param_names)
-            | {t.id for t in graph.tensors.values() if t.kind == "constant"}
-        )
+                persistent.add(tensor.id)
+        self._base_values = base
+        #: Dense by tensor id; ``None`` = unbound or already freed.
+        self.values: List[Optional[np.ndarray]] = list(base)
+        #: Dense by forward op id: the saved ``Function`` contexts.
+        self._contexts: List[Any] = [None] * num_ops
+
+        self._input_ids = [t.id for t in graph.tensors.values()
+                           if t.kind == "input"]
         self._outputs_by_name = {
             t.name: t.id for t in graph.tensors.values()
-            if t.name in _OUTPUT_NAMES
+            if t.name in OUTPUT_NAMES
         }
-        self._final_grads = self._resolve_final_gradients()
-        self._pinned = frozenset(
-            self._persistent
-            | set(self._outputs_by_name.values())
-            | set(self._final_grads.values())
-        )
-        # Lazily built, graph-static: (value refcounts, op -> tensors it
-        # consumes, forward op -> number of backward ops referencing it).
-        self._free_template: Optional[
-            Tuple[Dict[int, int], Dict[int, List[int]], Dict[int, int]]] = None
+        self._final_grads = resolve_final_gradients(graph)
+        self._result_ids = {
+            **self._outputs_by_name,
+            **{f"grad({name})": tensor_id
+               for name, tensor_id in self._final_grads.items()},
+        }
+        self._pinned = frozenset(persistent
+                                 | set(self._outputs_by_name.values())
+                                 | set(self._final_grads.values()))
+
+        # -- lowered step list: kernels bound once ----------------------
+        self._steps: List[Tuple[_Kernel, OpNode]] = [
+            (op_def(op.op_type).kernel, op) for op in graph.ops
+        ]
+        self._step_by_id = {step[1].id: step for step in self._steps}
+        self._fwd: List[Optional[OpNode]] = [None] * num_ops
+        self._seeds: List[Optional[Tuple[int, int]]] = [None] * num_ops
+        for op in graph.ops:
+            # The builder stamps attrs["seed"] = op.id on every stochastic
+            # op (audited by repro.analysis); hand-built graphs fall back
+            # to the op id, which is the same stream.
+            self._seeds[op.id] = (dropout_seed, op.attrs.get("seed", op.id))
+            if op.forward_of is not None:
+                self._fwd[op.id] = self._step_by_id[op.forward_of][1]
+
+        # -- dense eager-free schedule ----------------------------------
+        counts, consumed_by_op = compute_free_plan(graph, pinned=self._pinned)
+        self._counts_template: List[int] = [0] * num_tensors
+        for tensor_id, count in counts.items():
+            self._counts_template[tensor_id] = count
+        self._consumed: List[Tuple[int, ...]] = [()] * num_ops
+        for op_id, tensor_ids in consumed_by_op.items():
+            self._consumed[op_id] = tuple(tensor_ids)
+        self._ctx_template: List[int] = [0] * num_ops
+        for op_id, twins in Counter(op.forward_of for op in graph.ops
+                                    if op.forward_of is not None).items():
+            self._ctx_template[op_id] = twins
+
+        # -- dense wavefront schedule -----------------------------------
+        self._remaining_template: List[int] = [0] * num_ops
+        dependents: Dict[int, List[int]] = {}
+        for op_id, op_deps in graph.op_dependencies().items():
+            self._remaining_template[op_id] = len(op_deps)
+            for dep in op_deps:
+                dependents.setdefault(dep, []).append(op_id)
+        self._dependents: List[Tuple[int, ...]] = [()] * num_ops
+        for op_id, dep_list in dependents.items():
+            self._dependents[op_id] = tuple(dep_list)
+        self._initial = [op for op in graph.ops
+                         if self._remaining_template[op.id] == 0]
 
     # ------------------------------------------------------------------
     @staticmethod
-    def parameters_from_model(graph: Graph, model) -> Dict[str, np.ndarray]:
+    def parameters_from_model(graph: Graph,
+                              model: Any) -> Dict[str, np.ndarray]:
         """Match the graph's parameter tensors to the model's arrays.
 
         The builder caches one parameter tensor per (module, attribute) and
@@ -245,30 +276,27 @@ class GraphExecutor:
         return mapping
 
     # ------------------------------------------------------------------
-    def _resolve_final_gradients(self) -> Dict[str, int]:
-        return resolve_final_gradients(self.graph)
-
-    # ------------------------------------------------------------------
     def release_intermediates(self) -> None:
-        """Drop every non-parameter value and all saved contexts.
+        """Reset to the persistent (parameter + constant) values only.
 
         Repeated :meth:`run` calls (the §4.3 profiling loop) would
-        otherwise keep every activation, gradient, and forward context of
-        every step live.  With ``eager_free`` most of this already
-        happened during the run; this clears the run outputs too.
+        otherwise keep the outputs and, without ``eager_free``, every
+        activation, gradient and forward context of the last step live.
         """
-        self.values = {tensor_id: array
-                       for tensor_id, array in self.values.items()
-                       if tensor_id in self._persistent}
-        self._contexts.clear()
+        self.values = list(self._base_values)
+        self._contexts = [None] * len(self._contexts)
 
     def run(self, input_array: np.ndarray,
             targets: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
         """Execute every op; returns {'loss': ..., 'grad(<param>)': ...}
-        for training graphs, {'logits': ...} for inference graphs."""
-        input_tensor = next(t for t in self.graph.tensors.values()
-                            if t.kind == "input")
-        return self.run_with_inputs({input_tensor.id: input_array},
+        for training graphs, {'logits': ...} for inference graphs.
+
+        The single-input case of :meth:`run_with_inputs`: on a graph with
+        several inputs the others are reported unbound."""
+        if not self._input_ids:
+            raise ValueError(
+                f"graph {self.graph.name!r} has no input tensor to bind")
+        return self.run_with_inputs({self._input_ids[0]: input_array},
                                     targets=targets)
 
     def run_with_inputs(self, inputs: Dict[int, np.ndarray],
@@ -278,21 +306,18 @@ class GraphExecutor:
 
         Partitioned graphs (mesh patch chains, pipeline stages) carry
         several input tensors — the per-patch slices and the remote patch
-        results arriving from other devices; :meth:`run` is the
-        single-input special case.  Raises on missing, unknown,
+        results arriving from other devices.  Raises on missing, unknown,
         mis-shaped, or mis-typed bindings.
 
-        Every kernel in the executor computes in float64, so graph
-        inputs must arrive as float64.  A wrong-dtype array (say a
-        float32 patch) used to be coerced silently — upcasting every
-        downstream kernel and hiding the producer's dtype bug — and now
-        raises ``TypeError`` instead; lossless conversion is the
-        *caller's* explicit decision.  Plain Python nested lists still
-        convert (``np.asarray`` yields float64 for float data).
+        Every kernel computes in float64, so graph inputs must arrive as
+        float64: a wrong-dtype array (say a float32 patch) raises
+        ``TypeError`` instead of being upcast silently, which would hide
+        the producer's dtype bug — lossless conversion is the *caller's*
+        explicit decision.  Plain Python nested lists still convert
+        (``np.asarray`` yields float64 for float data).
         """
         self.release_intermediates()
-        input_ids = {t.id for t in self.graph.tensors.values()
-                     if t.kind == "input"}
+        input_ids = set(self._input_ids)
         missing = input_ids - set(inputs)
         if missing:
             names = sorted(self.graph.tensors[i].name for i in missing)
@@ -320,53 +345,43 @@ class GraphExecutor:
         else:
             self._run_serial()
         outputs: Dict[str, np.ndarray] = {}
-        for name, tensor_id in self._outputs_by_name.items():
-            outputs[name] = self.values[tensor_id]
-        for param_name, tensor_id in self._final_grads.items():
-            outputs[f"grad({param_name})"] = self.values[tensor_id]
+        for name, tensor_id in self._result_ids.items():
+            value = self.values[tensor_id]
+            if value is None:
+                raise self._dead(tensor_id, "the run's output dict")
+            outputs[name] = value
         return outputs
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _fresh_free_state(self):
-        """Per-run copies of the freeing refcounts (``None`` if disabled)."""
-        if not self.eager_free:
-            return None, None, None
-        if self._free_template is None:
-            counts, consumed_by_op = compute_free_plan(
-                self.graph, pinned=self._pinned)
-            twins = Counter(op.forward_of for op in self.graph.ops
-                            if op.forward_of is not None)
-            self._free_template = (counts, consumed_by_op, dict(twins))
-        counts, consumed_by_op, twins = self._free_template
-        return dict(counts), consumed_by_op, dict(twins)
+    def _retire(self, op: OpNode, counts: List[int],
+                ctx_left: List[int]) -> None:
+        """Free the values and the context made dead by ``op`` completing.
 
-    def _retire(self, op: OpNode, counts, consumed_by_op, ctx_left) -> None:
-        """Free values and contexts made dead by ``op`` completing.
-
-        Callers serialize calls (the wavefront holds its scheduler lock),
-        so plain dict updates are safe.
+        ``counts``/``ctx_left`` are the run's copies of the refcount
+        templates.  Callers serialize calls (the wavefront holds its
+        scheduler lock), so plain list updates are safe.
         """
-        for tensor_id in consumed_by_op.get(op.id, ()):
-            left = counts[tensor_id] - 1
-            counts[tensor_id] = left
-            if left == 0:
-                self.values.pop(tensor_id, None)
-        if op.forward_of is not None:
-            left = ctx_left.get(op.forward_of)
-            if left is not None:
-                left -= 1
-                ctx_left[op.forward_of] = left
-                if left == 0:
-                    self._contexts.pop(op.forward_of, None)
+        values = self.values
+        for tensor_id in self._consumed[op.id]:
+            counts[tensor_id] -= 1
+            if counts[tensor_id] == 0:
+                values[tensor_id] = None
+        forward_id = op.forward_of
+        if forward_id is not None:
+            ctx_left[forward_id] -= 1
+            if ctx_left[forward_id] == 0:
+                self._contexts[forward_id] = None
 
     def _run_serial(self) -> None:
-        counts, consumed_by_op, ctx_left = self._fresh_free_state()
-        for op in self.graph.ops:
-            self.execute_op(op)
-            if counts is not None:
-                self._retire(op, counts, consumed_by_op, ctx_left)
+        execute, eager_free = self.execute_op, self.eager_free
+        counts = list(self._counts_template)
+        ctx_left = list(self._ctx_template)
+        for _, op in self._steps:
+            execute(op)
+            if eager_free:
+                self._retire(op, counts, ctx_left)
 
     def _run_wavefront(self) -> None:
         """Ready-queue execution of the op DAG on a thread pool.
@@ -377,30 +392,25 @@ class GraphExecutor:
         Kernels themselves run outside the lock — that is where the BLAS
         time goes and where the GIL is released.
         """
-        graph = self.graph
-        deps = graph.op_dependencies()
-        dependents: Dict[int, List[int]] = {}
-        for op_id, op_deps in deps.items():
-            for dep in op_deps:
-                dependents.setdefault(dep, []).append(op_id)
-        remaining = {op_id: len(op_deps) for op_id, op_deps in deps.items()}
-        by_id = {op.id: op for op in graph.ops}
-        counts, consumed_by_op, ctx_left = self._fresh_free_state()
+        execute = self.execute_op
+        remaining = list(self._remaining_template)
+        counts = list(self._counts_template)
+        ctx_left = list(self._ctx_template)
         lock = threading.Lock()
         done = threading.Event()
         failures: List[BaseException] = []
-        ops_left = len(graph.ops)
+        ops_left = len(self._steps)
 
         def finish(op: OpNode) -> None:
             nonlocal ops_left
             ready_next: List[OpNode] = []
             with lock:
-                if counts is not None:
-                    self._retire(op, counts, consumed_by_op, ctx_left)
-                for dep_id in dependents.get(op.id, ()):
+                if self.eager_free:
+                    self._retire(op, counts, ctx_left)
+                for dep_id in self._dependents[op.id]:
                     remaining[dep_id] -= 1
                     if remaining[dep_id] == 0:
-                        ready_next.append(by_id[dep_id])
+                        ready_next.append(self._step_by_id[dep_id][1])
                 ops_left -= 1
                 if ops_left == 0:
                     done.set()
@@ -411,17 +421,16 @@ class GraphExecutor:
             if failures:
                 return
             try:
-                self.execute_op(op)
+                execute(op)
             except BaseException as exc:  # surfaced to the caller below
                 failures.append(exc)
                 done.set()
                 return
             finish(op)
 
-        initial = [op for op in graph.ops if remaining[op.id] == 0]
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
-            for op in initial:
+            for op in self._initial:
                 pool.submit(task, op)
             done.wait()
         finally:
@@ -431,45 +440,55 @@ class GraphExecutor:
 
     # ------------------------------------------------------------------
     def execute_op(self, op: OpNode) -> None:
-        op_def(op.op_type).kernel(self, op)
+        """Run one op's bound kernel — the per-op seam.
+
+        Both run loops dispatch through here, so shadowing this method on
+        an instance (a tracer) sees every kernel call of a run; the §4.3
+        timing loop calls it out of band after an ``eager_free=False``
+        run.
+        """
+        self._step_by_id[op.id][0](self, op)
 
     # -- kernel-facing helpers (the registry kernels' executor API) ------
+    def _dead(self, tensor_id: int, reader: str) -> RuntimeError:
+        return RuntimeError(
+            f"{reader} reads tensor {self.graph.tensors[tensor_id].name!r} "
+            f"(id {tensor_id}), which is unbound or already freed")
+
     def input(self, op: OpNode, index: int) -> np.ndarray:
-        return self.values[op.inputs[index]]
+        value = self.values[op.inputs[index]]
+        if value is None:
+            raise self._dead(op.inputs[index], f"op {op.name!r}")
+        return value
 
     def set_output(self, op: OpNode, index: int, value: np.ndarray) -> None:
         self.values[op.outputs[index]] = value
 
     def forward_op(self, op: OpNode) -> OpNode:
-        return self.graph.op_by_id(op.forward_of)
+        forward = self._fwd[op.id]
+        if forward is None:
+            raise ValueError(f"op {op.name!r} has no forward twin "
+                             f"(forward_of={op.forward_of})")
+        return forward
 
     def save_context(self, op: OpNode, fn: Any) -> None:
-        """Cache a forward op's ``Function`` for its backward twin."""
+        """Cache a forward op's ``Function`` for its backward twins."""
         self._contexts[op.id] = fn
 
     def forward_context(self, op: OpNode) -> Any:
-        """The ``Function`` context of ``op``'s forward op.
-
-        With ``reuse_contexts`` the context saved when the forward op ran
-        is returned directly; without it, the forward kernel is replayed
-        to rebuild a fresh context (outputs are overwritten with identical
-        values — forward kernels with contexts are deterministic).
-        """
+        """The ``Function`` context saved when ``op``'s forward op ran."""
         forward = self.forward_op(op)
-        if not self.reuse_contexts:
-            self.execute_op(forward)
-            return self._contexts.pop(forward.id)
-        ctx = self._contexts.get(forward.id)
+        ctx = self._contexts[forward.id]
         if ctx is None:
-            self.execute_op(forward)
-            ctx = self._contexts[forward.id]
+            raise RuntimeError(
+                f"op {op.name!r} needs the saved context of "
+                f"{forward.name!r}, which has not run or was already freed")
         return ctx
 
     def dropout_op_seed(self, op: OpNode) -> Tuple[int, int]:
-        """Per-op dropout seed: distinct layers draw distinct masks.
-
-        The builder stamps ``attrs["seed"] = op.id`` on every stochastic
-        op (audited by ``repro.analysis``); graphs constructed by hand
-        fall back to the op id, which is the same stream.
-        """
-        return (self.dropout_seed, op.attrs.get("seed", op.id))
+        """Per-op dropout seed pair: distinct layers, distinct masks."""
+        seed = self._seeds[op.id]
+        if seed is None:
+            raise ValueError(f"op {op.name!r} (id {op.id}) is not an op "
+                             f"of graph {self.graph.name!r}")
+        return seed

@@ -33,7 +33,7 @@ Numeric kernels receive ``(executor, op)``.  Forward kernels of fused ops
 store their :class:`~repro.tensor.autograd.Function` context via
 ``executor.save_context`` so the matching backward kernels can reuse it
 through ``executor.forward_context`` instead of re-instantiating and
-replaying the forward — roughly halving IR-executor step time.
+re-running the forward — roughly halving IR-executor step time.
 """
 
 from __future__ import annotations

@@ -612,8 +612,9 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
             # consumer, so the eager-free plan keeps them live through
             # the run; the tail's own patches are consumed by its concat
             # (and freed) — nothing remote needs those.
-            if key[0] == "patch_out" and tensor_id in executor.values:
-                patch_results[key[1:]] = executor.values[tensor_id]
+            value = executor.values[tensor_id]
+            if key[0] == "patch_out" and value is not None:
+                patch_results[key[1:]] = value
         if ("logits",) in assignment.output_tensors:
             logits = outputs["logits"]
     if logits is None:

@@ -24,11 +24,11 @@ serving headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..compile import CompiledPlan, default_pipeline
+from ..compile import default_pipeline
 from ..graph import GraphExecutor, build_inference_graph
 from ..graph.ir import Graph
 from ..hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
@@ -47,7 +47,7 @@ class CachedBatchPlan:
     graph: Graph
     plan: MemoryPlan
     latency: float                      # simulated seconds per batch
-    executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+    executor: Optional[GraphExecutor] = None
 
 
 class ServingEngine:
@@ -74,8 +74,7 @@ class ServingEngine:
         sibling fusion, constant folding) over every cached graph.
         Graphs are built with ``eval_batchnorm=True`` so running-stat
         normalization folds to per-channel affines, and the numeric
-        executor becomes the lowered
-        :class:`~repro.compile.CompiledPlan`.  Cache keys gain the
+        executor runs the rewritten graph.  Cache keys gain the
         pipeline fingerprint, so compiled and interpreted entries for
         the same bucket never collide.
     """
@@ -188,13 +187,10 @@ class ServingEngine:
                         cost_model=self.planner.cost_model).raise_if_failed()
             self.plans_verified += 1
         latency = self.planner.cost_model.inference_latency(graph)
-        executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+        executor: Optional[GraphExecutor] = None
         if self.numeric:
             params = GraphExecutor.parameters_from_model(graph, self.model)
-            if self._pipeline is not None:
-                executor = CompiledPlan(graph, params, workers=self.workers)
-            else:
-                executor = GraphExecutor(graph, params, workers=self.workers)
+            executor = GraphExecutor(graph, params, workers=self.workers)
         return CachedBatchPlan(batch=batch, graph=graph, plan=plan,
                                latency=latency, executor=executor)
 
@@ -357,10 +353,7 @@ class ServingEngine:
         input_tensor = next(t for t in entry.graph.tensors.values()
                             if t.kind == "input")
         batch_input = self._rng.standard_normal(input_tensor.shape)
-        entry.executor.run(batch_input)
-        logits_tensor = next(t for t in entry.graph.tensors.values()
-                             if t.name == "logits")
-        logits = entry.executor.values[logits_tensor.id]
+        logits = entry.executor.run(batch_input)["logits"]
         self._logits.clear()
         offset = 0
         for request in requests:

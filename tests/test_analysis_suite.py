@@ -22,11 +22,12 @@ from repro.analysis import (
 )
 from repro.analysis.diagnostics import HELP_URI, sarif_rules
 from repro.compile import CompiledPlan, default_pipeline
+from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.executor import GraphExecutor
 from repro.graph.ir import Graph
 from repro.hmms.planner import PlanCache
-from repro.models import build_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.nn import init
 from repro.serve import ServingEngine, SLOClass, TenantConfig, FleetScheduler
 from repro.infer import PatchInferer
@@ -206,6 +207,20 @@ class TestLoweringMutations:
     def test_clean_plans_verify(self, compiled_train, compiled_eval):
         for fixture in (compiled_train, compiled_eval):
             assert not verify_lowering(_plan(fixture))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_uncompiled_zoo_graphs_verify(self, name):
+        """One executor: the tables of a graph straight from the builder
+        are the same lowering, so SCA4xx covers interpreted runs too."""
+        model = _model(name)
+        split = to_split_cnn(model, depth=0.5, num_splits=(2, 2))
+        for variant in (model, split):
+            for build in (build_training_graph, build_inference_graph):
+                graph = build(variant, 2)
+                params = GraphExecutor.parameters_from_model(graph, variant)
+                for workers in (1, 4):
+                    executor = GraphExecutor(graph, params, workers=workers)
+                    assert not verify_lowering(executor)
 
     def test_sca401_foreign_kernel(self, compiled_train):
         plan = _plan(compiled_train)
@@ -584,7 +599,18 @@ class TestLintCli:
     def test_single_model_clean(self, capsys):
         from repro.cli import main
         assert main(["lint", "small_vgg", "-b", "2"]) == 0
-        assert "clean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "clean" in out
+        assert "lowering" in out     # SCA4xx runs on interpreted configs
+
+    def test_lint_build_always_hands_over_an_executor(self):
+        from repro.cli import _lint_build
+        for compiled in (False, True):
+            for inference in (False, True):
+                graph, plan = _lint_build(_model(), 2, inference, compiled,
+                                          workers=4)
+                assert isinstance(plan, GraphExecutor)
+                assert plan.graph is graph and plan.workers == 4
 
     def test_compile_mode_runs_lowering_pass(self, capsys):
         from repro.cli import main

@@ -98,8 +98,8 @@ class TestExecutorValidation:
 
     def test_wrong_input_dtype_rejected(self, rng):
         """Regression: a float32 patch used to be silently upcast to
-        float64, hiding the producer's dtype bug; both executors now
-        reject it."""
+        float64, hiding the producer's dtype bug; the executor (under
+        either of its names) now rejects it."""
         from repro.compile import CompiledPlan
         from repro.graph import build_inference_graph
         model = small_vgg(num_classes=3, rng=rng)
@@ -113,6 +113,41 @@ class TestExecutorValidation:
         # The exact-dtype input still runs.
         out = GraphExecutor(graph, params).run(patch.astype(np.float64))
         assert "logits" in out
+
+    def test_graph_without_input_is_a_typed_error(self):
+        """Regression: ``next(...)`` over the input tensors escaped as a
+        bare StopIteration (from the constructor of the lowered plan,
+        from ``run`` of the interpreter)."""
+        from repro.graph import Graph
+        graph = Graph("no-input")
+        weight = graph.add_tensor("w", (2, 2), kind="parameter")
+        out = graph.add_tensor("logits", (2, 2))
+        graph.add_op("relu", "relu", [weight], [out])
+        executor = GraphExecutor(graph, {"w": np.ones((2, 2))})
+        with pytest.raises(ValueError, match="no input tensor"):
+            executor.run(np.zeros((2, 2)))
+        # Nothing to bind is not an error for the explicit surface.
+        assert executor.run_with_inputs({})["logits"].shape == (2, 2)
+
+    def test_use_after_free_guards_raise(self, rng):
+        """The guards were ``assert``s: stripped by ``python -O``, a freed
+        value reached numpy as ``None``."""
+        model = small_vgg(num_classes=3, rng=rng)
+        graph = build_training_graph(model, 2)
+        params = GraphExecutor.parameters_from_model(graph, model)
+        executor = GraphExecutor(graph, params)
+        executor.run(rng.standard_normal((2, 3, 32, 32)), np.array([0, 1]))
+        forward = graph.ops[1]                # its input was freed eagerly
+        with pytest.raises(RuntimeError, match="already freed"):
+            executor.input(forward, 0)
+        with pytest.raises(RuntimeError, match="already freed"):
+            executor.execute_op(forward)
+        with pytest.raises(ValueError, match="no forward twin"):
+            executor.forward_op(forward)
+        backward = next(op for op in graph.ops
+                        if op.forward_of == graph.ops[0].id)
+        with pytest.raises(RuntimeError, match="saved context"):
+            executor.forward_context(backward)
 
     def test_loss_requires_targets(self, rng):
         model = small_vgg(num_classes=3, rng=rng)

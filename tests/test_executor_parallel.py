@@ -142,25 +142,17 @@ class TestEagerFree:
         assert _outputs_bytes(eager_out) == _outputs_bytes(keep_out)
         # ...but the eager run retired consumed intermediates and spent
         # contexts on the fly instead of holding one whole step.
-        assert len(eager.values) < len(keep.values)
-        assert not eager._contexts and keep._contexts
+        def live(table):
+            return sum(entry is not None for entry in table)
+        assert live(eager.values) < live(keep.values)
+        assert not live(eager._contexts) and live(keep._contexts)
         # Outputs and parameters survive the freeing.
         for tensor_id in eager._pinned:
-            assert tensor_id in eager.values
+            assert eager.values[tensor_id] is not None
 
-    def test_workers_require_context_reuse(self):
+    def test_workers_must_be_positive(self):
         model, x, y = _case("vgg")
         graph = build_training_graph(model, x.shape[0])
         params = GraphExecutor.parameters_from_model(graph, model)
-        with pytest.raises(ValueError, match="reuse_contexts"):
-            GraphExecutor(graph, params, workers=2, reuse_contexts=False)
         with pytest.raises(ValueError, match="workers"):
             GraphExecutor(graph, params, workers=0)
-
-    def test_replay_mode_disables_eager_free(self):
-        model, x, y = _case("vgg")
-        graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params, reuse_contexts=False)
-        assert not executor.eager_free
-        executor.run(x, y)       # replay re-reads forward inputs late

@@ -17,6 +17,7 @@ from repro.experiments.distributed import (
     Fig11Result, _apportion_overhead,
 )
 from repro.distributed import TrainingProfile
+from repro.compile import default_pipeline
 from repro.graph import build_inference_graph
 from repro.graph.executor import GraphExecutor
 from repro.mesh import (
@@ -380,6 +381,39 @@ class TestRunWithInputs:
         executor = GraphExecutor(tail.graph, tail.params)
         with pytest.raises(ValueError, match="unbound graph inputs"):
             executor.run_with_inputs({})
+
+    def test_single_input_run_on_multi_input_graph_is_typed(self):
+        """Regression: the lowered plan's ``run`` bound only the first
+        input of the 4-input tail and died with a bare AssertionError
+        inside a kernel's ``input()`` (``None`` to numpy under -O)."""
+        plan = MeshPartitioner(2).spatial(_small_split(), batch=2)
+        tail = next(a for a in plan.assignments if a.role == "tail")
+        first = tail.graph.tensors[min(tail.input_bindings)]
+        executor = GraphExecutor(tail.graph, tail.params)
+        with pytest.raises(ValueError, match="unbound graph inputs") as err:
+            executor.run(np.zeros(first.shape))
+        assert first.name not in str(err.value)      # that one was bound
+        assert "mesh.join01" in str(err.value)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_compiled_tail_matches_uncompiled_bytewise(self, workers):
+        """run_with_inputs is one surface: a pipeline-compiled
+        multi-input graph runs through it like a plain one."""
+        plan = MeshPartitioner(2).spatial(_small_split(), batch=2)
+        tail = next(a for a in plan.assignments if a.role == "tail")
+        rng = np.random.default_rng(0)
+        inputs = {tensor_id: rng.standard_normal(
+                      tail.graph.tensors[tensor_id].shape)
+                  for tensor_id in tail.input_bindings}
+        expected = GraphExecutor(tail.graph,
+                                 tail.params).run_with_inputs(inputs)
+        compiled = copy.deepcopy(tail.graph)
+        report = default_pipeline().run(compiled, params=tail.params)
+        assert report.ops_after < report.ops_before
+        actual = GraphExecutor(compiled, tail.params,
+                               workers=workers).run_with_inputs(inputs)
+        assert expected.keys() == actual.keys() == {"logits"}
+        assert expected["logits"].tobytes() == actual["logits"].tobytes()
 
     def test_unknown_input_raises(self):
         model = build_model("small_vgg")

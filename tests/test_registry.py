@@ -4,8 +4,8 @@ Every model in the model zoo — unsplit, split, and stochastically split —
 must build graphs whose ops all resolve through the registry, and the
 registry's symbolic shape inference must agree with the shapes the
 builder recorded.  The second half covers executor behaviour that rides
-on the registry: per-op dropout seeding, context reuse vs. forward
-replay, and intermediate-value release between runs.
+on the registry: per-op dropout seeding and intermediate-value release
+between runs.
 """
 
 import numpy as np
@@ -147,14 +147,10 @@ def small_executor(rng):
     return graph, params, x, y
 
 
-class TestContextReuse:
-    def test_replay_matches_reuse_bitwise(self, small_executor):
-        graph, params, x, y = small_executor
-        reused = GraphExecutor(graph, params).run(x, y)
-        replayed = GraphExecutor(graph, params, reuse_contexts=False).run(x, y)
-        assert reused.keys() == replayed.keys()
-        for key in reused:
-            np.testing.assert_array_equal(reused[key], replayed[key])
+def _live_ids(executor):
+    """Ids of the tensors whose value the executor currently holds."""
+    return {tensor_id for tensor_id, value in enumerate(executor.values)
+            if value is not None}
 
 
 class TestReleaseIntermediates:
@@ -162,9 +158,9 @@ class TestReleaseIntermediates:
         graph, params, x, y = small_executor
         executor = GraphExecutor(graph, params)
         executor.run(x, y)
-        size_after_first = len(executor.values)
+        size_after_first = _live_ids(executor)
         executor.run(x, y)
-        assert len(executor.values) == size_after_first
+        assert _live_ids(executor) == size_after_first
 
     def test_release_keeps_only_parameters(self, small_executor):
         graph, params, x, y = small_executor
@@ -173,7 +169,7 @@ class TestReleaseIntermediates:
         executor.release_intermediates()
         param_ids = {t.id for t in graph.tensors.values()
                      if t.kind == "parameter"}
-        assert set(executor.values) == param_ids
+        assert _live_ids(executor) == param_ids
 
     def test_runs_are_repeatable_after_release(self, small_executor):
         graph, params, x, y = small_executor
