@@ -124,6 +124,7 @@ class ServingEngine:
         self._rng = np.random.default_rng(seed)
         self._split_key = str(getattr(model, "split_info", "unsplit"))
         self._max_batch: Optional[int] = None
+        self._planned_peaks: Dict[int, int] = {}    # bucket -> device peak
         self._logits: Dict[int, np.ndarray] = {}
         self._dense_inferer = None      # built on first DenseRequest
         self._dense_verified_seen = 0
@@ -223,7 +224,6 @@ class ServingEngine:
         exactly the set of batches the engine can execute.
         """
         if self._max_batch is None:
-            fitting: Optional[int] = None
             batch = 1
             while batch <= self.batch_cap:
                 # Discovery must plan the *served* graph — the same
@@ -233,17 +233,23 @@ class ServingEngine:
                 plan = self.planner.plan(self._build_graph(batch))
                 if not plan.fits(self.memory_budget):
                     break
-                fitting = batch
+                self._planned_peaks[batch] = plan.device_peak
                 batch *= 2
-            if fitting is None:
+            if not self._planned_peaks:
                 raise ValueError(
                     f"{self.model.name}: even a single-image inference plan "
                     f"exceeds the memory budget "
                     f"({self.memory_budget} bytes of "
                     f"{self.device.memory_capacity} device bytes)"
                 )
-            self._max_batch = fitting
+            self._max_batch = batch // 2
         return self._max_batch
+
+    def planned_peak(self, batch: int) -> int:
+        """Planned device peak (bytes) of the bucket covering ``batch``:
+        the capacity search's own measurement, so sizing a reservation
+        costs no plan-cache lookup and no second plan."""
+        return self._planned_peaks[self.bucket(batch)]
 
     def bucket(self, batch: int) -> int:
         """Smallest power-of-two bucket covering ``batch`` images."""

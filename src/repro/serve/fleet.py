@@ -4,7 +4,7 @@ Split-CNN's memory reduction turns into *fleet* headroom: the smaller
 each model's forward peak, the more models (and the bigger their
 batches) one accelerator can host at once.  This module grows the
 single-tenant ``queue -> batcher -> engine`` pipeline into a fleet
-runtime:
+runtime (``Server`` is its one-tenant, flush-only front):
 
 - **Tenants**: each :class:`TenantConfig` names a model variant (zoo
   name x split scheme), an SLO class (deadline tier -> flush timeout),
@@ -41,7 +41,7 @@ from ..graph.ir import Graph
 from ..hmms import PlanCache
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .batcher import DynamicBatcher
-from .engine import CachedBatchPlan, ServingEngine
+from .engine import ServingEngine
 from .metrics import ServingMetrics, percentile
 from .queue import AdmissionQueue
 from .request import DenseRequest, Request
@@ -205,7 +205,6 @@ class FleetMetrics:
 class _Replica:
     """One execution slot of a tenant's engine on the shared device."""
 
-    tenant: str
     id: int
     bucket: int = 0                     # 0 = idle
     dense: bool = False                 # serving a dense (patch) request
@@ -216,8 +215,6 @@ class _Replica:
     # step number -> requests completing at that boundary
     completions: Dict[int, List[Request]] = field(default_factory=dict)
     idle_since: float = 0.0
-    busy_time: float = 0.0
-    batches_started: int = 0
 
     @property
     def idle(self) -> bool:
@@ -260,9 +257,9 @@ class FleetScheduler:
     device: the shared accelerator; its ``memory_capacity`` seeds the
         :class:`DeviceLedger`.
     continuous: admit requests into in-flight batches at wavefront-step
-        boundaries.  ``False`` reproduces single-tenant flush-only
-        dispatch (each batch occupies its replica atomically) — kept as
-        the baseline the continuous mode is benchmarked against.
+        boundaries.  ``False`` is flush-only dispatch (each batch
+        occupies its replica atomically): what ``Server`` runs, and the
+        baseline the continuous mode is benchmarked against.
     autoscale: enable the replica autoscaler.
     autoscale_interval: simulated seconds between autoscaler ticks.
     scale_up_queue_factor: scale up when a tenant's queued images exceed
@@ -294,20 +291,15 @@ class FleetScheduler:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        self.device = device
-        self.continuous = continuous
-        self.autoscale = autoscale
         self.autoscale_interval = autoscale_interval
         self.scale_up_queue_factor = scale_up_queue_factor
         self.slo_window = slo_window
         self.idle_timeout = idle_timeout
-        self.ledger = DeviceLedger(device.memory_capacity)
         #: One plan cache for the whole fleet: keys carry model, split
         #: scheme, bucket and pipeline fingerprint, so tenants serving
         #: the same variant share plans instead of building twins.
         self.cache = PlanCache(capacity=cache_capacity)
-        self.metrics = FleetMetrics(names)
-        self.tenants: Dict[str, _Tenant] = {}
+        hosted = []
         for config in tenants:
             engine = ServingEngine.from_zoo(
                 config.model, split=config.split,
@@ -315,19 +307,54 @@ class FleetScheduler:
                 verify_plans=verify_plans, compile_plans=compile_plans,
                 batch_cap=config.batch_cap)
             engine.cache = self.cache
-            self.tenants[config.name] = _Tenant(
-                config=config, engine=engine,
-                queue=AdmissionQueue(max_depth=config.queue_depth,
-                                     max_request_size=1),  # sized below
-                batcher=DynamicBatcher(max_batch_images=1,  # sized below
-                                       flush_timeout=config.slo.flush_timeout),
-                bucket_cap=0, reservation=0)
-        self._partition_capacity()
+            hosted.append((config, engine))
+        self._host(hosted, device, device.memory_capacity,
+                   continuous, autoscale)
+        # Plan and verify each reserved bucket before traffic: a bad plan
+        # fails here, and the trace's first full batch is a cache hit.
         for tenant in self.tenants.values():
-            self._add_replica(tenant, now=0.0)
-            if not tenant.replicas:
+            tenant.engine.entry_for(tenant.bucket_cap)
+
+    @classmethod
+    def _around(cls, engine: ServingEngine, config: TenantConfig,
+                max_pending_images: Optional[int]) -> "FleetScheduler":
+        """Internal: the one-tenant, flush-only fleet behind ``Server``.
+
+        Hosts a pre-built engine, which keeps its own plan cache and
+        whose memory budget is the ledger's capacity.  Nothing is planned
+        ahead, so every cache lookup belongs to an executed batch.
+        """
+        fleet = cls.__new__(cls)
+        fleet.cache = engine.cache
+        fleet._host([(config, engine)], engine.device, engine.memory_budget,
+                    continuous=False, autoscale=False,
+                    max_pending_images=max_pending_images)
+        return fleet
+
+    def _host(self, hosted: List[Tuple[TenantConfig, ServingEngine]],
+              device: DeviceSpec, capacity: int, continuous: bool,
+              autoscale: bool,
+              max_pending_images: Optional[int] = None) -> None:
+        """Partition ``capacity`` and open one replica per engine."""
+        self.device = device
+        self.continuous = continuous
+        self.autoscale = autoscale
+        self.ledger = DeviceLedger(capacity)
+        self.metrics = FleetMetrics([config.name for config, _ in hosted])
+        self.tenants: Dict[str, _Tenant] = {}
+        caps = self._partition_capacity(hosted)
+        for config, engine in hosted:
+            cap = caps[config.name]
+            tenant = _Tenant(
+                config=config, engine=engine,
+                queue=AdmissionQueue(config.queue_depth, cap,
+                                     max_pending_images),
+                batcher=DynamicBatcher(cap, config.slo.flush_timeout),
+                bucket_cap=cap, reservation=engine.planned_peak(cap))
+            self.tenants[config.name] = tenant
+            if not self._add_replica(tenant, now=0.0):
                 raise ValueError(
-                    f"tenant {tenant.config.name!r}: ledger refused the "
+                    f"tenant {config.name!r}: ledger refused the "
                     f"first replica — capacity partition bug")
         # Event heap: (time, seq, kind, tenant, replica_id)
         self._events: List[Tuple[float, int, str, str, int]] = []
@@ -337,27 +364,25 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Startup: shared-device capacity partition
     # ------------------------------------------------------------------
-    def _plan_peak(self, tenant: _Tenant, bucket: int) -> int:
-        return tenant.engine.entry_for(bucket).plan.device_peak
-
-    def _partition_capacity(self) -> None:
-        """Shrink per-tenant bucket caps until one replica each co-fits.
+    def _partition_capacity(
+            self, hosted: List[Tuple[TenantConfig, ServingEngine]],
+    ) -> Dict[str, int]:
+        """Per-tenant bucket caps under which one replica each co-fits.
 
         Starts every tenant at its solo discovered maximum (the Figure-10
         search against the whole device) and repeatedly halves the bucket
         of the tenant with the largest plan peak until the sum of peaks
         fits the device — the multi-tenant generalization of the dyadic
-        capacity search.
+        capacity search.  The peaks are the ones that search measured.
         """
-        caps: Dict[str, int] = {}
-        for name, tenant in self.tenants.items():
-            caps[name] = min(tenant.engine.max_batch,
-                             tenant.config.batch_cap)
+        engines = {config.name: engine for config, engine in hosted}
+        caps = {config.name: min(engine.max_batch, config.batch_cap)
+                for config, engine in hosted}
         while True:
-            peaks = {name: self._plan_peak(self.tenants[name], cap)
+            peaks = {name: engines[name].planned_peak(cap)
                      for name, cap in caps.items()}
             if sum(peaks.values()) <= self.ledger.capacity:
-                break
+                return caps
             # Halve the hungriest tenant (ties: config order).
             worst = max(peaks, key=lambda name: peaks[name])
             if caps[worst] <= 1:
@@ -367,15 +392,6 @@ class FleetScheduler:
                     f"batch 1 and {self.ledger.capacity} total is "
                     f"available for {len(caps)} tenants")
             caps[worst] //= 2
-        for name, tenant in self.tenants.items():
-            tenant.bucket_cap = caps[name]
-            tenant.reservation = self._plan_peak(tenant, caps[name])
-            tenant.queue = AdmissionQueue(
-                max_depth=tenant.config.queue_depth,
-                max_request_size=caps[name])
-            tenant.batcher = DynamicBatcher(
-                max_batch_images=caps[name],
-                flush_timeout=tenant.config.slo.flush_timeout)
 
     # ------------------------------------------------------------------
     # Replicas
@@ -386,8 +402,7 @@ class FleetScheduler:
                                    tenant.reservation):
             return False
         tenant.next_replica_id += 1
-        tenant.replicas.append(_Replica(tenant=tenant.config.name,
-                                        id=replica_id, idle_since=now))
+        tenant.replicas.append(_Replica(id=replica_id, idle_since=now))
         name = tenant.config.name
         self.metrics.peak_replicas[name] = max(
             self.metrics.peak_replicas[name], len(tenant.replicas))
@@ -427,11 +442,12 @@ class FleetScheduler:
     # Admission
     # ------------------------------------------------------------------
     def submit(self, request: Request, now: float) -> bool:
-        if request.tenant is None or request.tenant not in self.tenants:
+        self.clock = max(self.clock, now)
+        tenant = self.tenants.get(request.tenant)
+        if tenant is None:
             raise ValueError(
                 f"request {request.id} names unknown tenant "
                 f"{request.tenant!r}")
-        tenant = self.tenants[request.tenant]
         admitted = tenant.queue.offer(request)
         self.metrics.tenant(request.tenant).record_admission(
             admitted, len(tenant.queue))
@@ -442,11 +458,11 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _steps_for(self, tenant: _Tenant, entry: CachedBatchPlan) -> int:
-        steps = tenant.steps_by_bucket.get(entry.batch)
+    def _steps_for(self, tenant: _Tenant, bucket: int) -> int:
+        steps = tenant.steps_by_bucket.get(bucket)
         if steps is None:
-            steps = wavefront_steps(entry.graph)
-            tenant.steps_by_bucket[entry.batch] = steps
+            steps = wavefront_steps(tenant.engine.entry_for(bucket).graph)
+            tenant.steps_by_bucket[bucket] = steps
         return steps
 
     def _try_dispatch(self, tenant: _Tenant, now: float) -> Optional[float]:
@@ -473,52 +489,29 @@ class FleetScheduler:
 
     def _start_batch(self, tenant: _Tenant, replica: _Replica,
                      batch: List[Request], now: float) -> None:
-        metrics_t = self.metrics.tenant(tenant.config.name)
-        if len(batch) == 1 and isinstance(batch[0], DenseRequest):
-            # Dense requests stream through the engine's patch path.
-            # The engine updates its own batch/image/padding counters;
-            # the replica runs one synthetic step covering the whole
-            # stream (no joiners — the patch plans own the memory the
-            # in-flight bucket would otherwise lend out).
-            request = batch[0]
-            latency = tenant.engine.execute(batch)
-            metrics_t.batches += 1
-            metrics_t.batch_sizes[request.size] += 1
-            replica.bucket = request.size
-            replica.dense = True
-            replica.step_index = 0
-            replica.batches_started += 1
-            replica.steps_per_pass = 1
-            replica.step_time = latency
-            replica.resident_images = request.size
-            replica.completions = {1: [request]}
-            self._push(now + latency, "step", tenant.config.name,
-                       replica.id)
-            return
-        images = sum(r.size for r in batch)
-        entry = tenant.engine.entry_for(images)
-        steps = self._steps_for(tenant, entry)
+        """Serve ``batch`` through the engine and occupy ``replica``.
+
+        The engine keeps its own batch/image/padding counters.  Only a
+        classification batch under continuous batching runs as wavefront
+        steps; flush-only dispatch and a dense request (streamed through
+        the patch path, whose plans own the memory joiners would borrow)
+        occupy the replica atomically, as one synthetic step.
+        """
         metrics = self.metrics.tenant(tenant.config.name)
+        images = sum(r.size for r in batch)
+        latency = tenant.engine.execute(batch)
         metrics.batches += 1
         metrics.batch_sizes[images] += 1
-        engine = tenant.engine
-        engine.executed_batches += 1
-        engine.executed_images += images
-        engine.padded_images += entry.batch - images
-        replica.bucket = entry.batch
-        replica.dense = False
+        replica.dense = isinstance(batch[0], DenseRequest)
+        replica.bucket = images if replica.dense \
+            else tenant.engine.bucket(images)
         replica.step_index = 0
-        replica.batches_started += 1
-        if self.continuous:
-            replica.steps_per_pass = steps
-            replica.step_time = entry.latency / steps
-        else:
-            # Flush-only baseline: the batch occupies the replica
-            # atomically — one synthetic step covering the whole pass.
-            replica.steps_per_pass = 1
-            replica.step_time = entry.latency
+        replica.steps_per_pass = \
+            self._steps_for(tenant, replica.bucket) \
+            if self.continuous and not replica.dense else 1
+        replica.step_time = latency / replica.steps_per_pass
         replica.resident_images = images
-        replica.completions = {replica.steps_per_pass: list(batch)}
+        replica.completions = {replica.steps_per_pass: batch}
         self._push(now + replica.step_time, "step", tenant.config.name,
                    replica.id)
 
@@ -529,11 +522,11 @@ class FleetScheduler:
                  now: float) -> None:
         metrics = self.metrics.tenant(tenant.config.name)
         replica.step_index += 1
-        replica.busy_time += replica.step_time
         for request in replica.completions.pop(replica.step_index, []):
             metrics.record_completion(request, now)
             replica.resident_images -= request.size
-            tenant.window.append((now, request.latency))
+            if self.autoscale:          # the window's only reader prunes it
+                tenant.window.append((now, request.latency))
         if self.continuous:
             self._admit_joiners(tenant, replica, now)
         if replica.completions:
@@ -541,8 +534,6 @@ class FleetScheduler:
                        tenant.config.name, replica.id)
             return
         replica.bucket = 0              # drained: idle
-        replica.dense = False
-        replica.resident_images = 0
         replica.idle_since = now
         self._dispatch_and_arm(tenant, now)
 
@@ -633,21 +624,24 @@ class FleetScheduler:
         steps and autoscaler ticks interleave on the simulated clock.
         After the last arrival the fleet drains completely — every
         queue empty, every replica idle — so the returned metrics
-        satisfy the accounting invariant with ``still_queued == 0``.
+        satisfy the accounting invariant with ``still_queued == 0``.  A
+        later trace may not start before the clock this one leaves.
         """
         for earlier, later in zip(arrivals, arrivals[1:]):
             if later.arrival_time < earlier.arrival_time:
                 raise ValueError("arrival trace must be time-sorted")
+        if arrivals and arrivals[0].arrival_time < self.clock:
+            raise ValueError(
+                f"trace starts at {arrivals[0].arrival_time}, before the "
+                f"scheduler's clock ({self.clock}): build a fresh scheduler")
         index, total = 0, len(arrivals)
         if self.autoscale:
-            self._push(self.autoscale_interval, "scale")
+            self._push(self.clock + self.autoscale_interval, "scale")
         while index < total or self._events:
             next_event = self._events[0][0] if self._events else float("inf")
             if index < total and arrivals[index].arrival_time <= next_event:
-                request = arrivals[index]
+                self.submit(arrivals[index], arrivals[index].arrival_time)
                 index += 1
-                self.clock = max(self.clock, request.arrival_time)
-                self.submit(request, self.clock)
                 continue
             time, _, kind, name, replica_id = heapq.heappop(self._events)
             self.clock = max(self.clock, time)

@@ -137,21 +137,18 @@ def fleet_arrivals(config: FleetBenchConfig) -> List[Request]:
 
 
 def run_fleet_bench(config: FleetBenchConfig,
-                    fleet: Optional[FleetScheduler] = None,
                     ) -> "tuple[FleetScheduler, FleetMetrics]":
     """Run one fleet bench; returns the (drained) scheduler + metrics.
 
-    Builds a fresh :class:`FleetScheduler` unless one is passed in (a
-    warm fleet reuses its plan cache across runs).  The accounting
-    invariant is re-checked here per tenant and globally even though
-    ``FleetScheduler.run`` already enforces it — the bench is the
-    contract's last line of defense, same as ``run_bench``.
+    Always on a fresh :class:`FleetScheduler`: one that has run keeps
+    its clock and metrics and cannot replay a trace from t = 0.  The
+    accounting invariant is re-checked here even though ``run`` already
+    enforces it — the bench is the contract's last line of defense.
     """
-    if fleet is None:
-        fleet = FleetScheduler(config.tenants,
-                               continuous=config.continuous,
-                               autoscale=config.autoscale,
-                               compile_plans=config.compile_plans)
+    fleet = FleetScheduler(config.tenants,
+                           continuous=config.continuous,
+                           autoscale=config.autoscale,
+                           compile_plans=config.compile_plans)
     metrics = fleet.run(fleet_arrivals(config))
     metrics.check_accounting(fleet.still_queued())
     return fleet, metrics

@@ -56,9 +56,6 @@ class LatencyHistogram:
                 return
         self.buckets[None] += 1        # > largest bound
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
 
@@ -112,14 +109,6 @@ class ServingMetrics:
         else:
             self.rejected_queue_full += 1
         self.queue_depths.append(depth_after)
-
-    def record_batch(self, requests: List[Request],
-                     completion_time: float) -> None:
-        self.batches += 1
-        images = sum(r.size for r in requests)
-        self.batch_sizes[images] += 1
-        for request in requests:
-            self.record_completion(request, completion_time)
 
     def record_completion(self, request: Request,
                           completion_time: float) -> None:

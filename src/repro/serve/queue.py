@@ -73,10 +73,6 @@ class AdmissionQueue:
         return self._pending_images
 
     @property
-    def oldest_arrival(self) -> Optional[float]:
-        return self._requests[0].arrival_time if self._requests else None
-
-    @property
     def full(self) -> bool:
         return len(self._requests) >= self.max_depth
 

@@ -8,6 +8,7 @@ reports is reproducible without hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -38,6 +39,14 @@ class Request:
         if self.size < 1:
             raise ValueError(f"request {self.id}: size must be >= 1, "
                              f"got {self.size}")
+        # NaN passes every ``later < earlier`` sortedness check and then
+        # sits in the latency samples; ``deadline=None`` means no expiry.
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"request {self.id}: arrival_time must be "
+                             f"finite, got {self.arrival_time}")
+        if self.deadline is not None and not math.isfinite(self.deadline):
+            raise ValueError(f"request {self.id}: deadline must be finite "
+                             f"or None, got {self.deadline}")
 
     def expired_at(self, now: float) -> bool:
         """True when the deadline has passed and the work never started.

@@ -1,26 +1,23 @@
-"""Single-process event-driven serving loop on a simulated clock.
+"""Single-tenant serving: one engine behind the fleet's event loop.
 
-Ties the pipeline together: admission queue -> dynamic batcher -> engine.
-The loop is a discrete-event simulation — the only events are request
-arrivals and batch dispatches, and time advances to whichever comes
-first.  One engine models one accelerator: a batch occupies it for the
-plan's simulated latency and the next batch dispatches no earlier than
-``engine_free``.
-
-Determinism is the point: the same arrival trace, flush timeout and
-batch cap produce byte-identical metrics on every machine, which is what
-lets the bench, tests and CI assert on exact counters.
+``queue -> batcher -> engine`` for one model is the one-tenant case of
+:class:`~repro.serve.fleet.FleetScheduler`: one replica, no autoscaler,
+flush-only dispatch (a batch occupies the engine for the plan's
+simulated latency; the next dispatches no earlier than its completion).
+``Server`` builds that fleet around an engine the caller already has.
+The only serving event loop is ``FleetScheduler.run``, so the same trace,
+flush timeout and batch cap still produce byte-identical metrics.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .batcher import DynamicBatcher
 from .engine import ServingEngine
+from .fleet import FleetScheduler, TenantConfig
 from .metrics import ServingMetrics
-from .queue import AdmissionQueue
 from .request import Request
+from .slo import SLOClass
 
 __all__ = ["Server"]
 
@@ -42,70 +39,30 @@ class Server:
         if max_images > engine.max_batch:
             raise ValueError(
                 f"max_batch_images {max_images} exceeds the engine's "
-                f"discovered maximum {engine.max_batch}"
-            )
-        self.batcher = DynamicBatcher(max_batch_images=max_images,
-                                      flush_timeout=flush_timeout)
-        # ``max_pending_images`` bounds queued *work* (a dense request
-        # weighs its whole patch total), on top of the request-depth
-        # bound — the knob that makes admission control actually bound
-        # memory when classification and dense traffic mix.
-        self.queue = AdmissionQueue(max_depth=queue_depth,
-                                    max_request_size=max_images,
-                                    max_pending_images=max_pending_images)
-        self.metrics = ServingMetrics()
-        self.engine_free = 0.0
-        self.clock = 0.0              # last event time (arrival or dispatch)
+                f"discovered maximum {engine.max_batch}")
+        # The sole tenant is keyed ``None``, the tenant of an untagged
+        # request; deadlines ride on requests, the SLO only sets the flush.
+        self._fleet = FleetScheduler._around(engine, TenantConfig(
+            name=None, model=engine.model.name,
+            slo=SLOClass("server", deadline=None,
+                         flush_timeout=flush_timeout),
+            queue_depth=queue_depth, max_replicas=1, batch_cap=max_images,
+        ), max_pending_images)
+        self.queue = self._fleet.tenants[None].queue
+        self.metrics = self._fleet.metrics.tenant(None)
 
-    # ------------------------------------------------------------------
     def submit(self, request: Request) -> bool:
         """Admit one request; ``False`` means rejected (queue full).
 
         Raises :class:`~repro.serve.queue.OversizeRequestError` for
         requests no batch can ever carry.
         """
-        admitted = self.queue.offer(request)
-        self.metrics.record_admission(admitted, len(self.queue))
-        return admitted
+        return self._fleet.submit(
+            request, max(self._fleet.clock, request.arrival_time))
 
-    # ------------------------------------------------------------------
     def run(self, arrivals: List[Request]) -> ServingMetrics:
-        """Replay an arrival trace to completion and return the metrics.
-
-        ``arrivals`` must be sorted by ``arrival_time``.  The loop admits
-        every arrival that lands before the next possible dispatch, then
-        dispatches; after the last arrival the queue drains on flush
-        timers alone.
-        """
-        for earlier, later in zip(arrivals, arrivals[1:]):
-            if later.arrival_time < earlier.arrival_time:
-                raise ValueError("arrival trace must be time-sorted")
-        index = 0
-        total = len(arrivals)
-        while index < total or len(self.queue):
-            if not len(self.queue):
-                self.clock = max(self.clock, arrivals[index].arrival_time)
-                self.submit(arrivals[index])
-                index += 1
-                continue
-            dispatch_at = max(self.engine_free,
-                              self.batcher.ready_at(self.queue, self.clock))
-            if index < total and arrivals[index].arrival_time <= dispatch_at:
-                self.clock = max(self.clock, arrivals[index].arrival_time)
-                self.submit(arrivals[index])
-                index += 1
-                continue
-            self._dispatch(dispatch_at)
+        """Replay a time-sorted, untagged arrival trace to completion
+        (after the last arrival the queue drains on flush timers alone)
+        and return the metrics."""
+        self._fleet.run(arrivals)
         return self.metrics
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, now: float) -> None:
-        self.clock = max(self.clock, now)
-        batch = self.batcher.form_batch(self.queue, now, self.metrics)
-        if not batch:
-            # Every waiting request expired before the flush fired.
-            self.metrics.empty_flushes += 1
-            return
-        latency = self.engine.execute(batch)
-        self.engine_free = now + latency
-        self.metrics.record_batch(batch, self.engine_free)

@@ -264,6 +264,20 @@ class TestFleetRun:
         with pytest.raises(ValueError, match="time-sorted"):
             fleet.run(trace)
 
+    def test_warm_scheduler_refuses_a_trace_from_its_past(self):
+        # Replaying a t~0 trace on a drained scheduler used to run it
+        # against a clock already at the end of the first run, expiring
+        # most of it into the first run's metrics.
+        tenants = [small_tenant("a", rps=500.0, slo=INTERACTIVE)]
+        trace = fleet_arrivals(FleetBenchConfig(tenants=tenants,
+                                                duration=0.5))
+        fleet = small_fleet(tenants)
+        fleet.run([dataclasses.replace(r) for r in trace])
+        arrived = fleet.metrics.tenant("a").arrived
+        with pytest.raises(ValueError, match="fresh scheduler"):
+            fleet.run([dataclasses.replace(r) for r in trace])
+        assert fleet.metrics.tenant("a").arrived == arrived
+
     def test_continuous_beats_flush_p99_on_the_same_trace(self):
         # The headline property: joining in-flight batches at wavefront
         # boundaries strictly lowers tail latency at moderate load,

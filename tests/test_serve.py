@@ -1,10 +1,14 @@
 """Tests for the serving runtime: queue, batcher, engine, server, bench."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import to_split_cnn
-from repro.graph import build_inference_graph, build_training_graph
+from repro.graph import (
+    GraphExecutor, build_inference_graph, build_training_graph,
+)
 from repro.hmms import (
     POOL_DEVICE_PARAM, HMMSPlanner, PlanCache, verify_plan,
 )
@@ -750,3 +754,182 @@ class TestMixedServing:
         assert engine.executed_images == completed_images
         assert engine.plans_verified == engine.cache.misses
         assert server.queue.pending_images == 0
+
+
+# ----------------------------------------------------------------------
+# Server is the one-tenant, flush-only fleet: golden digests
+# ----------------------------------------------------------------------
+def _golden_bench_cases():
+    """(label, model, Server kwargs, arrivals) in the supported regime:
+    no deadline, or ``flush_timeout <= deadline``."""
+    shapes = {
+        "light": dict(rps=500, duration=0.5),
+        "medium": dict(rps=20_000, duration=0.03),
+        "saturated": dict(rps=150_000, duration=0.008),
+        "depth4": dict(rps=60_000, duration=0.01, queue_depth=4,
+                       flush_timeout=0.0002),
+        "size3": dict(rps=8_000, duration=0.05, request_size=3),
+        "cap4": dict(rps=20_000, duration=0.02, max_batch_images=4),
+        "deadline": dict(rps=150_000, duration=0.006, flush_timeout=0.001,
+                         deadline=0.002),
+    }
+    for model in (small_resnet, small_vgg):
+        for shape, fields in shapes.items():
+            for seed in (0, 1):
+                config = BenchConfig(seed=seed, **fields)
+                server_kwargs = dict(
+                    flush_timeout=config.flush_timeout,
+                    queue_depth=config.queue_depth,
+                    max_batch_images=config.max_batch_images)
+                yield (f"{model.__name__}-{shape}-{seed}", model,
+                       server_kwargs, poisson_arrivals(config))
+
+
+def _golden_mixed_cases():
+    """Dense + classification traffic bounded by ``max_pending_images``."""
+    for seed in (7, 8):
+        rng = np.random.default_rng(seed)
+        arrivals, clock = [], 0.0
+        for i in range(80):
+            clock += float(rng.exponential(0.0002))
+            if rng.random() < 0.25:
+                hw = (32, 32) if rng.random() < 0.5 else (48, 48)
+                arrivals.append(DenseRequest(
+                    id=i, arrival_time=clock, image_hw=hw, grid=(2, 2)))
+            else:
+                arrivals.append(Request(id=i, arrival_time=clock,
+                                        size=int(rng.integers(1, 5))))
+        yield (f"mixed-{seed}", small_vgg,
+               dict(flush_timeout=0.004, queue_depth=6,
+                    max_pending_images=24), arrivals)
+
+
+def _golden_digest(case) -> str:
+    """blake2b over every request's dispatch/completion instants plus
+    the server's and the engine's counters."""
+    _, model, server_kwargs, arrivals = case
+    engine = ServingEngine(model(rng=np.random.default_rng(0)), batch_cap=8)
+    server = Server(engine, **server_kwargs)
+    m = server.run(arrivals)
+    m.check_accounting(still_queued=len(server.queue))
+    digest = hashlib.blake2b(digest_size=16)
+    for request in arrivals:
+        digest.update(repr((request.dispatch_time,
+                            request.completion_time)).encode())
+    digest.update(repr((
+        m.arrived, m.admitted, m.completed_requests, m.completed_images,
+        m.rejected_queue_full, m.expired, m.batches, m.empty_flushes,
+        sorted(m.batch_sizes.items()), m.latency.samples,
+        m.queue_wait.samples, m.queue_depths,
+        engine.executed_batches, engine.executed_images,
+        engine.padded_images, engine.cache.hits, engine.cache.misses,
+    )).encode())
+    return digest.hexdigest()
+
+
+#: Recorded from the parent commit's hand-rolled ``Server.run`` loop
+#: (89916f9), before ``Server`` became a front for ``FleetScheduler``.
+GOLDEN_DIGESTS = {
+    "small_resnet-light-0": "ef55dd9440ed9c4852a77048388105f9",
+    "small_resnet-light-1": "7e756cb6296f4508eef24de99b6438de",
+    "small_resnet-medium-0": "a1455440ccf802eb4cabf2ad49d43d9c",
+    "small_resnet-medium-1": "5b1bf6f9de93d55c4113d0034c738f6d",
+    "small_resnet-saturated-0": "391c7890f8a955f43c37db301a4e9764",
+    "small_resnet-saturated-1": "fac4d1815950ff675c55c83f73050c4b",
+    "small_resnet-depth4-0": "12c46b58b4a5055ae17efbf5e899354e",
+    "small_resnet-depth4-1": "cbd73d155ad4c8121d3a9ffbef7a0b2d",
+    "small_resnet-size3-0": "805028178aac093d752efc3653a82a7a",
+    "small_resnet-size3-1": "91fc3295226cdddbc6cecf95f80a7052",
+    "small_resnet-cap4-0": "cb3ba0243dbdd2a8387a4dfae9204e2d",
+    "small_resnet-cap4-1": "f727ab9cb8555ddb7912ede7c8e02ab6",
+    "small_resnet-deadline-0": "8e076b421a0491d0004c74234f472c3e",
+    "small_resnet-deadline-1": "9d34d3175c5f1e995b0882697d258d42",
+    "small_vgg-light-0": "ddf61576b9e483c06b0e015009dd5ed0",
+    "small_vgg-light-1": "93f13469b72264f76dd34c94fafe083f",
+    "small_vgg-medium-0": "6e5fd5f9d9c649c602ebd556695ecaf1",
+    "small_vgg-medium-1": "9b7f4cdfcebb9a21eec7b74f3e8be119",
+    "small_vgg-saturated-0": "98100797f5b2008318eb7008cf43a025",
+    "small_vgg-saturated-1": "15c5be009d6371e037d41685803c9ea4",
+    "small_vgg-depth4-0": "39c5c6e960f624050a241436081820c3",
+    "small_vgg-depth4-1": "5d1edc09cde98a129e02c48545ad368c",
+    "small_vgg-size3-0": "e6b3fd4b94c4d4d890c580235ffa842e",
+    "small_vgg-size3-1": "8ef6dd45416cb00e853cc4f75c8ee082",
+    "small_vgg-cap4-0": "c74ee7db37419ed4c7263327f3c92fc0",
+    "small_vgg-cap4-1": "7e8dbf1590cc6301b231334c5868941c",
+    "small_vgg-deadline-0": "faf9da74c08d58e4b713f60e5aa98dec",
+    "small_vgg-deadline-1": "5be0560f491de2c34e850d772c4dec6f",
+    "mixed-7": "d3eb070b2812c4ca2c3ad537885964d3",
+    "mixed-8": "3cf5a992fcdc89fe7d922dcd64c940da",
+}
+
+
+class TestServerMatchesTheLoopItReplaced:
+    CASES = list(_golden_bench_cases()) + list(_golden_mixed_cases())
+
+    def test_covers_every_recorded_trace(self):
+        assert [case[0] for case in self.CASES] == list(GOLDEN_DIGESTS)
+        assert len(self.CASES) >= 24
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_request_for_request_counter_for_counter(self, case):
+        assert _golden_digest(case) == GOLDEN_DIGESTS[case[0]]
+
+
+class TestServerIsTheOneTenantFleet:
+    def test_numeric_engine_behind_server_matches_a_direct_executor(self):
+        engine = make_engine(numeric=True, seed=3)
+        requests = [Request(id=0, arrival_time=0.0, size=2),
+                    Request(id=1, arrival_time=0.001),
+                    Request(id=2, arrival_time=0.002)]
+        metrics = Server(engine, flush_timeout=0.005).run(requests)
+        assert metrics.batches == 1 and metrics.completed_requests == 3
+        # One batch of 4 images: the engine's first draw from its seed.
+        graph = build_inference_graph(engine.model, 4)
+        batch_input = np.random.default_rng(3).standard_normal(
+            next(t for t in graph.tensors.values()
+                 if t.kind == "input").shape)
+        logits = GraphExecutor(
+            graph, GraphExecutor.parameters_from_model(graph, engine.model),
+        ).run(batch_input)["logits"]
+        offset = 0
+        for request in requests:
+            rows = logits[offset:offset + request.size]
+            assert engine.logits_for(request).tobytes() == rows.tobytes()
+            offset += request.size
+
+    def test_one_cache_lookup_per_executed_batch(self):
+        engine = make_engine()
+        server = Server(engine, flush_timeout=0.002)
+        assert engine.cache.hits + engine.cache.misses == 0   # no warm-up
+        server.run(poisson_arrivals(BenchConfig(rps=3000, duration=0.1)))
+        assert engine.executed_batches > 1
+        assert engine.cache.hits + engine.cache.misses \
+            == engine.executed_batches
+
+    def test_planned_peak_is_the_cached_plans_peak(self):
+        engine = make_engine()
+        for batch in (1, 3, 8):
+            assert engine.planned_peak(batch) \
+                == engine.entry_for(batch).plan.device_peak
+
+    def test_rerun_from_an_earlier_instant_raises(self):
+        server = Server(make_engine(), flush_timeout=0.002)
+        trace = poisson_arrivals(BenchConfig(rps=500, duration=0.2))
+        server.run(trace)
+        completed = server.metrics.completed_requests
+        with pytest.raises(ValueError, match="fresh scheduler"):
+            server.run(poisson_arrivals(BenchConfig(rps=500, duration=0.2)))
+        assert server.metrics.completed_requests == completed
+        # A trace that starts where the clock stands is still welcome.
+        late = Request(id=10_000, arrival_time=trace[-1].arrival_time + 1.0)
+        assert server.run([late]).completed_requests == completed + 1
+
+    @pytest.mark.parametrize("field", ["arrival_time", "deadline"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_request_times_are_rejected(self, field, value):
+        kwargs = {"arrival_time": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Request(id=0, **kwargs)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DenseRequest(id=0, image_hw=(32, 32), **kwargs)
