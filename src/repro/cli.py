@@ -229,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--eval-bn", action="store_true",
                           help="inference: running-stat batch norm "
                                "(enables BN constant folding)")
-    compile_.add_argument("--backends", action="store_true",
-                          help="also select conv backends per shape "
-                               "(direct vs FFT; not byte-identical)")
     compile_.add_argument("--check", action="store_true",
                           help="execute compiled vs interpreted graphs "
                                "and require byte-identical outputs")
@@ -355,9 +352,9 @@ def _cmd_mesh_bench(args) -> int:
         from .experiments import render_fig11_measured, run_fig11_measured
 
         def factory():
-            return _build_named_model(args.model, 0.0, 1)
+            return _build_named_model(args.model)
 
-        from .experiments.accuracy import GRID_OF_SPLITS
+        from .core import GRID_OF_SPLITS
         grid = GRID_OF_SPLITS.get(args.split)
         if grid is None:
             raise _UsageError(
@@ -381,7 +378,7 @@ def _cmd_mesh_bench(args) -> int:
         return 0
 
     depth = args.split_depth if args.strategy == "spatial" else 0.0
-    model = _build_named_model(args.model, depth, args.split)
+    model = _build_named_model(args.model, args.split, depth)
     partitioner = MeshPartitioner(args.devices, topology=args.topology)
     if args.strategy == "data":
         mesh_plan = partitioner.data(model, args.batch)
@@ -459,27 +456,15 @@ def _cmd_accuracy(args) -> int:
     return 0
 
 
-def _build_named_model(name: str, depth: float, splits: int):
-    from .core import to_split_cnn
-    from .experiments.accuracy import GRID_OF_SPLITS
-    from .models import build_model
-    from .nn import init
+def _build_named_model(name: str, split: int = 1, split_depth: float = 0.0):
+    """:func:`repro.core.build_zoo_model`, a bad name or split count
+    being the user's error."""
+    from .core import build_zoo_model
 
-    kwargs = {}
-    if name in ("vgg11", "resnet18", "resnet34"):
-        kwargs = {"dataset": "imagenet", "num_classes": 1000}
-    with init.fast_init():
-        try:
-            model = build_model(name, **kwargs)
-        except ValueError as error:
-            raise _UsageError(str(error)) from None
-        if depth > 0:
-            grid = GRID_OF_SPLITS.get(splits)
-            if grid is None:
-                raise _UsageError(
-                    f"--splits must be one of {sorted(GRID_OF_SPLITS)}")
-            model = to_split_cnn(model, depth=depth, num_splits=grid)
-    return model
+    try:
+        return build_zoo_model(name, split, split_depth)
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
 
 
 def _cmd_plan(args) -> int:
@@ -487,7 +472,7 @@ def _cmd_plan(args) -> int:
     from .hmms import HMMSPlanner
     from .sim import GPUSimulator
 
-    model = _build_named_model(args.model, args.split_depth, args.splits)
+    model = _build_named_model(args.model, args.splits, args.split_depth)
     graph = build_training_graph(model, args.batch)
     plan = HMMSPlanner(scheduler=args.scheduler).plan(graph)
     result = GPUSimulator().run(plan)
@@ -509,7 +494,7 @@ def _cmd_verify_plan(args) -> int:
     from .graph import build_training_graph
     from .hmms import HMMSPlanner, verify_plan
 
-    model = _build_named_model(args.model, args.split_depth, args.splits)
+    model = _build_named_model(args.model, args.splits, args.split_depth)
     graph = build_training_graph(model, args.batch)
     planner = HMMSPlanner(scheduler=args.scheduler,
                           grouped_sync=args.grouped_sync)
@@ -669,12 +654,7 @@ def _cmd_compile(args) -> int:
         GraphExecutor, build_inference_graph, build_training_graph,
     )
 
-    if args.check and args.backends:
-        raise _UsageError(
-            "--check asserts byte-identity, which --backends breaks "
-            "(FFT forward != direct forward bitwise); drop one of them")
-    depth = args.split_depth if args.split > 1 else 0.0
-    model = _build_named_model(args.model, depth, args.split)
+    model = _build_named_model(args.model, args.split, args.split_depth)
 
     def build():
         if args.train:
@@ -684,8 +664,7 @@ def _cmd_compile(args) -> int:
 
     graph = build()
     params = GraphExecutor.parameters_from_model(graph, model)
-    pipeline = default_pipeline(select_backends=args.backends)
-    report = pipeline.run(graph, params=params)
+    report = default_pipeline().run(graph, params=params)
     print(report.render())
     if not args.check:
         return 0
@@ -755,8 +734,7 @@ def _lint_matrix(args, suite) -> int:
     configs = 0
     for name in names:
         for split in splits:
-            depth = args.split_depth if split > 1 else 0.0
-            model = _build_named_model(name, depth, split)
+            model = _build_named_model(name, split, args.split_depth)
             for compiled in (False, True):
                 for inference in (False, True):
                     graph, plan = _lint_build(
@@ -821,8 +799,8 @@ def _cmd_lint(args) -> int:
                                   lint_engine_config(engine),
                                   (PASS_CONFIG,))
     else:
-        depth = args.split_depth if args.split > 1 else 0.0
-        model = _build_named_model(args.model, depth, args.split)
+        model = _build_named_model(args.model, args.split,
+                                   args.split_depth)
         graph, plan = _lint_build(model, args.batch, args.inference,
                                   args.compile, args.workers)
         report = suite.analyze(graph, workers=args.workers,
@@ -851,7 +829,7 @@ def _cmd_info(args) -> int:
     from .graph import build_training_graph
     from .graph.export import graph_stats
 
-    model = _build_named_model(args.model, 0.0, 1)
+    model = _build_named_model(args.model)
     stats = graph_stats(build_training_graph(model, args.batch))
     gib = 1 << 30
     print(f"model               : {model.name} (batch {args.batch})")
@@ -874,7 +852,7 @@ def _cmd_export(args) -> int:
     from .graph import build_training_graph
     from .graph.export import to_dot
 
-    model = _build_named_model(args.model, 0.0, 1)
+    model = _build_named_model(args.model)
     dot = to_dot(build_training_graph(model, args.batch),
                  max_ops=args.max_ops)
     if args.output == "-":
@@ -918,7 +896,7 @@ def _cmd_patch_bench(args) -> int:
     gib = 1 << 30
     smoke = bool(os.environ.get("REPRO_SMOKE"))
     device = P100_NVLINK
-    model = _build_named_model(args.model, 0.0, 1)
+    model = _build_named_model(args.model)
     model.eval()
     grids = [_parse_grid(g) for g in args.grids.split(",") if g]
     overlaps = [int(o) for o in args.overlaps.split(",") if o]

@@ -1,5 +1,5 @@
-"""Pass-based graph compiler: fusion, constant folding and backend
-selection over the graph IR.
+"""Pass-based graph compiler: fusion and constant folding over the graph
+IR.
 
 Entry points:
 
@@ -10,12 +10,8 @@ Entry points:
   :class:`repro.graph.GraphExecutor`, which lowers every graph (compiled
   or plain) to flat tables and runs it; kept as a plain binding for
   callers that import it from here.
-- ``default_pipeline(select_backends=True)`` — additionally run the
-  per-shape conv backend selector (opt-in: FFT results are not bitwise
-  identical to direct).
 """
 
-from .backends import SELECT_BACKENDS, conv_backend_costs, select_conv_backends
 from .pipeline import (
     CompileContext, CompileError, CompileReport, Pass, PassResult, Pipeline,
     compile_graph, default_pipeline,
@@ -28,7 +24,5 @@ CompiledPlan = GraphExecutor
 __all__ = [
     "CompileContext", "CompileError", "CompileReport", "CompiledPlan",
     "FOLD_CONSTANTS", "FUSE_OPS", "Pass", "PassResult", "Pipeline",
-    "SELECT_BACKENDS", "compile_graph", "conv_backend_costs",
-    "default_pipeline", "fold_constants", "fuse_ops",
-    "select_conv_backends",
+    "compile_graph", "default_pipeline", "fold_constants", "fuse_ops",
 ]

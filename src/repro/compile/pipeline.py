@@ -121,20 +121,12 @@ class Pipeline:
         )
 
 
-def default_pipeline(select_backends: bool = False) -> Pipeline:
+def default_pipeline() -> Pipeline:
     """The standard byte-identical pipeline: chain + sibling fusion, then
-    constant folding.
+    constant folding."""
+    from . import rewrites
 
-    ``select_backends=True`` appends the per-shape conv backend selector,
-    which may change numerics (FFT forward ≠ direct forward bitwise) and
-    is therefore opt-in.
-    """
-    from . import backends, rewrites
-
-    passes = [rewrites.FUSE_OPS, rewrites.FOLD_CONSTANTS]
-    if select_backends:
-        passes.append(backends.SELECT_BACKENDS)
-    return Pipeline(passes)
+    return Pipeline([rewrites.FUSE_OPS, rewrites.FOLD_CONSTANTS])
 
 
 def compile_graph(graph: Graph,

@@ -11,23 +11,25 @@ Public surface:
 
 from .region import SplitHandler, SplitRegion, conv_count, get_handler, register_handler
 from .scheme import (
-    SplitScheme, WindowSpec, compute_input_split, compute_paddings,
-    input_split_bounds,
+    GRID_OF_SPLITS, SplitScheme, WindowSpec, compute_input_split,
+    compute_paddings, input_split_bounds,
 )
 from .split_op import (
     SplitPlan1d, SplitPlan2d, plan_split_1d, plan_split_2d, run_split_op,
     split_conv2d, split_pool2d,
 )
 from .stochastic import DEFAULT_OMEGA, StochasticSplitter, sample_split
-from .transform import SplitInfo, find_split_prefix, to_split_cnn
+from .transform import (
+    SplitInfo, build_zoo_model, find_split_prefix, to_split_cnn,
+)
 
 __all__ = [
     "SplitScheme", "WindowSpec", "compute_input_split", "compute_paddings",
-    "input_split_bounds",
+    "input_split_bounds", "GRID_OF_SPLITS",
     "SplitPlan1d", "SplitPlan2d", "plan_split_1d", "plan_split_2d",
     "run_split_op", "split_conv2d", "split_pool2d",
     "StochasticSplitter", "sample_split", "DEFAULT_OMEGA",
     "SplitRegion", "SplitHandler", "register_handler", "get_handler",
     "conv_count",
-    "SplitInfo", "find_split_prefix", "to_split_cnn",
+    "SplitInfo", "find_split_prefix", "to_split_cnn", "build_zoo_model",
 ]

@@ -37,15 +37,20 @@ abandons features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "WindowSpec", "SplitScheme", "input_split_bounds", "compute_input_split",
     "compute_paddings", "PatchPadding", "receptive_interval",
-    "window_input_range",
+    "window_input_range", "GRID_OF_SPLITS",
 ]
 
 PatchPadding = Tuple[int, int]
+
+# The paper's split counts mapped onto (h, w) patch grids.
+GRID_OF_SPLITS: Dict[int, Tuple[int, int]] = {
+    1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 6: (2, 3), 9: (3, 3),
+}
 
 
 @dataclass(frozen=True)

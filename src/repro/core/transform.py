@@ -23,9 +23,11 @@ from ..models.base import ConvClassifier
 from ..nn import Module, Sequential
 from ..tensor.ops_nn import IntPair
 from .region import SplitRegion, conv_count
+from .scheme import GRID_OF_SPLITS
 from .stochastic import DEFAULT_OMEGA
 
-__all__ = ["SplitInfo", "find_split_prefix", "to_split_cnn"]
+__all__ = ["SplitInfo", "find_split_prefix", "to_split_cnn",
+           "build_zoo_model"]
 
 
 @dataclass(frozen=True)
@@ -120,3 +122,33 @@ def to_split_cnn(
         split_convs=split_convs,
     )
     return split_model
+
+
+def build_zoo_model(name: str, split: int = 1,
+                    split_depth: float = 0.5) -> ConvClassifier:
+    """A zoo model by name, optionally split-transformed — the one
+    builder behind the CLI and :meth:`ServingEngine.from_zoo`.
+
+    ``split`` is the paper's total patch count (a ``GRID_OF_SPLITS`` key;
+    1 = unsplit), ``split_depth`` the fraction of conv layers split; the
+    model is transformed only when both ask for it.  Zoo models whose
+    constructors default to CIFAR shapes get their ImageNet heads, and
+    weights are fast-initialised (callers plan and bench, not train).
+    Raises ``ValueError`` on an unknown name or split count.
+    """
+    # Deferred: repro.models' residual handlers import this package.
+    from ..models import build_model
+    from ..nn import init
+
+    if split not in GRID_OF_SPLITS:
+        raise ValueError(
+            f"split must be one of {sorted(GRID_OF_SPLITS)}, got {split}")
+    kwargs = {}
+    if name in ("vgg11", "resnet18", "resnet34"):
+        kwargs = {"dataset": "imagenet", "num_classes": 1000}
+    with init.fast_init():
+        model = build_model(name, **kwargs)
+        if split > 1 and split_depth > 0:
+            model = to_split_cnn(model, depth=split_depth,
+                                 num_splits=GRID_OF_SPLITS[split])
+    return model

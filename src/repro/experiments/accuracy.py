@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import to_split_cnn
+from ..core import GRID_OF_SPLITS, to_split_cnn
 from ..data import ShapesDataset, make_dataset
 from ..models import ConvClassifier, small_resnet, small_vgg
 from .training import TrainResult, train_classifier
@@ -34,11 +34,6 @@ __all__ = [
     "sweep_depth", "sweep_num_splits", "stochastic_comparison",
     "table1_run",
 ]
-
-# The paper's split counts mapped onto (h, w) patch grids.
-GRID_OF_SPLITS: Dict[int, Tuple[int, int]] = {
-    1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 6: (2, 3), 9: (3, 3),
-}
 
 
 @dataclass(frozen=True)

@@ -345,8 +345,14 @@ class OpDef:
 # ----------------------------------------------------------------------
 def _window_hw(in_hw: Shape, kernel, stride, padding) -> Tuple[int, int]:
     (pt, pb), (pl, pr) = padding
-    return (conv_output_size(in_hw[0], kernel[0], stride[0], pt, pb),
-            conv_output_size(in_hw[1], kernel[1], stride[1], pl, pr))
+    out_hw = (conv_output_size(in_hw[0], kernel[0], stride[0], pt, pb),
+              conv_output_size(in_hw[1], kernel[1], stride[1], pl, pr))
+    if min(out_hw) < 1:
+        raise ValueError(
+            f"a {kernel[0]}x{kernel[1]} window (stride {tuple(stride)}, "
+            f"padding {padding}) does not fit a {in_hw[0]}x{in_hw[1]} "
+            f"input: output would be {out_hw[0]}x{out_hw[1]}")
+    return out_hw
 
 
 def _shape_conv2d(ins, attrs):
@@ -417,21 +423,6 @@ def _shape_conv_siblings(ins, attrs):
 # ----------------------------------------------------------------------
 # Numeric kernels (consumed by the executor)
 # ----------------------------------------------------------------------
-def _conv_fn_for(op):
-    """The forward Function for a conv-family op, honoring the per-shape
-    backend stamped by the compiler's ``select_conv_backends`` pass."""
-    backend = op.attrs.get("backend")
-    if backend is None or backend == "direct":
-        return _ConvFn()
-    if backend == "fft":
-        from ..tensor.fftconv import _FFTConv2d
-        return _FFTConv2d()
-    if backend == "winograd":
-        from ..tensor.winograd import _WinogradConv2d
-        return _WinogradConv2d()
-    raise ValueError(f"unknown conv backend {backend!r} on op {op.name!r}")
-
-
 class _ConvBnContext:
     """Composite forward context of a fused conv+BN op: the conv and BN
     backward kernels each unwrap their slot."""
@@ -472,7 +463,7 @@ def _conv_backward_ctx(ex, op):
 
 
 def _k_conv2d(ex, op):
-    fn = _conv_fn_for(op)
+    fn = _ConvFn()
     bias = ex.input(op, 2) if len(op.inputs) > 2 else None
     out = fn.forward(ex.input(op, 0), ex.input(op, 1), bias,
                      op.attrs["stride"], op.attrs["padding"])
@@ -481,7 +472,7 @@ def _k_conv2d(ex, op):
 
 
 def _k_conv2d_relu(ex, op):
-    fn = _conv_fn_for(op)
+    fn = _ConvFn()
     bias = ex.input(op, 2) if len(op.inputs) > 2 else None
     out = fn.forward(ex.input(op, 0), ex.input(op, 1), bias,
                      op.attrs["stride"], op.attrs["padding"])
@@ -492,7 +483,7 @@ def _k_conv2d_relu(ex, op):
 def _k_conv2d_bn(ex, op, relu=False):
     # inputs: [x, w(, bias), gamma, beta]
     has_bias = len(op.inputs) == 5
-    conv = _conv_fn_for(op)
+    conv = _ConvFn()
     bias = ex.input(op, 2) if has_bias else None
     out = conv.forward(ex.input(op, 0), ex.input(op, 1), bias,
                        op.attrs["stride"], op.attrs["padding"])
@@ -513,7 +504,7 @@ def _k_conv2d_siblings(ex, op, relu=False):
     count = op.attrs["siblings"]
     has_bias = len(op.inputs) == count + 2
     stacked = np.concatenate([ex.input(op, i) for i in range(count)], axis=0)
-    fn = _conv_fn_for(op)
+    fn = _ConvFn()
     bias = ex.input(op, count + 1) if has_bias else None
     out = fn.forward(stacked, ex.input(op, count), bias,
                      op.attrs["stride"], op.attrs["padding"])

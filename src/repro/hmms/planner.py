@@ -311,10 +311,12 @@ class PlanCache:
         if entry is not None:
             self.hits += 1
             return entry
-        self.misses += 1
         entry = build()
         if entry is None:
             raise ValueError("PlanCache builders must not return None")
+        # Counted only once the entry exists: a builder that raised built
+        # nothing, and ``misses == len(cache) + evictions`` must survive it.
+        self.misses += 1
         if len(self._entries) >= self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]

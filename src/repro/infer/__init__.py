@@ -13,11 +13,10 @@ from .splitter import (
 )
 from .graph import build_dense_graph, build_patch_graph
 from .merger import MERGE_MODES, BlendMerger
-from .inferer import DenseEntry, DenseReport, PatchInferer
+from .inferer import DenseReport, PatchInferer
 
 __all__ = [
     "GridSplitter", "PatchPlan", "PatchSpec", "PatchVariant",
     "flatten_dense_body", "build_dense_graph", "build_patch_graph",
-    "BlendMerger", "MERGE_MODES", "DenseEntry", "DenseReport",
-    "PatchInferer",
+    "BlendMerger", "MERGE_MODES", "DenseReport", "PatchInferer",
 ]

@@ -1,19 +1,23 @@
 """Streaming patch inference under a bounded HMMS memory plan.
 
-:class:`PatchInferer` is the dense-workload twin of
-:class:`~repro.serve.engine.ServingEngine`: it plans, verifies and caches
-one forward graph per :class:`~repro.infer.splitter.PatchVariant` ×
-patch-batch bucket, then streams an arbitrarily large input through those
-graphs tile by tile, never holding more than one patch batch of
-activations.  The input itself only ever lives on the host; the device
-footprint is the planned peak of the largest variant graph — which is
-how an image ≥ 4× larger than anything the device could serve in one
-pass still runs under a 16 GiB (or much smaller) budget.
+:class:`PatchInferer` plans, verifies and caches one forward graph per
+:class:`~repro.infer.splitter.PatchVariant` × patch-batch bucket — through
+the same :class:`~repro.planned.PlanCore` a
+:class:`~repro.serve.engine.ServingEngine` uses for its buckets — then
+streams an arbitrarily large input through those graphs tile by tile,
+never holding more than one patch batch of activations.  The input
+itself only ever lives on the host; the device footprint is the planned
+peak of the largest variant graph — which is how an image ≥ 4× larger
+than anything the device could serve in one pass still runs under a
+16 GiB (or much smaller) budget.
 
-The patch batch is discovered, not configured (same Figure-10 dyadic
-search the engine uses for classification batches): double the patches
-per execution until the planned peak exceeds the memory budget, keep
-the last size that fit.
+The patch batch is discovered, not configured
+(:func:`~repro.planned.dyadic_search`, the search the engine uses for
+classification batches): double the patches per execution until the
+planned peak exceeds the memory budget, keep the last size that fit.
+Unlike the engine's, the inferer's searches probe *through* the plan
+cache — every probed plan is one the stream then executes or the bench
+reports, and ``plans_verified == cache.misses`` counts them once.
 """
 
 from __future__ import annotations
@@ -23,29 +27,19 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..compile import default_pipeline
-from ..graph import GraphExecutor
-from ..graph.ir import Graph
-from ..hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
-from ..nn import Module
+from ..hmms import PlanCache
+from ..nn import Conv2d, Module
+from ..planned import PlanCore, PlannedEntry, dyadic_search
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .graph import build_dense_graph, build_patch_graph
 from .merger import BlendMerger
-from .splitter import GridSplitter, PatchPlan, PatchVariant, flatten_dense_body
+from .splitter import GridSplitter, PatchVariant, flatten_dense_body
 
-__all__ = ["DenseEntry", "DenseReport", "PatchInferer"]
+__all__ = ["DenseReport", "PatchInferer"]
 
-
-@dataclass
-class DenseEntry:
-    """One cached (variant, patch-batch) plan — mirrors CachedBatchPlan."""
-
-    batch: int
-    graph: Graph
-    plan: MemoryPlan
-    latency: float                     # simulated seconds per execution
-    params: Dict[str, np.ndarray]
-    executor: Optional[GraphExecutor] = None
+#: Upper bound of the patch-batch search: past 64 patches per execution
+#: a grid has run out of same-variant tiles to batch.
+PATCH_BATCH_CAP = 64
 
 
 @dataclass
@@ -69,121 +63,92 @@ class PatchInferer:
 
     Parameters
     ----------
-    model: dense model (a ConvClassifier's ``features`` prefix is used).
-    device: device spec pricing kernels and bounding the plan search.
-    scheduler: HMMS scheduler for the forward-only plans (``'none'`` —
-        nothing to hide offloads behind in inference, as in the engine).
+    model: dense model (a ConvClassifier's ``features`` prefix is used;
+        the input channel count is its first ``Conv2d``'s).
+    device, numeric, workers, compile_plans, cache: the inferer's
+        :class:`~repro.planned.PlanCore` (documented there); without
+        ``numeric`` only ``plan_dense`` costs inputs, symbolically.  (A
+        serving engine's dense inferer shares the engine's whole core.)
     memory_budget: device bytes a patch-batch plan may use.  Defaults to
         the whole device; a fleet replica hands the inferer its share.
     patch_batch: fixed patches per execution; ``None`` discovers the
         largest dyadic size whose plan fits the budget.
-    cache: a shared :class:`PlanCache` (pass the serving engine's to
-        co-tenant classification and dense plans); private by default.
     """
 
     def __init__(
         self,
         model: Module,
         device: DeviceSpec = P100_NVLINK,
-        scheduler: str = "none",
-        verify_plans: bool = True,
         numeric: bool = True,
         workers: int = 1,
         compile_plans: bool = False,
         memory_budget: Optional[int] = None,
         patch_batch: Optional[int] = None,
-        patch_batch_cap: int = 64,
-        in_channels: int = 3,
         cache: Optional[PlanCache] = None,
-        cache_capacity: int = 64,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if memory_budget is not None and memory_budget < 1:
-            raise ValueError(
-                f"memory_budget must be >= 1 byte, got {memory_budget}")
         if patch_batch is not None and patch_batch < 1:
             raise ValueError(f"patch_batch must be >= 1, got {patch_batch}")
-        if patch_batch_cap < 1:
-            raise ValueError(
-                f"patch_batch_cap must be >= 1, got {patch_batch_cap}")
+        core = PlanCore(device, numeric=numeric, workers=workers,
+                        compile_plans=compile_plans, cache=cache)
+        self._attach(core, model, core.budget(memory_budget), patch_batch)
+
+    @classmethod
+    def _on(cls, core: PlanCore, model: Module,
+            memory_budget: int) -> "PatchInferer":
+        """Internal: the dense inferer of a serving engine, on the
+        engine's own core (cache, planner, pipeline, verified counter)."""
+        inferer = cls.__new__(cls)
+        inferer._attach(core, model, memory_budget, None)
+        return inferer
+
+    def _attach(self, core: PlanCore, model: Module, memory_budget: int,
+                patch_batch: Optional[int]) -> None:
+        self.core = core
+        # The core's objects under the names callers (and tracers) know.
+        self.device = core.device
+        self.cache, self.planner = core.cache, core.planner
         self.model = model
         self.layers = flatten_dense_body(model)   # validates leaf types
-        self.device = device
-        self.scheduler = scheduler
-        self.planner = HMMSPlanner(device=device, scheduler=scheduler)
-        self.verify_plans = verify_plans
-        self.numeric = numeric
-        self.workers = workers
-        self.compile_plans = compile_plans
-        self._pipeline = default_pipeline() if compile_plans else None
-        self.memory_budget = device.memory_capacity \
-            if memory_budget is None else memory_budget
+        convs = [layer for layer in self.layers if isinstance(layer, Conv2d)]
+        if not convs:
+            raise ValueError(
+                "dense body has no Conv2d to read the input channels from")
+        self.in_channels = convs[0].in_channels
+        self.memory_budget = memory_budget
         self.patch_batch = patch_batch
-        self.patch_batch_cap = patch_batch_cap
-        self.in_channels = in_channels
-        self.cache = cache if cache is not None \
-            else PlanCache(capacity=cache_capacity)
-        self.plans_verified = 0
         self.executed_patches = 0
         self.padded_patches = 0
         self._name = getattr(model, "name", type(model).__name__)
 
+    @property
+    def plans_verified(self) -> int:
+        return self.core.plans_verified
+
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    @property
-    def pipeline_fingerprint(self) -> str:
-        if self._pipeline is None:
-            return "interpreter"
-        return self._pipeline.fingerprint
-
-    def _finish_graph(self, graph: Graph,
-                      params: Dict[str, np.ndarray]) -> None:
-        if self._pipeline is not None:
-            self._pipeline.run(graph, params=params)
-
-    def _build_entry(self, graph: Graph,
-                     params: Dict[str, np.ndarray]) -> DenseEntry:
-        self._finish_graph(graph, params)
-        plan = self.planner.plan(graph)
-        if self.verify_plans:
-            verify_plan(plan, device=self.device,
-                        cost_model=self.planner.cost_model).raise_if_failed()
-            self.plans_verified += 1
-        latency = self.planner.cost_model.inference_latency(graph)
-        executor: Optional[GraphExecutor] = None
-        if self.numeric:
-            executor = GraphExecutor(graph, params, workers=self.workers)
-        batch = next(t for t in graph.tensors.values()
-                     if t.kind == "input").shape[0]
-        return DenseEntry(batch=batch, graph=graph, plan=plan,
-                          latency=latency, params=params, executor=executor)
-
-    def entry_for(self, variant: PatchVariant, batch: int) -> DenseEntry:
+    def entry_for(self, variant: PatchVariant, batch: int) -> PlannedEntry:
         """Cached plan for one tile variant at one patch-batch size."""
-        key = (self._name, "dense-patch", variant, batch,
-               self.pipeline_fingerprint)
-        return self.cache.get_or_build(key, lambda: self._build_entry(
-            *build_patch_graph(self.model, self.layers, variant, batch,
-                               self.in_channels)))
+        return self.core.entry(
+            (self._name, "dense-patch", variant, batch),
+            lambda: build_patch_graph(self.model, self.layers, variant,
+                                      batch, self.in_channels))
 
     def unsplit_entry(self, in_hw: Tuple[int, int],
-                      batch: int = 1) -> DenseEntry:
+                      batch: int = 1) -> PlannedEntry:
         """Cached plan for the unsplit full-input dense graph.
 
         The plan is *not* required to fit the budget — for large inputs
         it deliberately does not, which is the point of comparison; its
         peak is what the patch path is measured against.
         """
-        key = (self._name, "dense-full", tuple(in_hw), batch,
-               self.pipeline_fingerprint)
-        return self.cache.get_or_build(key, lambda: self._build_entry(
-            *build_dense_graph(self.model, self.layers, batch, in_hw,
-                               self.in_channels)))
+        return self.core.entry(
+            (self._name, "dense-full", tuple(in_hw), batch),
+            lambda: build_dense_graph(self.model, self.layers, batch,
+                                      in_hw, self.in_channels))
 
     # ------------------------------------------------------------------
-    # Patch-batch capacity
+    # Capacity
     # ------------------------------------------------------------------
     def _variant_peak(self, variants: List[PatchVariant],
                       batch: int) -> int:
@@ -200,20 +165,11 @@ class PatchInferer:
                     f"{self.patch_batch} needs {peak} bytes, over the "
                     f"{self.memory_budget}-byte budget")
             return self.patch_batch
-        fitting: Optional[int] = None
-        batch = 1
-        while batch <= self.patch_batch_cap:
-            if self._variant_peak(variants, batch) > self.memory_budget:
-                break
-            fitting = batch
-            batch *= 2
-        if fitting is None:
-            raise ValueError(
-                f"{self._name}: even a single-patch plan exceeds the "
-                f"memory budget ({self.memory_budget} bytes of "
-                f"{self.device.memory_capacity} device bytes); use a "
-                f"finer grid")
-        return fitting
+        return max(dyadic_search(
+            lambda batch: self._variant_peak(variants, batch),
+            self.memory_budget, self.device, cap=PATCH_BATCH_CAP,
+            what=f"{self._name}: even a single-patch plan",
+            hint="; use a finer grid"))
 
     def max_single_pass_side(self, budget: Optional[int] = None,
                              start: int = 32, cap: int = 1 << 14) -> int:
@@ -221,27 +177,13 @@ class PatchInferer:
 
         Defaults to the *device* capacity (not the inferer's budget):
         this is the patch-bench baseline — "the largest single-pass
-        input that fits the modelled device".
+        input that fits the modelled device".  Sides too small for the
+        body's windows are skipped.
         """
-        budget = self.device.memory_capacity if budget is None else budget
-        fitting: Optional[int] = None
-        side = start
-        while side <= cap:
-            try:
-                entry = self.unsplit_entry((side, side), 1)
-            except ValueError:
-                # Window does not fit an input this small; keep growing.
-                side *= 2
-                continue
-            if entry.plan.device_peak > budget:
-                break
-            fitting = side
-            side *= 2
-        if fitting is None:
-            raise ValueError(
-                f"{self._name}: no dyadic side in [{start}, {cap}] fits "
-                f"{budget} bytes unsplit")
-        return fitting
+        return max(dyadic_search(
+            lambda side: self.unsplit_entry((side, side)).plan.device_peak,
+            self.core.budget(budget), self.device, cap=cap, start=start,
+            what=f"{self._name}: every unsplit pass of side >= {start}"))
 
     # ------------------------------------------------------------------
     # Planning / execution
@@ -293,7 +235,7 @@ class PatchInferer:
         Peak activation memory is one patch batch of one variant — the
         bounded plan — regardless of the input size.
         """
-        if not self.numeric:
+        if not self.core.numeric:
             raise ValueError("infer() needs numeric=True; use plan_dense "
                              "for symbolic costing")
         x = self._check_input(x)
@@ -328,7 +270,7 @@ class PatchInferer:
 
     def run_unsplit(self, x: np.ndarray) -> np.ndarray:
         """Full-input single-pass reference — the identity-test oracle."""
-        if not self.numeric:
+        if not self.core.numeric:
             raise ValueError("run_unsplit() needs numeric=True")
         x = self._check_input(x)
         entry = self.unsplit_entry((x.shape[2], x.shape[3]), x.shape[0])

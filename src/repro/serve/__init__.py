@@ -12,7 +12,7 @@ autoscaler.  See ``docs/serving.md`` and ``docs/fleet_serving.md``.
 """
 
 from .batcher import DynamicBatcher
-from .engine import CachedBatchPlan, ServingEngine
+from .engine import ServingEngine
 from .fleet import (
     DeviceLedger, FleetMetrics, FleetScheduler, TenantConfig,
     wavefront_steps,
@@ -31,7 +31,7 @@ __all__ = [
     "Request", "DenseRequest",
     "AdmissionQueue", "OversizeRequestError",
     "DynamicBatcher",
-    "ServingEngine", "CachedBatchPlan",
+    "ServingEngine",
     "Server",
     "LatencyHistogram", "ServingMetrics", "percentile",
     "BenchConfig", "poisson_arrivals", "run_bench", "render_report",

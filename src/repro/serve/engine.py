@@ -23,31 +23,20 @@ serving headroom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compile import default_pipeline
+from ..core import build_zoo_model
 from ..graph import GraphExecutor, build_inference_graph
 from ..graph.ir import Graph
-from ..hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
+from ..hmms import PlanCache
 from ..models.base import ConvClassifier
+from ..planned import PlanCore, PlannedEntry, dyadic_search
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .request import DenseRequest, Request
 
-__all__ = ["CachedBatchPlan", "ServingEngine"]
-
-
-@dataclass
-class CachedBatchPlan:
-    """Everything needed to serve one ``(model, split, batch)`` key."""
-
-    batch: int
-    graph: Graph
-    plan: MemoryPlan
-    latency: float                      # simulated seconds per batch
-    executor: Optional[GraphExecutor] = None
+__all__ = ["ServingEngine"]
 
 
 class ServingEngine:
@@ -56,160 +45,82 @@ class ServingEngine:
     Parameters
     ----------
     model: the (possibly split-transformed) model to serve.
-    device: device spec that prices kernels and bounds the batch search.
-    scheduler: HMMS scheduler for inference plans; offloading has nothing
-        to hide behind in a forward-only graph, so ``'none'`` is the
-        default and ``'hmms'`` degenerates to it.
-    verify_plans: run :func:`repro.hmms.verify.verify_plan` on every plan
-        before it may serve traffic (raises on violations).
-    numeric: also run each batch through the numeric graph executor —
-        real logits, for tests and correctness spot-checks; simulated
-        latency is charged either way.
-    workers: thread count for the numeric executor's wavefront scheduler
-        (bit-identical logits for any value; only matters with
-        ``numeric``).
+    device, numeric, workers, compile_plans, cache: the engine's
+        :class:`~repro.planned.PlanCore` (documented there).  With
+        ``compile_plans`` graphs are built with ``eval_batchnorm=True``
+        so running-stat normalization folds to per-channel affines; a
+        fleet passes its one ``cache`` to every engine.
     batch_cap: upper bound for the capacity search (keeps discovery
         bounded for models far smaller than the device).
-    compile_plans: run the graph compiler's default pipeline (chain +
-        sibling fusion, constant folding) over every cached graph.
-        Graphs are built with ``eval_batchnorm=True`` so running-stat
-        normalization folds to per-channel affines, and the numeric
-        executor runs the rewritten graph.  Cache keys gain the
-        pipeline fingerprint, so compiled and interpreted entries for
-        the same bucket never collide.
+    seed: seeds the inputs a ``numeric`` engine generates.
+    memory_budget: device bytes the capacity search may assume.
+        Defaults to the whole device; a fleet hosting several engines on
+        one device hands each engine its share so co-resident tenants
+        discover capacities that fit *together*.
     """
 
     def __init__(
         self,
         model: ConvClassifier,
         device: DeviceSpec = P100_NVLINK,
-        scheduler: str = "none",
-        verify_plans: bool = True,
         numeric: bool = False,
         workers: int = 1,
         batch_cap: int = 4096,
-        cache_capacity: int = 64,
         seed: int = 0,
         compile_plans: bool = False,
         memory_budget: Optional[int] = None,
+        cache: Optional[PlanCache] = None,
     ) -> None:
         if batch_cap < 1:
             raise ValueError(f"batch_cap must be >= 1, got {batch_cap}")
-        if memory_budget is not None and memory_budget < 1:
-            raise ValueError(
-                f"memory_budget must be >= 1 byte, got {memory_budget}")
         self.model = model
+        #: The compile -> plan -> verify -> cache path, shared with the
+        #: engine's dense inferer; ``cache`` and ``planner`` are its.
+        self.core = PlanCore(device, numeric=numeric, workers=workers,
+                             compile_plans=compile_plans, cache=cache)
         self.device = device
-        self.scheduler = scheduler
-        self.planner = HMMSPlanner(device=device, scheduler=scheduler)
-        self.verify_plans = verify_plans
-        self.numeric = numeric
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.cache, self.planner = self.core.cache, self.core.planner
+        self.pipeline_fingerprint = self.core.fingerprint
         self.batch_cap = batch_cap
-        #: Device bytes the capacity search may assume.  Defaults to the
-        #: whole device; a fleet hosting several engines on one device
-        #: hands each engine its share so co-resident tenants discover
-        #: capacities that fit *together*.
-        self.memory_budget = device.memory_capacity \
-            if memory_budget is None else memory_budget
-        self.compile_plans = compile_plans
-        self._pipeline = default_pipeline() if compile_plans else None
-        self.cache = PlanCache(capacity=cache_capacity)
-        self.plans_verified = 0
+        self.memory_budget = self.core.budget(memory_budget)
         self.executed_batches = 0
         self.executed_images = 0
         self.padded_images = 0
         self._rng = np.random.default_rng(seed)
         self._split_key = str(getattr(model, "split_info", "unsplit"))
-        self._max_batch: Optional[int] = None
         self._planned_peaks: Dict[int, int] = {}    # bucket -> device peak
         self._logits: Dict[int, np.ndarray] = {}
         self._dense_inferer = None      # built on first DenseRequest
-        self._dense_verified_seen = 0
         self._dense_outputs: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @classmethod
     def from_zoo(cls, name: str, split: int = 1, split_depth: float = 0.5,
                  **kwargs) -> "ServingEngine":
-        """Engine for a zoo model, optionally split-transformed.
+        """Engine for a zoo model, optionally split-transformed (see
+        :func:`repro.core.build_zoo_model`)."""
+        return cls(build_zoo_model(name, split, split_depth), **kwargs)
 
-        ``split`` is the paper's total patch count (1, 2, 3, 4, 6 or 9);
-        ``split_depth`` the fraction of conv layers split.  ImageNet-scale
-        zoo models get their ImageNet heads, as in the CLI's ``plan``.
-        """
-        from ..core import to_split_cnn
-        from ..experiments.accuracy import GRID_OF_SPLITS
-        from ..models import build_model
-        from ..nn import init
-
-        if split not in GRID_OF_SPLITS:
-            raise ValueError(
-                f"split must be one of {sorted(GRID_OF_SPLITS)}, got {split}")
-        model_kwargs = {}
-        if name in ("alexnet", "vgg11", "vgg16", "vgg19",
-                    "resnet18", "resnet34", "resnet50"):
-            model_kwargs = {"dataset": "imagenet", "num_classes": 1000}
-        with init.fast_init():
-            model = build_model(name, **model_kwargs)
-            if split > 1:
-                model = to_split_cnn(model, depth=split_depth,
-                                     num_splits=GRID_OF_SPLITS[split])
-        return cls(model, **kwargs)
+    # ------------------------------------------------------------------
+    @property
+    def plans_verified(self) -> int:
+        return self.core.plans_verified
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _build_graph(self, batch: int) -> Graph:
-        """The graph the engine would serve for ``batch`` images.
+    def _graph(self, batch: int) -> Tuple[Graph, Dict[str, np.ndarray]]:
+        """The forward graph (and its parameters) for ``batch`` images —
+        what both the capacity search and the cache hand the core."""
+        graph = build_inference_graph(
+            self.model, batch, eval_batchnorm=self.core.pipeline is not None)
+        return graph, GraphExecutor.parameters_from_model(graph, self.model)
 
-        Single source of truth for graph construction: capacity discovery
-        (:attr:`max_batch`) and plan building (:meth:`_build_entry`) both
-        call it, so the batch the search says fits is the batch the
-        engine actually executes — with ``compile_plans`` the compiled,
-        BN-folded graph, not its uncompiled twin.
-        """
-        if self._pipeline is not None:
-            graph = build_inference_graph(self.model, batch,
-                                          eval_batchnorm=True)
-            self._pipeline.run(
-                graph, params=GraphExecutor.parameters_from_model(
-                    graph, self.model))
-            return graph
-        return build_inference_graph(self.model, batch)
-
-    def _build_entry(self, batch: int) -> CachedBatchPlan:
-        graph = self._build_graph(batch)
-        plan = self.planner.plan(graph)
-        if self.verify_plans:
-            verify_plan(plan, device=self.device,
-                        cost_model=self.planner.cost_model).raise_if_failed()
-            self.plans_verified += 1
-        latency = self.planner.cost_model.inference_latency(graph)
-        executor: Optional[GraphExecutor] = None
-        if self.numeric:
-            params = GraphExecutor.parameters_from_model(graph, self.model)
-            executor = GraphExecutor(graph, params, workers=self.workers)
-        return CachedBatchPlan(batch=batch, graph=graph, plan=plan,
-                               latency=latency, executor=executor)
-
-    @property
-    def pipeline_fingerprint(self) -> str:
-        """Compilation identity in the plan-cache key: the compile
-        pipeline's fingerprint, or ``"interpreter"`` when not compiling."""
-        if self._pipeline is None:
-            return "interpreter"
-        return self._pipeline.fingerprint
-
-    def entry_for(self, batch: int) -> CachedBatchPlan:
+    def entry_for(self, batch: int) -> PlannedEntry:
         """Cached plan for the bucket that covers ``batch`` images."""
         bucket = self.bucket(batch)
-        key = (self.model.name, self._split_key, bucket,
-               self.pipeline_fingerprint)
-        return self.cache.get_or_build(key,
-                                       lambda: self._build_entry(bucket))
+        return self.core.entry((self.model.name, self._split_key, bucket),
+                               lambda: self._graph(bucket))
 
     # ------------------------------------------------------------------
     # Capacity
@@ -218,38 +129,24 @@ class ServingEngine:
     def max_batch(self) -> int:
         """Largest servable batch (images), discovered on first use.
 
-        Figure-10 search on the dyadic grid: double the batch until the
-        planned device peak exceeds the device capacity, keep the last
-        batch that fit.  Buckets are powers of two, so the dyadic grid is
-        exactly the set of batches the engine can execute.
+        Buckets are powers of two, so the dyadic grid the search walks is
+        exactly the set of batches the engine can execute.  The search
+        probes outside the plan cache: behind ``Server`` every cache
+        lookup belongs to an executed batch.
         """
-        if self._max_batch is None:
-            batch = 1
-            while batch <= self.batch_cap:
-                # Discovery must plan the *served* graph — the same
-                # construction (compile pipeline, eval batchnorm) that
-                # _build_entry uses — or the searched capacity belongs to
-                # a different graph than the one that executes.
-                plan = self.planner.plan(self._build_graph(batch))
-                if not plan.fits(self.memory_budget):
-                    break
-                self._planned_peaks[batch] = plan.device_peak
-                batch *= 2
-            if not self._planned_peaks:
-                raise ValueError(
-                    f"{self.model.name}: even a single-image inference plan "
-                    f"exceeds the memory budget "
-                    f"({self.memory_budget} bytes of "
-                    f"{self.device.memory_capacity} device bytes)"
-                )
-            self._max_batch = batch // 2
-        return self._max_batch
+        if not self._planned_peaks:
+            self._planned_peaks = dyadic_search(
+                lambda b: self.core.probe(*self._graph(b)).device_peak,
+                self.memory_budget, self.device, cap=self.batch_cap,
+                what=f"{self.model.name}: even a single-image inference plan")
+        return max(self._planned_peaks)
 
     def planned_peak(self, batch: int) -> int:
         """Planned device peak (bytes) of the bucket covering ``batch``:
         the capacity search's own measurement, so sizing a reservation
         costs no plan-cache lookup and no second plan."""
-        return self._planned_peaks[self.bucket(batch)]
+        bucket = self.bucket(batch)         # may run the search first
+        return self._planned_peaks[bucket]
 
     def bucket(self, batch: int) -> int:
         """Smallest power-of-two bucket covering ``batch`` images."""
@@ -270,22 +167,16 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def dense_inferer(self):
-        """The engine's :class:`~repro.infer.PatchInferer`, built lazily.
-
-        Shares the engine's plan cache — classification buckets and
-        per-tile variant plans co-tenant one cache, which is the ISSUE's
-        "one engine mixes both workloads" requirement — plus its device,
-        scheduler, memory budget and compile pipeline settings.
-        """
+        """The engine's :class:`~repro.infer.PatchInferer`, built lazily
+        on the engine's own core: classification buckets and per-tile
+        variant plans share one cache, one planner and one
+        ``plans_verified`` counter."""
         if self._dense_inferer is None:
             # Deferred import: repro.infer is only paid for by engines
             # that actually see dense traffic.
             from ..infer import PatchInferer
-            self._dense_inferer = PatchInferer(
-                self.model, device=self.device, scheduler=self.scheduler,
-                verify_plans=self.verify_plans, numeric=self.numeric,
-                workers=self.workers, compile_plans=self.compile_plans,
-                memory_budget=self.memory_budget, cache=self.cache)
+            self._dense_inferer = PatchInferer._on(
+                self.core, self.model, self.memory_budget)
         return self._dense_inferer
 
     def _execute_dense(self, request: DenseRequest) -> float:
@@ -294,10 +185,7 @@ class ServingEngine:
         Counter semantics mirror the classification path: the whole
         request is one engine batch, each patch is an image, and the
         zero-padded slots of the final partial patch batch per variant
-        are padded images.  ``plans_verified`` absorbs the inferer's
-        verifications by delta so the cache-consistency invariant
-        (``plans_verified == cache misses``) keeps holding for mixed
-        traffic.
+        are padded images.
         """
         inferer = self.dense_inferer
         report = inferer.plan_dense(request.image_hw, request.grid,
@@ -306,16 +194,13 @@ class ServingEngine:
         self.executed_images += request.size
         self.padded_images += \
             report.executions * report.patch_batch - report.patches
-        if self.numeric:
+        if self.core.numeric:
             image = self._rng.standard_normal(
                 (1, inferer.in_channels) + tuple(request.image_hw))
             output = inferer.infer(image, grid=request.grid,
                                    overlap=request.overlap)
             self._dense_outputs.clear()
             self._dense_outputs[request.id] = output[0]
-        self.plans_verified += \
-            inferer.plans_verified - self._dense_verified_seen
-        self._dense_verified_seen = inferer.plans_verified
         return report.latency
 
     def dense_output_for(self, request: DenseRequest) -> np.ndarray:
@@ -354,7 +239,7 @@ class ServingEngine:
             self._run_numeric(entry, requests, images)
         return entry.latency
 
-    def _run_numeric(self, entry: CachedBatchPlan, requests: List[Request],
+    def _run_numeric(self, entry: PlannedEntry, requests: List[Request],
                      images: int) -> None:
         input_tensor = next(t for t in entry.graph.tensors.values()
                             if t.kind == "input")

@@ -282,9 +282,7 @@ class FleetScheduler:
         scale_up_queue_factor: float = 1.0,
         slo_window: float = 1.0,
         idle_timeout: float = 0.5,
-        verify_plans: bool = True,
         compile_plans: bool = False,
-        cache_capacity: int = 64,
     ) -> None:
         if not tenants:
             raise ValueError("a fleet needs at least one tenant")
@@ -298,16 +296,12 @@ class FleetScheduler:
         #: One plan cache for the whole fleet: keys carry model, split
         #: scheme, bucket and pipeline fingerprint, so tenants serving
         #: the same variant share plans instead of building twins.
-        self.cache = PlanCache(capacity=cache_capacity)
-        hosted = []
-        for config in tenants:
-            engine = ServingEngine.from_zoo(
-                config.model, split=config.split,
-                split_depth=config.split_depth, device=device,
-                verify_plans=verify_plans, compile_plans=compile_plans,
-                batch_cap=config.batch_cap)
-            engine.cache = self.cache
-            hosted.append((config, engine))
+        self.cache = PlanCache()
+        hosted = [(config, ServingEngine.from_zoo(
+            config.model, split=config.split,
+            split_depth=config.split_depth, device=device,
+            compile_plans=compile_plans, batch_cap=config.batch_cap,
+            cache=self.cache)) for config in tenants]
         self._host(hosted, device, device.memory_capacity,
                    continuous, autoscale)
         # Plan and verify each reserved bucket before traffic: a bad plan

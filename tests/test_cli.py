@@ -69,7 +69,7 @@ class TestCommands:
     def test_plan_invalid_splits_exits_two(self, capsys):
         assert main(["plan", "small_vgg", "-b", "4",
                      "--split-depth", "0.5", "--splits", "5"]) == 2
-        assert "--splits" in capsys.readouterr().err
+        assert "split must be one of" in capsys.readouterr().err
 
     def test_fig1_small_batch(self, capsys):
         assert main(["fig1", "-b", "8"]) == 0

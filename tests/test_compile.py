@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import analyze_graph
 from repro.compile import (
     FOLD_CONSTANTS, FUSE_OPS, CompiledPlan, Pipeline, compile_graph,
-    conv_backend_costs, default_pipeline,
+    default_pipeline,
 )
 from repro.core import to_split_cnn
 from repro.graph import GraphExecutor, build_inference_graph, build_training_graph
@@ -197,8 +197,6 @@ class TestPassAlgebra:
 
     def test_fingerprint_tracks_pass_list(self):
         default = default_pipeline()
-        assert default.fingerprint != default_pipeline(
-            select_backends=True).fingerprint
         assert default.fingerprint == default_pipeline().fingerprint
         assert default.fingerprint != Pipeline([FUSE_OPS]).fingerprint
 
@@ -256,58 +254,6 @@ class TestExportRoundtrip:
             graph_from_dict(payload)
 
 
-def _synthetic_fft_graph():
-    """A conv whose kernel is large enough that the cost model picks the
-    FFT backend (13x13 'same' conv over 64x64 maps)."""
-    graph = Graph("fft-synth")
-    x = graph.add_tensor("input", (2, 8, 64, 64), kind="input")
-    w = graph.add_tensor("conv.weight", (16, 8, 13, 13), kind="parameter")
-    out = graph.add_tensor("logits", (2, 16, 64, 64))
-    graph.add_op("conv", "conv2d", [x, w], [out], attrs={
-        "kernel": (13, 13), "stride": (1, 1), "padding": ((6, 6), (6, 6)),
-        "in_channels": 8, "out_channels": 16,
-    })
-    graph.validate()
-    return graph
-
-
-class TestBackendSelector:
-    def test_zoo_convs_stay_direct(self):
-        model, x, y = _case("vgg:2")
-        graph = _build(model, x.shape[0], "infer")
-        params = GraphExecutor.parameters_from_model(graph, model)
-        default_pipeline(select_backends=True).run(graph, params=params)
-        assert not any(op.attrs.get("backend") == "fft" for op in graph.ops)
-
-    def test_large_kernel_flips_to_fft(self):
-        graph = _synthetic_fft_graph()
-        op = graph.ops[0]
-        direct, fft = conv_backend_costs(graph, op)
-        assert fft < direct
-        default_pipeline(select_backends=True).run(graph)
-        assert op.attrs["backend"] == "fft"
-
-    def test_fft_backend_close_and_deterministic(self):
-        rng = np.random.default_rng(0)
-        params = {"conv.weight": rng.standard_normal((16, 8, 13, 13))}
-        x = rng.standard_normal((2, 8, 64, 64))
-
-        direct = GraphExecutor(_synthetic_fft_graph(), params).run(x)
-
-        fft_graph = _synthetic_fft_graph()
-        default_pipeline(select_backends=True).run(fft_graph)
-        interp = GraphExecutor(fft_graph, params).run(x)
-        plan = CompiledPlan(fft_graph, params).run(x)
-
-        np.testing.assert_allclose(interp["logits"], direct["logits"],
-                                   rtol=1e-9, atol=1e-9)
-        # FFT vs direct is allclose but NOT bitwise -- which is exactly
-        # why the selector is opt-in...
-        assert interp["logits"].tobytes() != direct["logits"].tobytes()
-        # ...while compiled-vs-interpreted stays bitwise on ANY pipeline.
-        assert plan["logits"].tobytes() == interp["logits"].tobytes()
-
-
 class TestServingCache:
     def _engine(self, **kwargs):
         rng = np.random.default_rng(0)
@@ -361,8 +307,3 @@ class TestCompileCli:
         assert main(["compile", "small_resnet", "--train", "--check",
                      "--workers", "4"]) == 0
         assert "identical" in capsys.readouterr().out
-
-    def test_check_refuses_backends(self, capsys):
-        from repro.cli import main
-        assert main(["compile", "small_vgg", "--check", "--backends"]) == 2
-        assert "byte-identity" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from repro.core.scheme import (
 )
 from repro.infer import (
     BlendMerger, GridSplitter, MERGE_MODES, PatchInferer,
-    flatten_dense_body,
+    build_dense_graph, flatten_dense_body,
 )
 from repro.mesh.partition import boundary_bounds
 from repro.models import alexnet, small_resnet, small_vgg, vgg11
@@ -393,6 +393,49 @@ class TestMemoryBudget:
             (side * 2, side * 2)).plan.device_peak > budget
 
 
+class TestInputSmallerThanTheWindows:
+    """Regression: alexnet's pooling tail does not fit a 16- or 32-pixel
+    input.  The builder used to record a ``(1, 256, -1, -1)`` output, the
+    planner planned it, and the failure surfaced as a verifier report
+    (or not at all, at side 32: a ``(1, 256, 0, 0)`` output)."""
+
+    @pytest.mark.parametrize("side", [8, 16, 32])
+    def test_builder_rejects_the_graph(self, side):
+        model = alexnet(rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="does not fit"):
+            build_dense_graph(model, flatten_dense_body(model), 1,
+                              (side, side))
+
+    def test_pool_window_is_checked_too(self):
+        body = Sequential(Conv2d(3, 4, kernel_size=3, padding=1),
+                          MaxPool2d(4, 4))
+        build_dense_graph(body, flatten_dense_body(body), 1, (4, 4))
+        with pytest.raises(ValueError, match="4x4 window"):
+            build_dense_graph(body, flatten_dense_body(body), 1, (3, 3))
+
+    def test_run_unsplit_raises_a_typed_error_not_a_verifier_report(self):
+        inferer = make_inferer(alexnet)
+        with pytest.raises(ValueError, match="does not fit"):
+            inferer.run_unsplit(random_image((16, 16)))
+        # Nothing was built, so nothing was counted.
+        assert inferer.cache.snapshot() == (0, 0, 0)
+        assert inferer.plans_verified == 0
+
+    def test_single_pass_search_skips_sides_the_windows_reject(self):
+        inferer = make_inferer(alexnet, numeric=False)
+        budget = 64 << 20
+        side = inferer.max_single_pass_side(budget=budget, start=8)
+        assert side >= 64 and (side & (side - 1)) == 0
+        assert side == inferer.max_single_pass_side(budget=budget, start=64)
+        # Sides 8, 16 and 32 were rejected, not planned: every miss is a
+        # resident, verified plan with a real output extent.
+        cache = inferer.cache
+        assert cache.misses == len(cache) + cache.evictions
+        assert inferer.plans_verified == cache.misses
+        for key in cache.keys():
+            assert key[2][0] >= 64
+
+
 # ----------------------------------------------------------------------
 # Plan cache + counters
 # ----------------------------------------------------------------------
@@ -455,5 +498,3 @@ class TestValidation:
             PatchInferer(model, memory_budget=0)
         with pytest.raises(ValueError):
             PatchInferer(model, patch_batch=0)
-        with pytest.raises(ValueError):
-            PatchInferer(model, patch_batch_cap=0)

@@ -83,6 +83,43 @@ class TestValidateUsesRegistry:
             graph.validate()
 
 
+class TestWindowShapeInference:
+    """Regression: a window larger than its (padded) input used to infer
+    a zero or negative output extent, which ``Graph.validate`` accepted
+    and HMMS planned."""
+
+    CONV = {"kernel": (5, 5), "stride": (1, 1), "padding": ((1, 1), (1, 1)),
+            "out_channels": 8}
+    POOL = {"kernel": (3, 3), "stride": (2, 2), "padding": ((0, 0), (0, 0))}
+
+    @pytest.mark.parametrize("op_type,attrs,in_hw,out_hw", [
+        ("conv2d", CONV, (3, 3), (1, 1)),
+        ("conv2d", CONV, (8, 3), (6, 1)),
+        ("maxpool2d", POOL, (3, 3), (1, 1)),
+        ("avgpool2d", POOL, (7, 4), (3, 1)),
+    ])
+    def test_smallest_fitting_input_is_accepted(self, op_type, attrs,
+                                                in_hw, out_hw):
+        ins = [(2, 4) + in_hw, (8, 4, 5, 5)][:2 if op_type == "conv2d" else 1]
+        (shape,) = infer_op_shapes(op_type, ins, attrs)
+        assert shape[2:] == out_hw
+
+    @pytest.mark.parametrize("op_type,attrs,in_hw", [
+        ("conv2d", CONV, (2, 2)),       # output 0x0
+        ("conv2d", CONV, (8, 1)),       # one dim negative
+        ("maxpool2d", POOL, (2, 2)),
+        ("avgpool2d", POOL, (1, 8)),    # (1 - 3) // 2 + 1 == 0
+        ("maxpool2d", POOL, (0, 0)),    # -1 x -1, the alexnet tail
+    ])
+    def test_window_larger_than_input_raises(self, op_type, attrs, in_hw):
+        ins = [(2, 4) + in_hw, (8, 4, 5, 5)][:2 if op_type == "conv2d" else 1]
+        with pytest.raises(ValueError, match="does not fit") as info:
+            infer_op_shapes(op_type, ins, attrs)
+        kernel = attrs["kernel"]
+        assert f"{kernel[0]}x{kernel[1]} window" in str(info.value)
+        assert f"{in_hw[0]}x{in_hw[1]} input" in str(info.value)
+
+
 def _dropout_model(rng):
     """Tiny classifier with two Dropout layers (cheap to execute)."""
     features = Sequential(

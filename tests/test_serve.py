@@ -238,6 +238,26 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             cache.get_or_build("a", lambda: None)
 
+    def test_a_build_that_raised_is_not_a_miss(self):
+        """Regression: ``misses`` was bumped before ``build()`` ran, so a
+        raising builder broke ``misses == len(cache) + evictions`` (and
+        every owner's ``plans_verified == cache.misses``) for good."""
+        cache = PlanCache()
+
+        def failing():
+            raise ValueError("window does not fit")
+
+        for key in ("a", "b"):
+            with pytest.raises(ValueError, match="does not fit"):
+                cache.get_or_build(key, failing)
+        with pytest.raises(ValueError):
+            cache.get_or_build("c", lambda: None)
+        assert (cache.hits, cache.misses, cache.evictions, len(cache)) \
+            == (0, 0, 0, 0)
+        assert cache.get_or_build("a", lambda: 1) == 1
+        assert cache.snapshot() == (0, 1, 1)
+        assert cache.misses == len(cache) + cache.evictions
+
 
 # ----------------------------------------------------------------------
 # Bench loop
