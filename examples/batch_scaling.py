@@ -1,9 +1,10 @@
 """Headline result: maximum trainable batch size and the distributed
-training projection (paper Figures 10 and 11).
+training speedup it buys (paper Figures 10 and 11).
 
 Finds the largest batch that fits a 16 GB P100 for the baseline and for
-Split-CNN + HMMS, then projects the multi-node speedup that the larger
-batch buys under bandwidth-constrained allreduce.
+Split-CNN + HMMS, then runs Figure 11 with that batch gain: the §6.4
+closed-form projection next to the measurement on a simulated 4-device
+ring, under bandwidth-constrained allreduce.
 
 Run:  python examples/batch_scaling.py
 """
@@ -25,7 +26,7 @@ def main() -> None:
           f"{results['resnet18']['split+hmms'].max_batch / results['resnet18']['baseline'].max_batch:.1f}x "
           "for the memory-efficient ResNet-18.")
 
-    print("\nProjecting distributed-training speedup (Figure 11)...")
+    print("\nDistributed-training speedup (Figure 11)...")
     print(render_fig11(run_fig11(
         split_batch_factor=round(vgg_gain))))
 

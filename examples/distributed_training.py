@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.core import to_split_cnn
 from repro.data import ShapesDataset
-from repro.distributed import (
-    DataParallelTrainer, TrainingProfile, epoch_seconds,
-)
+from repro.experiments import TrainingProfile, analytical_speedup
 from repro.experiments.training import evaluate
+from repro.mesh import DataParallelTrainer
 from repro.models import small_resnet
 
 MIB = 1 << 20
@@ -65,23 +64,25 @@ def main() -> None:
     print("\nthe same mechanics at VGG-19 scale (|G| = 548 MiB), via the "
           "§6.4 epoch-time model:")
     vgg_gradient = 548 * MIB
-    rows = {}
-    for batch, label in [(64, "baseline batch 64"),
-                         (384, "6x Split-CNN batch")]:
-        profile = TrainingProfile(
+    dataset_size = 1_281_167
+    profiles = [
+        TrainingProfile(
             name=label, batch_size=batch,
             forward_seconds=0.136 * batch / 64,     # simulator-measured
-            backward_seconds=0.265 * batch / 64,
+            backward_seconds=0.264 * batch / 64,
             gradient_bytes=vgg_gradient,
         )
+        for batch, label in [(64, "baseline batch 64"),
+                             (384, "6x Split-CNN batch")]]
+    for profile in profiles:
         for gbit in (1.0, 10.0, 32.0):
-            seconds = epoch_seconds(profile, 1_281_167, gbit * 1e9)
-            rows[(label, gbit)] = seconds
-            print(f"  {label:18s} @ {gbit:4.0f} Gbit/s: "
+            seconds = (dataset_size / profile.batch_size
+                       * profile.step_seconds(gbit * 1e9))
+            print(f"  {profile.name:18s} @ {gbit:4.0f} Gbit/s: "
                   f"epoch {seconds / 60:7.1f} min")
+    baseline, split = profiles
     for gbit in (1.0, 10.0, 32.0):
-        speedup = rows[("baseline batch 64", gbit)] \
-            / rows[("6x Split-CNN batch", gbit)]
+        speedup = analytical_speedup(baseline, split, gbit, dataset_size)
         print(f"  -> Split-CNN speedup @ {gbit:4.0f} Gbit/s: {speedup:.2f}x")
 
 

@@ -17,8 +17,12 @@ substrate they need:
   first-fit pools; plus the vDNN-style layer-wise baseline.
 - :mod:`repro.sim` — event-driven GPU/NVLink simulator replaying memory
   plans (throughput, stalls, timelines).
-- :mod:`repro.distributed` — the §6.4 distributed-training projection.
-- :mod:`repro.experiments` — one driver per paper table/figure.
+- :mod:`repro.mesh` — measured distributed execution over a simulated
+  device mesh (data / spatial / pipeline), with the numeric ring
+  allreduce and data-parallel trainer as its wire-volume reference.
+- :mod:`repro.experiments` — one driver per paper table/figure; Figure 11
+  (:mod:`repro.experiments.fig11`) holds the §6.4 closed form as the
+  analytical column and bracket of the mesh measurement.
 """
 
 __version__ = "1.0.0"

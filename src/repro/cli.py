@@ -7,7 +7,7 @@ is reproducible from a shell:
     python -m repro fig8                 # scheduler throughput comparison
     python -m repro fig9                 # stream timelines
     python -m repro fig10                # max batch size search
-    python -m repro fig11                # distributed speedup projection
+    python -m repro fig11                # distributed speedup, §6.4 vs mesh
     python -m repro accuracy depth       # Figure 4 sweep (add --quick)
     python -m repro plan vgg19 -b 64     # plan + simulate one model
     python -m repro verify-plan vgg19    # static plan verification
@@ -19,7 +19,7 @@ plus the serving-side bench, the graph compiler, and the static analyzer:
     python -m repro fleet-bench --mode compare
     python -m repro compile vgg11 --split 4 --check
     python -m repro lint vgg11 -b 16 --workers 4
-    python -m repro mesh-bench vgg19 --devices 4 --topology ring --sweep
+    python -m repro mesh-bench vgg19 --devices 4 --topology ring
 
 Exit codes are uniform across commands: ``0`` clean, ``1`` the command
 ran but found problems (plan violations, lint errors, zero completed
@@ -60,18 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("fig10", help="Figure 10: maximum batch size")
 
-    fig11 = sub.add_parser("fig11", help="Figure 11: distributed speedup")
+    fig11 = sub.add_parser(
+        "fig11",
+        help="Figure 11: distributed speedup at every paper bandwidth, "
+             "§6.4 closed form next to the mesh measurement")
     fig11.add_argument("--factor", type=int, default=6,
                        help="split batch enlargement factor")
-    fig11.add_argument("--measured", action="store_true",
-                       help="also run the mesh simulator at every paper "
-                            "bandwidth and print analytical vs measured "
-                            "side by side (asserts the analytical bracket)")
-    fig11.add_argument("--devices", type=int, default=4,
-                       help="mesh size for --measured")
+    fig11.add_argument("--devices", type=int, default=4, help="mesh size")
     fig11.add_argument("--topology", default="ring",
-                       choices=["ring", "bus", "p2p"],
-                       help="mesh topology for --measured")
+                       choices=["ring", "bus", "p2p"])
 
     mesh = sub.add_parser(
         "mesh-bench",
@@ -82,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["ring", "bus", "p2p"])
     mesh.add_argument("--bandwidth", type=float, default=10.0,
                       help="per-link bandwidth in Gbit/s")
-    mesh.add_argument("--sweep", action="store_true",
-                      help="sweep the paper's 0.5-32 Gbit/s range and "
-                           "print the measured Fig-11 twin (data strategy)")
     mesh.add_argument("--strategy", default="data",
                       choices=["data", "spatial", "pipeline"],
                       help="partitioning: data = training replicas + "
@@ -95,11 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-device batch (data) or global batch "
                            "(spatial/pipeline)")
     mesh.add_argument("--split", type=int, default=4,
-                      help="total patches (1,2,3,4,6,9); used by spatial "
-                           "and the --sweep split model")
+                      help="total patches (1,2,3,4,6,9); used by spatial")
     mesh.add_argument("--split-depth", type=float, default=0.75)
-    mesh.add_argument("--factor", type=int, default=6,
-                      help="--sweep split batch enlargement factor")
     mesh.add_argument("--seed", type=int, default=None,
                       help="shuffle event tie-breaking order (results "
                            "must be identical for every seed)")
@@ -320,22 +311,26 @@ def _cmd_fig10(args) -> int:
     return 0
 
 
+def _require_positive(flag: str, value: float) -> None:
+    if not value > 0:
+        raise _UsageError(f"{flag} must be positive, got {value}")
+
+
 def _cmd_fig11(args) -> int:
     from .experiments import render_fig11, run_fig11
-    if not args.measured:
-        print(render_fig11(run_fig11(split_batch_factor=args.factor)))
-        return 0
-    from .experiments import render_fig11_measured, run_fig11_measured
-    result = run_fig11_measured(devices=args.devices,
-                                topology=args.topology,
-                                split_batch_factor=args.factor)
-    print(render_fig11_measured(result))
+    _require_positive("--factor", args.factor)
+    _require_positive("--devices", args.devices)
+    result = run_fig11(devices=args.devices, topology=args.topology,
+                       split_batch_factor=args.factor)
+    print(render_fig11(result))
     try:
         result.check()
-        print("analytical bracket : holds at every bandwidth")
+        result.assert_monotone()
     except AssertionError as error:
-        print(f"analytical bracket : VIOLATED — {error}")
+        print(f"analytical bracket : CHECK FAILED — {error}")
         return 1
+    print("analytical bracket : holds at every bandwidth "
+          "(measured curve monotone)")
     return 0
 
 
@@ -345,37 +340,9 @@ def _cmd_mesh_bench(args) -> int:
         MeshPartitioner, MeshSimulator, build_mesh, run_spatial_numeric,
     )
 
-    if args.devices < 1:
-        raise _UsageError("--devices must be >= 1")
-
-    if args.sweep:
-        from .experiments import render_fig11_measured, run_fig11_measured
-
-        def factory():
-            return _build_named_model(args.model)
-
-        from .core import GRID_OF_SPLITS
-        grid = GRID_OF_SPLITS.get(args.split)
-        if grid is None:
-            raise _UsageError(
-                f"--split must be one of {sorted(GRID_OF_SPLITS)}")
-        result = run_fig11_measured(
-            devices=args.devices, topology=args.topology,
-            split_batch_factor=args.factor, model_factory=factory,
-            split_depth=args.split_depth, num_splits=grid,
-            base_batch=args.batch, shuffle_seed=args.seed)
-        print(render_fig11_measured(result))
-        print("plan verification  : ok (all per-device plans)")
-        print("cross-device pass  : clean (SCA104/105, zero hazards)")
-        try:
-            result.check()
-            result.assert_monotone()
-            print("measured curve     : monotone in bandwidth, "
-                  "analytical bracket holds")
-        except AssertionError as error:
-            print(f"measured curve     : CHECK FAILED — {error}")
-            return 1
-        return 0
+    _require_positive("--devices", args.devices)
+    _require_positive("--bandwidth", args.bandwidth)
+    _require_positive("--batch", args.batch)
 
     depth = args.split_depth if args.strategy == "spatial" else 0.0
     model = _build_named_model(args.model, args.split, depth)
@@ -383,7 +350,10 @@ def _cmd_mesh_bench(args) -> int:
     if args.strategy == "data":
         mesh_plan = partitioner.data(model, args.batch)
     elif args.strategy == "spatial":
-        mesh_plan = partitioner.spatial(model, args.batch)
+        try:
+            mesh_plan = partitioner.spatial(model, args.batch)
+        except ValueError as error:   # no split region to distribute
+            raise _UsageError(str(error)) from None
     else:
         mesh_plan = partitioner.pipeline(model, args.batch)
 

@@ -5,13 +5,11 @@ from .accuracy import (
     sweep_depth, sweep_num_splits, table1_run,
 )
 from .batchscale import BatchScalingResult, max_batch_size, render_fig10, run_fig10
-from .distributed import (
-    PAPER_BANDWIDTHS, Fig11Result, profile_plan, render_fig11, run_fig11,
-)
 from .fig1 import Fig1Result, render_fig1, run_fig1
-from .mesh_fig11 import (
-    MeasuredFig11Result, MeasuredPoint, render_fig11_measured,
-    run_fig11_measured, transfer_bracket,
+from .fig11 import (
+    PAPER_BANDWIDTHS, Fig11Point, Fig11Result, TrainingProfile,
+    allreduce_seconds, analytical_speedup, profile_plan, render_fig11,
+    run_fig11, transfer_bracket,
 )
 from .tables import format_series, format_table
 from .throughput import (
@@ -28,9 +26,8 @@ __all__ = [
     "compare_schedulers", "run_fig8", "render_fig8", "run_fig9_timelines",
     "SchedulerOutcome", "ThroughputComparison",
     "max_batch_size", "run_fig10", "render_fig10", "BatchScalingResult",
-    "run_fig11", "render_fig11", "Fig11Result", "PAPER_BANDWIDTHS",
-    "profile_plan",
-    "run_fig11_measured", "render_fig11_measured", "MeasuredFig11Result",
-    "MeasuredPoint", "transfer_bracket",
+    "run_fig11", "render_fig11", "Fig11Result", "Fig11Point",
+    "PAPER_BANDWIDTHS", "TrainingProfile", "allreduce_seconds",
+    "analytical_speedup", "transfer_bracket", "profile_plan",
     "format_table", "format_series",
 ]

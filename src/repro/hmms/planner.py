@@ -90,10 +90,6 @@ class HMMSPlanner:
     inplace_relu / share_summation: the §4.2 storage optimizations.
     first_fit: use first-fit allocation (``False`` -> bump allocator,
         ablation only).
-    workspace_arena: reserve one persistent arena sized for the largest
-        op workspace (cuDNN-style reuse) instead of allocating/freeing the
-        workspace around every op; avoids allocator fragmentation from the
-        large transient blocks.
     grouped_sync: follow Algorithm 1 literally (all pending transfers
         synchronize together at the first non-negative capacity balance)
         instead of the default per-transfer FIFO refinement.
@@ -113,7 +109,6 @@ class HMMSPlanner:
         first_fit: bool = True,
         cost_model: Optional[CostModel] = None,
         layerwise_conv_only: bool = False,
-        workspace_arena: bool = True,
         grouped_sync: bool = False,
         verify: bool = False,
     ) -> None:
@@ -126,7 +121,6 @@ class HMMSPlanner:
         self.share_summation = share_summation
         self.first_fit = first_fit
         self.layerwise_conv_only = layerwise_conv_only
-        self.workspace_arena = workspace_arena
         self.grouped_sync = grouped_sync
         self.verify = verify
         self.cost_model = cost_model if cost_model is not None else CostModel(device)
@@ -246,27 +240,25 @@ class HMMSPlanner:
     # ------------------------------------------------------------------
     def _simulate_pool(self, graph: Graph, assignment: StorageAssignment,
                        schedule: List[OpSchedule]) -> int:
-        """Replay the schedule against the allocator to get the exact peak."""
+        """Replay the schedule against the allocator to get the exact peak.
+
+        Op workspaces share one persistent arena sized for the largest
+        (cuDNN-style reuse): allocating and freeing a workspace around
+        every op would fragment the pool with large transient blocks.
+        """
         pool_cls = FirstFitPool if self.first_fit else BumpPool
         pool = pool_cls(name=POOL_DEVICE_GENERAL)
         sizes = {tso_id: assignment.tsos[tso_id].size
                  for tso_id in assignment.tsos}
-        arena = 0
-        if self.workspace_arena:
-            arena = max((entry.workspace_bytes for entry in schedule),
-                        default=0)
-            if arena:
-                pool.alloc(arena, "ws-arena")
+        arena = max((entry.workspace_bytes for entry in schedule), default=0)
+        if arena:
+            pool.alloc(arena, "ws-arena")
         for entry in schedule:
             for tso_id in entry.allocs_before:
                 pool.alloc(sizes[tso_id], (tso_id, "main"))
             for tso_id in entry.prefetch_allocs_before:
                 pool.alloc(sizes[tso_id], (tso_id, "prefetch"))
-            if entry.workspace_bytes and not arena:
-                pool.alloc(entry.workspace_bytes, ("ws", entry.op_index))
             # --- op executes here ---
-            if entry.workspace_bytes and not arena:
-                pool.free(("ws", entry.op_index))
             for tso_id in entry.offload_syncs_after:
                 pool.free((tso_id, "main"))
             for tso_id in entry.frees_after:

@@ -2,9 +2,15 @@
 
 Composes per-device :class:`~repro.sim.engine.GPUSimulator` timelines
 with contended link transfers to *measure* the distributed curves §6.4
-of the paper only derives analytically.  See docs/mesh.md.
+of the paper only derives analytically (the closed form itself is the
+analytical column of :mod:`repro.experiments.fig11`).  Each strategy has
+a numeric reference beside it: :func:`run_spatial_numeric`,
+:func:`run_pipeline_numeric`, and — for the data strategy's allreduce
+wire volume — :class:`RingAllreduce` / :class:`DataParallelTrainer`.
+See docs/mesh.md.
 """
 
+from .data_parallel import AllreduceStats, DataParallelTrainer, RingAllreduce
 from .partition import (
     STRATEGIES,
     TRANSFER_KINDS,
@@ -35,6 +41,7 @@ __all__ = [
     "DeviceMesh", "Link", "MeshDevice", "build_mesh", "TOPOLOGIES",
     "MeshTransfer", "DeviceAssignment", "MeshPlan", "MeshPartitioner",
     "run_spatial_numeric", "run_pipeline_numeric",
+    "RingAllreduce", "AllreduceStats", "DataParallelTrainer",
     "TRANSFER_KINDS", "STRATEGIES",
     "DeviceTimeline", "DeviceMeasure", "LinkMeasure", "MeshResult",
     "MeshSimulator", "extract_timeline",

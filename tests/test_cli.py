@@ -77,7 +77,28 @@ class TestCommands:
 
     def test_fig11(self, capsys):
         assert main(["fig11", "--factor", "2"]) == 0
-        assert "Figure 11" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 11" in out
+        assert "analytical" in out and "measured" in out
+        assert "analytical bracket : holds" in out
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["fig11", "--devices", "0"], "--devices"),
+        (["fig11", "--factor", "0"], "--factor"),
+        (["mesh-bench", "small_vgg", "--devices", "0"], "--devices"),
+        (["mesh-bench", "small_vgg", "--bandwidth", "0"], "--bandwidth"),
+        (["mesh-bench", "small_vgg", "-b", "0"], "--batch"),
+        (["mesh-bench", "small_vgg", "--strategy", "spatial",
+          "--split", "1"], "SplitRegion"),
+    ])
+    def test_mesh_usage_errors_exit_two(self, capsys, argv, flag):
+        # 92fcb94: a traceback + "internal error" (or, for -b 0, a plan
+        # verifier FAIL on a batch-0 graph).
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and flag in line
 
     def test_unknown_model_exits_two(self, capsys):
         assert main(["info", "lenet"]) == 2

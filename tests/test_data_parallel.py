@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import ShapesDataset
-from repro.distributed import allreduce_seconds
-from repro.distributed.data_parallel import DataParallelTrainer, RingAllreduce
+from repro.mesh import DataParallelTrainer, RingAllreduce
 from repro.models import small_vgg
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD

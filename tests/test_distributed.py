@@ -1,9 +1,11 @@
-"""Tests for the §6.4 distributed-training performance model."""
+"""Tests for the §6.4 closed form — Figure 11's analytical column."""
+
+import math
 
 import pytest
 
-from repro.distributed import (
-    TrainingProfile, allreduce_seconds, epoch_seconds, speedup_curve,
+from repro.experiments import (
+    TrainingProfile, allreduce_seconds, analytical_speedup,
 )
 
 
@@ -35,6 +37,12 @@ class TestAllreduce:
             allreduce_seconds(1, 1e9, alpha=1.5)
 
 
+def epoch_seconds(profile, dataset_size, bandwidth_bits_per_s):
+    """``T_epoch`` under the paper's §6.4 model."""
+    return (dataset_size / profile.batch_size
+            * profile.step_seconds(bandwidth_bits_per_s))
+
+
 class TestEpochModel:
     def test_compute_bound_regime(self):
         # Huge bandwidth: comm hidden behind backward.
@@ -58,20 +66,20 @@ class TestEpochModel:
 
 class TestSpeedupCurve:
     def test_monotone_nonincreasing_in_bandwidth(self):
-        curve = speedup_curve(BASE, SPLIT, [0.5, 1, 2, 4, 8, 16, 32],
-                              dataset_size=64 * 100)
-        speedups = [s for _, s in curve]
+        speedups = [analytical_speedup(BASE, SPLIT, gbit,
+                                       dataset_size=64 * 100)
+                    for gbit in (0.5, 1, 2, 4, 8, 16, 32)]
         assert all(a >= b - 1e-9 for a, b in zip(speedups, speedups[1:]))
 
     def test_low_bandwidth_limit_is_batch_ratio(self):
-        curve = speedup_curve(BASE, SPLIT, [1e-4], dataset_size=64 * 100)
-        _, speedup = curve[0]
+        speedup = analytical_speedup(BASE, SPLIT, 1e-4,
+                                     dataset_size=64 * 100)
         assert speedup == pytest.approx(SPLIT.batch_size / BASE.batch_size,
                                         rel=0.01)
 
     def test_high_bandwidth_limit_is_compute_ratio(self):
-        curve = speedup_curve(BASE, SPLIT, [1e9 * 1e6], dataset_size=64 * 100)
-        _, speedup = curve[0]
+        speedup = analytical_speedup(BASE, SPLIT, 1e9 * 1e6,
+                                     dataset_size=64 * 100)
         per_sample_base = (BASE.forward_seconds + BASE.backward_seconds) / 64
         per_sample_split = (SPLIT.forward_seconds + SPLIT.backward_seconds) / 384
         assert speedup == pytest.approx(per_sample_base / per_sample_split,
@@ -79,5 +87,28 @@ class TestSpeedupCurve:
 
     def test_speedup_above_two_at_10gbit(self):
         # Paper Figure 11: >=2x speedup at typical cloud bandwidth.
-        curve = speedup_curve(BASE, SPLIT, [10], dataset_size=64 * 100)
-        assert curve[0][1] > 1.5
+        assert analytical_speedup(BASE, SPLIT, 10,
+                                  dataset_size=64 * 100) > 1.5
+
+
+class TestProfileValidation:
+    """A profile that could not have been measured is rejected where it
+    is built, not as a ZeroDivisionError inside the sweep."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -4),
+        ("forward_seconds", -0.1), ("forward_seconds", math.nan),
+        ("backward_seconds", math.inf), ("backward_seconds", -1.0),
+        ("gradient_bytes", -1),
+    ])
+    def test_rejects(self, field, value):
+        fields = dict(name="m", batch_size=8, forward_seconds=0.1,
+                      backward_seconds=0.2, gradient_bytes=1 << 20)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrainingProfile(**fields)
+
+    def test_zero_time_and_bytes_are_legal(self):
+        # An empty graph profiles to zeros (see _apportion_overhead).
+        TrainingProfile(name="empty", batch_size=1, forward_seconds=0.0,
+                        backward_seconds=0.0, gradient_bytes=0)

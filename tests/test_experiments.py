@@ -1,5 +1,7 @@
 """Smoke tests for the experiment drivers (tiny configurations)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,8 +129,9 @@ class TestFig11Driver:
     def test_speedup_curve_shape(self):
         result = run_fig11(base_batch=8, split_batch_factor=4,
                            bandwidths=(1, 10, 100), dataset_size=8_000)
-        speedups = [s for _, s in result.curve]
-        assert speedups[0] >= speedups[1] >= speedups[2]
+        for column in ("analytical_speedup", "measured_speedup"):
+            speedups = [getattr(p, column) for p in result.points]
+            assert speedups[0] >= speedups[1] >= speedups[2]
         assert result.speedup_at(10) > 1.0
         with pytest.raises(KeyError):
             result.speedup_at(3)
@@ -136,7 +139,94 @@ class TestFig11Driver:
     def test_render(self):
         result = run_fig11(base_batch=8, split_batch_factor=2,
                            bandwidths=(10,), dataset_size=8_000)
-        assert "Figure 11" in render_fig11(result)
+        text = render_fig11(result)
+        assert "Figure 11" in text
+        assert "analytical" in text and "measured" in text
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(devices=0), "devices"),
+        (dict(split_batch_factor=0), "split_batch_factor"),
+        (dict(dataset_size=0), "dataset_size"),
+        (dict(bandwidths=()), "bandwidths"),
+        (dict(bandwidths=(1, 0)), "bandwidths"),
+        (dict(bandwidths=(-2.0,)), "bandwidths"),
+    ])
+    def test_rejects_bad_arguments(self, kwargs, match):
+        # On 92fcb94 these were a ZeroDivisionError, an empty result, or
+        # a ValueError from inside the mesh after both models had been
+        # planned.  ``model_factory=None`` proves nothing is built first.
+        with pytest.raises(ValueError, match=match):
+            run_fig11(model_factory=None, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Golden digests recorded from 92fcb94, where Figure 11 lived twice: a
+# closed-form-only driver and a closed-form + mesh driver.  The one
+# ``run_fig11`` must reproduce both, bit for bit.
+# ----------------------------------------------------------------------
+def _profile_fields(profile):
+    return (profile.name, profile.batch_size, profile.forward_seconds.hex(),
+            profile.backward_seconds.hex(), profile.gradient_bytes)
+
+
+def _analytical_digest(result) -> str:
+    """blake2b over both profiles and the closed form's (bandwidth,
+    speedup) curve — every field the old ``Fig11Result`` had."""
+    return hashlib.blake2b(repr((
+        _profile_fields(result.baseline), _profile_fields(result.split),
+        tuple((float(p.bandwidth_gbit).hex(), p.analytical_speedup.hex())
+              for p in result.points),
+    )).encode(), digest_size=16).hexdigest()
+
+
+def _full_digest(result) -> str:
+    """blake2b over every field the old measured result had."""
+    return hashlib.blake2b(repr((
+        _profile_fields(result.baseline), _profile_fields(result.split),
+        result.devices, result.topology,
+        tuple((float(p.bandwidth_gbit).hex(), p.analytical_speedup.hex(),
+               p.measured_speedup.hex(), p.base_step_seconds.hex(),
+               p.split_step_seconds.hex(),
+               tuple(x.hex() for x in p.base_bracket),
+               tuple(x.hex() for x in p.split_bracket))
+              for p in result.points),
+    )).encode(), digest_size=16).hexdigest()
+
+
+SMALL_SWEEP = dict(model_factory=small_vgg, base_batch=4, split_depth=0.5,
+                   dataset_size=10_000, bandwidths=(0.5, 2, 8, 32))
+SMALL_GOLDEN = {
+    ("ring", 4): "40e34e300dcb2cc4fd49f82af106164e",
+    ("bus", 3): "dc1baceafabcde5f44588328f375f7e9",
+    ("p2p", 2): "f2df5c7f2f84f41f70e9efd891387038",
+}
+
+
+class TestFig11Golden:
+    def test_default_reproduces_both_old_drivers(self):
+        result = run_fig11()
+        assert _analytical_digest(result) \
+            == "4c4b91893767ccf6c5c9c3c112b3fb64"      # closed-form driver
+        assert _full_digest(result) \
+            == "a7f4d49c4e31ead80afca14512fcf9cc"      # mesh driver
+        result.check()
+        result.assert_monotone()
+        # The three 10 Gbit/s numbers EXPERIMENTS.md sets side by side.
+        (at_10,) = [p for p in result.points if p.bandwidth_gbit == 10]
+        assert f"{at_10.analytical_speedup:.3f}" == "3.184"
+        assert f"{at_10.measured_speedup:.3f}" == "2.473"
+
+    def test_small_batch_analytical_column(self):
+        result = run_fig11(base_batch=8, split_batch_factor=4)
+        assert _analytical_digest(result) \
+            == "fc181057211c7b432b97f294c9419f80"
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 42])
+    @pytest.mark.parametrize("topology,devices", list(SMALL_GOLDEN))
+    def test_small_sweeps(self, topology, devices, shuffle_seed):
+        result = run_fig11(devices=devices, topology=topology,
+                           shuffle_seed=shuffle_seed, **SMALL_SWEEP)
+        assert _full_digest(result) == SMALL_GOLDEN[topology, devices]
 
 
 class TestDatasetChoice:

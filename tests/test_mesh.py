@@ -13,16 +13,16 @@ import pytest
 
 from repro.analysis import analyze_mesh_plan, detect_mesh_hazards
 from repro.core import to_split_cnn
-from repro.experiments.distributed import (
-    Fig11Result, _apportion_overhead,
+from repro.experiments import (
+    Fig11Point, Fig11Result, TrainingProfile, run_fig11,
 )
-from repro.distributed import TrainingProfile
+from repro.experiments.fig11 import _apportion_overhead
 from repro.compile import default_pipeline
 from repro.graph import build_inference_graph
-from repro.graph.executor import GraphExecutor
+from repro.graph.executor import GraphExecutor, resolve_final_gradients
 from repro.mesh import (
-    MeshPartitioner, MeshSimulator, build_mesh, run_pipeline_numeric,
-    run_spatial_numeric,
+    MeshPartitioner, MeshSimulator, RingAllreduce, build_mesh,
+    run_pipeline_numeric, run_spatial_numeric,
 )
 from repro.models import build_model
 from repro.nn import init
@@ -153,6 +153,55 @@ class TestPartitions:
                                  if t.src == 0)
         assert shipped_per_device == pytest.approx(2 * params * 3 / 4,
                                                    rel=0.01)
+
+    @pytest.mark.parametrize("world", [2, 3, 4, 8])
+    def test_allreduce_volume_matches_ring_allreduce(self, world):
+        """The partitioner's wire volume is the numeric ring's, bucket by
+        bucket: both hard-code Patarasuk-Yuan's ``2|g|(N-1)/N`` and only
+        this test ties them."""
+        model = build_model("small_vgg")
+
+        def link_bytes(topology):
+            """{(bucket label, src device): {link name: bytes}}."""
+            plan = MeshPartitioner(world, topology=topology).data(model, 2)
+            mesh = build_mesh(world, topology)
+            sent = {}
+            for transfer in plan.transfers:
+                assert transfer.kind == "all_reduce"
+                (link,) = mesh.route(transfer.src, transfer.dst)
+                per_link = sent.setdefault((transfer.label, transfer.src), {})
+                per_link[link.name] = (per_link.get(link.name, 0)
+                                       + transfer.nbytes)
+            return plan.assignments[0].graph, sent
+
+        graph, ring = link_bytes("ring")
+        _, bus = link_bytes("bus")
+        _, p2p = link_bytes("p2p")
+        checked = 0
+        for name, tensor_id in resolve_final_gradients(graph).items():
+            payload = graph.tensors[tensor_id].nbytes
+            if payload % (8 * world):
+                continue    # the numeric ring wants even float64 chunks
+            _, stats = RingAllreduce(world).allreduce(
+                [np.zeros(payload // 8) for _ in range(world)])
+            assert stats.payload_bytes == payload
+            reference = stats.bytes_sent_per_worker
+            assert reference == 2 * payload * (world - 1) // world
+            for src in range(world):
+                bucket = (f"allreduce:{name}", src)
+                assert ring[bucket] == {
+                    f"ring:{src}->{(src + 1) % world}": reference}
+                # Bus: the same volume, all of it on the one shared link.
+                assert bus[bucket] == {"bus": reference}
+                # P2p: the same total in equal shares over the N-1 direct
+                # links (whole bytes, so up to N-2 bytes short).
+                shares = p2p[bucket]
+                assert len(shares) == world - 1
+                assert len(set(shares.values())) == 1
+                assert sum(shares.values()) \
+                    == reference - reference % (world - 1)
+            checked += 1
+        assert checked >= 4, f"only {checked} buckets divide by {world}"
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +392,14 @@ class TestFig11Fixes:
                                   forward_seconds=0.1,
                                   backward_seconds=0.2,
                                   gradient_bytes=1 << 20)
-        curve = [(0.5, 5.0), (1.0, 4.0), (2.0, 3.0)]
-        return Fig11Result(baseline=profile, split=profile, curve=curve)
+        points = [
+            Fig11Point(bandwidth_gbit=gbit, analytical_speedup=measured + 1,
+                       measured_speedup=measured, base_step_seconds=1.0,
+                       split_step_seconds=1.0, base_bracket=(0.5, 1.5),
+                       split_bracket=(0.5, 1.5))
+            for gbit, measured in [(0.5, 5.0), (1.0, 4.0), (2.0, 3.0)]]
+        return Fig11Result(baseline=profile, split=profile, devices=4,
+                           topology="ring", points=points)
 
     def test_exact_lookup(self):
         assert self._result().speedup_at(1.0) == 4.0
@@ -358,7 +413,8 @@ class TestFig11Fixes:
         with pytest.raises(KeyError):
             self._result().speedup_at(16.0)
         with pytest.raises(KeyError):
-            Fig11Result(baseline=None, split=None, curve=[]).speedup_at(1.0)
+            Fig11Result(baseline=None, split=None, devices=4,
+                        topology="ring", points=[]).speedup_at(1.0)
 
     def test_apportion_zero_kernel_guard(self):
         forward, backward = _apportion_overhead(0.0, 0.0, 0.5)
@@ -438,12 +494,11 @@ class TestRunWithInputs:
 
 
 # ----------------------------------------------------------------------
-# measured fig11 twin (small model so the test stays fast)
+# Figure 11's measured column (small model so the test stays fast)
 # ----------------------------------------------------------------------
 class TestMeasuredFig11:
     def test_small_sweep_brackets_and_monotone(self):
-        from repro.experiments import run_fig11_measured
-        result = run_fig11_measured(
+        result = run_fig11(
             devices=4, topology="ring", base_batch=4, split_batch_factor=6,
             model_factory=lambda: build_model("small_vgg"),
             split_depth=0.5, dataset_size=10_000,
@@ -455,13 +510,12 @@ class TestMeasuredFig11:
             assert point.measured_speedup > 0
 
     def test_shuffle_seed_does_not_change_measurement(self):
-        from repro.experiments import run_fig11_measured
         kwargs = dict(
             devices=3, topology="bus", base_batch=4, split_batch_factor=6,
             model_factory=lambda: build_model("small_vgg"),
             split_depth=0.5, dataset_size=10_000, bandwidths=(1.0, 8.0))
-        plain = run_fig11_measured(**kwargs)
-        shuffled = run_fig11_measured(shuffle_seed=42, **kwargs)
+        plain = run_fig11(**kwargs)
+        shuffled = run_fig11(shuffle_seed=42, **kwargs)
         for a, b in zip(plain.points, shuffled.points):
             assert a.measured_speedup == b.measured_speedup
             assert a.base_step_seconds == b.base_step_seconds
