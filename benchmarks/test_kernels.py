@@ -14,6 +14,7 @@ from repro.models import small_resnet
 from repro.nn import BatchNorm2d, CrossEntropyLoss
 from repro.optim import SGD
 from repro.tensor import Tensor, conv2d
+from repro.tensor.ops_nn import Conv2d
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,30 @@ def test_bench_conv2d_backward(benchmark, conv_inputs):
 
     benchmark(step)
     assert x.grad is not None
+
+
+def test_bench_conv2d_forward_patch_float64(benchmark):
+    # The patch_infer shape: few channels, many pixels, no padding — the
+    # column buffer's fill, not the GEMM, is most of the call.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 16, 66, 66))
+    w = rng.standard_normal((16, 16, 3, 3)) * 0.1
+    pad = ((0, 0), (0, 0))
+    out = benchmark(lambda: Conv2d().forward(x, w, None, (1, 1), pad))
+    assert out.shape == (2, 16, 64, 64)
+
+
+def test_bench_conv2d_backward_weight_small_k(benchmark):
+    # The deepest per-patch VGG-11 shape: 1x1 maps, two GEMM rows of
+    # pixels against 512*9 columns.
+    rng = np.random.default_rng(0)
+    fn = Conv2d()
+    out = fn.forward(rng.standard_normal((2, 512, 1, 1)),
+                     rng.standard_normal((512, 512, 3, 3)) * 0.1, None,
+                     (1, 1), ((1, 1), (1, 1)))
+    grad = rng.standard_normal(out.shape)
+    grad_w = benchmark(lambda: fn.backward_weight(grad))
+    assert grad_w.shape == (512, 512, 3, 3)
 
 
 def test_bench_split_conv2d(benchmark, conv_inputs):

@@ -177,6 +177,12 @@ _SPECS = [
         "A persistent value the plan seeds at build time (parameter or "
         "constant) is missing, shape-inconsistent, or non-finite — or a "
         "non-persistent tensor is seeded as if it were."),
+    DiagnosticSpec(
+        "SCA406", "unsafe-overwrite", SEV_ERROR, PASS_LOWERING,
+        "The plan lets an op overwrite an input that is not provably dead: "
+        "the tensor has another consumer, is pinned or a graph input, or "
+        "is produced by a forward or aliasing op whose array something "
+        "else still references."),
     # --- configuration lint ---------------------------------------------
     DiagnosticSpec(
         "SCA501", "ledger-overcommit", SEV_ERROR, PASS_CONFIG,

@@ -6,10 +6,10 @@ The executor (``repro.compile.CompiledPlan`` is the same class under its
 old name) lowers every graph it is given — pipeline-compiled or straight
 from the builder — into dense arrays at build time: kernel bindings,
 wavefront dependency counts, eager-free refcounts, seed pairs,
-forward-twin references, and a persistent-value table.  A bug anywhere
-in that lowering silently breaks byte-identity (or worse, frees live
-values), so this pass re-derives every array **from raw graph structure
-only** — ``tensor.producer``, ``op.inputs``/``op.saved``, ``forward_of``
+forward-twin references, the overwrite table, and a persistent-value
+table.  A bug anywhere in that lowering silently breaks byte-identity (or
+worse, frees live values), so this pass re-derives every array **from raw
+graph structure only** — ``tensor.producer``, ``op.inputs``/``op.saved``, ``forward_of``
 links — sharing no derivation code with the executor or with the graph
 helpers it calls (:meth:`Graph.op_dependencies`,
 :func:`compute_free_plan`, :func:`resolve_final_gradients`).  Same
@@ -28,7 +28,9 @@ Codes:
 - ``SCA404`` — seed pairs, forward-twin references, or saved-context
   counts disagree with the graph;
 - ``SCA405`` — the persistent-value table is missing, inconsistent, or
-  seeds a non-persistent tensor.
+  seeds a non-persistent tensor;
+- ``SCA406`` — the overwrite table lets an op write into an input that is
+  not provably dead.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..graph.ir import Graph, OpNode
-from ..graph.registry import op_def
+from ..graph.registry import SHARE_NONE, op_def
 from .diagnostics import Diagnostic
 
 if TYPE_CHECKING:                            # no runtime executor import
@@ -218,6 +220,34 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                 f"{sorted(lowered_consumed)}; the graph shows it consumes "
                 f"{sorted(want_set)}",
                 op_ids=(op.id,)))
+
+    # --- SCA406: overwrite table --------------------------------------
+    # Only-if: a missing permission costs an allocation, a wrong one
+    # corrupts a value some other reader still needs.
+    for op in ops:
+        for tensor_id in plan._overwrite[op.id]:
+            tensor = graph.tensors.get(tensor_id)
+            producer = by_id.get(getattr(tensor, "producer", None))
+            if tensor_id in pinned:
+                reason = "is pinned (a run result or persistent value)"
+            elif consumers.get(tensor_id) != {op.id} \
+                    or tensor_id not in op.inputs:
+                reason = (f"is not read by this op alone (consumers "
+                          f"{sorted(consumers.get(tensor_id, ()))})")
+            elif producer is None or producer.phase != "backward":
+                reason = ("is a graph input or forward value a saved "
+                          "context may still reference")
+            elif (op_def(producer.op_type).free
+                  or op_def(producer.op_type).sharing != SHARE_NONE):
+                reason = (f"is produced by aliasing op "
+                          f"{producer.name!r} ({producer.op_type})")
+            else:
+                continue
+            findings.append(Diagnostic(
+                "SCA406",
+                f"op {op.name!r} may overwrite tensor "
+                f"{getattr(tensor, 'name', '?')!r}, which {reason}",
+                op_ids=(op.id,), tensor_id=tensor_id))
 
     # --- SCA404: seeds, twin references, saved-context counts ---------
     twin_counts: Dict[int, int] = {}

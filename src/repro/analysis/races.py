@@ -11,6 +11,8 @@ safe for a given storage plan:
    (``SCA101``/``SCA102``).  In-place ReLU and summation error-TSO
    sharing are exactly the optimizations that create such aliasing, so
    the detector is the safety proof for running them under parallelism.
+   An input the executor lets its consumer overwrite
+   (``overwritable_inputs``) counts as one more write of its TSO.
 2. **Use-after-free** — the eager-free plan drops a tensor's value once
    all its *counted* consumers retire.  A reader outside that set is safe
    only if the DAG orders it before some counted consumer; otherwise the
@@ -27,7 +29,7 @@ from typing import Callable, Dict, List, Set, Tuple
 
 from ..graph.ir import Graph
 from ..graph.liveness import compute_free_plan
-from ..hmms.storage import StorageAssignment
+from ..hmms.storage import StorageAssignment, TSOAccess
 from .diagnostics import Diagnostic
 
 __all__ = ["detect_races", "ancestor_masks"]
@@ -77,23 +79,47 @@ def detect_races(
         return not (happens_before(a_pos, b_pos)
                     or happens_before(b_pos, a_pos))
 
+    # Deferred: executor imports this package for preflight mode.
+    from ..graph.executor import (
+        OUTPUT_NAMES, overwritable_inputs, resolve_final_gradients,
+    )
+
+    pinned = {t.id for t in graph.tensors.values()
+              if t.kind in ("parameter", "constant")
+              or t.name in OUTPUT_NAMES}
+    try:
+        pinned |= set(resolve_final_gradients(graph).values())
+    except ValueError:
+        pass          # unfrozen reduction; the determinism pass reports it
+    counts, consumed_by_op = compute_free_plan(graph, pinned=frozenset(pinned))
+
     findings: List[Diagnostic] = []
     findings.extend(
-        _tso_conflicts(graph, assignment, position, unordered, parallel))
+        _tso_conflicts(graph, assignment, position, unordered, parallel,
+                       overwritable_inputs(graph, counts)))
     findings.extend(
-        _use_after_free(graph, position, happens_before))
+        _use_after_free(graph, position, happens_before, consumed_by_op))
     return findings
 
 
 def _tso_conflicts(graph: Graph, assignment: StorageAssignment,
                    position: Dict[int, int],
                    unordered: Callable[[int, int], bool],
-                   parallel: bool) -> List[Diagnostic]:
+                   parallel: bool,
+                   overwritable: Dict[int, Tuple[int, ...]],
+                   ) -> List[Diagnostic]:
     """SCA101/SCA102: unordered ops touching the same TSO, ≥1 writing."""
     if not parallel:
         return []                     # a single worker serializes every pair
+    by_tso = assignment.tso_accesses(graph)
+    for op_id, tensor_ids in overwritable.items():
+        for tensor_id in tensor_ids:
+            tso_id = assignment.tso_of.get(tensor_id)
+            if tso_id is not None:
+                by_tso.setdefault(tso_id, []).append(
+                    TSOAccess(op_id=op_id, mode="w", tensor_id=tensor_id))
     findings: List[Diagnostic] = []
-    for tso_id, accesses in sorted(assignment.tso_accesses(graph).items()):
+    for tso_id, accesses in sorted(by_tso.items()):
         # Collapse to per-op access summaries; skip read-only TSOs fast.
         writes: Set[int] = set()
         per_op: Dict[int, Dict[str, int]] = {}
@@ -136,6 +162,7 @@ def _tso_conflicts(graph: Graph, assignment: StorageAssignment,
 
 def _use_after_free(graph: Graph, position: Dict[int, int],
                     happens_before: Callable[[int, int], bool],
+                    consumed_by_op: Dict[int, List[int]],
                     ) -> List[Diagnostic]:
     """SCA103: a reader the eager-free refcount does not account for.
 
@@ -146,17 +173,6 @@ def _use_after_free(graph: Graph, position: Dict[int, int],
     are retained separately via the executor's per-twin context
     counter, so only direct input reads are checked.)
     """
-    # Deferred: executor imports this package for preflight mode.
-    from ..graph.executor import OUTPUT_NAMES, resolve_final_gradients
-
-    pinned = {t.id for t in graph.tensors.values()
-              if t.kind in ("parameter", "constant")
-              or t.name in OUTPUT_NAMES}
-    try:
-        pinned |= set(resolve_final_gradients(graph).values())
-    except ValueError:
-        pass          # unfrozen reduction; the determinism pass reports it
-    _, consumed_by_op = compute_free_plan(graph, pinned=frozenset(pinned))
     counted: Dict[int, Set[int]] = {}
     for op_id, tensor_ids in consumed_by_op.items():
         for tensor_id in tensor_ids:

@@ -18,12 +18,12 @@ graph straight from the builder are lowered the same way at construction
 time: kernels bound once per op (``_steps``; :meth:`execute_op` is the
 single per-op seam every run loop, timing loop and tracer goes through),
 values and saved contexts in dense lists indexed by tensor / op id, the
-eager-free refcounts, dropout seed pairs, forward-twin references and the
-wavefront dependency counts as dense per-run templates.
-:func:`repro.analysis.verify_lowering` re-derives every one of those
-tables from raw graph structure (SCA401-405) without sharing code with
-this module.  ``repro.compile.CompiledPlan`` is this class under its old
-name.
+eager-free refcounts, the overwrite table, dropout seed pairs,
+forward-twin references and the wavefront dependency counts as dense
+per-run templates.  :func:`repro.analysis.verify_lowering` re-derives
+every one of those tables from raw graph structure (SCA401-406) without
+sharing code with this module.  ``repro.compile.CompiledPlan`` is this
+class under its old name.
 
 Kernels live in :mod:`repro.graph.registry`, one per op type.  Backward
 ops run against the *saved context* of their forward op — the fused
@@ -46,6 +46,12 @@ compute_free_plan`) and a saved context when the last backward twin of
 its forward op has run, so peak memory tracks the graph's liveness
 profile.  ``eager_free=False`` keeps everything until the next run (the
 §4.3 loop re-times individual ops after a run and needs them all).
+
+**Overwrite table** — the same liveness facts say when an input's
+*array* is dead: :func:`overwritable_inputs` lists, per op, the inputs it
+may write its result into (``grad_acc`` accumulates per-patch gradients
+in place).  Structural, independent of ``eager_free`` and ``workers``, so
+every run and the §4.3 timing loop execute the same kernels.
 """
 
 from __future__ import annotations
@@ -59,9 +65,10 @@ import numpy as np
 
 from .ir import Graph, OpNode
 from .liveness import compute_free_plan
-from .registry import op_def
+from .registry import SHARE_NONE, op_def
 
-__all__ = ["GraphExecutor", "resolve_final_gradients", "OUTPUT_NAMES"]
+__all__ = ["GraphExecutor", "resolve_final_gradients", "overwritable_inputs",
+           "OUTPUT_NAMES"]
 
 #: Tensor names whose values are run outputs (never freed eagerly).
 OUTPUT_NAMES = ("loss", "logits")
@@ -109,6 +116,34 @@ def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
             )
         finals[param_name] = tails[0].id
     return finals
+
+
+def overwritable_inputs(graph: Graph,
+                        counts: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:
+    """Map each op id to the input tensors whose arrays it may overwrite.
+
+    ``counts`` is the refcount map of :func:`compute_free_plan` (pinned
+    tensors absent).  Input ``t`` qualifies when ``counts[t] == 1`` — the
+    op is its only consumer, so ``t`` is unpinned and no other op, serial
+    or wavefront, reads the array afterwards — and ``t`` is produced in
+    the backward phase by an op that allocates: not a graph input, not a
+    ``free`` / aliasing registry entry (``flatten`` views, ``add_bwd``'s
+    shared error term), and not a forward value, which a saved context
+    may hold outside the graph's edges (``Conv2d.xp`` *is* the conv's
+    input when its padding is zero).
+
+    Shared with the race detector, which counts each such input as a
+    write; :func:`repro.analysis.verify_lowering` re-derives it (SCA406).
+    """
+    allocating = set()
+    for op in graph.ops:
+        definition = op_def(op.op_type)
+        if (op.phase == "backward" and not definition.free
+                and definition.sharing == SHARE_NONE):
+            allocating.update(op.outputs)
+    return {op.id: tuple(t for t in dict.fromkeys(op.inputs)
+                         if counts.get(t) == 1 and t in allocating)
+            for op in graph.ops}
 
 
 class GraphExecutor:
@@ -184,7 +219,9 @@ class GraphExecutor:
                     ) from None
                 persistent.add(tensor.id)
         self._base_values = base
-        #: Dense by tensor id; ``None`` = unbound or already freed.
+        #: Dense by tensor id; ``None`` = unbound or already freed.  After
+        #: an ``eager_free=False`` run an input its consumer overwrote
+        #: (:meth:`may_overwrite`) aliases that consumer's result.
         self.values: List[Optional[np.ndarray]] = list(base)
         #: Dense by forward op id: the saved ``Function`` contexts.
         self._contexts: List[Any] = [None] * num_ops
@@ -232,6 +269,10 @@ class GraphExecutor:
         for op_id, twins in Counter(op.forward_of for op in graph.ops
                                     if op.forward_of is not None).items():
             self._ctx_template[op_id] = twins
+        #: Dense by op id: the input tensors the op may overwrite.
+        self._overwrite: List[Tuple[int, ...]] = [()] * num_ops
+        for op_id, tensor_ids in overwritable_inputs(graph, counts).items():
+            self._overwrite[op_id] = tensor_ids
 
         # -- dense wavefront schedule -----------------------------------
         self._remaining_template: List[int] = [0] * num_ops
@@ -446,6 +487,10 @@ class GraphExecutor:
         an instance (a tracer) sees every kernel call of a run; the §4.3
         timing loop calls it out of band after an ``eager_free=False``
         run.
+
+        Out-of-band calls are **not idempotent** for an accumulating op
+        (``grad_acc`` adds into the input :meth:`may_overwrite` grants it
+        again): re-execution is for timing, values come from :meth:`run`.
         """
         self._step_by_id[op.id][0](self, op)
 
@@ -463,6 +508,10 @@ class GraphExecutor:
 
     def set_output(self, op: OpNode, index: int, value: np.ndarray) -> None:
         self.values[op.outputs[index]] = value
+
+    def may_overwrite(self, op: OpNode, index: int) -> bool:
+        """May ``op`` write its result into input ``index``'s array?"""
+        return op.inputs[index] in self._overwrite[op.id]
 
     def forward_op(self, op: OpNode) -> OpNode:
         forward = self._fwd[op.id]

@@ -477,7 +477,7 @@ def _k_conv2d_relu(ex, op):
     out = fn.forward(ex.input(op, 0), ex.input(op, 1), bias,
                      op.attrs["stride"], op.attrs["padding"])
     ex.save_context(op, fn)
-    ex.set_output(op, 0, np.maximum(out, 0.0))
+    ex.set_output(op, 0, np.maximum(out, 0.0, out=out))
 
 
 def _k_conv2d_bn(ex, op, relu=False):
@@ -492,7 +492,7 @@ def _k_conv2d_bn(ex, op, relu=False):
                      ex.input(op, len(op.inputs) - 1), 1e-5)
     ex.save_context(op, _ConvBnContext(conv, bn))
     if relu:
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
     ex.set_output(op, 0, out)
 
 
@@ -510,7 +510,7 @@ def _k_conv2d_siblings(ex, op, relu=False):
                      op.attrs["stride"], op.attrs["padding"])
     ex.save_context(op, fn)
     if relu:
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
     rows = out.shape[0] // count
     for i in range(count):
         ex.set_output(op, i, out[i * rows:(i + 1) * rows])
@@ -548,7 +548,7 @@ def _k_conv2d_bwd_weight(ex, op):
 def _k_linear(ex, op):
     out = ex.input(op, 0) @ ex.input(op, 1).T
     if len(op.inputs) > 2:
-        out = out + ex.input(op, 2)
+        out += ex.input(op, 2)
     ex.set_output(op, 0, out)
 
 
@@ -677,7 +677,12 @@ def _k_add_bwd(ex, op):
 
 
 def _k_grad_acc(ex, op):
-    ex.set_output(op, 0, ex.input(op, 0) + ex.input(op, 1))
+    # Accumulate into whichever operand liveness proves dead (IEEE addition
+    # commutes, so either is bit-identical to a fresh ``a + b``).
+    a, b = ex.input(op, 0), ex.input(op, 1)
+    out = (a if ex.may_overwrite(op, 0)
+           else b if ex.may_overwrite(op, 1) else None)
+    ex.set_output(op, 0, np.add(a, b, out=out))
 
 
 def _k_dropout(ex, op):
@@ -766,7 +771,8 @@ def _k_cross_entropy_bwd(ex, op):
     batch = softmax.shape[0]
     grad = softmax.copy()
     grad[np.arange(batch), np.asarray(ex.targets, dtype=np.int64)] -= 1.0
-    ex.set_output(op, 0, grad / batch)
+    grad /= batch
+    ex.set_output(op, 0, grad)
 
 
 # ----------------------------------------------------------------------

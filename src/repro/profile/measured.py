@@ -73,7 +73,9 @@ class MeasuredCostModel(CostModel):
         executor.run(input_array, targets)
         for op in graph.ops:
             # Execute once to warm caches, then time `repetitions`
-            # re-executions, exactly as §4.3 describes.
+            # re-executions, exactly as §4.3 describes.  Only times are
+            # read: re-executing an accumulating op (grad_acc adds into
+            # a dead input) is not idempotent, so values go stale here.
             executor.execute_op(op)
             started = time.perf_counter()
             for _ in range(self.repetitions):

@@ -113,6 +113,17 @@ def _window_view(x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
     )
 
 
+def _im2col(x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
+    """Channel-major column buffer ``(C, kh, kw, N, Ho, Wo)`` of ``x``.
+
+    Copied with a whole output row as the inner run (a reshape of the
+    window view copies runs of ``kw`` elements); as ``(C*kh*kw, N*Ho*Wo)``
+    its transpose is the ``(pixels, K)`` operand of the conv GEMMs.
+    """
+    view = _window_view(x, kernel, stride)
+    return np.ascontiguousarray(view.transpose(1, 4, 5, 0, 2, 3))
+
+
 def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad_end: int) -> int:
     """Spatial output size of a window op (floor convention)."""
     return (in_size + pad_begin + pad_end - kernel) // stride + 1
@@ -127,11 +138,14 @@ class Conv2d(Function):
         self.in_shape = x.shape
         xp = _pad_spatial(x, padding)
         self.xp = xp
-        kh, kw = weight.shape[2], weight.shape[3]
-        view = _window_view(xp, (kh, kw), stride)
-        # (N, Ho, Wo, O) <- contract over C, kh, kw
-        out = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
-        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        o, _, kh, kw = weight.shape
+        cols = _im2col(xp, (kh, kw), stride)
+        n, ho, wo = cols.shape[3:]
+        # (N*Ho*Wo, O): pixels stay GEMM rows, so a pixel's bytes do not
+        # depend on which patch (how many other pixels) it is computed with.
+        out = np.dot(cols.reshape(-1, n * ho * wo).T, weight.reshape(o, -1).T)
+        del cols                # before the transpose copy: peak memory
+        out = np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
         if bias is not None:
             out += bias.reshape(1, -1, 1, 1)
         self.weight = weight
@@ -139,10 +153,12 @@ class Conv2d(Function):
         return out
 
     def backward_weight(self, grad_output: np.ndarray) -> np.ndarray:
-        kh, kw = self.weight.shape[2], self.weight.shape[3]
-        view = _window_view(self.xp, (kh, kw), self.stride)
-        # grad wrt weight: contract grad (N,O,Ho,Wo) with view over N,Ho,Wo.
-        return np.tensordot(grad_output, view, axes=([0, 2, 3], [0, 2, 3]))
+        o, _, kh, kw = self.weight.shape
+        cols = _im2col(self.xp, (kh, kw), self.stride)
+        # grad wrt weight: (O, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw).
+        grad = grad_output.transpose(1, 0, 2, 3).reshape(o, -1)
+        return (grad @ cols.reshape(-1, grad.shape[1]).T).reshape(
+            self.weight.shape)
 
     def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
         weight = self.weight

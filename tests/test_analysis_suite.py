@@ -75,6 +75,17 @@ def compiled_eval():
     return graph, params
 
 
+@pytest.fixture(scope="module")
+def split_resnet_train():
+    """(graph, params) for a split-2x2 small_resnet training graph: the
+    per-patch ``grad_acc`` chains and the residual ``add_bwd`` fan-out
+    the overwrite table (SCA406) has to get right."""
+    model = to_split_cnn(_model("small_resnet"), depth=0.5,
+                         num_splits=(2, 2))
+    graph = build_training_graph(model, 2)
+    return graph, GraphExecutor.parameters_from_model(graph, model)
+
+
 def _plan(fixture):
     graph, params = fixture
     return CompiledPlan(graph, params, dropout_seed=0, workers=2)
@@ -320,6 +331,37 @@ class TestLoweringMutations:
         plan._base_values[activation.id] = np.zeros(activation.shape)
         findings = _only_code(verify_lowering(plan), "SCA405")
         assert any(f.tensor_id == activation.id for f in findings)
+
+    def _forged(self, fixture, tensor_id):
+        """A plan whose table lets ``tensor_id``'s first consumer (or, for
+        a tensor nothing consumes, the last op) overwrite it."""
+        plan = _plan(fixture)
+        consumers = plan.graph.tensors[tensor_id].consumers
+        op_id = consumers[0] if consumers else plan.graph.ops[-1].id
+        assert not verify_lowering(plan)
+        plan._overwrite[op_id] += (tensor_id,)
+        findings = _only_code(verify_lowering(plan), "SCA406")
+        assert [(f.op_ids, f.tensor_id) for f in findings] == [
+            ((op_id,), tensor_id)]
+        return findings[0].message
+
+    def test_sca406_second_consumer_still_reads(self, split_resnet_train):
+        graph, _ = split_resnet_train
+        shared = next(t for t in graph.tensors.values()
+                      if t.kind == "gradient_act"
+                      and len(set(t.consumers)) == 2)
+        assert "consumers [" in self._forged(split_resnet_train, shared.id)
+
+    def test_sca406_pinned_total_gradient(self, split_resnet_train):
+        plan = _plan(split_resnet_train)
+        total = next(iter(plan._final_grads.values()))
+        assert "pinned" in self._forged(split_resnet_train, total)
+
+    def test_sca406_shared_error_term(self, split_resnet_train):
+        graph, _ = split_resnet_train
+        add_bwd = next(op for op in graph.ops if op.op_type == "add_bwd")
+        message = self._forged(split_resnet_train, add_bwd.outputs[0])
+        assert "aliasing op" in message and "add_bwd" in message
 
 
 # ----------------------------------------------------------------------
