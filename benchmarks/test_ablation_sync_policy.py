@@ -24,10 +24,10 @@ GIB = 1 << 30
 class GroupedPlanner(Planner):
     """HMMS with the paper-literal grouped synchronization."""
 
-    def _plan_transfers(self, graph, assignment, lifetimes, fraction):
-        plan = plan_offload(graph, assignment, lifetimes, self.cost_model,
+    def _plan_transfers(self, graph, assignment, lifetimes, fraction, profile):
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             self.device, fraction, grouped_sync=True)
-        return plan_prefetch(graph, assignment, lifetimes, self.cost_model,
+        return plan_prefetch(graph, assignment, lifetimes, profile,
                              self.device, plan, grouped_sync=True)
 
 
@@ -63,10 +63,10 @@ def test_ablation_sync_horizon(benchmark):
                          memory_efficient=True), 64)
         assignment = assign_storage(graph)
         lifetimes = compute_lifetimes(graph)
-        cost = CostModel()
+        profile = CostModel().profile(graph)
         rows = []
         for horizon in (2, 8, 16, 64):
-            plan = plan_offload(graph, assignment, lifetimes, cost,
+            plan = plan_offload(graph, assignment, lifetimes, profile,
                                 P100_NVLINK, fraction_cap=1.0,
                                 sync_horizon=horizon)
             rows.append((horizon, plan.offloaded_bytes / GIB,

@@ -8,6 +8,7 @@ backward ops, matching §4.1 step 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -36,7 +37,7 @@ class TensorValue:
 
     @property
     def num_elements(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

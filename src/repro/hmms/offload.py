@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set
 
 from ..graph.ir import Graph
 from ..graph.liveness import Lifetime
-from ..profile.cost import CostModel
+from ..profile.cost import OpCost
 from ..profile.device import DeviceSpec
 from .storage import StorageAssignment
 from .tso import TSO
@@ -126,13 +126,17 @@ def plan_offload(
     graph: Graph,
     assignment: StorageAssignment,
     lifetimes: Dict[int, Lifetime],
-    cost_model: CostModel,
+    profile: Dict[int, OpCost],
     device: DeviceSpec,
     fraction_cap: float = 1.0,
     sync_horizon: int = 16,
     grouped_sync: bool = False,
 ) -> OffloadPlan:
     """Algorithm 1: plan offload starts and synchronization points.
+
+    ``profile`` is the per-op cost table of
+    :meth:`~repro.profile.cost.CostModel.profile` (§4.3's profiled
+    execution times); planning only reads it.
 
     Two guards implement the paper's (intentionally omitted) "simple
     algorithmic logic to keep the ratio of offloaded and non-offloaded
@@ -181,7 +185,7 @@ def plan_offload(
     # the start of op i (assuming, self-consistently, a stall-free plan).
     time_prefix = [0.0]
     for op in forward_ops:
-        time_prefix.append(time_prefix[-1] + cost_model.cost(graph, op).seconds)
+        time_prefix.append(time_prefix[-1] + profile[op.id].seconds)
     gains_prefix = [t * device.nvlink_bandwidth for t in time_prefix]
 
     balance = 0.0
@@ -222,7 +226,7 @@ def plan_offload(
                 transfer.offload_sync = sync_index
                 plan.sync_points.append(sync_index)
 
-        exec_time = cost_model.cost(graph, op).seconds
+        exec_time = profile[op.id].seconds
         balance += exec_time * device.nvlink_bandwidth
 
         if balance >= 0.0 or index == last_forward_index:
@@ -241,7 +245,7 @@ def plan_prefetch(
     graph: Graph,
     assignment: StorageAssignment,
     lifetimes: Dict[int, Lifetime],
-    cost_model: CostModel,
+    profile: Dict[int, OpCost],
     device: DeviceSpec,
     plan: OffloadPlan,
     grouped_sync: bool = False,
@@ -285,7 +289,7 @@ def plan_prefetch(
             for transfer in by_use.get(index, ()):  # data needed at this op
                 pending.append(transfer)
                 balance -= transfer.size
-            exec_time = cost_model.cost(graph, op).seconds
+            exec_time = profile[op.id].seconds
             balance += exec_time * device.nvlink_bandwidth
             if balance >= 0.0 or index == first_backward_index:
                 if pending:
@@ -299,7 +303,7 @@ def plan_prefetch(
     # the start of op i over the WHOLE serialized graph.
     time_prefix = [0.0]
     for op in graph.ops:
-        time_prefix.append(time_prefix[-1] + cost_model.cost(graph, op).seconds)
+        time_prefix.append(time_prefix[-1] + profile[op.id].seconds)
     bandwidth = device.nvlink_bandwidth
 
     ordered = sorted(plan.transfers.values(), key=lambda t: first_use[t.tso_id])

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..graph.ir import Graph
 from ..graph.liveness import Lifetime, compute_lifetimes
-from ..profile.cost import CostModel
+from ..profile.cost import CostModel, OpCost
 from ..profile.device import DeviceSpec, P100_NVLINK
 from ..profile.offload_analysis import analyze_offloadability
 from .layerwise import plan_layerwise
@@ -134,8 +134,9 @@ class HMMSPlanner:
             share_summation=self.share_summation,
         )
         lifetimes = compute_lifetimes(graph)
-        fraction = self._resolve_fraction(graph)
-        offload_plan = self._plan_transfers(graph, assignment, lifetimes, fraction)
+        fraction, profile = self._profile_once(graph)
+        offload_plan = self._plan_transfers(graph, assignment, lifetimes,
+                                            fraction, profile)
         schedule = self._build_schedule(graph, assignment, lifetimes, offload_plan)
         general_peak = self._simulate_pool(graph, assignment, schedule)
         param_bytes = assignment.total_bytes(POOL_DEVICE_PARAM)
@@ -157,31 +158,40 @@ class HMMSPlanner:
         return plan
 
     # ------------------------------------------------------------------
-    def _resolve_fraction(self, graph: Graph) -> float:
-        if self.scheduler == "none":
-            return 0.0
-        if not any(op.phase == "backward" for op in graph.ops):
-            # Inference graph: no tensor lives past the forward pass, so
-            # there is nothing an offload could hide behind — skip the
-            # offloadability analysis and plan residently.
-            return 0.0
-        if self.offload_fraction is not None:
-            return self.offload_fraction
-        analysis = analyze_offloadability(graph, self.device, self.cost_model)
-        return analysis.offloadable_fraction
+    def _profile_once(self, graph: Graph) -> Tuple[float, Dict[int, OpCost]]:
+        """The offload cap and the per-op cost table step 4 plans from.
+
+        §4.3 profiles each layer once and plans statically from that
+        table, so this is the planner's only pricing.  Plans that move
+        nothing — no offloading, a zero cap, an inference graph (no tensor
+        lives past the forward pass, so there is nothing an offload could
+        hide behind) — and the layer-wise baseline under an explicit cap
+        read no duration and get an empty table.
+        """
+        fraction = self.offload_fraction
+        if self.scheduler == "none" or fraction == 0.0 or not any(
+                op.phase == "backward" for op in graph.ops):
+            return 0.0, {}
+        if fraction is not None and self.scheduler == "layerwise":
+            return fraction, {}
+        profile = self.cost_model.profile(graph)
+        if fraction is None:
+            fraction = analyze_offloadability(
+                graph, self.device, profile).offloadable_fraction
+        return fraction, profile
 
     def _plan_transfers(self, graph: Graph, assignment: StorageAssignment,
-                        lifetimes: Dict[int, Lifetime],
-                        fraction: float) -> OffloadPlan:
+                        lifetimes: Dict[int, Lifetime], fraction: float,
+                        profile: Dict[int, OpCost]) -> OffloadPlan:
         if self.scheduler == "none" or fraction == 0.0:
             return OffloadPlan()
         if self.scheduler == "layerwise":
             return plan_layerwise(graph, assignment, lifetimes, fraction,
                                   conv_only=self.layerwise_conv_only)
-        plan = plan_offload(graph, assignment, lifetimes, self.cost_model,
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             self.device, fraction,
                             grouped_sync=self.grouped_sync)
-        return plan_prefetch(graph, assignment, lifetimes, self.cost_model,
+        return plan_prefetch(graph, assignment, lifetimes, profile,
                              self.device, plan,
                              grouped_sync=self.grouped_sync)
 

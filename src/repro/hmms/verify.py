@@ -44,7 +44,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..graph.liveness import compute_lifetimes
+from ..graph.liveness import Lifetime, compute_lifetimes
 from ..profile.cost import CostModel
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .tso import POOL_DEVICE_GENERAL
@@ -489,9 +489,9 @@ def _check_transfers(plan, device: DeviceSpec, cost_model: CostModel,
 # ----------------------------------------------------------------------
 # Family 4: refcount reconciliation against tensor lifetimes.
 # ----------------------------------------------------------------------
-def _check_refcounts(plan, traces: Dict[int, _TsoTrace],
+def _check_refcounts(plan, lifetimes: Dict[int, Lifetime],
+                     traces: Dict[int, _TsoTrace],
                      out: List[Violation]) -> None:
-    lifetimes = compute_lifetimes(plan.graph)
     num_ops = len(plan.graph.ops)
     for tso in plan.assignment.tsos.values():
         if tso.pool != POOL_DEVICE_GENERAL:
@@ -532,9 +532,9 @@ def _check_refcounts(plan, traces: Dict[int, _TsoTrace],
 # ----------------------------------------------------------------------
 # Family 5: schedule completeness for offloaded TSOs.
 # ----------------------------------------------------------------------
-def _check_completeness(plan, traces: Dict[int, _TsoTrace],
+def _check_completeness(plan, lifetimes: Dict[int, Lifetime],
+                        traces: Dict[int, _TsoTrace],
                         out: List[Violation]) -> None:
-    lifetimes = compute_lifetimes(plan.graph)
     for tso_id, trace in sorted(traces.items()):
         if not trace.offload_starts:
             continue
@@ -591,8 +591,9 @@ def verify_plan(
     _check_overlap(plan, capacity, violations)
     _check_transfers(plan, device, cost_model, traces, strict_stalls,
                      violations)
-    _check_refcounts(plan, traces, violations)
-    _check_completeness(plan, traces, violations)
+    lifetimes = compute_lifetimes(plan.graph)
+    _check_refcounts(plan, lifetimes, traces, violations)
+    _check_completeness(plan, lifetimes, traces, violations)
     return VerificationReport(
         graph_name=plan.graph.name,
         scheduler=plan.scheduler,

@@ -19,7 +19,7 @@ resolves the class against a :class:`DeviceSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import EFF_CONV, EFF_GEMM, op_def
@@ -48,7 +48,7 @@ class CostModel:
         """Cost of every op, keyed by op id (the 'profiled execution time')."""
         return {op.id: self.cost(graph, op) for op in graph.ops}
 
-    def total_time(self, graph: Graph, phase: str = None) -> float:
+    def total_time(self, graph: Graph, phase: Optional[str] = None) -> float:
         return sum(
             self.cost(graph, op).seconds
             for op in graph.ops

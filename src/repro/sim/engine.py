@@ -159,6 +159,9 @@ class GPUSimulator:
                 raise SimulationError(f"TSO {tso_id} freed twice")
             live_bytes -= sizes[tso_id]
 
+        # Kernel duration per position of ``graph.ops``: each op is priced
+        # once, when its schedule entry replays.
+        durations = [0.0] * len(graph.ops)
         clock = 0.0
         for entry in plan.schedule:
             op = graph.ops[entry.op_index]
@@ -203,6 +206,7 @@ class GPUSimulator:
                 charge(entry.workspace_bytes)
 
             duration = self.cost_model.cost(graph, op).seconds
+            durations[entry.op_index] = duration
             emit("compute", "op", op.name, clock, clock + duration)
             clock += duration
 
@@ -226,10 +230,11 @@ class GPUSimulator:
                 # back to the RESIDENT default.
                 tso_state[tso_id] = self.FREED
 
-        compute_time = self.cost_model.total_time(graph)
         return SimResult(
             total_time=clock,
-            compute_time=compute_time,
+            # Summed in ``graph.ops`` order, so it is bit-equal to
+            # ``cost_model.total_time(graph)``.
+            compute_time=sum(durations),
             stall_time=stall_time,
             transfer_time=transfer_time,
             offloaded_bytes=offloaded_bytes,

@@ -32,6 +32,19 @@ class TestIr:
         assert op.id in a.consumers
         assert a.nbytes == 24
 
+    @pytest.mark.parametrize("shape, elements", [
+        ((1 << 31, 1 << 31, 4), 1 << 64),       # int64 product wraps to 0
+        ((1 << 31, 1 << 31, 2), 1 << 63),       # ... and to -2**63
+        ((), 1),
+        ((7, 0, 3), 0),
+        ((2, 3), 6),
+    ])
+    def test_element_count_is_an_exact_python_int(self, shape, elements):
+        tensor = TensorValue(0, "t", shape)
+        assert tensor.num_elements == elements
+        assert type(tensor.num_elements) is int
+        assert tensor.nbytes == 4 * elements
+
     def test_double_producer_rejected(self):
         graph = Graph("t")
         a = graph.add_tensor("a", (1,))

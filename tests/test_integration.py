@@ -110,12 +110,13 @@ class TestFullPipeline:
         graph = build_training_graph(model, 32)
 
         class GroupedPlanner(Planner):
-            def _plan_transfers(self, graph, assignment, lifetimes, fraction):
+            def _plan_transfers(self, graph, assignment, lifetimes, fraction,
+                                profile):
                 plan = plan_offload(graph, assignment, lifetimes,
-                                    self.cost_model, self.device, fraction,
+                                    profile, self.device, fraction,
                                     grouped_sync=True)
                 return plan_prefetch(graph, assignment, lifetimes,
-                                     self.cost_model, self.device, plan,
+                                     profile, self.device, plan,
                                      grouped_sync=True)
 
         plan = GroupedPlanner(scheduler="hmms").plan(graph)

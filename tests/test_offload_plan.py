@@ -16,8 +16,8 @@ def planned():
     graph = build_training_graph(small_vgg(rng=np.random.default_rng(0)), 16)
     assignment = assign_storage(graph)
     lifetimes = compute_lifetimes(graph)
-    cost_model = CostModel()
-    return graph, assignment, lifetimes, cost_model
+    profile = CostModel().profile(graph)
+    return graph, assignment, lifetimes, profile
 
 
 class TestCandidates:
@@ -42,35 +42,35 @@ class TestCandidates:
 
 class TestAlgorithm1:
     def test_full_fraction_offloads_everything_drainable(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK, fraction_cap=1.0)
         assert plan.offloaded_bytes > 0
         assert plan.offloaded_bytes <= plan.candidate_bytes
 
     def test_fraction_cap_respected(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
+        graph, assignment, lifetimes, profile = planned
         for cap in (0.25, 0.5, 0.75):
-            plan = plan_offload(graph, assignment, lifetimes, cost_model,
+            plan = plan_offload(graph, assignment, lifetimes, profile,
                                 P100_NVLINK, fraction_cap=cap)
             assert plan.offloaded_bytes <= cap * plan.candidate_bytes + 1
 
     def test_zero_cap_offloads_nothing(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK, fraction_cap=0.0)
         assert not plan.transfers
 
     def test_sync_never_before_start(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK)
         for transfer in plan.transfers.values():
             assert transfer.offload_sync >= transfer.offload_start >= 0
 
     def test_offload_starts_after_last_forward_touch(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK)
         for tso_id, transfer in plan.transfers.items():
             for tensor_id in assignment.tensors_of(tso_id):
@@ -81,8 +81,8 @@ class TestAlgorithm1:
     def test_grouped_mode_syncs_at_nonnegative_balance(self, planned):
         """Paper-literal mode: replaying the plan's balance ledger must show
         a non-negative balance at every group sync point."""
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK, grouped_sync=True)
         starts = {}
         for transfer in plan.transfers.values():
@@ -95,16 +95,16 @@ class TestAlgorithm1:
         for index, op in enumerate(forward):
             for transfer in starts.get(index, ()):  # losses
                 balance -= transfer.size
-            balance += cost_model.cost(graph, op).seconds * bandwidth
+            balance += profile[op.id].seconds * bandwidth
             if index in sync_points and index != len(forward) - 1:
                 assert balance >= 0.0
                 balance = 0.0
 
     def test_fifo_mode_frees_earlier_than_grouped(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        fifo = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        fifo = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK, grouped_sync=False)
-        grouped = plan_offload(graph, assignment, lifetimes, cost_model,
+        grouped = plan_offload(graph, assignment, lifetimes, profile,
                                P100_NVLINK, grouped_sync=True)
         common = set(fifo.transfers) & set(grouped.transfers)
         assert common
@@ -112,25 +112,25 @@ class TestAlgorithm1:
             sum(grouped.transfers[t].offload_sync for t in common)
 
     def test_invalid_fraction(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
+        graph, assignment, lifetimes, profile = planned
         with pytest.raises(ValueError):
-            plan_offload(graph, assignment, lifetimes, cost_model,
+            plan_offload(graph, assignment, lifetimes, profile,
                          P100_NVLINK, fraction_cap=1.5)
 
     def test_invalid_horizon(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
+        graph, assignment, lifetimes, profile = planned
         with pytest.raises(ValueError):
-            plan_offload(graph, assignment, lifetimes, cost_model,
+            plan_offload(graph, assignment, lifetimes, profile,
                          P100_NVLINK, sync_horizon=0)
 
 
 class TestPrefetch:
     @pytest.fixture()
     def full_plan(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK)
-        return plan_prefetch(graph, assignment, lifetimes, cost_model,
+        return plan_prefetch(graph, assignment, lifetimes, profile,
                              P100_NVLINK, plan)
 
     def test_every_offload_gets_prefetch(self, planned, full_plan):
@@ -160,10 +160,10 @@ class TestPrefetch:
             assert transfer.prefetch_start > boundary
 
     def test_grouped_prefetch_mode(self, planned):
-        graph, assignment, lifetimes, cost_model = planned
-        plan = plan_offload(graph, assignment, lifetimes, cost_model,
+        graph, assignment, lifetimes, profile = planned
+        plan = plan_offload(graph, assignment, lifetimes, profile,
                             P100_NVLINK, grouped_sync=True)
-        plan = plan_prefetch(graph, assignment, lifetimes, cost_model,
+        plan = plan_prefetch(graph, assignment, lifetimes, profile,
                              P100_NVLINK, plan, grouped_sync=True)
         for transfer in plan.transfers.values():
             assert transfer.prefetch_start is not None
@@ -219,11 +219,11 @@ from hypothesis import strategies as st
 def test_plan_invariants_property(planned_module_scope, fraction, horizon):
     """Any (fraction, horizon) combination yields a structurally valid plan
     whose replay passes the simulator's safety checks."""
-    graph, assignment, lifetimes, cost_model = planned_module_scope
-    plan = plan_offload(graph, assignment, lifetimes, cost_model,
+    graph, assignment, lifetimes, profile = planned_module_scope
+    plan = plan_offload(graph, assignment, lifetimes, profile,
                         P100_NVLINK, fraction_cap=fraction,
                         sync_horizon=horizon)
-    plan = plan_prefetch(graph, assignment, lifetimes, cost_model,
+    plan = plan_prefetch(graph, assignment, lifetimes, profile,
                          P100_NVLINK, plan)
     boundary = next(iter(lifetimes.values())).boundary
     assert plan.offloaded_bytes <= fraction * plan.candidate_bytes + 1
@@ -237,4 +237,4 @@ def planned_module_scope():
     graph = build_training_graph(small_vgg(rng=np.random.default_rng(0)), 16)
     assignment = assign_storage(graph)
     lifetimes = compute_lifetimes(graph)
-    return graph, assignment, lifetimes, CostModel()
+    return graph, assignment, lifetimes, CostModel().profile(graph)

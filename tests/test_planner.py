@@ -1,13 +1,19 @@
 """Tests for the 5-step HMMS planner and its MemoryPlan invariants."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import to_split_cnn
-from repro.graph import build_training_graph
-from repro.hmms import HMMSPlanner, MemoryPlan
+from repro.graph import build_inference_graph, build_training_graph, \
+    compute_lifetimes
+from repro.hmms import HMMSPlanner, MemoryPlan, assign_storage, plan_offload, \
+    plan_prefetch, verify_plan
 from repro.models import small_resnet, small_vgg
-from repro.profile import P100_NVLINK
+from repro.profile import CostModel, OpCost, P100_NVLINK, \
+    analyze_offloadability
+from repro.sim import GPUSimulator
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +49,6 @@ class TestPlannerBasics:
         assert plan.offload_fraction_used == 0.2
 
     def test_auto_fraction_is_theoretical_limit(self, vgg_graph):
-        from repro.profile import analyze_offloadability
         plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
         expected = analyze_offloadability(vgg_graph).offloadable_fraction
         assert plan.offload_fraction_used == pytest.approx(expected)
@@ -172,3 +177,99 @@ class TestHostPool:
         training step (it would across pipelined steps)."""
         plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
         assert plan.host_pool_peak == plan.host_pool_bytes
+
+
+class CountingCostModel(CostModel):
+    """Counts ``cost()`` calls per op id."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def cost(self, graph, op):
+        self.calls[op.id] += 1
+        return super().cost(graph, op)
+
+
+class FastConvCostModel(CountingCostModel):
+    """``MeasuredCostModel``-style: ``cost`` is overridden and answers with
+    durations of its own (convolutions four times faster than the
+    roofline, so less of the graph is offload-able)."""
+
+    def cost(self, graph, op):
+        analytical = super().cost(graph, op)
+        scale = 0.25 if op.op_type.startswith("conv2d") else 1.0
+        return OpCost(analytical.flops, analytical.bytes_moved,
+                      analytical.seconds * scale)
+
+
+class TestPricingCounts:
+    """§4.3 profiles each layer once and plans from that table.  Planner,
+    verifier and simulator are independent, so each prices an op once —
+    exact counts, because re-pricing is a cost no output shows."""
+
+    @pytest.mark.parametrize("scheduler", ["hmms", "layerwise"])
+    def test_planner_prices_each_op_at_most_once(self, vgg_graph, scheduler):
+        model = CountingCostModel()
+        plan = HMMSPlanner(scheduler=scheduler, cost_model=model).plan(vgg_graph)
+        assert plan.offload_plan.transfers
+        assert model.calls and max(model.calls.values()) == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(scheduler="none"),
+        dict(scheduler="hmms", offload_fraction=0.0),
+        dict(scheduler="layerwise", offload_fraction=0.5),
+    ])
+    def test_plans_that_read_no_duration_price_nothing(self, vgg_graph, kwargs):
+        model = CountingCostModel()
+        HMMSPlanner(cost_model=model, **kwargs).plan(vgg_graph)
+        assert not model.calls
+
+    def test_inference_graph_prices_nothing(self):
+        graph = build_inference_graph(
+            small_vgg(rng=np.random.default_rng(0)), 16)
+        model = CountingCostModel()
+        plan = HMMSPlanner(scheduler="hmms", cost_model=model).plan(graph)
+        assert not model.calls and not plan.offload_plan.transfers
+
+    @pytest.mark.parametrize("scheduler", ["none", "layerwise", "hmms"])
+    def test_simulator_and_verifier_price_each_op_exactly_once(
+            self, vgg_graph, scheduler):
+        plan = HMMSPlanner(scheduler=scheduler).plan(vgg_graph)
+        once = {op.id: 1 for op in vgg_graph.ops}
+
+        model = CountingCostModel()
+        result = GPUSimulator(cost_model=model).run(plan)
+        assert model.calls == once
+        assert result.compute_time == CostModel().total_time(vgg_graph)
+
+        model = CountingCostModel()
+        assert verify_plan(plan, cost_model=model).ok
+        assert model.calls == once
+
+    def test_table_path_honours_an_overridden_cost(self, vgg_graph):
+        model = FastConvCostModel()
+        plan = HMMSPlanner(scheduler="hmms", cost_model=model).plan(vgg_graph)
+        assert max(model.calls.values()) == 1
+
+        # The same plan assembled by hand from the subclass's own answers.
+        table = {op.id: model.cost(vgg_graph, op) for op in vgg_graph.ops}
+        fraction = analyze_offloadability(
+            vgg_graph, P100_NVLINK, table).offloadable_fraction
+        assignment = assign_storage(vgg_graph)
+        lifetimes = compute_lifetimes(vgg_graph)
+        expected = plan_prefetch(
+            vgg_graph, assignment, lifetimes, table, P100_NVLINK,
+            plan_offload(vgg_graph, assignment, lifetimes, table,
+                         P100_NVLINK, fraction))
+        assert plan.offload_fraction_used == fraction
+        assert plan.offload_plan.transfers == expected.transfers
+        pinned = HMMSPlanner(scheduler="hmms", cost_model=model,
+                             offload_fraction=fraction).plan(vgg_graph)
+        assert (plan.device_general_peak, plan.host_pool_peak) == (
+            pinned.device_general_peak, pinned.host_pool_peak)
+
+        # ... and not the roofline's plan: the override reached the table.
+        roofline = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
+        assert plan.offload_fraction_used < roofline.offload_fraction_used
+        assert plan.offload_plan.transfers != roofline.offload_plan.transfers
