@@ -14,7 +14,7 @@ from repro.models import small_resnet
 from repro.nn import BatchNorm2d, CrossEntropyLoss
 from repro.optim import SGD
 from repro.tensor import Tensor, conv2d
-from repro.tensor.ops_nn import Conv2d
+from repro.tensor.ops_nn import Conv2d, MaxPool2d
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,20 @@ def test_bench_conv2d_forward_patch_float64(benchmark):
     pad = ((0, 0), (0, 0))
     out = benchmark(lambda: Conv2d().forward(x, w, None, (1, 1), pad))
     assert out.shape == (2, 16, 64, 64)
+
+
+@pytest.mark.parametrize("need_argmax", [True, False],
+                         ids=["argmax", "no-argmax"])
+def test_bench_maxpool2d_forward_patch_float64(benchmark, need_argmax):
+    # The patch_infer pool shape.  An inference graph has no backward
+    # twin to read the argmax, so its kernel runs the second form.
+    x = np.random.default_rng(0).standard_normal((2, 16, 84, 84))
+    pad = ((0, 0), (0, 0))
+    fn = MaxPool2d()
+    out = benchmark(lambda: fn.forward(x, (2, 2), (2, 2), pad,
+                                       need_argmax=need_argmax))
+    assert out.shape == (2, 16, 42, 42)
+    assert hasattr(fn, "argmax") == need_argmax
 
 
 def test_bench_conv2d_backward_weight_small_k(benchmark):

@@ -149,10 +149,12 @@ def lint_dense_config(inferer: "PatchInferer", in_hw: Tuple[int, int],
     findings: List[Diagnostic] = []
     label = f"dense {getattr(inferer.model, 'name', '?')!r} grid {grid}"
     plan = GridSplitter(grid, overlap).plan(inferer.model, in_hw)
-    variants = list(plan.variants())
+    tiles = plan.variants()
+    variants = list(tiles)
     batch: Optional[int] = None
     try:
-        batch = inferer.max_patch_batch(variants)
+        batch = inferer.max_patch_batch(
+            variants, max(len(group) for group in tiles.values()))
     except ValueError as exc:
         findings.append(Diagnostic("SCA503", f"{label}: {exc}"))
     if batch is not None:

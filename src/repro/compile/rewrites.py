@@ -428,8 +428,11 @@ class _FoldShim:
     def set_output(self, op: OpNode, index: int, value: np.ndarray) -> None:
         self.values[op.outputs[index]] = value
 
+    def needs_context(self, op: OpNode) -> bool:
+        return False               # folded ops have no backward twin
+
     def save_context(self, op: OpNode, fn: Any) -> None:
-        pass                       # folded ops have no backward twin
+        pass
 
 
 def _gc_tensor(graph: Graph, tensor_id: int) -> None:

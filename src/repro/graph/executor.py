@@ -46,6 +46,9 @@ compute_free_plan`) and a saved context when the last backward twin of
 its forward op has run, so peak memory tracks the graph's liveness
 profile.  ``eager_free=False`` keeps everything until the next run (the
 §4.3 loop re-times individual ops after a run and needs them all).
+A context no backward twin will read — every one in an inference graph —
+is never kept at all (:meth:`GraphExecutor.needs_context`, structural
+like the overwrite table below).
 
 **Overwrite table** — the same liveness facts say when an input's
 *array* is dead: :func:`overwritable_inputs` lists, per op, the inputs it
@@ -520,9 +523,17 @@ class GraphExecutor:
                              f"(forward_of={op.forward_of})")
         return forward
 
+    def needs_context(self, op: OpNode) -> bool:
+        """Will a backward twin read the context ``op`` saves?  Never in
+        an inference graph; a kernel asks before computing what only
+        ``backward`` uses."""
+        return self._ctx_template[op.id] > 0
+
     def save_context(self, op: OpNode, fn: Any) -> None:
-        """Cache a forward op's ``Function`` for its backward twins."""
-        self._contexts[op.id] = fn
+        """Cache a forward op's ``Function`` for its backward twins;
+        with no twin to read (or free) it, nothing is kept."""
+        if self.needs_context(op):
+            self._contexts[op.id] = fn
 
     def forward_context(self, op: OpNode) -> Any:
         """The ``Function`` context saved when ``op``'s forward op ran."""

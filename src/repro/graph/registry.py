@@ -632,7 +632,7 @@ def _k_tanh_bwd(ex, op):
 def _k_maxpool2d(ex, op):
     fn = _MaxPoolFn()
     out = fn.forward(ex.input(op, 0), op.attrs["kernel"], op.attrs["stride"],
-                     op.attrs["padding"])
+                     op.attrs["padding"], need_argmax=ex.needs_context(op))
     ex.save_context(op, fn)
     ex.set_output(op, 0, out)
 

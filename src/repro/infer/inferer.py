@@ -14,32 +14,42 @@ than anything the device could serve in one pass still runs under a
 The patch batch is discovered, not configured
 (:func:`~repro.planned.dyadic_search`, the search the engine uses for
 classification batches): double the patches per execution until the
-planned peak exceeds the memory budget, keep the last size that fit.
-Unlike the engine's, the inferer's searches probe *through* the plan
-cache — every probed plan is one the stream then executes or the bench
-reports, and ``plans_verified == cache.misses`` counts them once.
+planned peak exceeds the memory budget — or no variant of the grid has
+that many tiles — and keep the last size that fit.  Unlike the engine's,
+the inferer's searches probe *through* the plan cache — every probed
+plan is one the stream then executes or the bench reports, and
+``plans_verified == cache.misses`` counts them once.
+
+A variant whose tiles do not fill the patch batch runs its short last
+chunk on the smallest dyadic bucket that holds it — an entry the search
+already planned — so an image costs the patches it has, not the largest
+batch the device could take (``docs/patch_inference.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..hmms import PlanCache
 from ..nn import Conv2d, Module
-from ..planned import PlanCore, PlannedEntry, dyadic_search
+from ..planned import PlanCore, PlannedEntry, dyadic_bucket, dyadic_search
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .graph import build_dense_graph, build_patch_graph
 from .merger import BlendMerger
-from .splitter import GridSplitter, PatchVariant, flatten_dense_body
+from .splitter import (
+    GridSplitter, PatchSpec, PatchVariant, flatten_dense_body,
+)
 
 __all__ = ["DenseReport", "PatchInferer"]
 
 #: Upper bound of the patch-batch search: past 64 patches per execution
 #: a grid has run out of same-variant tiles to batch.
 PATCH_BATCH_CAP = 64
+
+Variants = Dict[PatchVariant, List[PatchSpec]]
 
 
 @dataclass
@@ -52,10 +62,11 @@ class DenseReport:
     overlap: int
     patches: int
     variants: int
-    patch_batch: int
+    patch_batch: int                   # patches per full execution
     executions: int
-    peak_bytes: int                    # max planned device peak, any variant
-    latency: float                     # simulated seconds, whole input
+    padded_patches: int                # zero slots of short last chunks
+    peak_bytes: int                    # max planned device peak, entries run
+    latency: float                     # simulated seconds, entries run
 
 
 class PatchInferer:
@@ -71,8 +82,9 @@ class PatchInferer:
         serving engine's dense inferer shares the engine's whole core.)
     memory_budget: device bytes a patch-batch plan may use.  Defaults to
         the whole device; a fleet replica hands the inferer its share.
-    patch_batch: fixed patches per execution; ``None`` discovers the
-        largest dyadic size whose plan fits the budget.
+    patch_batch: fixed patches per full execution; ``None`` discovers
+        the largest dyadic size whose plan fits the budget and some
+        variant of the grid can fill.
     """
 
     def __init__(
@@ -155,8 +167,13 @@ class PatchInferer:
         return max(self.entry_for(v, batch).plan.device_peak
                    for v in variants)
 
-    def max_patch_batch(self, variants: List[PatchVariant]) -> int:
-        """Largest dyadic patches-per-execution fitting the budget."""
+    def max_patch_batch(self, variants: List[PatchVariant],
+                        most_tiles: int = PATCH_BATCH_CAP) -> int:
+        """Largest dyadic patches-per-execution fitting the budget.
+
+        ``most_tiles``: the most tiles any one variant owns — no
+        execution fills a larger bucket, so the search stops there.
+        """
         if self.patch_batch is not None:
             peak = self._variant_peak(variants, self.patch_batch)
             if peak > self.memory_budget:
@@ -167,7 +184,8 @@ class PatchInferer:
             return self.patch_batch
         return max(dyadic_search(
             lambda batch: self._variant_peak(variants, batch),
-            self.memory_budget, self.device, cap=PATCH_BATCH_CAP,
+            self.memory_budget, self.device,
+            cap=min(PATCH_BATCH_CAP, dyadic_bucket(most_tiles)),
             what=f"{self._name}: even a single-patch plan",
             hint="; use a finer grid"))
 
@@ -188,26 +206,39 @@ class PatchInferer:
     # ------------------------------------------------------------------
     # Planning / execution
     # ------------------------------------------------------------------
+    def _patch_batch(self, variants: Variants) -> int:
+        return self.max_patch_batch(
+            list(variants), max(len(tiles) for tiles in variants.values()))
+
+    def _executions(self, variants: Variants, patch_batch: int,
+                    ) -> Iterator[Tuple[List[PatchSpec], PlannedEntry]]:
+        """Every execution of one image: its tiles and the entry they
+        run on.  Full chunks run at ``patch_batch``; a variant's short
+        last chunk at the smallest dyadic bucket holding it, which the
+        patch-batch search planned on its way up."""
+        for variant, tiles in variants.items():
+            for lo in range(0, len(tiles), patch_batch):
+                chunk = tiles[lo:lo + patch_batch]
+                yield chunk, self.entry_for(
+                    variant, min(patch_batch, dyadic_bucket(len(chunk))))
+
     def plan_dense(self, in_hw: Tuple[int, int], grid: Tuple[int, int],
                    overlap: int = 0) -> DenseReport:
         """Cost one dense input symbolically: no numerics, plans only."""
         plan = GridSplitter(grid, overlap).plan(self.model, in_hw)
         variants = plan.variants()
-        patch_batch = self.max_patch_batch(list(variants))
-        executions = 0
-        latency = 0.0
-        peak = 0
-        for variant, tiles in variants.items():
-            entry = self.entry_for(variant, patch_batch)
-            runs = -(-len(tiles) // patch_batch)
-            executions += runs
-            latency += runs * entry.latency
-            peak = max(peak, entry.plan.device_peak)
+        patch_batch = self._patch_batch(variants)
+        entries = [entry
+                   for _, entry in self._executions(variants, patch_batch)]
         return DenseReport(
             in_hw=plan.in_hw, out_hw=plan.out_hw, grid=plan.grid,
             overlap=plan.overlap, patches=plan.num_patches,
             variants=len(variants), patch_batch=patch_batch,
-            executions=executions, peak_bytes=peak, latency=latency)
+            executions=len(entries),
+            padded_patches=sum(entry.batch for entry in entries)
+            - plan.num_patches,
+            peak_bytes=max(entry.plan.device_peak for entry in entries),
+            latency=sum(entry.latency for entry in entries))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -242,29 +273,26 @@ class PatchInferer:
         plan = GridSplitter(grid, overlap).plan(
             self.model, (x.shape[2], x.shape[3]))
         variants = plan.variants()
-        patch_batch = self.max_patch_batch(list(variants))
+        patch_batch = self._patch_batch(variants)
         merger = merge if isinstance(merge, BlendMerger) \
             else BlendMerger(merge)
         merged: List[np.ndarray] = []
         for image in x:
             outputs: Dict[Tuple[int, int], np.ndarray] = {}
-            for variant, tiles in variants.items():
-                entry = self.entry_for(variant, patch_batch)
-                for lo in range(0, len(tiles), patch_batch):
-                    chunk = tiles[lo:lo + patch_batch]
-                    stacked = np.zeros(
-                        (entry.batch, self.in_channels) + variant.in_shape,
-                        dtype=np.float64)
-                    for k, tile in enumerate(chunk):
-                        stacked[k] = tile.extract(image)
-                    logits = entry.executor.run(stacked)["logits"]
-                    for k, tile in enumerate(chunk):
-                        # Copy, don't slice: a view pins the whole
-                        # patch-batch buffer until the merge.
-                        outputs[tile.index] = logits[k].copy()
-                    entry.executor.release_intermediates()
-                    self.executed_patches += len(chunk)
-                    self.padded_patches += entry.batch - len(chunk)
+            for chunk, entry in self._executions(variants, patch_batch):
+                stacked = np.zeros(
+                    (entry.batch, self.in_channels) + chunk[0].in_shape,
+                    dtype=np.float64)
+                for k, tile in enumerate(chunk):
+                    stacked[k] = tile.extract(image)
+                logits = entry.executor.run(stacked)["logits"]
+                for k, tile in enumerate(chunk):
+                    # Copy, don't slice: a view pins the whole
+                    # patch-batch buffer until the merge.
+                    outputs[tile.index] = logits[k].copy()
+                entry.executor.release_intermediates()
+                self.executed_patches += len(chunk)
+                self.padded_patches += entry.batch - len(chunk)
             merged.append(merger.merge(plan, outputs))
         return np.stack(merged)
 

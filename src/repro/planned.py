@@ -29,7 +29,7 @@ from .graph.ir import Graph
 from .hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
 from .profile.device import DeviceSpec, P100_NVLINK
 
-__all__ = ["PlannedEntry", "PlanCore", "dyadic_search"]
+__all__ = ["PlannedEntry", "PlanCore", "dyadic_bucket", "dyadic_search"]
 
 Params = Dict[str, np.ndarray]
 
@@ -124,6 +124,11 @@ class PlanCore:
         return self.cache.get_or_build(
             key + (self.fingerprint,),
             lambda: self.build(*make_graph()))
+
+
+def dyadic_bucket(size: int) -> int:
+    """Smallest point of the dyadic grid (power of two) covering ``size``."""
+    return 1 << (size - 1).bit_length()
 
 
 def dyadic_search(peak_of: Callable[[int], int], budget: int,

@@ -32,7 +32,7 @@ from ..graph import GraphExecutor, build_inference_graph
 from ..graph.ir import Graph
 from ..hmms import PlanCache
 from ..models.base import ConvClassifier
-from ..planned import PlanCore, PlannedEntry, dyadic_search
+from ..planned import PlanCore, PlannedEntry, dyadic_bucket, dyadic_search
 from ..profile.device import DeviceSpec, P100_NVLINK
 from .request import DenseRequest, Request
 
@@ -157,10 +157,7 @@ class ServingEngine:
                 f"batch of {batch} images exceeds the discovered maximum "
                 f"of {self.max_batch} for {self.model.name}"
             )
-        bucket = 1
-        while bucket < batch:
-            bucket *= 2
-        return bucket
+        return dyadic_bucket(batch)
 
     # ------------------------------------------------------------------
     # Dense (patch-inference) workloads
@@ -184,16 +181,15 @@ class ServingEngine:
 
         Counter semantics mirror the classification path: the whole
         request is one engine batch, each patch is an image, and the
-        zero-padded slots of the final partial patch batch per variant
-        are padded images.
+        zero slots of a variant's short last chunk (run at its own
+        dyadic bucket) are padded images.
         """
         inferer = self.dense_inferer
         report = inferer.plan_dense(request.image_hw, request.grid,
                                     request.overlap)
         self.executed_batches += 1
         self.executed_images += request.size
-        self.padded_images += \
-            report.executions * report.patch_batch - report.patches
+        self.padded_images += report.padded_patches
         if self.core.numeric:
             image = self._rng.standard_normal(
                 (1, inferer.in_channels) + tuple(request.image_hw))

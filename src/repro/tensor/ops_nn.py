@@ -124,6 +124,20 @@ def _im2col(x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
     return np.ascontiguousarray(view.transpose(1, 4, 5, 0, 2, 3))
 
 
+#: OpenBLAS hands a GEMM with ``M*N*K`` at or under this to small-matrix
+#: kernels (``gemm_small_matrix_permit``), and ``M == 1`` to gemv; both sum
+#: over K in another order than the blocked kernel every larger product
+#: takes, so the same pixel's bytes would differ between a tiny patch and
+#: the unsplit image (measured for K >= 576; ``docs/compiler.md``).
+SMALL_GEMM_MNK = 1_000_000
+
+
+def _blocked_gemm_rows(o: int, k: int) -> int:
+    """Fewest pixel rows that put a ``(rows, k) @ (k, o)`` product on the
+    blocked GEMM kernel."""
+    return max(2, SMALL_GEMM_MNK // (o * k) + 1)
+
+
 def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad_end: int) -> int:
     """Spatial output size of a window op (floor convention)."""
     return (in_size + pad_begin + pad_end - kernel) // stride + 1
@@ -141,9 +155,17 @@ class Conv2d(Function):
         o, _, kh, kw = weight.shape
         cols = _im2col(xp, (kh, kw), stride)
         n, ho, wo = cols.shape[3:]
+        pixels = n * ho * wo
+        cols = cols.reshape(-1, pixels)
+        blocked = _blocked_gemm_rows(o, cols.shape[0])
+        if pixels < blocked:
+            # Zero pixel rows past the small-matrix gate, sliced off below.
+            padded = np.zeros((cols.shape[0], blocked), dtype=cols.dtype)
+            padded[:, :pixels] = cols
+            cols = padded
         # (N*Ho*Wo, O): pixels stay GEMM rows, so a pixel's bytes do not
         # depend on which patch (how many other pixels) it is computed with.
-        out = np.dot(cols.reshape(-1, n * ho * wo).T, weight.reshape(o, -1).T)
+        out = np.dot(cols.T, weight.reshape(o, -1).T)[:pixels]
         del cols                # before the transpose copy: peak memory
         out = np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
         if bias is not None:
@@ -185,17 +207,37 @@ class Conv2d(Function):
 
 class MaxPool2d(Function):
     def forward(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
-                padding: Padding2d) -> np.ndarray:
+                padding: Padding2d, need_argmax: bool = True) -> np.ndarray:
+        """Running maximum over the ``kh*kw`` window offsets, each a
+        strided slice of the window view — no ``(…, kh*kw)`` copy.
+
+        ``need_argmax=False`` (an executor op no backward twin reads)
+        skips the argmax ``backward`` scatters by.
+        """
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.in_shape = x.shape
         xp = _pad_spatial(x, padding, value=-np.inf)
         self.padded_shape = xp.shape
         view = _window_view(xp, kernel, stride)
-        n, c, ho, wo, kh, kw = view.shape
-        flat = view.reshape(n, c, ho, wo, kh * kw)
-        self.argmax = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, self.argmax[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(out)
+        offsets = [view[..., i, j]
+                   for i in range(kernel[0]) for j in range(kernel[1])]
+        out = offsets[0].copy()
+        for candidate in offsets[1:]:
+            # (candidate, best): a tie keeps ``best``, the first maximum
+            # (+-0.0 included), and a NaN sticks — ``argmax``'s rules.
+            np.maximum(candidate, out, out=out)
+        if need_argmax:
+            # The first offset holding the maximum (the first NaN of a NaN
+            # window): scan backwards, so the earliest match is written last.
+            self.argmax = np.empty(out.shape, dtype=np.int64)
+            nan = np.isnan(out)
+            any_nan = nan.any()
+            for index in range(len(offsets) - 1, -1, -1):
+                hit = offsets[index] == out
+                if any_nan:
+                    hit |= nan & np.isnan(offsets[index])
+                np.putmask(self.argmax, hit, index)
+        return out
 
     def backward(self, grad_output: np.ndarray):
         kh, kw = self.kernel

@@ -14,6 +14,13 @@ bits differ from the blocked kernel every larger product — and the column
 layout at every size — goes through.  All 44 zoo shapes are outside that
 corner at batch 1 and 2; the hand-picked cases are chosen outside it too,
 so the matrix holds whichever kernels the host has.
+
+The column layout has a corner of its own, and patches do reach it: a
+product with pixels * O * K <= 1_000_000 goes to the small-matrix kernels
+(and a single pixel row to gemv), whose bits differ from the blocked
+kernel's once K >= 576.  ``Conv2d.forward`` pads such a product with zero
+pixel rows past the gate; the scan at the bottom pins both that and where
+the host BLAS puts the gate.
 """
 
 import numpy as np
@@ -24,7 +31,9 @@ from repro.graph import build_inference_graph
 from repro.models import alexnet, small_vgg, vgg11
 from repro.nn import init
 from repro.tensor import Tensor, conv2d
-from repro.tensor.ops_nn import Conv2d, _im2col, _pad_spatial, _window_view
+from repro.tensor.ops_nn import (
+    Conv2d, _blocked_gemm_rows, _im2col, _pad_spatial, _window_view,
+)
 
 
 def _tensordot_forward(x, weight, bias, stride, padding):
@@ -158,3 +167,51 @@ def test_backward_weight_is_one_kernel_on_every_path(x_shape, w_shape, stride,
                     padding)
     stacked.xp = stacked.xp[:x_shape[0]]
     assert stacked.backward_weight(grad).tobytes() == direct.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The small-GEMM gate: a pixel's bytes may not depend on its patch size
+# ----------------------------------------------------------------------
+SCAN = [(o, c) for o in (16, 32, 64, 128) for c in (3, 16, 64, 128)]
+
+
+def _gate_sizes(o, k, limit=4096):
+    gate = _blocked_gemm_rows(o, k)
+    sizes = {1, 2, 3, 7, gate - 1, gate, gate + 1, 2 * gate}
+    return gate, sorted(p for p in sizes if 1 <= p <= limit)
+
+
+@pytest.mark.parametrize("o,c", SCAN)
+def test_tiny_patches_compute_the_big_image_bytes(o, c):
+    """3x3 convs, K = 27 ... 1152: P output pixels computed alone are the
+    first P pixels of a 4096-pixel row, byte for byte, on both sides of
+    the gate (measured before the fix: they differ iff P*O*K <= 1e6 with
+    K >= 576, and always at P == 1)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, c, 3, 4098))
+    weight = rng.standard_normal((o, c, 3, 3))
+    bias = rng.standard_normal(o)
+    none = ((0, 0), (0, 0))
+    big = Conv2d().forward(x, weight, bias, (1, 1), none)
+    _, sizes = _gate_sizes(o, 9 * c)
+    for pixels in sizes:
+        patch = np.ascontiguousarray(x[..., :pixels + 2])
+        out = Conv2d().forward(patch, weight, bias, (1, 1), none)
+        assert out.tobytes() == big[..., :pixels].tobytes(), pixels
+
+
+@pytest.mark.parametrize("o,c", SCAN)
+def test_host_blas_gate_is_not_above_ours(o, c):
+    """At and above the rows ``Conv2d.forward`` pads to, the raw product's
+    rows must already be the blocked kernel's: a BLAS that moves its
+    small-matrix gate up fails here, loudly, instead of in a digest."""
+    rng = np.random.default_rng(1)
+    k = 9 * c
+    cols = rng.standard_normal((k, 4096))
+    w2d = rng.standard_normal((o, k))
+    full = np.dot(cols.T, w2d.T)
+    gate, sizes = _gate_sizes(o, k)
+    for pixels in sizes:
+        if pixels >= gate:
+            part = np.dot(np.ascontiguousarray(cols[:, :pixels]).T, w2d.T)
+            assert part.tobytes() == full[:pixels].tobytes(), pixels

@@ -268,6 +268,19 @@ class TestByteIdentity:
         assert out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("patch_batch", [None, 1, 2, 4])
+    def test_identity_matrix(self, patch_batch):
+        """Every patch batch x grid x overlap cell: a pixel's bytes may
+        not depend on how many pixels share its execution — patches of
+        one pixel row included (``test_conv_layout``'s small-GEMM scan)."""
+        inferer = make_inferer(patch_batch=patch_batch)
+        x = random_image((64, 64))
+        ref = inferer.run_unsplit(x).tobytes()
+        for grid in ((2, 2), (3, 3), (4, 4)):
+            for overlap in (0, 1, 2):
+                out = inferer.infer(x, grid=grid, overlap=overlap)
+                assert out.tobytes() == ref, (grid, overlap)
+
     @pytest.mark.parametrize("overlap", [0, 1])
     def test_alexnet_valid_merge_is_byte_identical(self, overlap):
         inferer = make_inferer(alexnet)
@@ -458,12 +471,56 @@ class TestCacheAndCounters:
 
     def test_patch_counters_account_padding(self):
         inferer = make_inferer(patch_batch=4)
-        x = random_image((64, 64), seed=7)
-        inferer.infer(x, grid=(3, 3))     # 9 patches, buckets of 4
-        assert inferer.executed_patches == 9
-        report = inferer.plan_dense((64, 64), grid=(3, 3))
-        assert inferer.padded_patches \
-            == report.executions * report.patch_batch - report.patches
+        x = random_image((80, 80), seed=7)
+        # 25 patches: four corners of 1 tile (bucket 1), four edges of 3
+        # (bucket 4, one zero slot each), an interior of 9 (4 + 4 + 1).
+        inferer.infer(x, grid=(5, 5))
+        assert inferer.executed_patches == 25
+        report = inferer.plan_dense((80, 80), grid=(5, 5))
+        assert report.executions == 4 + 4 + 3
+        assert inferer.padded_patches == report.padded_patches == 4
+
+    def test_default_budget_runs_the_patches_the_image_has(self):
+        """A 2x2 grid is four one-tile variants: the whole-device budget
+        would fit 64 patches per execution, and nothing can fill them."""
+        inferer = make_inferer()
+        report = inferer.plan_dense((64, 64), grid=(2, 2))
+        variants = GridSplitter((2, 2)).plan(inferer.model,
+                                             (64, 64)).variants()
+        entries = [inferer.entry_for(variant, 1) for variant in variants]
+        assert (report.patch_batch, report.executions,
+                report.padded_patches) == (1, 4, 0)
+        assert len(inferer.cache) == 4          # no batch-2..64 graphs
+        assert report.latency == sum(entry.latency for entry in entries)
+        assert report.peak_bytes == max(entry.plan.device_peak
+                                        for entry in entries)
+        inferer.infer(random_image((64, 64)), grid=(2, 2))
+        assert inferer.executed_patches + inferer.padded_patches == 4
+
+    def test_report_sums_the_entries_run(self):
+        """Short chunks are priced at the bucket they run on."""
+        inferer = make_inferer(numeric=False, memory_budget=16 << 20)
+        report = inferer.plan_dense((256, 256), grid=(4, 4), overlap=1)
+        assert report.patch_batch == 2
+        variants = GridSplitter((4, 4), 1).plan(inferer.model,
+                                                (256, 256)).variants()
+        # Corners own 1 tile, edges 2, the interior 4.
+        entries = [inferer.entry_for(variant, min(2, len(tiles)))
+                   for variant, tiles in variants.items()
+                   for _ in range(-(-len(tiles) // 2))]
+        assert report.executions == len(entries) == 10
+        assert report.padded_patches == 0
+        assert report.latency == sum(entry.latency for entry in entries)
+        assert report.peak_bytes == max(entry.plan.device_peak
+                                        for entry in entries)
+
+    def test_steady_state_infer_adds_no_miss_after_plan_dense(self):
+        """The remainder buckets are entries the search already built."""
+        inferer = make_inferer(memory_budget=16 << 20)
+        inferer.plan_dense((80, 80), grid=(5, 5))
+        misses = inferer.cache.misses
+        inferer.infer(random_image((80, 80)), grid=(5, 5))
+        assert inferer.cache.misses == misses == inferer.plans_verified
 
 
 # ----------------------------------------------------------------------

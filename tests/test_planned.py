@@ -100,9 +100,15 @@ def _inferer_digest(case) -> str:
     return digest.hexdigest()
 
 
+# Re-pinned when short chunks began to run (and be priced) at their own
+# bucket: small_vgg-bench latency 0.000682021 -> 0.000650896 s (four
+# one-tile corner variants leave batch 2 for batch 1) and one more cache
+# hit (a lookup per execution, 10, not per variant, 9); alexnet's four
+# one-tile variants cap the search at 1 — patch_batch 2 -> 1, peak
+# 38725104 -> 24301944, misses 12 -> 4.  Every other field is unchanged.
 INFERER_GOLDEN = {
-    "small_vgg-bench": "9b138fd97371e711ba688b4b9cded52a",
-    "alexnet": "6cf0a51e7ae6e7550fe1aa2ca35b51bb",
+    "small_vgg-bench": "c795b1e46d44eead0ce4642346205896",
+    "alexnet": "80be6686cab63a3e6298f893358865f3",
 }
 
 

@@ -739,6 +739,21 @@ class TestMixedServing:
         output = engine.dense_output_for(dense)
         assert output.shape == (64, 8, 8)
 
+    def test_dense_padding_counts_the_slots_that_ran(self):
+        """5x5 grid, discovered patch batch 16: corners run at bucket 1,
+        the 3-tile edges at 4 (one zero slot each), the 9-tile interior
+        at 16 (seven) — not ``executions * patch_batch - patches``."""
+        engine = self.make_dense_engine(numeric=True)
+        dense = DenseRequest(id=0, arrival_time=0.0,
+                             image_hw=(80, 80), grid=(5, 5))
+        engine.execute([dense])
+        inferer = engine.dense_inferer
+        report = inferer.plan_dense((80, 80), (5, 5))
+        assert report.patch_batch == 16 and report.executions == 9
+        assert engine.executed_images == inferer.executed_patches == 25
+        assert engine.padded_images == report.padded_patches \
+            == inferer.padded_patches == 4 * 1 + 7
+
     def test_engine_rejects_dense_mixed_into_a_batch(self):
         engine = self.make_dense_engine()
         dense = DenseRequest(id=0, arrival_time=0.0,
@@ -753,7 +768,9 @@ class TestMixedServing:
                         max_pending_images=24)
         arrivals, clock = [], 0.0
         for i in range(60):
-            clock += float(rng.exponential(0.0002))
+            # ~10k requests/s: a 2x2 dense request costs four batch-1
+            # patch runs (0.33 ms), and at 5k/s the queue never filled.
+            clock += float(rng.exponential(0.0001))
             if rng.random() < 0.25:
                 hw = (32, 32) if rng.random() < 0.5 else (48, 48)
                 arrivals.append(DenseRequest(
@@ -811,7 +828,7 @@ def _golden_mixed_cases():
         rng = np.random.default_rng(seed)
         arrivals, clock = [], 0.0
         for i in range(80):
-            clock += float(rng.exponential(0.0002))
+            clock += float(rng.exponential(0.0001))
             if rng.random() < 0.25:
                 hw = (32, 32) if rng.random() < 0.5 else (48, 48)
                 arrivals.append(DenseRequest(
@@ -849,6 +866,11 @@ def _golden_digest(case) -> str:
 
 #: Recorded from the parent commit's hand-rolled ``Server.run`` loop
 #: (89916f9), before ``Server`` became a front for ``FleetScheduler``.
+#: The two ``mixed-*`` traces were re-recorded when a 2x2 dense request
+#: stopped running (and being priced as) four batch-64 graphs: dense
+#: latency 0.63-0.86 ms -> 0.33 ms, ``padded_images`` 4303 / 3804 -> 23 /
+#: 20, cache misses 59 -> 11; their arrival rate was doubled with it so
+#: ``max_pending_images`` still rejects (17 / 16 of 80).
 GOLDEN_DIGESTS = {
     "small_resnet-light-0": "ef55dd9440ed9c4852a77048388105f9",
     "small_resnet-light-1": "7e756cb6296f4508eef24de99b6438de",
@@ -878,8 +900,8 @@ GOLDEN_DIGESTS = {
     "small_vgg-cap4-1": "7e8dbf1590cc6301b231334c5868941c",
     "small_vgg-deadline-0": "faf9da74c08d58e4b713f60e5aa98dec",
     "small_vgg-deadline-1": "5be0560f491de2c34e850d772c4dec6f",
-    "mixed-7": "d3eb070b2812c4ca2c3ad537885964d3",
-    "mixed-8": "3cf5a992fcdc89fe7d922dcd64c940da",
+    "mixed-7": "3a4817093c5f18f7c9ecc8ac0660310c",
+    "mixed-8": "4c6f7f767c513df6856c9b2829f71a4b",
 }
 
 
