@@ -93,19 +93,16 @@ def window_specs_of(module: Module) -> Tuple[WindowSpec, WindowSpec]:
     )
 
 
-_specs_of = window_specs_of              # historical internal name
-
-
 class WindowOpHandler(SplitHandler):
     """Shared logic for Conv2d / MaxPool2d / AvgPool2d."""
 
     def trace(self, module: Module, in_hw: IntPair) -> IntPair:
-        spec_h, spec_w = _specs_of(module)
+        spec_h, spec_w = window_specs_of(module)
         return (spec_h.output_size(in_hw[0]), spec_w.output_size(in_hw[1]))
 
     def back(self, module: Module, scheme_h: SplitScheme, scheme_w: SplitScheme,
              in_hw: IntPair, position: float) -> BackResult:
-        spec_h, spec_w = _specs_of(module)
+        spec_h, spec_w = window_specs_of(module)
         plan = plan_split_2d(spec_h, spec_w, in_hw, scheme_h, scheme_w, position)
         return BackResult(plan.height.input_split, plan.width.input_split, plan)
 

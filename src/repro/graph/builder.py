@@ -30,9 +30,8 @@ import numpy as np
 
 from ..core.region import SplitRegion, get_handler
 from ..core.scheme import SplitScheme
-from ..core.split_op import SplitPlan2d
 from ..models.base import ConvClassifier
-from ..models.resnet import BasicBlock, Bottleneck
+from ..models.resnet import ResidualBlock
 from ..nn import (
     AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear,
     MaxPool2d, Module, ReLU, Sequential, Sigmoid, Tanh,
@@ -43,6 +42,10 @@ from .registry import infer_op_shapes, op_def
 __all__ = ["GraphBuilder", "build_forward_graph", "params_for_builder"]
 
 GIB = 1 << 30
+
+#: ``None`` for a whole tensor, or ``(payload, i, j)`` for patch ``(i, j)``
+#: of a split region under the split handler's ``back`` payload.
+Patch = Optional[Tuple[Any, int, int]]
 
 
 class GraphBuilder:
@@ -159,16 +162,19 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def emit(self, module: Module, value: TensorValue) -> TensorValue:
-        emitter = _find(_EMITTERS, module)
-        return emitter(self, module, value)
+    def emit(self, module: Module, value: TensorValue,
+             patch: Patch = None) -> TensorValue:
+        """Emit ``module`` on ``value``: the whole tensor, or — with
+        ``patch = (payload, i, j)`` — patch ``(i, j)`` of a split region,
+        ``payload`` being what the module's split handler's ``back``
+        returned (a whole-tensor emission is the patch emission with the
+        module's own padding and an empty name tag)."""
+        for module_type, emitter in _EMITTERS:
+            if isinstance(module, module_type):
+                return emitter(self, module, value, patch)
+        raise TypeError(f"no graph emitter for {type(module).__name__}")
 
-    def emit_patch(self, module: Module, payload: Any, value: TensorValue,
-                   i: int, j: int) -> TensorValue:
-        emitter = _find(_PATCH_EMITTERS, module)
-        return emitter(self, module, payload, value, i, j)
-
-    # Individual op emitters (shared between whole-tensor and patch paths) --
+    # Individual op emitters (explicit padding and name tag) ------------
     def emit_conv(self, module: Conv2d, value: TensorValue,
                   padding, tag: str = "") -> TensorValue:
         weight = self.param(module, "weight", module.weight.shape)
@@ -222,62 +228,74 @@ class GraphBuilder:
         )
         return out
 
-    def emit_relu(self, value: TensorValue, tag: str = "") -> TensorValue:
+    def emit_plain(self, op_type: str, inputs: List[TensorValue],
+                   tag: str = "") -> TensorValue:
+        """An op without attrs or parameters (relu, sigmoid, tanh, gap,
+        add), named after its type."""
         (out,) = self.add_registered_op(
-            f"relu{tag}", "relu", [value], out_names=[f"relu{tag}.out"],
+            f"{op_type}{tag}", op_type, inputs,
+            out_names=[f"{op_type}{tag}.out"],
         )
         return out
 
-    def emit_add(self, a: TensorValue, b: TensorValue, tag: str = "") -> TensorValue:
-        (out,) = self.add_registered_op(
-            f"add{tag}", "add", [a, b], out_names=[f"add{tag}.out"],
-        )
-        return out
+
+def _tag(patch: Patch) -> str:
+    return "" if patch is None else f".p{patch[1]}{patch[2]}"
 
 
-def _find(registry, module: Module) -> Callable:
-    for module_type, emitter in registry:
-        if isinstance(module, module_type):
-            return emitter
-    raise TypeError(f"no graph emitter for {type(module).__name__}")
+def _padding(module: Module, patch: Patch):
+    """The window module's own padding, or patch ``(i, j)``'s from its
+    :class:`~repro.core.split_op.SplitPlan2d` payload."""
+    if patch is None:
+        return module.padding
+    plan, i, j = patch
+    return plan.patch_padding(i, j)
+
+
+def _sub(patch: Patch, payload: Any) -> Patch:
+    """``patch`` re-aimed at a child module's payload."""
+    return None if patch is None else (payload, patch[1], patch[2])
 
 
 # ----------------------------------------------------------------------
-# Whole-tensor emitters
+# Emitters: (builder, module, value, patch) -> value
 # ----------------------------------------------------------------------
-def _emit_sequential(builder: GraphBuilder, module: Sequential, value: TensorValue) -> TensorValue:
-    for item in module:
-        value = builder.emit(item, value)
+def _emit_sequential(builder: GraphBuilder, module: Sequential,
+                     value: TensorValue, patch: Patch) -> TensorValue:
+    payloads = [(None, None)] * len(module) if patch is None else patch[0]
+    for item, (_, item_payload) in zip(module, payloads):
+        value = builder.emit(item, value, _sub(patch, item_payload))
     return value
 
 
-def _emit_conv(builder: GraphBuilder, module: Conv2d, value: TensorValue) -> TensorValue:
-    return builder.emit_conv(module, value, module.padding)
+def _emit_conv(builder: GraphBuilder, module: Conv2d, value: TensorValue,
+               patch: Patch) -> TensorValue:
+    return builder.emit_conv(module, value, _padding(module, patch),
+                             _tag(patch))
 
 
-def _emit_maxpool(builder: GraphBuilder, module: MaxPool2d, value: TensorValue) -> TensorValue:
-    return builder.emit_pool(module, "max", value, module.padding)
+def _pool(kind: str) -> Callable:
+    def emitter(builder: GraphBuilder, module: Module, value: TensorValue,
+                patch: Patch) -> TensorValue:
+        return builder.emit_pool(module, kind, value,
+                                 _padding(module, patch), _tag(patch))
+    return emitter
 
 
-def _emit_avgpool(builder: GraphBuilder, module: AvgPool2d, value: TensorValue) -> TensorValue:
-    return builder.emit_pool(module, "avg", value, module.padding)
+def _plain(op_type: str) -> Callable:
+    def emitter(builder: GraphBuilder, module: Module, value: TensorValue,
+                patch: Patch) -> TensorValue:
+        return builder.emit_plain(op_type, [value], _tag(patch))
+    return emitter
 
 
-def _emit_bn(builder: GraphBuilder, module: BatchNorm2d, value: TensorValue) -> TensorValue:
-    return builder.emit_bn(module, value)
+def _emit_bn(builder: GraphBuilder, module: BatchNorm2d, value: TensorValue,
+             patch: Patch) -> TensorValue:
+    return builder.emit_bn(module, value, _tag(patch))
 
 
-def _emit_relu(builder: GraphBuilder, module: ReLU, value: TensorValue) -> TensorValue:
-    return builder.emit_relu(value)
-
-
-def _emit_gap(builder: GraphBuilder, module: GlobalAvgPool2d, value: TensorValue) -> TensorValue:
-    (out,) = builder.add_registered_op("gap", "gap", [value],
-                                       out_names=["gap.out"])
-    return out
-
-
-def _emit_flatten(builder: GraphBuilder, module: Flatten, value: TensorValue) -> TensorValue:
+def _emit_flatten(builder: GraphBuilder, module: Flatten, value: TensorValue,
+                  patch: Patch) -> TensorValue:
     (out,) = builder.add_registered_op(
         "flatten", "flatten", [value],
         attrs={"start_dim": module.start_dim}, out_names=["flatten.out"],
@@ -285,7 +303,8 @@ def _emit_flatten(builder: GraphBuilder, module: Flatten, value: TensorValue) ->
     return out
 
 
-def _emit_linear(builder: GraphBuilder, module: Linear, value: TensorValue) -> TensorValue:
+def _emit_linear(builder: GraphBuilder, module: Linear, value: TensorValue,
+                 patch: Patch) -> TensorValue:
     weight = builder.param(module, "weight", module.weight.shape)
     inputs = [value, weight]
     if module.bias is not None:
@@ -299,7 +318,8 @@ def _emit_linear(builder: GraphBuilder, module: Linear, value: TensorValue) -> T
     return out
 
 
-def _emit_dropout(builder: GraphBuilder, module: Dropout, value: TensorValue) -> TensorValue:
+def _emit_dropout(builder: GraphBuilder, module: Dropout, value: TensorValue,
+                  patch: Patch) -> TensorValue:
     if builder.inference:
         # Dropout is the identity at inference time; emitting no op at all
         # also spares the planner the mask tensor.
@@ -317,51 +337,38 @@ def _emit_dropout(builder: GraphBuilder, module: Dropout, value: TensorValue) ->
     return out
 
 
-def _emit_activation(builder: GraphBuilder, module: Module, value: TensorValue) -> TensorValue:
-    base = type(module).__name__.lower()
-    (out,) = builder.add_registered_op(base, base, [value],
-                                       out_names=[f"{base}.out"])
-    return out
-
-
-def _emit_basic_block(builder: GraphBuilder, block: BasicBlock, value: TensorValue) -> TensorValue:
-    out = builder.emit_conv(block.conv1, value, block.conv1.padding, tag=".b1")
-    out = builder.emit_bn(block.bn1, out, tag=".b1")
-    out = builder.emit_relu(out, tag=".b1")
-    out = builder.emit_conv(block.conv2, out, block.conv2.padding, tag=".b2")
-    out = builder.emit_bn(block.bn2, out, tag=".b2")
+def _emit_residual(builder: GraphBuilder, block: ResidualBlock,
+                   value: TensorValue, patch: Patch) -> TensorValue:
+    """Main path -> shortcut -> add -> relu, over ``block.stages``."""
+    tag = _tag(patch)
+    stages = block.stages
+    *plans, plan_ds = ([None] * (len(stages) + 1) if patch is None
+                       else patch[0])
+    out = value
+    for number, ((conv, bn), plan) in enumerate(zip(stages, plans), start=1):
+        if number > 1:
+            out = builder.emit_plain("relu", [out], f"{tag}.b{number - 1}")
+        out = builder.emit_conv(conv, out, _padding(conv, _sub(patch, plan)),
+                                f"{tag}.b{number}")
+        out = builder.emit_bn(bn, out, f"{tag}.b{number}")
+    identity = value
     if block.downsample is not None:
-        ds_conv, ds_bn = block.downsample[0], block.downsample[1]
-        identity = builder.emit_conv(ds_conv, value, ds_conv.padding, tag=".ds")
-        identity = builder.emit_bn(ds_bn, identity, tag=".ds")
-    else:
-        identity = value
-    out = builder.emit_add(out, identity)
-    return builder.emit_relu(out, tag=".join")
-
-
-def _emit_bottleneck(builder: GraphBuilder, block: Bottleneck, value: TensorValue) -> TensorValue:
-    out = builder.emit_conv(block.conv1, value, block.conv1.padding, tag=".b1")
-    out = builder.emit_bn(block.bn1, out, tag=".b1")
-    out = builder.emit_relu(out, tag=".b1")
-    out = builder.emit_conv(block.conv2, out, block.conv2.padding, tag=".b2")
-    out = builder.emit_bn(block.bn2, out, tag=".b2")
-    out = builder.emit_relu(out, tag=".b2")
-    out = builder.emit_conv(block.conv3, out, block.conv3.padding, tag=".b3")
-    out = builder.emit_bn(block.bn3, out, tag=".b3")
-    if block.downsample is not None:
-        ds_conv, ds_bn = block.downsample[0], block.downsample[1]
-        identity = builder.emit_conv(ds_conv, value, ds_conv.padding, tag=".ds")
-        identity = builder.emit_bn(ds_bn, identity, tag=".ds")
-    else:
-        identity = value
-    out = builder.emit_add(out, identity)
-    return builder.emit_relu(out, tag=".join")
+        ds_conv, ds_bn = block.downsample
+        identity = builder.emit_conv(
+            ds_conv, value, _padding(ds_conv, _sub(patch, plan_ds)),
+            f"{tag}.ds")
+        identity = builder.emit_bn(ds_bn, identity, f"{tag}.ds")
+    out = builder.emit_plain("add", [out, identity], tag)
+    return builder.emit_plain("relu", [out], f"{tag}.join")
 
 
 def _emit_split_region(builder: GraphBuilder, region: SplitRegion,
-                       value: TensorValue) -> TensorValue:
-    if region.num_splits == (1, 1):
+                       value: TensorValue, patch: Patch) -> TensorValue:
+    # An inference graph is the eval-mode network: a region that
+    # evaluates unsplit (Stochastic Split-CNN, §3.3) is emitted unsplit,
+    # exactly as ``SplitRegion.forward`` runs it.
+    if region.num_splits == (1, 1) or (builder.inference
+                                       and region.eval_unsplit):
         return builder.emit(region.body, value)
     in_hw = (value.shape[2], value.shape[3])
     handler = get_handler(region.body)
@@ -385,18 +392,17 @@ def _emit_split_region(builder: GraphBuilder, region: SplitRegion,
         # the schedule that minimizes live patch state (paper §3.2's
         # "flexibility of scheduling" put to memory use).
         outputs: List[TensorValue] = [
-            builder.emit_patch(region.body, back.payload, patches[index], i, j)
+            builder.emit(region.body, patches[index], (back.payload, i, j))
             for index, (i, j) in enumerate(grid)
         ]
     else:
         # Breadth-first (layer-synchronous): every patch advances one body
         # item at a time, like an unsplit execution — the ablation baseline.
-        values = list(patches)
+        outputs = list(patches)
         for item, (_, item_payload) in zip(region.body, back.payload):
             for index, (i, j) in enumerate(grid):
-                values[index] = builder.emit_patch(item, item_payload,
-                                                   values[index], i, j)
-        outputs = values
+                outputs[index] = builder.emit(item, outputs[index],
+                                              (item_payload, i, j))
     (joined,) = builder.add_registered_op(
         "join", "concat", outputs, attrs={"grid": region.num_splits},
         out_names=["join.out"],
@@ -404,125 +410,25 @@ def _emit_split_region(builder: GraphBuilder, region: SplitRegion,
     return joined
 
 
-# ----------------------------------------------------------------------
-# Patch emitters (mirror repro.core.region handlers, symbolically)
-# ----------------------------------------------------------------------
-def _patch_sequential(builder: GraphBuilder, module: Sequential, payload: Any,
-                      value: TensorValue, i: int, j: int) -> TensorValue:
-    for item, (_, item_payload) in zip(module, payload):
-        value = builder.emit_patch(item, item_payload, value, i, j)
-    return value
-
-
-def _patch_conv(builder: GraphBuilder, module: Conv2d, plan: SplitPlan2d,
-                value: TensorValue, i: int, j: int) -> TensorValue:
-    return builder.emit_conv(module, value, plan.patch_padding(i, j),
-                             tag=f".p{i}{j}")
-
-
-def _patch_maxpool(builder: GraphBuilder, module: MaxPool2d, plan: SplitPlan2d,
-                   value: TensorValue, i: int, j: int) -> TensorValue:
-    return builder.emit_pool(module, "max", value, plan.patch_padding(i, j),
-                             tag=f".p{i}{j}")
-
-
-def _patch_avgpool(builder: GraphBuilder, module: AvgPool2d, plan: SplitPlan2d,
-                   value: TensorValue, i: int, j: int) -> TensorValue:
-    return builder.emit_pool(module, "avg", value, plan.patch_padding(i, j),
-                             tag=f".p{i}{j}")
-
-
-def _patch_bn(builder: GraphBuilder, module: BatchNorm2d, payload: Any,
-              value: TensorValue, i: int, j: int) -> TensorValue:
-    return builder.emit_bn(module, value, tag=f".p{i}{j}")
-
-
-def _patch_relu(builder: GraphBuilder, module: ReLU, payload: Any,
-                value: TensorValue, i: int, j: int) -> TensorValue:
-    return builder.emit_relu(value, tag=f".p{i}{j}")
-
-
-def _patch_dropout(builder: GraphBuilder, module: Dropout, payload: Any,
-                   value: TensorValue, i: int, j: int) -> TensorValue:
-    return _emit_dropout(builder, module, value)
-
-
-def _patch_basic_block(builder: GraphBuilder, block: BasicBlock, payload: Any,
-                       value: TensorValue, i: int, j: int) -> TensorValue:
-    plan1, plan2, plan_ds = payload
-    tag = f".p{i}{j}"
-    out = builder.emit_conv(block.conv1, value, plan1.patch_padding(i, j),
-                            tag=tag + ".b1")
-    out = builder.emit_bn(block.bn1, out, tag=tag + ".b1")
-    out = builder.emit_relu(out, tag=tag + ".b1")
-    out = builder.emit_conv(block.conv2, out, plan2.patch_padding(i, j),
-                            tag=tag + ".b2")
-    out = builder.emit_bn(block.bn2, out, tag=tag + ".b2")
-    if block.downsample is not None:
-        ds_conv, ds_bn = block.downsample[0], block.downsample[1]
-        identity = builder.emit_conv(ds_conv, value, plan_ds.patch_padding(i, j),
-                                     tag=tag + ".ds")
-        identity = builder.emit_bn(ds_bn, identity, tag=tag + ".ds")
-    else:
-        identity = value
-    out = builder.emit_add(out, identity, tag=tag)
-    return builder.emit_relu(out, tag=tag + ".join")
-
-
-def _patch_bottleneck(builder: GraphBuilder, block: Bottleneck, payload: Any,
-                      value: TensorValue, i: int, j: int) -> TensorValue:
-    plan1, plan2, plan3, plan_ds = payload
-    tag = f".p{i}{j}"
-    out = builder.emit_conv(block.conv1, value, plan1.patch_padding(i, j),
-                            tag=tag + ".b1")
-    out = builder.emit_bn(block.bn1, out, tag=tag + ".b1")
-    out = builder.emit_relu(out, tag=tag + ".b1")
-    out = builder.emit_conv(block.conv2, out, plan2.patch_padding(i, j),
-                            tag=tag + ".b2")
-    out = builder.emit_bn(block.bn2, out, tag=tag + ".b2")
-    out = builder.emit_relu(out, tag=tag + ".b2")
-    out = builder.emit_conv(block.conv3, out, plan3.patch_padding(i, j),
-                            tag=tag + ".b3")
-    out = builder.emit_bn(block.bn3, out, tag=tag + ".b3")
-    if block.downsample is not None:
-        ds_conv, ds_bn = block.downsample[0], block.downsample[1]
-        identity = builder.emit_conv(ds_conv, value, plan_ds.patch_padding(i, j),
-                                     tag=tag + ".ds")
-        identity = builder.emit_bn(ds_bn, identity, tag=tag + ".ds")
-    else:
-        identity = value
-    out = builder.emit_add(out, identity, tag=tag)
-    return builder.emit_relu(out, tag=tag + ".join")
-
-
+# How each layer type becomes ops — the one table (first match wins).
+# Window and elementwise rows serve whole tensors and split-region
+# patches alike; gap / flatten / linear never sit inside a region (no
+# split handler is registered for them).
 _EMITTERS: List[Tuple[Type[Module], Callable]] = [
     (SplitRegion, _emit_split_region),
     (Sequential, _emit_sequential),
     (Conv2d, _emit_conv),
-    (MaxPool2d, _emit_maxpool),
-    (AvgPool2d, _emit_avgpool),
+    (MaxPool2d, _pool("max")),
+    (AvgPool2d, _pool("avg")),
     (BatchNorm2d, _emit_bn),
-    (ReLU, _emit_relu),
-    (GlobalAvgPool2d, _emit_gap),
+    (ReLU, _plain("relu")),
+    (Sigmoid, _plain("sigmoid")),
+    (Tanh, _plain("tanh")),
+    (Dropout, _emit_dropout),
+    (ResidualBlock, _emit_residual),
+    (GlobalAvgPool2d, _plain("gap")),
     (Flatten, _emit_flatten),
     (Linear, _emit_linear),
-    (Dropout, _emit_dropout),
-    (BasicBlock, _emit_basic_block),
-    (Bottleneck, _emit_bottleneck),
-    (Sigmoid, _emit_activation),
-    (Tanh, _emit_activation),
-]
-
-_PATCH_EMITTERS: List[Tuple[Type[Module], Callable]] = [
-    (Sequential, _patch_sequential),
-    (Conv2d, _patch_conv),
-    (MaxPool2d, _patch_maxpool),
-    (AvgPool2d, _patch_avgpool),
-    (BatchNorm2d, _patch_bn),
-    (ReLU, _patch_relu),
-    (Dropout, _patch_dropout),
-    (BasicBlock, _patch_basic_block),
-    (Bottleneck, _patch_bottleneck),
 ]
 
 
@@ -569,7 +475,7 @@ def build_forward_graph(
     value = graph.add_tensor("input", (batch_size, in_channels, size, size),
                              kind="input")
     value = builder.emit(model.features, value)
-    value = _emit_flatten(builder, Flatten(), value)
+    value = builder.emit(Flatten(), value)
     value = builder.emit(model.classifier, value)
     value.name = "logits" if inference else value.name
     if with_loss and not inference:

@@ -8,22 +8,34 @@ eligibility in :mod:`repro.hmms.storage`.  Adding an op meant touching
 five dispatch tables, and drift between them surfaced only when a test
 happened to cross-validate.
 
-:class:`OpDef` collapses the five tables into one record per ``op_type``:
+:class:`OpDef` collapses the tables into one record per ``op_type``; a
+field says only what something reads:
 
-========================  ====================================================
-field                     consumer
-========================  ====================================================
-``infer_shapes``          :class:`~repro.graph.builder.GraphBuilder` (output
-                          tensor shapes) and :meth:`Graph.validate`
-``kernel``                :class:`~repro.graph.executor.GraphExecutor`
-``backward``              :func:`~repro.graph.backward.append_backward_graph`
-``characterize`` /        :class:`~repro.profile.cost.CostModel` (roofline
-``efficiency`` / ``free``  flops + bytes + efficiency class)
-``saved`` / ``inplace`` / :class:`~repro.graph.builder.GraphBuilder` and
-``sharing``               :func:`~repro.hmms.storage.assign_storage` (HMMS
-                          storage hints: saved tensors, in-place eligibility,
-                          TSO-sharing class)
-========================  ====================================================
+==========================  ==================================================
+field                       reader
+==========================  ==================================================
+``infer_shapes``            :class:`~repro.graph.builder.GraphBuilder` (output
+                            tensor shapes) and :meth:`Graph.validate`
+``kernel``                  :class:`~repro.graph.executor.GraphExecutor`
+``backward``                :func:`~repro.graph.backward.append_backward_graph`
+                            and the checkpointing pass.  ``None`` on backward
+                            types and on the fused conv types: only fresh
+                            builder graphs are differentiated, and fusion
+                            retargets the existing twins afterwards
+``characterize`` /          :class:`~repro.profile.cost.CostModel` (roofline
+``efficiency`` / ``free``   flops + bytes + efficiency class)
+``saved``                   :class:`~repro.graph.builder.GraphBuilder` (the
+                            keep-alive set) and :func:`_bwd_unary` (what the
+                            twin reads); declared only on builder-emitted types
+``inplace`` / ``sharing``   the builder's ``inplace_of`` hint,
+                            :func:`~repro.hmms.storage.assign_storage`, the
+                            executor's overwrite table, ``SCA406``
+``stochastic``              the determinism audit and constant folding
+``fusions`` /               :mod:`repro.compile.rewrites`
+``sibling_fused`` /
+``fold``
+``abstract_eval``           :mod:`repro.analysis.absint`
+==========================  ==================================================
 
 Every op type appearing in a serialized graph — forward and backward —
 has exactly one entry in :data:`REGISTRY`; :meth:`Graph.validate` fails
@@ -834,133 +846,6 @@ def _bwd_conv2d(em, op):
                        workspace_bytes=op.workspace_bytes)
 
 
-def _emit_conv_grads(em, op, x, weight, bias, grad_out):
-    """conv2d bwd_data/bwd_weight twins for a (possibly fused) conv op,
-    with an explicit upstream gradient (the fused activation/BN gradient
-    rather than ``grad_of(output)``)."""
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd_data", "conv2d_bwd_data", [grad_out, weight],
-        [grad_x], phase="backward", forward_of=op.id, attrs=dict(op.attrs),
-        workspace_bytes=op.workspace_bytes,
-    )
-    grad_w = em.new_grad(weight, kind="gradient")
-    wgrad_outputs = [grad_w]
-    if bias is not None:
-        wgrad_outputs.append(em.new_grad(bias, kind="gradient"))
-    em.graph.add_op(
-        f"{op.name}.bwd_weight", "conv2d_bwd_weight", [grad_out, x],
-        wgrad_outputs, phase="backward", forward_of=op.id,
-        attrs=dict(op.attrs), workspace_bytes=op.workspace_bytes,
-    )
-    em.contribute(weight, grad_w, op)
-    if bias is not None:
-        em.contribute(bias, wgrad_outputs[1], op)
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_conv2d_relu(em, op):
-    inputs, (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_pre = em.graph.add_tensor(f"grad({op.name}.pre)", out.shape,
-                                   kind="gradient_act")
-    em.graph.add_op(
-        f"{op.name}.bwd_relu", "relu_bwd", [grad_out, out], [grad_pre],
-        phase="backward", forward_of=op.id,
-        inplace_of=_grad_inplace("relu_bwd", grad_out),
-    )
-    bias = inputs[2] if len(inputs) == 3 else None
-    _emit_conv_grads(em, op, inputs[0], inputs[1], bias, grad_pre)
-
-
-def _bwd_conv2d_bn(em, op, relu=False):
-    inputs, (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    bias = inputs[2] if len(inputs) == 5 else None
-    gamma, beta = inputs[-2], inputs[-1]
-    if relu:
-        grad_bn = em.graph.add_tensor(f"grad({op.name}.bn)", out.shape,
-                                      kind="gradient_act")
-        em.graph.add_op(
-            f"{op.name}.bwd_relu", "relu_bwd", [grad_out, out], [grad_bn],
-            phase="backward", forward_of=op.id,
-            inplace_of=_grad_inplace("relu_bwd", grad_out),
-        )
-        grad_out = grad_bn
-    grad_pre = em.graph.add_tensor(f"grad({op.name}.pre)", out.shape,
-                                   kind="gradient_act")
-    grad_gamma = em.new_grad(gamma, kind="gradient")
-    grad_beta = em.new_grad(beta, kind="gradient")
-    em.graph.add_op(
-        f"{op.name}.bwd_bn", "batchnorm_bwd", [grad_out, gamma],
-        [grad_pre, grad_gamma, grad_beta], phase="backward",
-        forward_of=op.id, attrs={"recompute": True},
-    )
-    em.contribute(gamma, grad_gamma, op)
-    em.contribute(beta, grad_beta, op)
-    _emit_conv_grads(em, op, inputs[0], inputs[1], bias, grad_pre)
-
-
-def _bwd_conv2d_bn_relu(em, op):
-    _bwd_conv2d_bn(em, op, relu=True)
-
-
-def _bwd_conv2d_siblings(em, op, relu=False):
-    count = op.attrs["siblings"]
-    inputs, outputs = em._io(op)
-    has_bias = len(inputs) == count + 2
-    weight = inputs[count]
-    bias = inputs[count + 1] if has_bias else None
-    grads = [em.grad_of(out.id) for out in outputs]
-    if any(grad is None for grad in grads):
-        return
-    if relu:
-        pre_grads = []
-        for i, (out, grad) in enumerate(zip(outputs, grads)):
-            grad_pre = em.graph.add_tensor(
-                f"grad({op.name}.pre{i})", out.shape, kind="gradient_act")
-            em.graph.add_op(
-                f"{op.name}.bwd_relu{i}", "relu_bwd", [grad, out],
-                [grad_pre], phase="backward", forward_of=op.id,
-                inplace_of=_grad_inplace("relu_bwd", grad),
-            )
-            pre_grads.append(grad_pre)
-        grads = pre_grads
-    grad_xs = [em.new_grad(inputs[i]) for i in range(count)]
-    em.graph.add_op(
-        f"{op.name}.bwd_data", "conv2d_bwd_data_siblings",
-        grads + [weight], grad_xs, phase="backward", forward_of=op.id,
-        attrs=dict(op.attrs), workspace_bytes=op.workspace_bytes,
-    )
-    # Per-sibling weight gradients, emitted in reverse sibling order to
-    # reproduce the grad_acc chain of the unfused reversed-forward walk.
-    for i in reversed(range(count)):
-        grad_w = em.new_grad(weight, kind="gradient")
-        wgrad_outputs = [grad_w]
-        if bias is not None:
-            wgrad_outputs.append(em.new_grad(bias, kind="gradient"))
-        em.graph.add_op(
-            f"{op.name}.bwd_weight{i}", "conv2d_bwd_weight",
-            [grads[i], inputs[i]], wgrad_outputs, phase="backward",
-            forward_of=op.id,
-            attrs={**op.attrs, "sibling": i},
-            workspace_bytes=op.workspace_bytes,
-        )
-        em.contribute(weight, grad_w, op)
-        if bias is not None:
-            em.contribute(bias, wgrad_outputs[1], op)
-    for i in reversed(range(count)):
-        em.contribute(inputs[i], grad_xs[i], op)
-
-
-def _bwd_conv2d_relu_siblings(em, op):
-    _bwd_conv2d_siblings(em, op, relu=True)
-
-
 def _bwd_batchnorm(em, op):
     (x, weight, bias), (out,) = em._io(op)
     grad_out = em.grad_of(out.id)
@@ -981,85 +866,27 @@ def _bwd_batchnorm(em, op):
     em.contribute(x, grad_x, op)
 
 
-def _bwd_relu(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "relu_bwd", [grad_out, out], [grad_x],
-        phase="backward", forward_of=op.id,
-        inplace_of=_grad_inplace("relu_bwd", grad_out),
-    )
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_maxpool2d(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "maxpool2d_bwd", [grad_out, x], [grad_x],
-        phase="backward", forward_of=op.id, attrs=dict(op.attrs),
-    )
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_avgpool2d(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "avgpool2d_bwd", [grad_out], [grad_x],
-        phase="backward", forward_of=op.id, attrs=dict(op.attrs),
-    )
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_gap(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "gap_bwd", [grad_out], [grad_x],
-        phase="backward", forward_of=op.id,
-    )
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_flatten(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "flatten_bwd", [grad_out], [grad_x],
-        phase="backward", forward_of=op.id,
-        inplace_of=_grad_inplace("flatten_bwd", grad_out),
-    )
-    em.contribute(x, grad_x, op)
-
-
-def _bwd_dropout(em, op):
-    (x,), (out, mask) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", "dropout_bwd", [grad_out, mask], [grad_x],
-        phase="backward", forward_of=op.id,
-        inplace_of=_grad_inplace("dropout_bwd", grad_out),
-    )
-    em.contribute(x, grad_x, op)
+def _bwd_unary(twin: str, attrs: bool = False):
+    """Rule for one-input ops: ``twin(grad_out, *saved) -> grad_x``.  The
+    twin reads exactly the forward tensors the op's ``saved`` declares —
+    relu's output, max-pool's input, dropout's mask, nothing for gap —
+    and ``attrs`` copies the forward op's attrs onto it."""
+    def rule(em, op):
+        inputs, outputs = em._io(op)
+        grad_out = em.grad_of(outputs[0].id)
+        if grad_out is None:
+            return
+        grad_x = em.new_grad(inputs[0])
+        reads = [(inputs if source == "input" else outputs)[index]
+                 for source, index in REGISTRY[op.op_type].saved]
+        em.graph.add_op(
+            f"{op.name}.bwd", twin, [grad_out] + reads, [grad_x],
+            phase="backward", forward_of=op.id,
+            attrs=dict(op.attrs) if attrs else None,
+            inplace_of=_grad_inplace(twin, grad_out),
+        )
+        em.contribute(inputs[0], grad_x, op)
+    return rule
 
 
 def _bwd_add(em, op):
@@ -1107,19 +934,6 @@ def _bwd_concat(em, op):
     )
     for tensor, grad in zip(inputs, grads):
         em.contribute(tensor, grad, op)
-
-
-def _bwd_generic_unary(em, op):
-    (x,), (out,) = em._io(op)
-    grad_out = em.grad_of(out.id)
-    if grad_out is None:
-        return
-    grad_x = em.new_grad(x)
-    em.graph.add_op(
-        f"{op.name}.bwd", f"{op.op_type}_bwd", [grad_out, out], [grad_x],
-        phase="backward", forward_of=op.id,
-    )
-    em.contribute(x, grad_x, op)
 
 
 # ----------------------------------------------------------------------
@@ -1318,29 +1132,26 @@ _register(OpDef(
 ))
 _register(OpDef(
     "conv2d_relu", kernel=_k_conv2d_relu, characterize=_char_conv,
-    infer_shapes=_shape_conv2d, backward=_bwd_conv2d_relu,
-    efficiency=EFF_CONV, saved=(("input", 0), ("output", 0)),
+    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
     sibling_fused="conv2d_relu_siblings",
 ))
 _register(OpDef(
     "conv2d_bn", kernel=_k_conv2d_bn, characterize=_char_conv_bn,
-    infer_shapes=_shape_conv2d, backward=_bwd_conv2d_bn,
-    efficiency=EFF_CONV, saved=(("input", 0),),
+    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
 ))
 _register(OpDef(
     "conv2d_bn_relu", kernel=_k_conv2d_bn_relu, characterize=_char_conv_bn,
-    infer_shapes=_shape_conv2d, backward=_bwd_conv2d_bn_relu,
-    efficiency=EFF_CONV, saved=(("input", 0), ("output", 0)),
+    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
 ))
 _register(OpDef(
     "conv2d_siblings", kernel=_k_conv2d_siblings,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
-    backward=_bwd_conv2d_siblings, efficiency=EFF_CONV,
+    efficiency=EFF_CONV,
 ))
 _register(OpDef(
     "conv2d_relu_siblings", kernel=_k_conv2d_relu_siblings,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
-    backward=_bwd_conv2d_relu_siblings, efficiency=EFF_CONV,
+    efficiency=EFF_CONV,
 ))
 _register(OpDef(
     "batchnorm_eval", kernel=_k_batchnorm_eval,
@@ -1364,36 +1175,39 @@ _register(OpDef(
 ))
 _register(OpDef(
     "relu", kernel=_k_relu, characterize=_char_elementwise(2.0),
-    infer_shapes=_shape_same, backward=_bwd_relu,
+    infer_shapes=_shape_same, backward=_bwd_unary("relu_bwd"),
     inplace=True, saved=(("output", 0),), abstract_eval=_abs_relu,
 ))
 _register(OpDef(
     "sigmoid", kernel=_k_sigmoid, characterize=_char_elementwise(2.0, 4.0),
-    infer_shapes=_shape_same, backward=_bwd_generic_unary,
+    infer_shapes=_shape_same, backward=_bwd_unary("sigmoid_bwd"),
     saved=(("output", 0),), abstract_eval=_abs_sigmoid,
 ))
 _register(OpDef(
     "tanh", kernel=_k_tanh, characterize=_char_elementwise(2.0, 4.0),
-    infer_shapes=_shape_same, backward=_bwd_generic_unary,
+    infer_shapes=_shape_same, backward=_bwd_unary("tanh_bwd"),
     saved=(("output", 0),), abstract_eval=_abs_tanh,
 ))
 _register(OpDef(
     "maxpool2d", kernel=_k_maxpool2d, characterize=_char_pool,
-    infer_shapes=_shape_pool, backward=_bwd_maxpool2d,
+    infer_shapes=_shape_pool,
+    backward=_bwd_unary("maxpool2d_bwd", attrs=True),
     saved=(("input", 0),), abstract_eval=_abs_pool,
 ))
 _register(OpDef(
     "avgpool2d", kernel=_k_avgpool2d, characterize=_char_pool,
-    infer_shapes=_shape_pool, backward=_bwd_avgpool2d,
+    infer_shapes=_shape_pool,
+    backward=_bwd_unary("avgpool2d_bwd", attrs=True),
     abstract_eval=_abs_pool,
 ))
 _register(OpDef(
     "gap", kernel=_k_gap, characterize=_char_small,
-    infer_shapes=_shape_gap, backward=_bwd_gap, abstract_eval=_abs_same,
+    infer_shapes=_shape_gap, backward=_bwd_unary("gap_bwd"),
+    abstract_eval=_abs_same,
 ))
 _register(OpDef(
     "flatten", kernel=_k_flatten, characterize=_char_free,
-    infer_shapes=_shape_flatten, backward=_bwd_flatten,
+    infer_shapes=_shape_flatten, backward=_bwd_unary("flatten_bwd"),
     free=True, sharing=SHARE_ALIAS, inplace=True, abstract_eval=_abs_same,
 ))
 _register(OpDef(
@@ -1402,7 +1216,7 @@ _register(OpDef(
 ))
 _register(OpDef(
     "dropout", kernel=_k_dropout, characterize=_char_elementwise(2.0),
-    infer_shapes=_shape_dropout, backward=_bwd_dropout,
+    infer_shapes=_shape_dropout, backward=_bwd_unary("dropout_bwd"),
     inplace=True, saved=(("output", 1),), stochastic=True,
     abstract_eval=_abs_dropout,
 ))

@@ -61,7 +61,8 @@ def flatten_dense_body(model: Module) -> List[Module]:
     tiling are both receptive-field partitions, so the tiler subsumes
     the region), or any nesting of :class:`Sequential` over the window
     and elementwise leaf types.  Raises :class:`TypeError` on anything
-    else (residual blocks need a tile-aware handler; ROADMAP item).
+    else (residual blocks need a tile-aware handler; none exists and no
+    ROADMAP item plans one).
     """
     # Deferred import: SplitRegion lives beside the handlers that import
     # scheme machinery; keep the module graph acyclic.

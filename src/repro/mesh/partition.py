@@ -179,14 +179,13 @@ class MeshPartitioner:
 
     def __init__(self, num_devices: int, topology: str = "ring",
                  device: DeviceSpec = P100_NVLINK,
-                 scheduler: str = "hmms", verify: bool = False) -> None:
+                 scheduler: str = "hmms") -> None:
         if num_devices < 1:
             raise ValueError(f"need at least one device, got {num_devices}")
         self.num_devices = num_devices
         self.topology = topology
         self.device = device
         self.scheduler = scheduler
-        self.verify = verify
 
     # ------------------------------------------------------------------
     # data parallelism: replicas + gradient allreduce
@@ -218,15 +217,12 @@ class MeshPartitioner:
             for d in range(self.num_devices)
         ]
         transfers = self._allreduce_transfers(graph)
-        mesh_plan = MeshPlan(
+        return MeshPlan(
             strategy="data", topology=self.topology,
             num_devices=self.num_devices, model_name=model_name or graph.name,
             global_batch=batch * self.num_devices,
             assignments=assignments, transfers=transfers,
         )
-        if self.verify:
-            mesh_plan.verify()
-        return mesh_plan
 
     def _allreduce_transfers(self, graph: Graph) -> List[MeshTransfer]:
         """One bucket per final gradient tensor, ready when produced.
@@ -329,7 +325,7 @@ class MeshPartitioner:
                 f"mesh.patch{i}{j}",
                 (batch, in_channels, h_sizes[i], w_sizes[j]), kind="input")
             bindings.setdefault(d, {})[t_in.id] = ("patch", i, j)
-            value = b.emit_patch(region.body, back.payload, t_in, i, j)
+            value = b.emit(region.body, t_in, (back.payload, i, j))
             patch_out[(i, j)] = value
             outputs.setdefault(d, {})[("patch_out", i, j)] = value.id
 
@@ -426,15 +422,12 @@ class MeshPartitioner:
                 label=f"gather:patch{i}{j}"))
             tid += 1
 
-        mesh_plan = MeshPlan(
+        return MeshPlan(
             strategy="spatial", topology=self.topology,
             num_devices=n, model_name=model.name, global_batch=batch,
             assignments=assignments, transfers=transfers,
             spatial_schemes=(in_h.boundaries, in_w.boundaries,
                              in_hw[0], in_hw[1]))
-        if self.verify:
-            mesh_plan.verify()
-        return mesh_plan
 
     def _add_halo(self, transfers, tid, owner, batch, channels, area,
                   src_p, dst_p, bindings, first_use, label) -> int:
@@ -516,14 +509,11 @@ class MeshPartitioner:
                        if value.producer is not None else -1)
             previous = (stage, value.id, src_pos)
 
-        mesh_plan = MeshPlan(
+        return MeshPlan(
             strategy="pipeline", topology=self.topology,
             num_devices=self.num_devices, model_name=model.name,
             global_batch=batch, assignments=assignments,
             transfers=transfers)
-        if self.verify:
-            mesh_plan.verify()
-        return mesh_plan
 
 
 def _graph_batch(graph: Graph) -> int:

@@ -4,12 +4,14 @@ from typing import Callable, Dict
 
 from .alexnet import alexnet
 from .base import ConvClassifier
-from .resnet import BasicBlock, Bottleneck, resnet18, resnet34, resnet50
+from .resnet import (
+    BasicBlock, Bottleneck, ResidualBlock, resnet18, resnet34, resnet50,
+)
 from .small import small_resnet, small_vgg
 from .vgg import vgg11, vgg16, vgg19
 
 __all__ = [
-    "ConvClassifier", "BasicBlock", "Bottleneck",
+    "ConvClassifier", "ResidualBlock", "BasicBlock", "Bottleneck",
     "alexnet", "vgg11", "vgg16", "vgg19",
     "resnet18", "resnet34", "resnet50",
     "small_vgg", "small_resnet",

@@ -1,13 +1,16 @@
-"""ResNet family (He et al., 2016) with split-execution handlers.
+"""ResNet family (He et al., 2016) with the split-execution handler.
 
 Residual blocks are the reason the paper "only joins at residual block
 boundaries" (footnote 3): the skip connection forces the block's input and
 output split schemes to coincide, so blocks must be split as composite
-units.  :class:`BasicBlockHandler` / :class:`BottleneckHandler` implement
-that: schemes are propagated backwards through the main path, the shortcut
-convolution (1x1, possibly stride 2 — a ``k < s`` op that splits exactly)
-reuses the block-input scheme, and identity blocks force input scheme ==
-output scheme.
+units.  A block states its main path once, as ``stages`` — the ordered
+``(conv, bn)`` pairs, ReLU between consecutive stages — plus
+``downsample``; :class:`ResidualBlock.forward`, :class:`ResidualHandler`
+and the graph builder's residual emitter all walk that one list.  Schemes
+are propagated backwards through the main path, the shortcut convolution
+(1x1, possibly stride 2 — a ``k < s`` op that splits exactly) reuses the
+block-input scheme, and identity blocks force input scheme == output
+scheme.
 """
 
 from __future__ import annotations
@@ -16,24 +19,58 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.region import BackResult, SplitHandler, register_handler
-from ..core.scheme import SplitScheme, WindowSpec
+from ..core.region import (
+    BackResult, SplitHandler, WindowOpHandler, register_handler,
+    window_specs_of,
+)
+from ..core.scheme import SplitScheme
 from ..core.split_op import SplitPlan2d, plan_split_1d
 from ..nn import (
     BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, MaxPool2d, Module, ReLU,
     Sequential,
 )
-from ..tensor import Tensor, conv2d, relu
+from ..tensor import Tensor, relu
 from ..tensor.ops_nn import IntPair
 from .base import ConvClassifier
 
-__all__ = ["BasicBlock", "Bottleneck", "resnet18", "resnet34", "resnet50"]
+__all__ = ["ResidualBlock", "BasicBlock", "Bottleneck",
+           "resnet18", "resnet34", "resnet50"]
 
 
-class BasicBlock(Module):
-    """Two 3x3 convolutions with a residual connection (ResNet-18/34)."""
+class ResidualBlock(Module):
+    """``relu(main(x) + skip(x))`` with ``main`` = conv-bn stages joined
+    by ReLU and ``skip`` the identity or a 1x1 conv-bn ``downsample``."""
 
     expansion = 1
+    #: The main path in execution order (a property of each block type).
+    stages: List[Tuple[Conv2d, BatchNorm2d]]
+    relu: ReLU
+    downsample: Optional[Sequential]
+
+    def _make_shortcut(self, in_planes: int, planes: int, stride: int,
+                       rng: Optional[np.random.Generator]) -> None:
+        out_planes = planes * self.expansion
+        if stride != 1 or in_planes != out_planes:
+            self.downsample = Sequential(
+                Conv2d(in_planes, out_planes, 1, stride=stride, bias=False,
+                       rng=rng),
+                BatchNorm2d(out_planes),
+            )
+        else:
+            self.downsample = None
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = x
+        for index, (conv, bn) in enumerate(self.stages):
+            if index:
+                out = self.relu(out)
+            out = bn(conv(out))
+        identity = self.downsample(x) if self.downsample is not None else x
+        return relu(out + identity)
+
+
+class BasicBlock(ResidualBlock):
+    """Two 3x3 convolutions with a residual connection (ResNet-18/34)."""
 
     def __init__(self, in_planes: int, planes: int, stride: int = 1,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -46,23 +83,14 @@ class BasicBlock(Module):
         self.conv2 = Conv2d(planes, planes, 3, stride=1, padding=1,
                             bias=False, rng=rng)
         self.bn2 = BatchNorm2d(planes)
-        if stride != 1 or in_planes != planes * self.expansion:
-            self.downsample: Optional[Sequential] = Sequential(
-                Conv2d(in_planes, planes * self.expansion, 1, stride=stride,
-                       bias=False, rng=rng),
-                BatchNorm2d(planes * self.expansion),
-            )
-        else:
-            self.downsample = None
+        self._make_shortcut(in_planes, planes, stride, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        identity = self.downsample(x) if self.downsample is not None else x
-        return relu(out + identity)
+    @property
+    def stages(self) -> List[Tuple[Conv2d, BatchNorm2d]]:
+        return [(self.conv1, self.bn1), (self.conv2, self.bn2)]
 
 
-class Bottleneck(Module):
+class Bottleneck(ResidualBlock):
     """1x1 -> 3x3 -> 1x1 bottleneck with expansion 4 (ResNet-50/101/152)."""
 
     expansion = 4
@@ -79,134 +107,82 @@ class Bottleneck(Module):
         self.conv3 = Conv2d(planes, planes * self.expansion, 1, bias=False, rng=rng)
         self.bn3 = BatchNorm2d(planes * self.expansion)
         self.relu = ReLU()
-        if stride != 1 or in_planes != planes * self.expansion:
-            self.downsample: Optional[Sequential] = Sequential(
-                Conv2d(in_planes, planes * self.expansion, 1, stride=stride,
-                       bias=False, rng=rng),
-                BatchNorm2d(planes * self.expansion),
-            )
-        else:
-            self.downsample = None
+        self._make_shortcut(in_planes, planes, stride, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.relu(self.bn2(self.conv2(out)))
-        out = self.bn3(self.conv3(out))
-        identity = self.downsample(x) if self.downsample is not None else x
-        return relu(out + identity)
+    @property
+    def stages(self) -> List[Tuple[Conv2d, BatchNorm2d]]:
+        return [(self.conv1, self.bn1), (self.conv2, self.bn2),
+                (self.conv3, self.bn3)]
 
 
 # ----------------------------------------------------------------------
-# Split handlers
+# Split handler
 # ----------------------------------------------------------------------
-def _conv_specs(conv: Conv2d) -> Tuple[WindowSpec, WindowSpec]:
-    (pt, pb), (pl, pr) = conv.padding
-    return (
-        WindowSpec(conv.kernel_size[0], conv.stride[0], pt, pb),
-        WindowSpec(conv.kernel_size[1], conv.stride[1], pl, pr),
-    )
+_WINDOW = WindowOpHandler()
+
+Schemes = Tuple[SplitScheme, SplitScheme]
 
 
-def _trace_conv(conv: Conv2d, in_hw: IntPair) -> IntPair:
-    spec_h, spec_w = _conv_specs(conv)
-    return (spec_h.output_size(in_hw[0]), spec_w.output_size(in_hw[1]))
-
-
-def _plan_conv(conv: Conv2d, in_hw: IntPair, out_h: SplitScheme, out_w: SplitScheme,
-               position: float,
-               input_split: Optional[Tuple[SplitScheme, SplitScheme]] = None) -> SplitPlan2d:
-    spec_h, spec_w = _conv_specs(conv)
-    in_h = input_split[0] if input_split else None
-    in_w = input_split[1] if input_split else None
+def _plan_conv(conv: Conv2d, in_hw: IntPair, out: Schemes, position: float,
+               input_split: Optional[Schemes] = None) -> SplitPlan2d:
+    """Plan one conv of a block; ``input_split`` pins the input scheme
+    where the skip connection dictates it."""
+    spec_h, spec_w = window_specs_of(conv)
+    in_h, in_w = input_split or (None, None)
     return SplitPlan2d(
-        height=plan_split_1d(spec_h, in_hw[0], out_h, position, input_split=in_h),
-        width=plan_split_1d(spec_w, in_hw[1], out_w, position, input_split=in_w),
+        height=plan_split_1d(spec_h, in_hw[0], out[0], position, input_split=in_h),
+        width=plan_split_1d(spec_w, in_hw[1], out[1], position, input_split=in_w),
     )
 
 
-def _apply_conv(conv: Conv2d, x: Tensor, plan: SplitPlan2d, i: int, j: int) -> Tensor:
-    return conv2d(x, conv.weight, conv.bias, stride=conv.stride,
-                  padding=plan.patch_padding(i, j))
+class ResidualHandler(SplitHandler):
+    """Payload: one :class:`SplitPlan2d` per stage, then the shortcut
+    conv's plan (``None`` for an identity skip)."""
 
+    def trace(self, block: ResidualBlock, in_hw: IntPair) -> IntPair:
+        for conv, _ in block.stages:
+            in_hw = _WINDOW.trace(conv, in_hw)
+        return in_hw
 
-class BasicBlockHandler(SplitHandler):
-    def trace(self, block: BasicBlock, in_hw: IntPair) -> IntPair:
-        mid = _trace_conv(block.conv1, in_hw)
-        return _trace_conv(block.conv2, mid)
+    def back(self, block: ResidualBlock, scheme_h: SplitScheme,
+             scheme_w: SplitScheme, in_hw: IntPair, position: float) -> BackResult:
+        convs = [conv for conv, _ in block.stages]
+        sizes = [in_hw]
+        for conv in convs[:-1]:
+            sizes.append(_WINDOW.trace(conv, sizes[-1]))
+        out: Schemes = (scheme_h, scheme_w)
+        # Identity skip: block input scheme must equal its output scheme.
+        pinned = out if block.downsample is None else None
+        plans: List[SplitPlan2d] = []
+        schemes = out
+        for index in range(len(convs) - 1, -1, -1):
+            plan = _plan_conv(convs[index], sizes[index], schemes, position,
+                              input_split=pinned if index == 0 else None)
+            plans.insert(0, plan)
+            schemes = (plan.height.input_split, plan.width.input_split)
+        plan_ds = None
+        if block.downsample is not None:
+            plan_ds = _plan_conv(block.downsample[0], in_hw, out, position,
+                                 input_split=schemes)
+        return BackResult(schemes[0], schemes[1], (*plans, plan_ds))
 
-    def back(self, block: BasicBlock, scheme_h: SplitScheme, scheme_w: SplitScheme,
-             in_hw: IntPair, position: float) -> BackResult:
-        mid_hw = _trace_conv(block.conv1, in_hw)
-        plan2 = _plan_conv(block.conv2, mid_hw, scheme_h, scheme_w, position)
-        mid_schemes = (plan2.height.input_split, plan2.width.input_split)
-        if block.downsample is None:
-            # Identity skip: block input scheme must equal its output scheme.
-            in_schemes = (scheme_h, scheme_w)
-            plan1 = _plan_conv(block.conv1, in_hw, *mid_schemes, position,
-                               input_split=in_schemes)
-            plan_ds = None
-        else:
-            plan1 = _plan_conv(block.conv1, in_hw, *mid_schemes, position)
-            in_schemes = (plan1.height.input_split, plan1.width.input_split)
-            plan_ds = _plan_conv(block.downsample[0], in_hw, scheme_h, scheme_w,
-                                 position, input_split=in_schemes)
-        return BackResult(in_schemes[0], in_schemes[1], (plan1, plan2, plan_ds))
-
-    def apply(self, block: BasicBlock, x: Tensor, payload: Any, i: int, j: int) -> Tensor:
-        plan1, plan2, plan_ds = payload
-        out = block.relu(block.bn1(_apply_conv(block.conv1, x, plan1, i, j)))
-        out = block.bn2(_apply_conv(block.conv2, out, plan2, i, j))
-        if block.downsample is None:
-            identity = x
-        else:
-            identity = block.downsample[1](
-                _apply_conv(block.downsample[0], x, plan_ds, i, j)
-            )
-        return relu(out + identity)
-
-
-class BottleneckHandler(SplitHandler):
-    def trace(self, block: Bottleneck, in_hw: IntPair) -> IntPair:
-        mid = _trace_conv(block.conv1, in_hw)
-        mid = _trace_conv(block.conv2, mid)
-        return _trace_conv(block.conv3, mid)
-
-    def back(self, block: Bottleneck, scheme_h: SplitScheme, scheme_w: SplitScheme,
-             in_hw: IntPair, position: float) -> BackResult:
-        mid1_hw = _trace_conv(block.conv1, in_hw)
-        mid2_hw = _trace_conv(block.conv2, mid1_hw)
-        plan3 = _plan_conv(block.conv3, mid2_hw, scheme_h, scheme_w, position)
-        mid2_schemes = (plan3.height.input_split, plan3.width.input_split)
-        plan2 = _plan_conv(block.conv2, mid1_hw, *mid2_schemes, position)
-        mid1_schemes = (plan2.height.input_split, plan2.width.input_split)
-        if block.downsample is None:
-            in_schemes = (scheme_h, scheme_w)
-            plan1 = _plan_conv(block.conv1, in_hw, *mid1_schemes, position,
-                               input_split=in_schemes)
-            plan_ds = None
-        else:
-            plan1 = _plan_conv(block.conv1, in_hw, *mid1_schemes, position)
-            in_schemes = (plan1.height.input_split, plan1.width.input_split)
-            plan_ds = _plan_conv(block.downsample[0], in_hw, scheme_h, scheme_w,
-                                 position, input_split=in_schemes)
-        return BackResult(in_schemes[0], in_schemes[1], (plan1, plan2, plan3, plan_ds))
-
-    def apply(self, block: Bottleneck, x: Tensor, payload: Any, i: int, j: int) -> Tensor:
-        plan1, plan2, plan3, plan_ds = payload
-        out = block.relu(block.bn1(_apply_conv(block.conv1, x, plan1, i, j)))
-        out = block.relu(block.bn2(_apply_conv(block.conv2, out, plan2, i, j)))
-        out = block.bn3(_apply_conv(block.conv3, out, plan3, i, j))
+    def apply(self, block: ResidualBlock, x: Tensor, payload: Any,
+              i: int, j: int) -> Tensor:
+        *plans, plan_ds = payload
+        out = x
+        for index, ((conv, bn), plan) in enumerate(zip(block.stages, plans)):
+            if index:
+                out = block.relu(out)
+            out = bn(_WINDOW.apply(conv, out, plan, i, j))
         if block.downsample is None:
             identity = x
         else:
-            identity = block.downsample[1](
-                _apply_conv(block.downsample[0], x, plan_ds, i, j)
-            )
+            ds_conv, ds_bn = block.downsample
+            identity = ds_bn(_WINDOW.apply(ds_conv, x, plan_ds, i, j))
         return relu(out + identity)
 
 
-register_handler(BasicBlock, BasicBlockHandler())
-register_handler(Bottleneck, BottleneckHandler())
+register_handler(ResidualBlock, ResidualHandler())
 
 
 # ----------------------------------------------------------------------

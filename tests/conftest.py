@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graph import build_training_graph
+from repro.graph.executor import GraphExecutor
+from repro.nn import CrossEntropyLoss
 from repro.tensor import Tensor
 
 
@@ -43,6 +46,35 @@ def gradcheck(make_output, x0: np.ndarray, rtol: float = 1e-4,
 
     numeric = numeric_gradient(scalar, x0)
     np.testing.assert_allclose(tensor.grad, numeric, rtol=rtol, atol=atol)
+
+
+def to_float64(model):
+    for param in model.parameters():
+        param.data = param.data.astype(np.float64)
+    for _, buf in model.named_buffers():
+        buf.data = buf.data.astype(np.float64)
+    return model
+
+
+def autograd_step(model, x, y):
+    """Loss and per-parameter gradients of one eager training step."""
+    model.train()
+    model.zero_grad()
+    loss = CrossEntropyLoss()(model(Tensor(x, dtype=np.float64)), y)
+    loss.backward()
+    grads = [p.grad.copy() for _, p in model.named_parameters()]
+    return loss.item(), grads
+
+
+def executor_step(model, x, y, patch_order="depth_first", **executor_kwargs):
+    """The same step through the IR: ``(loss, gradients, graph)``."""
+    graph = build_training_graph(model, len(x), patch_order=patch_order)
+    params = GraphExecutor.parameters_from_model(graph, model)
+    outputs = GraphExecutor(graph, params, **executor_kwargs).run(x, y)
+    ordered = [t for t in sorted(graph.tensors.values(), key=lambda t: t.id)
+               if t.kind == "parameter"]
+    grads = [outputs[f"grad({t.name})"] for t in ordered]
+    return float(outputs["loss"][0]), grads, graph
 
 
 @pytest.fixture

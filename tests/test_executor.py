@@ -4,41 +4,13 @@ tests for the measured (§4.3-style) cost model."""
 import numpy as np
 import pytest
 
+from conftest import autograd_step, executor_step, to_float64
 from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.graph.executor import GraphExecutor
 from repro.hmms import HMMSPlanner
 from repro.models import small_resnet, small_vgg
-from repro.nn import CrossEntropyLoss
 from repro.profile.measured import MeasuredCostModel
-from repro.tensor import Tensor
-
-
-def _to_float64(model):
-    for param in model.parameters():
-        param.data = param.data.astype(np.float64)
-    for _, buf in model.named_buffers():
-        buf.data = buf.data.astype(np.float64)
-    return model
-
-
-def _autograd_step(model, x, y):
-    model.train()
-    model.zero_grad()
-    loss = CrossEntropyLoss()(model(Tensor(x, dtype=np.float64)), y)
-    loss.backward()
-    grads = [p.grad.copy() for _, p in model.named_parameters()]
-    return loss.item(), grads
-
-
-def _executor_step(model, x, y, batch):
-    graph = build_training_graph(model, batch)
-    params = GraphExecutor.parameters_from_model(graph, model)
-    outputs = GraphExecutor(graph, params).run(x, y)
-    ordered = [t for t in sorted(graph.tensors.values(), key=lambda t: t.id)
-               if t.kind == "parameter"]
-    grads = [outputs[f"grad({t.name})"] for t in ordered]
-    return float(outputs["loss"][0]), grads, graph
 
 
 class TestCrossValidation:
@@ -49,11 +21,11 @@ class TestCrossValidation:
     @pytest.mark.parametrize("make", [small_vgg, small_resnet])
     def test_loss_and_gradients_match(self, make):
         rng = np.random.default_rng(0)
-        model = _to_float64(make(num_classes=4, rng=rng))
+        model = to_float64(make(num_classes=4, rng=rng))
         x = rng.standard_normal((3, 3, 32, 32))
         y = np.array([0, 2, 1])
-        auto_loss, auto_grads = _autograd_step(model, x, y)
-        exec_loss, exec_grads, _ = _executor_step(model, x, y, 3)
+        auto_loss, auto_grads = autograd_step(model, x, y)
+        exec_loss, exec_grads, _ = executor_step(model, x, y)
         assert exec_loss == pytest.approx(auto_loss, rel=1e-12)
         assert len(auto_grads) == len(exec_grads)
         for auto, executed in zip(auto_grads, exec_grads):
@@ -62,12 +34,12 @@ class TestCrossValidation:
     def test_split_model_graph_matches_split_autograd(self):
         """The split/concat IR path must agree with SplitRegion numerics."""
         rng = np.random.default_rng(1)
-        base = _to_float64(small_vgg(num_classes=4, rng=rng))
+        base = to_float64(small_vgg(num_classes=4, rng=rng))
         model = to_split_cnn(base, depth=0.5, num_splits=(2, 2))
         x = rng.standard_normal((2, 3, 32, 32))
         y = np.array([1, 3])
-        auto_loss, auto_grads = _autograd_step(model, x, y)
-        exec_loss, exec_grads, _ = _executor_step(model, x, y, 2)
+        auto_loss, auto_grads = autograd_step(model, x, y)
+        exec_loss, exec_grads, _ = executor_step(model, x, y)
         assert exec_loss == pytest.approx(auto_loss, rel=1e-10)
         for auto, executed in zip(auto_grads, exec_grads):
             np.testing.assert_allclose(executed, auto, rtol=1e-8, atol=1e-10)
