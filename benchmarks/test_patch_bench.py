@@ -49,21 +49,23 @@ def test_patch_bench_over_capacity_demonstration(benchmark):
                     report = inferer.plan_dense((side, side), grid)
                 except ValueError:
                     rows.append((f"{grid[0]}x{grid[1]}",
-                                 budget >> 20, None, None, None))
+                                 budget >> 20, None, None, None, None))
                     continue
                 rows.append((f"{grid[0]}x{grid[1]}", budget >> 20,
-                             report.patch_batch,
+                             report.patch_batch, report.join_depth,
                              report.peak_bytes / float(1 << 20),
                              report.latency * 1e3))
         return single, side, unsplit_peak, rows
 
     single, side, unsplit_peak, rows = run_once(benchmark, measure)
     save_and_print("patch_bench_smoke", format_table(
-        ["grid", "budget MiB", "patch batch", "peak MiB", "latency ms"],
+        ["grid", "budget MiB", "patch batch", "join", "peak MiB",
+         "latency ms"],
         [(g, b, pb if pb is not None else "-",
+          join if join is not None else "-",
           f"{pk:.1f}" if pk is not None else "UNSERVABLE",
           f"{lat:.3f}" if lat is not None else "-")
-         for g, b, pb, pk, lat in rows],
+         for g, b, pb, join, pk, lat in rows],
         title=(f"Patch bench — {side}x{side} input "
                f"(4x the {single}x{single} single-pass max)"),
     ))
@@ -72,7 +74,7 @@ def test_patch_bench_over_capacity_demonstration(benchmark):
     # ...yet some grid serves it under every budget in the sweep,
     # including the smallest, with the planned peak inside the budget.
     by_budget = {}
-    for grid, budget_mib, patch_batch, peak_mib, _ in rows:
+    for grid, budget_mib, patch_batch, _, peak_mib, _ in rows:
         served = peak_mib is not None and peak_mib <= budget_mib
         by_budget[budget_mib] = by_budget.get(budget_mib, False) or served
     assert all(by_budget.values())

@@ -16,7 +16,7 @@ Codes:
 - ``SCA502`` — an SLO deadline the modelled inference latency can never
   meet (error at batch 1, warning when only the capped bucket overruns);
 - ``SCA503`` — a planned graph's device peak exceeds its owner's memory
-  budget (serving bucket or patch-variant plan);
+  budget (serving bucket, patch-variant plan or unsplit tail);
 - ``SCA504`` — a plan-cache key that does not end with a pipeline
   fingerprint.
 
@@ -26,7 +26,7 @@ must stay importable without pulling the serving stack in.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .diagnostics import SEV_WARNING, Diagnostic
 
@@ -141,30 +141,31 @@ def lint_dense_config(inferer: "PatchInferer", in_hw: Tuple[int, int],
                       overlap: int = 0) -> List[Diagnostic]:
     """Budget and cache-key checks for one dense (patched) workload.
 
-    Statically proves the configured ``patch_batch`` feasible for every
-    patch variant of the grid — the check :meth:`max_patch_batch` does
-    with a runtime ``ValueError`` mid-request today."""
-    from ..infer.splitter import GridSplitter
-
+    Reads the inferer's own decision (``_dense_plan``: join depth, head
+    variants, patch batch, tail) rather than re-deriving it, and
+    statically proves every entry the stream will run — each head
+    variant at each bucket it uses, and the unsplit tail — inside the
+    budget: the check :meth:`max_patch_batch` does with a runtime
+    ``ValueError`` mid-request today."""
     findings: List[Diagnostic] = []
     label = f"dense {getattr(inferer.model, 'name', '?')!r} grid {grid}"
-    plan = GridSplitter(grid, overlap).plan(inferer.model, in_hw)
-    tiles = plan.variants()
-    variants = list(tiles)
-    batch: Optional[int] = None
     try:
-        batch = inferer.max_patch_batch(
-            variants, max(len(group) for group in tiles.values()))
+        tiles, variants, patch_batch, tail, _ = inferer._dense_plan(
+            in_hw, grid, overlap)
     except ValueError as exc:
         findings.append(Diagnostic("SCA503", f"{label}: {exc}"))
-    if batch is not None:
-        for variant in variants:
-            entry = inferer.entry_for(variant, batch)
+    else:
+        entries = [entry for _, entry
+                   in inferer._executions(variants, patch_batch)]
+        if tail is not None:
+            entries.append(tail)
+        for entry in entries:
             if entry.plan.device_peak > inferer.memory_budget:
                 findings.append(Diagnostic(
                     "SCA503",
-                    f"{label}: variant {variant} at patch batch {batch} "
-                    f"plans {entry.plan.device_peak} bytes, over the "
+                    f"{label}: join_depth {tiles.depth}: graph "
+                    f"{entry.graph.name!r} at batch {entry.batch} plans "
+                    f"{entry.plan.device_peak} bytes, over the "
                     f"{inferer.memory_budget}-byte budget"))
     findings.extend(check_cache_keys(inferer.cache, label))
     return findings

@@ -903,9 +903,10 @@ def _cmd_patch_bench(args) -> int:
 
     served_target = False
     for budget in budgets:
-        # One inferer serves every budget: variant plans do not depend
-        # on the budget (only the patch-batch search reads it), so the
-        # sweep shares one plan cache.
+        # One inferer serves every budget: the budget picks the join
+        # depth and the patch batch, and a variant's cache key carries
+        # both (its paddings are its depth), so plans of one budget are
+        # never served to another and the sweep shares one plan cache.
         inferer.memory_budget = budget
         for grid in grids:
             for overlap in overlaps:
@@ -925,6 +926,7 @@ def _cmd_patch_bench(args) -> int:
                       f"patches={report.patches} "
                       f"variants={report.variants} "
                       f"patch_batch={report.patch_batch} "
+                      f"join_depth={report.join_depth} "
                       f"executions={report.executions} "
                       f"peak_gib={report.peak_bytes / gib:.3f} "
                       f"latency_ms={report.latency * 1e3:.2f}")

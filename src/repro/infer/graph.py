@@ -62,7 +62,9 @@ def _build(name: str, layers: List[Module], paddings: List[LayerPadding],
 def build_dense_graph(model: Module, layers: List[Module], batch: int,
                       in_hw: Tuple[int, int], in_channels: int = 3,
                       ) -> Tuple[Graph, Dict[str, np.ndarray]]:
-    """Unsplit full-input dense graph — the identity-test reference."""
+    """Unsplit graph of ``layers`` over one whole plane: the full body on
+    the image (the identity-test reference) or the suffix a tiled head
+    joins into, on the join plane."""
     paddings: List[LayerPadding] = [
         layer.padding if isinstance(layer, (Conv2d, MaxPool2d, AvgPool2d))
         else None
@@ -76,13 +78,14 @@ def build_dense_graph(model: Module, layers: List[Module], batch: int,
 def build_patch_graph(model: Module, layers: List[Module],
                       variant: PatchVariant, batch: int, in_channels: int = 3,
                       ) -> Tuple[Graph, Dict[str, np.ndarray]]:
-    """Per-tile graph for one :class:`PatchVariant`, ``batch`` tiles deep."""
-    if len(variant.layer_paddings) != len(layers):
+    """Per-tile graph for one :class:`PatchVariant`, ``batch`` tiles deep:
+    the layers the variant carries paddings for (its join depth)."""
+    if len(variant.layer_paddings) > len(layers):
         raise ValueError(
             f"variant carries {len(variant.layer_paddings)} layer paddings "
             f"for a body of {len(layers)} layers")
     graph, builder = _build(
         f"{getattr(model, 'name', 'dense')}:patch{variant.in_shape}",
-        layers, list(variant.layer_paddings), batch, variant.in_shape,
-        in_channels)
+        layers[:len(variant.layer_paddings)], list(variant.layer_paddings),
+        batch, variant.in_shape, in_channels)
     return graph, params_for_builder(builder, model)

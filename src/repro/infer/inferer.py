@@ -24,6 +24,13 @@ A variant whose tiles do not fill the patch batch runs its short last
 chunk on the smallest dyadic bucket that holds it — an entry the search
 already planned — so an image costs the patches it has, not the largest
 batch the device could take (``docs/patch_inference.md``).
+
+The join depth is discovered too (the paper splits only "the first
+``d`` fraction" of the layers, §3): tiles run ``layers[:depth]`` for the
+shallowest :func:`~repro.infer.splitter.join_candidates` depth whose
+unsplit tail — ``layers[depth:]`` over the whole join plane, once per
+image — plans inside the budget, and are merged on the host, where the
+input already lives; when no tail fits they run the full body.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from ..profile.device import DeviceSpec, P100_NVLINK
 from .graph import build_dense_graph, build_patch_graph
 from .merger import BlendMerger
 from .splitter import (
-    GridSplitter, PatchSpec, PatchVariant, flatten_dense_body,
+    GridSplitter, PatchPlan, PatchSpec, PatchVariant, flatten_dense_body,
+    join_candidates,
 )
 
 __all__ = ["DenseReport", "PatchInferer"]
@@ -52,9 +60,21 @@ PATCH_BATCH_CAP = 64
 Variants = Dict[PatchVariant, List[PatchSpec]]
 
 
+# One (input size, grid, overlap), decided: the tiling of layers[:depth],
+# its variants, the patch batch, the entry of layers[depth:] (None at full
+# depth) and the full body's output plane.
+_DensePlan = Tuple[PatchPlan, Variants, int, Optional[PlannedEntry],
+                   Tuple[int, int]]
+
+
 @dataclass
 class DenseReport:
-    """What serving one dense input costs under the bounded plan."""
+    """What serving one dense input costs under the bounded plan.
+
+    The first ``join_depth`` layers run tiled, the rest once per image,
+    unsplit, on the merged join plane: ``executions``, ``peak_bytes`` and
+    ``latency`` count that tail execution too; the patch fields do not.
+    """
 
     in_hw: Tuple[int, int]
     out_hw: Tuple[int, int]
@@ -67,6 +87,7 @@ class DenseReport:
     padded_patches: int                # zero slots of short last chunks
     peak_bytes: int                    # max planned device peak, entries run
     latency: float                     # simulated seconds, entries run
+    join_depth: int                    # layers run tiled
 
 
 class PatchInferer:
@@ -80,8 +101,9 @@ class PatchInferer:
         :class:`~repro.planned.PlanCore` (documented there); without
         ``numeric`` only ``plan_dense`` costs inputs, symbolically.  (A
         serving engine's dense inferer shares the engine's whole core.)
-    memory_budget: device bytes a patch-batch plan may use.  Defaults to
-        the whole device; a fleet replica hands the inferer its share.
+    memory_budget: device bytes a plan the stream runs (a patch batch,
+        the unsplit tail) may use.  Defaults to the whole device; a fleet
+        replica hands the inferer its share.
     patch_batch: fixed patches per full execution; ``None`` discovers
         the largest dyadic size whose plan fits the budget and some
         variant of the grid can fill.
@@ -140,11 +162,24 @@ class PatchInferer:
     # Planning
     # ------------------------------------------------------------------
     def entry_for(self, variant: PatchVariant, batch: int) -> PlannedEntry:
-        """Cached plan for one tile variant at one patch-batch size."""
+        """Cached plan for one tile variant at one patch-batch size (the
+        variant's paddings say how deep its graph runs)."""
         return self.core.entry(
             (self._name, "dense-patch", variant, batch),
             lambda: build_patch_graph(self.model, self.layers, variant,
                                       batch, self.in_channels))
+
+    def _suffix_entry(self, depth: int, plane_hw: Tuple[int, int],
+                      batch: int = 1) -> PlannedEntry:
+        """Cached plan for ``layers[depth:]`` unsplit over a whole
+        ``plane_hw`` plane (the output of ``layers[:depth]``)."""
+        convs = [layer for layer in self.layers[:depth]
+                 if isinstance(layer, Conv2d)]
+        channels = convs[-1].out_channels if convs else self.in_channels
+        return self.core.entry(
+            (self._name, "dense-suffix", tuple(plane_hw), batch, depth),
+            lambda: build_dense_graph(self.model, self.layers[depth:],
+                                      batch, plane_hw, channels))
 
     def unsplit_entry(self, in_hw: Tuple[int, int],
                       batch: int = 1) -> PlannedEntry:
@@ -154,10 +189,7 @@ class PatchInferer:
         it deliberately does not, which is the point of comparison; its
         peak is what the patch path is measured against.
         """
-        return self.core.entry(
-            (self._name, "dense-full", tuple(in_hw), batch),
-            lambda: build_dense_graph(self.model, self.layers, batch,
-                                      in_hw, self.in_channels))
+        return self._suffix_entry(0, in_hw, batch)
 
     # ------------------------------------------------------------------
     # Capacity
@@ -179,7 +211,8 @@ class PatchInferer:
             if peak > self.memory_budget:
                 raise ValueError(
                     f"{self._name}: configured patch_batch "
-                    f"{self.patch_batch} needs {peak} bytes, over the "
+                    f"{self.patch_batch} needs {peak} bytes at join_depth "
+                    f"{len(variants[0].layer_paddings)}, over the "
                     f"{self.memory_budget}-byte budget")
             return self.patch_batch
         return max(dyadic_search(
@@ -206,16 +239,33 @@ class PatchInferer:
     # ------------------------------------------------------------------
     # Planning / execution
     # ------------------------------------------------------------------
-    def _patch_batch(self, variants: Variants) -> int:
-        return self.max_patch_batch(
-            list(variants), max(len(tiles) for tiles in variants.values()))
+    def _dense_plan(self, in_hw: Tuple[int, int], grid: Tuple[int, int],
+                    overlap: int) -> _DensePlan:
+        """What ``plan_dense``, ``infer`` and the config linter all read.
+
+        First fit over the join candidates, shallowest first, probing
+        through the cache: tiles stop at the first depth whose tail fits
+        the budget (the full body has none and closes the walk); then
+        the patch batch, over the variants of that head.
+        """
+        candidates = join_candidates(self.layers, in_hw)
+        for depth, plane_hw in candidates:
+            tail = self._suffix_entry(depth, plane_hw) \
+                if depth < len(self.layers) else None
+            if tail is None or tail.plan.device_peak <= self.memory_budget:
+                break
+        tiles = GridSplitter(grid, overlap).plan(self.model, in_hw, depth)
+        variants = tiles.variants()
+        patch_batch = self.max_patch_batch(
+            list(variants), max(len(group) for group in variants.values()))
+        return tiles, variants, patch_batch, tail, candidates[-1][1]
 
     def _executions(self, variants: Variants, patch_batch: int,
                     ) -> Iterator[Tuple[List[PatchSpec], PlannedEntry]]:
-        """Every execution of one image: its tiles and the entry they
-        run on.  Full chunks run at ``patch_batch``; a variant's short
-        last chunk at the smallest dyadic bucket holding it, which the
-        patch-batch search planned on its way up."""
+        """Every tiled execution of one image: its tiles and the entry
+        they run on.  Full chunks run at ``patch_batch``; a variant's
+        short last chunk at the smallest dyadic bucket holding it, which
+        the patch-batch search planned on its way up."""
         for variant, tiles in variants.items():
             for lo in range(0, len(tiles), patch_batch):
                 chunk = tiles[lo:lo + patch_batch]
@@ -225,20 +275,21 @@ class PatchInferer:
     def plan_dense(self, in_hw: Tuple[int, int], grid: Tuple[int, int],
                    overlap: int = 0) -> DenseReport:
         """Cost one dense input symbolically: no numerics, plans only."""
-        plan = GridSplitter(grid, overlap).plan(self.model, in_hw)
-        variants = plan.variants()
-        patch_batch = self._patch_batch(variants)
+        tiles, variants, patch_batch, tail, out_hw = \
+            self._dense_plan(in_hw, grid, overlap)
         entries = [entry
                    for _, entry in self._executions(variants, patch_batch)]
+        padded = sum(entry.batch for entry in entries) - tiles.num_patches
+        if tail is not None:
+            entries.append(tail)
         return DenseReport(
-            in_hw=plan.in_hw, out_hw=plan.out_hw, grid=plan.grid,
-            overlap=plan.overlap, patches=plan.num_patches,
+            in_hw=tiles.in_hw, out_hw=out_hw, grid=tiles.grid,
+            overlap=tiles.overlap, patches=tiles.num_patches,
             variants=len(variants), patch_batch=patch_batch,
-            executions=len(entries),
-            padded_patches=sum(entry.batch for entry in entries)
-            - plan.num_patches,
+            executions=len(entries), padded_patches=padded,
             peak_bytes=max(entry.plan.device_peak for entry in entries),
-            latency=sum(entry.latency for entry in entries))
+            latency=sum(entry.latency for entry in entries),
+            join_depth=tiles.depth)
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -263,17 +314,17 @@ class PatchInferer:
               merge: Union[str, BlendMerger] = "valid") -> np.ndarray:
         """Stream ``x`` through per-tile graphs; returns ``(N, C, H, W)``.
 
-        Peak activation memory is one patch batch of one variant — the
-        bounded plan — regardless of the input size.
+        Peak activation memory is one patch batch of one variant or the
+        unsplit tail — the bounded plan — regardless of the input size.
+        ``overlap`` and ``merge`` act where the tiles join: on the
+        discovered depth's output plane, merged on the host.
         """
         if not self.core.numeric:
             raise ValueError("infer() needs numeric=True; use plan_dense "
                              "for symbolic costing")
         x = self._check_input(x)
-        plan = GridSplitter(grid, overlap).plan(
-            self.model, (x.shape[2], x.shape[3]))
-        variants = plan.variants()
-        patch_batch = self._patch_batch(variants)
+        tiles, variants, patch_batch, tail, _ = self._dense_plan(
+            (x.shape[2], x.shape[3]), grid, overlap)
         merger = merge if isinstance(merge, BlendMerger) \
             else BlendMerger(merge)
         merged: List[np.ndarray] = []
@@ -293,7 +344,12 @@ class PatchInferer:
                 entry.executor.release_intermediates()
                 self.executed_patches += len(chunk)
                 self.padded_patches += entry.batch - len(chunk)
-            merged.append(merger.merge(plan, outputs))
+            joined = merger.merge(tiles, outputs)
+            if tail is not None:
+                joined = tail.executor.run(
+                    joined[np.newaxis])["logits"][0].copy()
+                tail.executor.release_intermediates()
+            merged.append(joined)
         return np.stack(merged)
 
     def run_unsplit(self, x: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ from ..nn import (
 
 __all__ = [
     "GridSplitter", "PatchPlan", "PatchSpec", "PatchVariant",
-    "flatten_dense_body", "WINDOW_TYPES", "ELEMENTWISE_TYPES",
+    "flatten_dense_body", "join_candidates", "WINDOW_TYPES",
+    "ELEMENTWISE_TYPES",
 ]
 
 WINDOW_TYPES = (Conv2d, MaxPool2d, AvgPool2d)
@@ -149,6 +150,11 @@ class PatchPlan:
     def num_patches(self) -> int:
         return len(self.tiles)
 
+    @property
+    def depth(self) -> int:
+        """How many layers of the body the tiles run."""
+        return len(self.tiles[0].layer_paddings)
+
     def variants(self) -> Dict[PatchVariant, List[PatchSpec]]:
         """Tiles grouped by graph identity, insertion-ordered."""
         groups: Dict[PatchVariant, List[PatchSpec]] = {}
@@ -209,6 +215,29 @@ def _back_axis(specs: List[Optional[WindowSpec]], sizes: List[int],
     return start, stop, tuple(paddings)
 
 
+def join_candidates(layers: List[Module], in_hw: Tuple[int, int],
+                    ) -> List[Tuple[int, Tuple[int, int]]]:
+    """Depths at which a tiled head may join, shallowest first, each with
+    the plane ``layers[:depth]`` produces.
+
+    A candidate sits just before a window layer whose input plane is
+    smaller than the previous candidate's (the image, at first): after a
+    down-sampling stage and the elementwise layers that follow it, so no
+    conv + activation pair is cut.  The full body closes the list; depth
+    0 (nothing tiled) is not in it.
+    """
+    specs_h, specs_w = _axis_specs(layers)
+    sizes_h = _axis_sizes(specs_h, int(in_hw[0]))
+    sizes_w = _axis_sizes(specs_w, int(in_hw[1]))
+    candidates: List[Tuple[int, Tuple[int, int]]] = []
+    area = sizes_h[0] * sizes_w[0]
+    for depth, spec in enumerate(specs_h):
+        if spec is not None and sizes_h[depth] * sizes_w[depth] < area:
+            area = sizes_h[depth] * sizes_w[depth]
+            candidates.append((depth, (sizes_h[depth], sizes_w[depth])))
+    return candidates + [(len(layers), (sizes_h[-1], sizes_w[-1]))]
+
+
 class GridSplitter:
     """Tile a dense model's output plane into a ``grid`` of patches.
 
@@ -235,9 +264,20 @@ class GridSplitter:
         self.grid = grid
         self.overlap = int(overlap)
 
-    def plan(self, model: Module, in_hw: Tuple[int, int]) -> PatchPlan:
-        """Tile ``model``'s dense body for an ``in_hw`` input."""
+    def plan(self, model: Module, in_hw: Tuple[int, int],
+             depth: Optional[int] = None) -> PatchPlan:
+        """Tile ``model``'s dense body for an ``in_hw`` input.
+
+        ``depth`` tiles the output plane of the first ``depth`` layers
+        instead (halos walk back through those layers only, and
+        ``out_hw`` is that plane); ``None`` is the full body.
+        """
         layers = flatten_dense_body(model)
+        if depth is not None:
+            if not 0 < depth <= len(layers):
+                raise ValueError(
+                    f"depth must be in 1..{len(layers)}, got {depth}")
+            layers = layers[:depth]
         specs_h, specs_w = _axis_specs(layers)
         sizes_h = _axis_sizes(specs_h, int(in_hw[0]))
         sizes_w = _axis_sizes(specs_w, int(in_hw[1]))

@@ -142,8 +142,13 @@ def dyadic_search(peak_of: Callable[[int], int], budget: int,
     means the size is too small to build at all (a window larger than the
     input) and the size is skipped, not counted as a misfit.  Raises
     ``ValueError`` when nothing fits (the last rejection itself when no
-    size could even be measured).
+    size could even be measured) and when ``start`` is already past ``cap``
+    (nothing would be measured, so the budget is not to blame).
     """
+    if start > cap:
+        raise ValueError(
+            f"search start {start} exceeds cap {cap}: nothing to measure "
+            f"({what})")
     peaks: Dict[int, int] = {}
     rejection: Optional[ValueError] = None
     size = start

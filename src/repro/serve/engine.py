@@ -182,7 +182,8 @@ class ServingEngine:
         Counter semantics mirror the classification path: the whole
         request is one engine batch, each patch is an image, and the
         zero slots of a variant's short last chunk (run at its own
-        dyadic bucket) are padded images.
+        dyadic bucket) are padded images; the unsplit tail past the
+        inferer's join depth is priced in the latency and is neither.
         """
         inferer = self.dense_inferer
         report = inferer.plan_dense(request.image_hw, request.grid,

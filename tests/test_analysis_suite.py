@@ -436,19 +436,46 @@ class TestConfigLint:
         model = _model("small_vgg")
         probe = PatchInferer(model)
         grid, in_hw = (2, 2), (32, 32)
-        variants = list(GridSplitter(grid, 0).plan(model, in_hw).variants())
+        depth = probe.plan_dense(in_hw, grid).join_depth
+        variants = list(GridSplitter(grid, 0).plan(
+            model, in_hw, depth=depth).variants())
         feasible = probe.max_patch_batch(variants)
         inferer = PatchInferer(
             model, patch_batch=feasible + 1,
             memory_budget=probe.entry_for(variants[0], feasible)
             .plan.device_peak)
         findings = lint_dense_config(inferer, in_hw, grid)
-        assert any(f.code == "SCA503" for f in findings)
+        assert any(f.code == "SCA503" and f"join_depth {depth}" in f.message
+                   for f in findings)
 
     def test_clean_dense_config(self):
         model = _model("small_vgg")
         inferer = PatchInferer(model)
         assert not lint_dense_config(inferer, (32, 32), (2, 2))
+        # The linter read the inferer's own decision, tail included: the
+        # report plans nothing the lint had not.
+        misses = inferer.cache.misses
+        report = inferer.plan_dense((32, 32), (2, 2))
+        assert report.join_depth < len(inferer.layers)
+        assert inferer.cache.misses == misses == report.executions
+
+    def test_clean_dense_config_when_only_the_full_body_fits(self):
+        """A configured patch batch the head fits, under a budget below
+        every candidate's tail: the tiles run the whole body and there
+        is no tail to flag."""
+        model = _model("small_vgg")
+        in_hw, grid, overlap = (256, 256), (4, 4), 1
+        probe = PatchInferer(model, numeric=False)
+        budget = max(
+            probe.entry_for(variant, 1).plan.device_peak
+            for variant in GridSplitter(grid, overlap).plan(
+                model, in_hw).variants())
+        inferer = PatchInferer(model, numeric=False, patch_batch=1,
+                               memory_budget=budget)
+        assert not lint_dense_config(inferer, in_hw, grid, overlap)
+        report = inferer.plan_dense(in_hw, grid, overlap)
+        assert report.join_depth == len(inferer.layers)
+        assert report.peak_bytes <= budget
 
     def test_sca504_unfingerprinted_cache_key(self):
         cache = PlanCache()

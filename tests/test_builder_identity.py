@@ -31,7 +31,7 @@ from repro.graph import (
     build_training_graph,
 )
 from repro.infer import GridSplitter
-from repro.infer.graph import build_patch_graph
+from repro.infer.graph import build_dense_graph, build_patch_graph
 from repro.infer.splitter import flatten_dense_body
 from repro.mesh import MeshPartitioner
 from repro.models import build_model, small_resnet, small_vgg
@@ -99,6 +99,27 @@ def _patch_infer_rows() -> Iterator[str]:
         yield graph_fingerprint(graph)
 
 
+def _patch_infer_joined_rows() -> Iterator[str]:
+    """What the ``patch_infer`` workload executes since its join depth is
+    discovered (10 of 15 under 16 MiB): the nine head variant graphs over
+    ``layers[:10]`` and the unsplit tail over the 64x64 join plane.
+    Recorded at the PR that introduced the join."""
+    with init.fast_init():
+        model = small_vgg()
+    layers = flatten_dense_body(model)
+    plan = GridSplitter((4, 4), 1).plan(model, (256, 256), depth=10)
+    variants = plan.variants()
+    assert len(variants) == 9 and plan.out_hw == (64, 64)
+    graphs = [build_patch_graph(model, layers, variant, batch=BATCH)[0]
+              for variant in variants]
+    graphs.append(build_dense_graph(model, layers[10:], 1, plan.out_hw,
+                                    in_channels=layers[7].out_channels)[0])
+    for graph in graphs:
+        yield graph_fingerprint(graph)
+        compile_graph(graph)
+        yield graph_fingerprint(graph)
+
+
 ROWS: Dict[str, Callable[[], Iterator[str]]] = {
     **{name: (lambda name=name: _zoo_rows(name))
        for name in ("alexnet", "vgg11", "vgg16", "vgg19", "resnet18",
@@ -108,6 +129,7 @@ ROWS: Dict[str, Callable[[], Iterator[str]]] = {
     "checkpointed": _checkpointed_rows,
     "mesh": _mesh_rows,
     "patch_infer": _patch_infer_rows,
+    "patch_infer-joined": _patch_infer_joined_rows,
 }
 
 GOLDEN: Dict[str, str] = {
@@ -115,6 +137,8 @@ GOLDEN: Dict[str, str] = {
     "checkpointed": "8551d043dfb34df7",
     "mesh": "287847cf012092a4",
     "patch_infer": "75266a6c7b0d2fe5",
+    # New row, recorded when the join depth was introduced (no parent).
+    "patch_infer-joined": "582551d6c3001562",
     "resnet18": "6d9d51ecfde18de5",
     "resnet18-me": "68e8c4043a7360cb",
     "resnet34": "89560a5a5c7e875f",

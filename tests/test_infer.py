@@ -20,9 +20,11 @@ from repro.infer import (
     BlendMerger, GridSplitter, MERGE_MODES, PatchInferer,
     build_dense_graph, flatten_dense_body,
 )
+from repro.infer.splitter import join_candidates
 from repro.mesh.partition import boundary_bounds
 from repro.models import alexnet, small_resnet, small_vgg, vgg11
-from repro.nn import Conv2d, MaxPool2d, Sequential
+from repro.nn import Conv2d, MaxPool2d, ReLU, Sequential, init
+from repro.planned import dyadic_bucket
 
 
 def make_inferer(model_fn=small_vgg, seed=0, **kwargs):
@@ -30,9 +32,63 @@ def make_inferer(model_fn=small_vgg, seed=0, **kwargs):
     return PatchInferer(model, **kwargs)
 
 
+def alexnet_body(rng):
+    """alexnet with random weights in its dense body only; the 58M
+    classifier parameters patch inference never runs stay zeros."""
+    with init.fast_init():
+        model = alexnet()
+    for param in model.features.parameters():
+        param.data = (0.05 * rng.standard_normal(param.data.shape)
+                      ).astype(param.data.dtype)
+    return model
+
+
 def random_image(hw, channels=3, seed=0, batch=1):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((batch, channels) + tuple(hw))
+
+
+def head_variants(inferer, in_hw, grid, overlap, depth):
+    return GridSplitter(grid, overlap).plan(
+        inferer.model, in_hw, depth=depth).variants()
+
+
+def entries_run(inferer, report):
+    """The entries one image runs, re-derived by hand from ``report``: the
+    variants of the depth-``join_depth`` tiling chunked at the patch batch
+    (a short last chunk at its own dyadic bucket), then the unsplit tail
+    over the join plane when the tiles stop short of the full body."""
+    plan = GridSplitter(report.grid, report.overlap).plan(
+        inferer.model, report.in_hw, depth=report.join_depth)
+    entries = [
+        inferer.entry_for(variant, dyadic_bucket(
+            min(report.patch_batch, len(tiles) - lo)))
+        for variant, tiles in plan.variants().items()
+        for lo in range(0, len(tiles), report.patch_batch)]
+    if report.join_depth < len(inferer.layers):
+        entries.append(inferer._suffix_entry(report.join_depth, plan.out_hw))
+    return entries
+
+
+def forcing_budget(model_fn, in_hw, grid, overlap, depth, compile_plans):
+    """The smallest budget that makes the inferer join at ``depth``, read
+    off planned peaks: the depth's tail and its single-patch head must
+    fit, the previous candidate's tail must not."""
+    probe = make_inferer(model_fn, numeric=False,
+                         compile_plans=compile_plans)
+    previous_tail = None
+    for candidate, plane_hw in join_candidates(probe.layers, in_hw):
+        tail = probe._suffix_entry(candidate, plane_hw).plan.device_peak \
+            if candidate < len(probe.layers) else 0
+        if candidate == depth:
+            break
+        previous_tail = tail
+    budget = max(tail, max(
+        probe.entry_for(variant, 1).plan.device_peak
+        for variant in head_variants(probe, in_hw, grid, overlap, depth)))
+    assert previous_tail is None or budget < previous_tail, \
+        f"no budget forces depth {depth}"
+    return budget
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +297,25 @@ class TestGridSplitter:
         with pytest.raises(ValueError):
             GridSplitter((9, 1)).plan(model, (64, 64))
 
+    def test_depth_tiles_the_plane_of_a_prefix(self):
+        """``depth=None`` is the full body; a shallower depth tiles the
+        plane ``layers[:depth]`` produces, with halos through those
+        layers only."""
+        model = small_vgg(rng=np.random.default_rng(0))
+        layers = flatten_dense_body(model)
+        splitter = GridSplitter((4, 4), overlap=1)
+        full = splitter.plan(model, (64, 64))
+        assert full == splitter.plan(model, (64, 64), depth=len(layers))
+        assert full.depth == len(layers) and full.out_hw == (8, 8)
+        head = splitter.plan(model, (64, 64), depth=5)
+        assert head.depth == 5 and head.out_hw == (32, 32)
+        assert all(len(tile.layer_paddings) == 5 for tile in head.tiles)
+        assert head.tiles == splitter.plan(
+            Sequential(*layers[:5]), (64, 64)).tiles
+        for depth in (0, len(layers) + 1):
+            with pytest.raises(ValueError, match="depth"):
+                splitter.plan(model, (64, 64), depth=depth)
+
     def test_residual_bodies_are_rejected(self):
         model = small_resnet(rng=np.random.default_rng(0))
         with pytest.raises(TypeError):
@@ -316,6 +391,125 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
+# The join depth: discovered from the budget, exact at every candidate
+# ----------------------------------------------------------------------
+# (in_hw, grid, overlap, depth): every cell whose depth some budget can
+# force.  On a 128x128 image a 4x4 grid joins after either pooling at any
+# overlap, and tiles the full body (15) only at overlap 0 — with more
+# overlap a full-body patch outweighs the depth-10 tail; the bench
+# geometry itself reaches the full body at 8 MiB.
+DEPTH_CELLS = [((128, 128), (4, 4), overlap, depth)
+               for depth in (5, 10) for overlap in (0, 1, 2)] \
+    + [((128, 128), (4, 4), 0, 15), ((256, 256), (4, 4), 1, 15)]
+
+
+class TestJoinDepth:
+    @pytest.mark.parametrize("compile_plans", [False, True])
+    @pytest.mark.parametrize("in_hw,grid,overlap,depth", DEPTH_CELLS)
+    def test_budget_forced_depth_is_byte_identical(
+            self, in_hw, grid, overlap, depth, compile_plans):
+        budget = forcing_budget(small_vgg, in_hw, grid, overlap, depth,
+                                compile_plans)
+        inferer = make_inferer(memory_budget=budget,
+                               compile_plans=compile_plans)
+        report = inferer.plan_dense(in_hw, grid, overlap)
+        assert report.join_depth == depth
+        assert report.peak_bytes <= budget
+        misses = inferer.cache.misses
+        x = random_image(in_hw, seed=8)
+        out = inferer.infer(x, grid=grid, overlap=overlap)
+        # Steady state: the stream runs entries plan_dense built, and
+        # every probe — misfit tails included — was verified once.
+        assert inferer.cache.misses == misses == inferer.plans_verified
+        assert out.tobytes() == inferer.run_unsplit(x).tobytes()
+
+    def test_candidates_follow_the_down_sampling_stages(self):
+        for model_fn, side, depths in ((small_vgg, 64, [5, 10, 15]),
+                                       (alexnet, 195, [2, 3, 6, 13]),
+                                       (vgg11, 96, [3, 6, 11, 16, 21])):
+            with init.fast_init():          # geometry only
+                layers = flatten_dense_body(model_fn())
+            candidates = join_candidates(layers, (side, side))
+            assert [depth for depth, _ in candidates] == depths
+            planes = [hw[0] * hw[1] for _, hw in candidates]
+            assert planes == sorted(planes, reverse=True)
+            assert candidates[-1][0] == len(layers)     # the full body
+
+    def test_a_body_that_never_shrinks_its_plane_costs_no_extra_probe(self):
+        """No down-sampling before the last window layer: the full body
+        is the only candidate and no tail is ever planned."""
+        rng = np.random.default_rng(0)
+        body = Sequential(Conv2d(3, 4, kernel_size=3, padding=1, rng=rng),
+                          ReLU(),
+                          Conv2d(4, 4, kernel_size=3, padding=1, rng=rng),
+                          MaxPool2d(2, 2))
+        inferer = PatchInferer(body)
+        assert join_candidates(inferer.layers, (32, 32)) == [(4, (16, 16))]
+        report = inferer.plan_dense((32, 32), (2, 2), 1)
+        assert (report.join_depth, report.executions) == (4, 4)
+        assert inferer.cache.misses == 4        # the four tile variants
+        x = random_image((32, 32), seed=10)
+        assert inferer.infer(x, grid=(2, 2), overlap=1).tobytes() \
+            == inferer.run_unsplit(x).tobytes()
+
+    @pytest.mark.parametrize("model_fn,side", [
+        (small_vgg, 64), (alexnet_body, 195), (vgg11, 64)])
+    def test_every_candidate_is_exact(self, model_fn, side, monkeypatch):
+        """At every join candidate: the tiles' own ranges partition the
+        join plane, a deeper join reads no fewer input pixels, blended
+        merges agree with the valid one, and a batch equals its images.
+        (Candidate ``i`` is reached by hiding the shallower ones — under
+        the default budget the first tail offered always fits.)"""
+        inferer = make_inferer(model_fn, seed=9)
+        candidates = join_candidates(inferer.layers, (side, side))
+        x = random_image((side, side), seed=9, batch=2)
+        ref = inferer.run_unsplit(x)
+        halo = 0
+        for skip, (depth, plane_hw) in enumerate(candidates):
+            plan = GridSplitter((2, 2), 1).plan(
+                inferer.model, (side, side), depth=depth)
+            assert plan.out_hw == plane_hw
+            covered = np.zeros(plane_hw, dtype=int)
+            for tile in plan.tiles:
+                (h0, h1), (w0, w1) = tile.own_range
+                covered[h0:h1, w0:w1] += 1
+            assert (covered == 1).all()
+            pixels = sum(t.in_shape[0] * t.in_shape[1] for t in plan.tiles)
+            assert pixels >= halo
+            halo = pixels
+
+            monkeypatch.setattr(
+                "repro.infer.inferer.join_candidates",
+                lambda layers, in_hw, skip=skip: candidates[skip:])
+            assert inferer.plan_dense(
+                (side, side), (2, 2), 1).join_depth == depth
+            out = inferer.infer(x, grid=(2, 2), overlap=1)
+            assert out.tobytes() == ref.tobytes()
+            single = inferer.infer(x[1:], grid=(2, 2), overlap=1)
+            assert single[0].tobytes() == out[1].tobytes()
+            for mode in ("constant", "gaussian"):
+                blended = inferer.infer(x[:1], grid=(2, 2), overlap=1,
+                                        merge=mode)
+                np.testing.assert_allclose(blended, out[:1],
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_no_tail_fits_falls_back_to_the_full_body(self):
+        """Every misfit tail is probed once, through the cache, and the
+        tiles then run the whole body — what they did before joins."""
+        budget = forcing_budget(small_vgg, (256, 256), (4, 4), 1, 15, False)
+        inferer = make_inferer(numeric=False, memory_budget=budget)
+        report = inferer.plan_dense((256, 256), (4, 4), 1)
+        assert report.join_depth == len(inferer.layers) == 15
+        assert (report.patch_batch, report.executions) == (1, 16)
+        variants = head_variants(inferer, (256, 256), (4, 4), 1, None)
+        assert report.peak_bytes == max(
+            inferer.entry_for(v, 1).plan.device_peak for v in variants)
+        # 2 misfit tails, 9 variants at patch batch 1, and the same 9
+        # probed (and rejected) at 2.
+        assert inferer.cache.misses == inferer.plans_verified == 2 + 9 + 9
+
+
+# ----------------------------------------------------------------------
 # Blend merging
 # ----------------------------------------------------------------------
 class TestBlendMerger:
@@ -354,23 +548,22 @@ class TestMemoryBudget:
         assert report.patch_batch >= 1
         assert report.peak_bytes <= wide.memory_budget
 
-        # A budget that admits exactly one patch per execution.
-        single_peak = max(
-            wide.entry_for(v, 1).plan.device_peak
-            for v in GridSplitter((2, 2)).plan(wide.model, (64, 64))
-            .variants())
+        # A budget that admits exactly the entries that ran: one patch
+        # per execution, then the tail.
+        single_peak = max(entry.plan.device_peak
+                          for entry in entries_run(wide, report))
         tight = make_inferer(numeric=False, memory_budget=single_peak)
         tight_report = tight.plan_dense((64, 64), grid=(2, 2))
+        assert tight_report.join_depth == report.join_depth
         assert tight_report.patch_batch == 1
         assert tight_report.peak_bytes <= single_peak
-        assert tight_report.executions == tight_report.patches
+        assert tight_report.executions == tight_report.patches + 1
 
     def test_identity_survives_tight_budget(self):
         wide = make_inferer(numeric=False)
         single_peak = max(
-            wide.entry_for(v, 1).plan.device_peak
-            for v in GridSplitter((2, 2), overlap=1)
-            .plan(wide.model, (64, 64)).variants())
+            entry.plan.device_peak for entry in entries_run(
+                wide, wide.plan_dense((64, 64), grid=(2, 2), overlap=1)))
         tight = make_inferer(memory_budget=single_peak)
         x = random_image((64, 64), seed=6)
         ref = tight.run_unsplit(x)
@@ -473,11 +666,14 @@ class TestCacheAndCounters:
         inferer = make_inferer(patch_batch=4)
         x = random_image((80, 80), seed=7)
         # 25 patches: four corners of 1 tile (bucket 1), four edges of 3
-        # (bucket 4, one zero slot each), an interior of 9 (4 + 4 + 1).
+        # (bucket 4, one zero slot each), an interior of 9 (4 + 4 + 1);
+        # the tail is an execution, not a patch.
         inferer.infer(x, grid=(5, 5))
         assert inferer.executed_patches == 25
         report = inferer.plan_dense((80, 80), grid=(5, 5))
-        assert report.executions == 4 + 4 + 3
+        entries = entries_run(inferer, report)
+        assert report.executions == len(entries) == 4 + 4 + 3 + 1
+        assert sum(entry.batch for entry in entries[:-1]) == 25 + 4
         assert inferer.padded_patches == report.padded_patches == 4
 
     def test_default_budget_runs_the_patches_the_image_has(self):
@@ -485,12 +681,12 @@ class TestCacheAndCounters:
         would fit 64 patches per execution, and nothing can fill them."""
         inferer = make_inferer()
         report = inferer.plan_dense((64, 64), grid=(2, 2))
-        variants = GridSplitter((2, 2)).plan(inferer.model,
-                                             (64, 64)).variants()
-        entries = [inferer.entry_for(variant, 1) for variant in variants]
-        assert (report.patch_batch, report.executions,
-                report.padded_patches) == (1, 4, 0)
-        assert len(inferer.cache) == 4          # no batch-2..64 graphs
+        entries = entries_run(inferer, report)
+        # Four tiles through the first candidate (its tail fits any
+        # budget this large), then that tail.
+        assert (report.join_depth, report.patch_batch, report.executions,
+                report.padded_patches) == (5, 1, 5, 0)
+        assert len(inferer.cache) == 5          # no batch-2..64 graphs
         assert report.latency == sum(entry.latency for entry in entries)
         assert report.peak_bytes == max(entry.plan.device_peak
                                         for entry in entries)
@@ -498,17 +694,16 @@ class TestCacheAndCounters:
         assert inferer.executed_patches + inferer.padded_patches == 4
 
     def test_report_sums_the_entries_run(self):
-        """Short chunks are priced at the bucket they run on."""
+        """Short chunks are priced at the bucket they run on, the tail
+        once."""
         inferer = make_inferer(numeric=False, memory_budget=16 << 20)
         report = inferer.plan_dense((256, 256), grid=(4, 4), overlap=1)
-        assert report.patch_batch == 2
-        variants = GridSplitter((4, 4), 1).plan(inferer.model,
-                                                (256, 256)).variants()
+        assert (report.join_depth, report.patch_batch) == (10, 2)
         # Corners own 1 tile, edges 2, the interior 4.
-        entries = [inferer.entry_for(variant, min(2, len(tiles)))
-                   for variant, tiles in variants.items()
-                   for _ in range(-(-len(tiles) // 2))]
-        assert report.executions == len(entries) == 10
+        entries = entries_run(inferer, report)
+        assert sorted(entry.batch for entry in entries[:-1]) \
+            == [1] * 4 + [2] * 6
+        assert report.executions == len(entries) == 10 + 1
         assert report.padded_patches == 0
         assert report.latency == sum(entry.latency for entry in entries)
         assert report.peak_bytes == max(entry.plan.device_peak

@@ -106,9 +106,20 @@ def _inferer_digest(case) -> str:
 # hit (a lookup per execution, 10, not per variant, 9); alexnet's four
 # one-tile variants cap the search at 1 — patch_batch 2 -> 1, peak
 # 38725104 -> 24301944, misses 12 -> 4.  Every other field is unchanged.
+#
+# Re-pinned again when the join depth became discovered (tiles run
+# layers[:depth], one unsplit tail execution per image runs the rest):
+# small_vgg-bench joins at depth 10 — latency 0.000650896 -> 0.000468631 s,
+# peak 15850944 -> 12280320 bytes, executions 10 -> 11, misses after
+# plan_dense 27 -> 29 and at the end 33 -> 35 (the misfit depth-5 tail and
+# the depth-10 tail; the 27 head plans are depth-10 graphs now); alexnet
+# joins at depth 2 — latency 0.001538178 -> 0.000965794 s, peak 24301944 ->
+# 40332288 bytes (the tail's, inside the 64 MiB budget), executions 4 -> 5,
+# misses 4 -> 5 and 10 -> 11.  Hits, the single-pass sides and every other
+# field are unchanged.
 INFERER_GOLDEN = {
-    "small_vgg-bench": "c795b1e46d44eead0ce4642346205896",
-    "alexnet": "80be6686cab63a3e6298f893358865f3",
+    "small_vgg-bench": "a1b858e3881de99fae8944acd5348c06",
+    "alexnet": "18d4fcfc31c2d1461064efc0b72bfd71",
 }
 
 
@@ -181,6 +192,22 @@ class TestDyadicSearch:
 
         with pytest.raises(ValueError, match="no graph for 64"):
             _search(peak_of)
+
+    def test_a_start_past_the_cap_is_not_blamed_on_the_budget(self):
+        """Regression: ``max_single_pass_side(start=1 << 15)`` (cap
+        ``1 << 14``) measured nothing and raised "every unsplit pass ...
+        exceeds the memory budget"."""
+        probed = []
+        with pytest.raises(ValueError, match="start 128 exceeds cap 64"):
+            _search(probed.append, start=128)
+        assert probed == []
+        inferer = PatchInferer(small_vgg(rng=np.random.default_rng(0)),
+                               numeric=False)
+        with pytest.raises(ValueError, match="start 32768 exceeds cap 16384"):
+            inferer.max_single_pass_side(start=1 << 15)
+        assert inferer.cache.misses == 0
+        # start == cap is still a search of one size.
+        assert _search(lambda size: size, start=64) == {64: 64}
 
     def test_other_errors_are_not_swallowed(self):
         def peak_of(size):
