@@ -104,7 +104,9 @@ def _replay(pool_cls, events):
 
 
 def test_bench_first_fit_pool_replay(benchmark, vgg_program):
+    start = time.perf_counter()
     peak = run_once(benchmark, lambda: _replay(FirstFitPool, vgg_program))
+    fixed_seconds = time.perf_counter() - start
     assert peak > 0
 
     start = time.perf_counter()
@@ -112,7 +114,10 @@ def test_bench_first_fit_pool_replay(benchmark, vgg_program):
     legacy_seconds = time.perf_counter() - start
     assert legacy_peak == peak    # the fix must not change placement
 
-    fixed_seconds = benchmark.stats.stats.mean
+    # ``--benchmark-disable`` (CI, REPRO_SMOKE) runs the function once and
+    # keeps no stats; the wall clock around the one call stands in.
+    if benchmark.stats is not None:
+        fixed_seconds = benchmark.stats.stats.mean
     save_and_print("pools_scaling", "\n".join([
         "first-fit pool hot path — VGG-11 ImageNet step plan "
         f"({len(vgg_program)} events x {REPEATS} replays)",

@@ -16,12 +16,16 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from .ir import Graph, OpNode, TensorValue
+
+# networkx is imported inside the two functions that use it: every
+# process loads this module through ``repro.graph``, few of them export.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "to_networkx", "to_dot", "GraphStats", "graph_stats",
@@ -42,6 +46,8 @@ GRAPH_FORMAT_VERSION = 1
 
 def to_networkx(graph: Graph) -> nx.DiGraph:
     """Op-level dataflow DiGraph: nodes are ops, edges carry tensor ids."""
+    import networkx as nx
+
     dag = nx.DiGraph(name=graph.name)
     for op in graph.ops:
         dag.add_node(op.id, name=op.name, op_type=op.op_type, phase=op.phase,
@@ -210,6 +216,8 @@ def load_graph(path: Union[str, Path]) -> Graph:
 
 def graph_stats(graph: Graph) -> GraphStats:
     """Compute the structural statistics of ``graph``."""
+    import networkx as nx
+
     histogram: Dict[str, int] = {}
     memory_bound = 0
     compute_bound = 0

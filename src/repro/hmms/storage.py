@@ -13,8 +13,21 @@ reference counters, then applies the paper's two optimizations:
    error, so all of them (and the upstream error itself) may occupy one
    TSO.
 
-Parameters and parameter gradients go to the dedicated device parameter
-pool (§4.4); everything else goes to the device general pool.
+3. **In-place gradient accumulation** — a ``grad_acc`` rewrites the
+   running sum: its output takes the TSO of the chain so far (input 0)
+   under the reference-counter rule of optimization 1, exactly where the
+   executor's overwrite table lets the kernel add into that operand
+   (:func:`repro.graph.executor.overwritable_inputs`; ``SCA406`` is the
+   independent third derivation).  Where it may not — the chain so far
+   is a shared summation error term — the kernel adds into the incoming
+   partial, and so does the plan.  Switched with ``inplace_relu``.
+
+Parameters and *final* parameter gradients — the end of each ``grad_acc``
+chain, what the optimizer reads — go to the dedicated device parameter
+pool (§4.4), which is therefore twice the parameter bytes however many
+patches a weight is shared across.  A per-patch partial that a
+``grad_acc`` merely folds in is a transient in the device general pool,
+live from its producer to that ``grad_acc``; so is everything else.
 """
 
 from __future__ import annotations
@@ -25,7 +38,8 @@ from typing import Dict, List
 from ..graph.ir import Graph, TensorValue
 from ..graph.registry import op_def
 from .tso import (
-    POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM, SHARE_ALIAS, SHARE_SUMMATION, TSO,
+    POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM, SHARE_ALIAS, SHARE_NONE,
+    SHARE_SUMMATION, TSO,
 )
 
 __all__ = ["StorageAssignment", "TSOAccess", "assign_storage"]
@@ -47,6 +61,7 @@ class StorageAssignment:
     tso_of: Dict[int, int] = field(default_factory=dict)      # tensor id -> tso id
     tsos: Dict[int, TSO] = field(default_factory=dict)
     inplace_relu_applied: int = 0
+    accumulate_shares_applied: int = 0
     summation_shares_applied: int = 0
     view_shares_applied: int = 0
 
@@ -115,7 +130,7 @@ class StorageAssignment:
 def _is_last_reader(graph: Graph, tensor: TensorValue, op_id: int) -> bool:
     """True when ``op_id`` is the only remaining consumer of ``tensor`` —
     the reference-counter condition for in-place reuse."""
-    return all(consumer == op_id for consumer in tensor.consumers)
+    return tensor.consumers.count(op_id) == len(tensor.consumers)
 
 
 def assign_storage(
@@ -130,9 +145,9 @@ def assign_storage(
 
     def new_tso(tensor: TensorValue, pool: str) -> TSO:
         nonlocal next_tso
-        tso = TSO(id=next_tso, pool=pool)
+        tso = TSO(id=next_tso, pool=pool, tensor_ids=[tensor.id],
+                  size=tensor.nbytes, refcount=1)
         next_tso += 1
-        tso.add_tensor(tensor.id, tensor.nbytes)
         assignment.tsos[tso.id] = tso
         assignment.tso_of[tensor.id] = tso.id
         return tso
@@ -151,13 +166,27 @@ def assign_storage(
                 else POOL_DEVICE_GENERAL
             new_tso(tensor, pool)
 
+    # A parameter gradient some ``grad_acc`` folds into the running sum is
+    # a partial; the others are final (the structural chain end of
+    # ``resolve_final_gradients``, read off the ops in one pass).
+    folded = {tensor_id for op in graph.ops if op.op_type == "grad_acc"
+              for tensor_id in op.inputs}
+    # Outputs of backward ops that write bytes of their own — the only
+    # arrays the executor lets a ``grad_acc`` add into: a view or a shared
+    # summation error term names bytes other tensors still read.
+    allocating = set()
+    tensors = graph.tensors
+
     for op in graph.ops:
-        sharing = op_def(op.op_type).sharing
+        definition = op_def(op.op_type)
+        sharing = definition.sharing
+        if (folded and op.phase == "backward" and sharing == SHARE_NONE
+                and not definition.free):
+            allocating.update(op.outputs)
         for output_id in op.outputs:
-            tensor = graph.tensor(output_id)
-            if tensor.kind == "gradient":        # parameter gradient
-                new_tso(tensor, POOL_DEVICE_PARAM)
-                continue
+            tensor = tensors[output_id]
+            final = tensor.kind == "gradient" and output_id not in folded
+            pool = POOL_DEVICE_PARAM if final else POOL_DEVICE_GENERAL
 
             # Summation error sharing: every output of a summation's
             # backward aliases the incoming error term.  With the
@@ -169,7 +198,7 @@ def assign_storage(
                     share(tensor, op.inputs[0])
                     assignment.summation_shares_applied += 1
                 else:
-                    new_tso(tensor, POOL_DEVICE_GENERAL)
+                    new_tso(tensor, pool)
                 continue
 
             # View ops always alias (flatten and friends).
@@ -181,15 +210,27 @@ def assign_storage(
             # In-place ReLU (§4.2 optimization 1) and in-place-eligible
             # backward ops: reuse the input TSO when the refcount allows.
             if inplace_relu and op.inplace_of is not None:
-                source = graph.tensor(op.inplace_of)
-                source_tso = assignment.tsos[assignment.tso_of[source.id]]
+                source = tensors[op.inplace_of]
                 if (_is_last_reader(graph, source, op.id)
-                        and len(source_tso.tensor_ids) >= 1
                         and source.kind not in ("parameter",)):
                     share(tensor, source.id)
                     assignment.inplace_relu_applied += 1
                     continue
 
-            new_tso(tensor, POOL_DEVICE_GENERAL)
+            # In-place accumulation: the same rule on the operand the
+            # kernel adds into — the chain so far when it may, else the
+            # incoming partial.
+            if inplace_relu and op.op_type == "grad_acc":
+                source_id = next(
+                    (t for t in op.inputs if t in allocating
+                     and _is_last_reader(graph, tensors[t], op.id)), None)
+                if source_id is not None:
+                    tso = share(tensor, source_id)
+                    if final:          # the chain ends here: static storage
+                        tso.pool = POOL_DEVICE_PARAM
+                    assignment.accumulate_shares_applied += 1
+                    continue
+
+            new_tso(tensor, pool)
 
     return assignment

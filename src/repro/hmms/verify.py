@@ -29,7 +29,11 @@ traced back to the family it breaks:
   synchronization on a transfer that was never issued.
 - ``refcount``: reconciliation against :func:`repro.graph.liveness.
   compute_lifetimes` — every alloc has exactly one free, nothing is freed
-  before its last consumer, nothing is allocated after its first use.
+  before its last consumer, nothing is allocated after its first use, no
+  op rewrites a shared TSO in place (in-place ReLU, ``grad_acc``) while an
+  earlier tensor of that TSO still has a reader, and what outlives the
+  step — parameters and the gradients no ``grad_acc`` folds into another —
+  sits in the static parameter pool.
 - ``completeness``: every offloaded TSO is prefetched (and synchronized)
   before its first backward use, or is provably dead in the backward pass.
 
@@ -41,13 +45,15 @@ to errors.  Everything else is an error.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.liveness import Lifetime, compute_lifetimes
+from ..graph.registry import SHARE_NONE, op_def
 from ..profile.cost import CostModel
 from ..profile.device import DeviceSpec, P100_NVLINK
-from .tso import POOL_DEVICE_GENERAL
+from .tso import POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM
 
 __all__ = [
     "FAMILY_RESIDENCY", "FAMILY_OVERLAP", "FAMILY_TRANSFER",
@@ -529,6 +535,55 @@ def _check_refcounts(plan, lifetimes: Dict[int, Lifetime],
                 op_index=min(trace.alloc_indices), tso_id=tso.id))
 
 
+def _check_sharing(plan, lifetimes: Dict[int, Lifetime],
+                    out: List[Violation]) -> None:
+    """Refcount family, the part no schedule shows: which tensors were
+    mapped onto one TSO, and into which pool."""
+    graph = plan.graph
+    ops = graph.ops
+    tsos = plan.assignment.tsos
+
+    # An op that writes bytes of its own into a TSO ends every tensor the
+    # TSO held before; a view or shared summation term only renames them.
+    for tso in tsos.values():
+        if len(tso.tensor_ids) < 2:
+            continue
+        lives = sorted((lifetimes[t] for t in tso.tensor_ids
+                        if t in lifetimes), key=lambda l: l.produce_index)
+        held: Optional[Lifetime] = None      # latest-read earlier tensor
+        for produce, group in itertools.groupby(
+                lives, key=lambda l: l.produce_index):
+            written = list(group)
+            if produce >= 0 and held is not None and held.last_use > produce:
+                writer = ops[produce]
+                definition = op_def(writer.op_type)
+                if not (definition.free and definition.sharing != SHARE_NONE):
+                    out.append(Violation(
+                        FAMILY_REFCOUNT,
+                        f"op {writer.name!r} writes tensor "
+                        f"{graph.tensor(written[0].tensor_id).name!r} into "
+                        f"TSO {tso.id} while tensor "
+                        f"{graph.tensor(held.tensor_id).name!r} of the same "
+                        f"TSO is still read at op {held.last_use}",
+                        op_index=produce, tso_id=tso.id))
+            held = max([held, *written] if held else written,
+                       key=lambda l: l.last_use)
+
+    folded = {tensor_id for op in ops if op.op_type == "grad_acc"
+              for tensor_id in op.inputs}
+    for tensor in graph.tensors.values():
+        if not (tensor.kind in ("parameter", "constant") or (
+                tensor.kind == "gradient" and tensor.id not in folded)):
+            continue
+        tso = tsos.get(plan.assignment.tso_of.get(tensor.id))
+        if tso is not None and tso.pool != POOL_DEVICE_PARAM:
+            out.append(Violation(
+                FAMILY_REFCOUNT,
+                f"tensor {tensor.name!r} ({tensor.kind}) outlives the step "
+                f"but its TSO {tso.id} is in the {tso.pool} pool, which the "
+                "schedule frees", tso_id=tso.id))
+
+
 # ----------------------------------------------------------------------
 # Family 5: schedule completeness for offloaded TSOs.
 # ----------------------------------------------------------------------
@@ -593,6 +648,7 @@ def verify_plan(
                      violations)
     lifetimes = compute_lifetimes(plan.graph)
     _check_refcounts(plan, lifetimes, traces, violations)
+    _check_sharing(plan, lifetimes, violations)
     _check_completeness(plan, lifetimes, traces, violations)
     return VerificationReport(
         graph_name=plan.graph.name,

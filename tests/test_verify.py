@@ -11,9 +11,11 @@ import copy
 import numpy as np
 import pytest
 
+from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.hmms import (
-    HMMSPlanner, PlanVerificationError, VerificationReport, verify_plan,
+    POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM, HMMSPlanner,
+    PlanVerificationError, VerificationReport, verify_plan,
 )
 from repro.hmms.verify import (
     FAMILY_COMPLETENESS, FAMILY_OVERLAP, FAMILY_REFCOUNT, FAMILY_RESIDENCY,
@@ -181,6 +183,97 @@ class TestTargetedCorruptions:
         entry.offload_starts.remove(tso_id)
         report = verify_plan(plan)
         assert FAMILY_TRANSFER in report.families_violated()
+
+
+class TestGradientStorageCorruptions:
+    """What `assign_storage` decides for gradients, broken by hand: the
+    verifier derives none of it from storage.py, so each must be caught
+    here (the first only by a check this class's PR added)."""
+
+    @staticmethod
+    def split_graph():
+        model = to_split_cnn(small_vgg(rng=np.random.default_rng(0)),
+                             depth=1.0, num_splits=(2, 2))
+        return build_training_graph(model, 4)
+
+    @staticmethod
+    def first_chain(graph):
+        """The first two ``grad_acc`` ops of one weight's chain."""
+        first = next(op for op in graph.ops if op.op_type == "grad_acc"
+                     and graph.tensor(op.outputs[0]).kind == "gradient")
+        second = next(op for op in graph.ops if op.op_type == "grad_acc"
+                      and op.inputs[0] == first.outputs[0])
+        return first, second
+
+    def test_clean_split_plan(self):
+        plan = fresh_plan(self.split_graph())
+        assert plan.assignment.accumulate_shares_applied > 0
+        assert verify_plan(plan).ok
+
+    def test_accumulating_over_an_operand_still_read(self):
+        graph = self.split_graph()
+        first, _ = self.first_chain(graph)
+        chain_so_far = graph.tensor(first.inputs[0])
+        late = graph.add_tensor("late", chain_so_far.shape,
+                                kind="gradient_act")
+        graph.add_op("late-reader", "grad_acc", [chain_so_far, chain_so_far],
+                     [late], phase="backward")
+        plan = fresh_plan(graph)
+        assignment = plan.assignment
+        # The planner saw the late reader and kept the operand's TSO to
+        # itself; nothing else about the plan changes when the partial sum
+        # is forced into it (the TSO is held until the late reader anyway).
+        assert assignment.tso_of[first.outputs[0]] \
+            != assignment.tso_of[chain_so_far.id]
+        assert verify_plan(plan).ok
+        moved = first.outputs[0]
+        assignment.tso_for_tensor(moved).tensor_ids.remove(moved)
+        assignment.tso_of[moved] = assignment.tso_of[chain_so_far.id]
+        assignment.tso_for_tensor(moved).tensor_ids.append(moved)
+        report = verify_plan(plan)
+        assert report.families_violated() == (FAMILY_REFCOUNT,)
+        (violation,) = report.errors
+        assert first.name in violation.message
+        assert "still read" in violation.message
+
+    def test_partial_released_before_its_accumulation(self):
+        graph = self.split_graph()
+        plan = fresh_plan(graph)
+        _, second = self.first_chain(graph)
+        partial = plan.assignment.tso_for_tensor(second.inputs[1])
+        assert partial.pool == POOL_DEVICE_GENERAL       # a transient
+        position = graph.op_positions()
+        free_entry = plan.schedule[position[second.id]]
+        assert partial.id in free_entry.frees_after
+        free_entry.frees_after.remove(partial.id)
+        plan.schedule[position[second.id] - 1].frees_after.append(partial.id)
+        report = verify_plan(plan)
+        assert {FAMILY_RESIDENCY, FAMILY_REFCOUNT} <= \
+            set(report.families_violated())
+        assert any("use-after-free" in v.message and second.name in v.message
+                   for v in report.errors)
+
+    def test_final_gradient_in_the_general_pool(self):
+        graph = self.split_graph()
+        plan = fresh_plan(graph)
+        final = next(t for t in graph.tensors.values()
+                     if t.kind == "gradient" and not t.consumers)
+        tso = plan.assignment.tso_for_tensor(final.id)
+        assert tso.pool == POOL_DEVICE_PARAM
+        # Moved with a schedule every other check accepts: allocated at
+        # its first touch, freed after its last.
+        tso.pool = POOL_DEVICE_GENERAL
+        position = graph.op_positions()
+        produced = [position[graph.tensor(t).producer]
+                    for t in tso.tensor_ids]
+        plan.schedule[min(produced)].allocs_before.append(tso.id)
+        plan.schedule[max(produced)].frees_after.append(tso.id)
+        plan.device_general_peak += tso.size
+        report = verify_plan(plan)
+        assert report.families_violated() == (FAMILY_REFCOUNT,)
+        (violation,) = report.errors
+        assert final.name in violation.message
+        assert "outlives the step" in violation.message
 
 
 class TestIntegrationHooks:
