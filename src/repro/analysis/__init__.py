@@ -29,12 +29,12 @@ The concurrency pass extends across devices for mesh plans
 (``SCA104``/``SCA105`` via :func:`detect_mesh_hazards` — invoked
 directly, mesh plans are not single graphs).
 
-:class:`AnalysisSuite` drives everything at scale with severity config,
-inline/baseline suppressions, and a fingerprint-keyed result cache.
+:class:`AnalysisSuite` drives everything at scale with inline/baseline
+suppressions and a fingerprint-keyed result cache.
 
-Entry points: :func:`analyze_graph` (library), :class:`AnalysisSuite`
-(policy + cache), ``repro lint`` (CLI), ``GraphExecutor(...,
-preflight=True)`` (executor guard), :func:`detect_mesh_hazards`
+Entry points: :func:`analyze_graph` (library; ``.raise_if_failed()`` is
+the guard before running a graph), :class:`AnalysisSuite` (suppressions
++ cache), ``repro lint`` (CLI), :func:`detect_mesh_hazards`
 (``repro mesh-bench`` guard).
 """
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..graph.executor import resolve_final_gradients
 from ..graph.ir import Graph
 from ..graph.registry import op_def
 from .diagnostics import Diagnostic
@@ -29,8 +30,6 @@ def audit_determinism(graph: Graph) -> List[Diagnostic]:
     position = graph.op_positions()
 
     # SCA201 — gradient reduction chains must be frozen.
-    # Deferred: executor imports this package for preflight mode.
-    from ..graph.executor import resolve_final_gradients
     try:
         resolve_final_gradients(graph)
     except ValueError as exc:

@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Set, Tuple
 
+from ..graph.executor import (
+    OUTPUT_NAMES, overwritable_inputs, resolve_final_gradients,
+)
 from ..graph.ir import Graph
 from ..graph.liveness import compute_free_plan
 from ..hmms.storage import StorageAssignment, TSOAccess
@@ -78,11 +81,6 @@ def detect_races(
     def unordered(a_pos: int, b_pos: int) -> bool:
         return not (happens_before(a_pos, b_pos)
                     or happens_before(b_pos, a_pos))
-
-    # Deferred: executor imports this package for preflight mode.
-    from ..graph.executor import (
-        OUTPUT_NAMES, overwritable_inputs, resolve_final_gradients,
-    )
 
     pinned = {t.id for t in graph.tensors.values()
               if t.kind in ("parameter", "constant")

@@ -4,8 +4,6 @@ The per-pass entry points (:func:`analyze_graph`,
 :func:`verify_lowering`, the config linters) return raw findings.  This
 module layers the policy on top:
 
-- **severity config** — per-code overrides (``error``/``warning``/
-  ``ignore``) applied before suppression matching;
 - **inline suppressions** — the graph-native ``# noqa``: an op whose
   ``attrs["lint_suppress"]`` contains a code silences findings of that
   code anchored at that op (exactly that (code, location) pair, nothing
@@ -16,8 +14,8 @@ module layers the policy on top:
 - **strict mode** — ignores both suppression channels (CI gate);
 - **result cache** — raw graph-pass findings keyed by a structural
   graph fingerprint, so linting the zoo × split × compile matrix
-  re-analyzes each distinct graph once.  Suppression/severity policy is
-  applied after the cache, so changing policy never invalidates it.
+  re-analyzes each distinct graph once.  Suppression policy is applied
+  after the cache, so changing policy never invalidates it.
 
 :class:`SuiteReport` extends :class:`AnalysisReport` with the suppression
 partition and emits it in SARIF: active results carry ``baselineState:
@@ -31,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -40,8 +38,7 @@ import numpy as np
 
 from ..graph.ir import Graph
 from .diagnostics import (
-    PASS_LOWERING, SEV_ERROR, SEV_WARNING, AnalysisReport, CODES,
-    Diagnostic, sarif_result,
+    PASS_LOWERING, AnalysisReport, CODES, Diagnostic, sarif_result,
 )
 
 if TYPE_CHECKING:
@@ -56,7 +53,8 @@ __all__ = [
 #: Op attribute holding inline-suppressed codes (str or sequence of str).
 SUPPRESS_ATTR = "lint_suppress"
 
-_SEVERITIES = (SEV_ERROR, SEV_WARNING, "ignore")
+#: Distinct (graph, passes, workers, inference) results the suite keeps.
+_CACHE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -205,27 +203,13 @@ class AnalysisSuite:
     """Driver running every pass with one policy and one result cache."""
 
     def __init__(self, *,
-                 severities: Optional[Dict[str, str]] = None,
                  baseline: Union[str, Sequence[Suppression], None] = None,
-                 strict: bool = False,
-                 cache_capacity: int = 256) -> None:
-        self.severities: Dict[str, str] = dict(severities or {})
-        for code, severity in self.severities.items():
-            if code not in CODES:
-                raise ValueError(f"severity override for unknown code "
-                                 f"{code!r}")
-            if severity not in _SEVERITIES:
-                raise ValueError(
-                    f"invalid severity {severity!r} for {code}; valid: "
-                    f"{list(_SEVERITIES)}")
+                 strict: bool = False) -> None:
         if isinstance(baseline, str):
             self.baseline: List[Suppression] = load_baseline(baseline)
         else:
             self.baseline = list(baseline or ())
         self.strict = strict
-        if cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
-        self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[str, List[Diagnostic]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -259,7 +243,7 @@ class AnalysisSuite:
             findings = list(report.findings)
             graph_passes = report.passes
             if assignment is None:
-                if len(self._cache) >= self.cache_capacity:
+                if len(self._cache) >= _CACHE_CAPACITY:
                     self._cache.popitem(last=False)
                 self._cache[key] = list(findings)
             cache_hit = False
@@ -288,22 +272,13 @@ class AnalysisSuite:
                   passes: Tuple[str, ...], *, workers: int,
                   graph: Optional[Graph], num_ops: int, num_tensors: int,
                   fingerprint: str, cache_hit: bool) -> SuiteReport:
-        effective: List[Diagnostic] = []
-        for finding in findings:
-            override = self.severities.get(finding.code)
-            if override == "ignore":
-                continue
-            if override and override != finding.severity:
-                finding = replace(finding, severity=override)
-            effective.append(finding)
-
         active: List[Diagnostic] = []
         suppressed: List[Tuple[Diagnostic, str]] = []
         matched: Set[int] = set()
         if self.strict:
-            active = effective
+            active = findings
         else:
-            for finding in effective:
+            for finding in findings:
                 if graph is not None and _inline_suppressed(graph,
                                                             finding):
                     suppressed.append((finding, "inline"))

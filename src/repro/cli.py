@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--numeric", action="store_true",
                        help="also run real numpy forward passes")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="executor threads for --numeric batches "
-                            "(wavefront scheduler; bit-identical logits)")
     serve.add_argument("--compile", action="store_true",
                        help="compile cached graphs (fusion + constant "
                             "folding) and serve the rewritten graphs")
@@ -223,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--check", action="store_true",
                           help="execute compiled vs interpreted graphs "
                                "and require byte-identical outputs")
-    compile_.add_argument("--workers", type=int, default=1,
-                          help="executor threads for --check")
 
     lint = sub.add_parser(
         "lint",
@@ -311,15 +306,8 @@ def _cmd_fig10(args) -> int:
     return 0
 
 
-def _require_positive(flag: str, value: float) -> None:
-    if not value > 0:
-        raise _UsageError(f"{flag} must be positive, got {value}")
-
-
 def _cmd_fig11(args) -> int:
     from .experiments import render_fig11, run_fig11
-    _require_positive("--factor", args.factor)
-    _require_positive("--devices", args.devices)
     result = run_fig11(devices=args.devices, topology=args.topology,
                        split_batch_factor=args.factor)
     print(render_fig11(result))
@@ -339,10 +327,6 @@ def _cmd_mesh_bench(args) -> int:
     from .mesh import (
         MeshPartitioner, MeshSimulator, build_mesh, run_spatial_numeric,
     )
-
-    _require_positive("--devices", args.devices)
-    _require_positive("--bandwidth", args.bandwidth)
-    _require_positive("--batch", args.batch)
 
     depth = args.split_depth if args.strategy == "spatial" else 0.0
     model = _build_named_model(args.model, args.split, depth)
@@ -485,7 +469,6 @@ def _cmd_serve_bench(args) -> int:
     engine = ServingEngine.from_zoo(args.model, split=args.split,
                                     split_depth=args.split_depth,
                                     numeric=args.numeric,
-                                    workers=args.workers,
                                     compile_plans=args.compile)
     config = BenchConfig(
         rps=args.rps,
@@ -643,7 +626,7 @@ def _cmd_compile(args) -> int:
     interpreter = GraphExecutor(
         reference, GraphExecutor.parameters_from_model(reference, model),
         dropout_seed=0)
-    plan = GraphExecutor(graph, params, dropout_seed=0, workers=args.workers)
+    plan = GraphExecutor(graph, params, dropout_seed=0)
     rng = np.random.default_rng(0)
     input_shape = next(t for t in reference.tensors.values()
                        if t.kind == "input").shape
@@ -660,7 +643,7 @@ def _cmd_compile(args) -> int:
         for key in expected)
     print(f"byte-identity check: "
           f"{'identical' if identical else 'MISMATCH'} "
-          f"({len(expected)} outputs, workers={args.workers})")
+          f"({len(expected)} outputs)")
     return 0 if identical else 1
 
 
@@ -847,6 +830,14 @@ def _parse_grid(text: str) -> tuple:
     return grid
 
 
+def _parse_list(flag: str, text: str, convert) -> list:
+    try:
+        return [convert(item) for item in text.split(",") if item]
+    except ValueError:
+        raise _UsageError(f"{flag} {text!r} must be comma-separated "
+                          f"{convert.__name__}s") from None
+
+
 def _cmd_patch_bench(args) -> int:
     """Sweep grid x overlap x memory budget for one dense model.
 
@@ -869,9 +860,9 @@ def _cmd_patch_bench(args) -> int:
     model = _build_named_model(args.model)
     model.eval()
     grids = [_parse_grid(g) for g in args.grids.split(",") if g]
-    overlaps = [int(o) for o in args.overlaps.split(",") if o]
-    budgets = [int(float(b) * gib)
-               for b in args.budgets_gib.split(",") if b]
+    overlaps = _parse_list("--overlaps", args.overlaps, int)
+    budgets = [int(b * gib)
+               for b in _parse_list("--budgets-gib", args.budgets_gib, float)]
     identity_side = args.identity_side
     if smoke:
         grids = grids[:1]
@@ -988,9 +979,31 @@ _COMMANDS = {
 }
 
 
+#: Numeric options that must be positive on every command defining them ...
+_POSITIVE = ("batch", "width", "factor", "devices", "bandwidth", "rps",
+             "duration", "queue_depth", "request_size", "max_batch",
+             "target_factor", "workers")
+#: ... and those that may be zero but not negative.
+_NON_NEGATIVE = ("flush_ms", "identity_side")
+
+
+def _check_ranges(args) -> None:
+    """Reject out-of-range numbers before any command runs."""
+    for dest in _POSITIVE + _NON_NEGATIVE:
+        value = getattr(args, dest, None)
+        flag = "--" + dest.replace("_", "-")
+        if value is None:
+            continue
+        if dest in _POSITIVE and not value > 0:
+            raise _UsageError(f"{flag} must be positive, got {value}")
+        if dest in _NON_NEGATIVE and not value >= 0:
+            raise _UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)

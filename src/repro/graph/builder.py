@@ -461,6 +461,8 @@ def build_forward_graph(
     values live in ``graph.constants``.  This is the form the compiler's
     constant-folding pass collapses into per-channel affine ops.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     size = input_size if input_size is not None else model.input_size
     builder = GraphBuilder(
         batch_size=batch_size,

@@ -169,24 +169,16 @@ class GraphExecutor:
         retires (and each saved context after its last backward twin).
         ``False`` keeps everything live until the next :meth:`run` or
         :meth:`release_intermediates`.
-    preflight: statically analyze the graph before accepting it — the
-        whole-graph lint, the concurrency-hazard detector (at this
-        executor's ``workers``), and the determinism audit of
-        :mod:`repro.analysis`.  Raises
-        :class:`~repro.analysis.GraphAnalysisError` on any error-severity
-        finding.  Opt-in: it re-runs storage assignment, which is wasted
-        work when the caller already lints its graphs.
+
+    To reject a broken graph before running it, call
+    ``repro.analysis.analyze_graph(graph).raise_if_failed()`` first.
     """
 
     def __init__(self, graph: Graph, parameters: Dict[str, np.ndarray],
                  dropout_seed: int = 0, workers: int = 1,
-                 eager_free: bool = True, preflight: bool = False) -> None:
+                 eager_free: bool = True) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if preflight:
-            # Deferred import: repro.analysis consumes this module.
-            from ..analysis import analyze_graph
-            analyze_graph(graph, workers=workers).raise_if_failed()
         self.graph = graph
         self.dropout_seed = dropout_seed
         self.workers = workers

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -188,11 +188,6 @@ class Graph:
                     seen.add(tensor_id)
                     result.append(self.tensors[tensor_id])
         return result
-
-    def activation_tensors(self) -> Iterator[TensorValue]:
-        for tensor in self.tensors.values():
-            if tensor.kind in ("activation", "input"):
-                yield tensor
 
     def parameter_bytes(self) -> int:
         return sum(t.nbytes for t in self.tensors.values() if t.kind == "parameter")

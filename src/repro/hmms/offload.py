@@ -65,12 +65,6 @@ class OffloadPlan:
     # Balance trace for inspection/testing: (op_index, balance) at sync points.
     sync_points: List[int] = field(default_factory=list)
 
-    @property
-    def offloaded_fraction(self) -> float:
-        if self.candidate_bytes == 0:
-            return 0.0
-        return self.offloaded_bytes / self.candidate_bytes
-
 
 def select_offload_candidates(
     graph: Graph,

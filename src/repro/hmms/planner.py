@@ -93,10 +93,9 @@ class HMMSPlanner:
     grouped_sync: follow Algorithm 1 literally (all pending transfers
         synchronize together at the first non-negative capacity balance)
         instead of the default per-transfer FIFO refinement.
-    verify: run the independent static verifier
-        (:func:`repro.hmms.verify.verify_plan`) on every plan before
-        returning it; raises
-        :class:`~repro.hmms.verify.PlanVerificationError` on violations.
+
+    The planner does not verify its plans; callers that gate on them
+    compose ``verify_plan(plan, ...).raise_if_failed()``.
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class HMMSPlanner:
         cost_model: Optional[CostModel] = None,
         layerwise_conv_only: bool = False,
         grouped_sync: bool = False,
-        verify: bool = False,
     ) -> None:
         if scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
@@ -122,7 +120,6 @@ class HMMSPlanner:
         self.first_fit = first_fit
         self.layerwise_conv_only = layerwise_conv_only
         self.grouped_sync = grouped_sync
-        self.verify = verify
         self.cost_model = cost_model if cost_model is not None else CostModel(device)
 
     # ------------------------------------------------------------------
@@ -142,7 +139,7 @@ class HMMSPlanner:
         param_bytes = assignment.total_bytes(POOL_DEVICE_PARAM)
         host_bytes = sum(t.size for t in offload_plan.transfers.values())
         host_peak = self._simulate_host_pool(offload_plan)
-        plan = MemoryPlan(
+        return MemoryPlan(
             graph=graph, assignment=assignment, offload_plan=offload_plan,
             schedule=schedule, scheduler=self.scheduler,
             device_general_peak=general_peak,
@@ -151,11 +148,6 @@ class HMMSPlanner:
             host_pool_peak=host_peak,
             offload_fraction_used=fraction,
         )
-        if self.verify:
-            from .verify import verify_plan
-            verify_plan(plan, device=self.device,
-                        cost_model=self.cost_model).raise_if_failed()
-        return plan
 
     # ------------------------------------------------------------------
     def _profile_once(self, graph: Graph) -> Tuple[float, Dict[int, OpCost]]:

@@ -97,7 +97,7 @@ class PatchInferer:
     ----------
     model: dense model (a ConvClassifier's ``features`` prefix is used;
         the input channel count is its first ``Conv2d``'s).
-    device, numeric, workers, compile_plans, cache: the inferer's
+    device, numeric, compile_plans, cache: the inferer's
         :class:`~repro.planned.PlanCore` (documented there); without
         ``numeric`` only ``plan_dense`` costs inputs, symbolically.  (A
         serving engine's dense inferer shares the engine's whole core.)
@@ -114,7 +114,6 @@ class PatchInferer:
         model: Module,
         device: DeviceSpec = P100_NVLINK,
         numeric: bool = True,
-        workers: int = 1,
         compile_plans: bool = False,
         memory_budget: Optional[int] = None,
         patch_batch: Optional[int] = None,
@@ -122,7 +121,7 @@ class PatchInferer:
     ) -> None:
         if patch_batch is not None and patch_batch < 1:
             raise ValueError(f"patch_batch must be >= 1, got {patch_batch}")
-        core = PlanCore(device, numeric=numeric, workers=workers,
+        core = PlanCore(device, numeric=numeric,
                         compile_plans=compile_plans, cache=cache)
         self._attach(core, model, core.budget(memory_budget), patch_batch)
 

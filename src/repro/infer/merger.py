@@ -27,18 +27,19 @@ __all__ = ["BlendMerger", "MERGE_MODES"]
 
 MERGE_MODES = ("valid", "constant", "gaussian")
 
+#: Standard deviation of the ``"gaussian"`` importance map, as a fraction
+#: of the tile extent along each axis.
+_SIGMA = 0.125
+
 
 class BlendMerger:
     """Reassemble tile outputs into the dense ``(C, H, W)`` feature map."""
 
-    def __init__(self, mode: str = "valid", sigma: float = 0.125) -> None:
+    def __init__(self, mode: str = "valid") -> None:
         if mode not in MERGE_MODES:
             raise ValueError(
                 f"merge mode must be one of {MERGE_MODES}, got {mode!r}")
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
         self.mode = mode
-        self.sigma = sigma
         self._maps: Dict[Tuple[int, int], np.ndarray] = {}
 
     def _importance(self, shape: Tuple[int, int]) -> np.ndarray:
@@ -53,7 +54,7 @@ class BlendMerger:
             for n in shape:
                 idx = np.arange(n, dtype=np.float64)
                 center = (n - 1) / 2.0
-                scale = max(self.sigma * n, 1e-6)
+                scale = max(_SIGMA * n, 1e-6)
                 axes.append(np.exp(-0.5 * ((idx - center) / scale) ** 2))
             weight = np.outer(axes[0], axes[1])
             # Floor tiny border weights so an element covered by a single

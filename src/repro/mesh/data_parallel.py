@@ -45,10 +45,6 @@ class AllreduceStats:
     bytes_sent_per_worker: int
     steps: int
 
-    @property
-    def total_bytes_on_wire(self) -> int:
-        return self.bytes_sent_per_worker * self.world_size
-
     def lower_bound_ratio(self) -> float:
         """Sent bytes relative to the paper's asymptotic ``2|G|`` bound."""
         if self.payload_bytes == 0:

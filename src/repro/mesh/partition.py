@@ -33,7 +33,7 @@ checks exactly these anchors against the destination graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,12 +135,12 @@ class MeshPlan:
                 return candidate
         return None
 
-    def verify(self, strict: bool = True) -> List[Tuple[int, Any]]:
+    def verify(self) -> List[Tuple[int, Any]]:
         """Run the static plan verifier over every distinct device plan.
 
         Returns ``(device_id, VerificationReport)`` pairs (one per
         *distinct* plan object — data-parallel replicas share one).
-        With ``strict`` (default) raises on the first failed report.
+        Raises on the first failed report.
         """
         from ..hmms import verify_plan
         from ..profile.cost import CostModel
@@ -155,18 +155,12 @@ class MeshPlan:
                                  cost_model=CostModel(assignment.spec))
             seen[key] = report
             reports.append((assignment.device_id, report))
-            if strict:
-                report.raise_if_failed()
+            report.raise_if_failed()
         return reports
 
 
 def _tensor_nbytes(graph: Graph, tensor_id: int) -> int:
     return graph.tensors[tensor_id].nbytes
-
-
-# Shared with repro.infer's patch graphs: subset graphs bind parameters
-# through the builder's param cache, not count-and-order matching.
-_params_for_builder = params_for_builder
 
 
 class MeshPartitioner:
@@ -365,7 +359,7 @@ class MeshPartitioner:
             role = "tail" if d == tail else "patch"
             assignments.append(DeviceAssignment(
                 device_id=d, role=role, graph=graph, plan=plan,
-                spec=self.device, params=_params_for_builder(b, model),
+                spec=self.device, params=params_for_builder(b, model),
                 input_bindings=bindings.get(d, {}),
                 output_tensors=outputs.get(d, {})))
         by_device = {a.device_id: a for a in assignments}
@@ -492,7 +486,7 @@ class MeshPartitioner:
             assignments.append(DeviceAssignment(
                 device_id=stage, role=f"stage{stage}", graph=graph,
                 plan=plan, spec=self.device,
-                params=_params_for_builder(b, model),
+                params=params_for_builder(b, model),
                 input_bindings=bindings, output_tensors=outputs))
             if previous is not None:
                 src_dev, src_tensor, src_pos = previous
@@ -632,10 +626,3 @@ def run_pipeline_numeric(mesh_plan: MeshPlan,
     if logits is None:
         raise RuntimeError("pipeline plan produced no logits")
     return {"logits": logits}
-
-
-def shifted_transfer(transfer: MeshTransfer, dst_op: Optional[int]
-                     ) -> MeshTransfer:
-    """A copy of ``transfer`` anchored at a different destination op —
-    the mutation the SCA104/SCA105 analyzer tests use."""
-    return replace(transfer, dst_op=dst_op)

@@ -55,8 +55,6 @@ class PlanCore:
     device: prices kernels and is what plans are verified against.
     numeric: give every entry a :class:`GraphExecutor` (real outputs);
         simulated latency is charged either way.
-    workers: the numeric executor's wavefront thread count (bit-identical
-        outputs for any value).
     compile_plans: run the default compile pipeline (chain + sibling
         fusion, constant folding) over every graph before planning it.
     cache: a :class:`PlanCache` shared with other cores (a fleet's
@@ -64,14 +62,10 @@ class PlanCore:
     """
 
     def __init__(self, device: DeviceSpec = P100_NVLINK,
-                 numeric: bool = False, workers: int = 1,
-                 compile_plans: bool = False,
+                 numeric: bool = False, compile_plans: bool = False,
                  cache: Optional[PlanCache] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.device = device
         self.numeric = numeric
-        self.workers = workers
         self.pipeline = default_pipeline() if compile_plans else None
         #: Compilation identity closing every cache key.
         self.fingerprint = self.pipeline.fingerprint if self.pipeline \
@@ -108,8 +102,7 @@ class PlanCore:
                     cost_model=self.planner.cost_model).raise_if_failed()
         self.plans_verified += 1
         latency = self.planner.cost_model.inference_latency(graph)
-        executor = GraphExecutor(graph, params, workers=self.workers) \
-            if self.numeric else None
+        executor = GraphExecutor(graph, params) if self.numeric else None
         batch = next(t for t in graph.tensors.values()
                      if t.kind == "input").shape[0]
         return PlannedEntry(batch=batch, graph=graph, plan=plan,

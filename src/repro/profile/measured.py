@@ -38,9 +38,6 @@ class MeasuredCostModel(CostModel):
         :meth:`GraphExecutor.parameters_from_model`).
     input_array / targets: one representative batch.
     repetitions: timing repetitions per op (paper uses 20).
-    workers: thread count for the materialization run (the per-op timing
-        loop is always serial — concurrent timing would measure
-        contention, not kernels).
     device: still used for bandwidth figures (offload budgets) and for
         ops the executor cannot time.
     """
@@ -52,14 +49,12 @@ class MeasuredCostModel(CostModel):
         input_array: np.ndarray,
         targets: Optional[np.ndarray] = None,
         repetitions: int = DEFAULT_REPETITIONS,
-        workers: int = 1,
         device: DeviceSpec = P100_NVLINK,
     ) -> None:
         super().__init__(device)
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         self.repetitions = repetitions
-        self.workers = workers
         self._measured: Dict[int, float] = {}
         self._measure(graph, parameters, input_array, targets)
 
@@ -67,9 +62,8 @@ class MeasuredCostModel(CostModel):
     def _measure(self, graph: Graph, parameters, input_array, targets) -> None:
         # One full run materializes every value and forward context
         # (eager_free stays off — the timing loop below re-reads all of
-        # them); the run itself may use the wavefront scheduler.
-        executor = GraphExecutor(graph, parameters, workers=self.workers,
-                                 eager_free=False)
+        # them).
+        executor = GraphExecutor(graph, parameters, eager_free=False)
         executor.run(input_array, targets)
         for op in graph.ops:
             # Execute once to warm caches, then time `repetitions`

@@ -45,7 +45,7 @@ class ServingEngine:
     Parameters
     ----------
     model: the (possibly split-transformed) model to serve.
-    device, numeric, workers, compile_plans, cache: the engine's
+    device, numeric, compile_plans, cache: the engine's
         :class:`~repro.planned.PlanCore` (documented there).  With
         ``compile_plans`` graphs are built with ``eval_batchnorm=True``
         so running-stat normalization folds to per-channel affines; a
@@ -64,7 +64,6 @@ class ServingEngine:
         model: ConvClassifier,
         device: DeviceSpec = P100_NVLINK,
         numeric: bool = False,
-        workers: int = 1,
         batch_cap: int = 4096,
         seed: int = 0,
         compile_plans: bool = False,
@@ -76,7 +75,7 @@ class ServingEngine:
         self.model = model
         #: The compile -> plan -> verify -> cache path, shared with the
         #: engine's dense inferer; ``cache`` and ``planner`` are its.
-        self.core = PlanCore(device, numeric=numeric, workers=workers,
+        self.core = PlanCore(device, numeric=numeric,
                              compile_plans=compile_plans, cache=cache)
         self.device = device
         self.cache, self.planner = self.core.cache, self.core.planner

@@ -52,6 +52,14 @@ __all__ = [
     "wavefront_steps",
 ]
 
+#: The autoscaler scales up when a tenant's queued images exceed this
+#: many bucket caps (a batch's worth of work is waiting that the current
+#: replicas cannot absorb) ...
+_SCALE_UP_QUEUE_FACTOR = 1.0
+#: ... or when the p99 over this sliding window (simulated seconds)
+#: breaches the tenant's deadline.
+_SLO_WINDOW = 1.0
+
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -262,11 +270,6 @@ class FleetScheduler:
         baseline the continuous mode is benchmarked against.
     autoscale: enable the replica autoscaler.
     autoscale_interval: simulated seconds between autoscaler ticks.
-    scale_up_queue_factor: scale up when a tenant's queued images exceed
-        ``factor * bucket_cap`` (a batch's worth of work is waiting that
-        the current replicas cannot absorb).
-    slo_window: sliding window (seconds) for the windowed p99 the
-        autoscaler compares against the tenant's deadline.
     idle_timeout: retire a replica idle this long (never below one
         replica per tenant).
     compile_plans: forward to every tenant's engine.
@@ -279,8 +282,6 @@ class FleetScheduler:
         continuous: bool = True,
         autoscale: bool = True,
         autoscale_interval: float = 0.25,
-        scale_up_queue_factor: float = 1.0,
-        slo_window: float = 1.0,
         idle_timeout: float = 0.5,
         compile_plans: bool = False,
     ) -> None:
@@ -290,8 +291,6 @@ class FleetScheduler:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
         self.autoscale_interval = autoscale_interval
-        self.scale_up_queue_factor = scale_up_queue_factor
-        self.slo_window = slo_window
         self.idle_timeout = idle_timeout
         #: One plan cache for the whole fleet: keys carry model, split
         #: scheme, bucket and pipeline fingerprint, so tenants serving
@@ -579,7 +578,7 @@ class FleetScheduler:
     # Autoscaler
     # ------------------------------------------------------------------
     def _windowed_p99(self, tenant: _Tenant, now: float) -> Optional[float]:
-        cutoff = now - self.slo_window
+        cutoff = now - _SLO_WINDOW
         tenant.window = [(t, lat) for t, lat in tenant.window if t >= cutoff]
         if not tenant.window:
             return None
@@ -590,7 +589,7 @@ class FleetScheduler:
             name = tenant.config.name
             p99 = self._windowed_p99(tenant, now)
             backlog = tenant.queue.pending_images \
-                > self.scale_up_queue_factor * tenant.bucket_cap
+                > _SCALE_UP_QUEUE_FACTOR * tenant.bucket_cap
             breaching = (tenant.config.slo.deadline is not None
                          and p99 is not None
                          and p99 > tenant.config.slo.deadline)

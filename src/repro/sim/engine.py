@@ -82,25 +82,13 @@ class GPUSimulator:
         device: DeviceSpec = P100_NVLINK,
         cost_model: Optional[CostModel] = None,
         check_capacity: bool = False,
-        record_events: bool = True,
-        verify: bool = False,
     ) -> None:
         self.device = device
         self.cost_model = cost_model if cost_model is not None else CostModel(device)
         self.check_capacity = check_capacity
-        self.record_events = record_events
-        self.verify = verify
 
     # ------------------------------------------------------------------
     def run(self, plan: MemoryPlan) -> SimResult:
-        if self.verify:
-            # Strict pre-check: the static verifier is an independent
-            # implementation of the schedule semantics, so it catches
-            # planner bugs this replay has blind spots for (and vice
-            # versa).  Raises PlanVerificationError before any replay.
-            from ..hmms.verify import verify_plan
-            verify_plan(plan, device=self.device,
-                        cost_model=self.cost_model).raise_if_failed()
         graph = plan.graph
         device = self.device
         num_streams = device.num_memory_streams
@@ -116,7 +104,7 @@ class GPUSimulator:
         sizes = {tso_id: tso.size for tso_id, tso in plan.assignment.tsos.items()}
 
         def emit(stream: str, kind: str, name: str, start: float, end: float) -> None:
-            if self.record_events and end > start:
+            if end > start:
                 events.append(TimelineEvent(stream, kind, name, start, end))
 
         def issue_transfer(tso_id: int, at: float, kind: str) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -136,16 +136,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # ------------------------------------------------------------------
-    # Operator stubs — populated by repro.tensor.ops_* at import time.
-    # Declaring them here keeps the public surface discoverable.
-    # ------------------------------------------------------------------
-    def _not_wired(self, *_a: Any, **_k: Any):
-        raise RuntimeError(
-            "Tensor operations are registered when 'repro.tensor' is imported; "
-            "import the package, not this module directly."
-        )
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

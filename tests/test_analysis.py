@@ -8,7 +8,7 @@ Three layers of coverage:
   quiet on known-good ones;
 - **mutation tests**: each diagnostic code is tripped by exactly the
   corruption it documents, pinning code assignments;
-- the **framework**: diagnostics, report emitters, preflight wiring.
+- the **framework**: diagnostics, report emitters, entry points.
 """
 
 import json
@@ -471,21 +471,19 @@ class TestEntryPoints:
         assert not races_only.findings
         assert races_only.passes == ("concurrency",)
 
+    # The guard before running a graph is analyze_graph(...).raise_if_failed().
     def test_preflight_accepts_clean_graph(self):
         with init.fast_init():
             model = build_model("small_vgg")
         graph = build_training_graph(model, 2)
+        analyze_graph(graph, workers=4).raise_if_failed()
         params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params, workers=4, preflight=True)
-        assert executor.workers == 4
+        GraphExecutor(graph, params, workers=4)
 
     def test_preflight_rejects_broken_graph(self):
-        with init.fast_init():
-            model = build_model("small_vgg")
-        graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        graph = _zoo_graph("small_vgg")
         conv = next(op for op in graph.forward_ops()
                     if op.op_type == "conv2d")
         graph.tensors[conv.outputs[0]].shape = (9, 9, 9, 9)
         with pytest.raises(GraphAnalysisError, match="SCA001"):
-            GraphExecutor(graph, params, workers=4, preflight=True)
+            analyze_graph(graph, workers=4).raise_if_failed()

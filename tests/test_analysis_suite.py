@@ -1,6 +1,6 @@
 """Tests for the whole-stack analyzer additions: abstract interpretation
 (SCA3xx), lowering verification (SCA4xx), config lint (SCA5xx), and the
-AnalysisSuite policy layer (severities, suppressions, baselines, cache).
+AnalysisSuite policy layer (suppressions, baselines, cache).
 
 Mutation discipline mirrors test_analysis.py: every new code family has
 at least one test that seeds a defect and asserts it is caught by
@@ -491,7 +491,7 @@ class TestConfigLint:
 
 
 # ----------------------------------------------------------------------
-# AnalysisSuite: severities, suppressions, baselines, cache, SARIF
+# AnalysisSuite: suppressions, baselines, cache, SARIF
 # ----------------------------------------------------------------------
 
 def _dead_op_graph(num_dead=1):
@@ -553,21 +553,6 @@ class TestSuitePolicy:
                             anchor=f"op {dead.id}")
         report = AnalysisSuite(baseline=[entry], strict=True).analyze(graph)
         assert report.by_code("SCA002") and not report.suppressed
-
-    def test_severity_overrides(self):
-        graph, _ = _dead_op_graph(1)
-        as_error = AnalysisSuite(
-            severities={"SCA002": "error"}).analyze(graph)
-        assert not as_error.ok
-        ignored = AnalysisSuite(
-            severities={"SCA002": "ignore"}).analyze(graph)
-        assert not ignored.by_code("SCA002") and not ignored.suppressed
-
-    def test_severity_validation(self):
-        with pytest.raises(ValueError, match="SCA999"):
-            AnalysisSuite(severities={"SCA999": "error"})
-        with pytest.raises(ValueError, match="invalid severity"):
-            AnalysisSuite(severities={"SCA002": "loud"})
 
     def test_result_cache_hits_by_fingerprint(self):
         graph, _ = _dead_op_graph(1)

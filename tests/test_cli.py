@@ -100,6 +100,41 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and flag in line
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["serve-bench", "small_vgg", "--rps", "0"], "--rps"),
+        (["serve-bench", "small_vgg", "--queue-depth", "0"], "--queue-depth"),
+        (["serve-bench", "small_vgg", "--request-size", "0"],
+         "--request-size"),
+        (["fleet-bench", "--duration", "0"], "--duration"),
+        (["patch-bench", "small_vgg", "--overlaps", "x"], "--overlaps"),
+        (["patch-bench", "small_vgg", "--target-factor", "0"],
+         "--target-factor"),
+        (["lint", "small_vgg", "--workers", "0"], "--workers"),
+        (["fig9", "--width", "0"], "--width"),
+    ])
+    def test_bad_numbers_exit_two(self, capsys, argv, flag):
+        # Each used to print a traceback and "internal error" (fig9 an
+        # IndexError).
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and flag in line
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1"], ["fig8"], ["fig9"], ["plan", "small_vgg"],
+        ["verify-plan", "small_vgg"], ["info", "small_vgg"],
+        ["export", "small_vgg"], ["compile", "small_vgg"],
+        ["lint", "small_vgg"],
+    ])
+    def test_batch_zero_exits_two(self, capsys, argv):
+        # plan used to report "0.0 images/s"; info and compile exited 0.
+        assert main(argv + ["-b", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "--batch" in line
+
     def test_unknown_model_exits_two(self, capsys):
         assert main(["info", "lenet"]) == 2
         assert "lenet" in capsys.readouterr().err

@@ -304,6 +304,5 @@ class TestCompileCli:
 
     def test_check_train_mode(self, capsys):
         from repro.cli import main
-        assert main(["compile", "small_resnet", "--train", "--check",
-                     "--workers", "4"]) == 0
+        assert main(["compile", "small_resnet", "--train", "--check"]) == 0
         assert "identical" in capsys.readouterr().out

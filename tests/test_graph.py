@@ -129,6 +129,15 @@ class TestForwardBuilder:
         adds = [op for op in resnet_graph.forward_ops() if op.op_type == "add"]
         assert len(adds) == 3  # one per BasicBlock
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_empty_batch_rejected(self, rng, batch, inference):
+        # A batch of 0 used to build a graph the planner priced at
+        # 0 images/s.
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            build_forward_graph(small_vgg(rng=rng), batch,
+                                inference=inference)
+
 
 class TestMemoryEfficientBn:
     def test_relu_following_bn_recomputes(self, rng):

@@ -745,8 +745,6 @@ class TestValidation:
     def test_constructor_validation(self):
         model = small_vgg(rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            PatchInferer(model, workers=0)
-        with pytest.raises(ValueError):
             PatchInferer(model, memory_budget=0)
         with pytest.raises(ValueError):
             PatchInferer(model, patch_batch=0)

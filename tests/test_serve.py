@@ -575,23 +575,6 @@ class TestQueuePeekAndPendingImages:
         assert queue.pending_images == 2
 
 
-class TestEngineParallelExecutor:
-    def test_workers_produce_byte_identical_logits(self):
-        serial = make_engine(numeric=True)
-        parallel = make_engine(numeric=True, workers=4)
-        requests = [Request(id=0, arrival_time=0.0, size=2),
-                    Request(id=1, arrival_time=0.0, size=1)]
-        serial.execute(requests)
-        parallel.execute(requests)
-        for request in requests:
-            assert serial.logits_for(request).tobytes() \
-                == parallel.logits_for(request).tobytes()
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_engine(workers=0)
-
-
 # ----------------------------------------------------------------------
 # Percentile boundary semantics (p=0 / p=100 regression pins)
 # ----------------------------------------------------------------------

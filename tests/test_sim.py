@@ -82,12 +82,6 @@ class TestOffloadReplay:
         # address-space peak of the first-fit pool.
         assert result.peak_live_bytes <= plan.device_general_peak
 
-    def test_events_can_be_disabled(self, vgg_graph):
-        plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
-        result = GPUSimulator(record_events=False).run(plan)
-        assert result.events == []
-        assert result.total_time > 0
-
 
 class TestSafetyChecks:
     def test_use_after_free_detected(self, vgg_graph):

@@ -277,12 +277,17 @@ class TestGradientStorageCorruptions:
 
 
 class TestIntegrationHooks:
+    """Gating a plan is ``verify_plan(...).raise_if_failed()`` composed
+    before the planner's caller or the simulator uses it."""
+
     def test_planner_verify_flag(self, vgg_graph):
-        plan = HMMSPlanner(scheduler="hmms", verify=True).plan(vgg_graph)
+        plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
+        verify_plan(plan).raise_if_failed()
         assert plan.device_general_peak > 0
 
     def test_simulator_verify_flag_clean(self, hmms_plan):
-        result = GPUSimulator(verify=True).run(hmms_plan)
+        verify_plan(hmms_plan).raise_if_failed()
+        result = GPUSimulator().run(hmms_plan)
         assert result.total_time > 0
 
     def test_simulator_verify_flag_rejects_corrupt_plan(self, hmms_plan):
@@ -290,4 +295,4 @@ class TestIntegrationHooks:
         entry = next(e for e in plan.schedule if e.frees_after)
         entry.frees_after.pop()
         with pytest.raises(PlanVerificationError):
-            GPUSimulator(verify=True).run(plan)
+            verify_plan(plan).raise_if_failed()
