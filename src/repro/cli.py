@@ -498,7 +498,9 @@ def _cmd_serve_bench(args) -> int:
 
 
 def _parse_tenant_spec(spec: str, index: int):
-    """``model[/SPLIT[@DEPTH]]:slo:rps`` -> :class:`TenantConfig`."""
+    """``model[/SPLIT[@DEPTH]]:slo:rps`` -> :class:`TenantConfig`; every
+    bad field is a usage error."""
+    from .models import MODEL_REGISTRY
     from .serve import SLO_CLASSES, TenantConfig
 
     parts = spec.split(":")
@@ -524,6 +526,10 @@ def _parse_tenant_spec(spec: str, index: int):
             raise _UsageError(
                 f"tenant spec {spec!r}: bad split count "
                 f"{split_text!r}") from None
+    if model not in MODEL_REGISTRY:
+        raise _UsageError(
+            f"tenant spec {spec!r}: unknown model {model!r}; zoo: "
+            f"{sorted(MODEL_REGISTRY)}")
     if slo_name not in SLO_CLASSES:
         raise _UsageError(
             f"tenant spec {spec!r}: slo must be one of "
@@ -534,9 +540,12 @@ def _parse_tenant_spec(spec: str, index: int):
         raise _UsageError(
             f"tenant spec {spec!r}: bad rps {rps_text!r}") from None
     name = f"t{index}-{model}" + (f"-split{split}" if split > 1 else "")
-    return TenantConfig(name=name, model=model, split=split,
-                        split_depth=split_depth, slo=SLO_CLASSES[slo_name],
-                        rps=rps)
+    try:
+        return TenantConfig(name=name, model=model, split=split,
+                            split_depth=split_depth,
+                            slo=SLO_CLASSES[slo_name], rps=rps)
+    except ValueError as error:     # split count, depth or rps out of range
+        raise _UsageError(f"tenant spec {spec!r}: {error}") from None
 
 
 def _cmd_fleet_bench(args) -> int:

@@ -134,7 +134,9 @@ def build_zoo_model(name: str, split: int = 1,
     model is transformed only when both ask for it.  Zoo models whose
     constructors default to CIFAR shapes get their ImageNet heads, and
     weights are fast-initialised (callers plan and bench, not train).
-    Raises ``ValueError`` on an unknown name or split count.
+    Raises ``ValueError`` on an unknown name or split count, or a
+    ``split_depth`` outside ``[0, 1]`` (NaN included: it would skip the
+    transform and serve the unsplit model).
     """
     # Deferred: repro.models' residual handlers import this package.
     from ..models import build_model
@@ -143,6 +145,8 @@ def build_zoo_model(name: str, split: int = 1,
     if split not in GRID_OF_SPLITS:
         raise ValueError(
             f"split must be one of {sorted(GRID_OF_SPLITS)}, got {split}")
+    if not 0.0 <= split_depth <= 1.0:
+        raise ValueError(f"split depth must be in [0, 1], got {split_depth}")
     kwargs = {}
     if name in ("vgg11", "resnet18", "resnet34"):
         kwargs = {"dataset": "imagenet", "num_classes": 1000}

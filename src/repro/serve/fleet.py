@@ -33,10 +33,13 @@ assert exact per-tenant accounting over a million requests.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core import GRID_OF_SPLITS
 from ..graph.ir import Graph
 from ..hmms import PlanCache
 from ..profile.device import DeviceSpec, P100_NVLINK
@@ -80,9 +83,16 @@ class TenantConfig:
     batch_cap: int = 4096               # upper bound for capacity search
 
     def __post_init__(self) -> None:
-        if self.rps <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: rps must be positive, got {self.rps}")
+        # ``not x > 0`` and the chained range check are False for NaN too.
+        if not (self.rps > 0 and math.isfinite(self.rps)):
+            raise ValueError(f"tenant {self.name!r}: rps must be positive "
+                             f"and finite, got {self.rps}")
+        if self.split not in GRID_OF_SPLITS:
+            raise ValueError(f"tenant {self.name!r}: split must be one of "
+                             f"{sorted(GRID_OF_SPLITS)}, got {self.split}")
+        if not 0.0 <= self.split_depth <= 1.0:
+            raise ValueError(f"tenant {self.name!r}: split_depth must be in "
+                             f"[0, 1], got {self.split_depth}")
         if self.max_replicas < 1:
             raise ValueError(
                 f"tenant {self.name!r}: max_replicas must be >= 1, "
@@ -231,15 +241,18 @@ class _Replica:
 
 @dataclass
 class _Tenant:
-    """Per-tenant runtime: engine, queue, batcher, replicas, SLO window."""
+    """Per-tenant runtime: engine, queue, batcher, metrics, replicas, SLO
+    window."""
 
     config: TenantConfig
     engine: ServingEngine
     queue: AdmissionQueue
     batcher: DynamicBatcher
+    metrics: ServingMetrics             # this tenant's FleetMetrics entry
     bucket_cap: int                     # fleet-capped largest bucket
     reservation: int                    # ledger bytes per replica
     replicas: List[_Replica] = field(default_factory=list)
+    idle_replicas: int = 0              # how many of ``replicas`` are idle
     next_replica_id: int = 0
     next_check_at: float = float("inf")
     # (completion_time, latency) of recent completions for windowed p99
@@ -343,14 +356,17 @@ class FleetScheduler:
                 queue=AdmissionQueue(config.queue_depth, cap,
                                      max_pending_images),
                 batcher=DynamicBatcher(cap, config.slo.flush_timeout),
+                metrics=self.metrics.tenant(config.name),
                 bucket_cap=cap, reservation=engine.planned_peak(cap))
             self.tenants[config.name] = tenant
             if not self._add_replica(tenant, now=0.0):
                 raise ValueError(
                     f"tenant {config.name!r}: ledger refused the "
                     f"first replica — capacity partition bug")
-        # Event heap: (time, seq, kind, tenant, replica_id)
-        self._events: List[Tuple[float, int, str, str, int]] = []
+        # Event heap: (time, seq, kind, tenant, replica); ``seq`` is unique,
+        # so ties never compare the runtime objects behind it.
+        self._events: List[Tuple[float, int, str, Optional[_Tenant],
+                                 Optional[_Replica]]] = []
         self._seq = 0
         self.clock = 0.0
 
@@ -396,6 +412,7 @@ class FleetScheduler:
             return False
         tenant.next_replica_id += 1
         tenant.replicas.append(_Replica(id=replica_id, idle_since=now))
+        tenant.idle_replicas += 1
         name = tenant.config.name
         self.metrics.peak_replicas[name] = max(
             self.metrics.peak_replicas[name], len(tenant.replicas))
@@ -403,16 +420,17 @@ class FleetScheduler:
 
     def _retire_replica(self, tenant: _Tenant, replica: _Replica) -> None:
         tenant.replicas.remove(replica)
+        tenant.idle_replicas -= 1       # only idle replicas retire
         self.ledger.release(tenant.config.name, replica.id)
 
     # ------------------------------------------------------------------
     # Event machinery
     # ------------------------------------------------------------------
-    def _push(self, time: float, kind: str, tenant: str = "",
-              replica_id: int = -1) -> None:
+    def _push(self, time: float, kind: str,
+              tenant: Optional[_Tenant] = None,
+              replica: Optional[_Replica] = None) -> None:
         self._seq += 1
-        heapq.heappush(self._events, (time, self._seq, kind, tenant,
-                                      replica_id))
+        heapq.heappush(self._events, (time, self._seq, kind, tenant, replica))
 
     def _dispatch_and_arm(self, tenant: _Tenant, now: float) -> None:
         """Dispatch whatever is ready; arm a future check if time-gated.
@@ -429,22 +447,38 @@ class FleetScheduler:
         if now < tenant.next_check_at <= ready:
             return                      # an earlier pending check covers it
         tenant.next_check_at = ready
-        self._push(ready, "check", tenant.config.name)
+        self._push(ready, "check", tenant)
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
     def submit(self, request: Request, now: float) -> bool:
+        """Admit one request at ``now``; ``False`` means rejected (queue
+        full).  Raises ``ValueError`` for an unknown tenant and
+        :class:`~repro.serve.queue.OversizeRequestError` for a request no
+        batch can carry."""
         self.clock = max(self.clock, now)
         tenant = self.tenants.get(request.tenant)
         if tenant is None:
             raise ValueError(
                 f"request {request.id} names unknown tenant "
                 f"{request.tenant!r}")
-        admitted = tenant.queue.offer(request)
-        self.metrics.tenant(request.tenant).record_admission(
-            admitted, len(tenant.queue))
+        return self._admit(tenant, request, now)
+
+    def _admit(self, tenant: _Tenant, request: Request, now: float) -> bool:
+        """Offer a request to its tenant's queue and count it.  Dispatch is
+        probed only when a replica is idle: with every replica busy it
+        could only return at once, and the next step event retries it."""
+        queue = tenant.queue
+        admitted = queue.offer(request)     # raises before anything counts
+        metrics = tenant.metrics
+        metrics.arrived += 1
         if admitted:
+            metrics.admitted += 1
+        else:
+            metrics.rejected_queue_full += 1
+        metrics.queue_depths.append(len(queue))
+        if admitted and tenant.idle_replicas:
             self._dispatch_and_arm(tenant, now)
         return admitted
 
@@ -465,11 +499,13 @@ class FleetScheduler:
         flush timer, ``None`` when it is blocked on replicas or the
         queue is empty (no clock-based wakeup needed).
         """
-        metrics = self.metrics.tenant(tenant.config.name)
+        metrics = tenant.metrics
         while len(tenant.queue):
-            replica = next((r for r in tenant.replicas if r.idle), None)
-            if replica is None:
+            if not tenant.idle_replicas:
                 return None             # joins/step events make progress
+            for replica in tenant.replicas:
+                if replica.idle:
+                    break
             ready = tenant.batcher.ready_at(tenant.queue, now)
             if ready > now:
                 return ready            # flush timer still arming
@@ -490,7 +526,7 @@ class FleetScheduler:
         the patch path, whose plans own the memory joiners would borrow)
         occupy the replica atomically, as one synthetic step.
         """
-        metrics = self.metrics.tenant(tenant.config.name)
+        metrics = tenant.metrics
         images = sum(r.size for r in batch)
         latency = tenant.engine.execute(batch)
         metrics.batches += 1
@@ -505,29 +541,31 @@ class FleetScheduler:
         replica.step_time = latency / replica.steps_per_pass
         replica.resident_images = images
         replica.completions = {replica.steps_per_pass: batch}
-        self._push(now + replica.step_time, "step", tenant.config.name,
-                   replica.id)
+        tenant.idle_replicas -= 1
+        self._push(now + replica.step_time, "step", tenant, replica)
 
     # ------------------------------------------------------------------
     # Step boundaries: completions + continuous joins
     # ------------------------------------------------------------------
     def _on_step(self, tenant: _Tenant, replica: _Replica,
                  now: float) -> None:
-        metrics = self.metrics.tenant(tenant.config.name)
         replica.step_index += 1
-        for request in replica.completions.pop(replica.step_index, []):
-            metrics.record_completion(request, now)
-            replica.resident_images -= request.size
-            if self.autoscale:          # the window's only reader prunes it
-                tenant.window.append((now, request.latency))
-        if self.continuous:
+        done = replica.completions.pop(replica.step_index, None)
+        if done:
+            metrics = tenant.metrics
+            for request in done:
+                metrics.record_completion(request, now)
+                replica.resident_images -= request.size
+                if self.autoscale:      # the window's only reader prunes it
+                    tenant.window.append((now, request.latency))
+        if self.continuous and len(tenant.queue):
             self._admit_joiners(tenant, replica, now)
         if replica.completions:
-            self._push(now + replica.step_time, "step",
-                       tenant.config.name, replica.id)
+            self._push(now + replica.step_time, "step", tenant, replica)
             return
         replica.bucket = 0              # drained: idle
         replica.idle_since = now
+        tenant.idle_replicas += 1
         self._dispatch_and_arm(tenant, now)
 
     def _admit_joiners(self, tenant: _Tenant, replica: _Replica,
@@ -547,39 +585,45 @@ class FleetScheduler:
         replica to a tiny bucket while load rises — the batch is allowed
         to finish so dispatch can reform it at the right size.
         """
-        metrics = self.metrics.tenant(tenant.config.name)
-        name = tenant.config.name
-        engine = tenant.engine
         if replica.dense:
             return                      # patch plans own the memory
-        if (replica.bucket < tenant.bucket_cap
-                and tenant.queue.pending_images >= 2 * replica.bucket):
+        queue = tenant.queue
+        bucket = replica.bucket
+        if bucket < tenant.bucket_cap and queue.pending_images >= 2 * bucket:
             return                      # drain, then reform bigger
-        while len(tenant.queue):
-            head = tenant.queue.peek()
+        room = free = bucket - replica.resident_images
+        joined: List[Request] = []
+        while len(queue):
+            head = queue.peek()
             if head.expired_at(now):
-                metrics.expired += 1
-                tenant.queue.pop()
+                tenant.metrics.expired += 1
+                queue.pop()
                 continue
-            if isinstance(head, DenseRequest):
-                return                  # dense dispatches alone, in order
-            if head.size > replica.bucket - replica.resident_images:
-                return
-            request = tenant.queue.pop()
-            request.dispatch_time = now
-            replica.resident_images += request.size
-            due = replica.step_index + replica.steps_per_pass
-            replica.completions.setdefault(due, []).append(request)
-            self.metrics.joins[name] += 1
-            engine.executed_images += request.size
-            engine.padded_images -= request.size   # slot was padding
+            # A dense head dispatches alone, in order.
+            if head.size > free or isinstance(head, DenseRequest):
+                break
+            queue.pop()
+            head.dispatch_time = now
+            free -= head.size
+            joined.append(head)
+        if not joined:
+            return
+        images = room - free
+        replica.resident_images += images
+        # Later than every pending completion, so the key is new.
+        replica.completions[replica.step_index + replica.steps_per_pass] \
+            = joined
+        self.metrics.joins[tenant.config.name] += len(joined)
+        tenant.engine.executed_images += images
+        tenant.engine.padded_images -= images   # the slots were padding
 
     # ------------------------------------------------------------------
     # Autoscaler
     # ------------------------------------------------------------------
     def _windowed_p99(self, tenant: _Tenant, now: float) -> Optional[float]:
-        cutoff = now - _SLO_WINDOW
-        tenant.window = [(t, lat) for t, lat in tenant.window if t >= cutoff]
+        # Appended in clock order: drop the prefix older than the window.
+        del tenant.window[:bisect.bisect_left(tenant.window,
+                                              (now - _SLO_WINDOW,))]
         if not tenant.window:
             return None
         return percentile([lat for _, lat in tenant.window], 99)
@@ -620,32 +664,27 @@ class FleetScheduler:
         satisfy the accounting invariant with ``still_queued == 0``.  A
         later trace may not start before the clock this one leaves.
         """
-        for earlier, later in zip(arrivals, arrivals[1:]):
-            if later.arrival_time < earlier.arrival_time:
-                raise ValueError("arrival trace must be time-sorted")
-        if arrivals and arrivals[0].arrival_time < self.clock:
-            raise ValueError(
-                f"trace starts at {arrivals[0].arrival_time}, before the "
-                f"scheduler's clock ({self.clock}): build a fresh scheduler")
+        self._check_trace(arrivals)
+        events = self._events
         index, total = 0, len(arrivals)
         if self.autoscale:
             self._push(self.clock + self.autoscale_interval, "scale")
-        while index < total or self._events:
-            next_event = self._events[0][0] if self._events else float("inf")
+        while index < total or events:
+            next_event = events[0][0] if events else float("inf")
             if index < total and arrivals[index].arrival_time <= next_event:
-                self.submit(arrivals[index], arrivals[index].arrival_time)
+                request = arrivals[index]
                 index += 1
+                # The trace is sorted and never behind the clock.
+                self.clock = request.arrival_time
+                self._admit(self.tenants[request.tenant], request,
+                            request.arrival_time)
                 continue
-            time, _, kind, name, replica_id = heapq.heappop(self._events)
+            time, _, kind, tenant, replica = heapq.heappop(events)
             self.clock = max(self.clock, time)
             if kind == "step":
-                tenant = self.tenants[name]
-                replica = next((r for r in tenant.replicas
-                                if r.id == replica_id), None)
-                if replica is not None and not replica.idle:
+                if not replica.idle:
                     self._on_step(tenant, replica, time)
             elif kind == "check":
-                tenant = self.tenants[name]
                 if tenant.next_check_at <= time:
                     tenant.next_check_at = float("inf")
                 self._dispatch_and_arm(tenant, time)
@@ -657,6 +696,29 @@ class FleetScheduler:
                     self._push(time + self.autoscale_interval, "scale")
         self.metrics.check_accounting(self.still_queued())
         return self.metrics
+
+    def _check_trace(self, arrivals: List[Request]) -> None:
+        """Raise on a trace ``run`` could not finish — unsorted, behind the
+        clock, naming an unknown tenant or oversize — before any request
+        is queued, any event pushed or any counter moved."""
+        if arrivals and arrivals[0].arrival_time < self.clock:
+            raise ValueError(
+                f"trace starts at {arrivals[0].arrival_time}, before the "
+                f"scheduler's clock ({self.clock}): build a fresh scheduler")
+        limits = {name: tenant.queue.max_request_size
+                  for name, tenant in self.tenants.items()}
+        last = self.clock
+        for request in arrivals:
+            if request.arrival_time < last:
+                raise ValueError("arrival trace must be time-sorted")
+            last = request.arrival_time
+            limit = limits.get(request.tenant)
+            if limit is None:
+                raise ValueError(
+                    f"request {request.id} names unknown tenant "
+                    f"{request.tenant!r}")
+            if request.size > limit:
+                self.tenants[request.tenant].queue.check_size(request)
 
     # ------------------------------------------------------------------
     def still_queued(self) -> Dict[str, int]:

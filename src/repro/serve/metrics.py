@@ -1,9 +1,9 @@
 """Serving metrics: latency percentiles, batch shapes, drop accounting.
 
 Every number the bench prints comes from here.  Latencies are kept as raw
-samples (a bench run is bounded, so exact percentiles are affordable) and
-additionally bucketed into a power-of-two histogram for the one-screen
-report.  Times are simulated seconds throughout.
+samples (a bench run is bounded, so exact percentiles are affordable); the
+power-of-two histogram of the one-screen report is derived from them when
+rendered.  Times are simulated seconds throughout.
 """
 
 from __future__ import annotations
@@ -38,23 +38,27 @@ def percentile(samples: List[float], p: float) -> float:
 
 
 class LatencyHistogram:
-    """Latency samples plus a power-of-two-millisecond display histogram."""
+    """Latency samples, shown as a power-of-two-millisecond histogram."""
 
     #: Bucket upper bounds in milliseconds; the last bucket is open-ended.
     BOUNDS_MS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
     def __init__(self) -> None:
         self.samples: List[float] = []
-        self.buckets: Counter = Counter()
 
     def record(self, seconds: float) -> None:
         self.samples.append(seconds)
-        ms = seconds * 1e3
-        for bound in self.BOUNDS_MS:
-            if ms <= bound:
-                self.buckets[bound] += 1
-                return
-        self.buckets[None] += 1        # > largest bound
+
+    @property
+    def buckets(self) -> Counter:
+        """Sample count per display bucket (``None``: > largest bound),
+        derived from ``samples`` on every read."""
+        counts: Counter = Counter()
+        for seconds in self.samples:
+            ms = seconds * 1e3
+            counts[next((bound for bound in self.BOUNDS_MS if ms <= bound),
+                        None)] += 1
+        return counts
 
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
@@ -72,9 +76,10 @@ class LatencyHistogram:
         if not self.samples:
             return "  (empty)"
         rows = []
-        top = max(self.buckets.values())
+        buckets = self.buckets
+        top = max(buckets.values())
         for bound in (*self.BOUNDS_MS, None):
-            count = self.buckets.get(bound)
+            count = buckets.get(bound)
             if not count:
                 continue
             label = f"<= {bound:4d} ms" if bound is not None else "  > 1024 ms"
@@ -102,14 +107,6 @@ class ServingMetrics:
     empty_flushes: int = 0
 
     # ------------------------------------------------------------------
-    def record_admission(self, admitted: bool, depth_after: int) -> None:
-        self.arrived += 1
-        if admitted:
-            self.admitted += 1
-        else:
-            self.rejected_queue_full += 1
-        self.queue_depths.append(depth_after)
-
     def record_completion(self, request: Request,
                           completion_time: float) -> None:
         """One request finished.  Under continuous batching requests
@@ -119,8 +116,9 @@ class ServingMetrics:
         request.completion_time = completion_time
         self.completed_requests += 1
         self.completed_images += request.size
-        self.latency.record(request.latency)
-        self.queue_wait.record(request.dispatch_time - request.arrival_time)
+        self.latency.samples.append(completion_time - request.arrival_time)
+        self.queue_wait.samples.append(
+            request.dispatch_time - request.arrival_time)
 
     # ------------------------------------------------------------------
     def check_accounting(self, still_queued: int = 0) -> None:

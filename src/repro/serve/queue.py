@@ -72,29 +72,30 @@ class AdmissionQueue:
         """
         return self._pending_images
 
-    @property
-    def full(self) -> bool:
-        return len(self._requests) >= self.max_depth
-
     # ------------------------------------------------------------------
-    def offer(self, request: Request) -> bool:
-        """Admit ``request`` or reject it; returns ``True`` on admission.
-
-        Oversize requests raise instead of returning ``False``: they can
-        never be served, so silently dropping them would hide a bug in
-        the caller.  Dense requests are exempt from the oversize check —
-        they are *streamed* in patch batches by the dense path, so no
-        single batch ever has to carry the whole patch total — but they
-        still weigh their full ``size`` against ``max_pending_images``.
-        """
-        if (not isinstance(request, DenseRequest)
-                and request.size > self.max_request_size):
+    def check_size(self, request: Request) -> None:
+        """Raise :class:`OversizeRequestError` if no batch can carry
+        ``request``.  Dense requests are exempt: they are *streamed* in
+        patch batches by the dense path, so no single batch ever has to
+        carry the whole patch total."""
+        if (request.size > self.max_request_size
+                and not isinstance(request, DenseRequest)):
             raise OversizeRequestError(
                 f"request {request.id} asks for {request.size} images but "
                 f"the largest servable batch is {self.max_request_size}; "
                 f"split the request client-side"
             )
-        if self.full:
+
+    def offer(self, request: Request) -> bool:
+        """Admit ``request`` or reject it; returns ``True`` on admission.
+
+        Oversize requests raise (:meth:`check_size`) instead of returning
+        ``False``: they can never be served, so silently dropping them
+        would hide a bug in the caller.  A dense request still weighs its
+        full ``size`` against ``max_pending_images``.
+        """
+        self.check_size(request)
+        if len(self._requests) >= self.max_depth:
             return False
         if (self.max_pending_images is not None
                 and self._pending_images + request.size

@@ -121,6 +121,22 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and flag in line
 
+    @pytest.mark.parametrize("spec,message", [
+        ("small_vgg:interactive:inf", "rps must be positive and finite"),
+        ("small_vgg:interactive:nan", "rps must be positive and finite"),
+        ("nosuch:interactive:100", "unknown model 'nosuch'"),
+        ("small_vgg/0:interactive:100", "split must be one of"),
+        ("small_vgg/4@nan:interactive:100", "split_depth must be in [0, 1]"),
+    ])
+    def test_bad_tenant_spec_exits_two(self, capsys, spec, message):
+        # inf hung the trace generator; the others printed a traceback
+        # and "internal error", and @nan served an unsplit model.
+        assert main(["fleet-bench", "--tenant", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     @pytest.mark.parametrize("argv", [
         ["fig1"], ["fig8"], ["fig9"], ["plan", "small_vgg"],
         ["verify-plan", "small_vgg"], ["info", "small_vgg"],

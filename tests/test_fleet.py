@@ -2,6 +2,7 @@
 batching, autoscaler, and the per-tenant accounting invariant."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -58,6 +59,35 @@ class TestSLOClass:
             SLOClass("bad", deadline=0.0, flush_timeout=0.0)
         with pytest.raises(ValueError, match="flush_timeout must be"):
             SLOClass("bad", deadline=None, flush_timeout=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Tenant configs
+# ----------------------------------------------------------------------
+class TestTenantConfig:
+    @pytest.mark.parametrize("rps", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rps_must_be_positive_and_finite(self, rps):
+        # inf used to hang the trace generator; nan crashed it.
+        with pytest.raises(ValueError, match="rps must be positive"):
+            TenantConfig(name="a", model="small_vgg", rps=rps)
+
+    @pytest.mark.parametrize("depth", [-0.1, 1.5, float("nan")])
+    def test_split_depth_must_be_in_unit_interval(self, depth):
+        # nan used to build an unsplit model labelled as split.
+        with pytest.raises(ValueError, match=r"split_depth must be in \[0, 1\]"):
+            TenantConfig(name="a", model="small_vgg", split=4,
+                         split_depth=depth)
+
+    @pytest.mark.parametrize("split", [0, 5])
+    def test_split_must_be_a_known_grid(self, split):
+        with pytest.raises(ValueError, match="split must be one of"):
+            TenantConfig(name="a", model="small_vgg", split=split)
+
+    def test_zoo_builder_rejects_a_nan_depth(self):
+        from repro.serve import ServingEngine
+        with pytest.raises(ValueError, match="split depth"):
+            ServingEngine.from_zoo("small_vgg", split=4,
+                                   split_depth=float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +307,26 @@ class TestFleetRun:
         with pytest.raises(ValueError, match="fresh scheduler"):
             fleet.run([dataclasses.replace(r) for r in trace])
         assert fleet.metrics.tenant("a").arrived == arrived
+
+    @pytest.mark.parametrize("bad", [
+        Request(id=1, arrival_time=0.002, tenant="ghost"),
+        Request(id=1, arrival_time=0.002, size=64, tenant="a"),
+    ], ids=["unknown-tenant", "oversize"])
+    def test_bad_trace_leaves_the_scheduler_untouched(self, bad):
+        # Used to raise at request 1 with request 0 queued, two events on
+        # the heap and the clock at 0.001, and a later run() added its
+        # counts to those metrics.
+        fleet = small_fleet([small_tenant("a")])
+        trace = [Request(id=0, arrival_time=0.001, tenant="a"), bad,
+                 Request(id=2, arrival_time=0.003, tenant="a")]
+        with pytest.raises(ValueError):
+            fleet.run(trace)
+        assert fleet.clock == 0.0 and fleet._events == []
+        assert fleet.still_queued() == {"a": 0}
+        m = fleet.metrics.tenant("a")
+        assert (m.arrived, m.admitted, m.queue_depths) == (0, 0, [])
+        good = [trace[0], dataclasses.replace(trace[2], id=1)]
+        assert fleet.run(good).tenant("a").completed_requests == 2
 
     def test_continuous_beats_flush_p99_on_the_same_trace(self):
         # The headline property: joining in-flight batches at wavefront
@@ -530,3 +580,139 @@ class TestMixedDenseFleet:
         # tenant's join counter stays zero.
         assert fleet.metrics.joins["dense"] == 0
         assert metrics.tenant("dense").completed_requests > 0
+
+
+# ----------------------------------------------------------------------
+# Golden digests: the continuous fleet, request for request
+# ----------------------------------------------------------------------
+#: The ``benchmarks/test_fleet_soak.py`` tenant mix (200k req/s offered).
+SOAK_TENANTS = [
+    TenantConfig(name="resnet-live", model="small_resnet", batch_cap=64,
+                 slo=INTERACTIVE, rps=100_000.0, queue_depth=512),
+    TenantConfig(name="resnet-split4", model="small_resnet", split=4,
+                 batch_cap=64, slo=STANDARD, rps=60_000.0, queue_depth=512),
+    TenantConfig(name="vgg-bulk", model="small_vgg", batch_cap=64,
+                 slo=BATCH, rps=40_000.0, queue_depth=512),
+]
+
+
+def _soak_trace(scale, requests=10_000, seed=0):
+    tenants = [dataclasses.replace(t, rps=t.rps * scale)
+               for t in SOAK_TENANTS]
+    return fleet_arrivals(FleetBenchConfig(
+        tenants=tenants, seed=seed,
+        duration=requests / (200_000.0 * scale)))
+
+
+def _dense_mix_trace(n=300, seed=5):
+    """Classification and 2x2 dense requests under tight deadlines."""
+    from repro.serve import DenseRequest
+    rng = np.random.default_rng(seed)
+    arrivals, clock = [], 0.0
+    for i in range(n):
+        clock += float(rng.exponential(0.0002))
+        if rng.random() < 0.3:
+            hw = (32, 32) if rng.random() < 0.5 else (64, 64)
+            arrivals.append(DenseRequest(
+                id=i, arrival_time=clock, tenant="dense", image_hw=hw,
+                grid=(2, 2), deadline=clock + 0.003))
+        else:
+            arrivals.append(Request(
+                id=i, arrival_time=clock, tenant="cls",
+                size=int(rng.integers(1, 3)), deadline=clock + 0.002))
+    return arrivals
+
+
+def _golden_fleet_cases():
+    """``(name, fleet factory, trace)`` for every pinned fleet run."""
+    for scale, label in ((0.5, "x0_5"), (1.0, "x1"), (2.0, "x2")):
+        yield (f"soak-{label}",
+               lambda: FleetScheduler(SOAK_TENANTS, autoscale=True),
+               _soak_trace(scale))
+    yield ("soak-x1-flush",
+           lambda: FleetScheduler(SOAK_TENANTS, continuous=False,
+                                  autoscale=True),
+           _soak_trace(1.0))
+    # A device with room for one extra replica and a trickle after the
+    # burst: scale-ups, ledger refusals, queue-full rejections and idle
+    # retirements all fire.
+    trace = _soak_trace(2.0)
+    end = trace[-1].arrival_time
+    trace += [Request(id=len(trace) + i, arrival_time=end + 0.003 * (i + 1),
+                      tenant=SOAK_TENANTS[i % 3].name) for i in range(30)]
+    tight = dataclasses.replace(P100_NVLINK, memory_capacity=150_000_000)
+    yield ("soak-x2-tight",
+           lambda: FleetScheduler(SOAK_TENANTS, device=tight, autoscale=True,
+                                  autoscale_interval=0.004,
+                                  idle_timeout=0.006),
+           trace)
+    mix = [small_tenant("cls", rps=800.0),
+           small_tenant("dense", model="small_vgg", rps=200.0,
+                        queue_depth=8)]
+    for continuous in (True, False):
+        yield (f"dense-mix-{'continuous' if continuous else 'flush'}",
+               lambda continuous=continuous: FleetScheduler(
+                   mix, continuous=continuous, autoscale=True,
+                   autoscale_interval=0.002, idle_timeout=0.003),
+               _dense_mix_trace())
+
+
+def _fleet_digest(case) -> str:
+    """blake2b over every request's instants, every per-tenant counter
+    and sample list, the fleet's counters and the engines' counters."""
+    _, make_fleet, trace = case
+    fleet = make_fleet()
+    arrivals = [dataclasses.replace(r) for r in trace]
+    metrics = fleet.run(arrivals)
+    digest = hashlib.blake2b(digest_size=16)
+    for request in arrivals:
+        digest.update(repr((request.id, request.tenant, request.dispatch_time,
+                            request.completion_time)).encode())
+    for name, tenant in fleet.tenants.items():
+        m = metrics.per_tenant[name]
+        engine = tenant.engine
+        digest.update(repr((
+            name, m.arrived, m.admitted, m.completed_requests,
+            m.completed_images, m.rejected_queue_full, m.expired, m.batches,
+            m.empty_flushes, sorted(m.batch_sizes.items()),
+            m.latency.samples, m.queue_wait.samples, m.queue_depths,
+            metrics.joins[name], metrics.scale_ups[name],
+            metrics.scale_downs[name], metrics.peak_replicas[name],
+            engine.executed_batches, engine.executed_images,
+            engine.padded_images,
+        )).encode())
+    digest.update(repr((
+        metrics.scale_up_refusals, fleet.ledger.peak_reserved, fleet.clock,
+        fleet.cache.hits, fleet.cache.misses,
+    )).encode())
+    return digest.hexdigest()
+
+
+#: Recorded on the event loop before arrivals stopped probing dispatch on
+#: busy tenants and step boundaries stopped recording empty completions.
+GOLDEN_FLEET_DIGESTS = {
+    "soak-x0_5": "d79b0394522597231b42a25ac7fe1ac4",
+    "soak-x1": "605c496b01c2c6af7279ab24c342a426",
+    "soak-x2": "f03293451f0aad90ae3b95a3255374a6",
+    "soak-x1-flush": "a5c427a5b19d7a541a6e7746e0c37b70",
+    "soak-x2-tight": "237e9d4e4027fdce45f22fd057ad8e82",
+    "dense-mix-continuous": "84dee408992fb34adac8bf6bdbfb2e83",
+    "dense-mix-flush": "50b5e93b7c8ab593b01dd4c2eee01811",
+}
+
+
+class TestFleetGoldenDigests:
+    CASES = list(_golden_fleet_cases())
+
+    def test_covers_every_recorded_trace(self):
+        assert [case[0] for case in self.CASES] == list(GOLDEN_FLEET_DIGESTS)
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_request_for_request_counter_for_counter(self, case):
+        assert _fleet_digest(case) == GOLDEN_FLEET_DIGESTS[case[0]]
+
+
+if __name__ == "__main__":
+    # Prints the ``GOLDEN_FLEET_DIGESTS`` rows for the code as it stands.
+    for case in _golden_fleet_cases():
+        print(f'    "{case[0]}": "{_fleet_digest(case)}",')
