@@ -14,13 +14,13 @@ Graph passes over a serialized :class:`~repro.graph.ir.Graph`:
 - **determinism** (``SCA2xx``): frozen gradient reductions and unique
   per-op seeds for stochastic ops.
 
-Artifact passes (not run by :func:`analyze_graph` — they take richer
-targets than a graph):
+Artifact passes (they take richer targets than a graph):
 
 - **lowering** (``SCA4xx``): :func:`verify_lowering` independently
   re-derives the lowered tables of a
   :class:`~repro.graph.executor.GraphExecutor` (every execution,
-  compiled or not) from its source graph;
+  compiled or not) from its source graph; :func:`analyze_graph` runs it
+  when given the executor as ``plan=``;
 - **config-lint** (``SCA5xx``): :func:`lint_engine_config` /
   :func:`lint_fleet_config` / :func:`lint_dense_config` audit serving,
   fleet, and patch-inference configuration.
@@ -29,18 +29,15 @@ The concurrency pass extends across devices for mesh plans
 (``SCA104``/``SCA105`` via :func:`detect_mesh_hazards` — invoked
 directly, mesh plans are not single graphs).
 
-:class:`AnalysisSuite` drives everything at scale with inline/baseline
-suppressions and a fingerprint-keyed result cache.
-
 Entry points: :func:`analyze_graph` (library; ``.raise_if_failed()`` is
-the guard before running a graph), :class:`AnalysisSuite` (suppressions
-+ cache), ``repro lint`` (CLI), :func:`detect_mesh_hazards`
-(``repro mesh-bench`` guard).
+the guard before running a graph), ``repro lint`` (CLI),
+:func:`detect_mesh_hazards` (``repro mesh-bench`` guard).  Every finding
+counts: there is no suppression channel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..graph.ir import Graph
 from ..hmms.storage import StorageAssignment, assign_storage
@@ -51,7 +48,7 @@ from .config import (
 )
 from .determinism import audit_determinism
 from .diagnostics import (
-    CODES, HELP_URI, PASS_ABSINT, PASS_CONFIG, PASS_DETERMINISM, PASS_LINT,
+    CODES, PASS_ABSINT, PASS_CONFIG, PASS_DETERMINISM, PASS_LINT,
     PASS_LOWERING, PASS_RACES, SEV_ERROR, SEV_WARNING, AnalysisReport,
     Diagnostic, DiagnosticSpec, GraphAnalysisError,
 )
@@ -59,10 +56,9 @@ from .lint import lint_graph
 from .lowering import verify_lowering
 from .mesh import analyze_mesh_plan, detect_mesh_hazards
 from .races import ancestor_masks, detect_races
-from .suite import (
-    SUPPRESS_ATTR, AnalysisSuite, SuiteReport, Suppression,
-    graph_fingerprint, load_baseline, write_baseline,
-)
+
+if TYPE_CHECKING:                            # no runtime executor import
+    from ..graph.executor import GraphExecutor
 
 __all__ = [
     "analyze_graph", "lint_graph", "detect_races", "audit_determinism",
@@ -70,21 +66,15 @@ __all__ = [
     "lint_engine_config", "lint_fleet_config", "lint_dense_config",
     "check_cache_keys",
     "ancestor_masks", "detect_mesh_hazards", "analyze_mesh_plan",
-    "AnalysisSuite", "SuiteReport", "Suppression", "SUPPRESS_ATTR",
-    "graph_fingerprint", "load_baseline", "write_baseline",
     "AnalysisReport", "Diagnostic", "DiagnosticSpec", "GraphAnalysisError",
-    "CODES", "SEV_ERROR", "SEV_WARNING", "HELP_URI",
+    "CODES", "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",
     "PASS_ABSINT", "PASS_LOWERING", "PASS_CONFIG",
-    "ALL_PASSES", "GRAPH_PASSES",
+    "GRAPH_PASSES",
 ]
 
 #: Passes :func:`analyze_graph` can run over a bare graph.
 GRAPH_PASSES = (PASS_LINT, PASS_ABSINT, PASS_RACES, PASS_DETERMINISM)
-
-#: Every registered pass name, including the artifact passes driven
-#: through :class:`AnalysisSuite` / the dedicated entry points.
-ALL_PASSES = GRAPH_PASSES + (PASS_LOWERING, PASS_CONFIG)
 
 
 def analyze_graph(
@@ -94,6 +84,7 @@ def analyze_graph(
     workers: int = 4,
     inference: bool = False,
     passes: Sequence[str] = GRAPH_PASSES,
+    plan: Optional["GraphExecutor"] = None,
 ) -> AnalysisReport:
     """Run the graph passes over ``graph`` and return a report.
 
@@ -105,18 +96,25 @@ def analyze_graph(
     additionally enforces inference-graph purity and skips the
     (training-only) determinism audit.
 
-    ``passes`` may name any registered pass; the artifact passes
-    (``lowering``, ``config-lint``) need a plan or runtime object and
-    are skipped here — run them through :class:`AnalysisSuite` or their
-    dedicated entry points.
+    ``passes`` selects among :data:`GRAPH_PASSES`.  Given ``plan`` — an
+    executor lowered from ``graph`` — the lowering verifier runs as well.
+    Naming ``lowering`` without a plan, or ``config-lint`` at all, raises
+    ``ValueError`` rather than silently checking nothing.
 
     The report never raises; call :meth:`AnalysisReport.raise_if_failed`
     to turn error-severity findings into :class:`GraphAnalysisError`.
     """
-    unknown = [p for p in passes if p not in ALL_PASSES]
+    if PASS_LOWERING in passes and plan is None:
+        raise ValueError(
+            f"the {PASS_LOWERING!r} pass verifies a lowered executor: "
+            "pass plan=")
+    valid = GRAPH_PASSES + (PASS_LOWERING,)
+    unknown = [p for p in passes if p not in valid]
     if unknown:
         raise ValueError(
-            f"unknown analysis pass(es) {unknown}; valid: {list(ALL_PASSES)}")
+            f"unknown graph pass(es) {unknown}; valid: {list(valid)} "
+            f"({PASS_CONFIG!r} has no graph: call the lint_*_config "
+            "functions)")
 
     findings: List[Diagnostic] = []
     if PASS_LINT in passes:
@@ -129,12 +127,16 @@ def analyze_graph(
         findings.extend(detect_races(graph, assignment, workers=workers))
     if PASS_DETERMINISM in passes and not inference:
         findings.extend(audit_determinism(graph))
+    ran = tuple(p for p in GRAPH_PASSES if p in passes)
+    if plan is not None:
+        findings.extend(verify_lowering(plan))
+        ran += (PASS_LOWERING,)
 
     return AnalysisReport(
         graph_name=graph.name,
         num_ops=len(graph.ops),
         num_tensors=len(graph.tensors),
         workers=workers,
-        passes=tuple(p for p in GRAPH_PASSES if p in passes),
+        passes=ran,
         findings=findings,
     )

@@ -1,8 +1,8 @@
 """Diagnostics framework for the whole-graph static analyzer.
 
 Every finding carries a stable ``SCAxxx`` code (Split-CNN Analyzer) so
-tests, CI greps, and suppression lists can pin behavior to a code rather
-than to message text.  Codes are grouped by pass:
+tests and CI greps can pin behavior to a code rather than to message
+text.  Codes are grouped by pass:
 
 - ``SCA0xx`` — graph lint (structure, shapes, reachability);
 - ``SCA1xx`` — concurrency hazards under the wavefront executor;
@@ -12,8 +12,7 @@ than to message text.  Codes are grouped by pass:
 - ``SCA5xx`` — serving/fleet/infer configuration lint.
 
 Findings anchor to graph objects (op ids, tensor ids, TSO ids), not to
-source files; the SARIF emitter maps them onto logical locations so
-standard SARIF viewers can still group and filter them.
+source files.  A report renders as text or JSON.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ __all__ = [
     "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",
     "PASS_ABSINT", "PASS_LOWERING", "PASS_CONFIG",
-    "HELP_URI", "DiagnosticSpec", "CODES", "Diagnostic", "AnalysisReport",
-    "GraphAnalysisError", "sarif_rules", "sarif_result",
+    "DiagnosticSpec", "CODES", "Diagnostic", "AnalysisReport",
+    "GraphAnalysisError",
 ]
 
 SEV_ERROR = "error"
@@ -39,11 +38,6 @@ PASS_DETERMINISM = "determinism"
 PASS_ABSINT = "absint"
 PASS_LOWERING = "lowering"
 PASS_CONFIG = "config-lint"
-
-# Every rule's helpUri points at its family section in the analyzer doc.
-HELP_URI = ("https://github.com/split-cnn-repro/blob/main/docs/"
-            "static_analysis.md")
-
 
 @dataclass(frozen=True)
 class DiagnosticSpec:
@@ -329,70 +323,3 @@ class AnalysisReport:
             ],
         }
         return json.dumps(payload, indent=2)
-
-    def to_sarif(self) -> Dict[str, Any]:
-        """SARIF 2.1.0 log (one run).  Anchors become logical locations —
-        the graph has no physical source files."""
-        results = [sarif_result(d) for d in self.findings]
-        return {
-            "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                        "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-            "version": "2.1.0",
-            "runs": [{
-                "tool": {
-                    "driver": {
-                        "name": "repro-sca",
-                        "informationUri":
-                            "https://github.com/split-cnn-repro",
-                        "rules": sarif_rules(),
-                    },
-                },
-                "properties": {
-                    "graph": self.graph_name,
-                    "workers": self.workers,
-                    "passes": list(self.passes),
-                },
-                "results": results,
-            }],
-        }
-
-
-def sarif_rules() -> List[Dict[str, Any]]:
-    """The complete ``driver.rules`` table: every registered SCA code
-    with id, name, descriptions, default level, and helpUri — emitted in
-    full regardless of which codes the run tripped, so SARIF consumers
-    can baseline-diff against a stable rule set."""
-    return [
-        {
-            "id": spec.code,
-            "name": spec.title,
-            "shortDescription": {"text": spec.title},
-            "fullDescription": {"text": spec.description},
-            "helpUri": f"{HELP_URI}#{spec.code.lower()}",
-            "defaultConfiguration": {
-                "level": "error" if spec.severity == SEV_ERROR
-                else "warning",
-            },
-        }
-        for spec in _SPECS
-    ]
-
-
-def sarif_result(d: Diagnostic) -> Dict[str, Any]:
-    """One SARIF result object for ``d`` (no suppression metadata —
-    :class:`~repro.analysis.suite.SuiteReport` layers that on top)."""
-    logical: List[Dict[str, Any]] = [
-        {"name": f"op:{op_id}", "kind": "function"} for op_id in d.op_ids
-    ]
-    if d.tensor_id is not None:
-        logical.append({"name": f"tensor:{d.tensor_id}", "kind": "variable"})
-    if d.tso_id is not None:
-        logical.append({"name": f"tso:{d.tso_id}", "kind": "object"})
-    result: Dict[str, Any] = {
-        "ruleId": d.code,
-        "level": "error" if d.severity == SEV_ERROR else "warning",
-        "message": {"text": d.message},
-    }
-    if logical:
-        result["locations"] = [{"logicalLocations": logical}]
-    return result

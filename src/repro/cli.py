@@ -245,19 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "the model (SCA5xx) instead of its graph")
     lint.add_argument("--matrix", action="store_true",
                       help="lint the full zoo x split x compile x mode "
-                           "matrix through one cached suite")
+                           "matrix")
     lint.add_argument("--models", default=None,
                       help="comma-separated zoo subset for --matrix")
-    lint.add_argument("--strict", action="store_true",
-                      help="ignore inline and baseline suppressions")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="JSON baseline of suppressed findings")
-    lint.add_argument("--write-baseline", default=None, metavar="PATH",
-                      help="write the active findings out as a new "
-                           "baseline and exit 0")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"],
-                      help="report format (sarif = SARIF 2.1.0 JSON)")
+    lint.add_argument("--format", default="text", choices=["text", "json"],
+                      help="report format")
 
     info = sub.add_parser("info", help="graph statistics for a model")
     info.add_argument("model")
@@ -678,76 +670,65 @@ def _lint_build(model, batch: int, inference: bool, compiled: bool,
                                 workers=workers)
 
 
-def _lint_matrix(args, suite) -> int:
-    """zoo x {split, unsplit} x {interpreted, compiled} x {train, infer}
-    through one suite (shared policy, shared fingerprint cache)."""
+def _lint_matrix(args) -> int:
+    """zoo x {split, unsplit} x {interpreted, compiled} x {train, infer}."""
+    from .analysis import analyze_graph
     from .models import MODEL_REGISTRY
 
     names = sorted(MODEL_REGISTRY)
-    if args.models:
+    if args.models is not None:
         names = [n.strip() for n in args.models.split(",") if n.strip()]
+        if not names:
+            raise _UsageError("--models names no model")
         unknown = [n for n in names if n not in MODEL_REGISTRY]
         if unknown:
             raise _UsageError(
                 f"unknown model(s) {unknown}; zoo: "
                 f"{sorted(MODEL_REGISTRY)}")
     splits = (1, args.split) if args.split > 1 else (1, 4)
+    # Every model is built before the first line prints, so a bad
+    # --split or --split-depth never follows partial results.
+    models = [(name, split, _build_named_model(name, split,
+                                               args.split_depth))
+              for name in names for split in splits]
     failures = []
-    configs = 0
-    for name in names:
-        for split in splits:
-            model = _build_named_model(name, split, args.split_depth)
-            for compiled in (False, True):
-                for inference in (False, True):
-                    graph, plan = _lint_build(
-                        model, args.batch, inference, compiled,
-                        args.workers)
-                    report = suite.analyze(
-                        graph, workers=args.workers, inference=inference,
-                        plan=plan)
-                    configs += 1
-                    label = (f"{name} split={split} "
-                             f"{'compiled' if compiled else 'interpreted'}"
-                             f" {'infer' if inference else 'train'}")
-                    if report.ok and not report.findings:
-                        status = "clean"
-                    else:
-                        status = (f"{len(report.errors)} errors, "
-                                  f"{len(report.warnings)} warnings")
-                    if report.suppressed:
-                        status += f", {len(report.suppressed)} suppressed"
-                    if report.cache_hit:
-                        status += " (cached)"
-                    print(f"  {label:<46} {status}")
-                    if not report.ok:
-                        failures.append(label)
-                        for finding in report.findings:
-                            print(f"    {finding}")
-    mode = "strict" if args.strict else "with suppressions"
-    print(f"{configs} configurations linted {mode}: "
-          f"{len(failures)} failing; suite cache "
-          f"{suite.cache_hits} hits / {suite.cache_misses} misses")
+    for name, split, model in models:
+        for compiled in (False, True):
+            for inference in (False, True):
+                graph, plan = _lint_build(
+                    model, args.batch, inference, compiled, args.workers)
+                report = analyze_graph(
+                    graph, workers=args.workers, inference=inference,
+                    plan=plan)
+                label = (f"{name} split={split} "
+                         f"{'compiled' if compiled else 'interpreted'}"
+                         f" {'infer' if inference else 'train'}")
+                if report.findings:
+                    status = (f"{len(report.errors)} errors, "
+                              f"{len(report.warnings)} warnings")
+                else:
+                    status = "clean"
+                print(f"  {label:<46} {status}")
+                if not report.ok:
+                    failures.append(label)
+                    for finding in report.findings:
+                        print(f"    {finding}")
+    print(f"{4 * len(models)} configurations linted: "
+          f"{len(failures)} failing")
     return 1 if failures else 0
 
 
 def _cmd_lint(args) -> int:
-    import json
+    from .analysis import PASS_CONFIG, AnalysisReport, analyze_graph
 
-    from .analysis import PASS_CONFIG, AnalysisSuite, Suppression
-
-    try:
-        suite = AnalysisSuite(baseline=args.baseline, strict=args.strict)
-    except (OSError, ValueError) as error:
-        raise _UsageError(f"bad baseline {args.baseline!r}: {error}") \
-            from None
     if args.matrix:
         if args.model is not None or args.config:
             raise _UsageError(
                 "--matrix lints the whole zoo; drop the model argument "
                 "and --config")
-        if args.format != "text" or args.write_baseline:
+        if args.format != "text":
             raise _UsageError("--matrix reports as text only")
-        return _lint_matrix(args, suite)
+        return _lint_matrix(args)
     if args.model is None:
         raise _UsageError("a model is required unless --matrix is given")
 
@@ -757,33 +738,18 @@ def _cmd_lint(args) -> int:
 
         engine = ServingEngine.from_zoo(args.model, split=args.split,
                                         split_depth=args.split_depth)
-        report = suite.report_for(f"{args.model}:engine",
-                                  lint_engine_config(engine),
-                                  (PASS_CONFIG,))
+        report = AnalysisReport(
+            graph_name=f"{args.model}:engine", num_ops=0, num_tensors=0,
+            workers=1, passes=(PASS_CONFIG,),
+            findings=lint_engine_config(engine))
     else:
         model = _build_named_model(args.model, args.split,
                                    args.split_depth)
         graph, plan = _lint_build(model, args.batch, args.inference,
                                   args.compile, args.workers)
-        report = suite.analyze(graph, workers=args.workers,
+        report = analyze_graph(graph, workers=args.workers,
                                inference=args.inference, plan=plan)
-
-    if args.write_baseline:
-        from .analysis import write_baseline
-
-        entries = [Suppression(code=d.code, graph=report.graph_name,
-                               anchor=d.anchor(), reason="baselined")
-                   for d in report.findings]
-        write_baseline(args.write_baseline, entries)
-        print(f"wrote {len(entries)} suppression(s) to "
-              f"{args.write_baseline}")
-        return 0
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "sarif":
-        print(json.dumps(report.to_sarif(), indent=2))
-    else:
-        print(report.render())
+    print(report.to_json() if args.format == "json" else report.render())
     return 0 if report.ok else 1
 
 

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    ALL_PASSES, CODES, AnalysisReport, Diagnostic, GraphAnalysisError,
-    analyze_graph, ancestor_masks,
+    CODES, GRAPH_PASSES, PASS_CONFIG, PASS_LOWERING, AnalysisReport,
+    Diagnostic, GraphAnalysisError, analyze_graph, ancestor_masks,
 )
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
@@ -389,13 +389,14 @@ class TestDiagnostics:
     def test_every_code_has_pass_and_description(self):
         assert len(CODES) >= 12
         for spec in CODES.values():
-            assert spec.pass_name in ALL_PASSES
+            assert spec.pass_name in GRAPH_PASSES + (PASS_LOWERING,
+                                                     PASS_CONFIG)
             assert spec.description and spec.title
 
     def test_report_ok_ignores_warnings(self):
         report = AnalysisReport(
             graph_name="g", num_ops=1, num_tensors=1, workers=4,
-            passes=ALL_PASSES,
+            passes=GRAPH_PASSES,
             findings=[Diagnostic("SCA002", "warn only")])
         assert report.ok and report.warnings and not report.errors
         assert report.raise_if_failed() is report
@@ -403,7 +404,7 @@ class TestDiagnostics:
     def test_error_report_raises_with_attached_report(self):
         report = AnalysisReport(
             graph_name="g", num_ops=1, num_tensors=1, workers=4,
-            passes=ALL_PASSES,
+            passes=GRAPH_PASSES,
             findings=[Diagnostic("SCA101", "race", op_ids=(1, 2),
                                  tso_id=7)])
         with pytest.raises(GraphAnalysisError) as excinfo:
@@ -416,7 +417,7 @@ class TestEmitters:
     def _report(self):
         return AnalysisReport(
             graph_name="demo", num_ops=5, num_tensors=9, workers=4,
-            passes=ALL_PASSES,
+            passes=GRAPH_PASSES,
             findings=[
                 Diagnostic("SCA101", "racy", op_ids=(1, 2), tso_id=3),
                 Diagnostic("SCA002", "dead", op_ids=(4,)),
@@ -430,7 +431,7 @@ class TestEmitters:
     def test_render_clean(self):
         report = AnalysisReport(graph_name="demo", num_ops=1,
                                 num_tensors=1, workers=1,
-                                passes=ALL_PASSES)
+                                passes=GRAPH_PASSES)
         assert "clean" in report.render()
         assert "serial" in report.render()
 
@@ -442,25 +443,18 @@ class TestEmitters:
         assert payload["findings"][0]["tso_id"] == 3
         assert payload["findings"][0]["pass"] == "concurrency"
 
-    def test_sarif_log(self):
-        log = self._report().to_sarif()
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-sca"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert rule_ids == set(CODES)
-        result = run["results"][0]
-        assert result["ruleId"] == "SCA101"
-        assert result["level"] == "error"
-        names = {loc["name"] for loc
-                 in result["locations"][0]["logicalLocations"]}
-        assert names == {"op:1", "op:2", "tso:3"}
-
 
 class TestEntryPoints:
     def test_unknown_pass_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             analyze_graph(_branch_graph(), passes=("bogus",))
+
+    @pytest.mark.parametrize("name", ["config-lint", "lowering"])
+    def test_pass_that_cannot_run_rejected(self, name):
+        # config-lint has no graph to read and lowering needs plan=:
+        # neither may come back as an empty, passing report.
+        with pytest.raises(ValueError, match=name):
+            analyze_graph(_branch_graph(), passes=(name,))
 
     def test_pass_selection_limits_findings(self):
         graph = _zoo_graph("small_vgg")

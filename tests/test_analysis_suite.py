@@ -1,6 +1,6 @@
 """Tests for the whole-stack analyzer additions: abstract interpretation
-(SCA3xx), lowering verification (SCA4xx), config lint (SCA5xx), and the
-AnalysisSuite policy layer (suppressions, baselines, cache).
+(SCA3xx), lowering verification (SCA4xx, also through
+``analyze_graph(plan=)``), config lint (SCA5xx), and ``repro lint``.
 
 Mutation discipline mirrors test_analysis.py: every new code family has
 at least one test that seeds a defect and asserts it is caught by
@@ -9,18 +9,14 @@ proving the analyzers stay quiet on known-good artifacts.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    GRAPH_PASSES, PASS_CONFIG, AnalysisSuite, Diagnostic, Suppression,
-    analyze_graph, check_cache_keys, graph_fingerprint, interpret_graph,
-    lint_dense_config, lint_engine_config, lint_fleet_config,
-    load_baseline, verify_lowering, write_baseline,
+    analyze_graph, check_cache_keys, interpret_graph, lint_dense_config,
+    lint_engine_config, lint_fleet_config, verify_lowering,
 )
-from repro.analysis.diagnostics import HELP_URI, sarif_rules
 from repro.compile import CompiledPlan, default_pipeline
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
@@ -363,6 +359,14 @@ class TestLoweringMutations:
         message = self._forged(split_resnet_train, add_bwd.outputs[0])
         assert "aliasing op" in message and "add_bwd" in message
 
+    def test_lowering_pass_rides_along(self, compiled_train):
+        graph, params = compiled_train
+        plan = CompiledPlan(graph, params, dropout_seed=0, workers=2)
+        plan._seeds[graph.ops[0].id] = (7, 7)
+        report = analyze_graph(graph, plan=plan)
+        assert "lowering" in report.passes
+        assert report.by_code("SCA404")
+
 
 # ----------------------------------------------------------------------
 # SCA5xx: config lint
@@ -491,157 +495,6 @@ class TestConfigLint:
 
 
 # ----------------------------------------------------------------------
-# AnalysisSuite: suppressions, baselines, cache, SARIF
-# ----------------------------------------------------------------------
-
-def _dead_op_graph(num_dead=1):
-    """small_vgg training graph with ``num_dead`` dead relu ops — each
-    yields one SCA002 warning anchored at its op."""
-    graph = build_training_graph(_model(), 2)
-    dead = []
-    for index in range(num_dead):
-        source = graph.tensors[graph.forward_ops()[0].outputs[0]]
-        scratch = graph.add_tensor(f"scratch{index}", source.shape)
-        dead.append(graph.add_op(f"dead{index}", "relu", [source],
-                                 [scratch]))
-    return graph, dead
-
-
-class TestSuitePolicy:
-    def test_inline_suppression_silences_one_location(self):
-        graph, (d0, d1) = _dead_op_graph(2)
-        d0.attrs["lint_suppress"] = "SCA002"
-        report = AnalysisSuite().analyze(graph)
-        assert [f for f, kind in report.suppressed if kind == "inline"]
-        active_ops = {f.op_ids for f in report.by_code("SCA002")}
-        assert (d1.id,) in active_ops and (d0.id,) not in active_ops
-
-    def test_inline_suppression_is_code_specific(self):
-        graph, (dead,) = _dead_op_graph(1)
-        dead.attrs["lint_suppress"] = "SCA101"     # wrong code: no effect
-        report = AnalysisSuite().analyze(graph)
-        assert report.by_code("SCA002") and not report.suppressed
-
-    def test_baseline_matches_exact_anchor(self):
-        graph, _ = _dead_op_graph(1)
-        [finding] = AnalysisSuite().analyze(graph).by_code("SCA002")
-        entry = Suppression(code="SCA002", graph=graph.name,
-                            anchor=finding.anchor(), reason="known")
-        report = AnalysisSuite(baseline=[entry]).analyze(graph)
-        assert not report.by_code("SCA002")
-        assert [f for f, kind in report.suppressed if kind == "baseline"]
-        assert not report.expired_baseline
-
-    def test_baseline_entry_expires_when_finding_disappears(self):
-        graph, _ = _dead_op_graph(1)
-        stale = Suppression(code="SCA002", graph=graph.name,
-                            anchor="op 99999", reason="gone")
-        report = AnalysisSuite(baseline=[stale]).analyze(graph)
-        assert stale in report.expired_baseline
-        # Wildcard entries have no single home graph and never expire.
-        wildcard = Suppression(code="SCA002", graph="*", anchor="op 99999")
-        report = AnalysisSuite(baseline=[wildcard]).analyze(graph)
-        assert not report.expired_baseline
-
-    def test_strict_ignores_both_channels(self):
-        graph, (dead,) = _dead_op_graph(1)
-        dead.attrs["lint_suppress"] = "SCA002"
-        [finding] = AnalysisSuite().analyze(
-            graph, passes=GRAPH_PASSES).findings or \
-            [Diagnostic("SCA002", "placeholder", op_ids=(dead.id,))]
-        entry = Suppression(code="SCA002", graph=graph.name,
-                            anchor=f"op {dead.id}")
-        report = AnalysisSuite(baseline=[entry], strict=True).analyze(graph)
-        assert report.by_code("SCA002") and not report.suppressed
-
-    def test_result_cache_hits_by_fingerprint(self):
-        graph, _ = _dead_op_graph(1)
-        suite = AnalysisSuite()
-        first = suite.analyze(graph)
-        second = suite.analyze(graph)
-        assert not first.cache_hit and second.cache_hit
-        assert suite.cache_hits == 1 and suite.cache_misses == 1
-        assert [f.code for f in second.findings] == \
-            [f.code for f in first.findings]
-        # A structural change moves the fingerprint: miss again.
-        graph.ops[-1].attrs["note"] = "mutated"
-        assert not suite.analyze(graph).cache_hit
-
-    def test_fingerprint_tracks_constants(self):
-        model = _model("small_resnet")
-        graph = build_inference_graph(model, 2, eval_batchnorm=True)
-        before = graph_fingerprint(graph)
-        tensor_id = next(iter(graph.constants))
-        poisoned = graph.constants[tensor_id].copy()
-        poisoned.flat[0] += 1.0
-        graph.constants[tensor_id] = poisoned
-        assert graph_fingerprint(graph) != before
-
-    def test_lowering_pass_rides_along(self, compiled_train):
-        graph, params = compiled_train
-        plan = CompiledPlan(graph, params, dropout_seed=0, workers=2)
-        plan._seeds[graph.ops[0].id] = (7, 7)
-        report = AnalysisSuite().analyze(graph, plan=plan)
-        assert "lowering" in report.passes
-        assert report.by_code("SCA404")
-
-    def test_report_for_applies_policy_to_config_findings(self):
-        finding = Diagnostic("SCA504", "bad key")
-        suite = AnalysisSuite(baseline=[
-            Suppression(code="SCA504", graph="cfg", anchor="")])
-        report = suite.report_for("cfg", [finding], (PASS_CONFIG,))
-        assert not report.findings and report.suppressed
-
-    def test_baseline_file_roundtrip(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        entries = [Suppression(code="SCA002", graph="g", anchor="op 3",
-                               reason="r")]
-        write_baseline(path, entries)
-        assert load_baseline(path) == entries
-        with pytest.raises(ValueError, match="unknown code"):
-            load_baseline_path = str(tmp_path / "bad.json")
-            with open(load_baseline_path, "w") as handle:
-                json.dump({"suppressions": [{"code": "SCA999"}]}, handle)
-            load_baseline(load_baseline_path)
-
-
-class TestSuiteSarif:
-    def test_suppressed_results_carry_baseline_state(self):
-        graph, (d0, d1) = _dead_op_graph(2)
-        d0.attrs["lint_suppress"] = "SCA002"
-        report = AnalysisSuite().analyze(graph)
-        log = report.to_sarif()
-        run = log["runs"][0]
-        states = {r["baselineState"] for r in run["results"]}
-        assert states == {"new", "unchanged"}
-        suppressed = [r for r in run["results"]
-                      if r["baselineState"] == "unchanged"]
-        assert suppressed[0]["suppressions"] == [{"kind": "inSource"}]
-        assert run["properties"]["fingerprint"] == report.fingerprint
-        assert run["properties"]["strict"] is False
-
-    def test_external_suppression_kind_for_baseline(self):
-        graph, _ = _dead_op_graph(1)
-        [finding] = AnalysisSuite().analyze(graph).by_code("SCA002")
-        entry = Suppression(code="SCA002", graph=graph.name,
-                            anchor=finding.anchor())
-        log = AnalysisSuite(baseline=[entry]).analyze(graph).to_sarif()
-        suppressed = [r for r in log["runs"][0]["results"]
-                      if r.get("suppressions")]
-        assert suppressed[0]["suppressions"] == [{"kind": "external"}]
-
-    def test_rules_metadata_is_complete(self):
-        for rule in sarif_rules():
-            assert rule["id"].startswith("SCA")
-            assert rule["shortDescription"]["text"]
-            assert rule["fullDescription"]["text"]
-            assert rule["helpUri"] == \
-                f"{HELP_URI}#{rule['id'].lower()}"
-            assert rule["defaultConfiguration"]["level"] in \
-                ("error", "warning")
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 class TestLintCli:
@@ -676,10 +529,3 @@ class TestLintCli:
         from repro.cli import main
         assert main(["lint", "small_resnet", "--config"]) == 0
         assert "config-lint" in capsys.readouterr().out
-
-    def test_write_baseline_roundtrip(self, tmp_path, capsys):
-        from repro.cli import main
-        path = str(tmp_path / "bl.json")
-        assert main(["lint", "small_vgg", "-b", "2",
-                     "--write-baseline", path]) == 0
-        assert load_baseline(path) == []

@@ -6,8 +6,8 @@ produce is structurally pinned.
 parent commit (6cfd30e), before the builder's two dispatch tables, the
 residual-block copies and the fused-conv backward rules were collapsed.
 A digest covers op ids, names, order, attrs, tensor ids, ``saved``,
-``forward_of`` and constant bytes (``repro.analysis.graph_fingerprint``),
-so "same digest" means the refactor emitted the same graph, not an
+``forward_of`` and constant bytes (``graph_fingerprint`` below), so
+"same digest" means the refactor emitted the same graph, not an
 equivalent one.  Compiled twins of the training rows cover the twin
 retargeting that replaces the deleted fused-type expansion rules.
 
@@ -21,15 +21,16 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Iterator
 
+import numpy as np
 import pytest
 
-from repro.analysis import graph_fingerprint
 from repro.compile import compile_graph
 from repro.core.transform import build_zoo_model, to_split_cnn
 from repro.graph import (
     build_checkpointed_training_graph, build_inference_graph,
     build_training_graph,
 )
+from repro.graph.ir import Graph
 from repro.infer import GridSplitter
 from repro.infer.graph import build_dense_graph, build_patch_graph
 from repro.infer.splitter import flatten_dense_body
@@ -38,6 +39,32 @@ from repro.models import build_model, small_resnet, small_vgg
 from repro.nn import init
 
 BATCH = 2
+
+
+def graph_fingerprint(graph: Graph) -> str:
+    """Structural digest of everything the graph passes read: ops with
+    attrs and links, tensor records, and constant bytes."""
+    digest = hashlib.sha256()
+    digest.update(graph.name.encode())
+    for op in graph.ops:
+        record = (op.id, op.name, op.op_type, tuple(op.inputs),
+                  tuple(op.outputs),
+                  repr(sorted(op.attrs.items(), key=lambda kv: kv[0])),
+                  op.phase, tuple(op.saved), op.workspace_bytes,
+                  op.forward_of, op.inplace_of)
+        digest.update(repr(record).encode())
+    for tensor_id in sorted(graph.tensors):
+        tensor = graph.tensors[tensor_id]
+        record = (tensor.id, tensor.name, tensor.shape, tensor.kind,
+                  tensor.dtype_bytes, tensor.producer,
+                  tuple(tensor.consumers))
+        digest.update(repr(record).encode())
+    for tensor_id in sorted(graph.constants):
+        value = np.ascontiguousarray(graph.constants[tensor_id])
+        digest.update(repr((tensor_id, value.shape,
+                            value.dtype.str)).encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _zoo_rows(name: str, memory_efficient: bool = False) -> Iterator[str]:
@@ -163,6 +190,18 @@ def _digest(label: str) -> str:
 @pytest.mark.parametrize("label", sorted(ROWS))
 def test_graphs_identical_to_parent(label):
     assert _digest(label) == GOLDEN[label]
+
+
+def test_fingerprint_tracks_constants():
+    with init.fast_init():
+        model = small_resnet()
+    graph = build_inference_graph(model, 2, eval_batchnorm=True)
+    before = graph_fingerprint(graph)
+    tensor_id = next(iter(graph.constants))
+    poisoned = graph.constants[tensor_id].copy()
+    poisoned.flat[0] += 1.0
+    graph.constants[tensor_id] = poisoned
+    assert graph_fingerprint(graph) != before
 
 
 if __name__ == "__main__":

@@ -183,12 +183,25 @@ class TestLint:
         assert payload["ok"] is True and payload["findings"] == []
         assert "split2x2" in payload["graph"]
 
-    def test_sarif_format(self, capsys):
-        assert main(["lint", "small_resnet", "-b", "2",
-                     "--format", "sarif"]) == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["tool"]["driver"]["name"] == "repro-sca"
+    def test_compiled_inference_json_runs_lowering(self, capsys):
+        assert main(["lint", "small_resnet", "-b", "2", "--compile",
+                     "--inference", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert "lowering" in payload["passes"]
+
+    def test_matrix_without_models_is_usage_error(self, capsys):
+        assert main(["lint", "--matrix", "--models", ",", "-b", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
+    def test_matrix_bad_split_fails_before_any_result(self, capsys):
+        assert main(["lint", "--matrix", "--models", "small_vgg",
+                     "--split", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "split must be one of" in captured.err
 
     def test_error_findings_exit_one(self, capsys, monkeypatch):
         import repro.analysis
