@@ -27,16 +27,23 @@ class FirstFitPool:
     ``capacity=None`` means unbounded — used to *measure* the peak footprint
     (for the maximum-batch-size search); a concrete capacity makes ``alloc``
     raise when the plan does not fit.
+
+    The pool keeps the free holes below ``_top`` (the end of the highest
+    positive-size block), not the live blocks: live blocks and holes tile
+    ``[0, _top)``, so ``alloc`` scans the holes in address order and takes
+    the first that fits — or ``_top`` — and ``free`` merges the released
+    range with the holes on either side.  Both cost per hole, not per live
+    block.  A zero-size block occupies nothing and sits at offset 0.
     """
 
     def __init__(self, capacity: Optional[int] = None, name: str = "pool") -> None:
         self.capacity = capacity
         self.name = name
-        # Sorted list of allocated (offset, size, tag), with a parallel
-        # sorted offsets list so alloc/free can bisect instead of
-        # rebuilding a key list (alloc) or scanning linearly (free).
-        self._blocks: List[Tuple[int, int, object]] = []
-        self._offsets: List[int] = []
+        # Free holes as parallel sorted lists of starts and ends; maximal
+        # (no two touch) and all below ``_top``.
+        self._hole_starts: List[int] = []
+        self._hole_ends: List[int] = []
+        self._top = 0
         self._by_tag: Dict[object, Tuple[int, int]] = {}
         self.peak = 0
         self.allocated = 0
@@ -54,12 +61,18 @@ class FirstFitPool:
                 f"{self.name}: allocation of {size} bytes does not fit "
                 f"(capacity {self.capacity}, high water {self.high_water()})"
             )
-        index = bisect.bisect_left(self._offsets, offset)
-        self._blocks.insert(index, (offset, size, tag))
-        self._offsets.insert(index, offset)
+        if offset == self._top:
+            self._top += size
+        elif size:                      # the front of the hole at ``offset``
+            starts, ends = self._hole_starts, self._hole_ends
+            index = bisect.bisect_left(starts, offset)
+            starts[index] += size
+            if starts[index] == ends[index]:
+                del starts[index]
+                del ends[index]
         self._by_tag[tag] = (offset, size)
         self.allocated += size
-        self.peak = max(self.peak, self.high_water())
+        self.peak = max(self.peak, self._top)
         return offset
 
     def free(self, tag: object) -> None:
@@ -67,40 +80,49 @@ class FirstFitPool:
         if entry is None:
             raise PoolError(f"tag {tag!r} not allocated in {self.name}")
         offset, size = entry
-        # Live blocks are disjoint so offsets are unique — except for
-        # zero-size blocks, which may stack at one offset; walk the run.
-        index = bisect.bisect_left(self._offsets, offset)
-        while index < len(self._blocks) and self._blocks[index][0] == offset:
-            if self._blocks[index][2] == tag:
-                del self._blocks[index]
-                del self._offsets[index]
-                self.allocated -= size
-                return
-            index += 1
-        raise PoolError(f"internal inconsistency freeing {tag!r}")
+        self.allocated -= size
+        if size:
+            self._release(offset, offset + size)
 
     # ------------------------------------------------------------------
     def _find_first_fit(self, size: int) -> int:
-        cursor = 0
-        for block_offset, block_size, _ in self._blocks:
-            if block_offset - cursor >= size:
-                return cursor
-            cursor = max(cursor, block_offset + block_size)
-        return cursor
+        if not size:
+            return 0
+        for start, end in zip(self._hole_starts, self._hole_ends):
+            if end - start >= size:
+                return start
+        return self._top
+
+    def _release(self, start: int, end: int) -> None:
+        """Return ``[start, end)`` to the holes, merging its neighbours."""
+        starts, ends = self._hole_starts, self._hole_ends
+        index = bisect.bisect_left(starts, start)
+        if index < len(starts) and starts[index] == end:
+            end = ends[index]
+            del starts[index]
+            del ends[index]
+        if index and ends[index - 1] == start:
+            index -= 1
+            start = starts[index]
+            del starts[index]
+            del ends[index]
+        if end == self._top:
+            self._top = start
+        else:
+            starts.insert(index, start)
+            ends.insert(index, end)
 
     def high_water(self) -> int:
-        """Highest currently-used address (end of the last block)."""
-        if not self._blocks:
-            return 0
-        last_offset, last_size, _ = self._blocks[-1]
-        return last_offset + last_size
+        """Highest currently-used address (end of the highest block)."""
+        return self._top
 
     def live_bytes(self) -> int:
         return self.allocated
 
     def reset(self) -> None:
-        self._blocks.clear()
-        self._offsets.clear()
+        self._hole_starts.clear()
+        self._hole_ends.clear()
+        self._top = 0
         self._by_tag.clear()
         self.peak = 0
         self.allocated = 0
@@ -110,17 +132,12 @@ class BumpPool(FirstFitPool):
     """Monotone allocator: never reuses freed addresses (ablation baseline).
 
     Measures how much address space a schedule would need without the
-    first-fit reuse of §4.4.
+    first-fit reuse of §4.4: a free returns nothing, so there is never a
+    hole and every allocation lands on the top.
     """
 
     def __init__(self, capacity: Optional[int] = None, name: str = "bump") -> None:
         super().__init__(capacity, name)
-        self._cursor = 0
 
-    def _find_first_fit(self, size: int) -> int:
-        offset = self._cursor
-        self._cursor += size
-        return offset
-
-    def high_water(self) -> int:
-        return self._cursor
+    def _release(self, start: int, end: int) -> None:
+        """Freed address space is never handed back."""

@@ -317,58 +317,72 @@ def _check_residency(plan, out: List[Violation]) -> Dict[int, _TsoTrace]:
 # ----------------------------------------------------------------------
 def _check_overlap(plan, capacity: Optional[int], out: List[Violation]) -> None:
     sizes = {tso_id: tso.size for tso_id, tso in plan.assignment.tsos.items()}
-    # Live blocks sorted by offset: parallel lists of offsets and
-    # (end, key) so insertion can check disjointness against neighbors.
-    offsets: List[int] = []
-    blocks: List[Tuple[int, object]] = []     # (end, key), parallel to offsets
+    # Free gaps below ``high_water`` (the end of the highest non-empty live
+    # interval): sorted parallel start/end lists, no two touching.  Live
+    # intervals and gaps tile [0, high_water), so the live bytes plus the
+    # gap bytes equal the high water exactly when no two intervals overlap.
+    gap_starts: List[int] = []
+    gap_ends: List[int] = []
+    gap_bytes = 0
+    high_water = 0
     placed: Dict[object, Tuple[int, int]] = {}  # key -> (offset, size)
     live_bytes = 0
     peak_footprint = 0                         # max(high water, live + ws)
 
-    def first_fit(size: int) -> int:
-        cursor = 0
-        for offset, (end, _) in zip(offsets, blocks):
-            if offset - cursor >= size:
-                return cursor
-            cursor = max(cursor, end)
-        return cursor
-
     def place(key: object, tso_id: int, index: int) -> None:
-        nonlocal live_bytes, peak_footprint
+        nonlocal gap_bytes, high_water, live_bytes, peak_footprint
         if key in placed or tso_id not in sizes:
             return                             # reported by pass 1 already
         size = sizes[tso_id]
-        offset = first_fit(size)
-        position = bisect.bisect_left(offsets, offset)
-        previous_end = blocks[position - 1][0] if position > 0 else 0
-        next_offset = offsets[position] if position < len(offsets) else None
-        if previous_end > offset or (next_offset is not None
-                                     and offset + size > next_offset):
+        offset = 0
+        if size:
+            for position, start in enumerate(gap_starts):
+                if gap_ends[position] - start >= size:
+                    offset = start
+                    gap_bytes -= size
+                    if gap_ends[position] - start == size:
+                        del gap_starts[position]
+                        del gap_ends[position]
+                    else:
+                        gap_starts[position] += size
+                    break
+            else:
+                offset = high_water
+                high_water += size
+        placed[key] = (offset, size)
+        live_bytes += size
+        if live_bytes + gap_bytes != high_water:
             out.append(Violation(
                 FAMILY_OVERLAP,
                 f"live address intervals overlap placing TSO {tso_id} at "
                 f"[{offset}, {offset + size})", op_index=index, tso_id=tso_id))
-        offsets.insert(position, offset)
-        blocks.insert(position, (offset + size, key))
-        placed[key] = (offset, size)
-        live_bytes += size
-        high_water = blocks[-1][0] if blocks else 0
         peak_footprint = max(peak_footprint, high_water, live_bytes)
 
     def release(key: object) -> None:
-        nonlocal live_bytes
+        nonlocal gap_bytes, high_water, live_bytes
         entry = placed.pop(key, None)
         if entry is None:
             return                             # reported by pass 1 already
-        offset, size = entry
-        position = bisect.bisect_left(offsets, offset)
-        while position < len(offsets) and offsets[position] == offset:
-            if blocks[position][1] == key:
-                del offsets[position]
-                del blocks[position]
-                live_bytes -= size
-                return
-            position += 1
+        start, size = entry
+        end = start + size
+        live_bytes -= size
+        if not size:
+            return
+        gap_bytes += size
+        position = bisect.bisect_left(gap_starts, start)
+        if position < len(gap_starts) and gap_starts[position] == end:
+            end = gap_ends.pop(position)
+            gap_starts.pop(position)
+        if position and gap_ends[position - 1] == start:
+            position -= 1
+            start = gap_starts.pop(position)
+            gap_ends.pop(position)
+        if end == high_water:                  # the gap reaches the top
+            gap_bytes -= end - start
+            high_water = start
+        else:
+            gap_starts.insert(position, start)
+            gap_ends.insert(position, end)
 
     for index, entry in enumerate(plan.schedule):
         for tso_id in entry.allocs_before:

@@ -209,6 +209,7 @@ class _DeviceState:
     timeline: Optional[DeviceTimeline]
     inbound: Dict[int, List[int]]   # position -> transfer ids gating it
     outbound: Dict[int, List[int]]  # position -> transfer ids issued after
+    gates: List[int]                # unpassed in/outbound keys, descending
     t: float = 0.0
     position: int = 0
     pre_applied: bool = False
@@ -259,7 +260,8 @@ class MeshSimulator:
             dstate[device_id] = _DeviceState(
                 device_id=device_id, assignment=assignment,
                 timeline=timelines.get(device_id),
-                inbound=inbound, outbound=outbound)
+                inbound=inbound, outbound=outbound,
+                gates=sorted(inbound.keys() | outbound.keys(), reverse=True))
 
         heap: List[Tuple[float, int, str, int]] = []
         seq = 0
@@ -282,10 +284,21 @@ class MeshSimulator:
                 state.done = True
                 return
             segments = timeline.segments
+            gates = state.gates
             while state.position < len(segments):
-                pre, duration = segments[state.position]
                 if not state.pre_applied:
-                    state.t += pre
+                    # No transfer touches the positions before the next
+                    # gate: run them straight, in the same float order.
+                    stop = gates[-1] if gates else len(segments)
+                    t = state.t
+                    for pre, duration in segments[state.position:stop]:
+                        t += pre
+                        t += duration
+                    state.t = t
+                    state.position = stop
+                    if stop >= len(segments):
+                        break
+                    state.t += segments[stop][0]
                     state.pre_applied = True
                 gating = state.inbound.get(state.position, ())
                 missing = {tid for tid in gating
@@ -305,9 +318,10 @@ class MeshSimulator:
                             state.mesh_wait.get(kind, 0.0)
                             + arrival - state.t)
                         state.t = arrival
-                state.t += duration
+                state.t += segments[state.position][1]
                 for tid in state.outbound.get(state.position, ()):
                     push(state.t, "issue", tid)
+                gates.pop()
                 state.position += 1
                 state.pre_applied = False
             state.t += timeline.tail_stall

@@ -19,7 +19,7 @@ resolves the class against a :class:`DeviceSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import EFF_CONV, EFF_GEMM, op_def
@@ -69,20 +69,22 @@ class CostModel:
 
     # ------------------------------------------------------------------
     def cost(self, graph: Graph, op: OpNode) -> OpCost:
-        flops, bytes_moved, efficiency = self._characterize(graph, op)
+        definition = op_def(op.op_type)
+        flops, bytes_moved = definition.characterize(graph, op)
+        if definition.free:
+            return OpCost(flops=flops, bytes_moved=bytes_moved, seconds=0.0)
         device = self.device
+        efficiency = self._efficiency(op, definition.efficiency)
         compute_time = flops / (device.peak_flops * efficiency) if flops else 0.0
         memory_time = bytes_moved / (device.mem_bandwidth * device.mem_efficiency)
-        seconds = device.kernel_overhead + max(compute_time, memory_time)
-        if op_def(op.op_type).free:
-            seconds = 0.0
-        return OpCost(flops=flops, bytes_moved=bytes_moved, seconds=seconds)
+        return OpCost(flops=flops, bytes_moved=bytes_moved,
+                      seconds=device.kernel_overhead
+                      + max(compute_time, memory_time))
 
     # ------------------------------------------------------------------
-    def _efficiency(self, op: OpNode) -> float:
+    def _efficiency(self, op: OpNode, efficiency_class: str) -> float:
         """Fraction of peak FLOPs the op's efficiency class reaches."""
-        definition = op_def(op.op_type)
-        if definition.efficiency == EFF_CONV:
+        if efficiency_class == EFF_CONV:
             kh, kw = op.attrs["kernel"]
             sh, sw = op.attrs["stride"]
             if (kh, kw) == (1, 1):
@@ -93,11 +95,6 @@ class CostModel:
                 # for speed (§2.2.1), raising effective FLOP throughput.
                 return self.device.conv_efficiency * self.device.winograd_gain
             return self.device.conv_efficiency
-        if definition.efficiency == EFF_GEMM:
+        if efficiency_class == EFF_GEMM:
             return self.device.gemm_efficiency
         return self.device.mem_efficiency
-
-    def _characterize(self, graph: Graph, op: OpNode) -> Tuple[float, float, float]:
-        """Return (flops, bytes_moved, compute_efficiency) for ``op``."""
-        flops, bytes_moved = op_def(op.op_type).characterize(graph, op)
-        return flops, bytes_moved, self._efficiency(op)

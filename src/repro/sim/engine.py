@@ -101,7 +101,9 @@ class GPUSimulator:
         transfer_time = 0.0
         offloaded_bytes = 0
         events: List[TimelineEvent] = []
-        sizes = {tso_id: tso.size for tso_id, tso in plan.assignment.tsos.items()}
+        tsos, tso_of = plan.assignment.tsos, plan.assignment.tso_of
+        sizes = {tso_id: tso.size for tso_id, tso in tsos.items()}
+        unreadable = (self.FREED, self.ON_HOST, self.PREFETCHING)
 
         def emit(stream: str, kind: str, name: str, start: float, end: float) -> None:
             if end > start:
@@ -185,7 +187,12 @@ class GPUSimulator:
                 tso_state[tso_id] = self.RESIDENT
 
             # Safety: every input TSO must be resident on the device.
-            self._check_residency(plan, op, tso_state)
+            for tensor_id in op.inputs:
+                tso = tsos[tso_of[tensor_id]]
+                if tso.pool == POOL_DEVICE_GENERAL and \
+                        tso_state.get(tso.id) in unreadable:
+                    raise self._residency_error(plan, op, tensor_id, tso.id,
+                                                tso_state[tso.id])
 
             # Transient workspace counts against capacity like any
             # allocation — a plan whose workspace pushes it past the
@@ -231,21 +238,13 @@ class GPUSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _check_residency(self, plan: MemoryPlan, op, tso_state: Dict[int, int]) -> None:
-        for tensor_id in op.inputs:
-            tso = plan.assignment.tso_for_tensor(tensor_id)
-            if tso.pool != POOL_DEVICE_GENERAL:
-                continue
-            state = tso_state.get(tso.id, self.RESIDENT)
-            if state == self.FREED:
-                raise SimulationError(
-                    f"op {op.name!r} reads TSO {tso.id} "
-                    f"(tensor {plan.graph.tensor(tensor_id).name!r}) which "
-                    "was already freed (use-after-free)"
-                )
-            if state in (self.ON_HOST, self.PREFETCHING):
-                raise SimulationError(
-                    f"op {op.name!r} reads TSO {tso.id} "
-                    f"(tensor {plan.graph.tensor(tensor_id).name!r}) which is "
-                    f"{'on the host' if state == self.ON_HOST else 'still prefetching'}"
-                )
+    def _residency_error(self, plan: MemoryPlan, op, tensor_id: int,
+                         tso_id: int, state: int) -> SimulationError:
+        reads = (f"op {op.name!r} reads TSO {tso_id} "
+                 f"(tensor {plan.graph.tensor(tensor_id).name!r}) which")
+        if state == self.FREED:
+            return SimulationError(
+                f"{reads} was already freed (use-after-free)")
+        return SimulationError(
+            f"{reads} is "
+            f"{'on the host' if state == self.ON_HOST else 'still prefetching'}")

@@ -7,6 +7,7 @@ bit-equal for any link-event tie-breaking order (seeded-shuffle fuzz).
 
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -384,6 +385,77 @@ class TestMeshSimulator:
 
 
 # ----------------------------------------------------------------------
+# golden: every strategy x topology, bit for bit
+# ----------------------------------------------------------------------
+MESH_GOLDEN_BANDWIDTHS = (0.5, 8.0)
+MESH_GOLDEN_STRATEGIES = ("data", "spatial", "pipeline", "data-b16")
+
+
+def _mesh_golden_digest(strategy, topology):
+    """blake2b over ``float.hex`` of the step time, each device's end and
+    mesh wait, and each link's busy time, bytes and transfer count, at
+    every bandwidth of ``MESH_GOLDEN_BANDWIDTHS``.  ``data-b16`` runs 16
+    images per device, where offload stalls land on positions that issue
+    an allreduce."""
+    part = MeshPartitioner(4, topology=topology)
+    split = _small_split()
+    if strategy == "data":
+        plan = part.data(split, 2)
+    elif strategy == "data-b16":
+        plan = part.data(split, 16)
+    elif strategy == "spatial":
+        plan = part.spatial(split, batch=2)
+    else:
+        plan = part.pipeline(split, batch=2)
+    digest = hashlib.blake2b(digest_size=16)
+    for gbit in MESH_GOLDEN_BANDWIDTHS:
+        result = MeshSimulator(build_mesh(4, topology, gbit)).run(plan)
+        digest.update(result.step_seconds.hex().encode())
+        for device_id in sorted(result.devices):
+            measure = result.devices[device_id]
+            digest.update(repr((
+                device_id, measure.end_seconds.hex(),
+                sorted((kind, wait.hex())
+                       for kind, wait in measure.mesh_wait.items()),
+            )).encode())
+        for name in sorted(result.links):
+            link = result.links[name]
+            digest.update(repr((name, link.busy_seconds.hex(), link.nbytes,
+                                link.transfers)).encode())
+    return digest.hexdigest()
+
+
+#: Recorded before the event loop advanced gate to gate.
+GOLDEN_MESH_DIGESTS = {
+    ("data", "ring"): "1b4dd5bb563feed9b6191033cf8cf29e",
+    ("data", "bus"): "90f299defa297861bff18ae3e26c9101",
+    ("data", "p2p"): "3f0cc7e62c2ade29eec7637e53a7d089",
+    ("spatial", "ring"): "a1fc1208ee48b6020f68985f6e18f054",
+    ("spatial", "bus"): "6082e6b7e55a10760841475ae5f56d22",
+    ("spatial", "p2p"): "2a9d788bb7d485081a2e3462ea9bc853",
+    ("pipeline", "ring"): "ab491276aeb61fc91d9bbfe6783f5d37",
+    ("pipeline", "bus"): "fd3c0dc62433993e59f570b0c1d49e65",
+    ("pipeline", "p2p"): "2b04faf5a21b66201ba89bf282435670",
+    ("data-b16", "ring"): "d49f6e3dbf3aea0c0bb082c21e3875a4",
+    ("data-b16", "bus"): "1d8f404ec91507078c6c771ce8798428",
+    ("data-b16", "p2p"): "2e8e3017ce4a5a62e34842d3f5c13c48",
+}
+
+
+class TestMeshGoldenDigests:
+    def test_covers_every_strategy_and_topology(self):
+        assert list(GOLDEN_MESH_DIGESTS) == [
+            (strategy, topology)
+            for strategy in MESH_GOLDEN_STRATEGIES
+            for topology in ("ring", "bus", "p2p")]
+
+    @pytest.mark.parametrize("case", list(GOLDEN_MESH_DIGESTS),
+                             ids=lambda case: "-".join(case))
+    def test_bit_equal(self, case):
+        assert _mesh_golden_digest(*case) == GOLDEN_MESH_DIGESTS[case]
+
+
+# ----------------------------------------------------------------------
 # satellite 1: speedup_at lookup + overhead apportioning guard
 # ----------------------------------------------------------------------
 class TestFig11Fixes:
@@ -520,3 +592,12 @@ class TestMeasuredFig11:
             assert a.measured_speedup == b.measured_speedup
             assert a.base_step_seconds == b.base_step_seconds
             assert a.split_step_seconds == b.split_step_seconds
+
+
+if __name__ == "__main__":
+    # Prints the ``GOLDEN_MESH_DIGESTS`` rows for the code as it stands.
+    with init.fast_init():
+        for strategy in MESH_GOLDEN_STRATEGIES:
+            for topology in ("ring", "bus", "p2p"):
+                digest = _mesh_golden_digest(strategy, topology)
+                print(f'    ("{strategy}", "{topology}"): "{digest}",')

@@ -1,5 +1,7 @@
 """Unit + property tests for the first-fit and bump allocators (§4.4)."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,7 +79,8 @@ class TestFirstFit:
         pool.reset()
         assert pool.peak == 0
         assert pool.alloc(10, "a") == 0
-        assert pool._offsets == [0]
+        assert pool.high_water() == 10
+        assert (pool._hole_starts, pool._hole_ends) == ([], [])
 
     def test_zero_size_blocks_stack_at_one_offset(self):
         """Zero-size blocks share an offset with each other and with a
@@ -95,20 +98,40 @@ class TestFirstFit:
             pool.free("z2")
 
     def test_offsets_stay_parallel_and_sorted(self):
-        """The bisect index (`_offsets`) must mirror `_blocks` exactly
-        through arbitrary churn."""
+        """The hole lists stay parallel, sorted and maximal, and with the
+        live blocks they tile ``[0, high_water())`` through arbitrary
+        churn."""
         rng = np.random.default_rng(0)
         pool = FirstFitPool()
-        live = []
+        live = {}
         for step in range(300):
             if live and rng.random() < 0.45:
-                tag = live.pop(rng.integers(len(live)))
+                tag = list(live)[rng.integers(len(live))]
                 pool.free(tag)
+                del live[tag]
             else:
-                pool.alloc(int(rng.integers(0, 200)), step)
-                live.append(step)
-            assert pool._offsets == [b[0] for b in pool._blocks]
-            assert pool._offsets == sorted(pool._offsets)
+                size = int(rng.integers(0, 200))
+                live[step] = (pool.alloc(size, step), size)
+            starts, ends = pool._hole_starts, pool._hole_ends
+            assert len(starts) == len(ends)
+            assert all(start < end for start, end in zip(starts, ends))
+            assert all(end < start for end, start in zip(ends, starts[1:]))
+            intervals = sorted([(o, o + s) for o, s in live.values() if s]
+                               + list(zip(starts, ends)))
+            cursor = 0
+            for start, end in intervals:
+                assert start == cursor
+                cursor = end
+            assert cursor == pool.high_water()
+
+    def test_zero_size_block_does_not_hide_the_high_water(self):
+        """Regression: a real block at offset 0 sorted *before* an older
+        zero-size block there, and the high water read the last block."""
+        pool = FirstFitPool()
+        pool.alloc(0, "z")
+        assert pool.alloc(10, "r") == 0
+        assert pool.high_water() == 10
+        assert pool.peak == 10
 
 
 class TestBumpPool:
@@ -130,17 +153,17 @@ class TestBumpPool:
 
 
 @st.composite
-def alloc_free_program(draw):
+def alloc_free_program(draw, sizes=st.integers(1, 1000), max_steps=60):
     """A random valid alloc/free program."""
     steps = []
     live = []
-    for index in range(draw(st.integers(1, 60))):
+    for index in range(draw(st.integers(1, max_steps))):
         if live and draw(st.booleans()):
             victim = draw(st.sampled_from(live))
             live.remove(victim)
             steps.append(("free", victim, 0))
         else:
-            size = draw(st.integers(1, 1000))
+            size = draw(sizes)
             steps.append(("alloc", index, size))
             live.append(index)
     return steps
@@ -177,3 +200,56 @@ def test_first_fit_never_worse_than_bump(program):
             else:
                 pool.free(tag)
     assert first_fit.peak <= bump.peak
+
+
+class _BlockScan:
+    """The block-list first fit the hole lists replaced, kept inline as the
+    reference: live blocks sorted by offset (a new block goes before equal
+    offsets), scanned for the first gap between running block ends."""
+
+    def __init__(self):
+        self.blocks = []        # (offset, end), parallel to offsets
+        self.offsets = []
+        self.by_tag = {}
+
+    def alloc(self, size, tag):
+        cursor = 0
+        for offset, end in self.blocks:
+            if offset - cursor >= size:
+                break
+            cursor = max(cursor, end)
+        index = bisect.bisect_left(self.offsets, cursor)
+        self.blocks.insert(index, (cursor, cursor + size))
+        self.offsets.insert(index, cursor)
+        self.by_tag[tag] = (cursor, cursor + size)
+        return cursor
+
+    def free(self, tag):
+        index = self.blocks.index(self.by_tag.pop(tag))
+        del self.blocks[index]
+        del self.offsets[index]
+
+
+@given(alloc_free_program(sizes=st.one_of(st.just(0), st.integers(1, 64)),
+                          max_steps=120))
+@settings(max_examples=200, deadline=None)
+def test_first_fit_matches_the_block_scan(program):
+    """Under churn over small and zero-size blocks (holes open, merge,
+    refill and reach the top), every offset equals the block scan's; the
+    high water is the largest live end and the peak its running maximum."""
+    pool, reference = FirstFitPool(), _BlockScan()
+    ends = {}
+    running_peak = 0
+    for action, tag, size in program:
+        if action == "alloc":
+            offset = pool.alloc(size, tag)
+            assert offset == reference.alloc(size, tag)
+            ends[tag] = offset + size
+        else:
+            pool.free(tag)
+            reference.free(tag)
+            del ends[tag]
+        top = max(ends.values(), default=0)
+        running_peak = max(running_peak, top)
+        assert pool.high_water() == top
+        assert pool.peak == running_peak
