@@ -4,10 +4,10 @@ Graph passes over a serialized :class:`~repro.graph.ir.Graph`:
 
 - **graph-lint** (``SCA0xx``): structural integrity, registry shape
   re-inference, dead ops, orphan tensors, dangling references,
-  inference-graph purity;
-- **absint** (``SCA3xx``): abstract interpretation — a per-tensor
-  interval/NaN lattice propagated through registry ``abstract_eval``
-  hooks, plus declared-dtype checks (provable-only policy);
+  inference-graph purity; and (``SCA3xx``) the constant values and op
+  attributes the kernels trust unchecked — a batchnorm running-var
+  constant at or below ``-eps``, a dropout rate outside ``[0, 1)``,
+  constant and per-op dtype widths;
 - **concurrency** (``SCA1xx``): may-happen-in-parallel hazards of the
   wavefront executor against the HMMS storage plan — TSO write/write
   and read/write conflicts, eager-free use-after-free;
@@ -41,14 +41,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..graph.ir import Graph
 from ..hmms.storage import StorageAssignment, assign_storage
-from .absint import interpret_graph
 from .config import (
     check_cache_keys, lint_dense_config, lint_engine_config,
     lint_fleet_config,
 )
 from .determinism import audit_determinism
 from .diagnostics import (
-    CODES, PASS_ABSINT, PASS_CONFIG, PASS_DETERMINISM, PASS_LINT,
+    CODES, PASS_CONFIG, PASS_DETERMINISM, PASS_LINT,
     PASS_LOWERING, PASS_RACES, SEV_ERROR, SEV_WARNING, AnalysisReport,
     Diagnostic, DiagnosticSpec, GraphAnalysisError,
 )
@@ -62,19 +61,19 @@ if TYPE_CHECKING:                            # no runtime executor import
 
 __all__ = [
     "analyze_graph", "lint_graph", "detect_races", "audit_determinism",
-    "interpret_graph", "verify_lowering",
+    "verify_lowering",
     "lint_engine_config", "lint_fleet_config", "lint_dense_config",
     "check_cache_keys",
     "ancestor_masks", "detect_mesh_hazards", "analyze_mesh_plan",
     "AnalysisReport", "Diagnostic", "DiagnosticSpec", "GraphAnalysisError",
     "CODES", "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",
-    "PASS_ABSINT", "PASS_LOWERING", "PASS_CONFIG",
+    "PASS_LOWERING", "PASS_CONFIG",
     "GRAPH_PASSES",
 ]
 
 #: Passes :func:`analyze_graph` can run over a bare graph.
-GRAPH_PASSES = (PASS_LINT, PASS_ABSINT, PASS_RACES, PASS_DETERMINISM)
+GRAPH_PASSES = (PASS_LINT, PASS_RACES, PASS_DETERMINISM)
 
 
 def analyze_graph(
@@ -119,8 +118,6 @@ def analyze_graph(
     findings: List[Diagnostic] = []
     if PASS_LINT in passes:
         findings.extend(lint_graph(graph, inference=inference))
-    if PASS_ABSINT in passes:
-        findings.extend(interpret_graph(graph))
     if PASS_RACES in passes:
         if assignment is None:
             assignment = assign_storage(graph)

@@ -7,7 +7,8 @@ text.  Codes are grouped by pass:
 - ``SCA0xx`` — graph lint (structure, shapes, reachability);
 - ``SCA1xx`` — concurrency hazards under the wavefront executor;
 - ``SCA2xx`` — determinism audit;
-- ``SCA3xx`` — abstract interpretation (interval/dtype dataflow);
+- ``SCA3xx`` — constant values and op attributes the kernels trust
+  unchecked (run by the graph lint);
 - ``SCA4xx`` — lowering verification of the executor's build-time tables;
 - ``SCA5xx`` — serving/fleet/infer configuration lint.
 
@@ -24,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = [
     "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",
-    "PASS_ABSINT", "PASS_LOWERING", "PASS_CONFIG",
+    "PASS_LOWERING", "PASS_CONFIG",
     "DiagnosticSpec", "CODES", "Diagnostic", "AnalysisReport",
     "GraphAnalysisError",
 ]
@@ -35,7 +36,6 @@ SEV_WARNING = "warning"
 PASS_LINT = "graph-lint"
 PASS_RACES = "concurrency"
 PASS_DETERMINISM = "determinism"
-PASS_ABSINT = "absint"
 PASS_LOWERING = "lowering"
 PASS_CONFIG = "config-lint"
 
@@ -120,31 +120,19 @@ _SPECS = [
         "A stochastic op is missing a per-op seed attribute, or shares "
         "its seed with another stochastic op — replay and parallel "
         "execution would not be bit-reproducible."),
-    # --- abstract interpretation ----------------------------------------
+    # --- constants and attributes (graph lint) --------------------------
     DiagnosticSpec(
-        "SCA301", "possible-division-by-zero", SEV_ERROR, PASS_ABSINT,
-        "Interval analysis proves a divisor or inverse-sqrt argument can "
-        "reach zero or below — e.g. a batchnorm running-var constant with "
-        "var + eps <= 0, or a dropout rate that zeroes the inverted-"
-        "dropout scale — so the op emits Inf/NaN (or silently zeroes its "
-        "output) at run time."),
+        "SCA301", "possible-division-by-zero", SEV_ERROR, PASS_LINT,
+        "An eval-mode batchnorm's running-var constant reaches -eps or "
+        "below, so 1/sqrt(var + eps) is NaN, or a dropout rate lies "
+        "outside [0, 1), so the inverted-dropout scale zeroes or "
+        "shrinks the layer — both run to completion silently."),
     DiagnosticSpec(
-        "SCA302", "non-finite-constant", SEV_ERROR, PASS_ABSINT,
-        "A compile-time constant contains NaN or Inf, has no stored "
-        "value, or its array shape disagrees with the tensor's recorded "
-        "shape — e.g. a folded bn_affine scale computed from corrupt "
-        "running statistics."),
-    DiagnosticSpec(
-        "SCA303", "interval-overflow", SEV_ERROR, PASS_ABSINT,
-        "The interval lattice proves a tensor's values exceed the finite "
-        "range of its declared dtype width, so the value overflows to "
-        "Inf when materialized at that width."),
-    DiagnosticSpec(
-        "SCA304", "dtype-mismatch", SEV_ERROR, PASS_ABSINT,
-        "An op mixes tensors of different declared dtype widths, or a "
-        "compile-time constant's array dtype differs from the executors' "
-        "float64 contract — today this only surfaces as a runtime "
-        "TypeError (or a silent precision loss)."),
+        "SCA304", "dtype-mismatch", SEV_ERROR, PASS_LINT,
+        "A compile-time constant stores a non-float array or one whose "
+        "itemsize differs from its declared dtype_bytes, or an op mixes "
+        "tensors of different declared float widths — memory accounting "
+        "then disagrees with the values the kernels compute on."),
     # --- lowering verification ------------------------------------------
     DiagnosticSpec(
         "SCA401", "kernel-binding-mismatch", SEV_ERROR, PASS_LOWERING,

@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis: graph lint, abstract interpretation, race "
-             "detector, determinism audit, lowering verifier, config lint")
+        help="static analysis: graph lint (structure, constants, dtype "
+             "widths), race detector, determinism audit, lowering "
+             "verifier, config lint")
     lint.add_argument("model", nargs="?", default=None,
                       help="zoo model (omit with --matrix to lint all)")
     lint.add_argument("-b", "--batch", type=int, default=16)

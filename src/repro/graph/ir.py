@@ -132,9 +132,12 @@ class Graph:
     # Queries
     # ------------------------------------------------------------------
     def op_by_id(self, op_id: int) -> OpNode:
-        op = self.ops[op_id] if op_id < len(self.ops) and self.ops[op_id].id == op_id \
-            else next(o for o in self.ops if o.id == op_id)
-        return op
+        if op_id < len(self.ops) and self.ops[op_id].id == op_id:
+            return self.ops[op_id]
+        for op in self.ops:
+            if op.id == op_id:
+                return op
+        raise KeyError(f"graph {self.name!r} has no op with id {op_id}")
 
     def tensor(self, tensor_id: int) -> TensorValue:
         return self.tensors[tensor_id]

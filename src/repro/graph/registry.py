@@ -34,7 +34,6 @@ field                       reader
 ``fusions`` /               :mod:`repro.compile.rewrites`
 ``sibling_fused`` /
 ``fold``
-``abstract_eval``           :mod:`repro.analysis.absint`
 ==========================  ==================================================
 
 Every op type appearing in a serialized graph — forward and backward —
@@ -64,8 +63,7 @@ from .ir import Graph, OpNode
 
 __all__ = [
     "OpDef", "FusionRule", "FoldResult", "REGISTRY", "op_def", "has_op",
-    "infer_op_shapes",
-    "AbstractTensor", "ABS_TOP", "DTYPE_MAX",
+    "infer_op_shapes", "BN_EPS",
     "EFF_CONV", "EFF_GEMM", "EFF_MEMORY",
     "SHARE_NONE", "SHARE_ALIAS", "SHARE_SUMMATION",
 ]
@@ -83,6 +81,10 @@ EFF_MEMORY = "memory"
 SHARE_NONE = "none"            # ordinary tensor, own TSO
 SHARE_ALIAS = "alias"          # pure view: output always aliases input 0
 SHARE_SUMMATION = "summation"  # summation error terms share the upstream TSO
+
+# Batchnorm epsilon: the training kernels' constant and the ``eps``
+# default of ``batchnorm_eval`` and its fold.
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -115,192 +117,6 @@ class FoldResult:
     op_type: str
     inputs: Tuple[Tuple[Any, ...], ...]
     attrs: Dict[str, Any]
-
-
-# Largest finite magnitude representable at a declared dtype width.
-# Tensors declare byte widths, not numpy dtypes, so the abstract
-# interpreter checks value ranges against the IEEE float of that width.
-DTYPE_MAX: Dict[int, float] = {
-    2: 65504.0,                      # float16
-    4: 3.4028235e38,                 # float32
-    8: 1.7976931348623157e308,       # float64
-}
-
-_INF = float("inf")
-
-
-@dataclass(frozen=True)
-class AbstractTensor:
-    """Interval-lattice element for one tensor: every runtime element of
-    the tensor lies in ``[lo, hi]`` unless ``may_nan``.
-
-    The default instance (``ABS_TOP``) is the lattice top — unbounded,
-    NaN-free — used for inputs, parameters, and any op without an
-    :attr:`OpDef.abstract_eval` transfer function.  Hazard checks are
-    *provable-only*: a finding fires only when finite bounds prove it, so
-    TOP never raises a diagnostic.
-    """
-
-    lo: float = -_INF
-    hi: float = _INF
-    may_nan: bool = False
-
-    @property
-    def bounded(self) -> bool:
-        return self.lo > -_INF and self.hi < _INF
-
-
-ABS_TOP = AbstractTensor()
-
-# abstract_eval hooks receive ``warn(kind, message)`` with these kinds;
-# repro.analysis.absint maps them onto SCA codes (div-zero -> SCA301,
-# overflow -> SCA303).
-ABS_WARN_KINDS = ("div-zero", "overflow")
-
-AbstractEval = Callable[
-    [OpNode, List[AbstractTensor], Callable[[str, str], None]],
-    List[AbstractTensor]]
-
-
-def _abs_nan(ins: List[AbstractTensor]) -> bool:
-    return any(v.may_nan for v in ins)
-
-
-def _iv(lo: float, hi: float, may_nan: bool) -> AbstractTensor:
-    # NaN endpoints arise from inf - inf style corner arithmetic; widen
-    # them to unbounded rather than propagate a poisoned float.
-    if lo != lo:
-        lo = -_INF
-    if hi != hi:
-        hi = _INF
-    return AbstractTensor(lo, hi, may_nan)
-
-
-def _iv_add(a: AbstractTensor, b: AbstractTensor) -> AbstractTensor:
-    return _iv(a.lo + b.lo, a.hi + b.hi, a.may_nan or b.may_nan)
-
-
-def _iv_sub(a: AbstractTensor, b: AbstractTensor) -> AbstractTensor:
-    return _iv(a.lo - b.hi, a.hi - b.lo, a.may_nan or b.may_nan)
-
-
-def _iv_mul(a: AbstractTensor, b: AbstractTensor) -> AbstractTensor:
-    nan = a.may_nan or b.may_nan
-    if not (a.bounded and b.bounded):
-        return AbstractTensor(may_nan=nan)
-    corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _iv(min(corners), max(corners), nan)
-
-
-def _iv_hull(ins: List[AbstractTensor]) -> AbstractTensor:
-    return AbstractTensor(min(v.lo for v in ins), max(v.hi for v in ins),
-                          _abs_nan(ins))
-
-
-# --- per-op transfer functions ----------------------------------------
-def _abs_same(op: OpNode, ins: List[AbstractTensor],
-              warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    """Identity-interval ops (views, splits): outputs keep input 0's
-    element hull."""
-    a = ins[0]
-    return [AbstractTensor(a.lo, a.hi, a.may_nan)] * len(op.outputs)
-
-
-def _abs_hull(op: OpNode, ins: List[AbstractTensor],
-              warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    """Selection ops (concat, max over elements): outputs stay inside
-    the joint hull of all inputs."""
-    return [_iv_hull(ins)] * len(op.outputs)
-
-
-def _abs_pool(op: OpNode, ins: List[AbstractTensor],
-              warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    """Pooling windows may include zero padding, so the hull widens to
-    contain 0."""
-    a = ins[0]
-    return [_iv(min(a.lo, 0.0), max(a.hi, 0.0), a.may_nan)] * len(op.outputs)
-
-
-def _abs_relu(op: OpNode, ins: List[AbstractTensor],
-              warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    a = ins[0]
-    return [AbstractTensor(max(a.lo, 0.0), max(a.hi, 0.0), a.may_nan)]
-
-
-def _sigmoid_scalar(x: float) -> float:
-    if x < -700.0:
-        return 0.0
-    if x > 700.0:
-        return 1.0
-    return 1.0 / (1.0 + float(np.exp(-x)))
-
-
-def _abs_sigmoid(op: OpNode, ins: List[AbstractTensor],
-                 warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    a = ins[0]
-    return [AbstractTensor(_sigmoid_scalar(a.lo), _sigmoid_scalar(a.hi),
-                           a.may_nan)]
-
-
-def _abs_tanh(op: OpNode, ins: List[AbstractTensor],
-              warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    a = ins[0]
-    return [AbstractTensor(float(np.tanh(a.lo)), float(np.tanh(a.hi)),
-                           a.may_nan)]
-
-
-def _abs_add(op: OpNode, ins: List[AbstractTensor],
-             warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    return [_iv_add(ins[0], ins[1])]
-
-
-def _abs_batchnorm_eval(op: OpNode, ins: List[AbstractTensor],
-                        warn: Callable[[str, str], None],
-                        ) -> List[AbstractTensor]:
-    # inputs: [x, gamma, beta, running_mean, running_var]; the kernel
-    # computes 1/sqrt(var + eps) — provably non-finite when the interval
-    # shows var + eps can reach zero or below.
-    eps = float(op.attrs.get("eps", 1e-5))
-    var = ins[4]
-    nan = _abs_nan(ins)
-    if var.lo > -_INF and var.lo <= -eps:
-        warn("div-zero",
-             f"running-var reaches {var.lo:g}: var + eps <= 0 makes "
-             "1/sqrt(var + eps) non-finite")
-        nan = True
-    return [AbstractTensor(may_nan=nan)]
-
-
-def _abs_bn_affine(op: OpNode, ins: List[AbstractTensor],
-                   warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    # inputs: [x, scale, mean, beta] — pure interval arithmetic over the
-    # folded affine transform.
-    x, scale, mean, beta = ins[0], ins[1], ins[2], ins[3]
-    return [_iv_add(_iv_mul(scale, _iv_sub(x, mean)), beta)]
-
-
-def _abs_dropout(op: OpNode, ins: List[AbstractTensor],
-                 warn: Callable[[str, str], None]) -> List[AbstractTensor]:
-    p = float(op.attrs.get("p", 0.5))
-    x = ins[0]
-    if p >= 1.0 or p < 0.0:
-        warn("div-zero",
-             f"dropout rate p={p:g} is outside [0, 1): the inverted-"
-             "dropout scale 1/(1-p) is clamped to 0 and the layer output "
-             "is constantly zero")
-        return [AbstractTensor(0.0, 0.0, x.may_nan),
-                AbstractTensor(0.0, 1.0)]
-    scale = 1.0 / (1.0 - p)
-    return [_iv_mul(x, AbstractTensor(0.0, scale)),
-            AbstractTensor(0.0, 1.0)]
-
-
-def _abs_cross_entropy(op: OpNode, ins: List[AbstractTensor],
-                       warn: Callable[[str, str], None],
-                       ) -> List[AbstractTensor]:
-    nan = _abs_nan(ins)
-    return [AbstractTensor(0.0, _INF, nan),        # loss >= 0
-            AbstractTensor(0.0, 1.0, nan)]         # saved softmax
 
 
 @dataclass(frozen=True)
@@ -343,13 +159,6 @@ class OpDef:
     # constant/parameter input or None if it is not foldable.
     fold: Optional[Callable[[OpNode, Callable[[int], Any]],
                             Optional[FoldResult]]] = None
-    # --- analysis hook (consumed by repro.analysis.absint) ------------
-    # Interval transfer function: (op, input AbstractTensors, warn) ->
-    # output AbstractTensors.  ``warn(kind, message)`` reports a
-    # provable numeric hazard (kinds in ABS_WARN_KINDS).  None means the
-    # op's outputs are unbounded (lattice top) with NaN-ness inherited
-    # from its inputs.
-    abstract_eval: Optional[AbstractEval] = None
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +310,7 @@ def _k_conv2d_bn(ex, op, relu=False):
                        op.attrs["stride"], op.attrs["padding"])
     bn = _BatchNormTrain()
     out = bn.forward(out, ex.input(op, len(op.inputs) - 2),
-                     ex.input(op, len(op.inputs) - 1), 1e-5)
+                     ex.input(op, len(op.inputs) - 1), BN_EPS)
     ex.save_context(op, _ConvBnContext(conv, bn))
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -577,7 +386,7 @@ def _k_linear_bwd_weight(ex, op):
 
 def _k_batchnorm(ex, op):
     fn = _BatchNormTrain()
-    out = fn.forward(ex.input(op, 0), ex.input(op, 1), ex.input(op, 2), 1e-5)
+    out = fn.forward(ex.input(op, 0), ex.input(op, 1), ex.input(op, 2), BN_EPS)
     ex.save_context(op, fn)
     ex.set_output(op, 0, out)
 
@@ -596,7 +405,7 @@ def _k_batchnorm_eval(ex, op):
     # inputs: [x, gamma, beta, running_mean, running_var]; mirrors
     # nn.norm._BatchNormEval operation-for-operation so the IR inference
     # path and model.eval() produce identical bytes.
-    eps = op.attrs.get("eps", 1e-5)
+    eps = op.attrs.get("eps", BN_EPS)
     inv_std = 1.0 / np.sqrt(ex.input(op, 4) + eps)
     scale = ex.input(op, 1) * inv_std
     centered = ex.input(op, 0) - ex.input(op, 3).reshape(1, -1, 1, 1)
@@ -1066,7 +875,7 @@ def _fold_batchnorm_eval(op, value_of):
     var = value_of(op.inputs[4])
     if gamma is None or var is None:
         return None
-    eps = op.attrs.get("eps", 1e-5)
+    eps = op.attrs.get("eps", BN_EPS)
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma * inv_std
     return FoldResult(
@@ -1156,12 +965,11 @@ _register(OpDef(
 _register(OpDef(
     "batchnorm_eval", kernel=_k_batchnorm_eval,
     characterize=_char_batchnorm, infer_shapes=_shape_same,
-    fold=_fold_batchnorm_eval, abstract_eval=_abs_batchnorm_eval,
+    fold=_fold_batchnorm_eval,
 ))
 _register(OpDef(
     "bn_affine", kernel=_k_bn_affine,
     characterize=_char_elementwise(3.0, 3.0), infer_shapes=_shape_same,
-    abstract_eval=_abs_bn_affine,
 ))
 _register(OpDef(
     "linear", kernel=_k_linear, characterize=_char_linear,
@@ -1176,64 +984,59 @@ _register(OpDef(
 _register(OpDef(
     "relu", kernel=_k_relu, characterize=_char_elementwise(2.0),
     infer_shapes=_shape_same, backward=_bwd_unary("relu_bwd"),
-    inplace=True, saved=(("output", 0),), abstract_eval=_abs_relu,
+    inplace=True, saved=(("output", 0),),
 ))
 _register(OpDef(
     "sigmoid", kernel=_k_sigmoid, characterize=_char_elementwise(2.0, 4.0),
     infer_shapes=_shape_same, backward=_bwd_unary("sigmoid_bwd"),
-    saved=(("output", 0),), abstract_eval=_abs_sigmoid,
+    saved=(("output", 0),),
 ))
 _register(OpDef(
     "tanh", kernel=_k_tanh, characterize=_char_elementwise(2.0, 4.0),
     infer_shapes=_shape_same, backward=_bwd_unary("tanh_bwd"),
-    saved=(("output", 0),), abstract_eval=_abs_tanh,
+    saved=(("output", 0),),
 ))
 _register(OpDef(
     "maxpool2d", kernel=_k_maxpool2d, characterize=_char_pool,
     infer_shapes=_shape_pool,
     backward=_bwd_unary("maxpool2d_bwd", attrs=True),
-    saved=(("input", 0),), abstract_eval=_abs_pool,
+    saved=(("input", 0),),
 ))
 _register(OpDef(
     "avgpool2d", kernel=_k_avgpool2d, characterize=_char_pool,
     infer_shapes=_shape_pool,
     backward=_bwd_unary("avgpool2d_bwd", attrs=True),
-    abstract_eval=_abs_pool,
 ))
 _register(OpDef(
     "gap", kernel=_k_gap, characterize=_char_small,
     infer_shapes=_shape_gap, backward=_bwd_unary("gap_bwd"),
-    abstract_eval=_abs_same,
 ))
 _register(OpDef(
     "flatten", kernel=_k_flatten, characterize=_char_free,
     infer_shapes=_shape_flatten, backward=_bwd_unary("flatten_bwd"),
-    free=True, sharing=SHARE_ALIAS, inplace=True, abstract_eval=_abs_same,
+    free=True, sharing=SHARE_ALIAS, inplace=True,
 ))
 _register(OpDef(
     "add", kernel=_k_add, characterize=_char_elementwise(3.0),
-    infer_shapes=_shape_same, backward=_bwd_add, abstract_eval=_abs_add,
+    infer_shapes=_shape_same, backward=_bwd_add,
 ))
 _register(OpDef(
     "dropout", kernel=_k_dropout, characterize=_char_elementwise(2.0),
     infer_shapes=_shape_dropout, backward=_bwd_unary("dropout_bwd"),
     inplace=True, saved=(("output", 1),), stochastic=True,
-    abstract_eval=_abs_dropout,
 ))
 _register(OpDef(
     "split", kernel=_k_split, characterize=_char_copy,
     infer_shapes=_shape_split, backward=_bwd_split,
-    abstract_eval=_abs_same,
 ))
 _register(OpDef(
     "concat", kernel=_k_concat, characterize=_char_copy,
     infer_shapes=_shape_concat, backward=_bwd_concat,
-    abstract_eval=_abs_hull,
 ))
 _register(OpDef(
     "cross_entropy", kernel=_k_cross_entropy, characterize=_char_small,
     infer_shapes=_shape_cross_entropy, backward=_bwd_cross_entropy,
-    saved=(("output", 1),), abstract_eval=_abs_cross_entropy,
+    saved=(("output", 1),),
 ))
 
 # Backward op types -----------------------------------------------------

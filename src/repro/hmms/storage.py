@@ -106,7 +106,7 @@ class StorageAssignment:
             if op.forward_of is not None:
                 try:
                     read_ids.extend(graph.op_by_id(op.forward_of).saved)
-                except StopIteration:
+                except KeyError:
                     pass           # dangling forward_of; the lint pass reports it
             seen: set = set()
             for tensor_id in read_ids:

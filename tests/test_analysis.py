@@ -203,6 +203,16 @@ class TestLintMutations:
         report = analyze_graph(graph, passes=("graph-lint",))
         assert report.by_code("SCA005") and not report.ok
 
+    def test_sca005_dangling_forward_of_survives_every_pass(self):
+        # The concurrency pass reads saved tensors through forward_of; a
+        # dangling id must leave the report to SCA005, not raise.
+        graph = _zoo_graph("small_vgg")
+        graph.backward_ops()[0].forward_of = 10_000
+        report = analyze_graph(graph)
+        assert report.by_code("SCA005") and not report.ok
+        with pytest.raises(GraphAnalysisError):
+            report.raise_if_failed()
+
     def test_sca005_forward_of_must_point_at_forward_op(self):
         graph = _zoo_graph("small_vgg")
         backward = graph.backward_ops()

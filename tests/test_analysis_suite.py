@@ -1,6 +1,6 @@
-"""Tests for the whole-stack analyzer additions: abstract interpretation
-(SCA3xx), lowering verification (SCA4xx, also through
-``analyze_graph(plan=)``), config lint (SCA5xx), and ``repro lint``.
+"""Tests for the whole-stack analyzer additions: the SCA3xx kill matrix,
+lowering verification (SCA4xx, also through ``analyze_graph(plan=)``),
+config lint (SCA5xx), and ``repro lint``.
 
 Mutation discipline mirrors test_analysis.py: every new code family has
 at least one test that seeds a defect and asserts it is caught by
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    analyze_graph, check_cache_keys, interpret_graph, lint_dense_config,
+    analyze_graph, check_cache_keys, lint_dense_config,
     lint_engine_config, lint_fleet_config, verify_lowering,
 )
 from repro.compile import CompiledPlan, default_pipeline
@@ -40,12 +40,14 @@ def _model(name="small_vgg"):
 
 
 @pytest.fixture(scope="module")
-def bn_eval_graph_factory():
-    """Fresh small_resnet eval-mode inference graphs (BN running stats
-    become constants) — rebuilt per test so mutations don't leak."""
+def bn_eval_factory():
+    """Fresh ``(graph, params)`` of small_resnet eval-mode inference
+    graphs (BN running stats become constants) — rebuilt per test so
+    mutations don't leak."""
     def build():
-        return build_inference_graph(_model("small_resnet"), 2,
-                                     eval_batchnorm=True)
+        model = _model("small_resnet")
+        graph = build_inference_graph(model, 2, eval_batchnorm=True)
+        return graph, GraphExecutor.parameters_from_model(graph, model)
     return build
 
 
@@ -97,114 +99,164 @@ def _only_code(findings, code):
 
 
 # ----------------------------------------------------------------------
-# SCA3xx: abstract interpretation
+# SCA3xx kill matrix
 # ----------------------------------------------------------------------
-class TestAbsintMutations:
-    def test_zoo_eval_graph_is_clean(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        report = analyze_graph(graph, workers=4, inference=True)
+def _bn_constant(graph, part):
+    return next(t.id for t in graph.tensors.values()
+                if t.kind == "constant" and part in t.name)
+
+
+def _run(executor):
+    """One run on seeded inputs; a training graph gets targets too."""
+    graph = executor.graph
+    [x] = [t for t in graph.tensors.values() if t.kind == "input"]
+    training = any(op.phase == "backward" for op in graph.ops)
+    targets = np.arange(x.shape[0]) if training else None
+    rng = np.random.default_rng(0)
+    return executor.run(rng.standard_normal(x.shape), targets)
+
+
+class TestKillMatrix:
+    """An SCA3xx code stays only while some mutation gets past every
+    independent check: ``Graph.validate``, ``verify_lowering`` on the
+    uncompiled executor, and ``run``.  SCA301 and SCA304 have such
+    mutations; SCA302 and SCA303 did not, and their mutations assert the
+    check that catches them instead."""
+
+    def _caught_only_by(self, code, graph, params):
+        """The graph lint reports ``code`` and nothing else, while
+        validate, lowering and run all let the mutation through.
+        Returns the findings and the run outputs."""
+        report = analyze_graph(graph, passes=("graph-lint",))
+        findings = _only_code(report.findings, code)
+        graph.validate()
+        executor = GraphExecutor(graph, params)
+        assert not verify_lowering(executor)
+        return findings, _run(executor)
+
+    def test_zoo_eval_graph_is_clean(self, bn_eval_factory):
+        graph, params = bn_eval_factory()
+        report = analyze_graph(graph, workers=4, inference=True,
+                               plan=GraphExecutor(graph, params))
         assert not report.findings, report.render()
 
-    def test_sca301_negative_running_var(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        var_id = next(t.id for t in graph.tensors.values()
-                      if t.kind == "constant" and "running_var" in t.name)
+    def test_absint_pass_name_rejected(self, bn_eval_factory):
+        graph, _ = bn_eval_factory()
+        with pytest.raises(ValueError, match="unknown graph pass"):
+            analyze_graph(graph, passes=("absint",))
+
+    # -- surviving mutations: only their own code catches them ----------
+    def test_sca301_negative_running_var(self, bn_eval_factory):
+        """Uncompiled eval-BN graph: the logits come back NaN."""
+        graph, params = bn_eval_factory()
+        var_id = _bn_constant(graph, "running_var")
         graph.constants[var_id] = np.full_like(graph.constants[var_id],
                                                -1.0)
-        findings = _only_code(interpret_graph(graph), "SCA301")
-        assert any("1/sqrt" in f.message or "var" in f.message.lower()
-                   for f in findings)
-        # The provable hazard survives the full pass stack unchanged.
-        report = analyze_graph(graph, workers=4, inference=True)
-        assert report.by_code("SCA301") and not report.ok
+        with np.errstate(invalid="ignore"):
+            [finding], outputs = self._caught_only_by("SCA301", graph,
+                                                      params)
+        assert finding.tensor_id == var_id and "1/sqrt" in finding.message
+        assert np.isnan(outputs["logits"]).any()
 
     def test_sca301_degenerate_dropout_rate(self):
-        graph = build_training_graph(_model("alexnet"), 2)
-        dropout = next(op for op in graph.forward_ops()
-                       if op.op_type == "dropout")
-        dropout.attrs["p"] = 1.0       # keep-scale 1/(1-p) divides by zero
-        findings = interpret_graph(graph)
-        assert any(f.code == "SCA301" and f.op_ids == (dropout.id,)
-                   for f in findings)
+        """p=1 zeroes the layer and p=-0.5 scales it by 1/1.5; both
+        train to a finite loss."""
+        model = _model("alexnet")
+        for p in (1.0, -0.5):
+            graph = build_training_graph(model, 2)
+            params = GraphExecutor.parameters_from_model(graph, model)
+            dropout = next(op for op in graph.forward_ops()
+                           if op.op_type == "dropout")
+            dropout.attrs["p"] = p
+            [finding], outputs = self._caught_only_by("SCA301", graph,
+                                                      params)
+            assert finding.op_ids == (dropout.id,)
+            assert np.isfinite(outputs["loss"]).all()
 
-    def test_sca302_nan_constant(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        mean_id = next(t.id for t in graph.tensors.values()
-                       if t.kind == "constant" and "running_mean" in t.name)
-        poisoned = graph.constants[mean_id].copy()
-        poisoned.flat[0] = np.nan
-        graph.constants[mean_id] = poisoned
-        [finding] = _only_code(interpret_graph(graph), "SCA302")
-        assert finding.tensor_id == mean_id
-        assert "non-finite" in finding.message
-
-    def test_sca302_shape_mismatch(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        mean_id = next(t.id for t in graph.tensors.values()
-                       if t.kind == "constant" and "running_mean" in t.name)
-        graph.constants[mean_id] = np.zeros((3,), dtype=np.float32)
-        findings = interpret_graph(graph)
-        assert any(f.code == "SCA302" and f.tensor_id == mean_id
-                   and "shape" in f.message for f in findings)
-
-    def test_sca302_missing_constant_value(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        mean_id = next(t.id for t in graph.tensors.values()
-                       if t.kind == "constant" and "running_mean" in t.name)
-        del graph.constants[mean_id]
-        findings = interpret_graph(graph)
-        assert any(f.code == "SCA302" and f.tensor_id == mean_id
-                   and "no value" in f.message for f in findings)
-
-    def test_sca303_provable_overflow(self):
-        """Two float32-width constants whose sum provably exceeds the
-        declared 4-byte float maximum."""
-        graph = Graph("overflow")
-        a = graph.add_tensor("a", (2, 2), kind="constant")
-        b = graph.add_tensor("b", (2, 2), kind="constant")
-        out = graph.add_tensor("logits", (2, 2))
-        graph.constants[a.id] = np.full((2, 2), 3e38, dtype=np.float32)
-        graph.constants[b.id] = np.full((2, 2), 3e38, dtype=np.float32)
-        graph.add_op("sum", "add", [a, b], [out])
-        graph.validate()
-        [finding] = _only_code(interpret_graph(graph), "SCA303")
-        assert finding.tensor_id == out.id
-        assert "6e+38" in finding.message
-
-    def test_sca304_constant_width_disagrees(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        mean_id = next(t.id for t in graph.tensors.values()
-                       if t.kind == "constant" and "running_mean" in t.name)
+    def test_sca304_constant_width_disagrees(self, bn_eval_factory):
+        graph, params = bn_eval_factory()
+        mean_id = _bn_constant(graph, "running_mean")
         # Same values, double width: declared dtype_bytes=4 now lies.
         graph.constants[mean_id] = \
             graph.constants[mean_id].astype(np.float64)
-        [finding] = _only_code(interpret_graph(graph), "SCA304")
+        [finding], outputs = self._caught_only_by("SCA304", graph, params)
         assert finding.tensor_id == mean_id
+        assert np.isfinite(outputs["logits"]).all()
 
-    def test_sca304_non_float_constant(self, bn_eval_graph_factory):
-        graph = bn_eval_graph_factory()
-        mean_id = next(t.id for t in graph.tensors.values()
-                       if t.kind == "constant" and "running_mean" in t.name)
+    def test_sca304_non_float_constant(self, bn_eval_factory):
+        graph, params = bn_eval_factory()
+        mean_id = _bn_constant(graph, "running_mean")
         graph.constants[mean_id] = np.zeros(
             graph.constants[mean_id].shape, dtype=np.int32)
-        findings = interpret_graph(graph)
-        assert any(f.code == "SCA304" and "non-float" in f.message
-                   for f in findings)
+        [finding], outputs = self._caught_only_by("SCA304", graph, params)
+        assert "non-float" in finding.message
+        assert np.isfinite(outputs["logits"]).all()
 
     def test_sca304_mixed_float_widths(self):
         graph = Graph("widths")
         x = graph.add_tensor("x", (2, 4), kind="input")
         y = graph.add_tensor("logits", (2, 4), dtype_bytes=8)
         op = graph.add_op("head", "relu", [x], [y])
-        graph.validate()
-        findings = interpret_graph(graph)
-        assert any(f.code == "SCA304" and f.op_ids == (op.id,)
-                   for f in findings)
+        [finding], outputs = self._caught_only_by("SCA304", graph, {})
+        assert finding.op_ids == (op.id,)
+        assert np.isfinite(outputs["logits"]).all()
 
-    def test_provable_only_policy_stays_quiet_on_unbounded(self):
-        # Inputs/params are TOP: data-dependent hazards must NOT fire.
-        graph = build_training_graph(_model(), 2)
-        assert not interpret_graph(graph)
+    # -- deleted codes: the check that catches their mutation -----------
+    def test_sca302_nan_constant(self, bn_eval_factory):
+        """SCA405 on the uncompiled executor; ``repro lint`` hands it
+        the executor, so it still reports this."""
+        graph, params = bn_eval_factory()
+        mean_id = _bn_constant(graph, "running_mean")
+        poisoned = graph.constants[mean_id].copy()
+        poisoned.flat[0] = np.nan
+        graph.constants[mean_id] = poisoned
+        report = analyze_graph(graph, inference=True,
+                               plan=GraphExecutor(graph, params))
+        [finding] = _only_code(report.findings, "SCA405")
+        assert finding.tensor_id == mean_id
+        assert "non-finite" in finding.message
+
+    def test_sca302_shape_mismatch(self, bn_eval_factory):
+        graph, params = bn_eval_factory()
+        mean_id = _bn_constant(graph, "running_mean")
+        graph.constants[mean_id] = np.zeros((3,), dtype=np.float32)
+        report = analyze_graph(graph, inference=True,
+                               plan=GraphExecutor(graph, params))
+        [finding] = _only_code(report.findings, "SCA405")
+        assert finding.tensor_id == mean_id and "shape" in finding.message
+
+    def test_sca302_missing_constant_value(self, bn_eval_factory):
+        """Building the executor raises, compiled or not."""
+        graph, params = bn_eval_factory()
+        mean_id = _bn_constant(graph, "running_mean")
+        name = graph.tensors[mean_id].name
+        del graph.constants[mean_id]
+        with pytest.raises(KeyError, match=name):
+            GraphExecutor(graph, params)
+        default_pipeline().run(graph, params=params)
+        with pytest.raises(KeyError, match=name):
+            CompiledPlan(graph, params)
+
+    def test_sca303_provable_overflow(self):
+        """An overflowing op needs all-constant inputs, which no builder
+        emits; the pipeline folds it to an Inf constant that SCA405
+        flags."""
+        graph = Graph("overflow")
+        a = graph.add_tensor("a", (2, 2), kind="constant")
+        b = graph.add_tensor("b", (2, 2), kind="constant")
+        total = graph.add_tensor("sum", (2, 2))
+        out = graph.add_tensor("logits", (2, 2))
+        graph.constants[a.id] = np.full((2, 2), 3e38, dtype=np.float32)
+        graph.constants[b.id] = np.full((2, 2), 3e38, dtype=np.float32)
+        graph.add_op("sum", "add", [a, b], [total])
+        graph.add_op("head", "relu", [total], [out])
+        graph.validate()
+        with np.errstate(over="ignore"):
+            default_pipeline().run(graph, params={})
+        [finding] = _only_code(verify_lowering(GraphExecutor(graph, {})),
+                               "SCA405")
+        assert finding.tensor_id == total.id
+        assert "non-finite" in finding.message
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,21 @@ class TestIr:
         op = graph.add_op("op", "relu", [a], [b], saved=[b])
         assert op.id in b.consumers
 
+    def test_op_by_id_unknown_id_raises_key_error(self):
+        graph = Graph("t")
+        a = graph.add_tensor("a", (1,))
+        b = graph.add_tensor("b", (1,))
+        c = graph.add_tensor("c", (1,))
+        first = graph.add_op("first", "relu", [a], [b])
+        second = graph.add_op("second", "relu", [b], [c])
+        graph.ops.remove(first)        # ids and positions now diverge
+        assert graph.op_by_id(second.id) is second
+        # A leaked StopIteration would end map() early: one op, no error.
+        with pytest.raises(KeyError, match="no op with id 99"):
+            list(map(graph.op_by_id, [second.id, 99, second.id]))
+        with pytest.raises(KeyError, match=f"id {first.id}"):
+            graph.op_by_id(first.id)
+
 
 class TestForwardBuilder:
     def test_validates(self, vgg_graph):
