@@ -26,8 +26,8 @@ Artifact passes (they take richer targets than a graph):
   fleet, and patch-inference configuration.
 
 The concurrency pass extends across devices for mesh plans
-(``SCA104``/``SCA105`` via :func:`detect_mesh_hazards` — invoked
-directly, mesh plans are not single graphs).
+(``SCA104`` via :func:`detect_mesh_hazards` — invoked directly, mesh
+plans are not single graphs).
 
 Entry points: :func:`analyze_graph` (library; ``.raise_if_failed()`` is
 the guard before running a graph), ``repro lint`` (CLI),
@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .lint import lint_graph
 from .lowering import verify_lowering
-from .mesh import analyze_mesh_plan, detect_mesh_hazards
+from .mesh import detect_mesh_hazards
 from .races import ancestor_masks, detect_races
 
 if TYPE_CHECKING:                            # no runtime executor import
@@ -64,7 +64,7 @@ __all__ = [
     "verify_lowering",
     "lint_engine_config", "lint_fleet_config", "lint_dense_config",
     "check_cache_keys",
-    "ancestor_masks", "detect_mesh_hazards", "analyze_mesh_plan",
+    "ancestor_masks", "detect_mesh_hazards",
     "AnalysisReport", "Diagnostic", "DiagnosticSpec", "GraphAnalysisError",
     "CODES", "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",

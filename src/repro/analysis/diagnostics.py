@@ -103,12 +103,6 @@ _SPECS = [
         "the destination device may be producing or reading concurrently: "
         "the landing tensor has a local producer, does not exist, or the "
         "transfer is not ordered before the tensor's first consumer."),
-    DiagnosticSpec(
-        "SCA105", "halo-read-before-arrival", SEV_ERROR, PASS_RACES,
-        "A patch kernel may read its input before the halo exchange that "
-        "contributes boundary bytes has arrived: the halo transfer is "
-        "anchored after the destination tensor's first consumer, or not "
-        "anchored at all."),
     # --- determinism ----------------------------------------------------
     DiagnosticSpec(
         "SCA201", "unfrozen-reduction", SEV_ERROR, PASS_DETERMINISM,

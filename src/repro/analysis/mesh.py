@@ -1,4 +1,4 @@
-"""Cross-device hazard pass over mesh plans (SCA104 / SCA105).
+"""Cross-device hazard pass over mesh plans (SCA104).
 
 The single-device concurrency pass (SCA101-103) reasons about ops
 sharing TSOs under the wavefront executor.  A mesh plan adds a second
@@ -6,17 +6,12 @@ axis: *transfers* mutate destination-device tensors while that device's
 own schedule runs.  The partitioner's anchoring contract makes this
 safe — a transfer must land in a tensor the destination never produces
 locally, and must be ordered (via ``dst_op``) before the tensor's first
-consumer.  This pass checks exactly that contract:
-
-- **SCA104** (cross-device-transfer-race): the landing tensor does not
-  exist on the destination graph, has a local producer (the transfer
-  and the kernel race for the same bytes), the destination device has
-  no assignment at all, or a non-halo payload is not ordered before the
-  tensor's first consumer;
-- **SCA105** (halo-read-before-arrival): a ``halo_exchange`` whose
-  destination patch may start computing before the boundary bytes
-  arrive — the halo is unanchored despite the tensor having consumers,
-  or anchored after the first consumer's schedule position.
+consumer.  This pass checks exactly that contract, as one code:
+**SCA104** (cross-device-transfer-race) — the landing tensor does not
+exist on the destination graph, has a local producer (the transfer and
+the kernel race for the same bytes), the destination device has no
+assignment at all, or the payload is not ordered before the tensor's
+first consumer.
 
 Mesh plans are not :class:`~repro.graph.ir.Graph` objects, so this pass
 is invoked directly (``detect_mesh_hazards``) rather than through
@@ -28,16 +23,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .diagnostics import PASS_RACES, AnalysisReport, Diagnostic
+from .diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # deferred: repro.mesh imports nothing from analysis
     from ..mesh.partition import DeviceAssignment, MeshPlan, MeshTransfer
 
-__all__ = ["detect_mesh_hazards", "analyze_mesh_plan"]
+__all__ = ["detect_mesh_hazards"]
 
 
 def detect_mesh_hazards(mesh_plan: "MeshPlan") -> List[Diagnostic]:
-    """SCA104/SCA105 findings for one mesh plan (empty list == clean)."""
+    """SCA104 findings for one mesh plan (empty list == clean)."""
     findings: List[Diagnostic] = []
     assignments: Dict[int, "DeviceAssignment"] = {
         assignment.device_id: assignment
@@ -78,20 +73,18 @@ def _check_transfer(transfer: "MeshTransfer",
             "kernel writing the same bytes",
             tensor_id=tensor.id, op_ids=(tensor.producer,))]
     first_use = _first_consumer_position(destination, tensor.id)
-    halo = transfer.kind == "halo_exchange"
-    code = "SCA105" if halo else "SCA104"
     if transfer.dst_op is None:
         if first_use is None:
             return []  # nothing ever reads it: landing is unordered but safe
         return [Diagnostic(
-            code,
+            "SCA104",
             f"{where}: lands in {tensor.name!r} with no arrival anchor, "
             f"but op at position {first_use} reads it — the reader may "
             "run before the payload arrives",
             tensor_id=tensor.id)]
     if first_use is not None and transfer.dst_op > first_use:
         return [Diagnostic(
-            code,
+            "SCA104",
             f"{where}: anchored before position {transfer.dst_op} but "
             f"{tensor.name!r} is first read at position {first_use} — "
             "the read happens before the arrival gate",
@@ -107,15 +100,3 @@ def _first_consumer_position(assignment: "DeviceAssignment",
         return None
     return min(positions[op_id] for op_id in consumers)
 
-
-def analyze_mesh_plan(mesh_plan: "MeshPlan") -> AnalysisReport:
-    """Wrap :func:`detect_mesh_hazards` in a standard analysis report."""
-    findings = detect_mesh_hazards(mesh_plan)
-    num_ops = sum(len(a.graph.ops) for a in mesh_plan.assignments)
-    num_tensors = sum(len(a.graph.tensors) for a in mesh_plan.assignments)
-    return AnalysisReport(
-        graph_name=f"{mesh_plan.model_name}@{mesh_plan.strategy}"
-                   f"x{mesh_plan.num_devices}",
-        num_ops=num_ops, num_tensors=num_tensors,
-        workers=mesh_plan.num_devices, passes=(PASS_RACES,),
-        findings=findings)

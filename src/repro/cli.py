@@ -346,7 +346,7 @@ def _cmd_mesh_bench(args) -> int:
         for finding in hazards:
             print(f"  {finding.code}: {finding.message}")
         return 1
-    print("cross-device pass  : clean (SCA104/105, zero hazards)")
+    print("cross-device pass  : clean (SCA104, zero hazards)")
 
     mesh = build_mesh(args.devices, args.topology,
                       bandwidth_gbit=args.bandwidth)

@@ -152,8 +152,8 @@ def receptive_interval(spec: WindowSpec, out_start: int,
     interval is expressed in *unpadded* input coordinates, so it may
     extend below 0 or beyond the input size — the overhang is exactly the
     zero padding the unsplit op would apply there.  Both the split-scheme
-    bounds (:func:`input_split_bounds`, hence ``MeshPartitioner``'s halo
-    sizing) and the patch-inference tiler
+    bounds (:func:`input_split_bounds`, hence every ``SplitRegion``'s
+    patch boundaries) and the patch-inference tiler
     (:func:`window_input_range`, hence ``repro.infer.GridSplitter``)
     derive from this one function, which is what keeps their border
     semantics provably identical.

@@ -294,7 +294,7 @@ def run_fig11(
     once; the analytical profile and the mesh partition share them, and
     the per-device timelines are cached on the partition — the whole
     bandwidth sweep re-runs only the link-level event loop.  The shipped
-    partitions go through the static plan verifier and the SCA104/105
+    partitions go through the static plan verifier and the SCA104
     cross-device hazard pass (raising on any finding).
     """
     bandwidths = tuple(bandwidths)

@@ -4,7 +4,7 @@ A :class:`GridSplitter` tiles the *output* plane of a dense (fully
 convolutional) feature extractor into a grid of rectangles, then
 back-propagates each rectangle through every layer with
 :func:`repro.core.scheme.window_input_range` — the same Eq. 1-2 primitive
-that sizes :class:`~repro.mesh.partition.MeshPartitioner` halos — to find
+that places every :class:`~repro.core.region.SplitRegion` cut — to find
 the exact input window and per-layer paddings that compute it.
 
 Two properties follow directly from that construction:

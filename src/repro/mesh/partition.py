@@ -10,10 +10,9 @@ with their own HMMS memory plans, plus the explicit cross-device
   parameter so communication overlaps the rest of backward);
 - ``spatial``  — the patches of one split stage are spread across
   devices ("Split CNN Inference on Networked Microcontrollers"):
-  forward-only per-patch chains, ``halo_exchange`` transfers for the
-  boundary strips between neighboring patches, and ``gather`` transfers
-  feeding the tail device that joins the patches and runs the rest of
-  the model;
+  forward-only per-patch chains with no inter-patch traffic (the
+  paper's §3 property), and ``gather`` transfers feeding the tail
+  device that joins the patches and runs the rest of the model;
 - ``pipeline`` — contiguous layer stages per device with ``activation``
   transfers between consecutive stages.
 
@@ -24,11 +23,11 @@ Figure-11 bandwidth sweep with the per-device simulator timelines
 computed once and reused.
 
 Transfer anchoring uses schedule positions of the per-device plans:
-``src_op`` is the position after whose kernel the payload exists (``-1``
-= available at step start), ``dst_op`` the position that must not start
-before arrival (``None`` = step-end barrier, e.g. gradient sync).  The
-cross-device analyzer pass (SCA104/SCA105 in :mod:`repro.analysis.mesh`)
-checks exactly these anchors against the destination graphs.
+``src_op`` is the position after whose kernel the payload exists,
+``dst_op`` the position that must not start before arrival (``None`` =
+step-end barrier, e.g. gradient sync).  The cross-device analyzer pass
+(SCA104 in :mod:`repro.analysis.mesh`) checks exactly these anchors
+against the destination graphs.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ __all__ = [
     "TRANSFER_KINDS", "STRATEGIES",
 ]
 
-TRANSFER_KINDS = ("halo_exchange", "all_reduce", "gather", "activation")
+TRANSFER_KINDS = ("all_reduce", "gather", "activation")
 STRATEGIES = ("data", "spatial", "pipeline")
 
 
@@ -76,7 +75,7 @@ class MeshTransfer:
     src: int                      # source device id
     dst: int                      # destination device id
     nbytes: int
-    src_op: int = -1              # -1: available at step start
+    src_op: int
     dst_op: Optional[int] = None  # None: step-end barrier
     dst_tensor: Optional[int] = None
     label: str = ""
@@ -86,6 +85,10 @@ class MeshTransfer:
             raise ValueError(f"unknown transfer kind {self.kind!r}")
         if self.nbytes < 0:
             raise ValueError(f"negative transfer size {self.nbytes}")
+        if self.src_op < 0:
+            raise ValueError(
+                f"transfer source position {self.src_op} is negative: "
+                "every payload is issued after a source kernel")
 
 
 @dataclass
@@ -159,10 +162,6 @@ class MeshPlan:
         return reports
 
 
-def _tensor_nbytes(graph: Graph, tensor_id: int) -> int:
-    return graph.tensors[tensor_id].nbytes
-
-
 class MeshPartitioner:
     """Builds :class:`MeshPlan` objects for a device count + topology.
 
@@ -172,14 +171,12 @@ class MeshPartitioner:
     """
 
     def __init__(self, num_devices: int, topology: str = "ring",
-                 device: DeviceSpec = P100_NVLINK,
-                 scheduler: str = "hmms") -> None:
+                 device: DeviceSpec = P100_NVLINK) -> None:
         if num_devices < 1:
             raise ValueError(f"need at least one device, got {num_devices}")
         self.num_devices = num_devices
         self.topology = topology
         self.device = device
-        self.scheduler = scheduler
 
     # ------------------------------------------------------------------
     # data parallelism: replicas + gradient allreduce
@@ -187,8 +184,7 @@ class MeshPartitioner:
     def data(self, model: ConvClassifier, batch_per_device: int) -> MeshPlan:
         """Full training replica per device + bucketed gradient allreduce."""
         graph = build_training_graph(model, batch_per_device)
-        plan = HMMSPlanner(device=self.device,
-                           scheduler=self.scheduler).plan(graph)
+        plan = HMMSPlanner(device=self.device, scheduler="hmms").plan(graph)
         return self.data_from_plan(graph, plan, model_name=model.name,
                                    model=model)
 
@@ -257,17 +253,17 @@ class MeshPartitioner:
         return transfers
 
     # ------------------------------------------------------------------
-    # spatial parallelism: patches across devices + halo + gather
+    # spatial parallelism: patches across devices + gather
     # ------------------------------------------------------------------
-    def spatial(self, model: ConvClassifier, batch: int,
-                in_channels: int = 3) -> MeshPlan:
+    def spatial(self, model: ConvClassifier, batch: int) -> MeshPlan:
         """Distribute the split stage's patches across the mesh.
 
         ``model.features[0]`` must be a :class:`SplitRegion` (apply
         :func:`~repro.core.transform.to_split_cnn` first).  Patch ``k``
         (row-major) runs on device ``k % N``; device 0 additionally hosts
         the join and the unsplit remainder of the model (the "tail").
-        Forward-only — this is the networked patch-inference deployment.
+        Forward-only — this is the networked patch-inference deployment,
+        and the only transfers are the ``gather``s of remote patch results.
         """
         features = list(model.features)
         if not features or not isinstance(features[0], SplitRegion):
@@ -288,13 +284,6 @@ class MeshPartitioner:
         in_h, in_w = back.in_scheme_h, back.in_scheme_w
         h_sizes = in_h.part_sizes(in_hw[0])
         w_sizes = in_w.part_sizes(in_hw[1])
-        # Receptive-field halo widths: the [lb, ub] interval of every
-        # input boundary (position 0 and 1 of the back-propagated scheme)
-        # brackets the rows/cols whose windows straddle the chosen cut.
-        lb_h, ub_h = boundary_bounds(handler, region, scheme_h, scheme_w,
-                                      in_hw, axis=0)
-        lb_w, ub_w = boundary_bounds(handler, region, scheme_h, scheme_w,
-                                      in_hw, axis=1)
         grid = [(i, j) for i in range(in_h.num_parts)
                 for j in range(in_w.num_parts)]
         owner = {patch: index % n for index, patch in enumerate(grid)}
@@ -317,7 +306,7 @@ class MeshPartitioner:
             b = builder_for(d)
             t_in = b.graph.add_tensor(
                 f"mesh.patch{i}{j}",
-                (batch, in_channels, h_sizes[i], w_sizes[j]), kind="input")
+                (batch, 3, h_sizes[i], w_sizes[j]), kind="input")
             bindings.setdefault(d, {})[t_in.id] = ("patch", i, j)
             value = b.emit(region.body, t_in, (back.payload, i, j))
             patch_out[(i, j)] = value
@@ -355,7 +344,7 @@ class MeshPartitioner:
             graph = b.graph
             graph.validate()
             plan = HMMSPlanner(device=self.device,
-                               scheduler=self.scheduler).plan(graph)
+                               scheduler="hmms").plan(graph)
             role = "tail" if d == tail else "patch"
             assignments.append(DeviceAssignment(
                 device_id=d, role=role, graph=graph, plan=plan,
@@ -365,40 +354,6 @@ class MeshPartitioner:
         by_device = {a.device_id: a for a in assignments}
 
         transfers: List[MeshTransfer] = []
-        tid = 0
-
-        def first_use(device_id: int, tensor_id: int) -> Optional[int]:
-            graph = by_device[device_id].graph
-            positions = graph.op_positions()
-            consumers = graph.tensors[tensor_id].consumers
-            return min((positions[c] for c in consumers), default=None)
-
-        # Halo exchanges: the boundary strips whose receptive fields
-        # straddle the patch cut, owed by each patch to its neighbor.
-        # They gate the *first op* of the receiving patch's chain.
-        for i in range(1, in_h.num_parts):
-            cut, lo, hi = in_h.boundaries[i], lb_h[i], ub_h[i]
-            for j in range(in_w.num_parts):
-                width = w_sizes[j]
-                for rows, src_p, dst_p in (
-                        (max(0, cut - lo), (i - 1, j), (i, j)),
-                        (max(0, hi - cut), (i, j), (i - 1, j))):
-                    tid = self._add_halo(transfers, tid, owner, batch,
-                                         in_channels, rows * width,
-                                         src_p, dst_p, bindings, first_use,
-                                         f"halo:h{i}[{src_p}->{dst_p}]")
-        for j in range(1, in_w.num_parts):
-            cut, lo, hi = in_w.boundaries[j], lb_w[j], ub_w[j]
-            for i in range(in_h.num_parts):
-                height = h_sizes[i]
-                for cols, src_p, dst_p in (
-                        (max(0, cut - lo), (i, j - 1), (i, j)),
-                        (max(0, hi - cut), (i, j), (i, j - 1))):
-                    tid = self._add_halo(transfers, tid, owner, batch,
-                                         in_channels, cols * height,
-                                         src_p, dst_p, bindings, first_use,
-                                         f"halo:w{j}[{src_p}->{dst_p}]")
-
         # Gather: remote patch results converge on the tail's join op.
         join_pos = by_device[tail].graph.op_positions()[join_op_id]
         for (i, j) in grid:
@@ -407,14 +362,13 @@ class MeshPartitioner:
                 continue
             out_id = outputs[d][("patch_out", i, j)]
             graph = by_device[d].graph
-            producer = graph.tensors[out_id].producer
+            tensor = graph.tensors[out_id]
             transfers.append(MeshTransfer(
-                id=tid, kind="gather", src=d, dst=tail,
-                nbytes=_tensor_nbytes(graph, out_id),
-                src_op=graph.op_positions()[producer], dst_op=join_pos,
+                id=len(transfers), kind="gather", src=d, dst=tail,
+                nbytes=tensor.nbytes,
+                src_op=graph.op_positions()[tensor.producer], dst_op=join_pos,
                 dst_tensor=remote_in[(i, j)],
                 label=f"gather:patch{i}{j}"))
-            tid += 1
 
         return MeshPlan(
             strategy="spatial", topology=self.topology,
@@ -423,46 +377,25 @@ class MeshPartitioner:
             spatial_schemes=(in_h.boundaries, in_w.boundaries,
                              in_hw[0], in_hw[1]))
 
-    def _add_halo(self, transfers, tid, owner, batch, channels, area,
-                  src_p, dst_p, bindings, first_use, label) -> int:
-        src, dst = owner[src_p], owner[dst_p]
-        if src == dst or area <= 0:
-            return tid
-        patch_inputs = {binding[1:]: tensor_id
-                        for tensor_id, binding in bindings[dst].items()
-                        if binding[0] == "patch"}
-        dst_tensor = patch_inputs[dst_p]
-        transfers.append(MeshTransfer(
-            id=tid, kind="halo_exchange", src=src, dst=dst,
-            nbytes=batch * channels * area * 4, src_op=-1,
-            dst_op=first_use(dst, dst_tensor), dst_tensor=dst_tensor,
-            label=label))
-        return tid + 1
-
     # ------------------------------------------------------------------
     # pipeline parallelism: contiguous layer stages
     # ------------------------------------------------------------------
-    def pipeline(self, model: ConvClassifier, batch: int,
-                 in_channels: int = 3,
-                 stages: Optional[int] = None) -> MeshPlan:
+    def pipeline(self, model: ConvClassifier, batch: int) -> MeshPlan:
         """Contiguous layer stages, one per device, forward-only.
 
         Stage boundaries fall between top-level ``features`` items (a
         whole :class:`SplitRegion` stays on one device), balanced by item
         count; the flatten + classifier ride on the last stage.
         """
-        n = stages if stages is not None else self.num_devices
-        n = min(n, self.num_devices)
         items: List[Module] = list(model.features) + [Flatten(),
                                                       model.classifier]
-        n = min(n, len(items))
-        chunks = _even_chunks(items, n)
+        chunks = _even_chunks(items, min(self.num_devices, len(items)))
         size = model.input_size
 
         assignments: List[DeviceAssignment] = []
         transfers: List[MeshTransfer] = []
-        value_shape: Tuple[int, ...] = (batch, in_channels, size, size)
-        previous: Optional[Tuple[int, int, int]] = None  # (dev, tensor, pos)
+        value_shape: Tuple[int, ...] = (batch, 3, size, size)
+        previous: Optional[Tuple[int, int]] = None  # (device, position)
         for stage, chunk in enumerate(chunks):
             b = GraphBuilder(batch_size=batch, inference=True)
             b.graph.name = f"{model.name}@stage{stage}"
@@ -477,7 +410,7 @@ class MeshPartitioner:
             graph = b.graph
             graph.validate()
             plan = HMMSPlanner(device=self.device,
-                               scheduler=self.scheduler).plan(graph)
+                               scheduler="hmms").plan(graph)
             positions = graph.op_positions()
             bindings = {t_in.id: (("input",) if stage == 0
                                   else ("stage_in", stage))}
@@ -489,7 +422,7 @@ class MeshPartitioner:
                 params=params_for_builder(b, model),
                 input_bindings=bindings, output_tensors=outputs))
             if previous is not None:
-                src_dev, src_tensor, src_pos = previous
+                src_dev, src_pos = previous
                 dst_first = min((positions[c]
                                  for c in graph.tensors[t_in.id].consumers),
                                 default=None)
@@ -499,9 +432,7 @@ class MeshPartitioner:
                     src_op=src_pos, dst_op=dst_first, dst_tensor=t_in.id,
                     label=f"activation:stage{src_dev}->{stage}"))
             value_shape = value.shape
-            src_pos = (positions[value.producer]
-                       if value.producer is not None else -1)
-            previous = (stage, value.id, src_pos)
+            previous = (stage, positions[value.producer])
 
         return MeshPlan(
             strategy="pipeline", topology=self.topology,
@@ -520,25 +451,6 @@ def _graph_batch(graph: Graph) -> int:
 def _whole_input_binding(graph: Graph) -> Dict[int, Tuple]:
     return {t.id: ("input",) for t in graph.tensors.values()
             if t.kind == "input"}
-
-
-def boundary_bounds(handler, region: SplitRegion, scheme_h: SplitScheme,
-                    scheme_w: SplitScheme, in_hw: Tuple[int, int],
-                    axis: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Per-boundary (lb, ub) input indices for one axis of the region.
-
-    Propagating the output scheme back at ``position=0`` lands every
-    boundary on its lower receptive-field bound; ``position=1`` on the
-    upper.  The strip between them is what an exact (non-abandoning)
-    patch execution would need from the neighbor — the halo.  Public so
-    the patch-inference tests can assert ``GridSplitter``'s tile ranges
-    land on exactly these bounds (shared Eq. 1-2 math, not a copy).
-    """
-    low = handler.back(region.body, scheme_h, scheme_w, in_hw, 0.0)
-    high = handler.back(region.body, scheme_h, scheme_w, in_hw, 1.0)
-    schemes = ((low.in_scheme_h, high.in_scheme_h),
-               (low.in_scheme_w, high.in_scheme_w))[axis]
-    return schemes[0].boundaries, schemes[1].boundaries
 
 
 def _even_chunks(items: Sequence[Any], parts: int) -> List[List[Any]]:
@@ -566,9 +478,7 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
     Patch devices run first; their terminal patch outputs feed the tail
     device's remote-join inputs.  Patches carry the shipped zero-padding
     semantics (the paper's feature abandonment), so the merged logits are
-    byte-identical to the single-device split graph for any device count
-    — the halo transfers model the *traffic* an exact deployment pays,
-    not a numeric change (see docs/mesh.md).
+    byte-identical to the single-device split graph for any device count.
     """
     if mesh_plan.strategy != "spatial" or mesh_plan.spatial_schemes is None:
         raise ValueError("run_spatial_numeric needs a spatial MeshPlan")

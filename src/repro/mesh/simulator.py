@@ -255,7 +255,7 @@ class MeshSimulator:
             for t in mesh_plan.transfers:
                 if t.dst == device_id and t.dst_op is not None:
                     inbound.setdefault(t.dst_op, []).append(t.id)
-                if t.src == device_id and t.src_op >= 0:
+                if t.src == device_id:
                     outbound.setdefault(t.src_op, []).append(t.id)
             dstate[device_id] = _DeviceState(
                 device_id=device_id, assignment=assignment,
@@ -270,13 +270,6 @@ class MeshSimulator:
             nonlocal seq
             heapq.heappush(heap, (at, seq, tag, payload))
             seq += 1
-
-        # Step-start payloads (src_op == -1: halos of the input batch).
-        start_ids = [t.id for t in mesh_plan.transfers if t.src_op < 0]
-        if rng is not None:
-            rng.shuffle(start_ids)
-        for tid in start_ids:
-            push(0.0, "issue", tid)
 
         def advance(state: _DeviceState) -> None:
             timeline = state.timeline
@@ -406,7 +399,7 @@ class MeshSimulator:
             details = {d: sorted(dstate[d].waiting) for d in stuck}
             raise RuntimeError(
                 f"mesh deadlock: devices {details} wait on transfers that "
-                "never arrive (check partition anchoring / SCA104-105)")
+                "never arrive (check partition anchoring / SCA104)")
 
         barrier_arrivals = [
             tstate[t.id].arrival for t in mesh_plan.transfers

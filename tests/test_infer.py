@@ -3,7 +3,7 @@
 The load-bearing claim is that patch inference is *exact*: merged tile
 outputs are byte-identical to the unsplit forward pass, because every
 tile derives its input window and paddings from the same Eq. 1-2
-primitive (``repro.core.scheme``) that sizes mesh halos.
+primitive (``repro.core.scheme``) that places every split-region cut.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.infer import (
     build_dense_graph, flatten_dense_body,
 )
 from repro.infer.splitter import join_candidates
-from repro.mesh.partition import boundary_bounds
 from repro.models import alexnet, small_resnet, small_vgg, vgg11
 from repro.nn import Conv2d, MaxPool2d, ReLU, Sequential, init
 from repro.planned import dyadic_bucket
@@ -144,7 +143,7 @@ class TestSchemePrimitive:
            parts=st.integers(2, 4))
     def test_matches_input_split_bounds(self, spec, n, parts):
         """receptive_interval endpoints ARE the Eq. 1-2 (lb, ub) pairs
-        that input_split_bounds (mesh halo sizing) publishes."""
+        that input_split_bounds (split-region cuts) publishes."""
         try:
             out = spec.output_size(n)
         except ValueError:
@@ -218,11 +217,11 @@ class TestBorderSemanticsSharedWithMesh:
             assert tile.layer_paddings[0][0][1] == 0
 
     @pytest.mark.parametrize("grid", [(2, 2), (4, 4)])
-    def test_multilayer_tiles_land_on_boundary_bounds(self, grid):
+    def test_multilayer_tiles_match_back_bounds(self, grid):
         """Through the full small_vgg stack, tile input ranges land on
-        exactly the boundaries ``repro.mesh.partition.boundary_bounds``
-        derives for a SplitRegion over the same body (shared helper, not
-        copied math)."""
+        exactly the boundaries the region handler's ``back`` derives for
+        a SplitRegion over the same body at positions 0 and 1 (shared
+        Eq. 1-2 math, not a copy)."""
         model = small_vgg(rng=np.random.default_rng(0))
         in_hw = (64, 64)
         region = SplitRegion(model.features, num_splits=grid)
@@ -233,9 +232,11 @@ class TestBorderSemanticsSharedWithMesh:
 
         plan = GridSplitter(grid, overlap=0).plan(model, in_hw)
         assert plan.out_hw == out_hw
-        for axis, scheme in ((0, scheme_h), (1, scheme_w)):
-            low, high = boundary_bounds(
-                handler, region, scheme_h, scheme_w, in_hw, axis)
+        low = handler.back(region.body, scheme_h, scheme_w, in_hw, 0.0)
+        high = handler.back(region.body, scheme_h, scheme_w, in_hw, 1.0)
+        for axis in (0, 1):
+            lows = (low.in_scheme_h, low.in_scheme_w)[axis].boundaries
+            highs = (high.in_scheme_h, high.in_scheme_w)[axis].boundaries
             if axis == 0:
                 tiles = [plan.tiles[i * grid[1]] for i in range(grid[0])]
             else:
@@ -243,10 +244,10 @@ class TestBorderSemanticsSharedWithMesh:
             starts = tuple(t.in_range[axis][0] for t in tiles)
             stops = tuple(t.in_range[axis][1] for t in tiles)
             # position-0 boundaries = lower receptive bounds = tile starts
-            assert starts == low
+            assert starts == lows
             # position-1 boundary i = upper bound = tile i-1's stop
-            # (the halo's far edge); the last tile runs to the image edge.
-            assert stops[:-1] == high[1:]
+            # (the overlap's far edge); the last tile runs to the image edge.
+            assert stops[:-1] == highs[1:]
             assert stops[-1] == in_hw[axis]
 
 

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_mesh_plan, detect_mesh_hazards
+from repro.analysis import detect_mesh_hazards
 from repro.core import to_split_cnn
 from repro.experiments import (
     Fig11Point, Fig11Result, TrainingProfile, run_fig11,
@@ -22,8 +22,8 @@ from repro.compile import default_pipeline
 from repro.graph import build_inference_graph
 from repro.graph.executor import GraphExecutor, resolve_final_gradients
 from repro.mesh import (
-    MeshPartitioner, MeshSimulator, RingAllreduce, build_mesh,
-    run_pipeline_numeric, run_spatial_numeric,
+    MeshPartitioner, MeshSimulator, MeshTransfer, RingAllreduce,
+    build_mesh, run_pipeline_numeric, run_spatial_numeric,
 )
 from repro.models import build_model
 from repro.nn import init
@@ -114,8 +114,7 @@ class TestPartitions:
         plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
         plan.verify()
         assert detect_mesh_hazards(plan) == []
-        kinds = {t.kind for t in plan.transfers}
-        assert kinds == {"halo_exchange", "gather"}
+        assert {t.kind for t in plan.transfers} == {"gather"}
         roles = {a.device_id: a.role for a in plan.assignments}
         assert roles[0] == "tail"
 
@@ -133,15 +132,29 @@ class TestPartitions:
         # activations flow stage s -> s+1
         assert [(t.src, t.dst) for t in plan.transfers] == [(0, 1), (1, 2)]
 
-    def test_halo_bytes_positive_and_anchored(self):
-        plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
-        halos = [t for t in plan.transfers if t.kind == "halo_exchange"]
-        assert halos, "2x2 split must exchange boundary strips"
-        for halo in halos:
-            assert halo.nbytes > 0
-            assert halo.src_op == -1          # input halo: ready at start
-            assert halo.dst_op is not None    # gated before first patch op
-            assert halo.dst_tensor is not None
+    @pytest.mark.parametrize("devices", [2, 3, 4])
+    def test_spatial_sends_one_gather_per_remote_patch(self, devices):
+        """Split-CNN patches exchange nothing: the only traffic is each
+        remote patch's output, shipped whole to the tail's join."""
+        plan = MeshPartitioner(devices).spatial(_small_split(), batch=2)
+        remote = {}
+        for assignment in plan.assignments:
+            for key, tensor_id in assignment.output_tensors.items():
+                if key[0] == "patch_out" and assignment.role != "tail":
+                    nbytes = assignment.graph.tensors[tensor_id].nbytes
+                    remote[f"gather:patch{key[1]}{key[2]}"] = (
+                        assignment.device_id, nbytes)
+        assert remote
+        assert {t.label: (t.src, t.nbytes)
+                for t in plan.transfers} == remote
+        assert len(plan.transfers) == len(remote)
+        assert all(t.kind == "gather" and t.dst == 0
+                   for t in plan.transfers)
+
+    def test_transfer_needs_a_source_position(self):
+        with pytest.raises(ValueError, match="source position"):
+            MeshTransfer(id=0, kind="gather", src=1, dst=0, nbytes=8,
+                         src_op=-1)
 
     def test_allreduce_ring_volume(self):
         # Ring: each device ships 2|g|(N-1)/N bytes per bucket to its
@@ -206,7 +219,7 @@ class TestPartitions:
 
 
 # ----------------------------------------------------------------------
-# SCA104 / SCA105 mutation coverage
+# SCA104 mutation coverage
 # ----------------------------------------------------------------------
 class TestMeshHazards:
     def _mutate(self, plan, old, new):
@@ -215,19 +228,13 @@ class TestMeshHazards:
                            for t in plan.transfers]
         return clone
 
-    def test_halo_anchored_after_first_use_is_sca105(self):
+    def test_unanchored_gather_is_sca104(self):
         plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
-        halo = next(t for t in plan.transfers if t.kind == "halo_exchange")
-        bad = dataclasses.replace(halo, dst_op=halo.dst_op + 7)
-        findings = detect_mesh_hazards(self._mutate(plan, halo, bad))
-        assert [f.code for f in findings] == ["SCA105"]
-
-    def test_unanchored_halo_is_sca105(self):
-        plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
-        halo = next(t for t in plan.transfers if t.kind == "halo_exchange")
-        bad = dataclasses.replace(halo, dst_op=None)
-        findings = detect_mesh_hazards(self._mutate(plan, halo, bad))
-        assert [f.code for f in findings] == ["SCA105"]
+        gather = next(t for t in plan.transfers if t.kind == "gather")
+        bad = dataclasses.replace(gather, dst_op=None)
+        findings = detect_mesh_hazards(self._mutate(plan, gather, bad))
+        assert [f.code for f in findings] == ["SCA104"]
+        assert "no arrival anchor" in findings[0].message
 
     def test_gather_after_join_is_sca104(self):
         plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
@@ -253,13 +260,6 @@ class TestMeshHazards:
         bad = dataclasses.replace(gather, dst_tensor=999_999)
         findings = detect_mesh_hazards(self._mutate(plan, gather, bad))
         assert [f.code for f in findings] == ["SCA104"]
-
-    def test_report_wrapper(self):
-        plan = MeshPartitioner(2).spatial(_small_split(), batch=2)
-        report = analyze_mesh_plan(plan)
-        assert report.ok
-        assert report.num_ops == sum(len(a.graph.ops)
-                                     for a in plan.assignments)
 
 
 # ----------------------------------------------------------------------
@@ -425,14 +425,17 @@ def _mesh_golden_digest(strategy, topology):
     return digest.hexdigest()
 
 
-#: Recorded before the event loop advanced gate to gate.
+#: Recorded before the event loop advanced gate to gate.  The spatial
+#: rows are the same plans with their halo transfers filtered out,
+#: replayed on the loop that still modelled halos: dropping that traffic
+#: is the only change in their timing.
 GOLDEN_MESH_DIGESTS = {
     ("data", "ring"): "1b4dd5bb563feed9b6191033cf8cf29e",
     ("data", "bus"): "90f299defa297861bff18ae3e26c9101",
     ("data", "p2p"): "3f0cc7e62c2ade29eec7637e53a7d089",
-    ("spatial", "ring"): "a1fc1208ee48b6020f68985f6e18f054",
-    ("spatial", "bus"): "6082e6b7e55a10760841475ae5f56d22",
-    ("spatial", "p2p"): "2a9d788bb7d485081a2e3462ea9bc853",
+    ("spatial", "ring"): "120f05382cd0334bf56fa3a57cc88c68",
+    ("spatial", "bus"): "4999f9d88d39bf6be58329542dd84b58",
+    ("spatial", "p2p"): "f3482a4114c788677e7cfab9c278b8b2",
     ("pipeline", "ring"): "ab491276aeb61fc91d9bbfe6783f5d37",
     ("pipeline", "bus"): "fd3c0dc62433993e59f570b0c1d49e65",
     ("pipeline", "p2p"): "2b04faf5a21b66201ba89bf282435670",
