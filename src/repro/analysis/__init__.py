@@ -21,9 +21,8 @@ Artifact passes (they take richer targets than a graph):
   :class:`~repro.graph.executor.GraphExecutor` (every execution,
   compiled or not) from its source graph; :func:`analyze_graph` runs it
   when given the executor as ``plan=``;
-- **config-lint** (``SCA5xx``): :func:`lint_engine_config` /
-  :func:`lint_fleet_config` / :func:`lint_dense_config` audit serving,
-  fleet, and patch-inference configuration.
+- **config-lint** (``SCA5xx``): :func:`lint_engine_config` audits a
+  serving engine's memory budget and plan-cache keys.
 
 The concurrency pass extends across devices for mesh plans
 (``SCA104`` via :func:`detect_mesh_hazards` — invoked directly, mesh
@@ -41,10 +40,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..graph.ir import Graph
 from ..hmms.storage import StorageAssignment, assign_storage
-from .config import (
-    check_cache_keys, lint_dense_config, lint_engine_config,
-    lint_fleet_config,
-)
+from .config import check_cache_keys, lint_engine_config
 from .determinism import audit_determinism
 from .diagnostics import (
     CODES, PASS_CONFIG, PASS_DETERMINISM, PASS_LINT,
@@ -62,8 +58,7 @@ if TYPE_CHECKING:                            # no runtime executor import
 __all__ = [
     "analyze_graph", "lint_graph", "detect_races", "audit_determinism",
     "verify_lowering",
-    "lint_engine_config", "lint_fleet_config", "lint_dense_config",
-    "check_cache_keys",
+    "lint_engine_config", "check_cache_keys",
     "ancestor_masks", "detect_mesh_hazards",
     "AnalysisReport", "Diagnostic", "DiagnosticSpec", "GraphAnalysisError",
     "CODES", "SEV_ERROR", "SEV_WARNING",
@@ -112,8 +107,7 @@ def analyze_graph(
     if unknown:
         raise ValueError(
             f"unknown graph pass(es) {unknown}; valid: {list(valid)} "
-            f"({PASS_CONFIG!r} has no graph: call the lint_*_config "
-            "functions)")
+            f"({PASS_CONFIG!r} has no graph: call lint_engine_config)")
 
     findings: List[Diagnostic] = []
     if PASS_LINT in passes:

@@ -161,22 +161,10 @@ _SPECS = [
         "else still references."),
     # --- configuration lint ---------------------------------------------
     DiagnosticSpec(
-        "SCA501", "ledger-overcommit", SEV_ERROR, PASS_CONFIG,
-        "Tenant reservations cannot co-fit the DeviceLedger capacity, or "
-        "a reservation is smaller than the HMMS plan peak of the "
-        "tenant's capped bucket — a served batch would exceed device "
-        "memory."),
-    DiagnosticSpec(
-        "SCA502", "infeasible-slo", SEV_ERROR, PASS_CONFIG,
-        "A tenant's SLO deadline does not exceed the modelled inference "
-        "latency of its bucket: requests expire before any batch can "
-        "complete (error at batch 1; warning when only the capped "
-        "bucket overruns)."),
-    DiagnosticSpec(
         "SCA503", "memory-budget-overflow", SEV_ERROR, PASS_CONFIG,
-        "A planned graph's device peak exceeds the memory budget its "
-        "owner is configured with — a serving bucket or patch-variant "
-        "plan that cannot execute without breaking the budget."),
+        "A serving bucket's planned device peak exceeds the engine's "
+        "memory budget, or no bucket fits it — a plan that cannot "
+        "execute without breaking the budget."),
     DiagnosticSpec(
         "SCA504", "unfingerprinted-cache-key", SEV_ERROR, PASS_CONFIG,
         "A plan-cache key does not end with a pipeline fingerprint, so "

@@ -958,9 +958,9 @@ _COMMANDS = {
 #: Numeric options that must be positive on every command defining them ...
 _POSITIVE = ("batch", "width", "factor", "devices", "bandwidth", "rps",
              "duration", "queue_depth", "request_size", "max_batch",
-             "target_factor", "workers")
+             "target_factor", "workers", "capacity_gib")
 #: ... and those that may be zero but not negative.
-_NON_NEGATIVE = ("flush_ms", "identity_side")
+_NON_NEGATIVE = ("flush_ms", "identity_side", "max_ops")
 
 
 def _check_ranges(args) -> None:

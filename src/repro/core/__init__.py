@@ -16,7 +16,7 @@ from .scheme import (
 )
 from .split_op import (
     SplitPlan1d, SplitPlan2d, plan_split_1d, plan_split_2d, run_split_op,
-    split_conv2d, split_pool2d,
+    split_conv2d,
 )
 from .stochastic import DEFAULT_OMEGA, StochasticSplitter, sample_split
 from .transform import (
@@ -27,7 +27,7 @@ __all__ = [
     "SplitScheme", "WindowSpec", "compute_input_split", "compute_paddings",
     "input_split_bounds", "GRID_OF_SPLITS",
     "SplitPlan1d", "SplitPlan2d", "plan_split_1d", "plan_split_2d",
-    "run_split_op", "split_conv2d", "split_pool2d",
+    "run_split_op", "split_conv2d",
     "StochasticSplitter", "sample_split", "DEFAULT_OMEGA",
     "SplitRegion", "SplitHandler", "register_handler", "get_handler",
     "conv_count",

@@ -274,8 +274,3 @@ def compute_paddings(
             pad_e = (o_next - 1) * s + k - (i_next + p_b)
         paddings.append((pad_b, pad_e))
     return paddings
-
-
-def patch_output_sizes(output_split: SplitScheme, output_size: int) -> Tuple[int, ...]:
-    """Output length of each patch; convenience wrapper over part_sizes."""
-    return output_split.part_sizes(output_size)

@@ -18,7 +18,7 @@ from .scheme import (
 )
 
 __all__ = ["SplitPlan1d", "SplitPlan2d", "plan_split_1d", "plan_split_2d",
-           "run_split_op", "split_conv2d", "split_pool2d"]
+           "run_split_op", "split_conv2d"]
 
 
 @dataclass(frozen=True)
@@ -141,29 +141,3 @@ def split_conv2d(
         lambda patch, pad: conv2d(patch, weight, bias, stride=stride, padding=pad),
     )
 
-
-def split_pool2d(
-    x: Tensor,
-    kind: str,
-    kernel: IntPair,
-    stride: IntPair,
-    padding: Padding2d,
-    output_split_h: SplitScheme,
-    output_split_w: SplitScheme,
-    position: float = 0.5,
-) -> Tensor:
-    """Split-execute a max/avg pool; ``kind`` is ``'max'`` or ``'avg'``."""
-    from ..tensor import avg_pool2d, max_pool2d
-
-    pool = {"max": max_pool2d, "avg": avg_pool2d}.get(kind)
-    if pool is None:
-        raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
-    spec_h = WindowSpec(kernel[0], stride[0], padding[0][0], padding[0][1])
-    spec_w = WindowSpec(kernel[1], stride[1], padding[1][0], padding[1][1])
-    plan = plan_split_2d(
-        spec_h, spec_w, (x.shape[2], x.shape[3]), output_split_h, output_split_w, position
-    )
-    return run_split_op(
-        x, plan,
-        lambda patch, pad: pool(patch, kernel, stride, pad),
-    )

@@ -1,9 +1,6 @@
 """``repro.data`` — synthetic datasets and batch iteration."""
 
-from .augment import BatchTransform, Compose, RandomCropFlip
-from .cifar import (
-    ArrayDataset, CIFAR10_LABELS, CIFAR10_MEAN, CIFAR10_STD, load_cifar10,
-)
+from .cifar import ArrayDataset, CIFAR10_MEAN, CIFAR10_STD, load_cifar10
 from .loader import DataLoader
 from .synthetic import (
     GratingsDataset, ShapesDataset, SyntheticImageDataset, make_dataset,
@@ -13,6 +10,4 @@ __all__ = [
     "DataLoader", "SyntheticImageDataset", "GratingsDataset", "ShapesDataset",
     "make_dataset",
     "ArrayDataset", "load_cifar10", "CIFAR10_MEAN", "CIFAR10_STD",
-    "CIFAR10_LABELS",
-    "RandomCropFlip", "Compose", "BatchTransform",
 ]

@@ -17,8 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ArrayDataset", "load_cifar10", "CIFAR10_MEAN", "CIFAR10_STD",
-           "CIFAR10_LABELS"]
+__all__ = ["ArrayDataset", "load_cifar10", "CIFAR10_MEAN", "CIFAR10_STD"]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -29,11 +28,6 @@ TEST_FILES = ("test_batch.bin",)
 # Standard per-channel statistics of the CIFAR-10 training set.
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
 CIFAR10_STD = np.array([0.2470, 0.2435, 0.2616], dtype=np.float32)
-
-CIFAR10_LABELS = (
-    "airplane", "automobile", "bird", "cat", "deer",
-    "dog", "frog", "horse", "ship", "truck",
-)
 
 
 @dataclass

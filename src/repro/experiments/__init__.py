@@ -11,7 +11,7 @@ from .fig11 import (
     allreduce_seconds, analytical_speedup, profile_plan, render_fig11,
     run_fig11, transfer_bracket,
 )
-from .tables import format_series, format_table
+from .tables import format_table
 from .throughput import (
     SchedulerOutcome, ThroughputComparison, compare_schedulers, render_fig8,
     run_fig8, run_fig9_timelines,
@@ -29,5 +29,5 @@ __all__ = [
     "run_fig11", "render_fig11", "Fig11Result", "Fig11Point",
     "PAPER_BANDWIDTHS", "TrainingProfile", "allreduce_seconds",
     "analytical_speedup", "transfer_bracket", "profile_plan",
-    "format_table", "format_series",
+    "format_table",
 ]

@@ -1,10 +1,10 @@
-"""Plain-text table/series rendering shared by the experiment drivers."""
+"""Plain-text table rendering shared by the experiment drivers."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -28,9 +28,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     for row in materialized:
         lines.append(" | ".join(t.ljust(w) for t, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(name: str, pairs: Iterable[Sequence[object]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render an (x, y) series as the paper's figures report them."""
-    return format_table([x_label, y_label], pairs, title=name)

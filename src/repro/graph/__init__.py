@@ -7,7 +7,7 @@ from .executor import GraphExecutor
 from .export import GraphStats, graph_stats, to_dot, to_networkx
 from .ir import FLOAT_BYTES, Graph, OpNode, TensorValue
 from .liveness import Lifetime, compute_lifetimes
-from .registry import OpDef, REGISTRY, has_op, infer_op_shapes, op_def
+from .registry import OpDef, REGISTRY, infer_op_shapes, op_def
 
 __all__ = [
     "Graph", "OpNode", "TensorValue", "FLOAT_BYTES",
@@ -17,7 +17,7 @@ __all__ = [
     "GraphStats", "graph_stats", "to_dot", "to_networkx",
     "GraphExecutor", "append_checkpointed_backward",
     "build_checkpointed_training_graph",
-    "OpDef", "REGISTRY", "op_def", "has_op", "infer_op_shapes",
+    "OpDef", "REGISTRY", "op_def", "infer_op_shapes",
 ]
 
 

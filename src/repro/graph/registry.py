@@ -62,7 +62,7 @@ from ..tensor.ops_nn import (
 from .ir import Graph, OpNode
 
 __all__ = [
-    "OpDef", "FusionRule", "FoldResult", "REGISTRY", "op_def", "has_op",
+    "OpDef", "FusionRule", "FoldResult", "REGISTRY", "op_def",
     "infer_op_shapes", "BN_EPS",
     "EFF_CONV", "EFF_GEMM", "EFF_MEMORY",
     "SHARE_NONE", "SHARE_ALIAS", "SHARE_SUMMATION",
@@ -908,10 +908,6 @@ def op_def(op_type: str) -> OpDef:
         raise NotImplementedError(
             f"no registered op definition for op type {op_type!r}"
         ) from None
-
-
-def has_op(op_type: str) -> bool:
-    return op_type in REGISTRY
 
 
 def infer_op_shapes(op_type: str, input_shapes: Sequence[Shape],

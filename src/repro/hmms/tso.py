@@ -19,13 +19,12 @@ from typing import List
 from ..graph.registry import SHARE_ALIAS, SHARE_NONE, SHARE_SUMMATION
 
 __all__ = [
-    "TSO", "POOL_DEVICE_GENERAL", "POOL_DEVICE_PARAM", "POOL_HOST",
+    "TSO", "POOL_DEVICE_GENERAL", "POOL_DEVICE_PARAM",
     "SHARE_NONE", "SHARE_ALIAS", "SHARE_SUMMATION",
 ]
 
 POOL_DEVICE_GENERAL = "device_general"
 POOL_DEVICE_PARAM = "device_param"
-POOL_HOST = "host"
 
 
 @dataclass

@@ -240,7 +240,7 @@ class PatchInferer:
     # ------------------------------------------------------------------
     def _dense_plan(self, in_hw: Tuple[int, int], grid: Tuple[int, int],
                     overlap: int) -> _DensePlan:
-        """What ``plan_dense``, ``infer`` and the config linter all read.
+        """What ``plan_dense`` and ``infer`` both read.
 
         First fit over the join candidates, shallowest first, probing
         through the cache: tiles stop at the first depth whose tail fits

@@ -51,12 +51,10 @@ from ..profile.device import DeviceSpec, P100_NVLINK
 
 __all__ = [
     "MeshTransfer", "DeviceAssignment", "MeshPlan", "MeshPartitioner",
-    "run_spatial_numeric", "run_pipeline_numeric",
-    "TRANSFER_KINDS", "STRATEGIES",
+    "run_spatial_numeric", "TRANSFER_KINDS",
 ]
 
 TRANSFER_KINDS = ("all_reduce", "gather", "activation")
-STRATEGIES = ("data", "spatial", "pipeline")
 
 
 @dataclass(frozen=True)
@@ -515,24 +513,3 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
         raise RuntimeError("spatial plan produced no logits")
     return {"logits": logits}
 
-
-def run_pipeline_numeric(mesh_plan: MeshPlan,
-                         x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Execute a pipeline :class:`MeshPlan` numerically, stage by stage."""
-    if mesh_plan.strategy != "pipeline":
-        raise ValueError("run_pipeline_numeric needs a pipeline MeshPlan")
-    value = np.asarray(x)
-    logits: Optional[np.ndarray] = None
-    for assignment in sorted(mesh_plan.assignments,
-                             key=lambda a: a.device_id):
-        (tensor_id,) = assignment.input_bindings
-        executor = GraphExecutor(assignment.graph, assignment.params)
-        outputs = executor.run_with_inputs({tensor_id: value})
-        ((key, out_id),) = assignment.output_tensors.items()
-        if key == ("logits",):
-            logits = outputs["logits"]
-        else:
-            value = executor.values[out_id]
-    if logits is None:
-        raise RuntimeError("pipeline plan produced no logits")
-    return {"logits": logits}

@@ -1,22 +1,20 @@
 """``repro.nn`` — neural-network modules built on :mod:`repro.tensor`."""
 
 from .activation import Dropout, ReLU, Sigmoid, Tanh
-from .container import ModuleList, Sequential
+from .container import Sequential
 from .conv import Conv2d
 from .linear import Flatten, Linear
-from .loss import CrossEntropyLoss, MSELoss, NLLLoss
+from .loss import CrossEntropyLoss
 from .module import Module, Parameter
 from .norm import BatchNorm2d
 from .pool import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from .serialization import load_model, load_state_dict, save_model, save_state_dict
 from . import init
 
 __all__ = [
-    "Module", "Parameter", "Sequential", "ModuleList",
+    "Module", "Parameter", "Sequential",
     "Conv2d", "Linear", "Flatten",
     "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
     "BatchNorm2d", "ReLU", "Sigmoid", "Tanh", "Dropout",
-    "CrossEntropyLoss", "NLLLoss", "MSELoss",
-    "save_model", "load_model", "save_state_dict", "load_state_dict",
+    "CrossEntropyLoss",
     "init",
 ]

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from ..tensor import Tensor
 from .module import Module
 
-__all__ = ["Sequential", "ModuleList"]
+__all__ = ["Sequential"]
 
 
 class Sequential(Module):
@@ -39,29 +39,3 @@ class Sequential(Module):
         setattr(self, str(len(self._modules)), module)
         return self
 
-
-class ModuleList(Module):
-    """A list of modules that registers its contents for traversal.
-
-    Unlike :class:`Sequential`, it has no forward — iterate explicitly.
-    """
-
-    def __init__(self, modules: Iterable[Module] = ()) -> None:
-        super().__init__()
-        self._length = 0
-        for module in modules:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        setattr(self, str(self._length), module)
-        self._length += 1
-        return self
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]

@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming / Xavier, fan computation)."""
+"""Weight initialization schemes (Kaiming, fan computation)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import numpy as np
 from ..tensor import DEFAULT_DTYPE
 
 __all__ = [
-    "compute_fans", "kaiming_normal", "kaiming_uniform", "xavier_uniform",
-    "xavier_normal", "zeros", "ones", "constant", "fast_init",
+    "compute_fans", "kaiming_normal", "kaiming_uniform", "zeros", "ones",
+    "constant", "fast_init",
 ]
 
 _FAST_INIT = False
@@ -68,22 +68,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] =
     fan_in, _ = compute_fans(shape)
     bound = math.sqrt(6.0 / fan_in)
     return _rng(rng).uniform(-bound, bound, shape).astype(DEFAULT_DTYPE)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    if _FAST_INIT:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
-    fan_in, fan_out = compute_fans(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return _rng(rng).uniform(-bound, bound, shape).astype(DEFAULT_DTYPE)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    if _FAST_INIT:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
-    fan_in, fan_out = compute_fans(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return (_rng(rng).standard_normal(shape) * std).astype(DEFAULT_DTYPE)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..tensor import Tensor, cross_entropy, mean
+from ..tensor import Tensor, cross_entropy
 from .module import Module
 
-__all__ = ["CrossEntropyLoss", "NLLLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss(Module):
@@ -16,20 +14,3 @@ class CrossEntropyLoss(Module):
     def forward(self, logits: Tensor, targets) -> Tensor:
         return cross_entropy(logits, targets)
 
-
-class NLLLoss(Module):
-    """Negative log-likelihood over log-probabilities."""
-
-    def forward(self, log_probs: Tensor, targets) -> Tensor:
-        targets = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
-        batch = log_probs.shape[0]
-        picked = log_probs[np.arange(batch), targets.astype(np.int64)]
-        return -mean(picked)
-
-
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        diff = prediction - target
-        return mean(diff * diff)

@@ -1,6 +1,6 @@
 """``repro.optim`` — optimizers and learning-rate schedules."""
 
-from .scheduler import LRScheduler, MultiStepLR, StepLR
+from .scheduler import LRScheduler, MultiStepLR
 from .sgd import SGD
 
-__all__ = ["SGD", "LRScheduler", "StepLR", "MultiStepLR"]
+__all__ = ["SGD", "LRScheduler", "MultiStepLR"]

@@ -1,8 +1,8 @@
 """Learning-rate schedules.
 
 The paper decays the learning rate by 10x at epochs 150/250 (CIFAR, §5.2.1)
-and every 30 epochs (ImageNet, §5.3); :class:`MultiStepLR` and
-:class:`StepLR` reproduce those two recipes.
+and every 30 epochs (ImageNet, §5.3); :class:`MultiStepLR` reproduces
+both recipes (milestones ``[150, 250]`` or ``[30, 60, ...]``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 from .sgd import SGD
 
-__all__ = ["LRScheduler", "StepLR", "MultiStepLR"]
+__all__ = ["LRScheduler", "MultiStepLR"]
 
 
 class LRScheduler:
@@ -31,20 +31,6 @@ class LRScheduler:
         new_lr = self.get_lr()
         self.optimizer.lr = new_lr
         return new_lr
-
-
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
 
 
 class MultiStepLR(LRScheduler):

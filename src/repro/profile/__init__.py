@@ -1,14 +1,14 @@
 """``repro.profile`` — device models, roofline op costs, offload analysis."""
 
 from .cost import CostModel, OpCost
-from .device import DeviceSpec, P100_NVLINK, V100_NVLINK2
+from .device import DeviceSpec, P100_NVLINK
 from .measured import DEFAULT_REPETITIONS, MeasuredCostModel
 from .offload_analysis import (
     LayerOffloadStats, OffloadAnalysis, analyze_offloadability,
 )
 
 __all__ = [
-    "DeviceSpec", "P100_NVLINK", "V100_NVLINK2",
+    "DeviceSpec", "P100_NVLINK",
     "CostModel", "OpCost",
     "OffloadAnalysis", "LayerOffloadStats", "analyze_offloadability",
     "MeasuredCostModel", "DEFAULT_REPETITIONS",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DeviceSpec", "P100_NVLINK", "V100_NVLINK2"]
+__all__ = ["DeviceSpec", "P100_NVLINK"]
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,3 @@ class DeviceSpec:
 
 
 P100_NVLINK = DeviceSpec()
-
-V100_NVLINK2 = DeviceSpec(
-    name="V100-NVLink2",
-    peak_flops=15.7e12,
-    mem_bandwidth=900e9,
-    nvlink_bandwidth=68.0e9,
-    memory_capacity=32 << 30,
-)

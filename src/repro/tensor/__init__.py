@@ -11,10 +11,10 @@ Importing the package registers the operator methods on :class:`Tensor`.
 from __future__ import annotations
 
 from . import ops_basic, ops_nn, ops_reduce, ops_shape
-from .autograd import Function, enable_grad, is_grad_enabled, no_grad
+from .autograd import Function, is_grad_enabled, no_grad
 from .ops_basic import (
-    abs_, add, clip, div, exp, log, matmul, maximum, minimum, mul, neg, pow_,
-    sqrt, sub, where,
+    abs_, add, div, exp, log, matmul, maximum, mul, neg, pow_, sqrt, sub,
+    where,
 )
 from .ops_nn import (
     avg_pool2d, conv2d, cross_entropy, dropout, log_softmax, max_pool2d,
@@ -24,14 +24,13 @@ from .ops_nn import conv_output_size
 from .ops_reduce import max_, mean, min_, sum_, var
 from .ops_shape import concat, flatten, pad, reshape, slice_, split, transpose
 from .tensor import DEFAULT_DTYPE, Tensor, as_tensor
-from .winograd import winograd_conv2d
 
 __all__ = [
-    "Tensor", "as_tensor", "Function", "no_grad", "enable_grad",
-    "is_grad_enabled", "DEFAULT_DTYPE",
+    "Tensor", "as_tensor", "Function", "no_grad", "is_grad_enabled",
+    "DEFAULT_DTYPE",
     # basic
     "add", "sub", "mul", "div", "neg", "pow_", "matmul", "exp", "log",
-    "sqrt", "abs_", "clip", "maximum", "minimum", "where",
+    "sqrt", "abs_", "maximum", "where",
     # shape
     "reshape", "transpose", "flatten", "pad", "slice_", "concat", "split",
     # reduce
@@ -39,7 +38,7 @@ __all__ = [
     # nn
     "conv2d", "max_pool2d", "avg_pool2d", "relu", "sigmoid", "tanh",
     "log_softmax", "softmax", "cross_entropy", "dropout", "conv_output_size",
-    "normalize_pair", "normalize_padding2d", "winograd_conv2d",
+    "normalize_pair", "normalize_padding2d",
 ]
 
 

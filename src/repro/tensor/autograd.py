@@ -18,7 +18,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Function", "is_grad_enabled", "no_grad", "enable_grad"]
+__all__ = ["Function", "is_grad_enabled", "no_grad"]
 
 
 class _GradMode(threading.local):
@@ -41,17 +41,6 @@ def no_grad():
     """Context manager that disables graph recording (inference mode)."""
     previous = _grad_mode.enabled
     _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that re-enables graph recording inside ``no_grad``."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = True
     try:
         yield
     finally:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "matmul", "exp", "log",
-    "sqrt", "abs_", "clip", "maximum", "minimum", "where",
+    "sqrt", "abs_", "maximum", "where",
 ]
 
 
@@ -154,20 +154,6 @@ class Abs(Function):
         return (grad_output * self.sign,)
 
 
-class Clip(Function):
-    def forward(self, a: np.ndarray, low: Optional[float], high: Optional[float]) -> np.ndarray:
-        out = np.clip(a, low, high)
-        self.mask = np.ones_like(a)
-        if low is not None:
-            self.mask = self.mask * (a >= low)
-        if high is not None:
-            self.mask = self.mask * (a <= high)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        return (grad_output * self.mask, None, None)
-
-
 class Maximum(Function):
     def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.a, self.b = a, b
@@ -175,19 +161,6 @@ class Maximum(Function):
 
     def backward(self, grad_output: np.ndarray):
         a_wins = (self.a >= self.b).astype(grad_output.dtype)
-        return (
-            unbroadcast(grad_output * a_wins, np.shape(self.a)),
-            unbroadcast(grad_output * (1.0 - a_wins), np.shape(self.b)),
-        )
-
-
-class Minimum(Function):
-    def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.a, self.b = a, b
-        return np.minimum(a, b)
-
-    def backward(self, grad_output: np.ndarray):
-        a_wins = (self.a <= self.b).astype(grad_output.dtype)
         return (
             unbroadcast(grad_output * a_wins, np.shape(self.a)),
             unbroadcast(grad_output * (1.0 - a_wins), np.shape(self.b)),
@@ -257,16 +230,8 @@ def abs_(a) -> Tensor:
     return Abs.apply(as_tensor(a))
 
 
-def clip(a, low: Optional[float] = None, high: Optional[float] = None) -> Tensor:
-    return Clip.apply(as_tensor(a), low, high)
-
-
 def maximum(a, b) -> Tensor:
     return Maximum.apply(as_tensor(a), as_tensor(b))
-
-
-def minimum(a, b) -> Tensor:
-    return Minimum.apply(as_tensor(a), as_tensor(b))
 
 
 def where(cond, a, b) -> Tensor:

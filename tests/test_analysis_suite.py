@@ -8,14 +8,11 @@ exactly that code — never by a pre-existing one — plus clean-path tests
 proving the analyzers stay quiet on known-good artifacts.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    analyze_graph, check_cache_keys, lint_dense_config,
-    lint_engine_config, lint_fleet_config, verify_lowering,
+    analyze_graph, check_cache_keys, lint_engine_config, verify_lowering,
 )
 from repro.compile import CompiledPlan, default_pipeline
 from repro.core import to_split_cnn
@@ -25,9 +22,7 @@ from repro.graph.ir import Graph
 from repro.hmms.planner import PlanCache
 from repro.models import MODEL_REGISTRY, build_model
 from repro.nn import init
-from repro.serve import ServingEngine, SLOClass, TenantConfig, FleetScheduler
-from repro.infer import PatchInferer
-from repro.infer.splitter import GridSplitter
+from repro.serve import ServingEngine
 
 
 # ----------------------------------------------------------------------
@@ -424,15 +419,6 @@ class TestLoweringMutations:
 # SCA5xx: config lint
 # ----------------------------------------------------------------------
 
-def _small_fleet(**kwargs):
-    tenants = [TenantConfig(name="a", model="small_resnet", batch_cap=4,
-                            rps=100.0),
-               TenantConfig(name="b", model="small_resnet", batch_cap=4,
-                            rps=100.0)]
-    kwargs.setdefault("autoscale", False)
-    return FleetScheduler(tenants, **kwargs)
-
-
 class TestConfigLint:
     def test_clean_engine_config(self):
         engine = ServingEngine.from_zoo("small_resnet")
@@ -443,95 +429,6 @@ class TestConfigLint:
         engine = ServingEngine.from_zoo("small_vgg", memory_budget=1)
         findings = _only_code(lint_engine_config(engine), "SCA503")
         assert "no batch fits" in findings[0].message
-
-    def test_clean_fleet_config(self):
-        assert not lint_fleet_config(_small_fleet())
-
-    def test_sca501_reservation_below_bucket_peak(self):
-        fleet = _small_fleet()
-        tenant = fleet.tenants["a"]
-        tenant.reservation = 1
-        findings = lint_fleet_config(fleet)
-        assert any(f.code == "SCA501" and "below the bucket" in f.message
-                   for f in findings)
-
-    def test_sca501_ledger_overcommit(self):
-        fleet = _small_fleet()
-        for tenant in fleet.tenants.values():
-            tenant.reservation = fleet.ledger.capacity
-        findings = lint_fleet_config(fleet)
-        assert any(f.code == "SCA501" and "cannot co-reside" in f.message
-                   for f in findings)
-
-    def test_sca502_infeasible_deadline_is_error(self):
-        fleet = _small_fleet()
-        tenant = fleet.tenants["a"]
-        tenant.config = dataclasses.replace(
-            tenant.config,
-            slo=SLOClass("tight", deadline=1e-9, flush_timeout=1e-10))
-        findings = _only_code(lint_fleet_config(fleet), "SCA502")
-        assert findings[0].severity == "error"
-        assert "every request expires" in findings[0].message
-
-    def test_sca502_capped_bucket_overrun_is_warning(self):
-        fleet = _small_fleet()
-        tenant = fleet.tenants["a"]
-        single = tenant.engine.entry_for(1).latency
-        cap = tenant.engine.entry_for(tenant.bucket_cap).latency
-        assert cap > single
-        deadline = (single + cap) / 2.0
-        tenant.config = dataclasses.replace(
-            tenant.config,
-            slo=SLOClass("mid", deadline=deadline,
-                         flush_timeout=deadline / 10.0))
-        findings = _only_code(lint_fleet_config(fleet), "SCA502")
-        assert findings[0].severity == "warning"
-        assert "full buckets expire" in findings[0].message
-
-    def test_sca503_patch_batch_over_budget(self):
-        model = _model("small_vgg")
-        probe = PatchInferer(model)
-        grid, in_hw = (2, 2), (32, 32)
-        depth = probe.plan_dense(in_hw, grid).join_depth
-        variants = list(GridSplitter(grid, 0).plan(
-            model, in_hw, depth=depth).variants())
-        feasible = probe.max_patch_batch(variants)
-        inferer = PatchInferer(
-            model, patch_batch=feasible + 1,
-            memory_budget=probe.entry_for(variants[0], feasible)
-            .plan.device_peak)
-        findings = lint_dense_config(inferer, in_hw, grid)
-        assert any(f.code == "SCA503" and f"join_depth {depth}" in f.message
-                   for f in findings)
-
-    def test_clean_dense_config(self):
-        model = _model("small_vgg")
-        inferer = PatchInferer(model)
-        assert not lint_dense_config(inferer, (32, 32), (2, 2))
-        # The linter read the inferer's own decision, tail included: the
-        # report plans nothing the lint had not.
-        misses = inferer.cache.misses
-        report = inferer.plan_dense((32, 32), (2, 2))
-        assert report.join_depth < len(inferer.layers)
-        assert inferer.cache.misses == misses == report.executions
-
-    def test_clean_dense_config_when_only_the_full_body_fits(self):
-        """A configured patch batch the head fits, under a budget below
-        every candidate's tail: the tiles run the whole body and there
-        is no tail to flag."""
-        model = _model("small_vgg")
-        in_hw, grid, overlap = (256, 256), (4, 4), 1
-        probe = PatchInferer(model, numeric=False)
-        budget = max(
-            probe.entry_for(variant, 1).plan.device_peak
-            for variant in GridSplitter(grid, overlap).plan(
-                model, in_hw).variants())
-        inferer = PatchInferer(model, numeric=False, patch_batch=1,
-                               memory_budget=budget)
-        assert not lint_dense_config(inferer, in_hw, grid, overlap)
-        report = inferer.plan_dense(in_hw, grid, overlap)
-        assert report.join_depth == len(inferer.layers)
-        assert report.peak_bytes <= budget
 
     def test_sca504_unfingerprinted_cache_key(self):
         cache = PlanCache()

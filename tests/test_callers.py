@@ -1,0 +1,165 @@
+"""Every top-level name in ``src/repro`` has a caller outside the tests.
+
+The scan parses every ``src/repro`` module and follows name mentions
+from the entry points (``repro/__main__.py``, ``benchmarks/`` and
+``examples/``) plus the module-level statements of every module, which
+run on import.  It is deliberately coarse:
+
+- a mention of a name reaches every top-level definition of that name, in
+  any module, and a reached class reaches all of its methods;
+- strings and comments are not mentions, so a docstring cannot keep a
+  function alive;
+- an import is not a use, so a re-export cannot keep one alive either
+  (``import a as b`` makes a mention of ``b`` reach ``a``).
+
+A definition the scan does not reach has only test callers: delete it, or
+give it a caller.  Run the module to list what is unreached::
+
+    python tests/test_callers.py
+"""
+
+import ast
+import sys
+from pathlib import Path
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+# (module relative to src/repro, name) -> why it stays without a caller.
+ALLOWED = {
+    ("data/cifar.py", "load_cifar10"):
+        "the only reader of the paper's dataset; experiments/accuracy.py "
+        "names it as the entry point for CIFAR-10 on disk",
+    ("data/cifar.py", "ArrayDataset"):
+        "what load_cifar10 returns; no dataset is in the tree",
+    ("data/cifar.py", "_parse_batch_file"):
+        "load_cifar10's decoder of the CIFAR-10 binary batch format",
+}
+
+Definition = Tuple[str, str]  # (module, name)
+
+
+def _mentions(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Every name and attribute the code under ``nodes`` mentions."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def _defined_names(node: ast.stmt) -> List[str]:
+    """The names a top-level statement defines (empty: run on import)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    names = []
+    for target in targets:
+        elements = target.elts if isinstance(target, ast.Tuple) else [target]
+        if not all(isinstance(e, ast.Name) for e in elements):
+            return []
+        names += [e.id for e in elements]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def scan(modules: Mapping[str, str], entry_points: Iterable[str],
+         keep: Iterable[Definition] = ()) -> Dict[Definition, int]:
+    """Top-level definitions in ``modules`` that nothing reaches.
+
+    ``modules`` maps a module label to its source; every mention in an
+    ``entry_points`` source is a root, and so is every name in ``keep``.
+    Returns each unreached definition with its line count.
+    """
+    roots = _mentions(ast.parse(source) for source in entry_points)
+    roots.update(name for _, name in keep)
+    bodies: Dict[str, List[Tuple[Definition, int, Set[str]]]] = {}
+    aliases: Dict[str, Set[str]] = {}
+    for label, source in modules.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases.setdefault(alias.asname, set()).add(
+                            alias.name.rsplit(".", 1)[-1])
+        for node in tree.body:
+            names = _defined_names(node)
+            if not names:
+                roots |= _mentions([node])  # module-level code runs on import
+                continue
+            decorators = getattr(node, "decorator_list", [])
+            roots |= _mentions(decorators)
+            body = [child for child in ast.iter_child_nodes(node)
+                    if child not in decorators]
+            lines = node.end_lineno - node.lineno + 1
+            for name in names:
+                bodies.setdefault(name, []).append(
+                    ((label, name), lines, _mentions(body)))
+
+    reached: Set[str] = set()
+    work = list(roots)
+    while work:
+        name = work.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        work.extend(aliases.get(name, ()))
+        for _, _, used in bodies.get(name, ()):
+            work.extend(used)
+    return {definition: lines
+            for name, entries in bodies.items() if name not in reached
+            for definition, lines, _ in entries}
+
+
+def scan_repo(keep: Iterable[Definition] = ()) -> Dict[Definition, int]:
+    modules = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))
+               if path.name != "__main__.py"}
+    entries = [SRC / "__main__.py",
+               *sorted((ROOT / "benchmarks").rglob("*.py")),
+               *sorted((ROOT / "examples").rglob("*.py"))]
+    return scan(modules, [path.read_text() for path in entries], keep)
+
+
+def test_every_definition_has_a_caller():
+    stale = sorted(set(ALLOWED) - set(scan_repo()))
+    assert not stale, f"allow-listed but reached (drop the entry): {stale}"
+    missing = sorted(scan_repo(keep=ALLOWED))
+    assert not missing, (
+        "only tests reach these definitions; delete them or give them a "
+        f"caller: {missing}")
+
+
+def test_scan_reports_an_uncalled_function():
+    module = (
+        '"""Mentions dead() in a docstring."""\n'
+        "LIMIT = 3\n"
+        "def used():\n"
+        "    return f'{helper() + LIMIT}'  # dead()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def dead():\n"
+        "    return helper()\n"
+        "class Box:\n"
+        "    def dead(self):\n"
+        "        return 'dead()'\n"
+        "print(Box)\n")
+    reexport = 'from mod import dead, used\n__all__ = ["dead", "used"]\n'
+    assert scan({"mod.py": module, "pkg.py": reexport},
+                ["from pkg import used\nused()\n"]) == {("mod.py", "dead"): 2}
+
+
+if __name__ == "__main__":
+    found = scan_repo(keep=ALLOWED)
+    for (module, name), lines in sorted(found.items()):
+        print(f"{lines:5d}  {module}:{name}")
+    print(f"{sum(found.values()):5d}  total")
+    sys.exit(1 if found else 0)

@@ -1,11 +1,10 @@
-"""Tests for the CIFAR-10 binary loader and training-time augmentation."""
+"""Tests for the CIFAR-10 binary loader."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    ArrayDataset, CIFAR10_MEAN, CIFAR10_STD, Compose, DataLoader,
-    RandomCropFlip, load_cifar10,
+    ArrayDataset, CIFAR10_MEAN, CIFAR10_STD, DataLoader, load_cifar10,
 )
 from repro.data.cifar import RECORD_BYTES, TEST_FILES, TRAIN_FILES
 
@@ -77,6 +76,15 @@ class TestLoader:
         assert x.shape == (4, 3, 32, 32)
         assert y.dtype == np.int64
 
+    def test_loader_applies_transform(self):
+        from repro.data import ShapesDataset
+        dataset = ShapesDataset(num_samples=8, image_size=8, num_classes=2)
+        marker = lambda b: b * 0 + 7.0
+        loader = DataLoader(dataset, batch_size=4, shuffle=False,
+                            transform=marker)
+        x, _ = next(iter(loader))
+        np.testing.assert_allclose(x.numpy(), 7.0)
+
 
 class TestArrayDataset:
     def test_protocol(self):
@@ -104,59 +112,3 @@ class TestArrayDataset:
         assert len(sub) == 4
         with pytest.raises(ValueError):
             dataset.subset(11)
-
-
-class TestAugmentation:
-    def test_shape_preserved(self, rng):
-        batch = rng.standard_normal((6, 3, 32, 32)).astype(np.float32)
-        out = RandomCropFlip(pad=4, seed=0)(batch)
-        assert out.shape == batch.shape
-
-    def test_crops_come_from_padded_plane(self):
-        batch = np.ones((4, 1, 8, 8), dtype=np.float32)
-        out = RandomCropFlip(pad=2, flip_probability=0.0, seed=0)(batch)
-        # Every pixel is either original (1) or zero padding.
-        assert set(np.unique(out)) <= {0.0, 1.0}
-
-    def test_no_pad_no_flip_is_identity(self, rng):
-        batch = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
-        out = RandomCropFlip(pad=0, flip_probability=0.0)(batch)
-        np.testing.assert_array_equal(out, batch)
-
-    def test_always_flip(self, rng):
-        batch = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
-        out = RandomCropFlip(pad=0, flip_probability=1.0, seed=0)(batch)
-        np.testing.assert_array_equal(out, batch[:, :, :, ::-1])
-
-    def test_deterministic_under_seed(self, rng):
-        batch = rng.standard_normal((5, 3, 16, 16)).astype(np.float32)
-        a = RandomCropFlip(pad=2, seed=7)(batch)
-        b = RandomCropFlip(pad=2, seed=7)(batch)
-        np.testing.assert_array_equal(a, b)
-
-    def test_stream_advances_between_calls(self, rng):
-        batch = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
-        transform = RandomCropFlip(pad=3, seed=7)
-        assert not np.array_equal(transform(batch), transform(batch))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomCropFlip(pad=-1)
-        with pytest.raises(ValueError):
-            RandomCropFlip(flip_probability=1.5)
-        with pytest.raises(ValueError):
-            RandomCropFlip()(np.zeros((3, 8, 8)))
-
-    def test_compose(self, rng):
-        batch = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        double = Compose([lambda b: b * 2, lambda b: b + 1])
-        np.testing.assert_allclose(double(batch), batch * 2 + 1)
-
-    def test_loader_applies_transform(self):
-        from repro.data import ShapesDataset
-        dataset = ShapesDataset(num_samples=8, image_size=8, num_classes=2)
-        marker = lambda b: b * 0 + 7.0
-        loader = DataLoader(dataset, batch_size=4, shuffle=False,
-                            transform=marker)
-        x, _ = next(iter(loader))
-        np.testing.assert_allclose(x.numpy(), 7.0)

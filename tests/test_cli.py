@@ -111,10 +111,16 @@ class TestCommands:
          "--target-factor"),
         (["lint", "small_vgg", "--workers", "0"], "--workers"),
         (["fig9", "--width", "0"], "--width"),
+        (["export", "small_vgg", "--max-ops", "-1"], "--max-ops"),
+        (["verify-plan", "small_vgg", "--capacity-gib", "0"],
+         "--capacity-gib"),
+        (["verify-plan", "small_vgg", "--capacity-gib", "-1"],
+         "--capacity-gib"),
     ])
     def test_bad_numbers_exit_two(self, capsys, argv, flag):
         # Each used to print a traceback and "internal error" (fig9 an
-        # IndexError).
+        # IndexError); a negative --max-ops drew a truncated graph and a
+        # non-positive --capacity-gib reported a plan FAIL.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

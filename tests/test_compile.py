@@ -6,8 +6,8 @@ wavefront), running the default pipeline and executing the lowered
 :class:`CompiledPlan` produces byte-identical losses, gradients and
 logits to the uncompiled interpreter.  On top of identity, the pass
 algebra must hold (idempotence, fuse/fold commutativity), compiled
-graphs must stay clean under the static analyzer, survive the JSON
-export roundtrip, and key serving plan caches by pipeline fingerprint.
+graphs must stay clean under the static analyzer and key serving plan
+caches by pipeline fingerprint.
 """
 
 import numpy as np
@@ -20,8 +20,6 @@ from repro.compile import (
 )
 from repro.core import to_split_cnn
 from repro.graph import GraphExecutor, build_inference_graph, build_training_graph
-from repro.graph.export import graph_from_dict, graph_to_dict, load_graph, save_graph
-from repro.graph.ir import Graph
 from repro.models import ConvClassifier, small_resnet, small_vgg
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential
 from repro.serve import Request, ServingEngine
@@ -202,7 +200,7 @@ class TestPassAlgebra:
 
 
 # ----------------------------------------------------------------------
-# Consumers: analyzer, export roundtrip, serving cache, CLI
+# Consumers: analyzer, serving cache, CLI
 # ----------------------------------------------------------------------
 class TestAnalyzerOnCompiledGraphs:
     @pytest.mark.parametrize("case", CASES)
@@ -212,46 +210,6 @@ class TestAnalyzerOnCompiledGraphs:
         graph, _ = _compiled_graph(model, x.shape[0], mode)
         report = analyze_graph(graph, workers=4, inference=(mode == "infer"))
         assert report.ok, report.render()
-
-
-class TestExportRoundtrip:
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_roundtrip_then_execute(self, mode, tmp_path):
-        model, x, y = _case("resnet:2")
-        graph, params = _compiled_graph(model, x.shape[0], mode)
-        expected = _outputs_bytes(
-            CompiledPlan(graph, params).run(x, y if mode == "train" else None))
-
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        restored = load_graph(path)
-        assert _signature(restored) == _signature(graph)
-        actual = _outputs_bytes(
-            CompiledPlan(restored, params).run(
-                x, y if mode == "train" else None))
-        assert actual == expected
-
-    def test_roundtrip_preserves_links_and_attrs(self):
-        model, x, y = _case("vgg:2")
-        graph, _ = _compiled_graph(model, x.shape[0], "train")
-        restored = graph_from_dict(graph_to_dict(graph))
-        by_id = {op.id: op for op in restored.ops}
-        for op in graph.ops:
-            twin = by_id[op.id]
-            assert twin.attrs == op.attrs
-            assert twin.forward_of == op.forward_of
-            assert twin.inplace_of == op.inplace_of
-            assert twin.saved == op.saved
-
-    def test_rejects_foreign_documents(self):
-        payload = graph_to_dict(Graph("empty"))
-        payload["format"] = "other"
-        with pytest.raises(ValueError, match="format"):
-            graph_from_dict(payload)
-        payload = graph_to_dict(Graph("empty"))
-        payload["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            graph_from_dict(payload)
 
 
 class TestServingCache:

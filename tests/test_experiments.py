@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    ExperimentConfig, compare_schedulers, format_series, format_table,
+    ExperimentConfig, compare_schedulers, format_table,
     max_batch_size, render_fig1, render_fig11, run_fig1, run_fig11,
     run_fig9_timelines, stochastic_comparison, sweep_depth,
 )
@@ -29,11 +29,6 @@ class TestTables:
         assert lines[0] == "T"
         assert "2.346" in text
         assert "|" in lines[1] and "+" in lines[2] and "|" in lines[3]
-
-    def test_format_series(self):
-        text = format_series("S", [(1, 2)], x_label="x", y_label="y")
-        assert "S" in text and "x" in text and "y" in text
-
 
 class TestFig1Driver:
     def test_runs_on_subset(self):

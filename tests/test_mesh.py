@@ -8,6 +8,7 @@ bit-equal for any link-event tie-breaking order (seeded-shuffle fuzz).
 import copy
 import dataclasses
 import hashlib
+from typing import Dict, Optional
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from repro.compile import default_pipeline
 from repro.graph import build_inference_graph
 from repro.graph.executor import GraphExecutor, resolve_final_gradients
 from repro.mesh import (
-    MeshPartitioner, MeshSimulator, MeshTransfer, RingAllreduce,
-    build_mesh, run_pipeline_numeric, run_spatial_numeric,
+    MeshPartitioner, MeshPlan, MeshSimulator, MeshTransfer, RingAllreduce,
+    build_mesh, run_spatial_numeric,
 )
 from repro.models import build_model
 from repro.nn import init
@@ -38,6 +39,28 @@ def _fast_init():
 def _small_split(num_splits=(2, 2), depth=0.5):
     return to_split_cnn(build_model("small_vgg"), depth=depth,
                         num_splits=num_splits)
+
+
+def run_pipeline_numeric(mesh_plan: MeshPlan,
+                         x: np.ndarray) -> Dict[str, np.ndarray]:
+    """Execute a pipeline :class:`MeshPlan` numerically, stage by stage."""
+    if mesh_plan.strategy != "pipeline":
+        raise ValueError("run_pipeline_numeric needs a pipeline MeshPlan")
+    value = np.asarray(x)
+    logits: Optional[np.ndarray] = None
+    for assignment in sorted(mesh_plan.assignments,
+                             key=lambda a: a.device_id):
+        (tensor_id,) = assignment.input_bindings
+        executor = GraphExecutor(assignment.graph, assignment.params)
+        outputs = executor.run_with_inputs({tensor_id: value})
+        ((key, out_id),) = assignment.output_tensors.items()
+        if key == ("logits",):
+            logits = outputs["logits"]
+        else:
+            value = executor.values[out_id]
+    if logits is None:
+        raise RuntimeError("pipeline plan produced no logits")
+    return {"logits": logits}
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.nn import (
     BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear,
-    MaxPool2d, Module, ModuleList, Parameter, ReLU, Sequential,
+    MaxPool2d, Module, Parameter, ReLU, Sequential,
 )
 from repro.tensor import Tensor
 
@@ -123,14 +123,6 @@ class TestContainers:
     def test_sequential_registers_parameters(self):
         seq = Sequential(Linear(4, 2), Linear(2, 1))
         assert len(seq.parameters()) == 4
-
-    def test_module_list(self):
-        items = ModuleList([ReLU(), ReLU()])
-        assert len(items) == 2
-        items.append(ReLU())
-        assert len(list(items)) == 3
-        assert isinstance(items[1], ReLU)
-
 
 class TestLayers:
     def test_linear_shapes_and_bias(self, rng):

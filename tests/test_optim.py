@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import SGD, MultiStepLR, StepLR
+from repro.optim import SGD, MultiStepLR
 
 
 def make_param(value=1.0, grad=0.5):
@@ -84,18 +84,6 @@ class TestSGD:
 class TestSchedulers:
     def _opt(self, lr=1.0):
         return SGD([make_param()], lr=lr)
-
-    def test_step_lr(self):
-        # step() is called at the END of each epoch; the decayed rate takes
-        # effect once `step_size` epochs have completed.
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(5)]
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01, 0.01], rtol=1e-9)
-
-    def test_step_lr_validates(self):
-        with pytest.raises(ValueError):
-            StepLR(self._opt(), step_size=0)
 
     def test_multistep_lr_paper_schedule(self):
         # Paper §5.2.1: decay 10x at epochs 150 and 250 of 350.

@@ -1,80 +1,13 @@
-"""Tests for model checkpointing and graph export/analysis utilities."""
+"""Tests for the graph export and analysis utilities."""
 
 import numpy as np
 import pytest
 
-from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.graph.export import (
-    MEMORY_BOUND_TYPES, GraphStats, graph_from_dict, graph_stats,
-    graph_to_dict, load_graph, save_graph, to_dot, to_networkx,
+    MEMORY_BOUND_TYPES, graph_stats, to_dot, to_networkx,
 )
-from repro.models import small_resnet, small_vgg
-from repro.nn.serialization import (
-    load_model, load_state_dict, save_model, save_state_dict,
-)
-from repro.tensor import Tensor
-
-
-class TestSerialization:
-    def test_roundtrip_restores_outputs(self, rng, tmp_path):
-        model = small_vgg(num_classes=4, rng=rng)
-        x = Tensor(rng.standard_normal((1, 3, 32, 32)).astype(np.float32))
-        model.eval()
-        expected = model(x).numpy()
-
-        path = tmp_path / "checkpoint.npz"
-        save_model(model, path)
-        fresh = small_vgg(num_classes=4, rng=np.random.default_rng(999))
-        fresh.eval()
-        assert not np.allclose(fresh(x).numpy(), expected)
-        load_model(fresh, path)
-        np.testing.assert_allclose(fresh(x).numpy(), expected, rtol=1e-6)
-
-    def test_buffers_roundtrip(self, rng, tmp_path):
-        model = small_resnet(num_classes=3, rng=rng)
-        for _, buf in model.named_buffers():
-            buf.data = buf.data + 5.0
-        path = tmp_path / "ckpt.npz"
-        save_model(model, path)
-        fresh = small_resnet(num_classes=3, rng=rng)
-        load_model(fresh, path)
-        for name, buf in fresh.named_buffers():
-            assert (buf.data >= 4.0).all(), name
-
-    def test_state_dict_roundtrip(self, tmp_path):
-        state = {"a.weight": np.arange(6.0).reshape(2, 3)}
-        path = tmp_path / "state.npz"
-        save_state_dict(state, path)
-        loaded = load_state_dict(path)
-        np.testing.assert_array_equal(loaded["a.weight"], state["a.weight"])
-
-    def test_reserved_key_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_state_dict({"__repro_meta__": np.zeros(1)}, tmp_path / "x.npz")
-
-    def test_non_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, foo=np.zeros(1))
-        with pytest.raises(ValueError):
-            load_state_dict(path)
-
-    def test_checkpoint_via_shared_base_model(self, rng, tmp_path):
-        """Split-CNN shares weights with its base model by reference, so
-        checkpointing the *base* captures everything a split-model training
-        run learned — the §3.3 deployment path."""
-        base = small_vgg(num_classes=4, rng=rng)
-        split = to_split_cnn(base, depth=0.5, num_splits=(2, 2))
-        for parameter in split.parameters():
-            parameter.data = parameter.data + 0.01  # "training"
-        path = tmp_path / "base.npz"
-        save_model(base, path)
-        fresh = small_vgg(num_classes=4, rng=np.random.default_rng(7))
-        load_model(fresh, path)
-        x = Tensor(rng.standard_normal((1, 3, 32, 32)).astype(np.float32))
-        base.eval(), fresh.eval()
-        np.testing.assert_allclose(fresh(x).numpy(), base(x).numpy(),
-                                   rtol=1e-6)
+from repro.models import small_resnet
 
 
 @pytest.fixture(scope="module")
@@ -145,37 +78,3 @@ class TestStats:
         from repro.graph.registry import REGISTRY
         assert MEMORY_BOUND_TYPES <= set(REGISTRY)
 
-
-class TestGraphJsonRoundtrip:
-    def test_dict_roundtrip_is_structural_identity(self, graph):
-        restored = graph_from_dict(graph_to_dict(graph))
-        assert restored.name == graph.name
-        assert [op.id for op in restored.ops] == [op.id for op in graph.ops]
-        for original, twin in zip(graph.ops, restored.ops):
-            assert (twin.op_type, twin.inputs, twin.outputs, twin.attrs,
-                    twin.phase, twin.saved, twin.forward_of,
-                    twin.inplace_of) == (
-                original.op_type, original.inputs, original.outputs,
-                original.attrs, original.phase, original.saved,
-                original.forward_of, original.inplace_of)
-        assert set(restored.tensors) == set(graph.tensors)
-        for tensor_id, tensor in graph.tensors.items():
-            twin = restored.tensors[tensor_id]
-            assert (twin.name, twin.shape, twin.kind, twin.producer,
-                    twin.consumers) == (
-                tensor.name, tensor.shape, tensor.kind, tensor.producer,
-                tensor.consumers)
-
-    def test_split_graph_survives_file_roundtrip(self, tmp_path):
-        model = to_split_cnn(small_vgg(rng=np.random.default_rng(0)),
-                             depth=0.5, num_splits=(2, 2))
-        original = build_training_graph(model, 2)
-        path = tmp_path / "split.json"
-        save_graph(original, path)
-        restored = load_graph(path)
-        assert len(restored.ops) == len(original.ops)
-        restored.validate()
-        # The restored graph can keep growing: id counters resume past
-        # the loaded maxima instead of colliding with them.
-        fresh = restored.add_tensor("probe", (1,))
-        assert fresh.id not in original.tensors

@@ -16,13 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import SplitScheme, WindowSpec, compute_input_split
-from repro.core.split_op import plan_split_2d, run_split_op, split_conv2d, split_pool2d
+from repro.core.split_op import plan_split_2d, run_split_op, split_conv2d
 from repro.tensor import Tensor, avg_pool2d, conv2d, max_pool2d
 
 
 def even_schemes(spec, size, parts):
     out_size = spec.output_size(size)
     return SplitScheme.even(out_size, parts)
+
+
+def split_pool(x, pool, kernel, scheme):
+    """Split-execute an unpadded ``kernel == stride`` pool per patch."""
+    spec = WindowSpec(kernel, kernel)
+    plan = plan_split_2d(spec, spec, x.shape[2:], scheme, scheme)
+    return run_split_op(x, plan,
+                        lambda patch, pad: pool(patch, kernel, kernel, pad))
 
 
 class TestShapes:
@@ -51,16 +59,14 @@ class TestExactCases:
         x = Tensor(rng.standard_normal((2, 3, 16, 16)), dtype=np.float64)
         ref = max_pool2d(x, 2, 2)
         scheme = SplitScheme.even(8, 4)
-        out = split_pool2d(x, "max", (2, 2), (2, 2), ((0, 0), (0, 0)),
-                           scheme, scheme)
+        out = split_pool(x, max_pool2d, 2, scheme)
         np.testing.assert_array_equal(out.numpy(), ref.numpy())
 
     def test_avg_pool_exact(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 12, 12)), dtype=np.float64)
         ref = avg_pool2d(x, 3, 3)
         scheme = SplitScheme.even(4, 2)
-        out = split_pool2d(x, "avg", (3, 3), (3, 3), ((0, 0), (0, 0)),
-                           scheme, scheme)
+        out = split_pool(x, avg_pool2d, 3, scheme)
         np.testing.assert_allclose(out.numpy(), ref.numpy(), rtol=1e-12)
 
     def test_1x1_stride2_conv_exact(self, rng):
@@ -154,12 +160,6 @@ class TestRunSplitOp:
         # First patch keeps the original begin padding.
         assert seen[0][0][0] == 1 and seen[0][1][0] == 1
 
-    def test_bad_pool_kind(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 8, 8)))
-        with pytest.raises(ValueError):
-            split_pool2d(x, "median", (2, 2), (2, 2), ((0, 0), (0, 0)),
-                         SplitScheme.even(4, 2), SplitScheme.even(4, 2))
-
 
 # ----------------------------------------------------------------------
 # Property-based equivalence sweep
@@ -209,6 +209,5 @@ def test_split_pool_keq_s_always_exact(kernel, size, parts):
     scheme = SplitScheme.even(out_size, parts)
     x = Tensor(rng.standard_normal((1, 1, size, size)), dtype=np.float64)
     ref = max_pool2d(x, kernel, kernel)
-    out = split_pool2d(x, "max", (kernel, kernel), (kernel, kernel),
-                       ((0, 0), (0, 0)), scheme, scheme)
+    out = split_pool(x, max_pool2d, kernel, scheme)
     np.testing.assert_array_equal(out.numpy(), ref.numpy())

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.tensor import (
-    Tensor, abs_, clip, exp, is_grad_enabled, log, matmul, maximum, minimum,
-    no_grad, sqrt, where,
+    Tensor, abs_, exp, is_grad_enabled, log, matmul, maximum, no_grad, sqrt,
+    where,
 )
 
 from conftest import gradcheck
@@ -143,25 +143,11 @@ class TestUnaryOps:
     def test_pow_grad(self, rng):
         gradcheck(lambda x: x ** 3.0, rng.uniform(0.5, 1.5, (3, 3)))
 
-    def test_clip_values_and_grad(self, rng):
-        x = rng.standard_normal((4, 4)) * 2
-        out = clip(Tensor(x), -1.0, 1.0)
-        np.testing.assert_allclose(out.numpy(), np.clip(x, -1, 1))
-        x_safe = x.copy()
-        x_safe[np.abs(np.abs(x_safe) - 1.0) < 0.1] = 0.0
-        gradcheck(lambda t: clip(t, -1.0, 1.0), x_safe)
-
-
 class TestBinaryExtrema:
     def test_maximum_values(self, rng):
         a, b = rng.standard_normal((3,)), rng.standard_normal((3,))
         np.testing.assert_allclose(
             maximum(Tensor(a), Tensor(b)).numpy(), np.maximum(a, b))
-
-    def test_minimum_values(self, rng):
-        a, b = rng.standard_normal((3,)), rng.standard_normal((3,))
-        np.testing.assert_allclose(
-            minimum(Tensor(a), Tensor(b)).numpy(), np.minimum(a, b))
 
     def test_maximum_grad(self, rng):
         b = rng.standard_normal((3, 3))
