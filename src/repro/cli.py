@@ -459,10 +459,9 @@ def _cmd_verify_plan(args) -> int:
 def _cmd_serve_bench(args) -> int:
     from .serve import BenchConfig, ServingEngine, render_report, run_bench
 
-    engine = ServingEngine.from_zoo(args.model, split=args.split,
-                                    split_depth=args.split_depth,
-                                    numeric=args.numeric,
-                                    compile_plans=args.compile)
+    engine = ServingEngine(
+        _build_named_model(args.model, args.split, args.split_depth),
+        numeric=args.numeric, compile_plans=args.compile)
     config = BenchConfig(
         rps=args.rps,
         duration=args.duration,
@@ -737,8 +736,8 @@ def _cmd_lint(args) -> int:
         from .analysis import lint_engine_config
         from .serve import ServingEngine
 
-        engine = ServingEngine.from_zoo(args.model, split=args.split,
-                                        split_depth=args.split_depth)
+        engine = ServingEngine(
+            _build_named_model(args.model, args.split, args.split_depth))
         report = AnalysisReport(
             graph_name=f"{args.model}:engine", num_ops=0, num_tensors=0,
             workers=1, passes=(PASS_CONFIG,),
@@ -837,8 +836,13 @@ def _cmd_patch_bench(args) -> int:
     model.eval()
     grids = [_parse_grid(g) for g in args.grids.split(",") if g]
     overlaps = _parse_list("--overlaps", args.overlaps, int)
-    budgets = [int(b * gib)
-               for b in _parse_list("--budgets-gib", args.budgets_gib, float)]
+    if any(overlap < 0 for overlap in overlaps):
+        raise _UsageError(f"--overlaps {args.overlaps!r} must be >= 0")
+    budgets_gib = _parse_list("--budgets-gib", args.budgets_gib, float)
+    if not all(0 < b < float("inf") for b in budgets_gib):
+        raise _UsageError(
+            f"--budgets-gib {args.budgets_gib!r} must be positive and finite")
+    budgets = [int(b * gib) for b in budgets_gib]
     identity_side = args.identity_side
     if smoke:
         grids = grids[:1]

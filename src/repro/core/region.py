@@ -18,11 +18,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Type
 
-from ..nn import (
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, MaxPool2d, Module, ReLU,
-    Sequential, Sigmoid, Tanh,
-)
-from ..tensor import Tensor, avg_pool2d, concat, conv2d, max_pool2d, slice_
+from ..nn import BatchNorm2d, Conv2d, Dropout, MaxPool2d, Module, ReLU, Sequential
+from ..tensor import Tensor, concat, conv2d, max_pool2d, slice_
 from ..tensor.ops_nn import IntPair
 from .scheme import SplitScheme, WindowSpec
 from .split_op import SplitPlan2d, plan_split_2d
@@ -94,7 +91,7 @@ def window_specs_of(module: Module) -> Tuple[WindowSpec, WindowSpec]:
 
 
 class WindowOpHandler(SplitHandler):
-    """Shared logic for Conv2d / MaxPool2d / AvgPool2d."""
+    """Shared logic for Conv2d / MaxPool2d."""
 
     def trace(self, module: Module, in_hw: IntPair) -> IntPair:
         spec_h, spec_w = window_specs_of(module)
@@ -113,8 +110,6 @@ class WindowOpHandler(SplitHandler):
                           padding=padding)
         if isinstance(module, MaxPool2d):
             return max_pool2d(x, module.kernel_size, module.stride, padding)
-        if isinstance(module, AvgPool2d):
-            return avg_pool2d(x, module.kernel_size, module.stride, padding)
         raise TypeError(f"WindowOpHandler cannot apply {type(module).__name__}")
 
 
@@ -169,8 +164,7 @@ class SequentialHandler(SplitHandler):
 register_handler(Sequential, SequentialHandler())
 register_handler(Conv2d, WindowOpHandler())
 register_handler(MaxPool2d, WindowOpHandler())
-register_handler(AvgPool2d, WindowOpHandler())
-for elementwise_type in (ReLU, Sigmoid, Tanh, Dropout, BatchNorm2d):
+for elementwise_type in (ReLU, Dropout, BatchNorm2d):
     register_handler(elementwise_type, ElementwiseHandler())
 
 

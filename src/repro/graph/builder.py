@@ -33,8 +33,8 @@ from ..core.scheme import SplitScheme
 from ..models.base import ConvClassifier
 from ..models.resnet import ResidualBlock
 from ..nn import (
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear,
-    MaxPool2d, Module, ReLU, Sequential, Sigmoid, Tanh,
+    BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear, MaxPool2d,
+    Module, ReLU, Sequential,
 )
 from .ir import Graph, TensorValue
 from .registry import infer_op_shapes, op_def
@@ -195,13 +195,13 @@ class GraphBuilder:
         )
         return out
 
-    def emit_pool(self, module: Module, kind: str, value: TensorValue,
+    def emit_pool(self, module: MaxPool2d, value: TensorValue,
                   padding, tag: str = "") -> TensorValue:
         (out,) = self.add_registered_op(
-            f"{kind}pool{tag}", f"{kind}pool2d", [value],
+            f"maxpool{tag}", "maxpool2d", [value],
             attrs={"kernel": module.kernel_size, "stride": module.stride,
                    "padding": padding},
-            out_names=[f"{kind}pool{tag}.out"],
+            out_names=[f"maxpool{tag}.out"],
         )
         return out
 
@@ -230,8 +230,8 @@ class GraphBuilder:
 
     def emit_plain(self, op_type: str, inputs: List[TensorValue],
                    tag: str = "") -> TensorValue:
-        """An op without attrs or parameters (relu, sigmoid, tanh, gap,
-        add), named after its type."""
+        """An op without attrs or parameters (relu, gap, add), named
+        after its type."""
         (out,) = self.add_registered_op(
             f"{op_type}{tag}", op_type, inputs,
             out_names=[f"{op_type}{tag}.out"],
@@ -274,12 +274,10 @@ def _emit_conv(builder: GraphBuilder, module: Conv2d, value: TensorValue,
                              _tag(patch))
 
 
-def _pool(kind: str) -> Callable:
-    def emitter(builder: GraphBuilder, module: Module, value: TensorValue,
-                patch: Patch) -> TensorValue:
-        return builder.emit_pool(module, kind, value,
-                                 _padding(module, patch), _tag(patch))
-    return emitter
+def _emit_pool(builder: GraphBuilder, module: MaxPool2d, value: TensorValue,
+               patch: Patch) -> TensorValue:
+    return builder.emit_pool(module, value, _padding(module, patch),
+                             _tag(patch))
 
 
 def _plain(op_type: str) -> Callable:
@@ -418,12 +416,9 @@ _EMITTERS: List[Tuple[Type[Module], Callable]] = [
     (SplitRegion, _emit_split_region),
     (Sequential, _emit_sequential),
     (Conv2d, _emit_conv),
-    (MaxPool2d, _pool("max")),
-    (AvgPool2d, _pool("avg")),
+    (MaxPool2d, _emit_pool),
     (BatchNorm2d, _emit_bn),
     (ReLU, _plain("relu")),
-    (Sigmoid, _plain("sigmoid")),
-    (Tanh, _plain("tanh")),
     (Dropout, _emit_dropout),
     (ResidualBlock, _emit_residual),
     (GlobalAvgPool2d, _plain("gap")),

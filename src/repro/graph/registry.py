@@ -56,8 +56,8 @@ import numpy as np
 
 from ..nn.norm import _BatchNormTrain
 from ..tensor.ops_nn import (
-    AvgPool2d as _AvgPoolFn, Conv2d as _ConvFn, CrossEntropy as _CeFn,
-    Dropout as _DropoutFn, MaxPool2d as _MaxPoolFn, conv_output_size,
+    Conv2d as _ConvFn, CrossEntropy as _CeFn, Dropout as _DropoutFn,
+    MaxPool2d as _MaxPoolFn, conv_output_size,
 )
 from .ir import Graph, OpNode
 
@@ -432,36 +432,10 @@ def _k_relu_bwd(ex, op):
     ex.set_output(op, 0, np.where(out > 0, grad_out, 0.0))
 
 
-def _k_sigmoid(ex, op):
-    ex.set_output(op, 0, 1.0 / (1.0 + np.exp(-ex.input(op, 0))))
-
-
-def _k_sigmoid_bwd(ex, op):
-    grad_out, out = ex.input(op, 0), ex.input(op, 1)
-    ex.set_output(op, 0, grad_out * out * (1.0 - out))
-
-
-def _k_tanh(ex, op):
-    ex.set_output(op, 0, np.tanh(ex.input(op, 0)))
-
-
-def _k_tanh_bwd(ex, op):
-    grad_out, out = ex.input(op, 0), ex.input(op, 1)
-    ex.set_output(op, 0, grad_out * (1.0 - out * out))
-
-
 def _k_maxpool2d(ex, op):
     fn = _MaxPoolFn()
     out = fn.forward(ex.input(op, 0), op.attrs["kernel"], op.attrs["stride"],
                      op.attrs["padding"], need_argmax=ex.needs_context(op))
-    ex.save_context(op, fn)
-    ex.set_output(op, 0, out)
-
-
-def _k_avgpool2d(ex, op):
-    fn = _AvgPoolFn()
-    out = fn.forward(ex.input(op, 0), op.attrs["kernel"], op.attrs["stride"],
-                     op.attrs["padding"])
     ex.save_context(op, fn)
     ex.set_output(op, 0, out)
 
@@ -983,25 +957,10 @@ _register(OpDef(
     inplace=True, saved=(("output", 0),),
 ))
 _register(OpDef(
-    "sigmoid", kernel=_k_sigmoid, characterize=_char_elementwise(2.0, 4.0),
-    infer_shapes=_shape_same, backward=_bwd_unary("sigmoid_bwd"),
-    saved=(("output", 0),),
-))
-_register(OpDef(
-    "tanh", kernel=_k_tanh, characterize=_char_elementwise(2.0, 4.0),
-    infer_shapes=_shape_same, backward=_bwd_unary("tanh_bwd"),
-    saved=(("output", 0),),
-))
-_register(OpDef(
     "maxpool2d", kernel=_k_maxpool2d, characterize=_char_pool,
     infer_shapes=_shape_pool,
     backward=_bwd_unary("maxpool2d_bwd", attrs=True),
     saved=(("input", 0),),
-))
-_register(OpDef(
-    "avgpool2d", kernel=_k_avgpool2d, characterize=_char_pool,
-    infer_shapes=_shape_pool,
-    backward=_bwd_unary("avgpool2d_bwd", attrs=True),
 ))
 _register(OpDef(
     "gap", kernel=_k_gap, characterize=_char_small,
@@ -1064,17 +1023,7 @@ _register(OpDef(
     inplace=True,
 ))
 _register(OpDef(
-    "sigmoid_bwd", kernel=_k_sigmoid_bwd,
-    characterize=_char_elementwise(3.0, 3.0),
-))
-_register(OpDef(
-    "tanh_bwd", kernel=_k_tanh_bwd, characterize=_char_elementwise(3.0, 3.0),
-))
-_register(OpDef(
     "maxpool2d_bwd", kernel=_k_pool_bwd, characterize=_char_pool_bwd,
-))
-_register(OpDef(
-    "avgpool2d_bwd", kernel=_k_pool_bwd, characterize=_char_pool_bwd,
 ))
 _register(OpDef(
     "gap_bwd", kernel=_k_gap_bwd, characterize=_char_small,

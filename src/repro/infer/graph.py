@@ -21,8 +21,8 @@ import numpy as np
 
 from ..graph.builder import GraphBuilder, params_for_builder
 from ..graph.ir import Graph
-from ..nn import AvgPool2d, Conv2d, MaxPool2d, Module
-from .splitter import LayerPadding, PatchVariant
+from ..nn import Conv2d, MaxPool2d, Module
+from .splitter import WINDOW_TYPES, LayerPadding, PatchVariant
 
 __all__ = ["build_dense_graph", "build_patch_graph"]
 
@@ -33,9 +33,7 @@ def _emit_layers(builder: GraphBuilder, layers: List[Module],
         if isinstance(layer, Conv2d):
             value = builder.emit_conv(layer, value, padding)
         elif isinstance(layer, MaxPool2d):
-            value = builder.emit_pool(layer, "max", value, padding)
-        elif isinstance(layer, AvgPool2d):
-            value = builder.emit_pool(layer, "avg", value, padding)
+            value = builder.emit_pool(layer, value, padding)
         else:
             # Elementwise layers (BN/activations/dropout) have no padding;
             # the builder's generic dispatch handles them (dropout is
@@ -66,8 +64,7 @@ def build_dense_graph(model: Module, layers: List[Module], batch: int,
     the image (the identity-test reference) or the suffix a tiled head
     joins into, on the join plane."""
     paddings: List[LayerPadding] = [
-        layer.padding if isinstance(layer, (Conv2d, MaxPool2d, AvgPool2d))
-        else None
+        layer.padding if isinstance(layer, WINDOW_TYPES) else None
         for layer in layers
     ]
     graph, builder = _build(f"{getattr(model, 'name', 'dense')}:dense",

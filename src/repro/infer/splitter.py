@@ -34,8 +34,7 @@ from ..core.region import window_specs_of
 from ..core.scheme import SplitScheme, WindowSpec, window_input_range
 from ..models.base import ConvClassifier
 from ..nn import (
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, MaxPool2d, Module, ReLU,
-    Sequential, Sigmoid, Tanh,
+    BatchNorm2d, Conv2d, Dropout, MaxPool2d, Module, ReLU, Sequential,
 )
 
 __all__ = [
@@ -44,8 +43,8 @@ __all__ = [
     "ELEMENTWISE_TYPES",
 ]
 
-WINDOW_TYPES = (Conv2d, MaxPool2d, AvgPool2d)
-ELEMENTWISE_TYPES = (BatchNorm2d, ReLU, Sigmoid, Tanh, Dropout)
+WINDOW_TYPES = (Conv2d, MaxPool2d)
+ELEMENTWISE_TYPES = (BatchNorm2d, ReLU, Dropout)
 
 # ((pad_top, pad_bottom), (pad_left, pad_right)) — the builder's padding
 # attribute format; None for elementwise layers.

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..tensor import Tensor, dropout, relu, sigmoid, tanh
+from ..tensor import Tensor, dropout, relu
 from .module import Module
 
-__all__ = ["ReLU", "Sigmoid", "Tanh", "Dropout"]
+__all__ = ["ReLU", "Dropout"]
 
 
 class ReLU(Module):
@@ -27,16 +27,6 @@ class ReLU(Module):
 
     def extra_repr(self) -> str:
         return f"inplace={self.inplace}"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return tanh(x)
 
 
 class Dropout(Module):

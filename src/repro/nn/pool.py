@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from ..tensor import Tensor, avg_pool2d, max_pool2d, normalize_pair, normalize_padding2d
+from ..tensor import Tensor, max_pool2d, normalize_pair, normalize_padding2d
 from ..tensor.ops_nn import IntPair, Padding2d
 from .module import Module
 
-__all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["MaxPool2d", "GlobalAvgPool2d"]
 
 
-class _Pool2d(Module):
+class MaxPool2d(Module):
+    """Max pooling over 2-D spatial windows (asymmetric padding supported)."""
+
     def __init__(
         self,
         kernel_size: Union[int, IntPair],
@@ -31,19 +33,8 @@ class _Pool2d(Module):
             f"padding={self.padding}"
         )
 
-
-class MaxPool2d(_Pool2d):
-    """Max pooling over 2-D spatial windows (asymmetric padding supported)."""
-
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling over 2-D spatial windows."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride, self.padding)
 
 
 class GlobalAvgPool2d(Module):

@@ -133,11 +133,6 @@ def backward(root, grad: Optional[np.ndarray] = None) -> None:
                 node.grad += node_grad
         if node._ctx is None:
             continue
-        if node.retains_grad:
-            if node.grad is None:
-                node.grad = node_grad.copy()
-            else:
-                node.grad += node_grad
         parent_grads = node._ctx.backward(node_grad)
         if not isinstance(parent_grads, (tuple, list)):
             parent_grads = (parent_grads,)

@@ -1,4 +1,5 @@
-"""Fused neural-network primitives: conv2d, pooling, batchnorm, activations.
+"""Fused neural-network primitives: conv2d, max pooling, ReLU, dropout and
+cross-entropy (batch norm lives in :mod:`repro.nn.norm`).
 
 All window-based operations accept *asymmetric* per-side padding
 ``((top, bottom), (left, right))`` because the Split-CNN transformation
@@ -18,8 +19,7 @@ from .autograd import Function
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "conv2d", "max_pool2d", "avg_pool2d", "relu", "sigmoid", "tanh",
-    "log_softmax", "softmax", "cross_entropy", "dropout",
+    "conv2d", "max_pool2d", "relu", "cross_entropy", "dropout",
     "normalize_pair", "normalize_padding2d",
 ]
 
@@ -254,29 +254,6 @@ class MaxPool2d(Function):
         return (grad_input, None, None, None)
 
 
-class AvgPool2d(Function):
-    def forward(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
-                padding: Padding2d) -> np.ndarray:
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-        self.in_shape = x.shape
-        xp = _pad_spatial(x, padding, value=0.0)
-        self.padded_shape = xp.shape
-        view = _window_view(xp, kernel, stride)
-        return np.ascontiguousarray(view.mean(axis=(4, 5)))
-
-    def backward(self, grad_output: np.ndarray):
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        n, c, ho, wo = grad_output.shape
-        grad_padded = np.zeros(self.padded_shape, dtype=grad_output.dtype)
-        share = grad_output / float(kh * kw)
-        for i in range(kh):
-            for j in range(kw):
-                grad_padded[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += share
-        grad_input = _unpad_spatial_grad(grad_padded, self.in_shape, self.padding)
-        return (grad_input, None, None, None)
-
-
 class ReLU(Function):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.mask = x > 0
@@ -284,38 +261,6 @@ class ReLU(Function):
 
     def backward(self, grad_output: np.ndarray):
         return (np.where(self.mask, grad_output, 0.0),)
-
-
-class Sigmoid(Function):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self.out = 1.0 / (1.0 + np.exp(-x))
-        return self.out
-
-    def backward(self, grad_output: np.ndarray):
-        return (grad_output * self.out * (1.0 - self.out),)
-
-
-class Tanh(Function):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self.out = np.tanh(x)
-        return self.out
-
-    def backward(self, grad_output: np.ndarray):
-        return (grad_output * (1.0 - self.out * self.out),)
-
-
-class LogSoftmax(Function):
-    def forward(self, x: np.ndarray, axis: int) -> np.ndarray:
-        self.axis = axis
-        shifted = x - x.max(axis=axis, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        self.out = shifted - log_norm
-        return self.out
-
-    def backward(self, grad_output: np.ndarray):
-        softmax = np.exp(self.out)
-        grad_sum = grad_output.sum(axis=self.axis, keepdims=True)
-        return (grad_output - softmax * grad_sum, None)
 
 
 class CrossEntropy(Function):
@@ -369,32 +314,8 @@ def max_pool2d(x, kernel: Union[int, IntPair], stride: Optional[Union[int, IntPa
     return MaxPool2d.apply(as_tensor(x), kernel_pair, stride_pair, normalize_padding2d(padding))
 
 
-def avg_pool2d(x, kernel: Union[int, IntPair], stride: Optional[Union[int, IntPair]] = None,
-               padding: Union[int, Sequence] = 0) -> Tensor:
-    kernel_pair = normalize_pair(kernel)
-    stride_pair = normalize_pair(stride) if stride is not None else kernel_pair
-    return AvgPool2d.apply(as_tensor(x), kernel_pair, stride_pair, normalize_padding2d(padding))
-
-
 def relu(x) -> Tensor:
     return ReLU.apply(as_tensor(x))
-
-
-def sigmoid(x) -> Tensor:
-    return Sigmoid.apply(as_tensor(x))
-
-
-def tanh(x) -> Tensor:
-    return Tanh.apply(as_tensor(x))
-
-
-def log_softmax(x, axis: int = 1) -> Tensor:
-    return LogSoftmax.apply(as_tensor(x), axis)
-
-
-def softmax(x, axis: int = 1) -> Tensor:
-    from .ops_basic import exp
-    return exp(log_softmax(x, axis))
 
 
 def cross_entropy(logits, targets) -> Tensor:

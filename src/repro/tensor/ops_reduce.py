@@ -1,4 +1,4 @@
-"""Reduction primitives: sum, mean, max, min, variance."""
+"""The mean reduction (global average pooling) with its gradient."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from .autograd import Function
 from .tensor import Tensor, as_tensor
 
-__all__ = ["sum_", "mean", "max_", "min_", "var"]
+__all__ = ["mean"]
 
 Axes = Optional[Union[int, Tuple[int, ...]]]
 
@@ -32,18 +32,6 @@ def _expand_like(grad: np.ndarray, in_shape: Tuple[int, ...], axes: Optional[Tup
     return np.broadcast_to(grad, in_shape)
 
 
-class Sum(Function):
-    def forward(self, a: np.ndarray, axis: Axes, keepdims: bool) -> np.ndarray:
-        self.in_shape = a.shape
-        self.axes = _normalize_axes(axis, a.ndim)
-        self.keepdims = keepdims
-        return a.sum(axis=self.axes, keepdims=keepdims)
-
-    def backward(self, grad_output: np.ndarray):
-        grad = _expand_like(grad_output, self.in_shape, self.axes, self.keepdims)
-        return (np.ascontiguousarray(grad), None, None)
-
-
 class Mean(Function):
     def forward(self, a: np.ndarray, axis: Axes, keepdims: bool) -> np.ndarray:
         self.in_shape = a.shape
@@ -60,68 +48,8 @@ class Mean(Function):
         return (np.ascontiguousarray(grad) / self.count, None, None)
 
 
-class Max(Function):
-    def forward(self, a: np.ndarray, axis: Axes, keepdims: bool) -> np.ndarray:
-        self.a = a
-        self.axes = _normalize_axes(axis, a.ndim)
-        self.keepdims = keepdims
-        return a.max(axis=self.axes, keepdims=keepdims)
-
-    def backward(self, grad_output: np.ndarray):
-        expanded_max = _expand_like(
-            self.a.max(axis=self.axes, keepdims=True) if self.axes is not None else self.a.max(),
-            self.a.shape, None, True,
-        )
-        mask = (self.a == expanded_max).astype(grad_output.dtype)
-        # Split gradient evenly among ties, matching subgradient convention.
-        counts = mask.sum(axis=self.axes, keepdims=True) if self.axes is not None else mask.sum()
-        grad = _expand_like(grad_output, self.a.shape, self.axes, self.keepdims)
-        counts = _expand_like(np.asarray(counts), self.a.shape, None, True)
-        return (mask * grad / counts, None, None)
-
-
-class Min(Function):
-    def forward(self, a: np.ndarray, axis: Axes, keepdims: bool) -> np.ndarray:
-        self.a = a
-        self.axes = _normalize_axes(axis, a.ndim)
-        self.keepdims = keepdims
-        return a.min(axis=self.axes, keepdims=keepdims)
-
-    def backward(self, grad_output: np.ndarray):
-        expanded_min = _expand_like(
-            self.a.min(axis=self.axes, keepdims=True) if self.axes is not None else self.a.min(),
-            self.a.shape, None, True,
-        )
-        mask = (self.a == expanded_min).astype(grad_output.dtype)
-        counts = mask.sum(axis=self.axes, keepdims=True) if self.axes is not None else mask.sum()
-        grad = _expand_like(grad_output, self.a.shape, self.axes, self.keepdims)
-        counts = _expand_like(np.asarray(counts), self.a.shape, None, True)
-        return (mask * grad / counts, None, None)
-
-
 # ----------------------------------------------------------------------
 # Functional API
 # ----------------------------------------------------------------------
-def sum_(a, axis: Axes = None, keepdims: bool = False) -> Tensor:
-    return Sum.apply(as_tensor(a), axis, keepdims)
-
-
 def mean(a, axis: Axes = None, keepdims: bool = False) -> Tensor:
     return Mean.apply(as_tensor(a), axis, keepdims)
-
-
-def max_(a, axis: Axes = None, keepdims: bool = False) -> Tensor:
-    return Max.apply(as_tensor(a), axis, keepdims)
-
-
-def min_(a, axis: Axes = None, keepdims: bool = False) -> Tensor:
-    return Min.apply(as_tensor(a), axis, keepdims)
-
-
-def var(a, axis: Axes = None, keepdims: bool = False) -> Tensor:
-    """Population variance (ddof=0), built from differentiable primitives."""
-    tensor = as_tensor(a)
-    mu = mean(tensor, axis=axis, keepdims=True)
-    centered = tensor - mu
-    squared = centered * centered
-    return mean(squared, axis=axis, keepdims=keepdims)

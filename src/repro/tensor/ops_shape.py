@@ -1,23 +1,21 @@
-"""Shape-manipulation primitives: reshape, transpose, pad, slice, concat.
+"""Shape-manipulation primitives: reshape, transpose, slice, concat.
 
-``pad``/``slice_``/``concat`` are the building blocks of the Split-CNN
+``slice_``/``concat`` are the building blocks of the Split-CNN
 transformation (``repro.core``): patches are produced with ``slice_``,
-window operations run per patch with per-patch ``pad``, and outputs are
-re-joined with ``concat``.
+window operations run per patch with per-patch padding (an argument of
+``conv2d``/``max_pool2d``), and outputs are re-joined with ``concat``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .autograd import Function
 from .tensor import Tensor, as_tensor
 
-__all__ = ["reshape", "transpose", "flatten", "pad", "slice_", "concat", "split"]
-
-PadSpec = Sequence[Tuple[int, int]]
+__all__ = ["reshape", "transpose", "flatten", "slice_", "concat"]
 
 
 class Reshape(Function):
@@ -39,45 +37,6 @@ class Transpose(Function):
     def backward(self, grad_output: np.ndarray):
         inverse = np.argsort(self.axes)
         return (np.transpose(grad_output, inverse), None)
-
-
-class Pad(Function):
-    """Constant padding.  Negative pad widths crop (used by Split-CNN when an
-    input split lies outside ``[lb, ub]`` — the paper's 'negative padding')."""
-
-    def forward(self, a: np.ndarray, pad_width: PadSpec, value: float) -> np.ndarray:
-        pad_width = tuple((int(b), int(e)) for b, e in pad_width)
-        if len(pad_width) != a.ndim:
-            raise ValueError(
-                f"pad spec has {len(pad_width)} entries for a {a.ndim}-d tensor"
-            )
-        self.pad_width = pad_width
-        self.in_shape = a.shape
-        # Split into crop (negative) and pad (positive) components.
-        crops = tuple(
-            slice(max(0, -b), dim - max(0, -e))
-            for (b, e), dim in zip(pad_width, a.shape)
-        )
-        positive = tuple((max(0, b), max(0, e)) for b, e in pad_width)
-        cropped = a[crops]
-        if any(b or e for b, e in positive):
-            return np.pad(cropped, positive, mode="constant", constant_values=value)
-        return cropped.copy() if cropped.base is not None else cropped
-
-    def backward(self, grad_output: np.ndarray):
-        grad = np.zeros(self.in_shape, dtype=grad_output.dtype)
-        # Undo positive padding by slicing, undo cropping by scattering.
-        positive = tuple((max(0, b), max(0, e)) for b, e in self.pad_width)
-        inner = tuple(
-            slice(b, grad_output.shape[i] - e)
-            for i, (b, e) in enumerate(positive)
-        )
-        crops = tuple(
-            slice(max(0, -b), dim - max(0, -e))
-            for (b, e), dim in zip(self.pad_width, self.in_shape)
-        )
-        grad[crops] = grad_output[inner]
-        return (grad, None, None)
 
 
 class Slice(Function):
@@ -124,14 +83,6 @@ def flatten(a, start_dim: int = 1) -> Tensor:
     return reshape(tensor, lead + (tail,))
 
 
-def pad(a, pad_width: PadSpec, value: float = 0.0) -> Tensor:
-    """Pad (or, with negative widths, crop) each dimension of ``a``.
-
-    ``pad_width`` holds one ``(begin, end)`` pair per dimension.
-    """
-    return Pad.apply(as_tensor(a), tuple(pad_width), float(value))
-
-
 def slice_(a, key) -> Tensor:
     return Slice.apply(as_tensor(a), key)
 
@@ -141,29 +92,3 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat expects at least one tensor")
     return Concat.apply(*tensors, axis=axis)
-
-
-def split(a, boundaries: Sequence[int], axis: int) -> List[Tensor]:
-    """Split ``a`` along ``axis`` at absolute start indices ``boundaries``.
-
-    ``boundaries`` follows the paper's convention: ``boundaries[i]`` is the
-    index of the first element of part ``i``; ``boundaries[0]`` must be 0.
-    """
-    tensor = as_tensor(a)
-    dim = tensor.shape[axis]
-    starts = list(boundaries)
-    if not starts or starts[0] != 0:
-        raise ValueError("boundaries must start at 0")
-    stops = starts[1:] + [dim]
-    pieces = []
-    for start, stop in zip(starts, stops):
-        if not 0 <= start < stop <= dim:
-            raise ValueError(
-                f"invalid split [{start}, {stop}) for dimension of size {dim}"
-            )
-        key = tuple(
-            slice(start, stop) if d == axis % tensor.ndim else slice(None)
-            for d in range(tensor.ndim)
-        )
-        pieces.append(slice_(tensor, key))
-    return pieces

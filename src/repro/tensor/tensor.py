@@ -30,7 +30,7 @@ class Tensor:
         Optional label used in debugging and graph export.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "retains_grad", "_ctx", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_ctx", "name")
 
     def __init__(
         self,
@@ -51,31 +51,8 @@ class Tensor:
         self.data: np.ndarray = array
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self.retains_grad = False
         self._ctx: Optional[autograd.Function] = None
         self.name = name
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, requires_grad: bool = False, rng: Optional[np.random.Generator] = None) -> "Tensor":
-        gen = rng if rng is not None else np.random.default_rng()
-        return Tensor(gen.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad)
-
-    @staticmethod
-    def uniform(*shape: int, low: float = -1.0, high: float = 1.0,
-                requires_grad: bool = False, rng: Optional[np.random.Generator] = None) -> "Tensor":
-        gen = rng if rng is not None else np.random.default_rng()
-        return Tensor(gen.uniform(low, high, shape).astype(DEFAULT_DTYPE), requires_grad)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,15 +101,6 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Back-propagate from this tensor to every reachable leaf."""
         autograd.backward(self, grad)
-
-    def retain_grad(self) -> "Tensor":
-        """Keep the gradient on this (non-leaf) tensor during backward."""
-        self.retains_grad = True
-        return self
-
-    def detach(self) -> "Tensor":
-        """Return a view of this tensor severed from the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -16,12 +16,26 @@ A definition the scan does not reach has only test callers: delete it, or
 give it a caller.  Run the module to list what is unreached::
 
     python tests/test_callers.py
+
+Two tables are keyed by something the name scan cannot follow, so they
+have their own guards, which run the zoo instead of reading it:
+
+- the registry's op types are strings: every one must appear in a graph
+  built from a zoo model (split or not; training, inference or eval-BN
+  inference; compiled or not);
+- autograd ``Function`` subclasses are reached through ``Tensor``'s
+  operator bindings and names they share with layers and kernels: every
+  one must be applied by an eager training or eval step of a zoo model.
 """
 
 import ast
 import sys
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Set, Tuple
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -35,6 +49,14 @@ ALLOWED = {
         "what load_cifar10 returns; no dataset is in the tree",
     ("data/cifar.py", "_parse_batch_file"):
         "load_cifar10's decoder of the CIFAR-10 binary batch format",
+}
+
+# Op type -> why no zoo graph contains it.
+UNBUILT_OPS = {
+    "split_bwd":
+        "emitted for every split region, then pruned as dead: to_split_cnn "
+        "splits a prefix, so it only carries grad(input); a region behind "
+        "another layer keeps it",
 }
 
 Definition = Tuple[str, str]  # (module, name)
@@ -155,6 +177,92 @@ def test_scan_reports_an_uncalled_function():
     reexport = 'from mod import dead, used\n__all__ = ["dead", "used"]\n'
     assert scan({"mod.py": module, "pkg.py": reexport},
                 ["from pkg import used\nused()\n"]) == {("mod.py", "dead"): 2}
+
+
+def _built_op_types() -> Set[str]:
+    """Op types of every graph built from the zoo: model x split
+    {1, 4} x {training, inference, eval-BN inference} x {plain, compiled}."""
+    from repro.compile import compile_graph
+    from repro.core.transform import build_zoo_model
+    from repro.graph import build_inference_graph, build_training_graph
+    from repro.graph.executor import GraphExecutor
+    from repro.models import MODEL_REGISTRY
+
+    builds = (build_training_graph, build_inference_graph,
+              partial(build_inference_graph, eval_batchnorm=True))
+    built = set()
+    for name in MODEL_REGISTRY:
+        for split in (1, 4):
+            model = build_zoo_model(name, split=split)
+            for build, compiled in product(builds, (False, True)):
+                graph = build(model, 1)
+                if compiled:
+                    params = GraphExecutor.parameters_from_model(graph, model)
+                    compile_graph(graph, params)
+                built.update(op.op_type for op in graph.ops)
+    return built
+
+
+def test_every_op_type_is_built():
+    from repro.graph.registry import REGISTRY
+
+    unbuilt = set(REGISTRY) - _built_op_types()
+    stale = sorted(set(UNBUILT_OPS) - unbuilt)
+    assert not stale, f"allow-listed but built (drop the entry): {stale}"
+    missing = sorted(unbuilt - set(UNBUILT_OPS))
+    assert not missing, (
+        "no zoo graph contains these registered op types; delete them or "
+        f"build them: {missing}")
+
+
+def _subclasses(cls: type) -> Iterable[type]:
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_autograd_function_is_applied(monkeypatch):
+    """One eager training step and one eval step per model; batch norm's
+    training Function is applied through ``nn.norm._apply_function``."""
+    from repro.core import to_split_cnn
+    from repro.models import build_model
+    from repro.nn import CrossEntropyLoss, init, norm
+    from repro.tensor import Function, Tensor, no_grad
+
+    applied = set()
+    apply = Function.apply.__func__
+    apply_function = norm._apply_function
+
+    def recording_apply(cls, *args, **kwargs):
+        applied.add(cls)
+        return apply(cls, *args, **kwargs)
+
+    def recording_apply_function(fn, *args, **kwargs):
+        applied.add(type(fn))
+        return apply_function(fn, *args, **kwargs)
+
+    monkeypatch.setattr(Function, "apply", classmethod(recording_apply))
+    monkeypatch.setattr(norm, "_apply_function", recording_apply_function)
+    rng = np.random.default_rng(0)
+    for name, split in (("small_vgg", 1), ("small_resnet", 1),
+                        ("small_resnet", 4), ("vgg11", 1), ("alexnet", 1)):
+        with init.fast_init():
+            model = build_model(name)
+            if split > 1:
+                model = to_split_cnn(model, depth=0.5, num_splits=(2, 2))
+        side = model.input_size
+        x = Tensor(rng.standard_normal((1, 3, side, side)).astype(np.float32))
+        model.train()
+        CrossEntropyLoss()(model(x), np.array([0])).backward()
+        model.eval()
+        with no_grad():
+            model(x)
+    missing = sorted(cls.__name__ for cls in _subclasses(Function)
+                     if cls.__module__.startswith("repro.")
+                     and cls not in applied)
+    assert not missing, (
+        "no zoo training or eval step applies these autograd Functions; "
+        f"delete them or apply them: {missing}")
 
 
 if __name__ == "__main__":

@@ -116,11 +116,23 @@ class TestCommands:
          "--capacity-gib"),
         (["verify-plan", "small_vgg", "--capacity-gib", "-1"],
          "--capacity-gib"),
+        (["serve-bench", "small_vgg", "--split", "5"], "split must be"),
+        (["serve-bench", "small_vgg", "--split-depth", "3"],
+         "split depth must be"),
+        (["lint", "small_vgg", "--config", "--split", "5"], "split must be"),
+        (["lint", "small_vgg", "--config", "--split-depth", "2"],
+         "split depth must be"),
+        (["patch-bench", "small_vgg", "--overlaps", "-1"], "--overlaps"),
+        (["patch-bench", "small_vgg", "--budgets-gib", "0"], "--budgets-gib"),
+        (["patch-bench", "small_vgg", "--budgets-gib", "-1"],
+         "--budgets-gib"),
     ])
     def test_bad_numbers_exit_two(self, capsys, argv, flag):
         # Each used to print a traceback and "internal error" (fig9 an
-        # IndexError); a negative --max-ops drew a truncated graph and a
-        # non-positive --capacity-gib reported a plan FAIL.
+        # IndexError); a negative --max-ops drew a truncated graph, a
+        # non-positive --capacity-gib reported a plan FAIL, and a negative
+        # --overlaps or a non-positive --budgets-gib planned the sweep and
+        # reported each point UNSERVABLE.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

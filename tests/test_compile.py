@@ -255,10 +255,14 @@ class TestServingCache:
 class TestCompileCli:
     def test_check_passes(self, capsys):
         from repro.cli import main
-        assert main(["compile", "small_vgg", "--split", "4", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "byte-identity check: identical" in out
-        assert "compile report" in out
+        # small_resnet without --eval-bn compiles batch-stat BN inference,
+        # the only mode whose graphs contain a conv2d_bn op.
+        for argv in (["compile", "small_vgg", "--split", "4", "--check"],
+                     ["compile", "small_resnet", "--check"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "byte-identity check: identical" in out
+            assert "compile report" in out
 
     def test_check_train_mode(self, capsys):
         from repro.cli import main

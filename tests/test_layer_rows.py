@@ -1,11 +1,10 @@
-"""The builder rows, IR ops and block paths no other test executes.
+"""The builder rows and block paths no other test executes.
 
-A call recorder over the whole tier-1 suite showed the ``avgpool2d`` /
-``sigmoid`` / ``tanh`` ops and their backward twins, a ``Dropout`` inside
-a split region and the whole :class:`Bottleneck` eager path were never
-run.  Each is run here against eager autograd through both patch orders,
-plus the regression for the inference graph of a *Stochastic* Split-CNN,
-which the builder used to emit split although §3.3 evaluates it unsplit.
+A call recorder over the whole tier-1 suite showed a ``Dropout`` inside a
+split region and the whole :class:`Bottleneck` eager path were never run.
+Each is run here through both patch orders, plus the regression for the
+inference graph of a *Stochastic* Split-CNN, which the builder used to
+emit split although §3.3 evaluates it unsplit.
 """
 
 import numpy as np
@@ -18,8 +17,7 @@ from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.executor import GraphExecutor
 from repro.models import Bottleneck, ConvClassifier, small_vgg
 from repro.nn import (
-    AvgPool2d, Conv2d, Dropout, GlobalAvgPool2d, Linear, Sequential, Sigmoid,
-    Tanh,
+    Conv2d, Dropout, GlobalAvgPool2d, Linear, MaxPool2d, ReLU, Sequential,
 )
 from repro.tensor import Tensor
 
@@ -38,49 +36,15 @@ def _assert_matches_autograd(model, x, y, patch_order):
     return graph
 
 
-def _smooth_model(rng, num_splits, dropout=False):
-    """conv -> tanh -> avgpool -> conv -> sigmoid (-> dropout), all inside
-    one split region."""
-    body = [Conv2d(3, 4, 3, padding=1, rng=rng), Tanh(), AvgPool2d(2),
-            Conv2d(4, 6, 3, padding=1, rng=rng), Sigmoid()]
-    if dropout:
-        body.append(Dropout(0.5))
-    features = Sequential(SplitRegion(Sequential(*body), num_splits))
+def _dropout_model(rng):
+    """conv -> relu -> maxpool -> conv -> relu -> dropout, all inside one
+    2x2 split region."""
+    body = [Conv2d(3, 4, 3, padding=1, rng=rng), ReLU(), MaxPool2d(2),
+            Conv2d(4, 6, 3, padding=1, rng=rng), ReLU(), Dropout(0.5)]
+    features = Sequential(SplitRegion(Sequential(*body), (2, 2)))
     classifier = Linear(6 * 8 * 8, 4, rng=rng)
-    return to_float64(ConvClassifier(features, classifier, name="smooth",
+    return to_float64(ConvClassifier(features, classifier, name="dropout",
                                       input_size=16))
-
-
-class TestSmoothRows:
-    """AvgPool2d, Tanh and Sigmoid: builder rows (whole-tensor and patch),
-    kernels, backward twins and abstract transfer functions."""
-
-    TYPES = {"avgpool2d", "tanh", "sigmoid",
-             "avgpool2d_bwd", "tanh_bwd", "sigmoid_bwd"}
-
-    @pytest.mark.parametrize("num_splits, order", [
-        ((1, 1), "depth_first"), ((2, 2), "depth_first"),
-        ((2, 2), "breadth_first")])
-    def test_executor_matches_autograd(self, num_splits, order):
-        rng = np.random.default_rng(3)
-        model = _smooth_model(rng, num_splits)
-        x = rng.standard_normal((2, 3, 16, 16))
-        graph = _assert_matches_autograd(model, x, np.array([1, 3]), order)
-        types = [op.op_type for op in graph.ops]
-        assert self.TYPES <= set(types)
-        patches = num_splits[0] * num_splits[1]
-        assert types.count("sigmoid") == types.count("tanh_bwd") == patches
-        if patches > 1:
-            assert {"sigmoid.p01", "tanh.p10", "avgpool.p11"} <= {
-                op.name for op in graph.ops}
-
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_lint_is_clean(self, order):
-        model = _smooth_model(np.random.default_rng(3), (2, 2))
-        graph = build_training_graph(model, 2, patch_order=order)
-        assert analyze_graph(graph).findings == []
-        inference = build_inference_graph(model, 2, patch_order=order)
-        assert analyze_graph(inference, inference=True).findings == []
 
 
 class TestDropoutInRegion:
@@ -90,7 +54,7 @@ class TestDropoutInRegion:
     @pytest.mark.parametrize("order", ORDERS)
     def test_seeds_unique_and_runs_reproducible(self, order):
         rng = np.random.default_rng(4)
-        model = _smooth_model(rng, (2, 2), dropout=True)
+        model = _dropout_model(rng)
         x = rng.standard_normal((2, 3, 16, 16))
         y = np.array([0, 2])
         first = executor_step(model, x, y, order, dropout_seed=7)

@@ -232,5 +232,6 @@ class TestBatchNorm:
     def test_weight_and_bias_get_grads(self, rng):
         bn = BatchNorm2d(2)
         x = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
-        bn(x).sum().backward()
+        out = bn(x)
+        out.backward(np.ones(out.shape))
         assert bn.weight.grad is not None and bn.bias.grad is not None

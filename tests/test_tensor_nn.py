@@ -1,12 +1,11 @@
-"""Unit tests for the fused NN primitives: conv, pooling, BN, losses."""
+"""Unit tests for the fused NN primitives: conv, max pooling, ReLU, losses."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import (
-    Tensor, avg_pool2d, conv2d, conv_output_size, cross_entropy, dropout,
-    log_softmax, max_pool2d, normalize_padding2d, normalize_pair, relu,
-    sigmoid, softmax, tanh,
+    Tensor, conv2d, conv_output_size, cross_entropy, dropout, max_pool2d,
+    normalize_padding2d, normalize_pair, relu,
 )
 
 from conftest import gradcheck
@@ -113,11 +112,6 @@ class TestPooling:
         out = max_pool2d(Tensor(x), 2)
         np.testing.assert_allclose(out.numpy()[0, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.numpy()[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_default_stride_is_kernel(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 6, 6)))
         assert max_pool2d(x, 3).shape == (1, 1, 2, 2)
@@ -142,10 +136,6 @@ class TestPooling:
         x = rng.permutation(49).astype(np.float64).reshape(1, 1, 7, 7)
         gradcheck(lambda t: max_pool2d(t, 3, 2), x)
 
-    def test_avg_pool_grad(self, rng):
-        gradcheck(lambda t: avg_pool2d(t, 2, 2, padding=1),
-                  rng.standard_normal((2, 2, 4, 4)))
-
 
 class TestActivations:
     def test_relu_values(self):
@@ -156,23 +146,6 @@ class TestActivations:
         x = rng.standard_normal((4, 4))
         x[np.abs(x) < 0.1] = 0.5
         gradcheck(lambda t: relu(t), x)
-
-    def test_sigmoid_grad(self, rng):
-        gradcheck(lambda t: sigmoid(t), rng.standard_normal((3, 3)))
-
-    def test_tanh_grad(self, rng):
-        gradcheck(lambda t: tanh(t), rng.standard_normal((3, 3)))
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = softmax(Tensor(rng.standard_normal((4, 7))))
-        np.testing.assert_allclose(out.numpy().sum(axis=1), 1.0, rtol=1e-5)
-
-    def test_log_softmax_stable_for_large_logits(self):
-        out = log_softmax(Tensor(np.array([[1000.0, 0.0]])))
-        assert np.isfinite(out.numpy()).all()
-
-    def test_log_softmax_grad(self, rng):
-        gradcheck(lambda t: log_softmax(t, axis=1), rng.standard_normal((3, 5)))
 
 
 class TestCrossEntropyAndDropout:
@@ -201,7 +174,7 @@ class TestCrossEntropyAndDropout:
     def test_dropout_grad_masks(self):
         x = Tensor(np.ones((3, 3)), requires_grad=True, dtype=np.float64)
         out = dropout(x, p=0.5, training=True, seed=1)
-        out.sum().backward()
+        out.backward(np.ones(out.shape))
         mask = out.numpy() != 0
         np.testing.assert_allclose(x.grad[mask], 2.0)
         np.testing.assert_allclose(x.grad[~mask], 0.0)

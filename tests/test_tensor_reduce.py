@@ -1,73 +1,28 @@
-"""Unit tests for reduction primitives."""
+"""Unit tests for the mean reduction."""
 
 import numpy as np
-import pytest
 
-from repro.tensor import Tensor, max_, mean, min_, sum_, var
+from repro.tensor import Tensor, mean
 
 from conftest import gradcheck
 
 
 class TestValues:
-    def test_sum_all(self, rng):
-        x = rng.standard_normal((3, 4))
-        assert sum_(Tensor(x)).item() == pytest.approx(x.sum())
-
-    def test_sum_axis_keepdims(self, rng):
-        x = rng.standard_normal((3, 4, 5))
-        out = sum_(Tensor(x), axis=(0, 2), keepdims=True)
-        np.testing.assert_allclose(out.numpy(), x.sum(axis=(0, 2), keepdims=True),
-                                   rtol=1e-6)
-
     def test_mean_axis(self, rng):
         x = rng.standard_normal((3, 4))
         np.testing.assert_allclose(mean(Tensor(x), axis=1).numpy(),
                                    x.mean(axis=1), rtol=1e-6)
 
-    def test_max_min(self, rng):
-        x = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(max_(Tensor(x), axis=0).numpy(), x.max(axis=0))
-        np.testing.assert_allclose(min_(Tensor(x), axis=1).numpy(), x.min(axis=1))
-
     def test_negative_axis(self, rng):
         x = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(sum_(Tensor(x), axis=-1).numpy(),
-                                   x.sum(axis=-1), rtol=1e-6)
-
-    def test_var_matches_numpy(self, rng):
-        x = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(var(Tensor(x), axis=0).numpy(),
-                                   x.var(axis=0), rtol=1e-5)
+        np.testing.assert_allclose(mean(Tensor(x), axis=-1).numpy(),
+                                   x.mean(axis=-1), rtol=1e-6)
 
 
 class TestGradients:
-    def test_sum_grad(self, rng):
-        gradcheck(lambda t: sum_(t, axis=1), rng.standard_normal((3, 4)))
-
-    def test_sum_all_grad(self, rng):
-        gradcheck(lambda t: sum_(t), rng.standard_normal((3, 4)))
-
     def test_mean_grad(self, rng):
         gradcheck(lambda t: mean(t, axis=(0, 2)), rng.standard_normal((2, 3, 4)))
 
     def test_mean_keepdims_grad(self, rng):
         gradcheck(lambda t: mean(t, axis=1, keepdims=True),
                   rng.standard_normal((3, 4)))
-
-    def test_max_grad_no_ties(self, rng):
-        x = rng.permutation(12).astype(np.float64).reshape(3, 4)
-        gradcheck(lambda t: max_(t, axis=1), x)
-
-    def test_min_grad_no_ties(self, rng):
-        x = rng.permutation(12).astype(np.float64).reshape(3, 4)
-        gradcheck(lambda t: min_(t, axis=0), x)
-
-    def test_max_ties_split_gradient(self):
-        x = Tensor(np.array([[1.0, 1.0, 0.0]]), requires_grad=True,
-                   dtype=np.float64)
-        max_(x, axis=1).backward(np.array([1.0]))
-        np.testing.assert_allclose(x.grad, [[0.5, 0.5, 0.0]])
-
-    def test_var_grad(self, rng):
-        gradcheck(lambda t: var(t, axis=1), rng.standard_normal((3, 5)),
-                  rtol=1e-3, atol=1e-5)

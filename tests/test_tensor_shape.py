@@ -1,9 +1,9 @@
-"""Unit tests for shape-manipulation primitives (incl. negative padding)."""
+"""Unit tests for shape-manipulation primitives."""
 
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concat, flatten, pad, reshape, slice_, split, transpose
+from repro.tensor import Tensor, concat, flatten, reshape, slice_, transpose
 
 from conftest import gradcheck
 
@@ -35,39 +35,6 @@ class TestReshapeTranspose:
         assert flatten(Tensor(x), start_dim=0).shape == (24,)
 
 
-class TestPad:
-    def test_positive_pad_values(self, rng):
-        x = rng.standard_normal((2, 3))
-        out = pad(Tensor(x), ((1, 0), (0, 2)), value=7.0)
-        assert out.shape == (3, 5)
-        np.testing.assert_allclose(out.numpy()[0], 7.0)
-        np.testing.assert_allclose(out.numpy()[1:, :3], x)
-
-    def test_negative_pad_crops(self, rng):
-        x = rng.standard_normal((4, 4))
-        out = pad(Tensor(x), ((-1, -1), (0, -2)))
-        assert out.shape == (2, 2)
-        np.testing.assert_allclose(out.numpy(), x[1:3, :2])
-
-    def test_mixed_pad_crop(self, rng):
-        x = rng.standard_normal((4, 4))
-        out = pad(Tensor(x), ((1, -1), (-2, 1)))
-        assert out.shape == (4, 3)
-
-    def test_pad_wrong_rank_raises(self):
-        with pytest.raises(ValueError):
-            pad(Tensor.zeros(2, 2), ((1, 1),))
-
-    @pytest.mark.parametrize("spec", [
-        ((1, 1), (1, 1)),
-        ((-1, 0), (0, -1)),
-        ((2, -1), (-1, 2)),
-        ((0, 0), (0, 0)),
-    ])
-    def test_pad_grad(self, rng, spec):
-        gradcheck(lambda t: pad(t, spec), rng.standard_normal((4, 5)))
-
-
 class TestSliceConcatSplit:
     def test_slice_values(self, rng):
         x = rng.standard_normal((4, 5))
@@ -93,24 +60,3 @@ class TestSliceConcatSplit:
     def test_concat_empty_raises(self):
         with pytest.raises(ValueError):
             concat([], axis=0)
-
-    def test_split_roundtrip(self, rng):
-        x = rng.standard_normal((2, 10))
-        parts = split(Tensor(x), [0, 3, 7], axis=1)
-        assert [p.shape[1] for p in parts] == [3, 4, 3]
-        rejoined = concat(parts, axis=1)
-        np.testing.assert_allclose(rejoined.numpy(), x)
-
-    def test_split_requires_zero_start(self):
-        with pytest.raises(ValueError):
-            split(Tensor.zeros(2, 10), [1, 5], axis=1)
-
-    def test_split_invalid_boundary(self):
-        with pytest.raises(ValueError):
-            split(Tensor.zeros(2, 4), [0, 6], axis=1)
-
-    def test_split_then_op_grad(self, rng):
-        def fn(t):
-            a, b = split(t, [0, 2], axis=1)
-            return concat([b, a], axis=1)
-        gradcheck(fn, rng.standard_normal((2, 5)))
