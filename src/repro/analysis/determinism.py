@@ -11,6 +11,15 @@ count.  Two structural properties carry that promise:
 2. **Per-op seeds** — every stochastic op (``OpDef.stochastic``) must
    carry its own unique ``seed`` attribute so mask streams are a pure
    function of the graph, not of execution order (``SCA202``).
+
+``SCA201`` has no catch of its own: building an executor over an
+unfrozen reduction already raises (``resolve_final_gradients``).  It
+stays while the wavefront executor can run a reduction's ops in either
+order, and goes with it.  ``SCA202``'s catch is two dropouts sharing
+one seed: that passes ``Graph.validate``, ``verify_lowering`` and
+``run``, and both layers draw the same mask stream.  (A deleted seed
+also passes them; the executor falls back to the op id, which holds
+only while nothing renumbers the ops.)
 """
 
 from __future__ import annotations

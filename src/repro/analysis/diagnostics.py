@@ -4,13 +4,12 @@ Every finding carries a stable ``SCAxxx`` code (Split-CNN Analyzer) so
 tests and CI greps can pin behavior to a code rather than to message
 text.  Codes are grouped by pass:
 
-- ``SCA0xx`` — graph lint (structure, shapes, reachability);
+- ``SCA0xx`` — graph lint (dead ops, orphan tensors, inference purity);
 - ``SCA1xx`` — concurrency hazards under the wavefront executor;
 - ``SCA2xx`` — determinism audit;
 - ``SCA3xx`` — constant values and op attributes the kernels trust
   unchecked (run by the graph lint);
-- ``SCA4xx`` — lowering verification of the executor's build-time tables;
-- ``SCA5xx`` — serving/fleet/infer configuration lint.
+- ``SCA4xx`` — lowering verification of the executor's build-time tables.
 
 Findings anchor to graph objects (op ids, tensor ids, TSO ids), not to
 source files.  A report renders as text or JSON.
@@ -25,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = [
     "SEV_ERROR", "SEV_WARNING",
     "PASS_LINT", "PASS_RACES", "PASS_DETERMINISM",
-    "PASS_LOWERING", "PASS_CONFIG",
+    "PASS_LOWERING",
     "DiagnosticSpec", "CODES", "Diagnostic", "AnalysisReport",
     "GraphAnalysisError",
 ]
@@ -37,7 +36,6 @@ PASS_LINT = "graph-lint"
 PASS_RACES = "concurrency"
 PASS_DETERMINISM = "determinism"
 PASS_LOWERING = "lowering"
-PASS_CONFIG = "config-lint"
 
 @dataclass(frozen=True)
 class DiagnosticSpec:
@@ -53,10 +51,6 @@ class DiagnosticSpec:
 _SPECS = [
     # --- graph lint -----------------------------------------------------
     DiagnosticSpec(
-        "SCA001", "shape-mismatch", SEV_ERROR, PASS_LINT,
-        "Recorded output shapes disagree with the registry's symbolic "
-        "shape re-inference for the op's inputs and attributes."),
-    DiagnosticSpec(
         "SCA002", "dead-op", SEV_WARNING, PASS_LINT,
         "No output of the op is ever consumed and none is a run output — "
         "the op burns time and memory for nothing."),
@@ -65,23 +59,10 @@ _SPECS = [
         "The tensor has no producer and no consumer: it is unreachable "
         "from any execution of the graph."),
     DiagnosticSpec(
-        "SCA004", "saved-without-backward", SEV_WARNING, PASS_LINT,
-        "A forward op marks tensors saved-for-backward but no backward op "
-        "references it via forward_of — the save keeps memory alive that "
-        "nothing will read."),
-    DiagnosticSpec(
-        "SCA005", "dangling-reference", SEV_ERROR, PASS_LINT,
-        "forward_of or inplace_of points at an op/tensor that does not "
-        "exist, is not a forward op, or is serialized after the referrer."),
-    DiagnosticSpec(
         "SCA006", "inference-impurity", SEV_ERROR, PASS_LINT,
         "An inference graph carries training-only structure: stochastic "
         "ops, backward ops, gradient/error tensors, saved-for-backward "
         "marks, or a loss head."),
-    DiagnosticSpec(
-        "SCA007", "use-before-def", SEV_ERROR, PASS_LINT,
-        "An op consumes a tensor before its producer in the serialized "
-        "order, or references a tensor the graph does not contain."),
     # --- concurrency hazards --------------------------------------------
     DiagnosticSpec(
         "SCA101", "write-write-race", SEV_ERROR, PASS_RACES,
@@ -159,17 +140,6 @@ _SPECS = [
         "the tensor has another consumer, is pinned or a graph input, or "
         "is produced by a forward or aliasing op whose array something "
         "else still references."),
-    # --- configuration lint ---------------------------------------------
-    DiagnosticSpec(
-        "SCA503", "memory-budget-overflow", SEV_ERROR, PASS_CONFIG,
-        "A serving bucket's planned device peak exceeds the engine's "
-        "memory budget, or no bucket fits it — a plan that cannot "
-        "execute without breaking the budget."),
-    DiagnosticSpec(
-        "SCA504", "unfingerprinted-cache-key", SEV_ERROR, PASS_CONFIG,
-        "A plan-cache key does not end with a pipeline fingerprint, so "
-        "compiled and interpreted plans for the same model and bucket "
-        "can collide in a shared cache."),
 ]
 
 CODES: Dict[str, DiagnosticSpec] = {spec.code: spec for spec in _SPECS}
@@ -245,9 +215,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         """True when no error-severity finding exists (warnings allowed)."""
         return not self.errors
-
-    def by_code(self, code: str) -> List[Diagnostic]:
-        return [d for d in self.findings if d.code == code]
 
     def raise_if_failed(self) -> "AnalysisReport":
         if not self.ok:

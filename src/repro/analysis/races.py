@@ -43,8 +43,10 @@ def ancestor_masks(graph: Graph) -> List[int]:
 
     ``masks[p]`` has bit ``q`` set iff the op at position ``q`` is a
     (transitive) dependency of the op at position ``p``.  Dependencies
-    that point forward or outside the graph are skipped — the lint pass
-    reports those as ``SCA007``/``SCA005``.
+    that point forward or outside the graph are skipped: ``Graph.validate``
+    rejects a producer serialized after its consumer; the executor
+    rejects a missing ``forward_of`` twin when it is built, and one that
+    is not a forward op when it runs.
     """
     position = graph.op_positions()
     deps = graph.op_dependencies()
@@ -122,8 +124,6 @@ def _tso_conflicts(graph: Graph, assignment: StorageAssignment,
         writes: Set[int] = set()
         per_op: Dict[int, Dict[str, int]] = {}
         for access in accesses:
-            if access.op_id not in position:
-                continue              # dangling op; lint reports it
             modes = per_op.setdefault(access.op_id, {})
             modes.setdefault(access.mode, access.tensor_id)
             if access.mode == "w":
@@ -185,8 +185,7 @@ def _use_after_free(graph: Graph, position: Dict[int, int],
             if any(happens_before(position[op.id], position[c])
                    for c in consumers if c in position):
                 continue
-            tensor = graph.tensors.get(tensor_id)
-            name = tensor.name if tensor is not None else f"#{tensor_id}"
+            name = graph.tensors[tensor_id].name
             findings.append(Diagnostic(
                 "SCA103",
                 f"op {op.name!r} (id {op.id}) reads tensor {name!r} but is "

@@ -29,6 +29,7 @@ requests), ``2`` usage or internal error (matching argparse).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from typing import List, Optional
@@ -223,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis: graph lint (structure, constants, dtype "
-             "widths), race detector, determinism audit, lowering "
-             "verifier, config lint")
+        help="static analysis: graph lint (dead ops, inference purity, "
+             "constants, dtype widths), race detector, determinism audit, "
+             "lowering verifier")
     lint.add_argument("model", nargs="?", default=None,
                       help="zoo model (omit with --matrix to lint all)")
     lint.add_argument("-b", "--batch", type=int, default=16)
@@ -241,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--compile", action="store_true",
                       help="run the compile pipeline first (the lowered "
                            "tables are verified either way, SCA4xx)")
-    lint.add_argument("--config", action="store_true",
-                      help="lint the serving-engine configuration for "
-                           "the model (SCA5xx) instead of its graph")
     lint.add_argument("--matrix", action="store_true",
                       help="lint the full zoo x split x compile x mode "
                            "matrix")
@@ -719,36 +717,23 @@ def _lint_matrix(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import PASS_CONFIG, AnalysisReport, analyze_graph
+    from .analysis import analyze_graph
 
     if args.matrix:
-        if args.model is not None or args.config:
+        if args.model is not None:
             raise _UsageError(
-                "--matrix lints the whole zoo; drop the model argument "
-                "and --config")
+                "--matrix lints the whole zoo; drop the model argument")
         if args.format != "text":
             raise _UsageError("--matrix reports as text only")
         return _lint_matrix(args)
     if args.model is None:
         raise _UsageError("a model is required unless --matrix is given")
 
-    if args.config:
-        from .analysis import lint_engine_config
-        from .serve import ServingEngine
-
-        engine = ServingEngine(
-            _build_named_model(args.model, args.split, args.split_depth))
-        report = AnalysisReport(
-            graph_name=f"{args.model}:engine", num_ops=0, num_tensors=0,
-            workers=1, passes=(PASS_CONFIG,),
-            findings=lint_engine_config(engine))
-    else:
-        model = _build_named_model(args.model, args.split,
-                                   args.split_depth)
-        graph, plan = _lint_build(model, args.batch, args.inference,
-                                  args.compile, args.workers)
-        report = analyze_graph(graph, workers=args.workers,
-                               inference=args.inference, plan=plan)
+    model = _build_named_model(args.model, args.split, args.split_depth)
+    graph, plan = _lint_build(model, args.batch, args.inference,
+                              args.compile, args.workers)
+    report = analyze_graph(graph, workers=args.workers,
+                           inference=args.inference, plan=plan)
     print(report.to_json() if args.format == "json" else report.render())
     return 0 if report.ok else 1
 
@@ -786,8 +771,12 @@ def _cmd_export(args) -> int:
     if args.output == "-":
         print(dot)
     else:
-        with open(args.output, "w") as handle:
-            handle.write(dot + "\n")
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(dot + "\n")
+        except OSError as error:
+            raise _UsageError(
+                f"--output {args.output!r}: {error.strerror}") from None
         print(f"wrote {args.output}")
     return 0
 
@@ -807,10 +796,13 @@ def _parse_grid(text: str) -> tuple:
 
 def _parse_list(flag: str, text: str, convert) -> list:
     try:
-        return [convert(item) for item in text.split(",") if item]
+        items = [convert(item) for item in text.split(",") if item]
     except ValueError:
         raise _UsageError(f"{flag} {text!r} must be comma-separated "
                           f"{convert.__name__}s") from None
+    if not items:
+        raise _UsageError(f"{flag} {text!r} names no value")
+    return items
 
 
 def _cmd_patch_bench(args) -> int:
@@ -834,7 +826,7 @@ def _cmd_patch_bench(args) -> int:
     device = P100_NVLINK
     model = _build_named_model(args.model)
     model.eval()
-    grids = [_parse_grid(g) for g in args.grids.split(",") if g]
+    grids = _parse_list("--grids", args.grids, _parse_grid)
     overlaps = _parse_list("--overlaps", args.overlaps, int)
     if any(overlap < 0 for overlap in overlaps):
         raise _UsageError(f"--overlaps {args.overlaps!r} must be >= 0")
@@ -962,9 +954,9 @@ _COMMANDS = {
 #: Numeric options that must be positive on every command defining them ...
 _POSITIVE = ("batch", "width", "factor", "devices", "bandwidth", "rps",
              "duration", "queue_depth", "request_size", "max_batch",
-             "target_factor", "workers", "capacity_gib")
-#: ... and those that may be zero but not negative.
-_NON_NEGATIVE = ("flush_ms", "identity_side", "max_ops")
+             "target_factor", "workers", "capacity_gib", "deadline_ms")
+#: ... and those that may be zero but not negative.  Every one is finite.
+_NON_NEGATIVE = ("flush_ms", "identity_side", "max_ops", "seed")
 
 
 def _check_ranges(args) -> None:
@@ -974,6 +966,8 @@ def _check_ranges(args) -> None:
         flag = "--" + dest.replace("_", "-")
         if value is None:
             continue
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value}")
         if dest in _POSITIVE and not value > 0:
             raise _UsageError(f"{flag} must be positive, got {value}")
         if dest in _NON_NEGATIVE and not value >= 0:

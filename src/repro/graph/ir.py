@@ -198,9 +198,10 @@ class Graph:
     def validate(self) -> None:
         """Sanity-check the serialization.
 
-        Three properties, all failing loudly at graph-build time:
+        Four properties, all failing loudly at graph-build time:
 
         - defs precede uses (the serialized order is executable);
+        - an op's ``inplace_of``, when set, is one of its inputs;
         - every op type has a registered :class:`~repro.graph.registry.
           OpDef` (raises :class:`NotImplementedError` otherwise — no op
           can reach the executor, cost model, or HMMS undefined);
@@ -213,6 +214,10 @@ class Graph:
         position = self.op_positions()
         for op in self.ops:
             definition = op_def(op.op_type)
+            if op.inplace_of is not None and op.inplace_of not in op.inputs:
+                raise ValueError(
+                    f"op {op.name!r} is in place of tensor {op.inplace_of}, "
+                    "which is not one of its inputs")
             for tensor_id in op.inputs:
                 tensor = self.tensors[tensor_id]
                 if tensor.producer is not None:

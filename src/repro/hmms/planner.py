@@ -319,8 +319,7 @@ class PlanCache:
         return entry
 
     def keys(self) -> Tuple[Hashable, ...]:
-        """The currently retained keys, oldest first — consumed by the
-        config lint pass (``SCA504``) to audit key fingerprinting."""
+        """The currently retained keys, oldest first."""
         return tuple(self._entries)
 
     def snapshot(self) -> Tuple[int, int, int]:

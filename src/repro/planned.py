@@ -5,8 +5,9 @@ Two decisions live here and nowhere else (``docs/serving.md``):
 - **How a forward graph becomes a servable entry.**  :class:`PlanCore`
   runs ``compile pipeline -> HMMSPlanner.plan -> verify_plan ->
   inference_latency -> GraphExecutor`` and caches the result under a key
-  that always ends in the pipeline fingerprint (what ``SCA504`` audits),
-  so ``plans_verified == cache.misses`` for whoever shares the core.
+  that always ends in the pipeline fingerprint (:meth:`PlanCore.entry`
+  is the cache's only writer), so ``plans_verified == cache.misses`` for
+  whoever shares the core.
 - **How the largest size that fits a budget is found.**
   :func:`dyadic_search`, the paper's Figure-10 question, asked of a
   batch size, a patch batch or an input side.

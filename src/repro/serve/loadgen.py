@@ -11,6 +11,7 @@ Inter-arrival gaps are exponential draws from a seeded generator, so a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -43,11 +44,17 @@ class BenchConfig:
     deadline: Optional[float] = None   # per-request latency budget, seconds
 
     def __post_init__(self) -> None:
-        if self.rps <= 0:
-            raise ValueError(f"rps must be positive, got {self.rps}")
-        if self.duration <= 0:
+        # An infinite rate or window never ends the arrival loop.
+        if not (self.rps > 0 and math.isfinite(self.rps)):
             raise ValueError(
-                f"duration must be positive, got {self.duration}")
+                f"rps must be positive and finite, got {self.rps}")
+        _check_duration(self.duration)
+
+
+def _check_duration(duration: float) -> None:
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(
+            f"duration must be positive and finite, got {duration}")
 
 
 def poisson_arrivals(config: BenchConfig) -> List[Request]:
@@ -105,9 +112,7 @@ class FleetBenchConfig:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ValueError("a fleet bench needs at least one tenant")
-        if self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive, got {self.duration}")
+        _check_duration(self.duration)
 
 
 def fleet_arrivals(config: FleetBenchConfig) -> List[Request]:

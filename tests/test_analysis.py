@@ -7,7 +7,9 @@ Three layers of coverage:
   clean — the analyzer is only trustworthy on dirty graphs if it stays
   quiet on known-good ones;
 - **mutation tests**: each diagnostic code is tripped by exactly the
-  corruption it documents, pinning code assignments;
+  corruption it documents, pinning code assignments; a deleted code's
+  mutation asserts the check that catches it now (``Graph.validate``,
+  the executor constructor, or ``run``);
 - the **framework**: diagnostics, report emitters, entry points.
 """
 
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    CODES, GRAPH_PASSES, PASS_CONFIG, PASS_LOWERING, AnalysisReport,
-    Diagnostic, GraphAnalysisError, analyze_graph, ancestor_masks,
+    CODES, PASS_DETERMINISM, PASS_LINT, PASS_LOWERING, PASS_RACES,
+    AnalysisReport, Diagnostic, GraphAnalysisError, analyze_graph,
+    ancestor_masks, audit_determinism, detect_races, lint_graph,
 )
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
@@ -31,6 +34,13 @@ from repro.models import MODEL_REGISTRY, ConvClassifier, build_model
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential, init
 
 
+GRAPH_PASSES = (PASS_LINT, PASS_RACES, PASS_DETERMINISM)
+
+
+def _of(findings, code):
+    return [f for f in findings if f.code == code]
+
+
 def _zoo_graph(name, split=False, inference=False, batch=2):
     with init.fast_init():
         model = build_model(name)
@@ -39,6 +49,18 @@ def _zoo_graph(name, split=False, inference=False, batch=2):
     if inference:
         return build_inference_graph(model, batch)
     return build_training_graph(model, batch)
+
+
+def _small_vgg_executor_parts():
+    """A small_vgg training graph, its parameters and seeded inputs."""
+    with init.fast_init():
+        model = build_model("small_vgg")
+    graph = build_training_graph(model, 2)
+    params = GraphExecutor.parameters_from_model(graph, model)
+    [x] = [t for t in graph.tensors.values() if t.kind == "input"]
+    inputs = (np.random.default_rng(0).standard_normal(x.shape),
+              np.arange(x.shape[0]))
+    return graph, params, inputs
 
 
 def _dropout_graph():
@@ -112,7 +134,7 @@ class TestDeadGradientPruning:
     @pytest.mark.parametrize("split", [False, True])
     def test_no_input_gradient_is_materialized(self, split):
         graph = _zoo_graph("small_vgg", split=split)
-        assert not analyze_graph(graph).by_code("SCA002")
+        assert not _of(analyze_graph(graph).findings, "SCA002")
         input_tensor = next(t for t in graph.tensors.values()
                             if t.kind == "input")
         names = {t.name for t in graph.tensors.values()}
@@ -129,7 +151,7 @@ class TestDeadGradientPruning:
         with init.fast_init():
             model = build_model("vgg11")
         graph = build_checkpointed_training_graph(model, 2, num_segments=3)
-        assert not analyze_graph(graph).by_code("SCA002")
+        assert not _of(analyze_graph(graph).findings, "SCA002")
 
     def test_prune_runs_to_fixpoint(self):
         graph = _branch_graph()
@@ -159,79 +181,84 @@ class TestDeadGradientPruning:
 # ----------------------------------------------------------------------
 class TestLintMutations:
     def test_sca001_shape_mismatch(self):
+        """Deleted code: ``Graph.validate`` raises, and so does
+        ``analyze_graph`` — a broken graph is never reported clean."""
         graph = _zoo_graph("small_vgg")
         conv = next(op for op in graph.forward_ops()
                     if op.op_type == "conv2d")
         graph.tensors[conv.outputs[0]].shape = (1, 2, 3)
-        report = analyze_graph(graph, passes=("graph-lint",))
-        assert report.by_code("SCA001") and not report.ok
-        with pytest.raises(GraphAnalysisError):
-            report.raise_if_failed()
+        with pytest.raises(ValueError, match="registry inference"):
+            graph.validate()
+        with pytest.raises(ValueError, match="registry inference"):
+            analyze_graph(graph)
 
     def test_sca002_dead_op(self):
         graph = _zoo_graph("small_vgg")
         source = graph.tensors[graph.forward_ops()[0].outputs[0]]
         scratch = graph.add_tensor("scratch", source.shape)
         graph.add_op("scratch-relu", "relu", [source], [scratch])
-        report = analyze_graph(graph, passes=("graph-lint",))
-        [finding] = report.by_code("SCA002")
+        [finding] = _of(lint_graph(graph), "SCA002")
         assert "scratch-relu" in finding.message
-        assert report.ok          # warnings don't fail the analysis
+        assert analyze_graph(graph).ok    # warnings don't fail the analysis
 
     def test_sca003_orphan_tensor(self):
         graph = _zoo_graph("small_vgg")
         orphan = graph.add_tensor("orphan", (4, 4))
-        report = analyze_graph(graph, passes=("graph-lint",))
-        [finding] = report.by_code("SCA003")
+        [finding] = _of(lint_graph(graph), "SCA003")
         assert finding.tensor_id == orphan.id
 
     def test_sca004_saved_without_backward(self):
-        graph = _zoo_graph("small_vgg")
+        """Deleted code: ``run`` raises for the twin whose forward op no
+        longer saves what it reads."""
+        graph, params, inputs = _small_vgg_executor_parts()
         saver = next(op for op in graph.forward_ops() if op.saved)
         target = next(op.id for op in graph.forward_ops()
                       if op.id != saver.id)
         for op in graph.backward_ops():
             if op.forward_of == saver.id:
                 op.forward_of = target
-        report = analyze_graph(graph, passes=("graph-lint",))
-        assert any(finding.op_ids == (saver.id,)
-                   for finding in report.by_code("SCA004"))
+        graph.validate()
+        with pytest.raises(RuntimeError, match="needs the saved context"):
+            GraphExecutor(graph, params).run(*inputs)
 
     def test_sca005_dangling_forward_of(self):
-        graph = _zoo_graph("small_vgg")
+        """Deleted code: building the executor raises."""
+        graph, params, _ = _small_vgg_executor_parts()
         graph.backward_ops()[0].forward_of = 10_000
-        report = analyze_graph(graph, passes=("graph-lint",))
-        assert report.by_code("SCA005") and not report.ok
-
-    def test_sca005_dangling_forward_of_survives_every_pass(self):
-        # The concurrency pass reads saved tensors through forward_of; a
-        # dangling id must leave the report to SCA005, not raise.
-        graph = _zoo_graph("small_vgg")
-        graph.backward_ops()[0].forward_of = 10_000
-        report = analyze_graph(graph)
-        assert report.by_code("SCA005") and not report.ok
-        with pytest.raises(GraphAnalysisError):
-            report.raise_if_failed()
+        graph.validate()
+        with pytest.raises(KeyError):
+            GraphExecutor(graph, params)
 
     def test_sca005_forward_of_must_point_at_forward_op(self):
-        graph = _zoo_graph("small_vgg")
+        """Deleted code: ``run`` raises."""
+        graph, params, inputs = _small_vgg_executor_parts()
         backward = graph.backward_ops()
         backward[-1].forward_of = backward[0].id
-        report = analyze_graph(graph, passes=("graph-lint",))
-        assert report.by_code("SCA005")
+        graph.validate()
+        with pytest.raises(RuntimeError, match="needs the saved context"):
+            GraphExecutor(graph, params).run(*inputs)
+
+    def test_sca005_dangling_inplace_of(self):
+        """Deleted code: ``Graph.validate`` raises (``analyze_graph``
+        used to crash in storage assignment with a bare ``KeyError``)."""
+        graph = _zoo_graph("small_vgg")
+        relu = next(op for op in graph.ops if op.inplace_of is not None)
+        relu.inplace_of = 10_000
+        with pytest.raises(ValueError, match="not one of its inputs"):
+            analyze_graph(graph)
 
     def test_sca006_training_structure_in_inference_graph(self):
         graph = _zoo_graph("small_vgg")       # a training graph...
-        report = analyze_graph(graph, passes=("graph-lint",),
-                               inference=True)  # ...declared as inference
-        codes = {finding.code for finding in report.findings}
-        assert codes == {"SCA006"} and not report.ok
+        findings = lint_graph(graph, inference=True)  # ...declared inference
+        assert {finding.code for finding in findings} == {"SCA006"}
+        assert not analyze_graph(graph, inference=True).ok
 
     def test_sca007_use_before_def(self):
+        """Deleted code: ``Graph.validate`` raises."""
         graph = _zoo_graph("small_vgg")
         graph.ops.insert(0, graph.ops.pop())
-        report = analyze_graph(graph, passes=("graph-lint",))
-        assert report.by_code("SCA007") and not report.ok
+        with pytest.raises(ValueError, match="before it is produced"):
+            analyze_graph(graph)
 
 
 class TestRaceMutations:
@@ -260,17 +287,13 @@ class TestRaceMutations:
             assignment.tso_of[tensor_id] = keep
         del assignment.tsos[absorb]
 
-        report = analyze_graph(graph, assignment=assignment, workers=4,
-                               passes=("concurrency",))
-        races = report.by_code("SCA101")
-        assert races and not report.ok
+        races = _of(detect_races(graph, assignment, workers=4), "SCA101")
+        assert races
         witness = next(d for d in races if set(d.op_ids) == {a.id, b.id})
         assert witness.tso_id == keep
         assert str(a.id) in witness.message and str(b.id) in witness.message
         # One worker serializes every pair: same plan, no hazard.
-        serial = analyze_graph(graph, assignment=assignment, workers=1,
-                               passes=("concurrency",))
-        assert not serial.findings
+        assert not detect_races(graph, assignment, workers=1)
 
     def test_sca102_read_write_on_shared_tso(self):
         graph = _branch_graph()
@@ -283,14 +306,13 @@ class TestRaceMutations:
         del assignment.tsos[assignment.tso_of[a.id]]
         assignment.tso_of[a.id] = keep
 
-        report = analyze_graph(graph, assignment=assignment, workers=4,
-                               passes=("concurrency",))
-        [finding] = report.by_code("SCA102")
+        findings = detect_races(graph, assignment, workers=4)
+        [finding] = _of(findings, "SCA102")
         branch_a = next(op for op in graph.ops if op.name == "branch-a")
         branch_b = next(op for op in graph.ops if op.name == "branch-b")
         assert set(finding.op_ids) == {branch_a.id, branch_b.id}
         assert finding.tso_id == keep
-        assert not report.by_code("SCA101")
+        assert not _of(findings, "SCA101")
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_sca103_unaccounted_reader(self, workers):
@@ -301,9 +323,9 @@ class TestRaceMutations:
         # is no longer counted, so the free plan drops x after branch-a
         # alone retires — before (or while) branch-b reads it.
         x.consumers.remove(branch_b.id)
-        report = analyze_graph(graph, workers=workers,
-                               passes=("concurrency",))
-        [finding] = report.by_code("SCA103")
+        findings = detect_races(graph, assign_storage(graph),
+                                workers=workers)
+        [finding] = _of(findings, "SCA103")
         assert finding.op_ids == (branch_b.id,)
         assert finding.tensor_id == x.id
 
@@ -319,8 +341,7 @@ class TestDeterminismMutations:
                    if op.op_type == "grad_acc"
                    and graph.tensor(op.outputs[0]).kind == "gradient")
         acc.op_type = "add"          # same shapes, no longer a frozen merge
-        report = analyze_graph(graph, passes=("determinism",))
-        assert report.by_code("SCA201") and not report.ok
+        assert _of(audit_determinism(graph), "SCA201")
 
     def test_sca201_reduction_tree(self):
         graph = _zoo_graph("small_vgg", split=True)
@@ -333,8 +354,7 @@ class TestDeterminismMutations:
                                contribution.shape, kind="gradient")
         graph.add_op("dup-acc", "grad_acc", [contribution, other], [dup],
                      phase="backward", forward_of=acc.forward_of)
-        report = analyze_graph(graph, passes=("determinism",))
-        findings = report.by_code("SCA201")
+        findings = _of(audit_determinism(graph), "SCA201")
         assert any(f.tensor_id == contribution.id for f in findings)
 
     def test_sca202_missing_seed(self):
@@ -342,8 +362,7 @@ class TestDeterminismMutations:
         dropout = next(op for op in graph.forward_ops()
                        if op.op_type == "dropout")
         del dropout.attrs["seed"]
-        report = analyze_graph(graph, passes=("determinism",))
-        [finding] = report.by_code("SCA202")
+        [finding] = _of(audit_determinism(graph), "SCA202")
         assert finding.op_ids == (dropout.id,)
 
     def test_sca202_duplicate_seed(self):
@@ -352,8 +371,7 @@ class TestDeterminismMutations:
                     if op.op_type == "dropout"]
         assert len(dropouts) >= 2
         dropouts[1].attrs["seed"] = dropouts[0].attrs["seed"]
-        report = analyze_graph(graph, passes=("determinism",))
-        [finding] = report.by_code("SCA202")
+        [finding] = _of(audit_determinism(graph), "SCA202")
         assert set(finding.op_ids) == {dropouts[0].id, dropouts[1].id}
 
 
@@ -399,8 +417,7 @@ class TestDiagnostics:
     def test_every_code_has_pass_and_description(self):
         assert len(CODES) >= 12
         for spec in CODES.values():
-            assert spec.pass_name in GRAPH_PASSES + (PASS_LOWERING,
-                                                     PASS_CONFIG)
+            assert spec.pass_name in GRAPH_PASSES + (PASS_LOWERING,)
             assert spec.description and spec.title
 
     def test_report_ok_ignores_warnings(self):
@@ -455,26 +472,6 @@ class TestEmitters:
 
 
 class TestEntryPoints:
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            analyze_graph(_branch_graph(), passes=("bogus",))
-
-    @pytest.mark.parametrize("name", ["config-lint", "lowering"])
-    def test_pass_that_cannot_run_rejected(self, name):
-        # config-lint has no graph to read and lowering needs plan=:
-        # neither may come back as an empty, passing report.
-        with pytest.raises(ValueError, match=name):
-            analyze_graph(_branch_graph(), passes=(name,))
-
-    def test_pass_selection_limits_findings(self):
-        graph = _zoo_graph("small_vgg")
-        graph.add_tensor("orphan", (2, 2))
-        lint_only = analyze_graph(graph, passes=("graph-lint",))
-        races_only = analyze_graph(graph, passes=("concurrency",))
-        assert lint_only.by_code("SCA003")
-        assert not races_only.findings
-        assert races_only.passes == ("concurrency",)
-
     # The guard before running a graph is analyze_graph(...).raise_if_failed().
     def test_preflight_accepts_clean_graph(self):
         with init.fast_init():
@@ -489,5 +486,11 @@ class TestEntryPoints:
         conv = next(op for op in graph.forward_ops()
                     if op.op_type == "conv2d")
         graph.tensors[conv.outputs[0]].shape = (9, 9, 9, 9)
-        with pytest.raises(GraphAnalysisError, match="SCA001"):
+        with pytest.raises(ValueError, match="registry inference"):
             analyze_graph(graph, workers=4).raise_if_failed()
+
+    def test_passes_name_what_ran(self):
+        graph = _zoo_graph("small_vgg", inference=True)
+        assert analyze_graph(graph).passes == GRAPH_PASSES
+        assert analyze_graph(graph, inference=True).passes == \
+            (PASS_LINT, PASS_RACES)

@@ -1,6 +1,6 @@
-"""Tests for the whole-stack analyzer additions: the SCA3xx kill matrix,
+"""Tests for the whole-stack analyzer additions: the kill matrix,
 lowering verification (SCA4xx, also through ``analyze_graph(plan=)``),
-config lint (SCA5xx), and ``repro lint``.
+and ``repro lint``.
 
 Mutation discipline mirrors test_analysis.py: every new code family has
 at least one test that seeds a defect and asserts it is caught by
@@ -11,18 +11,14 @@ proving the analyzers stay quiet on known-good artifacts.
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    analyze_graph, check_cache_keys, lint_engine_config, verify_lowering,
-)
+from repro.analysis import analyze_graph, audit_determinism, verify_lowering
 from repro.compile import CompiledPlan, default_pipeline
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.executor import GraphExecutor
 from repro.graph.ir import Graph
-from repro.hmms.planner import PlanCache
 from repro.models import MODEL_REGISTRY, build_model
 from repro.nn import init
-from repro.serve import ServingEngine
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +90,7 @@ def _only_code(findings, code):
 
 
 # ----------------------------------------------------------------------
-# SCA3xx kill matrix
+# Kill matrix
 # ----------------------------------------------------------------------
 def _bn_constant(graph, part):
     return next(t.id for t in graph.tensors.values()
@@ -111,23 +107,30 @@ def _run(executor):
     return executor.run(rng.standard_normal(x.shape), targets)
 
 
-class TestKillMatrix:
-    """An SCA3xx code stays only while some mutation gets past every
-    independent check: ``Graph.validate``, ``verify_lowering`` on the
-    uncompiled executor, and ``run``.  SCA301 and SCA304 have such
-    mutations; SCA302 and SCA303 did not, and their mutations assert the
-    check that catches them instead."""
+def _training(model):
+    graph = build_training_graph(model, 2)
+    return graph, GraphExecutor.parameters_from_model(graph, model)
 
-    def _caught_only_by(self, code, graph, params):
-        """The graph lint reports ``code`` and nothing else, while
-        validate, lowering and run all let the mutation through.
-        Returns the findings and the run outputs."""
-        report = analyze_graph(graph, passes=("graph-lint",))
-        findings = _only_code(report.findings, code)
+
+class TestKillMatrix:
+    """A code stays only while some mutation gets past every independent
+    check: ``Graph.validate``, ``verify_lowering`` on the uncompiled
+    executor, and ``run``.  Each surviving code has such a mutation
+    here, and it trips that code alone across every pass.  SCA201 is the
+    one exception: the executor constructor rejects its mutation too, and
+    it stays only while the wavefront executor can reorder a reduction.
+    The mutations of deleted codes assert the check that catches them
+    instead (SCA0xx in ``test_analysis.py``)."""
+
+    def _caught_only_by(self, code, graph, params, inference=False):
+        """Every pass reports ``code`` and nothing else, while validate,
+        lowering and run all let the mutation through.  Returns the
+        findings and the run outputs."""
         graph.validate()
         executor = GraphExecutor(graph, params)
         assert not verify_lowering(executor)
-        return findings, _run(executor)
+        report = analyze_graph(graph, inference=inference, plan=executor)
+        return _only_code(report.findings, code), _run(executor)
 
     def test_zoo_eval_graph_is_clean(self, bn_eval_factory):
         graph, params = bn_eval_factory()
@@ -135,12 +138,56 @@ class TestKillMatrix:
                                plan=GraphExecutor(graph, params))
         assert not report.findings, report.render()
 
-    def test_absint_pass_name_rejected(self, bn_eval_factory):
-        graph, _ = bn_eval_factory()
-        with pytest.raises(ValueError, match="unknown graph pass"):
-            analyze_graph(graph, passes=("absint",))
-
     # -- surviving mutations: only their own code catches them ----------
+    def test_sca002_unread_op(self):
+        """A relu on a forward activation whose output nothing reads."""
+        graph, params = _training(_model())
+        source = graph.tensors[graph.forward_ops()[0].outputs[0]]
+        scratch = graph.add_tensor("scratch", source.shape)
+        op = graph.add_op("scratch-relu", "relu", [source], [scratch])
+        [finding], outputs = self._caught_only_by("SCA002", graph, params)
+        assert finding.op_ids == (op.id,)
+        assert np.isfinite(outputs["loss"]).all()
+
+    def test_sca003_unwired_tensor(self):
+        graph, params = _training(_model())
+        orphan = graph.add_tensor("orphan", (4, 4))
+        [finding], outputs = self._caught_only_by("SCA003", graph, params)
+        assert finding.tensor_id == orphan.id
+        assert np.isfinite(outputs["loss"]).all()
+
+    def test_sca006_training_graph_served(self):
+        """Only the declared intent tells this graph from an inference
+        graph: it runs, loss and gradients included."""
+        graph, params = _training(_model())
+        findings, outputs = self._caught_only_by("SCA006", graph, params,
+                                                 inference=True)
+        assert any("backward op" in f.message for f in findings)
+        assert np.isfinite(outputs["loss"]).all()
+
+    def test_sca202_shared_seed(self):
+        graph, params = _training(_model("alexnet"))
+        first, second = [op for op in graph.forward_ops()
+                         if op.op_type == "dropout"]
+        second.attrs["seed"] = first.attrs["seed"]
+        [finding], outputs = self._caught_only_by("SCA202", graph, params)
+        assert set(finding.op_ids) == {first.id, second.id}
+        assert np.isfinite(outputs["loss"]).all()
+
+    def test_sca201_executor_rejects_it_too(self):
+        """The named exception: an unfrozen reduction fails executor
+        construction as well as the determinism audit."""
+        model = to_split_cnn(_model(), depth=0.5, num_splits=(2, 2))
+        graph, params = _training(model)
+        acc = next(op for op in graph.ops
+                   if op.op_type == "grad_acc"
+                   and graph.tensor(op.outputs[0]).kind == "gradient")
+        acc.op_type = "add"
+        graph.validate()
+        assert {f.code for f in audit_determinism(graph)} == {"SCA201"}
+        with pytest.raises(ValueError):
+            GraphExecutor(graph, params)
+
     def test_sca301_negative_running_var(self, bn_eval_factory):
         """Uncompiled eval-BN graph: the logits come back NaN."""
         graph, params = bn_eval_factory()
@@ -412,35 +459,7 @@ class TestLoweringMutations:
         plan._seeds[graph.ops[0].id] = (7, 7)
         report = analyze_graph(graph, plan=plan)
         assert "lowering" in report.passes
-        assert report.by_code("SCA404")
-
-
-# ----------------------------------------------------------------------
-# SCA5xx: config lint
-# ----------------------------------------------------------------------
-
-class TestConfigLint:
-    def test_clean_engine_config(self):
-        engine = ServingEngine.from_zoo("small_resnet")
-        engine.entry_for(engine.max_batch)   # populate the cache
-        assert not lint_engine_config(engine)
-
-    def test_sca503_no_batch_fits(self):
-        engine = ServingEngine.from_zoo("small_vgg", memory_budget=1)
-        findings = _only_code(lint_engine_config(engine), "SCA503")
-        assert "no batch fits" in findings[0].message
-
-    def test_sca504_unfingerprinted_cache_key(self):
-        cache = PlanCache()
-        cache.get_or_build(("small_vgg", 4), lambda: object())
-        [finding] = _only_code(check_cache_keys(cache, "test"), "SCA504")
-        assert "('small_vgg', 4)" in finding.message
-
-    def test_fingerprinted_keys_accepted(self):
-        cache = PlanCache()
-        cache.get_or_build(("m", 4, "interpreter"), lambda: object())
-        cache.get_or_build(("m", 8, "1f2e3d4c5b6a"), lambda: object())
-        assert not check_cache_keys(cache, "test")
+        assert any(f.code == "SCA404" for f in report.findings)
 
 
 # ----------------------------------------------------------------------
@@ -473,8 +492,3 @@ class TestLintCli:
         assert main(["lint", "small_vgg", "-b", "2", "--compile",
                      "--inference"]) == 0
         assert "lowering" in capsys.readouterr().out
-
-    def test_config_mode(self, capsys):
-        from repro.cli import main
-        assert main(["lint", "small_resnet", "--config"]) == 0
-        assert "config-lint" in capsys.readouterr().out

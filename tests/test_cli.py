@@ -119,20 +119,36 @@ class TestCommands:
         (["serve-bench", "small_vgg", "--split", "5"], "split must be"),
         (["serve-bench", "small_vgg", "--split-depth", "3"],
          "split depth must be"),
-        (["lint", "small_vgg", "--config", "--split", "5"], "split must be"),
-        (["lint", "small_vgg", "--config", "--split-depth", "2"],
-         "split depth must be"),
+        (["lint", "small_vgg", "--split", "5"], "split must be"),
+        (["lint", "small_vgg", "--split-depth", "2"], "split depth must be"),
         (["patch-bench", "small_vgg", "--overlaps", "-1"], "--overlaps"),
         (["patch-bench", "small_vgg", "--budgets-gib", "0"], "--budgets-gib"),
         (["patch-bench", "small_vgg", "--budgets-gib", "-1"],
          "--budgets-gib"),
+        (["serve-bench", "small_vgg", "--rps", "inf"], "--rps"),
+        (["serve-bench", "small_vgg", "--duration", "inf"], "--duration"),
+        (["fleet-bench", "--duration", "inf"], "--duration"),
+        (["verify-plan", "small_vgg", "--capacity-gib", "inf"],
+         "--capacity-gib"),
+        (["serve-bench", "small_vgg", "--flush-ms", "inf"], "--flush-ms"),
+        (["serve-bench", "small_vgg", "--seed", "-1"], "--seed"),
+        (["fleet-bench", "--seed", "-1"], "--seed"),
+        (["serve-bench", "small_vgg", "--deadline-ms", "-1"],
+         "--deadline-ms"),
+        (["serve-bench", "small_vgg", "--deadline-ms", "0"], "--deadline-ms"),
+        (["patch-bench", "small_vgg", "--grids", ","], "--grids"),
+        (["patch-bench", "small_vgg", "--overlaps", ","], "--overlaps"),
+        (["patch-bench", "small_vgg", "--budgets-gib", ","], "--budgets-gib"),
     ])
     def test_bad_numbers_exit_two(self, capsys, argv, flag):
         # Each used to print a traceback and "internal error" (fig9 an
         # IndexError); a negative --max-ops drew a truncated graph, a
         # non-positive --capacity-gib reported a plan FAIL, and a negative
         # --overlaps or a non-positive --budgets-gib planned the sweep and
-        # reported each point UNSERVABLE.
+        # reported each point UNSERVABLE.  An infinite --rps or --duration
+        # never ended the arrival loop, an infinite --flush-ms served
+        # nothing, a negative --seed was a numpy traceback, a deadline
+        # <= 0 expired every request, and an empty list swept nothing.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
@@ -229,11 +245,11 @@ class TestLint:
                 graph_name=graph.name, num_ops=len(graph.ops),
                 num_tensors=len(graph.tensors), workers=4,
                 passes=("graph-lint",),
-                findings=[Diagnostic("SCA007", "injected corruption")])
+                findings=[Diagnostic("SCA006", "injected corruption")])
 
         monkeypatch.setattr(repro.analysis, "analyze_graph", failing)
         assert main(["lint", "small_vgg", "-b", "2"]) == 1
-        assert "SCA007" in capsys.readouterr().out
+        assert "SCA006" in capsys.readouterr().out
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
         import repro.analysis
@@ -275,3 +291,13 @@ class TestExport:
         assert main(["export", "small_vgg", "-b", "2",
                      "-o", str(target)]) == 0
         assert target.read_text().startswith("digraph")
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        # Used to print a FileNotFoundError traceback.
+        target = tmp_path / "missing" / "graph.dot"
+        assert main(["export", "small_vgg", "-b", "2",
+                     "-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --output")

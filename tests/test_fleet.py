@@ -71,6 +71,12 @@ class TestTenantConfig:
         with pytest.raises(ValueError, match="rps must be positive"):
             TenantConfig(name="a", model="small_vgg", rps=rps)
 
+    @pytest.mark.parametrize("duration", [0.0, float("inf"), float("nan")])
+    def test_bench_duration_must_be_positive_and_finite(self, duration):
+        # inf never ended any tenant's arrival loop.
+        with pytest.raises(ValueError, match="duration must be positive"):
+            FleetBenchConfig(tenants=[small_tenant("a")], duration=duration)
+
     @pytest.mark.parametrize("depth", [-0.1, 1.5, float("nan")])
     def test_split_depth_must_be_in_unit_interval(self, depth):
         # nan used to build an unsplit model labelled as split.

@@ -271,6 +271,13 @@ class TestBench:
             == [r.arrival_time for r in second]
         assert all(r.arrival_time < config.duration for r in first)
 
+    @pytest.mark.parametrize("field", ["rps", "duration"])
+    @pytest.mark.parametrize("value", [0.0, float("inf"), float("nan")])
+    def test_rate_and_window_must_be_positive_and_finite(self, field, value):
+        # An infinite rate or window never ended the arrival loop.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            BenchConfig(**{field: value})
+
     def test_bench_is_deterministic(self):
         results = []
         for _ in range(2):
