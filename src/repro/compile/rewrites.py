@@ -15,9 +15,12 @@ records rather than hard-coded op lists:
   same bytes row for row (every conv stage — im2col, tensordot, bias
   broadcast, and both backward contractions — is row-independent), and
   amortizes the im2col/GEMM overhead S ways.  Backward ``conv2d_bwd_data``
-  twins are merged the same way; ``bwd_weight`` twins stay per-sibling
-  (batching them would reorder the gradient accumulation sum) and slice
-  their patch out of the stacked saved context instead.
+  twins are merged the same way.  A layer the backward expansion already
+  gave one weight-gradient GEMM (``attrs["paddings"]``, no
+  ``forward_of``) is not a twin and is left alone; a chain layer's
+  ``bwd_weight`` twins stay per-sibling (merging them here would reorder
+  its ``grad_acc`` sum against the interpreted graph) and slice their
+  patch out of the stacked saved context instead.
 - **Constant folding** (``OpDef.fold``) — evaluate inference-time
   constant subgraphs at compile time.  The flagship fold rewrites
   ``batchnorm_eval`` into a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is

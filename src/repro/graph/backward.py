@@ -5,7 +5,11 @@ reverse of the serialized forward order, as the paper specifies.  Each
 forward op type expands into its gradient op(s) through the
 ``backward`` rule of its :class:`~repro.graph.registry.OpDef`; gradients
 of tensors with several consumers are merged by explicit ``grad_acc``
-ops.
+ops.  The exception is a split conv whose S patches' output gradients
+and inputs hold no more elements than their shared weight: its weight
+(and bias) gradient is one ``conv2d_bwd_weight`` over all S patches,
+emitted at the last patch, and needs no chain (``one_gemm`` keeps each
+layer's decision, ``pending`` the earlier patches' operands).
 
 The residual ``add`` gets special treatment: its error terms all equal the
 upstream error (d(sum)/dx_i = 1), so both produced gradient tensors carry
@@ -15,12 +19,14 @@ onto one TSO (the paper's *Summation Error Storage Object Sharing*).
 :class:`_BackwardEmitter` keeps only the gradient bookkeeping
 (``contribute`` / ``grad_of`` / ``new_grad`` / ``_io``); the per-op-type
 expansion rules live in the central registry.  The checkpointing module
-subclasses the emitter to remap reads onto recomputed tensors.
+subclasses the emitter to remap reads onto recomputed tensors (``_io``)
+and key gradients by the original tensor (``_key``), so plain and
+checkpointed graphs get chains and one-GEMM layers from one code path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .ir import Graph, OpNode, TensorValue
 from .registry import op_def
@@ -81,16 +87,27 @@ class _BackwardEmitter:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        # tensor id -> gradient TensorValue (merged as contributions arrive)
+        # gradient key -> gradient TensorValue (merged as contributions arrive)
         self.grads: Dict[int, TensorValue] = {}
+        # weight id -> the split layer's patch convs when its weight
+        # gradient is one GEMM, else [] (decided at the layer's first patch)
+        self.one_gemm: Dict[int, List[OpNode]] = {}
+        # weight id -> {patch conv id: (grad_out, input)} of such a layer,
+        # filled until its last patch
+        self.pending: Dict[int, Dict[int, Tuple[TensorValue, TensorValue]]] = {}
 
     # ------------------------------------------------------------------
+    def _key(self, tensor_id: int) -> int:
+        """The id a tensor's gradient is kept under."""
+        return tensor_id
+
     def contribute(self, tensor: TensorValue, grad: TensorValue,
                    source_op: OpNode) -> None:
         """Register a gradient contribution for ``tensor``."""
-        existing = self.grads.get(tensor.id)
+        key = self._key(tensor.id)
+        existing = self.grads.get(key)
         if existing is None:
-            self.grads[tensor.id] = grad
+            self.grads[key] = grad
             return
         merged = self.graph.add_tensor(f"grad_acc({tensor.name})", tensor.shape,
                                        kind=grad.kind)
@@ -98,10 +115,10 @@ class _BackwardEmitter:
             f"grad_acc[{tensor.name}]", "grad_acc", [existing, grad], [merged],
             phase="backward", forward_of=source_op.id,
         )
-        self.grads[tensor.id] = merged
+        self.grads[key] = merged
 
     def grad_of(self, tensor_id: int) -> Optional[TensorValue]:
-        return self.grads.get(tensor_id)
+        return self.grads.get(self._key(tensor_id))
 
     def new_grad(self, tensor: TensorValue, kind: str = "gradient_act") -> TensorValue:
         return self.graph.add_tensor(f"grad({tensor.name})", tensor.shape, kind=kind)

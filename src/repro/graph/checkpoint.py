@@ -51,26 +51,8 @@ class _RemappingEmitter(_BackwardEmitter):
                    for i in op.outputs]
         return inputs, outputs
 
-    def _original_id(self, tensor_id: int) -> int:
+    def _key(self, tensor_id: int) -> int:
         return self.reverse.get(tensor_id, tensor_id)
-
-    def grad_of(self, tensor_id: int):
-        return self.grads.get(self._original_id(tensor_id))
-
-    def contribute(self, tensor: TensorValue, grad: TensorValue,
-                   source_op: OpNode) -> None:
-        key = self._original_id(tensor.id)
-        existing = self.grads.get(key)
-        if existing is None:
-            self.grads[key] = grad
-            return
-        merged = self.graph.add_tensor(f"grad_acc({tensor.name})",
-                                       tensor.shape, kind=grad.kind)
-        self.graph.add_op(
-            f"grad_acc[{tensor.name}]", "grad_acc", [existing, grad], [merged],
-            phase="backward", forward_of=source_op.id,
-        )
-        self.grads[key] = merged
 
 
 def _trunk_length(graph: Graph) -> int:

@@ -83,9 +83,10 @@ def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
     """Map each parameter name to the tensor id of its total gradient.
 
     A parameter consumed by several forward ops (split patches, weight
-    sharing) accumulates through a chain of ``grad_acc`` ops.  The total
-    is the chain's *structural* end: the gradient tensor that no further
-    ``grad_acc`` op folds into another gradient of the same parameter.
+    sharing) accumulates through a chain of ``grad_acc`` ops, unless its
+    split layer takes one weight-gradient GEMM.  The total is the chain's
+    *structural* end: the gradient tensor that no further ``grad_acc`` op
+    folds into another gradient of the same parameter.
     Selecting by tensor id (the historical ``max(finals, key=id)``)
     silently breaks whenever a transform or re-serialization renumbers
     tensors — ids carry no semantics.

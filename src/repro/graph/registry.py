@@ -57,7 +57,7 @@ import numpy as np
 from ..nn.norm import _BatchNormTrain
 from ..tensor.ops_nn import (
     Conv2d as _ConvFn, CrossEntropy as _CeFn, Dropout as _DropoutFn,
-    MaxPool2d as _MaxPoolFn, conv_output_size,
+    MaxPool2d as _MaxPoolFn, conv_output_size, shared_weight_grad,
 )
 from .ir import Graph, OpNode
 
@@ -359,6 +359,18 @@ def _k_conv2d_bwd_data_siblings(ex, op):
 
 
 def _k_conv2d_bwd_weight(ex, op):
+    paddings = op.attrs.get("paddings")
+    if paddings is not None:
+        # A split layer's one GEMM: inputs [grad_0 .. grad_{S-1},
+        # x_0 .. x_{S-1}], read as tensors, not saved contexts.
+        count = len(paddings)
+        grads = shared_weight_grad(
+            [ex.input(op, count + i) for i in range(count)],
+            [ex.input(op, i) for i in range(count)], paddings,
+            op.attrs["kernel"], op.attrs["stride"], len(op.outputs) > 1)
+        for index, grad in enumerate(grads):
+            ex.set_output(op, index, grad)
+        return
     ctx = _conv_backward_ctx(ex, op)
     grad_out = ex.input(op, 0)
     ex.set_output(op, 0, ctx.backward_weight(grad_out))
@@ -589,8 +601,14 @@ def _bwd_cross_entropy(em, op):
 
 
 def _bwd_matmul_family(em, op, data_type: str, weight_type: str,
-                       workspace_bytes: int = 0):
-    """Shared rule for ops with (input, weight[, bias]) -> output."""
+                       workspace_bytes: int = 0, patches=()):
+    """Shared rule for ops with (input, weight[, bias]) -> output.
+
+    Each op gets its own weight-gradient op, and a weight several ops share
+    accumulates its gradient through a ``grad_acc`` chain like any other
+    tensor — unless ``patches`` names the split layer's patch convs whose
+    weight gradient is one op at the last patch (:func:`_one_gemm_patches`).
+    """
     inputs, (out,) = em._io(op)
     x, weight = inputs[0], inputs[1]
     grad_out = em.grad_of(out.id)
@@ -602,22 +620,68 @@ def _bwd_matmul_family(em, op, data_type: str, weight_type: str,
         phase="backward", forward_of=op.id, attrs=dict(op.attrs),
         workspace_bytes=workspace_bytes,
     )
-    grad_w = em.new_grad(weight, kind="gradient")
-    wgrad_outputs = [grad_w]
-    wgrad_inputs = [grad_out, x]
-    if len(inputs) == 3:
-        wgrad_outputs.append(em.new_grad(inputs[2], kind="gradient"))
-    em.graph.add_op(
-        f"{op.name}.bwd_weight", weight_type, wgrad_inputs, wgrad_outputs,
-        phase="backward", forward_of=op.id, attrs=dict(op.attrs),
-        workspace_bytes=workspace_bytes,
-    )
-    # Weights may be consumed by several forward ops (e.g. one conv
-    # split into patches): their gradients accumulate like any other.
-    em.contribute(weight, grad_w, op)
-    if len(inputs) == 3:
-        em.contribute(inputs[2], wgrad_outputs[1], op)
+    if patches:
+        spec = _one_gemm_spec(em, op, patches, grad_out, x)
+    else:
+        spec = dict(name=f"{op.name}.bwd_weight", inputs=[grad_out, x],
+                    attrs=dict(op.attrs), forward_of=op.id,
+                    workspace_bytes=workspace_bytes)
+    if spec is not None:
+        grads = [em.new_grad(tensor, kind="gradient") for tensor in inputs[1:]]
+        em.graph.add_op(op_type=weight_type, outputs=grads, phase="backward",
+                        **spec)
+        for tensor, grad in zip(inputs[1:], grads):
+            em.contribute(tensor, grad, op)
     em.contribute(x, grad_x, op)
+
+
+def _one_gemm_patches(graph: Graph, op: OpNode) -> List[OpNode]:
+    """The patch convs sharing ``op``'s weight when one GEMM takes their
+    weight gradient, else ``[]``.
+
+    A split conv's S patches share one weight.  One GEMM holds every
+    patch's output gradient and input until the last patch's backward; a
+    ``grad_acc`` chain holds a weight-sized running sum over the same
+    interval.  Where those operands hold no more elements than the weight,
+    the GEMM never needs more memory than the chain.  Shapes alone decide.
+    """
+    weight = graph.tensor(op.inputs[1])
+    if len(weight.consumers) < 2:
+        return []
+    patches = [graph.op_by_id(op_id)
+               for op_id in dict.fromkeys(weight.consumers)]
+    patches = [patch for patch in patches if patch.phase == "forward"]
+    if len(patches) < 2:
+        return []
+    held = sum(graph.tensor(patch.inputs[0]).num_elements
+               + graph.tensor(patch.outputs[0]).num_elements
+               for patch in patches)
+    return patches if held <= weight.num_elements else []
+
+
+def _one_gemm_spec(em, op, patches, grad_out, x):
+    """Hold patch ``op``'s ``(grad_out, x)``; at the layer's last patch,
+    the ``add_op`` arguments of its one weight-gradient op (else ``None``).
+
+    Inputs are ``[grad_0 .. grad_{S-1}, x_0 .. x_{S-1}]`` in forward patch
+    order and ``attrs["paddings"]`` each patch's padding.  The op reads
+    tensors, not saved contexts, so it has no ``forward_of`` twin link.
+    """
+    weight_id = op.inputs[1]
+    pending = em.pending.setdefault(weight_id, {})
+    pending[op.id] = (grad_out, x)
+    if len(pending) < len(patches):
+        return None
+    del em.pending[weight_id]
+    operands = [pending[patch.id] for patch in patches]
+    attrs = dict(op.attrs)
+    del attrs["padding"]
+    attrs["paddings"] = tuple(patch.attrs["padding"] for patch in patches)
+    return dict(
+        name=f"{op.name}(x{len(patches)}).bwd_weight",
+        inputs=[grad for grad, _ in operands] + [value for _, value in operands],
+        attrs=attrs,
+        workspace_bytes=sum(patch.workspace_bytes for patch in patches))
 
 
 def _bwd_linear(em, op):
@@ -625,8 +689,12 @@ def _bwd_linear(em, op):
 
 
 def _bwd_conv2d(em, op):
+    weight_id = op.inputs[1]
+    if weight_id not in em.one_gemm:
+        em.one_gemm[weight_id] = _one_gemm_patches(em.graph, op)
     _bwd_matmul_family(em, op, "conv2d_bwd_data", "conv2d_bwd_weight",
-                       workspace_bytes=op.workspace_bytes)
+                       workspace_bytes=op.workspace_bytes,
+                       patches=em.one_gemm[weight_id])
 
 
 def _bwd_batchnorm(em, op):
@@ -748,6 +816,16 @@ def _conv_shapes(graph: Graph, op: OpNode):
 def _char_conv(graph: Graph, op: OpNode):
     n, c, k, kh, kw, ho, wo = _conv_shapes(graph, op)
     flops = 2.0 * n * k * c * kh * kw * ho * wo
+    return flops, _io_bytes(graph, op)
+
+
+def _char_conv_bwd_weight(graph: Graph, op: OpNode):
+    # One contraction per output gradient read: a patch's op reads one,
+    # a split layer's one GEMM all S (inputs [grad_0 .. grad_{S-1}, x_0 ..]).
+    count = len(op.attrs["paddings"]) if "paddings" in op.attrs else 1
+    elements = sum(graph.tensor(t).num_elements for t in op.inputs[:count])
+    kh, kw = op.attrs["kernel"]
+    flops = 2.0 * op.attrs["in_channels"] * kh * kw * elements
     return flops, _io_bytes(graph, op)
 
 
@@ -1000,7 +1078,8 @@ _register(OpDef(
     efficiency=EFF_CONV,
 ))
 _register(OpDef(
-    "conv2d_bwd_weight", kernel=_k_conv2d_bwd_weight, characterize=_char_conv,
+    "conv2d_bwd_weight", kernel=_k_conv2d_bwd_weight,
+    characterize=_char_conv_bwd_weight,
     efficiency=EFF_CONV,
 ))
 _register(OpDef(

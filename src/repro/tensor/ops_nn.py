@@ -10,7 +10,7 @@ splits chosen outside ``[lb, ub]``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -203,6 +203,41 @@ class Conv2d(Function):
         grad_bias = grad_output.sum(axis=(0, 2, 3)) if self.has_bias else None
         grad_input = self.backward_input(grad_output)
         return (grad_input, grad_weight, grad_bias, None, None)
+
+
+def shared_weight_grad(xs: Sequence[np.ndarray],
+                       grad_outputs: Sequence[np.ndarray],
+                       paddings: Sequence[Padding2d], kernel: IntPair,
+                       stride: IntPair, bias: bool) -> List[np.ndarray]:
+    """Weight (and bias) gradient of one conv weight applied to several
+    inputs — a split layer's patches — as one GEMM.
+
+    Every input's im2col columns and output gradient are laid side by
+    side along the pixel axis; with ``bias`` a row of ones under the
+    columns makes the GEMM's last column the bias gradient.
+    """
+    kh, kw = kernel
+    o, c = grad_outputs[0].shape[1], xs[0].shape[1]
+    k = c * kh * kw
+    pixels = [g.shape[0] * g.shape[2] * g.shape[3] for g in grad_outputs]
+    dtype = np.result_type(*grad_outputs)
+    cols = np.empty((k + 1 if bias else k, sum(pixels)), dtype=dtype)
+    grad = np.empty((o, sum(pixels)), dtype=dtype)
+    start = 0
+    for x, g, padding, count in zip(xs, grad_outputs, paddings, pixels):
+        n, _, ho, wo = g.shape
+        stop = start + count
+        view = _window_view(_pad_spatial(x, padding), kernel, stride)
+        np.copyto(cols[:k, start:stop].reshape(c, kh, kw, n, ho, wo),
+                  view.transpose(1, 4, 5, 0, 2, 3))
+        np.copyto(grad[:, start:stop].reshape(o, n, ho, wo),
+                  g.transpose(1, 0, 2, 3))
+        start = stop
+    if bias:
+        cols[k] = 1.0
+    product = grad @ cols.T
+    weight_grad = product[:, :k].reshape(o, c, kh, kw)
+    return [weight_grad, product[:, k]] if bias else [weight_grad]
 
 
 class MaxPool2d(Function):

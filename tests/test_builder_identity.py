@@ -167,11 +167,16 @@ GOLDEN: Dict[str, str] = {
     # New row, recorded when the join depth was introduced (no parent).
     "patch_infer-joined": "582551d6c3001562",
     "resnet18": "6d9d51ecfde18de5",
-    "resnet18-me": "68e8c4043a7360cb",
-    "resnet34": "89560a5a5c7e875f",
-    "resnet34-me": "80d73acba46cf2a4",
-    "resnet50": "fd9bcf3f25d31547",
-    "resnet50-me": "2d699891cf6eb038",
+    # Re-recorded: 3 split layers take their weight gradient in one GEMM.
+    "resnet18-me": "06c24e95c08e3b72",
+    # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
+    "resnet34": "aa02ab7c9a79ae6a",
+    # Re-recorded: 9 split layers take their weight gradient in one GEMM.
+    "resnet34-me": "2b2eca524660459b",
+    # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
+    "resnet50": "8649e6517a743be7",
+    # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
+    "resnet50-me": "9e1061fc35555bcb",
     "small_resnet": "74eba390ded735ac",
     "small_vgg": "e01457cec775a904",
     "vgg11": "9cbcaaf554f445ec",
