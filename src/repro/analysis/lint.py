@@ -20,7 +20,8 @@ import numpy as np
 
 from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
-from ..graph.registry import BN_EPS, op_def
+from ..graph.registry import op_def
+from ..nn.norm import BN_EPS
 from .diagnostics import Diagnostic
 
 __all__ = ["lint_graph"]

@@ -130,8 +130,8 @@ def default_pipeline() -> Pipeline:
 
 
 def compile_graph(graph: Graph,
-                  params: Optional[Dict[str, np.ndarray]] = None,
-                  pipeline: Optional[Pipeline] = None) -> CompileReport:
-    """Run ``pipeline`` (default: :func:`default_pipeline`) over ``graph``
-    in place and return the report."""
-    return (pipeline or default_pipeline()).run(graph, params=params)
+                  params: Optional[Dict[str, np.ndarray]] = None
+                  ) -> CompileReport:
+    """Run :func:`default_pipeline` over ``graph`` in place and return the
+    report."""
+    return default_pipeline().run(graph, params=params)

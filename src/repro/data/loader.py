@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -16,9 +16,8 @@ class DataLoader:
     """Iterate a dataset in minibatches of ``(Tensor x, ndarray y)``.
 
     Reshuffles every epoch when ``shuffle`` is set; deterministic under the
-    given seed (epoch count folds into the shuffle stream).  ``transform``,
-    if given, is applied to each NCHW image batch before wrapping — use it
-    for training-time augmentation (:mod:`repro.data.augment`).
+    given seed (epoch count folds into the shuffle stream).  The last batch
+    holds the remainder when the dataset does not divide evenly.
     """
 
     def __init__(
@@ -26,25 +25,18 @@ class DataLoader:
         dataset: SyntheticImageDataset,
         batch_size: int,
         shuffle: bool = True,
-        drop_last: bool = False,
         seed: int = 0,
-        transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self.seed = seed
-        self.transform = transform
         self._epoch = 0
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[Tensor, np.ndarray]]:
         n = len(self.dataset)
@@ -54,10 +46,5 @@ class DataLoader:
             rng.shuffle(order)
         self._epoch += 1
         for start in range(0, n, self.batch_size):
-            indices = order[start:start + self.batch_size]
-            if self.drop_last and len(indices) < self.batch_size:
-                break
-            x, y = self.dataset.batch(indices)
-            if self.transform is not None:
-                x = self.transform(x)
+            x, y = self.dataset.batch(order[start:start + self.batch_size])
             yield Tensor(x), y

@@ -187,26 +187,18 @@ def stochastic_comparison(
     return results
 
 
-def table1_run(
-    configs: Optional[Dict[str, ExperimentConfig]] = None,
-    depth_by_model: Optional[Dict[str, float]] = None,
-) -> Dict[str, Dict[str, AccuracyPoint]]:
+def table1_run() -> Dict[str, Dict[str, AccuracyPoint]]:
     """Table 1: the baseline/SCNN/SSCNN triple per architecture.
 
-    Defaults mirror the paper's table shape with our two scaled model
-    families standing in for the {AlexNet, ResNet-50} x ImageNet and
-    {VGG-19, ResNet-18} x CIFAR pairs.
+    Mirrors the paper's table shape with our two scaled model families,
+    each split at depth 0.5, standing in for the {AlexNet, ResNet-50} x
+    ImageNet and {VGG-19, ResNet-18} x CIFAR pairs.
     """
-    if configs is None:
-        configs = {
-            "small_vgg": ExperimentConfig(model="small_vgg", lr=0.01),
-            "small_resnet": ExperimentConfig(model="small_resnet"),
-        }
-    if depth_by_model is None:
-        depth_by_model = {"small_vgg": 0.5, "small_resnet": 0.5}
+    configs = {
+        "small_vgg": ExperimentConfig(model="small_vgg", lr=0.01),
+        "small_resnet": ExperimentConfig(model="small_resnet"),
+    }
     table: Dict[str, Dict[str, AccuracyPoint]] = {}
     for name, config in configs.items():
-        table[name] = stochastic_comparison(
-            config, depth=depth_by_model.get(name, 0.5)
-        )
+        table[name] = stochastic_comparison(config, depth=0.5)
     return table

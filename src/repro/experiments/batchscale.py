@@ -29,6 +29,9 @@ from .tables import format_table
 
 __all__ = ["BatchScalingResult", "max_batch_size", "run_fig10", "render_fig10"]
 
+#: The largest batch :func:`max_batch_size` probes.
+_BATCH_CEILING = 4096
+
 
 @dataclass
 class BatchScalingResult:
@@ -51,9 +54,9 @@ def max_batch_size(
     planner: HMMSPlanner,
     device: DeviceSpec = P100_NVLINK,
     step: int = 8,
-    upper: int = 4096,
 ) -> Tuple[int, int]:
-    """Largest batch (multiple of ``step``) whose plan fits device memory.
+    """Largest batch (multiple of ``step``, at most ``_BATCH_CEILING``)
+    whose plan fits device memory.
 
     Returns ``(batch, device_peak_bytes)``.  Binary search over the step
     grid: peak memory grows monotonically with batch size.
@@ -66,15 +69,13 @@ def max_batch_size(
     low, low_peak = 0, 0
     high = step
     # Exponential probe upward, then binary search.
-    while high <= upper:
+    while high <= _BATCH_CEILING:
         peak = fits(high)
         if peak is None:
             break
         low, low_peak = high, peak
         high *= 2
-    if high > upper:
-        high = upper
-    lo_batch, hi_batch = low, min(high, upper)
+    lo_batch, hi_batch = low, min(high, _BATCH_CEILING)
     while hi_batch - lo_batch > step:
         mid = (lo_batch + hi_batch) // (2 * step) * step
         if mid <= lo_batch:

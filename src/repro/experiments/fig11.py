@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis import detect_mesh_hazards
 from ..core import to_split_cnn
@@ -51,10 +51,14 @@ __all__ = [
     "Fig11Point", "Fig11Result", "run_fig11", "render_fig11",
 ]
 
+#: Figure 11's network link rates, Gbit/s.
 PAPER_BANDWIDTHS: Tuple[float, ...] = (0.5, 1, 2, 4, 8, 10, 16, 32)
 
 #: The paper's (optimistic) bandwidth-utilization efficiency.
-DEFAULT_ALPHA = 0.8
+PAPER_ALPHA = 0.8
+
+#: §6.4's |D|: the ImageNet training set.
+IMAGENET_TRAIN_IMAGES = 1_281_167
 
 #: Relative slack on the analytical bracket (float accumulation plus the
 #: per-op launch overheads the closed form does not itemize).
@@ -81,25 +85,22 @@ class TrainingProfile:
                 raise ValueError(
                     f"{field} must be finite and >= 0, got {value}")
 
-    def step_seconds(self, bandwidth_bits_per_s: float,
-                     alpha: float = DEFAULT_ALPHA) -> float:
-        comm = allreduce_seconds(self.gradient_bytes, bandwidth_bits_per_s,
-                                 alpha)
+    def step_seconds(self, bandwidth_bits_per_s: float) -> float:
+        comm = allreduce_seconds(self.gradient_bytes, bandwidth_bits_per_s)
         return self.forward_seconds + max(self.backward_seconds, comm)
 
 
-def allreduce_seconds(gradient_bytes: int, bandwidth_bits_per_s: float,
-                      alpha: float = DEFAULT_ALPHA) -> float:
+def allreduce_seconds(gradient_bytes: int,
+                      bandwidth_bits_per_s: float) -> float:
     """Lower-bound allreduce time: ``2|G| / (alpha * B)`` (ref. [31]).
 
     ``bandwidth_bits_per_s`` is the network link rate in bits/s; ``alpha``
-    is the bandwidth-utilization efficiency (paper uses an optimistic 0.8).
+    is :data:`PAPER_ALPHA`, the paper's bandwidth-utilization efficiency.
     """
     if bandwidth_bits_per_s <= 0:
         raise ValueError("bandwidth must be positive")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return 2.0 * gradient_bytes * 8.0 / (alpha * bandwidth_bits_per_s)
+    return (2.0 * gradient_bytes * 8.0
+            / (PAPER_ALPHA * bandwidth_bits_per_s))
 
 
 def _epoch_speedup(dataset_size: int,
@@ -111,8 +112,7 @@ def _epoch_speedup(dataset_size: int,
 
 
 def analytical_speedup(baseline: TrainingProfile, split: TrainingProfile,
-                       bandwidth_gbit: float, dataset_size: int,
-                       alpha: float = DEFAULT_ALPHA) -> float:
+                       bandwidth_gbit: float, dataset_size: int) -> float:
     """§6.4's epoch speedup of ``split`` over ``baseline`` at one link rate.
 
     Approaches ``N_split / N_base`` as the network becomes the bottleneck
@@ -122,8 +122,8 @@ def analytical_speedup(baseline: TrainingProfile, split: TrainingProfile,
     bits = bandwidth_gbit * 1e9
     return _epoch_speedup(
         dataset_size,
-        baseline.batch_size, baseline.step_seconds(bits, alpha),
-        split.batch_size, split.step_seconds(bits, alpha))
+        baseline.batch_size, baseline.step_seconds(bits),
+        split.batch_size, split.step_seconds(bits))
 
 
 def transfer_bracket(
@@ -279,9 +279,6 @@ def run_fig11(
     device: DeviceSpec = P100_NVLINK,
     base_batch: int = 64,
     split_batch_factor: int = 6,
-    bandwidths: Sequence[float] = PAPER_BANDWIDTHS,
-    dataset_size: int = 1_281_167,      # ImageNet train set, the paper's |D|
-    alpha: float = DEFAULT_ALPHA,
     model_factory: Callable = vgg19,
     split_depth: float = 0.75,
     num_splits: Tuple[int, int] = (2, 2),
@@ -289,6 +286,7 @@ def run_fig11(
 ) -> Fig11Result:
     """Figure 11 on an N-device mesh, next to the §6.4 projection.
 
+    Sweeps :data:`PAPER_BANDWIDTHS` at the paper's ``alpha`` and |D|.
     ``split_batch_factor`` defaults to the paper's headline 6x batch
     enlargement for VGG-19 (Figure 10).  Graphs and HMMS plans are built
     once; the analytical profile and the mesh partition share them, and
@@ -297,15 +295,10 @@ def run_fig11(
     partitions go through the static plan verifier and the SCA104
     cross-device hazard pass (raising on any finding).
     """
-    bandwidths = tuple(bandwidths)
     for name, value in (("devices", devices),
-                        ("split_batch_factor", split_batch_factor),
-                        ("dataset_size", dataset_size)):
+                        ("split_batch_factor", split_batch_factor)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if not bandwidths or not all(gbit > 0 for gbit in bandwidths):
-        raise ValueError(f"bandwidths must be a non-empty sequence of "
-                         f"positive Gbit/s rates, got {bandwidths}")
 
     partitioner = MeshPartitioner(devices, topology=topology, device=device)
 
@@ -333,18 +326,18 @@ def run_fig11(
             split_batch, "hmms")
 
     points: List[Fig11Point] = []
-    for gbit in bandwidths:
+    for gbit in PAPER_BANDWIDTHS:
         mesh = build_mesh(devices, topology, bandwidth_gbit=gbit,
-                          device=device, efficiency=alpha)
+                          device=device, efficiency=PAPER_ALPHA)
         simulator = MeshSimulator(mesh, shuffle_seed=shuffle_seed)
         base_step = simulator.run(base_mesh_plan).step_seconds
         split_step = simulator.run(split_mesh_plan).step_seconds
         points.append(Fig11Point(
             bandwidth_gbit=gbit,
             analytical_speedup=analytical_speedup(
-                baseline, split, gbit, dataset_size, alpha),
+                baseline, split, gbit, IMAGENET_TRAIN_IMAGES),
             measured_speedup=_epoch_speedup(
-                dataset_size, base_batch * devices, base_step,
+                IMAGENET_TRAIN_IMAGES, base_batch * devices, base_step,
                 split_batch * devices, split_step),
             base_step_seconds=base_step,
             split_step_seconds=split_step,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..graph import build_training_graph
-from ..hmms import HMMSPlanner, MemoryPlan
+from ..hmms import SCHEDULERS, HMMSPlanner, MemoryPlan
 from ..models import ConvClassifier, resnet18, resnet50, vgg19
 from ..nn import init
 from ..profile import DeviceSpec, P100_NVLINK
@@ -54,14 +54,14 @@ def compare_schedulers(
     model: ConvClassifier,
     batch_size: int = 64,
     device: DeviceSpec = P100_NVLINK,
-    schedulers: tuple = ("none", "layerwise", "hmms"),
 ) -> ThroughputComparison:
-    """Plan + simulate one model under each scheduler."""
+    """Plan + simulate one model under each scheduler, the no-offload
+    baseline first."""
     graph = build_training_graph(model, batch_size)
     outcomes: Dict[str, SchedulerOutcome] = {}
     baseline_time: Optional[float] = None
     simulator = GPUSimulator(device)
-    for scheduler in schedulers:
+    for scheduler in SCHEDULERS:
         plan = HMMSPlanner(device=device, scheduler=scheduler).plan(graph)
         result = simulator.run(plan)
         if scheduler == "none":

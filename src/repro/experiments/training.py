@@ -78,7 +78,6 @@ def train_classifier(
     weight_decay: float = 1e-4,
     milestones: Optional[Sequence[int]] = None,
     seed: int = 0,
-    verbose: bool = False,
 ) -> TrainResult:
     """Train ``model`` and record per-epoch loss and test error.
 
@@ -115,9 +114,5 @@ def train_classifier(
             seconds=time.perf_counter() - started,
         )
         result.history.append(stats)
-        if verbose:
-            print(f"  epoch {epoch:3d}: loss={stats.train_loss:.4f} "
-                  f"test_err={stats.test_error:.3f} lr={stats.lr:.4f} "
-                  f"({stats.seconds:.1f}s)")
         scheduler.step()
     return result

@@ -36,6 +36,7 @@ from ..nn import (
     BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear, MaxPool2d,
     Module, ReLU, Sequential,
 )
+from ..nn.norm import BN_EPS
 from .ir import Graph, TensorValue
 from .registry import infer_op_shapes, op_def
 
@@ -217,7 +218,7 @@ class GraphBuilder:
                 f"bn{tag}", "batchnorm_eval",
                 [value, weight, bias, mean, var],
                 attrs={"num_features": module.num_features,
-                       "eps": module.eps},
+                       "eps": BN_EPS},
                 out_names=[f"bn{tag}.out"],
             )
             return out
@@ -430,10 +431,6 @@ _EMITTERS: List[Tuple[Type[Module], Callable]] = [
 def build_forward_graph(
     model: ConvClassifier,
     batch_size: int,
-    input_size: Optional[int] = None,
-    in_channels: int = 3,
-    num_classes: Optional[int] = None,
-    with_loss: bool = True,
     workspace_cap: int = GIB,
     patch_order: str = "depth_first",
     inference: bool = False,
@@ -458,7 +455,6 @@ def build_forward_graph(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    size = input_size if input_size is not None else model.input_size
     builder = GraphBuilder(
         batch_size=batch_size,
         workspace_cap=workspace_cap,
@@ -469,13 +465,14 @@ def build_forward_graph(
     )
     graph = builder.graph
     graph.name = model.name
-    value = graph.add_tensor("input", (batch_size, in_channels, size, size),
+    side = model.input_size
+    value = graph.add_tensor("input", (batch_size, 3, side, side),
                              kind="input")
     value = builder.emit(model.features, value)
     value = builder.emit(Flatten(), value)
     value = builder.emit(model.classifier, value)
     value.name = "logits" if inference else value.name
-    if with_loss and not inference:
+    if not inference:
         builder.add_registered_op("cross_entropy", "cross_entropy", [value],
                                   out_names=["loss", "softmax"])
     if builder.memory_efficient_bn and not inference:

@@ -20,7 +20,7 @@ recomputed without replaying RNG state).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 from .backward import _BackwardEmitter, prune_dead_gradients
 from .builder import build_forward_graph
@@ -63,18 +63,15 @@ def _trunk_length(graph: Graph) -> int:
     return len(graph.forward_ops())
 
 
-def append_checkpointed_backward(graph: Graph,
-                                 num_segments: Optional[int] = None) -> Graph:
+def append_checkpointed_backward(graph: Graph) -> Graph:
     """Append a recomputing backward pass to a forward ``graph`` in place.
 
-    ``num_segments`` defaults to ``round(sqrt(trunk length))`` — the
+    The trunk is cut into ``round(sqrt(trunk length))`` segments — the
     classic sublinear-memory segmentation.
     """
     forward = graph.forward_ops()
     trunk = _trunk_length(graph)
-    if num_segments is None:
-        num_segments = max(1, round(math.sqrt(trunk)))
-    num_segments = max(1, min(num_segments, trunk))
+    num_segments = max(1, round(math.sqrt(trunk)))
 
     # Segment boundaries over the trunk, balanced by *activation bytes*
     # rather than op count: CNN activations are heavily front-loaded (the
@@ -146,8 +143,7 @@ def append_checkpointed_backward(graph: Graph,
 
 
 def build_checkpointed_training_graph(model, batch_size: int,
-                                      num_segments: Optional[int] = None,
                                       **kwargs) -> Graph:
     """Forward + loss + recomputing backward for one training step."""
     graph = build_forward_graph(model, batch_size, **kwargs)
-    return append_checkpointed_backward(graph, num_segments)
+    return append_checkpointed_backward(graph)

@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.norm import _BatchNormTrain
+from ..nn.norm import BN_EPS, _BatchNormTrain
 from ..tensor.ops_nn import (
     Conv2d as _ConvFn, CrossEntropy as _CeFn, Dropout as _DropoutFn,
     MaxPool2d as _MaxPoolFn, conv_output_size, shared_weight_grad,
@@ -63,7 +63,7 @@ from .ir import Graph, OpNode
 
 __all__ = [
     "OpDef", "FusionRule", "FoldResult", "REGISTRY", "op_def",
-    "infer_op_shapes", "BN_EPS",
+    "infer_op_shapes",
     "EFF_CONV", "EFF_GEMM", "EFF_MEMORY",
     "SHARE_NONE", "SHARE_ALIAS", "SHARE_SUMMATION",
 ]
@@ -81,11 +81,6 @@ EFF_MEMORY = "memory"
 SHARE_NONE = "none"            # ordinary tensor, own TSO
 SHARE_ALIAS = "alias"          # pure view: output always aliases input 0
 SHARE_SUMMATION = "summation"  # summation error terms share the upstream TSO
-
-# Batchnorm epsilon: the training kernels' constant and the ``eps``
-# default of ``batchnorm_eval`` and its fold.
-BN_EPS = 1e-5
-
 
 @dataclass(frozen=True)
 class FusionRule:
@@ -310,7 +305,7 @@ def _k_conv2d_bn(ex, op, relu=False):
                        op.attrs["stride"], op.attrs["padding"])
     bn = _BatchNormTrain()
     out = bn.forward(out, ex.input(op, len(op.inputs) - 2),
-                     ex.input(op, len(op.inputs) - 1), BN_EPS)
+                     ex.input(op, len(op.inputs) - 1))
     ex.save_context(op, _ConvBnContext(conv, bn))
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -398,7 +393,7 @@ def _k_linear_bwd_weight(ex, op):
 
 def _k_batchnorm(ex, op):
     fn = _BatchNormTrain()
-    out = fn.forward(ex.input(op, 0), ex.input(op, 1), ex.input(op, 2), BN_EPS)
+    out = fn.forward(ex.input(op, 0), ex.input(op, 1), ex.input(op, 2))
     ex.save_context(op, fn)
     ex.set_output(op, 0, out)
 

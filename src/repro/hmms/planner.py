@@ -84,9 +84,6 @@ class HMMSPlanner:
     device: device/interconnect model.
     scheduler: ``'hmms'`` (Algorithm 1), ``'layerwise'`` (vDNN baseline) or
         ``'none'`` (no offloading — the throughput baseline of Figure 8).
-    offload_fraction: cap on offloaded bytes as a fraction of candidate
-        bytes; ``None`` derives the theoretical limit from the Figure-1
-        analysis (the paper's §6.2 methodology).
     inplace_relu / share_summation: the §4.2 storage optimizations.
     first_fit: use first-fit allocation (``False`` -> bump allocator,
         ablation only).
@@ -94,15 +91,16 @@ class HMMSPlanner:
         synchronize together at the first non-negative capacity balance)
         instead of the default per-transfer FIFO refinement.
 
-    The planner does not verify its plans; callers that gate on them
-    compose ``verify_plan(plan, ...).raise_if_failed()``.
+    The cap on offloaded bytes, as a fraction of candidate bytes, is the
+    theoretical limit of the Figure-1 analysis (the paper's §6.2
+    methodology).  The planner does not verify its plans; callers that
+    gate on them compose ``verify_plan(plan, ...).raise_if_failed()``.
     """
 
     def __init__(
         self,
         device: DeviceSpec = P100_NVLINK,
         scheduler: str = "hmms",
-        offload_fraction: Optional[float] = None,
         inplace_relu: bool = True,
         share_summation: bool = True,
         first_fit: bool = True,
@@ -114,7 +112,6 @@ class HMMSPlanner:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
         self.device = device
         self.scheduler = scheduler
-        self.offload_fraction = offload_fraction
         self.inplace_relu = inplace_relu
         self.share_summation = share_summation
         self.first_fit = first_fit
@@ -155,21 +152,16 @@ class HMMSPlanner:
 
         §4.3 profiles each layer once and plans statically from that
         table, so this is the planner's only pricing.  Plans that move
-        nothing — no offloading, a zero cap, an inference graph (no tensor
-        lives past the forward pass, so there is nothing an offload could
-        hide behind) — and the layer-wise baseline under an explicit cap
-        read no duration and get an empty table.
+        nothing — no offloading, or an inference graph (no tensor lives past
+        the forward pass, so there is nothing an offload could hide
+        behind) — read no duration and get an empty table.
         """
-        fraction = self.offload_fraction
-        if self.scheduler == "none" or fraction == 0.0 or not any(
+        if self.scheduler == "none" or not any(
                 op.phase == "backward" for op in graph.ops):
             return 0.0, {}
-        if fraction is not None and self.scheduler == "layerwise":
-            return fraction, {}
         profile = self.cost_model.profile(graph)
-        if fraction is None:
-            fraction = analyze_offloadability(
-                graph, self.device, profile).offloadable_fraction
+        fraction = analyze_offloadability(
+            graph, self.device, profile).offloadable_fraction
         return fraction, profile
 
     def _plan_transfers(self, graph: Graph, assignment: StorageAssignment,

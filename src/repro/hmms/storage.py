@@ -137,7 +137,6 @@ def assign_storage(
     graph: Graph,
     inplace_relu: bool = True,
     share_summation: bool = True,
-    share_views: bool = True,
 ) -> StorageAssignment:
     """Assign a TSO to every tensor in ``graph`` (serialized order)."""
     assignment = StorageAssignment()
@@ -202,7 +201,7 @@ def assign_storage(
                 continue
 
             # View ops always alias (flatten and friends).
-            if share_views and sharing == SHARE_ALIAS:
+            if sharing == SHARE_ALIAS:
                 share(tensor, op.inputs[0])
                 assignment.view_shares_applied += 1
                 continue

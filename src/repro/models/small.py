@@ -59,7 +59,6 @@ def small_resnet(
     num_classes: int = 10,
     input_size: int = 32,
     widths: Sequence[int] = (16, 32, 64),
-    blocks_per_stage: int = 1,
     rng: Optional[np.random.Generator] = None,
 ) -> ConvClassifier:
     """A miniature ResNet: stem + one BasicBlock stage per width entry.
@@ -74,14 +73,9 @@ def small_resnet(
     ]
     in_planes = widths[0]
     for stage, planes in enumerate(widths):
-        stride = 1 if stage == 0 else 2
-        for block_index in range(blocks_per_stage):
-            items.append(BasicBlock(
-                in_planes, planes,
-                stride=stride if block_index == 0 else 1,
-                rng=rng,
-            ))
-            in_planes = planes
+        items.append(BasicBlock(in_planes, planes,
+                                stride=1 if stage == 0 else 2, rng=rng))
+        in_planes = planes
     items.append(GlobalAvgPool2d())
     features = Sequential(*items)
     classifier = Linear(widths[-1], num_classes, rng=rng)

@@ -30,13 +30,13 @@ VGG_CONFIGS: Dict[str, List[Union[int, str]]] = {
 
 def make_vgg_features(
     config: List[Union[int, str]],
-    in_channels: int = 3,
     batch_norm: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Sequential:
-    """Build the VGG convolutional trunk from a channel configuration."""
+    """Build the VGG convolutional trunk for RGB input from a channel
+    configuration."""
     layers: List[Module] = []
-    channels = in_channels
+    channels = 3
     for entry in config:
         if entry == "M":
             layers.append(MaxPool2d(kernel_size=2, stride=2))

@@ -124,24 +124,23 @@ class Module:
             state[name] = buf.data.copy()
         return state
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         own: Dict[str, Tensor] = dict(self.named_parameters())
         own.update(dict(self.named_buffers()))
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(
                 f"state dict mismatch: missing={sorted(missing)}, "
                 f"unexpected={sorted(unexpected)}"
             )
         for name, tensor in own.items():
-            if name in state:
-                if tensor.data.shape != state[name].shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: module has "
-                        f"{tensor.data.shape}, state has {state[name].shape}"
-                    )
-                tensor.data = state[name].astype(tensor.data.dtype, copy=True)
+            if tensor.data.shape != state[name].shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: module has "
+                    f"{tensor.data.shape}, state has {state[name].shape}"
+                )
+            tensor.data = state[name].astype(tensor.data.dtype, copy=True)
 
     # ------------------------------------------------------------------
     # Call protocol

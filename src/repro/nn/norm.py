@@ -10,18 +10,22 @@ from ..tensor.tensor import as_tensor
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm2d"]
+__all__ = ["BatchNorm2d", "BN_EPS"]
+
+# Batch norm's epsilon, read by the eager layer and by the graph kernels
+# (which also record it in ``batchnorm_eval``'s attrs).
+BN_EPS = 1e-5
 
 
 class _BatchNormTrain(Function):
     """Training-mode batch norm over (N, H, W) per channel."""
 
-    def forward(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float) -> np.ndarray:
+    def forward(self, x: np.ndarray, gamma: np.ndarray,
+                beta: np.ndarray) -> np.ndarray:
         axes = (0, 2, 3)
         mu = x.mean(axis=axes, keepdims=True)
         var = x.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mu) * inv_std
         self.x_hat = x_hat
         self.inv_std = inv_std
@@ -45,16 +49,16 @@ class _BatchNormTrain(Function):
             - x_hat * grad_gamma.reshape(1, -1, 1, 1) / m
         )
         grad_x = gamma_b * inv_std * term
-        return (grad_x, grad_gamma, grad_beta, None)
+        return (grad_x, grad_gamma, grad_beta)
 
 
 class _BatchNormEval(Function):
     """Inference-mode batch norm: a per-channel affine transform."""
 
     def forward(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                running_mean: np.ndarray, running_var: np.ndarray,
-                eps: float) -> np.ndarray:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+                running_mean: np.ndarray,
+                running_var: np.ndarray) -> np.ndarray:
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         self.scale = (gamma * inv_std).reshape(1, -1, 1, 1)
         centered = x - running_mean.reshape(1, -1, 1, 1)
         self.x_hat = centered * inv_std.reshape(1, -1, 1, 1)
@@ -65,7 +69,7 @@ class _BatchNormEval(Function):
         grad_x = grad_output * self.scale
         grad_gamma = (grad_output * self.x_hat).sum(axis=axes)
         grad_beta = grad_output.sum(axis=axes)
-        return (grad_x, grad_gamma, grad_beta, None, None, None)
+        return (grad_x, grad_gamma, grad_beta, None, None)
 
 
 class BatchNorm2d(Module):
@@ -76,10 +80,9 @@ class BatchNorm2d(Module):
     momentum * batch``.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
+    def __init__(self, num_features: int, momentum: float = 0.1) -> None:
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
         self.momentum = momentum
         self.weight = Parameter(init.ones((num_features,)), name="bn.weight")
         self.bias = Parameter(init.zeros((num_features,)), name="bn.bias")
@@ -89,7 +92,7 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
             fn = _BatchNormTrain()
-            out = _apply_function(fn, as_tensor(x), self.weight, self.bias, self.eps)
+            out = _apply_function(fn, as_tensor(x), self.weight, self.bias)
             m = self.momentum
             n = fn.count
             unbias = n / max(1.0, (n - 1.0))
@@ -102,11 +105,11 @@ class BatchNorm2d(Module):
             return out
         return _BatchNormEval.apply(
             as_tensor(x), self.weight, self.bias,
-            self.running_mean.data, self.running_var.data, self.eps,
+            self.running_mean.data, self.running_var.data,
         )
 
     def extra_repr(self) -> str:
-        return f"{self.num_features}, eps={self.eps}, momentum={self.momentum}"
+        return f"{self.num_features}, momentum={self.momentum}"
 
 
 def _apply_function(fn: Function, *args, **kwargs):

@@ -15,7 +15,7 @@ __all__ = ["SGD"]
 
 
 class SGD:
-    """SGD with (optionally Nesterov) momentum and decoupled-classic weight decay.
+    """SGD with momentum and classic (L2-in-the-gradient) weight decay.
 
     Follows the standard formulation: ``v = mu * v + (grad + wd * w)``;
     ``w -= lr * v``.
@@ -27,19 +27,15 @@ class SGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer got an empty parameter list")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: Dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
@@ -60,10 +56,7 @@ class SGD:
                     velocity = np.zeros_like(param.data)
                 velocity = self.momentum * velocity + grad
                 self._velocity[id(param)] = velocity
-                if self.nesterov:
-                    grad = grad + self.momentum * velocity
-                else:
-                    grad = velocity
+                grad = velocity
             param.data = param.data - self.lr * grad
 
     def state_dict(self) -> Dict[str, object]:

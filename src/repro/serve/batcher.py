@@ -18,6 +18,7 @@ flush timer would fire dispatches that then form short or empty batches.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from .metrics import ServingMetrics
@@ -34,9 +35,9 @@ class DynamicBatcher:
         if max_batch_images < 1:
             raise ValueError(
                 f"max_batch_images must be >= 1, got {max_batch_images}")
-        if flush_timeout < 0:
+        if not 0 <= flush_timeout < math.inf:     # NaN fails too
             raise ValueError(
-                f"flush_timeout must be >= 0, got {flush_timeout}")
+                f"flush_timeout must be finite and >= 0, got {flush_timeout}")
         self.max_batch_images = max_batch_images
         self.flush_timeout = flush_timeout
 

@@ -62,6 +62,11 @@ _SCALE_UP_QUEUE_FACTOR = 1.0
 #: ... or when the p99 over this sliding window (simulated seconds)
 #: breaches the tenant's deadline.
 _SLO_WINDOW = 1.0
+#: Simulated seconds between autoscaler ticks.
+_AUTOSCALE_INTERVAL = 0.25
+#: A replica idle this long (simulated seconds) is retired, never below
+#: one replica per tenant.
+_IDLE_TIMEOUT = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -281,10 +286,9 @@ class FleetScheduler:
         boundaries.  ``False`` is flush-only dispatch (each batch
         occupies its replica atomically): what ``Server`` runs, and the
         baseline the continuous mode is benchmarked against.
-    autoscale: enable the replica autoscaler.
-    autoscale_interval: simulated seconds between autoscaler ticks.
-    idle_timeout: retire a replica idle this long (never below one
-        replica per tenant).
+    autoscale: enable the replica autoscaler (it ticks every
+        ``_AUTOSCALE_INTERVAL`` and retires replicas idle for
+        ``_IDLE_TIMEOUT``).
     compile_plans: forward to every tenant's engine.
     """
 
@@ -294,8 +298,6 @@ class FleetScheduler:
         device: DeviceSpec = P100_NVLINK,
         continuous: bool = True,
         autoscale: bool = True,
-        autoscale_interval: float = 0.25,
-        idle_timeout: float = 0.5,
         compile_plans: bool = False,
     ) -> None:
         if not tenants:
@@ -303,8 +305,6 @@ class FleetScheduler:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        self.autoscale_interval = autoscale_interval
-        self.idle_timeout = idle_timeout
         #: One plan cache for the whole fleet: keys carry model, split
         #: scheme, bucket and pipeline fingerprint, so tenants serving
         #: the same variant share plans instead of building twins.
@@ -646,7 +646,7 @@ class FleetScheduler:
                     self.metrics.scale_up_refusals += 1
             elif not backlog and not breaching and len(tenant.replicas) > 1:
                 idle = [r for r in tenant.replicas if r.idle
-                        and now - r.idle_since >= self.idle_timeout]
+                        and now - r.idle_since >= _IDLE_TIMEOUT]
                 if idle and not len(tenant.queue):
                     self._retire_replica(tenant, idle[0])
                     self.metrics.scale_downs[name] += 1
@@ -668,7 +668,7 @@ class FleetScheduler:
         events = self._events
         index, total = 0, len(arrivals)
         if self.autoscale:
-            self._push(self.clock + self.autoscale_interval, "scale")
+            self._push(self.clock + _AUTOSCALE_INTERVAL, "scale")
         while index < total or events:
             next_event = events[0][0] if events else float("inf")
             if index < total and arrivals[index].arrival_time <= next_event:
@@ -693,7 +693,7 @@ class FleetScheduler:
                 if (index < total
                         or any(len(t.queue) or t.in_flight()
                                for t in self.tenants.values())):
-                    self._push(time + self.autoscale_interval, "scale")
+                    self._push(time + _AUTOSCALE_INTERVAL, "scale")
         self.metrics.check_accounting(self.still_queued())
         return self.metrics
 

@@ -49,6 +49,11 @@ class BenchConfig:
             raise ValueError(
                 f"rps must be positive and finite, got {self.rps}")
         _check_duration(self.duration)
+        # A NaN flush acts as zero and an infinite one strands requests.
+        if not (self.flush_timeout >= 0 and math.isfinite(self.flush_timeout)):
+            raise ValueError(
+                f"flush_timeout must be finite and >= 0, "
+                f"got {self.flush_timeout}")
 
 
 def _check_duration(duration: float) -> None:

@@ -15,10 +15,16 @@ a custom class from a deadline via :meth:`SLOClass.from_deadline`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["SLOClass", "INTERACTIVE", "STANDARD", "BATCH", "SLO_CLASSES"]
+
+#: :meth:`SLOClass.from_deadline`'s flush timeout as a share of the
+#: deadline: enough slack to batch, while leaving most of the budget for
+#: queueing and execution.
+_FLUSH_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -36,13 +42,15 @@ class SLOClass:
     flush_timeout: float
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
+        # NaN fails every comparison, so each check is written to pass
+        # only a finite value.
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
             raise ValueError(
-                f"SLO {self.name!r}: deadline must be positive or None, "
-                f"got {self.deadline}")
-        if self.flush_timeout < 0:
+                f"SLO {self.name!r}: deadline must be positive and finite, "
+                f"or None, got {self.deadline}")
+        if not 0 <= self.flush_timeout < math.inf:
             raise ValueError(
-                f"SLO {self.name!r}: flush_timeout must be >= 0, "
+                f"SLO {self.name!r}: flush_timeout must be finite and >= 0, "
                 f"got {self.flush_timeout}")
         if self.deadline is not None and self.flush_timeout > self.deadline:
             raise ValueError(
@@ -52,19 +60,11 @@ class SLOClass:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_deadline(cls, name: str, deadline: float,
-                      flush_fraction: float = 0.25) -> "SLOClass":
-        """Derive a class from a deadline alone.
-
-        The flush timeout is ``flush_fraction`` of the deadline: enough
-        slack to batch, while leaving most of the budget for queueing and
-        execution.
-        """
-        if not 0 < flush_fraction <= 1:
-            raise ValueError(
-                f"flush_fraction must be in (0, 1], got {flush_fraction}")
+    def from_deadline(cls, name: str, deadline: float) -> "SLOClass":
+        """Derive a class from a deadline alone: the flush timeout is
+        ``_FLUSH_FRACTION`` of the deadline."""
         return cls(name=name, deadline=deadline,
-                   flush_timeout=deadline * flush_fraction)
+                   flush_timeout=deadline * _FLUSH_FRACTION)
 
     def absolute_deadline(self, arrival_time: float) -> Optional[float]:
         """The absolute expiry instant of a request arriving now."""

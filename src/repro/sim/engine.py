@@ -73,7 +73,12 @@ class SimResult:
 
 
 class GPUSimulator:
-    """Replays memory plans and enforces their safety invariants."""
+    """Replays memory plans and enforces their safety invariants.
+
+    Whether a plan fits the device is not one of them: that is
+    ``verify_plan(plan, capacity=...)``'s check, so a plan too large for
+    the device still replays and reports its peak.
+    """
 
     RESIDENT, OFFLOADING, ON_HOST, PREFETCHING, FREED = range(5)
 
@@ -81,11 +86,9 @@ class GPUSimulator:
         self,
         device: DeviceSpec = P100_NVLINK,
         cost_model: Optional[CostModel] = None,
-        check_capacity: bool = False,
     ) -> None:
         self.device = device
         self.cost_model = cost_model if cost_model is not None else CostModel(device)
-        self.check_capacity = check_capacity
 
     # ------------------------------------------------------------------
     def run(self, plan: MemoryPlan) -> SimResult:
@@ -132,12 +135,6 @@ class GPUSimulator:
             nonlocal live_bytes, peak_live
             live_bytes += nbytes
             peak_live = max(peak_live, live_bytes)
-            if self.check_capacity and live_bytes + plan.device_param_bytes \
-                    > device.memory_capacity:
-                raise SimulationError(
-                    f"device memory exceeded: {live_bytes + plan.device_param_bytes} "
-                    f"> {device.memory_capacity}"
-                )
 
         def allocate(tso_id: int) -> None:
             charge(sizes[tso_id])

@@ -15,6 +15,9 @@ from .engine import SimResult, TimelineEvent
 
 __all__ = ["render_timeline", "utilization_summary", "stall_profile"]
 
+#: Characters of stream name in front of each timeline row.
+_LABEL_WIDTH = 18
+
 
 def utilization_summary(result: SimResult) -> Dict[str, float]:
     """Busy fraction per stream over the full makespan."""
@@ -31,8 +34,7 @@ def stall_profile(result: SimResult) -> List[TimelineEvent]:
     return sorted(stalls, key=lambda e: -e.duration)
 
 
-def render_timeline(result: SimResult, width: int = 100,
-                    max_label: int = 18) -> str:
+def render_timeline(result: SimResult, width: int = 100) -> str:
     """ASCII Gantt chart: one row per stream, time left to right.
 
     Glyphs: ``#`` compute kernel, ``x`` compute stall, ``>`` offload,
@@ -59,6 +61,6 @@ def render_timeline(result: SimResult, width: int = 100,
                 if row[cell] == "." or glyph == "x":
                     row[cell] = glyph
             del cell
-        label = stream[:max_label].ljust(max_label)
+        label = stream[:_LABEL_WIDTH].ljust(_LABEL_WIDTH)
         lines.append(f"{label}|{''.join(row)}|")
     return "\n".join(lines)

@@ -150,7 +150,7 @@ class TestDeadGradientPruning:
         # The recomputed clone of each segment's last op went unread.
         with init.fast_init():
             model = build_model("vgg11")
-        graph = build_checkpointed_training_graph(model, 2, num_segments=3)
+        graph = build_checkpointed_training_graph(model, 2)
         assert not _of(analyze_graph(graph).findings, "SCA002")
 
     def test_prune_runs_to_fixpoint(self):

@@ -26,6 +26,21 @@ have their own guards, which run the zoo instead of reading it:
 - autograd ``Function`` subclasses are reached through ``Tensor``'s
   operator bindings and names they share with layers and kernels: every
   one must be applied by an eager training or eval step of a zoo model.
+
+Options get the same treatment as names: every defaulted parameter of a
+function, method or constructor in ``src/repro`` must be set by some call
+outside the tests, or it is a constant with a keyword in front of it.  The
+option scan is as coarse as the name scan:
+
+- a keyword ``k=`` at any call sets every parameter named ``k``;
+- a positional argument in slot *i* of a call to ``F`` sets parameter *i*
+  (after ``self``) of every definition named ``F``; a class name reaches
+  its ``__init__``, ``super().__init__(...)`` calls the class's bases, and
+  a ``*args`` argument fills every slot;
+- strings, comments and test calls set nothing.
+
+The same run of the module lists the unset options after the unreached
+names.
 """
 
 import ast
@@ -33,7 +48,9 @@ import sys
 from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -59,7 +76,14 @@ UNBUILT_OPS = {
         "another layer keeps it",
 }
 
+# Parameters a test sets without any other caller: the seams that swap in a
+# small device, a fake pricing or a shared cache, and randomness inputs.
+TEST_SEAMS = {"device", "cost_model", "cache", "rng", "seed"}
+
 Definition = Tuple[str, str]  # (module, name)
+Option = Tuple[str, str, str]  # (module, qualified function name, parameter)
+# (qualified name, callee names, positional slot or None, parameter)
+Defaulted = Tuple[str, List[str], Optional[int], str]
 
 
 def _mentions(nodes: Iterable[ast.AST]) -> Set[str]:
@@ -141,14 +165,111 @@ def scan(modules: Mapping[str, str], entry_points: Iterable[str],
             for definition, lines, _ in entries}
 
 
-def scan_repo(keep: Iterable[Definition] = ()) -> Dict[Definition, int]:
+def _callee(func: ast.expr) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted(tree: ast.AST) -> Iterator[Defaulted]:
+    """Every defaulted parameter under ``tree``.  A method is also named
+    by its class when it is ``__init__``; its slots count from after
+    ``self``, and a keyword-only parameter has no slot."""
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                bound = cls is not None and "staticmethod" not in map(
+                    _callee, child.decorator_list)
+                names = [child.name]
+                if cls is not None and child.name == "__init__":
+                    names.append(cls)
+                qualname = prefix + child.name
+                first = len(positional) - len(args.defaults)
+                for slot in range(first, len(positional)):
+                    yield qualname, names, slot - bound, positional[slot]
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualname, names, None, arg.arg
+                yield from visit(child, f"{qualname}.", None)
+            else:
+                yield from visit(child, prefix, cls)
+    return visit(tree, "", None)
+
+
+def _setters(sources: Iterable[str]) -> Tuple[Set[str], Dict[str, float]]:
+    """Every keyword the calls in ``sources`` pass, and for each callee name
+    the most positional slots one call fills (``inf`` for ``*args``)."""
+    keywords: Set[str] = set()
+    slots: Dict[str, float] = {}
+
+    def visit(node, bases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [_callee(b) for b in child.bases])
+                continue
+            if isinstance(child, ast.Call):
+                keywords.update(k.arg for k in child.keywords if k.arg)
+                filled = (float("inf") if any(isinstance(a, ast.Starred)
+                                              for a in child.args)
+                          else len(child.args))
+                name = _callee(child.func)
+                for callee in bases if name == "__init__" else [name]:
+                    slots[callee] = max(slots.get(callee, 0), filled)
+            visit(child, bases)
+
+    for source in sources:
+        visit(ast.parse(source), [])
+    return keywords, slots
+
+
+def scan_options(modules: Mapping[str, str], callers: Iterable[str],
+                 keep: Iterable[Definition] = ()) -> List[Option]:
+    """Defaulted parameters in ``modules`` that no call in ``callers`` sets.
+
+    Parameters in ``TEST_SEAMS`` and every parameter of a top-level
+    definition in ``keep`` are exempt.
+    """
+    keywords, slots = _setters(callers)
+    keep = set(keep)
+    unset = []
+    for label, source in modules.items():
+        for qualname, names, slot, param in _defaulted(ast.parse(source)):
+            if (param in TEST_SEAMS or param in keywords
+                    or (label, qualname.split(".")[0]) in keep):
+                continue
+            if slot is not None and any(slot < slots.get(name, 0)
+                                        for name in names):
+                continue
+            unset.append((label, qualname, param))
+    return unset
+
+
+def _sources() -> Tuple[Dict[str, str], List[Path]]:
+    """``src/repro`` modules by label, and the entry points outside it."""
     modules = {path.relative_to(SRC).as_posix(): path.read_text()
-               for path in sorted(SRC.rglob("*.py"))
-               if path.name != "__main__.py"}
-    entries = [SRC / "__main__.py",
-               *sorted((ROOT / "benchmarks").rglob("*.py")),
+               for path in sorted(SRC.rglob("*.py"))}
+    entries = [*sorted((ROOT / "benchmarks").rglob("*.py")),
                *sorted((ROOT / "examples").rglob("*.py"))]
-    return scan(modules, [path.read_text() for path in entries], keep)
+    return modules, entries
+
+
+def scan_repo(keep: Iterable[Definition] = ()) -> Dict[Definition, int]:
+    modules, entries = _sources()
+    main = modules.pop("__main__.py")
+    return scan(modules, [main, *(path.read_text() for path in entries)],
+                keep)
+
+
+def scan_repo_options() -> List[Option]:
+    modules, entries = _sources()
+    callers = [*modules.values(), *(path.read_text() for path in entries)]
+    return scan_options(modules, callers, keep=ALLOWED)
 
 
 def test_every_definition_has_a_caller():
@@ -158,6 +279,13 @@ def test_every_definition_has_a_caller():
     assert not missing, (
         "only tests reach these definitions; delete them or give them a "
         f"caller: {missing}")
+
+
+def test_every_option_has_a_setter():
+    unset = scan_repo_options()
+    assert not unset, (
+        "only tests set these options; make each its default as a "
+        f"constant, or give it a caller: {unset}")
 
 
 def test_scan_reports_an_uncalled_function():
@@ -177,6 +305,38 @@ def test_scan_reports_an_uncalled_function():
     reexport = 'from mod import dead, used\n__all__ = ["dead", "used"]\n'
     assert scan({"mod.py": module, "pkg.py": reexport},
                 ["from pkg import used\nused()\n"]) == {("mod.py", "dead"): 2}
+
+
+def test_scan_reports_an_unset_option():
+    module = (
+        '"""Sets fit(limit=2) in a docstring."""\n'
+        "def fit(x, scale=1.0, limit=4, *, strict=True):\n"
+        "    return helper(x, 2)  # fit(x, 1, 2, strict=False)\n"
+        "def helper(x, factor=1, offset=0, rng=None):\n"
+        "    return x * factor + offset\n"
+        "def spread(*values, step=1):\n"
+        "    return values\n"
+        "class Base:\n"
+        "    def __init__(self, size=1, name='base'):\n"
+        "        self.size = size\n"
+        "class Box(Base):\n"
+        "    def __init__(self, capacity=8, label=''):\n"
+        "        super().__init__(capacity)\n"
+        "    def fill(self, n=1):\n"
+        "        return 'fill(3)'\n"
+        "    @staticmethod\n"
+        "    def empty(depth=0):\n"
+        "        return depth\n")
+    caller = ("fit(1.0, 2.0)\nBox(4).fill()\nBox.empty(1)\n"
+              "spread(*range(3))\nfit(0, strict=False)\n")
+    assert sorted(scan_options({"mod.py": module}, [module, caller])) == [
+        ("mod.py", "Base.__init__", "name"),
+        ("mod.py", "Box.__init__", "label"),
+        ("mod.py", "Box.fill", "n"),
+        ("mod.py", "fit", "limit"),
+        ("mod.py", "helper", "offset"),
+        ("mod.py", "spread", "step"),
+    ]
 
 
 def _built_op_types() -> Set[str]:
@@ -270,4 +430,7 @@ if __name__ == "__main__":
     for (module, name), lines in sorted(found.items()):
         print(f"{lines:5d}  {module}:{name}")
     print(f"{sum(found.values()):5d}  total")
-    sys.exit(1 if found else 0)
+    unset = scan_repo_options()
+    for module, function, param in unset:
+        print(f"unset  {module}:{function}({param}=)")
+    sys.exit(1 if found or unset else 0)

@@ -20,7 +20,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def checkpointed(model):
-    return build_checkpointed_training_graph(model, 16, num_segments=3)
+    return build_checkpointed_training_graph(model, 16)
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +61,23 @@ class TestStructure:
     def test_more_ops_than_plain(self, checkpointed, plain):
         assert len(checkpointed.ops) > len(plain.ops)
 
-    def test_single_segment_degenerates(self, model):
-        graph = build_checkpointed_training_graph(model, 4, num_segments=1)
+    def test_single_segment_degenerates(self):
+        # A two-op trunk rounds sqrt(2) to one segment.
+        from repro.models.base import ConvClassifier
+        from repro.nn import Conv2d, Linear, ReLU, Sequential
+        rng = np.random.default_rng(0)
+        model = ConvClassifier(
+            Sequential(Conv2d(3, 2, 3, padding=1, rng=rng), ReLU()),
+            Linear(2 * 8 * 8, 2, rng=rng), input_size=8)
+        graph = build_checkpointed_training_graph(model, 4)
+        recomputed = [op.op_type for op in graph.backward_ops()
+                      if op.name.endswith(".re")]
+        assert recomputed == ["conv2d", "relu"]
         graph.validate()
 
     def test_resnet_blocks_checkpoint(self):
         model = small_resnet(rng=np.random.default_rng(0))
-        graph = build_checkpointed_training_graph(model, 4, num_segments=2)
+        graph = build_checkpointed_training_graph(model, 4)
         graph.validate()
         GPUSimulator().run(HMMSPlanner(scheduler="none").plan(graph))
 
@@ -97,7 +107,7 @@ class TestTradeoffs:
         from repro.graph import build_forward_graph
         from repro.graph.checkpoint import append_checkpointed_backward
         graph = build_forward_graph(model, 64, workspace_cap=0)
-        append_checkpointed_backward(graph, num_segments=3)
+        append_checkpointed_backward(graph)
         plan = HMMSPlanner(scheduler="hmms").plan(graph)
         assert plan.offload_plan.transfers  # checkpoints do get offloaded
         GPUSimulator().run(plan)

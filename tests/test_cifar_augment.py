@@ -76,15 +76,6 @@ class TestLoader:
         assert x.shape == (4, 3, 32, 32)
         assert y.dtype == np.int64
 
-    def test_loader_applies_transform(self):
-        from repro.data import ShapesDataset
-        dataset = ShapesDataset(num_samples=8, image_size=8, num_classes=2)
-        marker = lambda b: b * 0 + 7.0
-        loader = DataLoader(dataset, batch_size=4, shuffle=False,
-                            transform=marker)
-        x, _ = next(iter(loader))
-        np.testing.assert_allclose(x.numpy(), 7.0)
-
 
 class TestArrayDataset:
     def test_protocol(self):

@@ -70,17 +70,16 @@ class TestDataLoader:
 
     def test_batch_count(self):
         assert len(DataLoader(self._ds(10), batch_size=3)) == 4
-        assert len(DataLoader(self._ds(10), batch_size=3, drop_last=True)) == 3
 
     def test_iterates_all_samples(self):
         loader = DataLoader(self._ds(10), batch_size=3, shuffle=False)
         total = sum(len(y) for _, y in loader)
         assert total == 10
 
-    def test_drop_last(self):
-        loader = DataLoader(self._ds(10), batch_size=3, drop_last=True)
+    def test_last_batch_holds_remainder(self):
+        loader = DataLoader(self._ds(10), batch_size=3)
         sizes = [len(y) for _, y in loader]
-        assert sizes == [3, 3, 3]
+        assert sizes == [3, 3, 3, 1]
 
     def test_shuffle_changes_across_epochs(self):
         loader = DataLoader(self._ds(16), batch_size=16, shuffle=True, seed=0)

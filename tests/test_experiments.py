@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    ExperimentConfig, compare_schedulers, format_table,
+    PAPER_BANDWIDTHS, ExperimentConfig, compare_schedulers, format_table,
     max_batch_size, render_fig1, render_fig11, run_fig1, run_fig11,
     run_fig9_timelines, stochastic_comparison, sweep_depth,
 )
@@ -99,9 +99,9 @@ class TestBatchScaling:
         small_dev = P100_NVLINK.with_(memory_capacity=256 << 20)
         large_dev = P100_NVLINK.with_(memory_capacity=1 << 30)
         small_batch, _ = max_batch_size(model_builder, planner, small_dev,
-                                        step=8, upper=512)
+                                        step=8)
         large_batch, _ = max_batch_size(model_builder, planner, large_dev,
-                                        step=8, upper=2048)
+                                        step=8)
         assert large_batch > small_batch
 
     def test_peak_at_max_fits(self, rng):
@@ -109,7 +109,7 @@ class TestBatchScaling:
         planner = HMMSPlanner(scheduler="none")
         device = P100_NVLINK.with_(memory_capacity=256 << 20)
         batch, peak = max_batch_size(model_builder, planner, device,
-                                     step=8, upper=512)
+                                     step=8)
         assert peak <= device.memory_capacity
 
     def test_does_not_fit_at_all_raises(self, rng):
@@ -117,23 +117,23 @@ class TestBatchScaling:
         planner = HMMSPlanner(scheduler="none")
         device = P100_NVLINK.with_(memory_capacity=1 << 20)
         with pytest.raises(ValueError):
-            max_batch_size(model_builder, planner, device, step=8, upper=64)
+            max_batch_size(model_builder, planner, device, step=8)
 
 
 class TestFig11Driver:
     def test_speedup_curve_shape(self):
-        result = run_fig11(base_batch=8, split_batch_factor=4,
-                           bandwidths=(1, 10, 100), dataset_size=8_000)
+        result = run_fig11(base_batch=8, split_batch_factor=4)
+        assert [p.bandwidth_gbit for p in result.points] \
+            == list(PAPER_BANDWIDTHS)
         for column in ("analytical_speedup", "measured_speedup"):
             speedups = [getattr(p, column) for p in result.points]
-            assert speedups[0] >= speedups[1] >= speedups[2]
+            assert speedups == sorted(speedups, reverse=True)
         assert result.speedup_at(10) > 1.0
         with pytest.raises(KeyError):
-            result.speedup_at(3)
+            result.speedup_at(64)
 
     def test_render(self):
-        result = run_fig11(base_batch=8, split_batch_factor=2,
-                           bandwidths=(10,), dataset_size=8_000)
+        result = run_fig11(base_batch=8, split_batch_factor=2)
         text = render_fig11(result)
         assert "Figure 11" in text
         assert "analytical" in text and "measured" in text
@@ -141,10 +141,6 @@ class TestFig11Driver:
     @pytest.mark.parametrize("kwargs,match", [
         (dict(devices=0), "devices"),
         (dict(split_batch_factor=0), "split_batch_factor"),
-        (dict(dataset_size=0), "dataset_size"),
-        (dict(bandwidths=()), "bandwidths"),
-        (dict(bandwidths=(1, 0)), "bandwidths"),
-        (dict(bandwidths=(-2.0,)), "bandwidths"),
     ])
     def test_rejects_bad_arguments(self, kwargs, match):
         # On 92fcb94 these were a ZeroDivisionError, an empty result, or
@@ -188,12 +184,13 @@ def _full_digest(result) -> str:
     )).encode(), digest_size=16).hexdigest()
 
 
-SMALL_SWEEP = dict(model_factory=small_vgg, base_batch=4, split_depth=0.5,
-                   dataset_size=10_000, bandwidths=(0.5, 2, 8, 32))
+SMALL_SWEEP = dict(model_factory=small_vgg, base_batch=4, split_depth=0.5)
+#: Recorded on the code before the sweep's bandwidths and |D| became
+#: constants, passing ``PAPER_BANDWIDTHS`` and the ImageNet |D| explicitly.
 SMALL_GOLDEN = {
-    ("ring", 4): "40e34e300dcb2cc4fd49f82af106164e",
-    ("bus", 3): "dc1baceafabcde5f44588328f375f7e9",
-    ("p2p", 2): "f2df5c7f2f84f41f70e9efd891387038",
+    ("ring", 4): "dafedc17e272233e03faaa92e1f16485",
+    ("bus", 3): "ca2a8d0073ccd0849cda1aad154852c5",
+    ("p2p", 2): "8cb52b926ac3b6cc7ca039ba9fd9fcfa",
 }
 
 

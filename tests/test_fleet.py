@@ -3,6 +3,7 @@ batching, autoscaler, and the per-tenant accounting invariant."""
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.graph import build_inference_graph
 from repro.models import small_resnet
 from repro.profile.device import P100_NVLINK
+from repro.serve import fleet as fleet_module
 from repro.serve import (
     BATCH, INTERACTIVE, STANDARD, SLO_CLASSES, DeviceLedger,
     FleetBenchConfig, FleetScheduler, Request, SLOClass, TenantConfig,
@@ -47,8 +49,6 @@ class TestSLOClass:
     def test_from_deadline_derives_flush(self):
         slo = SLOClass.from_deadline("quarter", deadline=0.4)
         assert slo.flush_timeout == pytest.approx(0.1)
-        with pytest.raises(ValueError, match="flush_fraction"):
-            SLOClass.from_deadline("bad", deadline=0.4, flush_fraction=0.0)
 
     def test_absolute_deadline(self):
         assert STANDARD.absolute_deadline(2.5) == pytest.approx(3.5)
@@ -59,6 +59,15 @@ class TestSLOClass:
             SLOClass("bad", deadline=0.0, flush_timeout=0.0)
         with pytest.raises(ValueError, match="flush_timeout must be"):
             SLOClass("bad", deadline=None, flush_timeout=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_are_rejected(self, value):
+        # A NaN flush used to act as a zero flush, an infinite one left
+        # requests queued forever, and a NaN deadline never expired.
+        with pytest.raises(ValueError, match="flush_timeout must be finite"):
+            SLOClass("bad", deadline=None, flush_timeout=value)
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            SLOClass("bad", deadline=value, flush_timeout=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -424,8 +433,7 @@ class TestAutoscaler:
         tenants = [small_tenant("a", rps=20_000.0, batch_cap=2,
                                 max_replicas=3)]
         config = FleetBenchConfig(tenants=tenants, duration=0.5, seed=0)
-        fleet = FleetScheduler(tenants, autoscale=True,
-                               autoscale_interval=0.05)
+        fleet = FleetScheduler(tenants, autoscale=True)
         fleet.run(fleet_arrivals(config))
         assert fleet.metrics.scale_ups["a"] > 0
         assert fleet.metrics.peak_replicas["a"] > 1
@@ -444,8 +452,7 @@ class TestAutoscaler:
         trace = burst + trickle
         for index, request in enumerate(trace):
             request.id = index
-        fleet = FleetScheduler(tenants, autoscale=True,
-                               autoscale_interval=0.05, idle_timeout=0.2)
+        fleet = FleetScheduler(tenants, autoscale=True)
         fleet.run(trace)
         assert fleet.metrics.scale_ups["a"] > 0
         assert fleet.metrics.scale_downs["a"] > 0
@@ -461,8 +468,7 @@ class TestAutoscaler:
         tenants = [small_tenant("a", rps=20_000.0, batch_cap=2,
                                 max_replicas=4)]
         config = FleetBenchConfig(tenants=tenants, duration=0.5, seed=0)
-        fleet = FleetScheduler(tenants, device=tight, autoscale=True,
-                               autoscale_interval=0.05)
+        fleet = FleetScheduler(tenants, device=tight, autoscale=True)
         metrics = fleet.run(fleet_arrivals(config))
         assert fleet.metrics.scale_up_refusals > 0
         assert fleet.metrics.peak_replicas["a"] == 1
@@ -630,46 +636,50 @@ def _dense_mix_trace(n=300, seed=5):
 
 
 def _golden_fleet_cases():
-    """``(name, fleet factory, trace)`` for every pinned fleet run."""
+    """``(name, fleet factory, trace, autoscaler ticks)`` for every pinned
+    fleet run; ticks are ``(interval, idle timeout)`` in simulated seconds,
+    ``None`` for the fleet's own constants."""
     for scale, label in ((0.5, "x0_5"), (1.0, "x1"), (2.0, "x2")):
         yield (f"soak-{label}",
                lambda: FleetScheduler(SOAK_TENANTS, autoscale=True),
-               _soak_trace(scale))
+               _soak_trace(scale), None)
     yield ("soak-x1-flush",
            lambda: FleetScheduler(SOAK_TENANTS, continuous=False,
                                   autoscale=True),
-           _soak_trace(1.0))
+           _soak_trace(1.0), None)
     # A device with room for one extra replica and a trickle after the
     # burst: scale-ups, ledger refusals, queue-full rejections and idle
-    # retirements all fire.
+    # retirements all fire within these millisecond traces because the
+    # autoscaler ticks in milliseconds too.
     trace = _soak_trace(2.0)
     end = trace[-1].arrival_time
     trace += [Request(id=len(trace) + i, arrival_time=end + 0.003 * (i + 1),
                       tenant=SOAK_TENANTS[i % 3].name) for i in range(30)]
     tight = dataclasses.replace(P100_NVLINK, memory_capacity=150_000_000)
     yield ("soak-x2-tight",
-           lambda: FleetScheduler(SOAK_TENANTS, device=tight, autoscale=True,
-                                  autoscale_interval=0.004,
-                                  idle_timeout=0.006),
-           trace)
+           lambda: FleetScheduler(SOAK_TENANTS, device=tight, autoscale=True),
+           trace, (0.004, 0.006))
     mix = [small_tenant("cls", rps=800.0),
            small_tenant("dense", model="small_vgg", rps=200.0,
                         queue_depth=8)]
     for continuous in (True, False):
         yield (f"dense-mix-{'continuous' if continuous else 'flush'}",
                lambda continuous=continuous: FleetScheduler(
-                   mix, continuous=continuous, autoscale=True,
-                   autoscale_interval=0.002, idle_timeout=0.003),
-               _dense_mix_trace())
+                   mix, continuous=continuous, autoscale=True),
+               _dense_mix_trace(), (0.002, 0.003))
 
 
 def _fleet_digest(case) -> str:
     """blake2b over every request's instants, every per-tenant counter
     and sample list, the fleet's counters and the engines' counters."""
-    _, make_fleet, trace = case
+    _, make_fleet, trace, ticks = case
     fleet = make_fleet()
     arrivals = [dataclasses.replace(r) for r in trace]
-    metrics = fleet.run(arrivals)
+    interval, idle = ticks or (fleet_module._AUTOSCALE_INTERVAL,
+                               fleet_module._IDLE_TIMEOUT)
+    with mock.patch.multiple(fleet_module, _AUTOSCALE_INTERVAL=interval,
+                             _IDLE_TIMEOUT=idle):
+        metrics = fleet.run(arrivals)
     digest = hashlib.blake2b(digest_size=16)
     for request in arrivals:
         digest.update(repr((request.id, request.tenant, request.dispatch_time,

@@ -96,9 +96,9 @@ class TestForwardBuilder:
         assert loss_op.op_type == "cross_entropy"
         assert graph.tensors[loss_op.outputs[0]].shape == (1,)
 
-    def test_without_loss_ends_at_classifier(self, rng):
+    def test_inference_ends_at_classifier(self, rng):
         graph = build_forward_graph(small_vgg(num_classes=5, rng=rng), 4,
-                                    with_loss=False)
+                                    inference=True)
         assert graph.ops[-1].op_type == "linear"
 
     def test_parameters_cached_per_module(self, rng):

@@ -13,7 +13,7 @@ from repro.core import to_split_cnn
 from repro.data import ShapesDataset
 from repro.experiments.training import evaluate, train_classifier
 from repro.graph import build_training_graph
-from repro.hmms import HMMSPlanner
+from repro.hmms import HMMSPlanner, verify_plan
 from repro.models import small_resnet, small_vgg
 from repro.profile import P100_NVLINK
 from repro.sim import GPUSimulator
@@ -97,7 +97,10 @@ class TestFullPipeline:
         plan = HMMSPlanner(scheduler="hmms").plan(graph)
         device = P100_NVLINK.with_(
             memory_capacity=plan.device_peak + (1 << 20))
-        GPUSimulator(device, check_capacity=True).run(plan)
+        assert verify_plan(plan, capacity=device.memory_capacity).ok
+        result = GPUSimulator(device).run(plan)
+        assert result.peak_live_bytes + plan.device_param_bytes \
+            <= device.memory_capacity
 
     def test_grouped_mode_end_to_end(self):
         """Paper-literal Algorithm 1 (grouped syncs) also replays safely."""

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import detect_mesh_hazards
 from repro.core import to_split_cnn
 from repro.experiments import (
-    Fig11Point, Fig11Result, TrainingProfile, run_fig11,
+    PAPER_BANDWIDTHS, Fig11Point, Fig11Result, TrainingProfile, run_fig11,
 )
 from repro.experiments.fig11 import _apportion_overhead
 from repro.compile import default_pipeline
@@ -599,11 +599,10 @@ class TestMeasuredFig11:
         result = run_fig11(
             devices=4, topology="ring", base_batch=4, split_batch_factor=6,
             model_factory=lambda: build_model("small_vgg"),
-            split_depth=0.5, dataset_size=10_000,
-            bandwidths=(0.5, 2.0, 8.0, 32.0))
+            split_depth=0.5)
         result.check()
         result.assert_monotone()
-        assert len(result.points) == 4
+        assert len(result.points) == len(PAPER_BANDWIDTHS)
         for point in result.points:
             assert point.measured_speedup > 0
 
@@ -611,7 +610,7 @@ class TestMeasuredFig11:
         kwargs = dict(
             devices=3, topology="bus", base_batch=4, split_batch_factor=6,
             model_factory=lambda: build_model("small_vgg"),
-            split_depth=0.5, dataset_size=10_000, bandwidths=(1.0, 8.0))
+            split_depth=0.5)
         plain = run_fig11(**kwargs)
         shuffled = run_fig11(shuffle_seed=42, **kwargs)
         for a, b in zip(plain.points, shuffled.points):

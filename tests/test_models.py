@@ -35,11 +35,12 @@ class TestSmallModels:
         assert model(x).shape == (2, 3)
 
     def test_small_resnet_stage_structure(self, rng):
-        model = small_resnet(widths=(8, 16), blocks_per_stage=2, rng=rng)
+        model = small_resnet(widths=(8, 16, 32), rng=rng)
         from repro.models import BasicBlock
         blocks = [m for m in model.features if isinstance(m, BasicBlock)]
-        assert len(blocks) == 4
-        assert blocks[2].stride == 2   # first block of second stage downsamples
+        assert len(blocks) == 3        # one block per stage
+        # Stage 1 keeps resolution; every later stage downsamples.
+        assert [block.stride for block in blocks] == [1, 2, 2]
 
 
 class TestPaperModels:
@@ -71,7 +72,7 @@ class TestPaperModels:
     def test_imagenet_symbolic_shapes(self, builder, kwargs, classes):
         with init.fast_init():
             model = builder(**kwargs)
-            graph = build_forward_graph(model, batch_size=2, with_loss=False)
+            graph = build_forward_graph(model, batch_size=2, inference=True)
         logits = graph.tensors[graph.ops[-1].outputs[0]]
         assert logits.shape == (2, classes)
 

@@ -38,12 +38,6 @@ class TestSGD:
         opt.step()          # v=1.9, w=-2.9
         np.testing.assert_allclose(p.data, [-2.9], rtol=1e-6)
 
-    def test_nesterov_differs_from_plain(self):
-        p1, p2 = make_param(0.0, 1.0), make_param(0.0, 1.0)
-        SGD([p1], lr=1.0, momentum=0.9).step()
-        SGD([p2], lr=1.0, momentum=0.9, nesterov=True).step()
-        assert p1.data[0] != p2.data[0]
-
     def test_zero_grad(self):
         p = make_param()
         opt = SGD([p], lr=0.1)
@@ -57,10 +51,6 @@ class TestSGD:
     def test_bad_lr_raises(self):
         with pytest.raises(ValueError):
             SGD([make_param()], lr=0.0)
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([make_param()], lr=0.1, nesterov=True)
 
     def test_matches_reference_trajectory(self):
         # Reference: classic momentum+wd update computed by hand.

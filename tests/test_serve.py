@@ -155,6 +155,11 @@ class TestDynamicBatcher:
         batch = batcher.form_batch(queue, 0.01, metrics)
         assert batch == [] and metrics.expired == 1 and not len(queue)
 
+    @pytest.mark.parametrize("value", [-0.001, float("nan"), float("inf")])
+    def test_flush_timeout_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="flush_timeout must be finite"):
+            DynamicBatcher(max_batch_images=4, flush_timeout=value)
+
     def test_server_counts_empty_flushes(self):
         engine = make_engine()
         server = Server(engine, flush_timeout=0.01)
@@ -277,6 +282,12 @@ class TestBench:
         # An infinite rate or window never ended the arrival loop.
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             BenchConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.001, float("nan"), float("inf")])
+    def test_flush_timeout_must_be_finite_and_non_negative(self, value):
+        # NaN ran as a zero flush; inf left requests queued forever.
+        with pytest.raises(ValueError, match="flush_timeout must be finite"):
+            BenchConfig(flush_timeout=value)
 
     def test_bench_is_deterministic(self):
         results = []

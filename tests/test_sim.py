@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import build_training_graph
-from repro.hmms import HMMSPlanner
+from repro.hmms import HMMSPlanner, verify_plan
 from repro.hmms.planner import OpSchedule
 from repro.models import small_resnet, small_vgg
 from repro.profile import CostModel, P100_NVLINK
@@ -117,12 +117,12 @@ class TestSafetyChecks:
             GPUSimulator().run(plan)
 
     def test_workspace_counts_against_capacity(self, vgg_graph):
-        """Regression: transient workspace bumped live bytes but skipped
-        the capacity check, so oversized workspaces passed silently."""
+        """Regression: transient workspace must count against the device
+        capacity, or oversized workspaces pass silently."""
         plan = HMMSPlanner(scheduler="none").plan(vgg_graph)
         plan.schedule[0].workspace_bytes = P100_NVLINK.memory_capacity + 1
-        with pytest.raises(SimulationError, match="memory exceeded"):
-            GPUSimulator(check_capacity=True).run(plan)
+        report = verify_plan(plan, capacity=P100_NVLINK.memory_capacity)
+        assert any("capacity is" in v.message for v in report.violations)
 
     def test_read_of_offloaded_tso_detected(self, vgg_graph):
         plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
@@ -144,13 +144,16 @@ class TestSafetyChecks:
 
     def test_capacity_check(self, vgg_graph):
         plan = HMMSPlanner(scheduler="none").plan(vgg_graph)
+        assert not verify_plan(plan, capacity=1 << 20).ok
+        # The simulator replays a plan too large for its device.
         tiny = P100_NVLINK.with_(memory_capacity=1 << 20)
-        with pytest.raises(SimulationError):
-            GPUSimulator(tiny, check_capacity=True).run(plan)
+        result = GPUSimulator(tiny).run(plan)
+        assert result.peak_live_bytes > tiny.memory_capacity
 
     def test_capacity_check_passes_when_fits(self, vgg_graph):
         plan = HMMSPlanner(scheduler="none").plan(vgg_graph)
-        GPUSimulator(check_capacity=True).run(plan)  # 16 GB is plenty
+        assert verify_plan(
+            plan, capacity=P100_NVLINK.memory_capacity).ok  # 16 GB is plenty
 
 
 class TestTimelines:
