@@ -5,7 +5,12 @@ the patch grid, and most of the new ops are small per-patch convs — so
 sibling fusion collapses the S per-patch convs of a stage back into one
 batched im2col call.  Both graphs run on the one executor
 (``CompiledPlan`` is ``GraphExecutor``'s old name), so the speedup is
-the rewrites'.  This benchmark times one IR step of VGG-11 (CIFAR head)
+the rewrites'.  The training row's builder graph already stacks the
+split layers whose patches hold no more elements than their weight (the
+forward, data- and weight-gradient GEMMs of VGG-11's conv2-7 at batch
+2), so that row measures chain fusion plus the compiler's stacking of
+the rest.  Interpreter and compiled steps alternate within every
+timing round.  This benchmark times one IR step of VGG-11 (CIFAR head)
 three ways — unsplit inference, split-2x2 inference, split-2x2 training
 — uncompiled vs compiled graph, asserting byte-identity on every row and a >= 1.3x
 compiled speedup on the split inference row (>= 1.0x / 0.9x floors under
@@ -34,13 +39,18 @@ REPEATS = 2 if SMOKE else 5
 FLOORS = (1.0, 0.9) if SMOKE else (1.3, 0.97)
 
 
-def _best_step_seconds(run, repeats):
-    run()  # warm-up (allocations, cache effects)
-    best = float("inf")
+def _best_step_seconds(runs, repeats):
+    """Best wall time of each of ``runs`` over ``repeats`` rounds, the runs
+    alternating within every round so drift in the machine's speed lands
+    on every column alike."""
+    for run in runs:
+        run()  # warm-up (allocations, cache effects)
+    best = [float("inf")] * len(runs)
     for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
+        for index, run in enumerate(runs):
+            started = time.perf_counter()
+            run()
+            best[index] = min(best[index], time.perf_counter() - started)
     return best
 
 
@@ -64,9 +74,9 @@ def _row(name, model, mode, x, y):
     assert all(expected[key].tobytes() == actual[key].tobytes()
                for key in expected), f"{name}: compiled output mismatch"
 
-    interp_s = _best_step_seconds(lambda: interpreter.run(x, targets),
-                                  REPEATS)
-    plan_s = _best_step_seconds(lambda: plan.run(x, targets), REPEATS)
+    interp_s, plan_s = _best_step_seconds(
+        [lambda: interpreter.run(x, targets), lambda: plan.run(x, targets)],
+        REPEATS)
     return {
         "case": name,
         "ops": f"{report.ops_before}->{report.ops_after}",

@@ -13,7 +13,7 @@ Entry points:
 """
 
 from .pipeline import (
-    CompileContext, CompileError, CompileReport, Pass, PassResult, Pipeline,
+    CompileContext, CompileReport, Pass, PassResult, Pipeline,
     compile_graph, default_pipeline,
 )
 from .rewrites import FOLD_CONSTANTS, FUSE_OPS, fold_constants, fuse_ops
@@ -22,7 +22,7 @@ from ..graph.executor import GraphExecutor
 CompiledPlan = GraphExecutor
 
 __all__ = [
-    "CompileContext", "CompileError", "CompileReport", "CompiledPlan",
+    "CompileContext", "CompileReport", "CompiledPlan",
     "FOLD_CONSTANTS", "FUSE_OPS", "Pass", "PassResult", "Pipeline",
     "compile_graph", "default_pipeline", "fold_constants", "fuse_ops",
 ]

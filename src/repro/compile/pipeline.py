@@ -25,13 +25,9 @@ import numpy as np
 from ..graph.ir import Graph
 
 __all__ = [
-    "CompileError", "CompileContext", "Pass", "PassResult", "Pipeline",
+    "CompileContext", "Pass", "PassResult", "Pipeline",
     "CompileReport", "default_pipeline", "compile_graph",
 ]
-
-
-class CompileError(RuntimeError):
-    """A rewrite produced an invalid graph (e.g. a dependency cycle)."""
 
 
 @dataclass

@@ -7,17 +7,15 @@ records rather than hard-coded op lists:
   chains like conv→bias→ReLU or conv→BN(→ReLU) into one fused op.  The
   fused kernels run the exact member kernels back to back on the same
   arrays, so values are bit-identical; what is saved is the per-op
-  dispatch, bookkeeping, and the intermediate tensor's graph traffic.
-- **Sibling fusion** (``OpDef.sibling_fused``) — the Split-CNN transform
-  creates S weight-sharing convolutions per layer, one per patch, with
-  identical weights, strides, paddings, and input shapes.  Stacking their
-  inputs along the batch axis and running *one* conv kernel computes the
-  same bytes row for row (every conv stage — im2col, tensordot, bias
-  broadcast, and both backward contractions — is row-independent), and
-  amortizes the im2col/GEMM overhead S ways.  Backward ``conv2d_bwd_data``
-  twins are merged the same way.  A layer the backward expansion already
-  gave one weight-gradient GEMM (``attrs["paddings"]``, no
-  ``forward_of``) is not a twin and is left alone; a chain layer's
+  dispatch, bookkeeping, and the intermediate tensor's graph traffic.  A
+  stacked head fuses one chain per output: the builder's
+  ``conv2d_siblings`` whose S outputs each feed one ReLU becomes one
+  ``conv2d_relu_siblings``.
+- **Sibling fusion** (``OpDef.sibling_fused``) — stack the S per-patch
+  convs of a split layer the builder left per patch into one batched op
+  (:mod:`repro.graph.siblings`, which the builder uses for the layers it
+  stacks itself).  Chains go first, so per-patch conv+ReLU pairs become
+  ``conv2d_relu`` siblings before stacking.  A chain layer's
   ``bwd_weight`` twins stay per-sibling (merging them here would reorder
   its ``grad_acc`` sum against the interpreted graph) and slice their
   patch out of the stacked saved context instead.
@@ -37,7 +35,6 @@ ops picked in original-position order) and fails loudly on cycles.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +43,8 @@ from ..analysis.races import ancestor_masks
 from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import FoldResult, FusionRule, op_def
-from .pipeline import CompileContext, CompileError, Pass, PassResult
+from ..graph.siblings import attr_key, new_op_id, reserialize, stack_siblings
+from .pipeline import CompileContext, Pass, PassResult
 
 __all__ = ["FUSE_OPS", "FOLD_CONSTANTS", "fuse_ops", "fold_constants"]
 
@@ -64,88 +62,64 @@ def _twin_map(graph: Graph) -> Dict[int, List[OpNode]]:
     return twins
 
 
-def _reserialize(graph: Graph) -> None:
-    """Stable Kahn toposort of ``graph.ops`` (ready ops in original-
-    position order), raising :class:`CompileError` on a cycle."""
-    position = {op.id: index for index, op in enumerate(graph.ops)}
-    by_position = {position[op.id]: op for op in graph.ops}
-    deps = graph.op_dependencies()
-    remaining = {op_id: len(op_deps) for op_id, op_deps in deps.items()}
-    dependents: Dict[int, List[int]] = {}
-    for op_id, op_deps in deps.items():
-        for dep in op_deps:
-            dependents.setdefault(dep, []).append(op_id)
-    ready = [position[op_id] for op_id, count in remaining.items()
-             if count == 0]
-    heapify(ready)
-    order: List[OpNode] = []
-    while ready:
-        op = by_position[heappop(ready)]
-        order.append(op)
-        for dep_id in dependents.get(op.id, ()):
-            remaining[dep_id] -= 1
-            if remaining[dep_id] == 0:
-                heappush(ready, position[dep_id])
-    if len(order) != len(graph.ops):
-        raise CompileError(
-            f"re-serialization of {graph.name!r} left "
-            f"{len(graph.ops) - len(order)} op(s) in a dependency cycle"
-        )
-    graph.ops = order
-
-
-def _new_op_id(graph: Graph) -> int:
-    op_id = graph._next_op_id
-    graph._next_op_id += 1
-    return op_id
-
-
 # ----------------------------------------------------------------------
 # Chain fusion
 # ----------------------------------------------------------------------
 
+def _follow_lane(graph: Graph, head: OpNode, tensor_id: int,
+                 chain: Tuple[str, ...]) -> Optional[List[OpNode]]:
+    """The ops ``chain`` names, following head output ``tensor_id``
+    through single-consumer activations, or ``None``."""
+    lane: List[OpNode] = []
+    current = head
+    for next_type in chain:
+        if current is not head:
+            if len(current.outputs) != 1:
+                return None
+            tensor_id = current.outputs[0]
+        out = graph.tensors[tensor_id]
+        if out.kind != "activation" or out.name in OUTPUT_NAMES:
+            return None
+        consumer_ids = set(out.consumers) - {current.id}
+        if len(consumer_ids) != 1:
+            return None
+        candidate = graph.op_by_id(consumer_ids.pop())
+        if (candidate.op_type != next_type
+                or candidate.phase != "forward"
+                or candidate.inputs.count(out.id) != 1
+                or candidate.inputs[0] != out.id):
+            return None
+        lane.append(candidate)
+        current = candidate
+    return lane
+
+
 def _match_chain(graph: Graph, head: OpNode,
                  twins: Dict[int, List[OpNode]],
-                 ) -> Optional[Tuple[FusionRule, List[OpNode]]]:
-    """The first declared rule of ``head`` whose chain matches, if any.
+                 ) -> Optional[Tuple[FusionRule, List[List[OpNode]]]]:
+    """The first declared rule of ``head`` whose chain matches, with one
+    lane of matched ops per head output, if any.
 
     A chain link is legal when the intermediate tensor is a plain
     activation with *exactly one* consumer — the next member, reading it
     as its data input.  Saved-for-backward reads and backward-op inputs
     appear in ``consumers`` too, so any intermediate someone else still
-    needs automatically fails the single-consumer test.
+    needs automatically fails the single-consumer test.  A stacked head
+    (``conv2d_siblings``) matches when each of its S outputs starts a
+    lane.
     """
     definition = op_def(head.op_type)
     if not definition.fusions or head.phase != "forward":
         return None
     for rule in definition.fusions:
-        chain = [head]
-        matched = True
-        for next_type in rule.chain:
-            current = chain[-1]
-            if len(current.outputs) != 1:
-                matched = False
-                break
-            out = graph.tensors[current.outputs[0]]
-            if out.kind != "activation" or out.name in OUTPUT_NAMES:
-                matched = False
-                break
-            consumer_ids = set(out.consumers) - {current.id}
-            if len(consumer_ids) != 1:
-                matched = False
-                break
-            candidate = graph.op_by_id(consumer_ids.pop())
-            if (candidate.op_type != next_type
-                    or candidate.phase != "forward"
-                    or candidate.inputs.count(out.id) != 1
-                    or candidate.inputs[0] != out.id):
-                matched = False
-                break
-            chain.append(candidate)
-        if not matched:
+        lanes = [_follow_lane(graph, head, tensor_id, rule.chain)
+                 for tensor_id in head.outputs]
+        if any(lane is None for lane in lanes):
             continue
+        chain = [head] + [member for lane in lanes for member in lane]
         chain_ids = {member.id for member in chain}
-        intermediates = {member.outputs[0] for member in chain[:-1]}
+        intermediates = set(head.outputs) | {
+            member.outputs[0] for lane in lanes for member in lane[:-1]}
         if any(tensor_id in op.saved
                for op in graph.ops if op.id not in chain_ids
                for tensor_id in intermediates):
@@ -153,16 +127,18 @@ def _match_chain(graph: Graph, head: OpNode,
         if rule.requires is not None \
                 and not rule.requires(graph, chain, twins):
             continue
-        return rule, chain
+        return rule, lanes
     return None
 
 
-def _apply_chain_fusion(graph: Graph, chain: List[OpNode], fused_type: str,
+def _apply_chain_fusion(graph: Graph, head: OpNode,
+                        lanes: List[List[OpNode]], fused_type: str,
                         twins: Dict[int, List[OpNode]]) -> None:
-    head, tail = chain[0], chain[-1]
+    chain = [head] + [member for lane in lanes for member in lane]
     chain_ids = {member.id for member in chain}
-    final_out = graph.tensors[tail.outputs[0]]
-    deleted = {member.outputs[0] for member in chain[:-1]}
+    final_outs = [graph.tensors[lane[-1].outputs[0]] for lane in lanes]
+    deleted = set(head.outputs) | {
+        member.outputs[0] for lane in lanes for member in lane[:-1]}
 
     input_ids = list(head.inputs)
     attrs = dict(head.attrs)
@@ -177,9 +153,10 @@ def _apply_chain_fusion(graph: Graph, chain: List[OpNode], fused_type: str,
                 saved.append(tensor_id)
 
     fused = OpNode(
-        id=_new_op_id(graph),
-        name="+".join([head.name] + [m.op_type for m in chain[1:]]),
-        op_type=fused_type, inputs=input_ids, outputs=[final_out.id],
+        id=new_op_id(graph),
+        name="+".join([head.name] + [m.op_type for m in lanes[0]]),
+        op_type=fused_type, inputs=input_ids,
+        outputs=[out.id for out in final_outs],
         attrs=attrs, phase="forward", saved=saved,
         workspace_bytes=head.workspace_bytes,
     )
@@ -192,9 +169,9 @@ def _apply_chain_fusion(graph: Graph, chain: List[OpNode], fused_type: str,
         tensor.consumers = [c for c in tensor.consumers
                             if c not in chain_ids]
         tensor.consumers.extend([fused.id] * need[tensor_id])
-    final_out.producer = fused.id
-    final_out.consumers = [c for c in final_out.consumers
-                           if c not in chain_ids]
+    for out in final_outs:
+        out.producer = fused.id
+        out.consumers = [c for c in out.consumers if c not in chain_ids]
     for tensor_id in saved:
         tensor = graph.tensors[tensor_id]
         if fused.id not in tensor.consumers:
@@ -223,8 +200,9 @@ def _fuse_chains(graph: Graph, details: Counter) -> int:
         if match is None:
             index += 1
             continue
-        rule, chain = match
-        _apply_chain_fusion(graph, chain, rule.fused, twins)
+        rule, lanes = match
+        _apply_chain_fusion(graph, graph.ops[index], lanes, rule.fused,
+                            twins)
         details[rule.fused] += 1
         changed += 1
         index += 1
@@ -234,13 +212,6 @@ def _fuse_chains(graph: Graph, details: Counter) -> int:
 # ----------------------------------------------------------------------
 # Sibling fusion
 # ----------------------------------------------------------------------
-
-def _attr_key(attrs: Dict[str, Any]) -> Tuple:
-    return tuple(sorted(
-        (key, tuple(v) if isinstance(v, (list, tuple)) else v)
-        for key, v in attrs.items()
-    ))
-
 
 def _find_sibling_group(graph: Graph) -> Optional[List[OpNode]]:
     """The earliest group of ≥2 mutually independent sibling ops.
@@ -259,7 +230,7 @@ def _find_sibling_group(graph: Graph) -> Optional[List[OpNode]]:
         if definition.sibling_fused is None or len(op.outputs) != 1:
             continue
         key = (op.op_type, tuple(op.inputs[1:]),
-               graph.tensors[op.inputs[0]].shape, _attr_key(op.attrs))
+               graph.tensors[op.inputs[0]].shape, attr_key(op.attrs))
         groups.setdefault(key, []).append(op)
     candidates = [sorted(group, key=lambda op: position[op.id])
                   for group in groups.values() if len(group) >= 2]
@@ -281,108 +252,6 @@ def _find_sibling_group(graph: Graph) -> Optional[List[OpNode]]:
     return None
 
 
-def _merge_bwd_data(graph: Graph, data_ops: List[OpNode],
-                    fused: OpNode) -> None:
-    """Replace the siblings' per-patch ``conv2d_bwd_data`` twins with one
-    stacked op: the input-gradient scatter is row-independent, so one
-    kernel over the stacked grads equals the per-patch results bitwise."""
-    count = len(data_ops)
-    weight_id = data_ops[0].inputs[1]
-    attrs = dict(data_ops[0].attrs)
-    attrs.pop("sibling", None)
-    attrs["siblings"] = count
-    merged = OpNode(
-        id=_new_op_id(graph), name=f"{fused.name}.bwd_data",
-        op_type="conv2d_bwd_data_siblings",
-        inputs=[op.inputs[0] for op in data_ops] + [weight_id],
-        outputs=[op.outputs[0] for op in data_ops],
-        attrs=attrs, phase="backward", forward_of=fused.id,
-        workspace_bytes=sum(op.workspace_bytes for op in data_ops),
-    )
-    old_ids = {op.id for op in data_ops}
-    need = Counter(merged.inputs)
-    for tensor_id in need:
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in old_ids]
-        tensor.consumers.extend([merged.id] * need[tensor_id])
-    for tensor_id in merged.outputs:
-        graph.tensors[tensor_id].producer = merged.id
-    first_position = graph.ops.index(data_ops[0])
-    graph.ops[first_position] = merged
-    trailing = old_ids - {data_ops[0].id}
-    graph.ops = [op for op in graph.ops if op.id not in trailing]
-
-
-def _apply_sibling_fusion(graph: Graph, group: List[OpNode],
-                          fused_type: str) -> None:
-    count = len(group)
-    first = group[0]
-    shared = list(first.inputs[1:])          # weight (+ bias) tensor ids
-    input_ids = [member.inputs[0] for member in group] + shared
-    output_ids = [member.outputs[0] for member in group]
-    attrs = dict(first.attrs)
-    attrs["siblings"] = count
-    saved: List[int] = []
-    for member in group:
-        for tensor_id in member.saved:
-            if tensor_id not in saved:
-                saved.append(tensor_id)
-    fused = OpNode(
-        id=_new_op_id(graph),
-        name=f"{first.name}(x{count})",
-        op_type=fused_type, inputs=input_ids, outputs=output_ids,
-        attrs=attrs, phase="forward", saved=saved,
-        workspace_bytes=sum(member.workspace_bytes for member in group),
-    )
-
-    group_ids = {member.id for member in group}
-    need = Counter(input_ids)
-    for tensor_id in need:
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in group_ids]
-        tensor.consumers.extend([fused.id] * need[tensor_id])
-    for tensor_id in output_ids:
-        tensor = graph.tensors[tensor_id]
-        tensor.producer = fused.id
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in group_ids]
-    for tensor_id in saved:
-        tensor = graph.tensors[tensor_id]
-        if fused.id not in tensor.consumers:
-            tensor.consumers.append(fused.id)
-
-    first_position = graph.ops.index(first)
-    graph.ops[first_position] = fused
-    trailing = group_ids - {first.id}
-    graph.ops = [op for op in graph.ops if op.id not in trailing]
-
-    # Backward twins: retarget to the fused op and stamp each one's patch
-    # index so its kernel can slice the stacked saved context.
-    member_index = {member.id: i for i, member in enumerate(group)}
-    data_twins: Dict[int, List[OpNode]] = {}
-    for op in graph.ops:
-        if op.forward_of is None:
-            continue
-        sibling = member_index.get(op.forward_of)
-        if sibling is None:
-            continue
-        op.forward_of = fused.id
-        if op.op_type == "conv2d_bwd_data":
-            data_twins.setdefault(sibling, []).append(op)
-        else:
-            op.attrs.update({"sibling": sibling, "siblings": count})
-    if len(data_twins) == count \
-            and all(len(ops) == 1 for ops in data_twins.values()):
-        _merge_bwd_data(
-            graph, [data_twins[i][0] for i in range(count)], fused)
-    else:
-        for sibling, ops in data_twins.items():
-            for op in ops:
-                op.attrs.update({"sibling": sibling, "siblings": count})
-
-
 def _fuse_siblings(graph: Graph, details: Counter) -> int:
     changed = 0
     while True:
@@ -391,11 +260,11 @@ def _fuse_siblings(graph: Graph, details: Counter) -> int:
             break
         fused_type = op_def(group[0].op_type).sibling_fused
         assert fused_type is not None
-        _apply_sibling_fusion(graph, group, fused_type)
+        stack_siblings(graph, group, fused_type)
         details[fused_type] += 1
         changed += 1
     if changed:
-        _reserialize(graph)
+        reserialize(graph)
     return changed
 
 

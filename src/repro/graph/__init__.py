@@ -22,7 +22,9 @@ __all__ = [
 
 
 def build_training_graph(model, batch_size: int, **kwargs):
-    """Forward + loss + backward graph for one training step of ``model``."""
+    """Forward + loss + backward graph for one training step of ``model``;
+    a split layer whose weight gradient is one GEMM runs stacked in every
+    direction (:func:`append_backward_graph`)."""
     graph = build_forward_graph(model, batch_size, **kwargs)
     return append_backward_graph(graph)
 

@@ -9,7 +9,11 @@ ops.  The exception is a split conv whose S patches' output gradients
 and inputs hold no more elements than their shared weight: its weight
 (and bias) gradient is one ``conv2d_bwd_weight`` over all S patches,
 emitted at the last patch, and needs no chain (``one_gemm`` keeps each
-layer's decision, ``pending`` the earlier patches' operands).
+layer's decision, ``pending`` the earlier patches' operands).  Once the
+expansion is done, such a layer's S forward patch convs and their S
+``conv2d_bwd_data`` twins are stacked into one op each
+(:func:`~repro.graph.siblings.stack_gated_layers`), so it is one GEMM in
+every direction; differentiation itself only ever sees per-patch ops.
 
 The residual ``add`` gets special treatment: its error terms all equal the
 upstream error (d(sum)/dx_i = 1), so both produced gradient tensors carry
@@ -30,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .ir import Graph, OpNode, TensorValue
 from .registry import op_def
+from .siblings import stack_gated_layers
 
 __all__ = ["append_backward_graph", "prune_dead_gradients"]
 
@@ -137,11 +142,13 @@ class _BackwardEmitter:
 
 
 def append_backward_graph(graph: Graph) -> Graph:
-    """Append backward ops (reverse forward order) to ``graph`` in place."""
+    """Append backward ops (reverse forward order) to ``graph`` in place,
+    then stack every split layer whose weight gradient is one GEMM."""
     emitter = _BackwardEmitter(graph)
     forward = graph.forward_ops()
     for op in reversed(forward):
         emitter.emit(op)
     prune_dead_gradients(graph)
+    stack_gated_layers(graph, emitter.one_gemm.values())
     graph.validate()
     return graph

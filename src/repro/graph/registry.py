@@ -19,8 +19,8 @@ field                       reader
 ``kernel``                  :class:`~repro.graph.executor.GraphExecutor`
 ``backward``                :func:`~repro.graph.backward.append_backward_graph`
                             and the checkpointing pass.  ``None`` on backward
-                            types and on the fused conv types: only fresh
-                            builder graphs are differentiated, and fusion
+                            types and on the fused conv types: only per-patch
+                            graphs are differentiated, and fusion or stacking
                             retargets the existing twins afterwards
 ``characterize`` /          :class:`~repro.profile.cost.CostModel` (roofline
 ``efficiency`` / ``free``   flops + bytes + efficiency class)
@@ -31,9 +31,9 @@ field                       reader
                             :func:`~repro.hmms.storage.assign_storage`, the
                             executor's overwrite table, ``SCA406``
 ``stochastic``              the determinism audit and constant folding
-``fusions`` /               :mod:`repro.compile.rewrites`
-``sibling_fused`` /
-``fold``
+``fusions`` /               :mod:`repro.compile.rewrites`;
+``sibling_fused`` /         ``sibling_fused`` also :mod:`.siblings` (the
+``fold``                    builder's gated layers)
 ==========================  ==================================================
 
 Every op type appearing in a serialized graph — forward and backward —
@@ -88,11 +88,13 @@ class FusionRule:
 
     ``chain`` names the op types that must follow the head through
     single-consumer intermediate activations; matching replaces the whole
-    chain with one ``fused`` op.  ``requires`` (optional) receives
-    ``(graph, chain_ops, twins)`` — ``twins`` maps forward op id to its
-    backward ops — and vetoes the rewrite when the fused kernel could not
-    reproduce the unfused bytes (e.g. conv→BN in training without
-    ``recompute``).
+    chain with one ``fused`` op.  A multi-output head (a stacked
+    ``conv2d_siblings``) matches when every output starts such a chain,
+    and the fused op has one output per chain.  ``requires`` (optional)
+    receives ``(graph, chain_ops, twins)`` — ``twins`` maps forward op id
+    to its backward ops — and vetoes the rewrite when the fused kernel
+    could not reproduce the unfused bytes (e.g. conv→BN in training
+    without ``recompute``).
     """
 
     chain: Tuple[str, ...]
@@ -147,7 +149,8 @@ class OpDef:
     # Chain fusions this op can head (conv→bn→relu and friends).
     fusions: Tuple[FusionRule, ...] = ()
     # S-ary batched variant fusing independent same-weight siblings
-    # (split-CNN patch convolutions) into one stacked kernel call.
+    # (split-CNN patch convolutions) into one stacked kernel call; the
+    # builder stacks gated layers with it too (graph/siblings.py).
     sibling_fused: Optional[str] = None
     # Partial constant folding: (op, value_of) -> FoldResult | None,
     # where value_of(tensor_id) returns the compile-time array of a
@@ -639,6 +642,8 @@ def _one_gemm_patches(graph: Graph, op: OpNode) -> List[OpNode]:
     ``grad_acc`` chain holds a weight-sized running sum over the same
     interval.  Where those operands hold no more elements than the weight,
     the GEMM never needs more memory than the chain.  Shapes alone decide.
+    The same layers get their forward and ``bwd_data`` stacked once the
+    backward expansion is done (:func:`.siblings.stack_gated_layers`).
     """
     weight = graph.tensor(op.inputs[1])
     if len(weight.consumers) < 2:
@@ -999,6 +1004,7 @@ _register(OpDef(
     "conv2d_siblings", kernel=_k_conv2d_siblings,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
     efficiency=EFF_CONV,
+    fusions=(FusionRule(("relu",), "conv2d_relu_siblings"),),
 ))
 _register(OpDef(
     "conv2d_relu_siblings", kernel=_k_conv2d_relu_siblings,

@@ -19,6 +19,7 @@ everything after the graph exists is this module's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
@@ -80,12 +81,15 @@ class PlanCore:
 
     def budget(self, memory_budget: Optional[int]) -> int:
         """Bytes a capacity search may assume: the whole device unless
-        the owner was handed a share of it."""
+        the owner was handed a share of it.  NaN and infinite budgets are
+        rejected: no ``peak > budget`` test ever fires on them, so they
+        would read as an unbounded device (``None`` asks for the device)."""
         if memory_budget is None:
             return self.device.memory_capacity
-        if memory_budget < 1:
+        if not 1 <= memory_budget < math.inf:
             raise ValueError(
-                f"memory_budget must be >= 1 byte, got {memory_budget}")
+                f"memory_budget must be a finite number >= 1 byte, "
+                f"got {memory_budget}")
         return memory_budget
 
     def probe(self, graph: Graph, params: Params) -> MemoryPlan:

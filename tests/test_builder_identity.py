@@ -167,12 +167,16 @@ GOLDEN: Dict[str, str] = {
     # New row, recorded when the join depth was introduced (no parent).
     "patch_infer-joined": "582551d6c3001562",
     "resnet18": "6d9d51ecfde18de5",
-    # Re-recorded: 3 split layers take their weight gradient in one GEMM.
-    "resnet18-me": "06c24e95c08e3b72",
-    # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
-    "resnet34": "aa02ab7c9a79ae6a",
-    # Re-recorded: 9 split layers take their weight gradient in one GEMM.
-    "resnet34-me": "2b2eca524660459b",
+    # Re-recorded: the builder stacks the forward and bwd_data of the 3
+    # split layers that take their weight gradient in one GEMM.
+    "resnet18-me": "174603d2eb7a694c",
+    # Re-recorded: the builder stacks the forward and bwd_data of the 1
+    # split layer that takes its weight gradient in one GEMM.
+    "resnet34": "2b2da221ca501327",
+    # Re-recorded: the builder stacks the forward and bwd_data of 8 of the
+    # 9 one-GEMM split layers; the ninth (stride 2) pads each patch
+    # differently, so no two patches stack.
+    "resnet34-me": "b0e1b4aadcd739b8",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
     "resnet50": "8649e6517a743be7",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.

@@ -6,6 +6,8 @@ tile derives its input window and paddings from the same Eq. 1-2
 primitive (``repro.core.scheme``) that places every split-region cut.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, assume
@@ -742,6 +744,15 @@ class TestValidation:
             inferer.infer(np.zeros((1, 4, 64, 64)))
         with pytest.raises(ValueError, match="dense input"):
             inferer.infer(np.zeros((1, 1, 3, 64, 64)))
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_budget_rejected(self, budget):
+        # NaN passed a `< 1` check and then streamed as if the budget
+        # were unbounded; None asks for the whole device.
+        model = small_vgg(rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            PatchInferer(model, memory_budget=budget)
 
     def test_constructor_validation(self):
         model = small_vgg(rng=np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Tests for the serving runtime: queue, batcher, engine, server, bench."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -532,6 +533,14 @@ class TestDiscoveryServesTheSameGraph:
     def test_impossible_budget_raises(self):
         with pytest.raises(ValueError, match="memory budget"):
             _ = make_engine(memory_budget=1).max_batch
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_budget_raises(self, budget):
+        # NaN passed a `< 1` check and no `peak > budget` test ever fired
+        # on it, so it searched like an unbounded device; None asks for that.
+        with pytest.raises(ValueError, match="finite"):
+            ServingEngine.from_zoo("small_vgg", memory_budget=budget)
 
 
 class TestNumericLogitsOwnership:

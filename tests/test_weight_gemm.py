@@ -12,6 +12,9 @@ chain's weight-sized running sum.  Larger layers keep the chain.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from repro.graph import (
 )
 from repro.graph.ir import OpNode
 from repro.graph.registry import op_def
-from repro.models import resnet18, resnet50, small_resnet, small_vgg, vgg11, vgg19
+from repro.models import (
+    build_model, resnet18, resnet50, small_resnet, small_vgg, vgg11, vgg19,
+)
 from repro.nn import CrossEntropyLoss, init
 from repro.tensor import Tensor
 from repro.tensor.ops_nn import Conv2d, shared_weight_grad
@@ -41,11 +46,34 @@ def split_vgg11():
                             num_splits=(2, 2))
 
 
-def float64_model(factory, grid):
-    base = factory(rng=np.random.default_rng(0))
+def float64_model(factory, grid, depth=1.0, **kwargs):
+    base = factory(rng=np.random.default_rng(0), **kwargs)
     for param in base.parameters():
         param.data = param.data.astype(np.float64)
-    return to_split_cnn(base, depth=1.0, num_splits=grid)
+    return to_split_cnn(base, depth=depth, num_splits=grid)
+
+
+def layer_weight(graph, op):
+    """The weight tensor name of a conv op, per patch or stacked."""
+    if op.op_type.startswith("conv2d_bwd_data"):
+        return graph.tensor(op.inputs[-1]).name
+    return graph.tensor(op.inputs[op.attrs.get("siblings", 1)]).name
+
+
+def stacked_layers(graph, op_type):
+    """Weight name -> sorted patch counts of the layer's stacked ops."""
+    layers = {}
+    for op in graph.ops:
+        if op.op_type == op_type:
+            layers.setdefault(layer_weight(graph, op), []).append(
+                op.attrs["siblings"])
+    return {name: sorted(counts) for name, counts in layers.items()}
+
+
+def per_patch_layers(graph, op_type):
+    """Weight name -> number of per-patch ops of that type."""
+    return dict(Counter(layer_weight(graph, op)
+                        for op in graph.ops if op.op_type == op_type))
 
 
 def held_elements(graph, op):
@@ -73,7 +101,17 @@ class TestGate:
         batched = {graph.tensor(op.outputs[0]).name
                    for op in one_gemm_ops(graph)}
         assert batched == {f"grad(conv2d.weight#{i})" for i in range(2, 8)}
-        assert len(graph.ops) == 188
+        # The same six layers run forward and bwd_data as one op over the
+        # four patches; conv0-1 stay per patch (conv0's bwd_data is dead).
+        assert stacked_layers(graph, "conv2d_siblings") == {
+            f"conv2d.weight#{i}": [4] for i in range(2, 8)}
+        assert stacked_layers(graph, "conv2d_bwd_data_siblings") == {
+            f"conv2d.weight#{i}": [4] for i in range(2, 8)}
+        assert per_patch_layers(graph, "conv2d") == {
+            "conv2d.weight": 4, "conv2d.weight#1": 4}
+        assert per_patch_layers(graph, "conv2d_bwd_data") == {
+            "conv2d.weight#1": 4}
+        assert len(graph.ops) == 152
         # The two chain layers keep S-1 grad_acc ops for weight and bias.
         assert sum(op.op_type == "grad_acc" for op in graph.ops) == 2 * 2 * 3
 
@@ -104,14 +142,17 @@ class TestGate:
             assert op.forward_of is None
             assert len(op.inputs) == 2 * len(op.attrs["paddings"])
             read.update(op.inputs)
-        # A batched layer's patch conv keeps its context for its bwd_data
-        # twin alone.
-        patch_convs = [op for op in graph.forward_ops()
-                       if op.op_type == "conv2d" and op.inputs[0] in read]
-        assert len(patch_convs) == 6 * 4
-        for op in patch_convs:
+        # A batched layer's stacked forward keeps its context for its one
+        # stacked bwd_data twin alone.
+        stacked = [op for op in graph.forward_ops()
+                   if op.op_type == "conv2d_siblings"]
+        assert len(stacked) == 6
+        for op in stacked:
+            assert set(op.inputs[:4]) <= read, op.name
             assert executor._ctx_template[op.id] == 1, op.name
-
+            (twin,) = [other for other in graph.ops
+                       if other.forward_of == op.id]
+            assert twin.op_type == "conv2d_bwd_data_siblings"
 
 class TestCost:
     def test_flops_equal_the_per_patch_ops_replaced(self):
@@ -222,3 +263,67 @@ class TestNumerics:
         assert sorted(out) == sorted(expected)
         for key in expected:
             assert out[key].tobytes() == expected[key].tobytes(), key
+
+
+#: Op-type counts of the compiled split VGG-11 training graph at batch 2,
+#: recorded before the builder stacked any layer: stacking gated layers
+#: in the builder must not change what the compiler produces.
+COMPILED_VGG11_TYPES = {
+    "concat": 1, "concat_bwd": 1, "conv2d_bwd_data_siblings": 7,
+    "conv2d_bwd_weight": 14, "conv2d_relu_siblings": 7,
+    "conv2d_siblings": 1, "cross_entropy": 1, "cross_entropy_bwd": 1,
+    "flatten": 1, "flatten_bwd": 1, "grad_acc": 12, "linear": 1,
+    "linear_bwd_data": 1, "linear_bwd_weight": 1, "maxpool2d": 17,
+    "maxpool2d_bwd": 17, "relu": 1, "relu_bwd": 29, "split": 1,
+}
+
+
+def batch_of(model, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, 3, model.input_size, model.input_size))
+    return x, rng.integers(0, 10, size=batch)
+
+
+class TestStacking:
+    """A gated layer's forward and bwd_data are one stacked op each in the
+    builder's own graph, so the interpreter runs one GEMM per direction."""
+
+    @pytest.mark.parametrize("factory,kwargs,depth", [
+        (vgg11, {"num_classes": 10}, 1.0),
+        (partial(build_model, "resnet18"), {"memory_efficient": True}, 0.5),
+    ], ids=["vgg11-2x2", "resnet18-me-2x2"])
+    def test_matches_eager_autograd(self, factory, kwargs, depth):
+        model = float64_model(factory, (2, 2), depth=depth, **kwargs)
+        graph = build_training_graph(model, 2)
+        assert stacked_layers(graph, "conv2d_siblings")
+        assert stacked_layers(graph, "conv2d_bwd_data_siblings")
+        assert_matches_eager(graph, model, *batch_of(model, 2, seed=4))
+
+    def test_compiled_graph_is_unchanged_and_byte_identical(self):
+        model = float64_model(vgg11, (2, 2), num_classes=10)
+        x, y = batch_of(model, 2, seed=5)
+        graph = build_training_graph(model, 2)
+        params = GraphExecutor.parameters_from_model(graph, model)
+        expected = GraphExecutor(graph, params).run(x, y)
+        compiled = build_training_graph(model, 2)
+        report = compile_graph(compiled, params=params)
+        assert (report.ops_before, report.ops_after) == (152, 115)
+        assert dict(Counter(op.op_type for op in compiled.ops)) \
+            == COMPILED_VGG11_TYPES
+        out = CompiledPlan(compiled, params).run(x, y)
+        assert sorted(out) == sorted(expected)
+        for key in expected:
+            assert out[key].tobytes() == expected[key].tobytes(), key
+
+    def test_uneven_grid_stacks_per_equal_shape_group(self):
+        # A 3x3 grid over small_vgg's 8x8 conv4/conv5 planes: four 3x3,
+        # two 2x3, two 3x2 and one 2x2 patch; the lone patch stays alone.
+        model = float64_model(small_vgg, (3, 3))
+        graph = build_training_graph(model, 1)
+        groups = {"conv2d.weight#4": [2, 2, 4], "conv2d.weight#5": [2, 2, 4]}
+        assert stacked_layers(graph, "conv2d_siblings") == groups
+        assert stacked_layers(graph, "conv2d_bwd_data_siblings") == groups
+        for op_type in ("conv2d", "conv2d_bwd_data"):
+            counts = per_patch_layers(graph, op_type)
+            assert counts["conv2d.weight#4"] == counts["conv2d.weight#5"] == 1
+        assert_matches_eager(graph, model, *batch_of(model, 1, seed=6))
