@@ -1,14 +1,14 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands map one-to-one onto the experiment drivers so every paper figure
-is reproducible from a shell:
+that trains nothing is reproducible from a shell (Figures 4-6 train
+models: ``python examples/train_split_cnn.py``):
 
     python -m repro fig1                 # generated vs offload-able data
     python -m repro fig8                 # scheduler throughput comparison
     python -m repro fig9                 # stream timelines
     python -m repro fig10                # max batch size search
     python -m repro fig11                # distributed speedup, §6.4 vs mesh
-    python -m repro accuracy depth       # Figure 4 sweep (add --quick)
     python -m repro plan vgg19 -b 64     # plan + simulate one model
     python -m repro verify-plan vgg19    # static plan verification
     python -m repro info resnet50 -b 64  # graph statistics
@@ -95,14 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.add_argument("--seed", type=int, default=None,
                       help="shuffle event tie-breaking order (results "
                            "must be identical for every seed)")
-
-    accuracy = sub.add_parser(
-        "accuracy", help="Figures 4-6: accuracy studies (trains models)")
-    accuracy.add_argument("experiment",
-                          choices=["depth", "splits", "stochastic"])
-    accuracy.add_argument("--model", default="small_resnet",
-                          choices=["small_resnet", "small_vgg"])
-    accuracy.add_argument("--quick", action="store_true")
 
     plan = sub.add_parser("plan", help="plan + simulate one training step")
     plan.add_argument("model")
@@ -361,46 +353,6 @@ def _cmd_mesh_bench(args) -> int:
     return 0
 
 
-def _cmd_accuracy(args) -> int:
-    from .experiments import (
-        ExperimentConfig, format_table, stochastic_comparison, sweep_depth,
-        sweep_num_splits,
-    )
-    if args.quick:
-        config = ExperimentConfig(model=args.model, num_classes=4,
-                                  train_samples=160, test_samples=80,
-                                  epochs=3)
-    else:
-        config = ExperimentConfig(model=args.model)
-    if args.experiment == "depth":
-        depths = (0.0, 0.5) if args.quick else (0.0, 0.125, 0.25, 0.375, 0.5)
-        points = sweep_depth(config, depths=depths)
-        print(format_table(
-            ["depth", "achieved", "final error"],
-            [(p.label, f"{p.achieved_depth:.1%}", p.test_error)
-             for p in points],
-            title="Figure 4 — splitting depth",
-        ))
-    elif args.experiment == "splits":
-        counts = (1, 4) if args.quick else (1, 2, 3, 4, 6, 9)
-        points = sweep_num_splits(config, split_counts=counts)
-        print(format_table(
-            ["splits", "achieved depth", "final error"],
-            [(p.num_splits, f"{p.achieved_depth:.1%}", p.test_error)
-             for p in points],
-            title="Figure 5 — number of splits",
-        ))
-    else:
-        results = stochastic_comparison(config, depth=0.5)
-        print(format_table(
-            ["variant", "final error", "best error"],
-            [(label, p.test_error, p.best_error)
-             for label, p in results.items()],
-            title="Figure 6 — stochastic splitting",
-        ))
-    return 0
-
-
 def _build_named_model(name: str, split: int = 1, split_depth: float = 0.0):
     """:func:`repro.core.build_zoo_model`, a bad name or split count
     being the user's error."""
@@ -460,6 +412,14 @@ def _cmd_serve_bench(args) -> int:
     engine = ServingEngine(
         _build_named_model(args.model, args.split, args.split_depth),
         numeric=args.numeric, compile_plans=args.compile)
+    largest = engine.max_batch
+    if args.max_batch is not None and args.max_batch > largest:
+        raise _UsageError(f"--max-batch {args.max_batch} exceeds "
+                          f"{args.model}'s largest batch of {largest}")
+    largest = args.max_batch or largest
+    if args.request_size > largest:
+        raise _UsageError(f"--request-size {args.request_size} exceeds the "
+                          f"largest servable batch of {largest} images")
     config = BenchConfig(
         rps=args.rps,
         duration=args.duration,
@@ -728,6 +688,9 @@ def _cmd_lint(args) -> int:
         return _lint_matrix(args)
     if args.model is None:
         raise _UsageError("a model is required unless --matrix is given")
+    if args.models is not None:
+        raise _UsageError("--models picks the --matrix models; drop it or "
+                          "give --matrix instead of a model")
 
     model = _build_named_model(args.model, args.split, args.split_depth)
     graph, plan = _lint_build(model, args.batch, args.inference,
@@ -818,7 +781,7 @@ def _cmd_patch_bench(args) -> int:
     """
     import os
 
-    from .infer import PatchInferer
+    from .infer import GridSplitter, PatchInferer
     from .profile.device import P100_NVLINK
 
     gib = 1 << 30
@@ -847,6 +810,15 @@ def _cmd_patch_bench(args) -> int:
                                compile_plans=args.compile)
     except TypeError as error:
         raise _UsageError(str(error)) from None
+    if identity_side:
+        # The identity check's reference is the unsplit pass: a side too
+        # small for the body's windows fails here, before the sweep
+        # prints a line.  A one-tile plan walks exactly those shapes.
+        try:
+            GridSplitter((1, 1)).plan(model, (identity_side, identity_side))
+        except ValueError as error:
+            raise _UsageError(
+                f"--identity-side {identity_side}: {error}") from None
     single = inferer.max_single_pass_side(budget=baseline_budget)
     single_peak = inferer.unsplit_entry((single, single), 1).plan.device_peak
     side = args.target_factor * single
@@ -938,7 +910,6 @@ _COMMANDS = {
     "fig10": _cmd_fig10,
     "fig11": _cmd_fig11,
     "mesh-bench": _cmd_mesh_bench,
-    "accuracy": _cmd_accuracy,
     "plan": _cmd_plan,
     "verify-plan": _cmd_verify_plan,
     "serve-bench": _cmd_serve_bench,

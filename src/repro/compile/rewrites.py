@@ -19,12 +19,10 @@ records rather than hard-coded op lists:
   ``bwd_weight`` twins stay per-sibling (merging them here would reorder
   its ``grad_acc`` sum against the interpreted graph) and slice their
   patch out of the stacked saved context instead.
-- **Constant folding** (``OpDef.fold``) — evaluate inference-time
-  constant subgraphs at compile time.  The flagship fold rewrites
-  ``batchnorm_eval`` into a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is
-  precomputed into a constant tensor, eliding the per-step rsqrt; a
-  generic sweep additionally folds any non-stochastic op whose inputs are
-  all constants.
+- **Constant folding** (``OpDef.fold``) — rewrite an op whose inputs
+  are known at compile time.  The one fold rewrites ``batchnorm_eval``
+  into a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into a
+  constant tensor, eliding the per-step rsqrt.
 
 Chain fusion places the fused op at the chain head's position, which
 keeps the serialization valid.  Sibling fusion moves work across
@@ -35,7 +33,7 @@ ops picked in original-position order) and fails loudly on cycles.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -282,31 +280,6 @@ def fuse_ops(graph: Graph, ctx: CompileContext) -> PassResult:
 # Constant folding
 # ----------------------------------------------------------------------
 
-class _FoldShim:
-    """Minimal executor facade for evaluating all-constant ops at compile
-    time with the registry's own kernels."""
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        self.values: Dict[int, np.ndarray] = {}
-        self.targets = None
-
-    def input(self, op: OpNode, index: int) -> np.ndarray:
-        tensor_id = op.inputs[index]
-        if tensor_id in self.values:
-            return self.values[tensor_id]
-        return self.graph.constants[tensor_id]
-
-    def set_output(self, op: OpNode, index: int, value: np.ndarray) -> None:
-        self.values[op.outputs[index]] = value
-
-    def needs_context(self, op: OpNode) -> bool:
-        return False               # folded ops have no backward twin
-
-    def save_context(self, op: OpNode, fn: Any) -> None:
-        pass
-
-
 def _gc_tensor(graph: Graph, tensor_id: int) -> None:
     tensor = graph.tensors.get(tensor_id)
     if (tensor is not None and tensor.kind == "constant"
@@ -369,53 +342,9 @@ def _fold_op_hooks(graph: Graph, ctx: CompileContext,
     return changed
 
 
-def _fold_pure_constant_ops(graph: Graph, details: Counter) -> int:
-    """Evaluate non-stochastic forward ops whose inputs are all constants,
-    to a fixpoint."""
-    shim = _FoldShim(graph)
-    changed = 0
-    progress = True
-    while progress:
-        progress = False
-        referenced = {op.forward_of for op in graph.ops
-                      if op.forward_of is not None}
-        for op in list(graph.ops):
-            definition = op_def(op.op_type)
-            if (op.phase != "forward" or definition.stochastic
-                    or definition.infer_shapes is None
-                    or not op.inputs or op.saved
-                    or op.id in referenced):
-                continue
-            if not all(graph.tensors[t].kind == "constant"
-                       for t in op.inputs):
-                continue
-            if any(graph.tensors[t].name in OUTPUT_NAMES
-                   for t in op.outputs):
-                continue
-            definition.kernel(shim, op)
-            for tensor_id in op.outputs:
-                tensor = graph.tensors[tensor_id]
-                tensor.kind = "constant"
-                tensor.producer = None
-                graph.constants[tensor_id] = np.asarray(
-                    shim.values[tensor_id])
-            for tensor_id in set(op.inputs):
-                tensor = graph.tensors[tensor_id]
-                tensor.consumers = [c for c in tensor.consumers
-                                    if c != op.id]
-                _gc_tensor(graph, tensor_id)
-            graph.ops = [other for other in graph.ops
-                         if other.id != op.id]
-            details["constant_ops"] += 1
-            changed += 1
-            progress = True
-    return changed
-
-
 def fold_constants(graph: Graph, ctx: CompileContext) -> PassResult:
     details: Counter = Counter()
     changed = _fold_op_hooks(graph, ctx, details)
-    changed += _fold_pure_constant_ops(graph, details)
     return PassResult("fold_constants", changed, dict(details))
 
 

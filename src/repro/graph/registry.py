@@ -30,7 +30,7 @@ field                       reader
 ``inplace`` / ``sharing``   the builder's ``inplace_of`` hint,
                             :func:`~repro.hmms.storage.assign_storage`, the
                             executor's overwrite table, ``SCA406``
-``stochastic``              the determinism audit and constant folding
+``stochastic``              the determinism audit and the inference-purity lint
 ``fusions`` /               :mod:`repro.compile.rewrites`;
 ``sibling_fused`` /         ``sibling_fused`` also :mod:`.siblings` (the
 ``fold``                    builder's gated layers)

@@ -99,8 +99,7 @@ class PatchInferer:
         the input channel count is its first ``Conv2d``'s).
     device, numeric, compile_plans, cache: the inferer's
         :class:`~repro.planned.PlanCore` (documented there); without
-        ``numeric`` only ``plan_dense`` costs inputs, symbolically.  (A
-        serving engine's dense inferer shares the engine's whole core.)
+        ``numeric`` only ``plan_dense`` costs inputs, symbolically.
     memory_budget: device bytes a plan the stream runs (a patch batch,
         the unsplit tail) may use.  Defaults to the whole device; a fleet
         replica hands the inferer its share.
@@ -123,19 +122,6 @@ class PatchInferer:
             raise ValueError(f"patch_batch must be >= 1, got {patch_batch}")
         core = PlanCore(device, numeric=numeric,
                         compile_plans=compile_plans, cache=cache)
-        self._attach(core, model, core.budget(memory_budget), patch_batch)
-
-    @classmethod
-    def _on(cls, core: PlanCore, model: Module,
-            memory_budget: int) -> "PatchInferer":
-        """Internal: the dense inferer of a serving engine, on the
-        engine's own core (cache, planner, pipeline, verified counter)."""
-        inferer = cls.__new__(cls)
-        inferer._attach(core, model, memory_budget, None)
-        return inferer
-
-    def _attach(self, core: PlanCore, model: Module, memory_budget: int,
-                patch_batch: Optional[int]) -> None:
         self.core = core
         # The core's objects under the names callers (and tracers) know.
         self.device = core.device
@@ -147,7 +133,7 @@ class PatchInferer:
             raise ValueError(
                 "dense body has no Conv2d to read the input channels from")
         self.in_channels = convs[0].in_channels
-        self.memory_budget = memory_budget
+        self.memory_budget = core.budget(memory_budget)
         self.patch_batch = patch_batch
         self.executed_patches = 0
         self.padded_patches = 0

@@ -12,7 +12,7 @@ from ..tensor import DEFAULT_DTYPE
 
 __all__ = [
     "compute_fans", "kaiming_normal", "kaiming_uniform", "zeros", "ones",
-    "constant", "fast_init",
+    "fast_init",
 ]
 
 _FAST_INIT = False
@@ -76,7 +76,3 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
 
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
     return np.ones(shape, dtype=DEFAULT_DTYPE)
-
-
-def constant(shape: Tuple[int, ...], value: float) -> np.ndarray:
-    return np.full(shape, value, dtype=DEFAULT_DTYPE)

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..tensor import Tensor
 
@@ -23,8 +21,8 @@ class Module:
     """Base class for all neural-network modules.
 
     Assigning a :class:`Parameter`, :class:`Module` or buffer tensor to an
-    attribute registers it, so :meth:`parameters`, :meth:`state_dict` and
-    :meth:`train`/:meth:`eval` traverse the whole tree automatically.
+    attribute registers it, so :meth:`parameters`, :meth:`named_buffers`
+    and :meth:`train`/:meth:`eval` traverse the whole tree automatically.
     """
 
     def __init__(self) -> None:
@@ -73,27 +71,10 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{name}.")
 
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
-    def named_children(self) -> Iterator[Tuple[str, "Module"]]:
-        yield from self._modules.items()
-
     def modules(self) -> Iterator["Module"]:
         yield self
         for child in self._modules.values():
             yield from child.modules()
-
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield (prefix.rstrip("."), self)
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
-
-    def apply(self, fn) -> "Module":
-        """Apply ``fn`` to every module in the tree (self included)."""
-        for module in self.modules():
-            fn(module)
-        return self
 
     # ------------------------------------------------------------------
     # Mode & gradients
@@ -112,35 +93,6 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(param.size for param in self.parameters())
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buf in self.named_buffers():
-            state[name] = buf.data.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own: Dict[str, Tensor] = dict(self.named_parameters())
-        own.update(dict(self.named_buffers()))
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, tensor in own.items():
-            if tensor.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: module has "
-                    f"{tensor.data.shape}, state has {state[name].shape}"
-                )
-            tensor.data = state[name].astype(tensor.data.dtype, copy=True)
 
     # ------------------------------------------------------------------
     # Call protocol

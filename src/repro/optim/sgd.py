@@ -58,13 +58,3 @@ class SGD:
                 self._velocity[id(param)] = velocity
                 grad = velocity
             param.data = param.data - self.lr * grad
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": {i: v.copy() for i, v in enumerate(
-                self._velocity.get(id(p), None) for p in self.params
-            ) if v is not None},
-        }

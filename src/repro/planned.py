@@ -60,7 +60,7 @@ class PlanCore:
     compile_plans: run the default compile pipeline (chain + sibling
         fusion, constant folding) over every graph before planning it.
     cache: a :class:`PlanCache` shared with other cores (a fleet's
-        engines, an engine and its dense inferer); private when omitted.
+        engines); private when omitted.
     """
 
     def __init__(self, device: DeviceSpec = P100_NVLINK,

@@ -23,12 +23,12 @@ from .loadgen import (
 )
 from .metrics import LatencyHistogram, ServingMetrics, percentile
 from .queue import AdmissionQueue, OversizeRequestError
-from .request import DenseRequest, Request
+from .request import Request
 from .server import Server
 from .slo import BATCH, INTERACTIVE, SLO_CLASSES, STANDARD, SLOClass
 
 __all__ = [
-    "Request", "DenseRequest",
+    "Request",
     "AdmissionQueue", "OversizeRequestError",
     "DynamicBatcher",
     "ServingEngine",

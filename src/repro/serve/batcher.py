@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from .metrics import ServingMetrics
 from .queue import AdmissionQueue
-from .request import DenseRequest, Request
+from .request import Request
 
 __all__ = ["DynamicBatcher"]
 
@@ -81,18 +81,13 @@ class DynamicBatcher:
         crossing (its ``arrival_time`` is its admission time — the queue
         admits synchronously).  Requests already expired at ``now`` are
         skipped: they will be dropped before the batch forms, so they
-        cannot contribute images to it.  A dense request is a batch all
-        by itself (it dispatches alone, and its patch count routinely
-        exceeds the image cap), so a queued one counts as a crossing at
-        its own arrival — waiting longer would only add latency.
-        ``None`` when no full batch is queued.
+        cannot contribute images to it.  ``None`` when no full batch is
+        queued.
         """
         images = 0
         for request in queue:
             if request.expired_at(now):
                 continue
-            if isinstance(request, DenseRequest):
-                return request.arrival_time
             images += request.size
             if images >= self.max_batch_images:
                 return request.arrival_time
@@ -107,12 +102,6 @@ class DynamicBatcher:
         counted — they never reach the engine.  May return an empty list
         (the "empty flush": the timer fired but every waiting request had
         expired), in which case the caller skips the engine entirely.
-
-        A dense request always dispatches *alone*: the engine streams it
-        through per-tile graphs rather than batching it with
-        classification images, so a dense head ends the batch being
-        formed (it goes out on the next dispatch) and a dense request at
-        the front is the whole batch.
         """
         batch: List[Request] = []
         images = 0
@@ -122,12 +111,6 @@ class DynamicBatcher:
                 metrics.expired += 1
                 queue.pop()
                 continue
-            if isinstance(head, DenseRequest):
-                if batch:
-                    break
-                request = queue.pop()
-                request.dispatch_time = now
-                return [request]
             if images + head.size > self.max_batch_images:
                 break
             request = queue.pop()

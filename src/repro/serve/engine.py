@@ -34,7 +34,7 @@ from ..hmms import PlanCache
 from ..models.base import ConvClassifier
 from ..planned import PlanCore, PlannedEntry, dyadic_bucket, dyadic_search
 from ..profile.device import DeviceSpec, P100_NVLINK
-from .request import DenseRequest, Request
+from .request import Request
 
 __all__ = ["ServingEngine"]
 
@@ -73,8 +73,8 @@ class ServingEngine:
         if batch_cap < 1:
             raise ValueError(f"batch_cap must be >= 1, got {batch_cap}")
         self.model = model
-        #: The compile -> plan -> verify -> cache path, shared with the
-        #: engine's dense inferer; ``cache`` and ``planner`` are its.
+        #: The compile -> plan -> verify -> cache path; ``cache`` and
+        #: ``planner`` are its.
         self.core = PlanCore(device, numeric=numeric,
                              compile_plans=compile_plans, cache=cache)
         self.device = device
@@ -89,8 +89,6 @@ class ServingEngine:
         self._split_key = str(getattr(model, "split_info", "unsplit"))
         self._planned_peaks: Dict[int, int] = {}    # bucket -> device peak
         self._logits: Dict[int, np.ndarray] = {}
-        self._dense_inferer = None      # built on first DenseRequest
-        self._dense_outputs: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -159,51 +157,6 @@ class ServingEngine:
         return dyadic_bucket(batch)
 
     # ------------------------------------------------------------------
-    # Dense (patch-inference) workloads
-    # ------------------------------------------------------------------
-    @property
-    def dense_inferer(self):
-        """The engine's :class:`~repro.infer.PatchInferer`, built lazily
-        on the engine's own core: classification buckets and per-tile
-        variant plans share one cache, one planner and one
-        ``plans_verified`` counter."""
-        if self._dense_inferer is None:
-            # Deferred import: repro.infer is only paid for by engines
-            # that actually see dense traffic.
-            from ..infer import PatchInferer
-            self._dense_inferer = PatchInferer._on(
-                self.core, self.model, self.memory_budget)
-        return self._dense_inferer
-
-    def _execute_dense(self, request: DenseRequest) -> float:
-        """Stream one dense request; returns its simulated latency.
-
-        Counter semantics mirror the classification path: the whole
-        request is one engine batch, each patch is an image, and the
-        zero slots of a variant's short last chunk (run at its own
-        dyadic bucket) are padded images; the unsplit tail past the
-        inferer's join depth is priced in the latency and is neither.
-        """
-        inferer = self.dense_inferer
-        report = inferer.plan_dense(request.image_hw, request.grid,
-                                    request.overlap)
-        self.executed_batches += 1
-        self.executed_images += request.size
-        self.padded_images += report.padded_patches
-        if self.core.numeric:
-            image = self._rng.standard_normal(
-                (1, inferer.in_channels) + tuple(request.image_hw))
-            output = inferer.infer(image, grid=request.grid,
-                                   overlap=request.overlap)
-            self._dense_outputs.clear()
-            self._dense_outputs[request.id] = output[0]
-        return report.latency
-
-    def dense_output_for(self, request: DenseRequest) -> np.ndarray:
-        """Merged dense feature map of the most recent dense request."""
-        return self._dense_outputs[request.id]
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute(self, requests: List[Request]) -> float:
@@ -213,19 +166,9 @@ class ServingEngine:
         executed and discarded).  With ``numeric`` enabled the logits of
         each request's images are retained until the next ``execute``
         call and can be read back via :meth:`logits_for`.
-
-        A dense request routes to the streaming patch path and must
-        arrive alone — the batcher dispatches dense requests as
-        single-request batches.
         """
         if not requests:
             raise ValueError("execute needs at least one request")
-        if any(isinstance(r, DenseRequest) for r in requests):
-            if len(requests) != 1:
-                raise ValueError(
-                    "dense requests execute alone; got a batch of "
-                    f"{len(requests)} requests containing a DenseRequest")
-            return self._execute_dense(requests[0])
         images = sum(r.size for r in requests)
         entry = self.entry_for(images)
         self.executed_batches += 1

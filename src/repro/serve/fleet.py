@@ -47,7 +47,7 @@ from .batcher import DynamicBatcher
 from .engine import ServingEngine
 from .metrics import ServingMetrics, percentile
 from .queue import AdmissionQueue
-from .request import DenseRequest, Request
+from .request import Request
 from .slo import STANDARD, SLOClass
 
 __all__ = [
@@ -230,7 +230,6 @@ class _Replica:
 
     id: int
     bucket: int = 0                     # 0 = idle
-    dense: bool = False                 # serving a dense (patch) request
     step_index: int = 0
     step_time: float = 0.0
     steps_per_pass: int = 1
@@ -322,8 +321,8 @@ class FleetScheduler:
             tenant.engine.entry_for(tenant.bucket_cap)
 
     @classmethod
-    def _around(cls, engine: ServingEngine, config: TenantConfig,
-                max_pending_images: Optional[int]) -> "FleetScheduler":
+    def _around(cls, engine: ServingEngine,
+                config: TenantConfig) -> "FleetScheduler":
         """Internal: the one-tenant, flush-only fleet behind ``Server``.
 
         Hosts a pre-built engine, which keeps its own plan cache and
@@ -333,14 +332,12 @@ class FleetScheduler:
         fleet = cls.__new__(cls)
         fleet.cache = engine.cache
         fleet._host([(config, engine)], engine.device, engine.memory_budget,
-                    continuous=False, autoscale=False,
-                    max_pending_images=max_pending_images)
+                    continuous=False, autoscale=False)
         return fleet
 
     def _host(self, hosted: List[Tuple[TenantConfig, ServingEngine]],
               device: DeviceSpec, capacity: int, continuous: bool,
-              autoscale: bool,
-              max_pending_images: Optional[int] = None) -> None:
+              autoscale: bool) -> None:
         """Partition ``capacity`` and open one replica per engine."""
         self.device = device
         self.continuous = continuous
@@ -353,8 +350,7 @@ class FleetScheduler:
             cap = caps[config.name]
             tenant = _Tenant(
                 config=config, engine=engine,
-                queue=AdmissionQueue(config.queue_depth, cap,
-                                     max_pending_images),
+                queue=AdmissionQueue(config.queue_depth, cap),
                 batcher=DynamicBatcher(cap, config.slo.flush_timeout),
                 metrics=self.metrics.tenant(config.name),
                 bucket_cap=cap, reservation=engine.planned_peak(cap))
@@ -452,19 +448,6 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, request: Request, now: float) -> bool:
-        """Admit one request at ``now``; ``False`` means rejected (queue
-        full).  Raises ``ValueError`` for an unknown tenant and
-        :class:`~repro.serve.queue.OversizeRequestError` for a request no
-        batch can carry."""
-        self.clock = max(self.clock, now)
-        tenant = self.tenants.get(request.tenant)
-        if tenant is None:
-            raise ValueError(
-                f"request {request.id} names unknown tenant "
-                f"{request.tenant!r}")
-        return self._admit(tenant, request, now)
-
     def _admit(self, tenant: _Tenant, request: Request, now: float) -> bool:
         """Offer a request to its tenant's queue and count it.  Dispatch is
         probed only when a replica is idle: with every replica busy it
@@ -521,23 +504,20 @@ class FleetScheduler:
         """Serve ``batch`` through the engine and occupy ``replica``.
 
         The engine keeps its own batch/image/padding counters.  Only a
-        classification batch under continuous batching runs as wavefront
-        steps; flush-only dispatch and a dense request (streamed through
-        the patch path, whose plans own the memory joiners would borrow)
-        occupy the replica atomically, as one synthetic step.
+        batch under continuous batching runs as wavefront steps;
+        flush-only dispatch occupies the replica atomically, as one
+        synthetic step.
         """
         metrics = tenant.metrics
         images = sum(r.size for r in batch)
         latency = tenant.engine.execute(batch)
         metrics.batches += 1
         metrics.batch_sizes[images] += 1
-        replica.dense = isinstance(batch[0], DenseRequest)
-        replica.bucket = images if replica.dense \
-            else tenant.engine.bucket(images)
+        replica.bucket = tenant.engine.bucket(images)
         replica.step_index = 0
         replica.steps_per_pass = \
             self._steps_for(tenant, replica.bucket) \
-            if self.continuous and not replica.dense else 1
+            if self.continuous else 1
         replica.step_time = latency / replica.steps_per_pass
         replica.resident_images = images
         replica.completions = {replica.steps_per_pass: batch}
@@ -585,8 +565,6 @@ class FleetScheduler:
         replica to a tiny bucket while load rises — the batch is allowed
         to finish so dispatch can reform it at the right size.
         """
-        if replica.dense:
-            return                      # patch plans own the memory
         queue = tenant.queue
         bucket = replica.bucket
         if bucket < tenant.bucket_cap and queue.pending_images >= 2 * bucket:
@@ -599,8 +577,7 @@ class FleetScheduler:
                 tenant.metrics.expired += 1
                 queue.pop()
                 continue
-            # A dense head dispatches alone, in order.
-            if head.size > free or isinstance(head, DenseRequest):
+            if head.size > free:
                 break
             queue.pop()
             head.dispatch_time = now
@@ -725,10 +702,6 @@ class FleetScheduler:
         """Requests neither finished nor dropped, per tenant (queued or
         riding an in-flight batch)."""
         return {name: len(tenant.queue) + tenant.in_flight()
-                for name, tenant in self.tenants.items()}
-
-    def replica_counts(self) -> Dict[str, int]:
-        return {name: len(tenant.replicas)
                 for name, tenant in self.tenants.items()}
 
     def bucket_caps(self) -> Dict[str, int]:

@@ -11,9 +11,9 @@ reason the bench reports a drop counter next to its percentiles.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterator
 
-from .request import DenseRequest, Request
+from .request import Request
 
 __all__ = ["AdmissionQueue", "OversizeRequestError"]
 
@@ -32,26 +32,17 @@ class AdmissionQueue:
 
     ``max_depth`` counts requests, not images: admission control protects
     the *latency* of what is already queued, and a request is the unit a
-    client waits on.  ``max_pending_images`` additionally bounds the
-    queued *work* — a dense request weighs its whole patch total
-    (``DenseRequest.size``), so a handful of megapixel requests cannot
-    slip under a depth-only bound and queue an unbounded amount of
-    memory-expensive work.
+    client waits on.
     """
 
-    def __init__(self, max_depth: int, max_request_size: int,
-                 max_pending_images: Optional[int] = None) -> None:
+    def __init__(self, max_depth: int, max_request_size: int) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if max_request_size < 1:
             raise ValueError(
                 f"max_request_size must be >= 1, got {max_request_size}")
-        if max_pending_images is not None and max_pending_images < 1:
-            raise ValueError(f"max_pending_images must be >= 1, "
-                             f"got {max_pending_images}")
         self.max_depth = max_depth
         self.max_request_size = max_request_size
-        self.max_pending_images = max_pending_images
         self._requests: Deque[Request] = deque()
         self._pending_images = 0
 
@@ -75,11 +66,8 @@ class AdmissionQueue:
     # ------------------------------------------------------------------
     def check_size(self, request: Request) -> None:
         """Raise :class:`OversizeRequestError` if no batch can carry
-        ``request``.  Dense requests are exempt: they are *streamed* in
-        patch batches by the dense path, so no single batch ever has to
-        carry the whole patch total."""
-        if (request.size > self.max_request_size
-                and not isinstance(request, DenseRequest)):
+        ``request``."""
+        if request.size > self.max_request_size:
             raise OversizeRequestError(
                 f"request {request.id} asks for {request.size} images but "
                 f"the largest servable batch is {self.max_request_size}; "
@@ -91,15 +79,10 @@ class AdmissionQueue:
 
         Oversize requests raise (:meth:`check_size`) instead of returning
         ``False``: they can never be served, so silently dropping them
-        would hide a bug in the caller.  A dense request still weighs its
-        full ``size`` against ``max_pending_images``.
+        would hide a bug in the caller.
         """
         self.check_size(request)
         if len(self._requests) >= self.max_depth:
-            return False
-        if (self.max_pending_images is not None
-                and self._pending_images + request.size
-                > self.max_pending_images):
             return False
         self._requests.append(request)
         self._pending_images += request.size

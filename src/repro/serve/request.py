@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-__all__ = ["Request", "DenseRequest"]
+__all__ = ["Request"]
 
 
 @dataclass
@@ -64,45 +64,3 @@ class Request:
         if self.completion_time is None:
             return None
         return self.completion_time - self.arrival_time
-
-
-@dataclass
-class DenseRequest(Request):
-    """One dense (patch-inference) request: a whole large image.
-
-    The image is tiled into a ``grid`` of overlapping patches and
-    streamed through bounded per-tile plans
-    (:class:`~repro.infer.PatchInferer`), so one dense request occupies
-    an engine for many patch executions.  ``size`` is therefore
-    *derived* — it is the patch total ``grid[0] * grid[1]``, never the
-    constructor argument — so that every admission-control surface that
-    counts images (``pending_images``, the bounded-admission threshold,
-    batch accounting) weighs a dense request by the work it actually
-    queues.  Counting a dense request as 1 is exactly the accounting
-    bug the bounded queue exists to prevent.
-    """
-
-    image_hw: Tuple[int, int] = (0, 0)
-    grid: Tuple[int, int] = (2, 2)
-    overlap: int = 0
-
-    def __post_init__(self) -> None:
-        if self.image_hw[0] < 1 or self.image_hw[1] < 1:
-            raise ValueError(
-                f"request {self.id}: image_hw must be >= 1 per axis, "
-                f"got {self.image_hw}")
-        if self.grid[0] < 1 or self.grid[1] < 1:
-            raise ValueError(
-                f"request {self.id}: grid must be >= 1 per axis, "
-                f"got {self.grid}")
-        if self.overlap < 0:
-            raise ValueError(
-                f"request {self.id}: overlap must be >= 0, "
-                f"got {self.overlap}")
-        self.size = self.grid[0] * self.grid[1]
-        super().__post_init__()
-
-    @property
-    def patches(self) -> int:
-        """Patch total — what ``size`` counts for a dense request."""
-        return self.grid[0] * self.grid[1]

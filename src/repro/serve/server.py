@@ -31,7 +31,6 @@ class Server:
         flush_timeout: float = 0.005,
         queue_depth: int = 256,
         max_batch_images: Optional[int] = None,
-        max_pending_images: Optional[int] = None,
     ) -> None:
         self.engine = engine
         max_images = max_batch_images if max_batch_images is not None \
@@ -47,18 +46,9 @@ class Server:
             slo=SLOClass("server", deadline=None,
                          flush_timeout=flush_timeout),
             queue_depth=queue_depth, max_replicas=1, batch_cap=max_images,
-        ), max_pending_images)
+        ))
         self.queue = self._fleet.tenants[None].queue
         self.metrics = self._fleet.metrics.tenant(None)
-
-    def submit(self, request: Request) -> bool:
-        """Admit one request; ``False`` means rejected (queue full).
-
-        Raises :class:`~repro.serve.queue.OversizeRequestError` for
-        requests no batch can ever carry.
-        """
-        return self._fleet.submit(
-            request, max(self._fleet.clock, request.arrival_time))
 
     def run(self, arrivals: List[Request]) -> ServingMetrics:
         """Replay a time-sorted, untagged arrival trace to completion

@@ -102,9 +102,6 @@ class Tensor:
         """Back-propagate from this tensor to every reachable leaf."""
         autograd.backward(self, grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
 
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce ``value`` to a Tensor (no-op when already one)."""

@@ -41,15 +41,28 @@ option scan is as coarse as the name scan:
 
 The same run of the module lists the unset options after the unreached
 names.
+
+Lines are the finest grain, and the slowest: ``python
+tests/test_callers.py --lines`` runs the examples, CI's command lines and
+the smoke benchmarks under ``sys.settrace`` and lists every line of
+``src/repro`` none of them ran (see "Line reach" below).
 """
 
 import ast
+import json
+import os
+import re
+import shlex
+import shutil
+import subprocess
 import sys
+import tempfile
+import time
 from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -339,6 +352,41 @@ def test_scan_reports_an_unset_option():
     ]
 
 
+def test_line_scan_reports_an_unrun_branch(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        '"""Module docstring,\n   two lines."""\n'
+        "def check(x):\n"
+        '    """Docstring."""\n'
+        "    if x < 0:\n"
+        "        raise ValueError(\n"
+        "            'negative')\n"
+        "    if x > 9:\n"
+        "        x = 9\n"
+        "    return [y for y in range(x) if y > 7]\n"
+        "def unused():\n"
+        "    return 1\n"
+        "check(2)\n")
+    code, ran = trace_run(tmp_path, ["path", str(module)],
+                          tmp_path / "out.json", tmp_path, os.environ)
+    assert code == 0
+    assert unrun_lines(module, ran[str(module)]) == {
+        "check": [9], "unused": [12]}
+
+
+def test_unrun_entries_name_counted_functions():
+    """Every ``UNRUN`` key names a module, or a function of it that has
+    counted lines (whether they ran is the slow listing's question)."""
+    bad = []
+    for key in UNRUN:
+        module, _, function = key.partition(":")
+        path = SRC / module
+        if not path.is_file() or (
+                function and function not in unrun_lines(path, set())):
+            bad.append(key)
+    assert not bad, f"UNRUN keys that name nothing: {bad}"
+
+
 def _built_op_types() -> Set[str]:
     """Op types of every graph built from the zoo: model x split
     {1, 4} x {training, inference, eval-BN inference} x {plain, compiled}."""
@@ -425,7 +473,302 @@ def test_every_autograd_function_is_applied(monkeypatch):
         f"delete them or apply them: {missing}")
 
 
+# ----------------------------------------------------------------------
+# Line reach: which lines of src/repro run outside the tests
+# ----------------------------------------------------------------------
+# ``python tests/test_callers.py --lines`` runs every example, every
+# ``python -m repro`` line of CI, the figure and graph commands at their
+# defaults, the smoke benchmarks and one traced child of each e2e
+# workload, each under ``sys.settrace``, and lists the lines of
+# ``src/repro`` that none of them ran.  Lines inside a ``raise`` (the
+# typed-error contract) and docstrings are not counted.  It takes tens of
+# minutes, so it is a CI job, not a tier-1 test.
+
+#: Non-raise lines of src/repro that the run set leaves unexecuted (1,037
+#: before the first deletions it found).  The listing fails when the count
+#: rises above this; lower it when it falls.
+LINE_BUDGET = 901
+
+#: ``module:function`` or a whole ``module`` -> why its unexecuted lines
+#: stay.  The listing marks these; they still count against
+#: ``LINE_BUDGET``.  An unmarked line has not been triaged yet.
+_CHECKER = ("a finding branch only a broken plan or graph reaches; the "
+            "mutation tests reach it")
+_REPR = "debugging text for a REPL; no program prints it"
+_DROPOUT = "dropout sits in the ImageNet classifiers, which no run trains"
+_EVAL_BN = ("the numeric compiled eval-BN path; no run executes an eval-BN "
+            "graph's kernels, test_compile.py does")
+_RETIRE = ("idle-replica retirement: no run's trace idles a scaled-up "
+           "replica; the fleet golden digests do")
+UNRUN: Dict[str, str] = {
+    "hmms/verify.py": _CHECKER,
+    "analysis/lowering.py": _CHECKER,
+    "analysis/lint.py": _CHECKER,
+    "analysis/races.py": _CHECKER,
+    "analysis/determinism.py": _CHECKER,
+    "analysis/mesh.py": _CHECKER,
+    "analysis/diagnostics.py": _CHECKER,
+    "sim/engine.py:GPUSimulator._residency_error": _CHECKER,
+    "cli.py": "options CI's lines leave at their defaults, and usage "
+              "errors; test_cli.py runs them",
+    "data/cifar.py": "reads CIFAR-10 from disk; no dataset is in the tree",
+    "experiments/accuracy.py:table1_run":
+        "benchmarks/test_table1_accuracy.py, an eager accuracy file the "
+        "listing skips",
+    "infer/merger.py:BlendMerger._importance":
+        "blend modes; the frozen e2e harness builds BlendMerger('valid')",
+    "infer/merger.py:BlendMerger.merge":
+        "blend modes; the frozen e2e harness builds BlendMerger('valid')",
+    "graph/executor.py:GraphExecutor._run_wavefront":
+        "the wavefront executor, kept for the frozen harness (item 2)",
+    "graph/registry.py:_k_split_bwd": UNBUILT_OPS["split_bwd"],
+    "graph/registry.py:_k_conv2d_bn": _EVAL_BN,
+    "graph/registry.py:_k_conv2d_bn_relu": _EVAL_BN,
+    "graph/registry.py:_k_batchnorm_eval": _EVAL_BN,
+    "graph/registry.py:_k_bn_affine": _EVAL_BN,
+    "graph/registry.py:_ConvBnContext.__init__": _EVAL_BN,
+    "graph/registry.py:_char_conv_bn": _EVAL_BN,
+    "graph/registry.py:_bn_fusion_legal": _EVAL_BN,
+    "graph/registry.py:_k_dropout": _DROPOUT,
+    "graph/registry.py:_k_dropout_bwd": _DROPOUT,
+    "graph/executor.py:GraphExecutor.dropout_op_seed": _DROPOUT,
+    "tensor/ops_nn.py:Dropout.forward": _DROPOUT,
+    "tensor/ops_nn.py:Dropout.backward": _DROPOUT,
+    "tensor/ops_nn.py:dropout": _DROPOUT,
+    "nn/activation.py:Dropout.forward": _DROPOUT,
+    "serve/fleet.py:FleetScheduler._autoscale_tick": _RETIRE,
+    "serve/fleet.py:FleetScheduler._retire_replica": _RETIRE,
+    "serve/fleet.py:DeviceLedger.release": _RETIRE,
+    "hmms/planner.py:PlanCache.get_or_build":
+        "eviction: no run plans more than the cache's 64 entries",
+    "mesh/topology.py:build_mesh": "the bus and p2p topologies; CI's "
+                                   "mesh lines pick ring",
+    "mesh/partition.py:MeshPartitioner._allreduce_transfers":
+        "the p2p topology; CI's mesh lines pick ring",
+    "nn/module.py:Module.__repr__": _REPR,
+    "nn/module.py:Module.extra_repr": _REPR,
+    "nn/activation.py:ReLU.extra_repr": _REPR,
+    "nn/activation.py:Dropout.extra_repr": _REPR,
+    "nn/conv.py:Conv2d.extra_repr": _REPR,
+    "nn/linear.py:Linear.extra_repr": _REPR,
+    "nn/linear.py:Flatten.extra_repr": _REPR,
+    "nn/norm.py:BatchNorm2d.extra_repr": _REPR,
+    "nn/pool.py:MaxPool2d.extra_repr": _REPR,
+    "core/region.py:SplitRegion.extra_repr": _REPR,
+    "graph/ir.py:Graph.__repr__": _REPR,
+    "graph/ir.py:OpNode.__repr__": _REPR,
+    "graph/ir.py:TensorValue.__repr__": _REPR,
+    "hmms/tso.py:TSO.__repr__": _REPR,
+    "tensor/tensor.py:Tensor.__repr__": _REPR,
+}
+
+#: Benchmarks that train models eagerly for minutes even in smoke mode;
+#: ``examples/train_split_cnn.py`` runs the same experiment code.
+SLOW_BENCHMARKS = {"test_fig4_depth.py", "test_fig5_num_splits.py",
+                   "test_fig6_stochastic.py", "test_table1_accuracy.py"}
+#: Commands CI does not run, at their defaults.
+DEFAULT_COMMANDS = [["info", "vgg11"], ["plan", "vgg11"],
+                    ["export", "vgg11"], ["fig1"], ["fig8"], ["fig9"],
+                    ["fig10"], ["fig11"]]
+
+# The child: ``python -c _TRACER OUT PREFIX (path|module) TARGET ARGS...``
+# runs TARGET as ``__main__`` and writes the lines it ran in files under
+# PREFIX to OUT as JSON.  A code object stops being traced once all of
+# its lines have run.
+_TRACER = r"""
+import json, os, runpy, sys, threading
+out, prefix, kind, target, *argv = sys.argv[1:]
+hits, left = {}, {}
+
+def lines_of(code):
+    lines = {line for _, _, line in code.co_lines() if line}
+    if code.co_name != "<module>":
+        lines.discard(code.co_firstlineno)
+    return lines
+
+def trace(frame, event, arg):
+    code = frame.f_code
+    pending = left.get(code)
+    if pending is None:
+        pending = left[code] = (lines_of(code)
+                                if code.co_filename.startswith(prefix)
+                                else set())
+    if not pending:
+        return None
+    hit = hits.setdefault(code.co_filename, set())
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+            pending.discard(frame.f_lineno)
+            if not pending:
+                return None
+        return local
+    return local
+
+sys.argv = [target, *argv]
+threading.settrace(trace)
+sys.settrace(trace)
+try:
+    if kind == "module":
+        runpy.run_module(target, run_name="__main__", alter_sys=True)
+    else:
+        sys.path.insert(0, os.path.dirname(target))
+        runpy.run_path(target, run_name="__main__")
+finally:
+    sys.settrace(None)
+    threading.settrace(None)
+    with open(out, "w") as handle:
+        json.dump({f: sorted(h) for f, h in hits.items()}, handle)
+"""
+
+
+def trace_run(prefix: Path, target: Sequence[str], out: Path, cwd: Path,
+              env: Mapping[str, str]) -> Tuple[int, Dict[str, Set[int]]]:
+    """Run ``target`` (``["path", script, *args]`` or ``["module", name,
+    *args]``) under the tracer; its exit code and the lines it ran in
+    files under ``prefix``, by file name."""
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACER, str(out), f"{prefix}{os.sep}",
+         *target], cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    hits = json.loads(out.read_text()) if out.exists() else {}
+    return done.returncode, {f: set(h) for f, h in hits.items()}
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            yield from _code_objects(const)
+
+
+def _uncounted(tree: ast.AST) -> Set[int]:
+    """Lines inside a ``raise`` and docstring lines."""
+    out: Set[int] = set()
+    for node in ast.walk(tree):
+        spans = []
+        if isinstance(node, ast.Raise):
+            spans.append(node)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                spans.append(first)
+        for span in spans:
+            out.update(range(span.lineno, span.end_lineno + 1))
+    return out
+
+
+def unrun_lines(path: Path, ran: Set[int]) -> Dict[str, List[int]]:
+    """The counted lines of the module at ``path`` that are not in
+    ``ran``, by function (a nested function, lambda or comprehension
+    counts as the function it is in; module and class bodies as
+    ``<module>`` and the class)."""
+    source = path.read_text()
+    owner: Dict[int, str] = {}
+    for code in _code_objects(compile(source, str(path), "exec")):
+        name = code.co_qualname.split(".<", 1)[0]
+        for _, _, line in code.co_lines():
+            if line and (code.co_name == "<module>"
+                         or line != code.co_firstlineno):
+                owner[line] = name  # inner code objects come later
+    out: Dict[str, List[int]] = {}
+    skip = _uncounted(ast.parse(source)) | ran
+    for line in sorted(set(owner) - skip):
+        out.setdefault(owner[line], []).append(line)
+    return out
+
+
+def _ci_commands() -> List[Tuple[List[str], bool]]:
+    """Every ``python -m repro`` line of CI: its arguments, and whether it
+    runs with ``REPRO_SMOKE=1``."""
+    commands = []
+    ci = ROOT / ".github" / "workflows" / "ci.yml"
+    for line in ci.read_text().splitlines():
+        head, marker, rest = line.partition("python -m repro ")
+        if marker:
+            rest = re.split(r"\s(?:\||2?>)", rest)[0]
+            commands.append((shlex.split(rest), "REPRO_SMOKE=1" in head))
+    return commands
+
+
+def _line_runs(scratch: Path) -> List[Tuple[str, List[str], bool]]:
+    """(label, tracer target, smoke) for every run of the listing.  The
+    pytest benchmarks run from ``scratch``, a copy, so their snapshots
+    stay; the e2e children need the checkout and write only to its
+    ignored ``out/``."""
+    benchmarks = scratch / "benchmarks"
+    runs = [(f"examples/{path.name}", ["path", str(path)], False)
+            for path in sorted((ROOT / "examples").glob("*.py"))]
+    for args, smoke in _ci_commands() + [(c, False)
+                                          for c in DEFAULT_COMMANDS]:
+        runs.append(("repro " + " ".join(args), ["module", "repro", *args],
+                     smoke))
+    for path in sorted(benchmarks.glob("test_*.py")):
+        if path.name not in SLOW_BENCHMARKS:
+            runs.append((f"benchmarks/{path.name}",
+                         ["module", "pytest", str(path), "-q",
+                          "--benchmark-disable", "-p", "no:cacheprovider"],
+                         True))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs.append((f"e2e {workload}", [
+            "path", str(ROOT / "benchmarks" / "e2e" / "run.py"), "child",
+            "--workload", workload, "--seed", "0", "--seconds", "1",
+            "--trace", "1", "--spawned-at", repr(time.time()),
+            "--ops", "3"], False))
+    return runs
+
+
+def line_listing() -> int:
+    """Print the unexecuted lines per function and their total; exit 1 if
+    the total is above ``LINE_BUDGET`` or an ``UNRUN`` entry is stale."""
+    ran: Dict[str, Set[int]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        shutil.copytree(ROOT / "benchmarks", scratch / "benchmarks",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for index, (label, target, smoke) in enumerate(_line_runs(scratch)):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "PYTHONHASHSEED": "0"}
+            if smoke:
+                env["REPRO_SMOKE"] = "1"
+            start = time.monotonic()
+            code, hits = trace_run(SRC, target, scratch / f"{index}.json",
+                                   scratch / "benchmarks", env)
+            for name, lines in hits.items():
+                ran.setdefault(name, set()).update(lines)
+            print(f"# {time.monotonic() - start:6.1f} s  exit {code}  "
+                  f"{label}", file=sys.stderr, flush=True)
+    total = allowed = 0
+    seen = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for function, lines in unrun_lines(path,
+                                           ran.get(str(path), set())).items():
+            key = next((k for k in (f"{module}:{function}", module)
+                        if k in UNRUN), None)
+            reason = UNRUN.get(key)
+            seen.add(key)
+            total += len(lines)
+            allowed += len(lines) if reason else 0
+            print(f"{len(lines):5d}  {module}:{function}  "
+                  f"{','.join(map(str, lines))}"
+                  + (f"  # {reason}" if reason else ""))
+    print(f"{total:5d}  total ({allowed} allow-listed, "
+          f"budget {LINE_BUDGET})")
+    stale = sorted(set(UNRUN) - seen)
+    for key in stale:
+        print(f"stale  {key} (every line ran)")
+    return 1 if total > LINE_BUDGET or stale else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--lines"]:
+        sys.exit(line_listing())
     found = scan_repo(keep=ALLOWED)
     for (module, name), lines in sorted(found.items()):
         print(f"{lines:5d}  {module}:{name}")

@@ -39,12 +39,6 @@ class TestParser:
         assert args.split == 4
         assert args.flush_ms == 2.5 and args.deadline_ms == 40.0
 
-    def test_accuracy_choices(self):
-        args = build_parser().parse_args(["accuracy", "depth", "--quick"])
-        assert args.experiment == "depth" and args.quick
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["accuracy", "bogus"])
-
 
 class TestCommands:
     def test_info(self, capsys):
@@ -139,6 +133,14 @@ class TestCommands:
         (["patch-bench", "small_vgg", "--grids", ","], "--grids"),
         (["patch-bench", "small_vgg", "--overlaps", ","], "--overlaps"),
         (["patch-bench", "small_vgg", "--budgets-gib", ","], "--budgets-gib"),
+        (["serve-bench", "small_vgg", "--max-batch", "3", "--request-size",
+          "4", "--duration", "0.1"], "--request-size"),
+        (["serve-bench", "small_vgg", "--request-size", "100000",
+          "--duration", "0.1"], "--request-size"),
+        (["serve-bench", "small_vgg", "--max-batch", "100000",
+          "--duration", "0.1"], "--max-batch"),
+        (["patch-bench", "small_vgg", "--identity-side", "3"],
+         "--identity-side"),
     ])
     def test_bad_numbers_exit_two(self, capsys, argv, flag):
         # Each used to print a traceback and "internal error" (fig9 an
@@ -149,6 +151,10 @@ class TestCommands:
         # never ended the arrival loop, an infinite --flush-ms served
         # nothing, a negative --seed was a numpy traceback, a deadline
         # <= 0 expired every request, and an empty list swept nothing.
+        # A --request-size or --max-batch above the largest batch was an
+        # OversizeRequestError / ValueError traceback, and an
+        # --identity-side too small for the windows printed the whole
+        # sweep before its traceback.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
@@ -229,6 +235,14 @@ class TestLint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
+
+    def test_models_without_matrix_is_usage_error(self, capsys):
+        # Used to lint the model and ignore --models.
+        assert main(["lint", "small_vgg", "--models", "vgg11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "--models" in line
 
     def test_matrix_bad_split_fails_before_any_result(self, capsys):
         assert main(["lint", "--matrix", "--models", "small_vgg",

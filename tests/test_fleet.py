@@ -295,12 +295,14 @@ class TestFleetRun:
         assert metrics.tenant("a").completed_requests > 0
 
     def test_unknown_tenant_rejected_at_submit(self):
+        """A trace naming an unknown tenant is rejected when it is handed
+        to ``run``, before any request counts."""
         fleet = small_fleet([small_tenant("a")])
         with pytest.raises(ValueError, match="unknown tenant"):
-            fleet.submit(Request(id=0, arrival_time=0.0, tenant="ghost"),
-                         now=0.0)
+            fleet.run([Request(id=0, arrival_time=0.0, tenant="ghost")])
         with pytest.raises(ValueError, match="unknown tenant"):
-            fleet.submit(Request(id=0, arrival_time=0.0), now=0.0)
+            fleet.run([Request(id=0, arrival_time=0.0)])
+        assert fleet.metrics.tenant("a").arrived == 0
 
     def test_unsorted_trace_rejected(self):
         fleet = small_fleet([small_tenant("a")])
@@ -456,7 +458,8 @@ class TestAutoscaler:
         fleet.run(trace)
         assert fleet.metrics.scale_ups["a"] > 0
         assert fleet.metrics.scale_downs["a"] > 0
-        assert fleet.replica_counts()["a"] < fleet.metrics.peak_replicas["a"]
+        assert len(fleet.tenants["a"].replicas) \
+            < fleet.metrics.peak_replicas["a"]
 
     def test_ledger_refusal_is_counted_not_fatal(self):
         # Capacity for ~1.2 replicas: the first fits, the backlog-driven
@@ -530,68 +533,50 @@ class TestFleetAccountingFuzz:
 
 
 # ----------------------------------------------------------------------
-# Mixed dense + classification tenants
+# Two tenants, two models
 # ----------------------------------------------------------------------
-class TestMixedDenseFleet:
-    """One fleet serving a classification tenant next to a dense
-    (patch-inference) tenant: exact accounting, no joiners into dense
-    replicas, plan-verification invariant on the dense engine."""
+class TestTwoTenantFleet:
+    """One fleet serving two models: exact accounting and the
+    plan-verification invariant across the shared cache."""
 
     def make_fleet(self, continuous=True):
         tenants = [
             small_tenant("cls", rps=800.0),
-            small_tenant("dense", model="small_vgg", rps=200.0,
+            small_tenant("vgg", model="small_vgg", rps=200.0,
                          queue_depth=8),
         ]
         return small_fleet(tenants, continuous=continuous)
 
     def make_trace(self, n=40, seed=3):
-        from repro.serve import DenseRequest
         rng = np.random.default_rng(seed)
         arrivals, clock = [], 0.0
         for i in range(n):
             clock += float(rng.exponential(0.0005))
-            if rng.random() < 0.3:
-                hw = (32, 32) if rng.random() < 0.5 else (64, 64)
-                arrivals.append(DenseRequest(
-                    id=i, arrival_time=clock, tenant="dense",
-                    image_hw=hw, grid=(2, 2)))
-            else:
-                arrivals.append(Request(
-                    id=i, arrival_time=clock, tenant="cls",
-                    size=int(rng.integers(1, 3))))
+            arrivals.append(Request(
+                id=i, arrival_time=clock,
+                tenant="vgg" if rng.random() < 0.3 else "cls",
+                size=int(rng.integers(1, 3))))
         return arrivals
 
     @pytest.mark.parametrize("continuous", [False, True])
-    def test_mixed_trace_accounts_exactly(self, continuous):
+    def test_two_tenant_trace_accounts_exactly(self, continuous):
         fleet = self.make_fleet(continuous=continuous)
         arrivals = self.make_trace()
         metrics = fleet.run(arrivals)       # run() checks accounting
         assert all(v == 0 for v in fleet.still_queued().values())
-        dense_m = metrics.tenant("dense")
-        assert dense_m.completed_requests > 0
-        # Every dense batch is exactly one request of its patch total.
-        assert set(dense_m.batch_sizes) <= {4}
-        dense_engine = fleet.tenants["dense"].engine
-        completed_patches = sum(
+        vgg = metrics.tenant("vgg")
+        assert vgg.completed_requests > 0
+        engine = fleet.tenants["vgg"].engine
+        completed_images = sum(
             r.size for r in arrivals
-            if r.tenant == "dense" and r.completion_time is not None)
-        assert dense_engine.executed_images >= completed_patches
+            if r.tenant == "vgg" and r.completion_time is not None)
+        assert engine.executed_images >= completed_images
         # The fleet shares one plan cache across tenants, so the
         # verification invariant holds fleet-wide: every miss was built
         # by exactly one engine and verified there.
         verified = sum(t.engine.plans_verified
                        for t in fleet.tenants.values())
-        assert verified == dense_engine.cache.misses
-
-    def test_no_joiners_into_dense_replicas(self):
-        fleet = self.make_fleet(continuous=True)
-        metrics = fleet.run(self.make_trace(n=60, seed=5))
-        # Classification joins may happen; dense ones never do — a dense
-        # replica's synthetic step admits no joiners, so the dense
-        # tenant's join counter stays zero.
-        assert fleet.metrics.joins["dense"] == 0
-        assert metrics.tenant("dense").completed_requests > 0
+        assert verified == engine.cache.misses
 
 
 # ----------------------------------------------------------------------
@@ -616,22 +601,17 @@ def _soak_trace(scale, requests=10_000, seed=0):
         duration=requests / (200_000.0 * scale)))
 
 
-def _dense_mix_trace(n=300, seed=5):
-    """Classification and 2x2 dense requests under tight deadlines."""
-    from repro.serve import DenseRequest
+def _two_tenant_trace(n=300, seed=5):
+    """Requests of two tenants under tight deadlines."""
     rng = np.random.default_rng(seed)
     arrivals, clock = [], 0.0
     for i in range(n):
         clock += float(rng.exponential(0.0002))
-        if rng.random() < 0.3:
-            hw = (32, 32) if rng.random() < 0.5 else (64, 64)
-            arrivals.append(DenseRequest(
-                id=i, arrival_time=clock, tenant="dense", image_hw=hw,
-                grid=(2, 2), deadline=clock + 0.003))
-        else:
-            arrivals.append(Request(
-                id=i, arrival_time=clock, tenant="cls",
-                size=int(rng.integers(1, 3)), deadline=clock + 0.002))
+        vgg = rng.random() < 0.3
+        arrivals.append(Request(
+            id=i, arrival_time=clock, tenant="vgg" if vgg else "cls",
+            size=int(rng.integers(1, 3)),
+            deadline=clock + (0.003 if vgg else 0.002)))
     return arrivals
 
 
@@ -660,13 +640,13 @@ def _golden_fleet_cases():
            lambda: FleetScheduler(SOAK_TENANTS, device=tight, autoscale=True),
            trace, (0.004, 0.006))
     mix = [small_tenant("cls", rps=800.0),
-           small_tenant("dense", model="small_vgg", rps=200.0,
+           small_tenant("vgg", model="small_vgg", rps=200.0,
                         queue_depth=8)]
     for continuous in (True, False):
-        yield (f"dense-mix-{'continuous' if continuous else 'flush'}",
+        yield (f"two-tenant-{'continuous' if continuous else 'flush'}",
                lambda continuous=continuous: FleetScheduler(
                    mix, continuous=continuous, autoscale=True),
-               _dense_mix_trace(), (0.002, 0.003))
+               _two_tenant_trace(), (0.002, 0.003))
 
 
 def _fleet_digest(case) -> str:
@@ -706,14 +686,16 @@ def _fleet_digest(case) -> str:
 
 #: Recorded on the event loop before arrivals stopped probing dispatch on
 #: busy tenants and step boundaries stopped recording empty completions.
+#: The ``two-tenant-*`` rows were recorded at 7b5c501, the parent of the
+#: commit that deleted dense requests; they replace two dense-mix rows.
 GOLDEN_FLEET_DIGESTS = {
     "soak-x0_5": "d79b0394522597231b42a25ac7fe1ac4",
     "soak-x1": "605c496b01c2c6af7279ab24c342a426",
     "soak-x2": "f03293451f0aad90ae3b95a3255374a6",
     "soak-x1-flush": "a5c427a5b19d7a541a6e7746e0c37b70",
     "soak-x2-tight": "237e9d4e4027fdce45f22fd057ad8e82",
-    "dense-mix-continuous": "84dee408992fb34adac8bf6bdbfb2e83",
-    "dense-mix-flush": "50b5e93b7c8ab593b01dd4c2eee01811",
+    "two-tenant-continuous": "a85179fdf9bd31f91e1b280484cee2e2",
+    "two-tenant-flush": "f0bf846d00ca6ebe9ec668c62cebf143",
 }
 
 

@@ -74,33 +74,6 @@ class TestModesAndState:
         parent.zero_grad()
         assert all(p.grad is None for p in parent.parameters())
 
-    def test_state_dict_roundtrip(self):
-        a, b = Parent(), Parent()
-        for p in a.parameters():
-            p.data = p.data + 5.0
-        b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(b.child.weight.data, 6.0)
-
-    def test_state_dict_strict_mismatch(self):
-        parent = Parent()
-        state = parent.state_dict()
-        del state["bias"]
-        with pytest.raises(KeyError):
-            parent.load_state_dict(state)
-
-    def test_state_dict_shape_mismatch(self):
-        parent = Parent()
-        state = parent.state_dict()
-        state["bias"] = np.zeros(7)
-        with pytest.raises(ValueError):
-            parent.load_state_dict(state)
-
-    def test_state_dict_copies(self):
-        parent = Parent()
-        state = parent.state_dict()
-        state["bias"][:] = 99
-        assert parent.bias.data[0] == 0
-
 
 class TestContainers:
     def test_sequential_forward_order(self):

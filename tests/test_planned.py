@@ -16,7 +16,7 @@ from repro.models import alexnet, small_vgg
 from repro.planned import dyadic_search
 from repro.profile.device import P100_NVLINK
 from repro.serve import (
-    DenseRequest, FleetScheduler, Request, ServingEngine, TenantConfig,
+    FleetScheduler, Request, ServingEngine, TenantConfig,
 )
 
 
@@ -221,15 +221,14 @@ class TestDyadicSearch:
 # The shared core
 # ----------------------------------------------------------------------
 class TestSharedCore:
-    def test_dense_inferer_runs_on_the_engines_core(self):
+    def test_an_inferer_and_an_engine_share_a_cache_by_fingerprint(self):
         engine = ServingEngine(small_vgg(rng=np.random.default_rng(0)),
                                batch_cap=8, compile_plans=True,
                                memory_budget=64 << 20)
-        inferer = engine.dense_inferer
-        assert inferer.core is engine.core
+        inferer = PatchInferer(engine.model, numeric=False,
+                               compile_plans=True, cache=engine.cache)
         assert inferer.cache is engine.cache
-        assert inferer.planner is engine.planner
-        assert inferer.memory_budget == engine.memory_budget
+        assert inferer.core.fingerprint == engine.pipeline_fingerprint
         variant = next(iter(GridSplitter((2, 2)).plan(
             engine.model, (64, 64)).variants()))
         assert engine.cache.keys() == ()
@@ -243,11 +242,9 @@ class TestSharedCore:
                                batch_cap=8)
         batches = [
             [Request(id=0, arrival_time=0.0, size=3)],
-            [DenseRequest(id=1, arrival_time=0.0, image_hw=(64, 64),
-                          grid=(2, 2))],
+            [Request(id=1, arrival_time=0.0, size=5)],
             [Request(id=2, arrival_time=0.0), Request(id=3, arrival_time=0.0)],
-            [DenseRequest(id=4, arrival_time=0.0, image_hw=(48, 48),
-                          grid=(3, 3), overlap=1)],
+            [Request(id=4, arrival_time=0.0)],
             [Request(id=5, arrival_time=0.0, size=3)],
         ]
         for batch in batches:
@@ -255,19 +252,19 @@ class TestSharedCore:
             # One counter, incremented where plans are verified: the
             # invariant holds after every batch, not only at the end.
             assert engine.plans_verified == engine.cache.misses
-            assert engine.dense_inferer.plans_verified \
-                == engine.plans_verified
         assert engine.cache.misses == len(engine.cache) \
             + engine.cache.evictions
         assert engine.cache.hits > 0
 
     def test_a_failed_build_leaves_the_invariant_intact(self):
-        engine = ServingEngine(alexnet(rng=np.random.default_rng(0)),
-                               batch_cap=2)
+        model = alexnet(rng=np.random.default_rng(0))
+        inferer = PatchInferer(model, numeric=False)
+        engine = ServingEngine(model, batch_cap=2, cache=inferer.cache)
         engine.execute([Request(id=0, arrival_time=0.0)])
         with pytest.raises(ValueError, match="does not fit"):
-            engine.dense_inferer.unsplit_entry((16, 16))
-        assert engine.plans_verified == engine.cache.misses == 1
+            inferer.unsplit_entry((16, 16))
+        assert engine.plans_verified + inferer.plans_verified \
+            == engine.cache.misses == 1
 
     def test_a_fleets_engines_report_one_cache(self):
         tenants = [

@@ -16,7 +16,7 @@ from repro.hmms import (
 from repro.models import build_model, small_resnet, small_vgg
 from repro.nn import init
 from repro.serve import (
-    AdmissionQueue, BenchConfig, DenseRequest, DynamicBatcher,
+    AdmissionQueue, BenchConfig, DynamicBatcher,
     OversizeRequestError, Request, Server, ServingEngine, ServingMetrics,
     percentile, poisson_arrivals, run_bench,
 )
@@ -112,8 +112,8 @@ class TestAdmissionQueue:
     def test_queue_full_counted_by_server(self):
         engine = make_engine()
         server = Server(engine, queue_depth=1)
-        assert server.submit(Request(id=0, arrival_time=0.0))
-        assert not server.submit(Request(id=1, arrival_time=0.0))
+        server.run([Request(id=0, arrival_time=0.0),
+                    Request(id=1, arrival_time=0.0)])
         assert server.metrics.rejected_queue_full == 1
         assert server.metrics.arrived == 2 and server.metrics.admitted == 1
 
@@ -638,160 +638,22 @@ class TestPercentileBoundaries:
 
 
 # ----------------------------------------------------------------------
-# Dense requests: derived size, admission, dispatch-alone batching
+# Mixed request sizes through the full loop
 # ----------------------------------------------------------------------
-class TestDenseRequest:
-    def test_size_is_the_patch_total(self):
-        request = DenseRequest(id=0, arrival_time=0.0,
-                               image_hw=(256, 256), grid=(4, 4))
-        assert request.size == 16
-        assert request.patches == 16
-
-    def test_constructor_size_is_overridden(self):
-        # Counting a dense request as 1 is the accounting bug; the
-        # derived size wins over whatever the caller passes.
-        request = DenseRequest(id=0, arrival_time=0.0, size=1,
-                               image_hw=(64, 64), grid=(2, 3))
-        assert request.size == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="image_hw"):
-            DenseRequest(id=0, arrival_time=0.0, image_hw=(0, 64))
-        with pytest.raises(ValueError, match="grid"):
-            DenseRequest(id=0, arrival_time=0.0, image_hw=(64, 64),
-                         grid=(0, 2))
-        with pytest.raises(ValueError, match="overlap"):
-            DenseRequest(id=0, arrival_time=0.0, image_hw=(64, 64),
-                         overlap=-1)
-
-
-class TestDenseAdmission:
-    def test_dense_exempt_from_oversize_but_weighed(self):
-        queue = AdmissionQueue(max_depth=8, max_request_size=4)
-        with pytest.raises(OversizeRequestError):
-            queue.offer(Request(id=0, arrival_time=0.0, size=16))
-        dense = DenseRequest(id=1, arrival_time=0.0,
-                             image_hw=(256, 256), grid=(4, 4))
-        assert queue.offer(dense)         # streamed, never batched whole
-        assert queue.pending_images == 16
-
-    def test_max_pending_images_bounds_dense_work(self):
-        queue = AdmissionQueue(max_depth=8, max_request_size=4,
-                               max_pending_images=20)
-        dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(256, 256), grid=(4, 4))
-        assert queue.offer(dense)
-        assert not queue.offer(DenseRequest(
-            id=1, arrival_time=0.0, image_hw=(256, 256), grid=(4, 4)))
-        assert queue.offer(Request(id=2, arrival_time=0.0, size=4))
-        assert not queue.offer(Request(id=3, arrival_time=0.0, size=1))
-        queue.pop()                       # dense head leaves
-        assert queue.offer(Request(id=4, arrival_time=0.0, size=4))
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError, match="max_pending_images"):
-            AdmissionQueue(max_depth=4, max_request_size=4,
-                           max_pending_images=0)
-
-
-class TestDenseBatching:
-    def test_dense_dispatches_alone_in_arrival_order(self):
-        queue = AdmissionQueue(max_depth=16, max_request_size=8)
-        batcher = DynamicBatcher(max_batch_images=8, flush_timeout=0.01)
-        metrics = ServingMetrics()
-        queue.offer(Request(id=0, arrival_time=0.0))
-        queue.offer(Request(id=1, arrival_time=0.1))
-        queue.offer(DenseRequest(id=2, arrival_time=0.2,
-                                 image_hw=(64, 64), grid=(2, 2)))
-        queue.offer(Request(id=3, arrival_time=0.3))
-        first = batcher.form_batch(queue, 1.0, metrics)
-        assert [r.id for r in first] == [0, 1]   # stops at the dense head
-        second = batcher.form_batch(queue, 1.0, metrics)
-        assert [r.id for r in second] == [2]     # dense alone
-        third = batcher.form_batch(queue, 1.0, metrics)
-        assert [r.id for r in third] == [3]
-
-    def test_dense_head_is_its_own_crossing(self):
-        queue = AdmissionQueue(max_depth=16, max_request_size=8)
-        batcher = DynamicBatcher(max_batch_images=8, flush_timeout=0.5)
-        queue.offer(DenseRequest(id=0, arrival_time=1.0,
-                                 image_hw=(64, 64), grid=(2, 2)))
-        # A dense head is a full batch by itself: ready at arrival, not
-        # at the flush timer.
-        assert batcher.ready_at(queue) == pytest.approx(1.0)
-
-
 class TestMixedServing:
-    """Satellite fuzz: random classification + dense traffic through the
-    full Server loop, exact accounting at the end."""
-
-    def make_dense_engine(self, **kwargs):
-        kwargs.setdefault("batch_cap", 8)
-        model = small_vgg(rng=np.random.default_rng(0))
-        return ServingEngine(model, **kwargs)
-
-    def test_dense_request_served_end_to_end(self):
-        engine = self.make_dense_engine()
-        server = Server(engine, flush_timeout=0.005)
-        dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(64, 64), grid=(2, 2))
-        metrics = server.run([dense])
-        metrics.check_accounting()
-        assert metrics.completed_requests == 1
-        assert engine.executed_images == 4          # the patch total
-        assert engine.plans_verified == engine.cache.misses
-
-    def test_numeric_dense_output_matches_inferer(self):
-        engine = self.make_dense_engine(numeric=True)
-        dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(64, 64), grid=(2, 2))
-        engine.execute([dense])
-        output = engine.dense_output_for(dense)
-        assert output.shape == (64, 8, 8)
-
-    def test_dense_padding_counts_the_slots_that_ran(self):
-        """5x5 grid, discovered patch batch 16: corners run at bucket 1,
-        the 3-tile edges at 4 (one zero slot each), the 9-tile interior
-        at 16 (seven) — not ``executions * patch_batch - patches``.  The
-        tail is a tenth execution and neither an image nor a slot."""
-        engine = self.make_dense_engine(numeric=True)
-        dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(80, 80), grid=(5, 5))
-        engine.execute([dense])
-        inferer = engine.dense_inferer
-        report = inferer.plan_dense((80, 80), (5, 5))
-        assert report.patch_batch == 16 and report.executions == 9 + 1
-        assert engine.executed_images == inferer.executed_patches == 25
-        assert engine.padded_images == report.padded_patches \
-            == inferer.padded_patches == 4 * 1 + 7
-
-    def test_engine_rejects_dense_mixed_into_a_batch(self):
-        engine = self.make_dense_engine()
-        dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(64, 64), grid=(2, 2))
-        with pytest.raises(ValueError, match="alone"):
-            engine.execute([dense, Request(id=1, arrival_time=0.0)])
+    """Fuzz: requests of mixed sizes through the full Server loop against
+    a shallow queue, exact accounting at the end."""
 
     def test_fuzz_mixed_traffic_accounting(self):
         rng = np.random.default_rng(7)
-        engine = self.make_dense_engine()
-        server = Server(engine, flush_timeout=0.004, queue_depth=6,
-                        max_pending_images=24)
+        engine = ServingEngine(small_vgg(rng=np.random.default_rng(0)),
+                               batch_cap=8)
+        server = Server(engine, flush_timeout=0.004, queue_depth=3)
         arrivals, clock = [], 0.0
         for i in range(60):
-            # ~17k requests/s: a 2x2 dense request costs four batch-1
-            # runs of the two-conv head and one tail run (0.18 ms; 0.33
-            # when the tiles ran the full body), and at 10k/s the queue
-            # no longer filled.
             clock += float(rng.exponential(0.00006))
-            if rng.random() < 0.25:
-                hw = (32, 32) if rng.random() < 0.5 else (48, 48)
-                arrivals.append(DenseRequest(
-                    id=i, arrival_time=clock, image_hw=hw, grid=(2, 2)))
-            else:
-                arrivals.append(Request(
-                    id=i, arrival_time=clock,
-                    size=int(rng.integers(1, 5))))
+            arrivals.append(Request(id=i, arrival_time=clock,
+                                    size=int(rng.integers(1, 5))))
         metrics = server.run(arrivals)
         metrics.check_accounting()        # nothing lost, nothing doubled
         assert metrics.arrived == 60
@@ -836,22 +698,16 @@ def _golden_bench_cases():
 
 
 def _golden_mixed_cases():
-    """Dense + classification traffic bounded by ``max_pending_images``."""
+    """Mixed-size traffic against a three-deep queue."""
     for seed in (7, 8):
         rng = np.random.default_rng(seed)
         arrivals, clock = [], 0.0
         for i in range(80):
             clock += float(rng.exponential(0.00006))
-            if rng.random() < 0.25:
-                hw = (32, 32) if rng.random() < 0.5 else (48, 48)
-                arrivals.append(DenseRequest(
-                    id=i, arrival_time=clock, image_hw=hw, grid=(2, 2)))
-            else:
-                arrivals.append(Request(id=i, arrival_time=clock,
-                                        size=int(rng.integers(1, 5))))
-        yield (f"mixed-{seed}", small_vgg,
-               dict(flush_timeout=0.004, queue_depth=6,
-                    max_pending_images=24), arrivals)
+            arrivals.append(Request(id=i, arrival_time=clock,
+                                    size=int(rng.integers(1, 5))))
+        yield (f"mixed-size-{seed}", small_vgg,
+               dict(flush_timeout=0.004, queue_depth=3), arrivals)
 
 
 def _golden_digest(case) -> str:
@@ -879,18 +735,11 @@ def _golden_digest(case) -> str:
 
 #: Recorded from the parent commit's hand-rolled ``Server.run`` loop
 #: (89916f9), before ``Server`` became a front for ``FleetScheduler``.
-#: The two ``mixed-*`` traces were re-recorded when a 2x2 dense request
-#: stopped running (and being priced as) four batch-64 graphs: dense
-#: latency 0.63-0.86 ms -> 0.33 ms, ``padded_images`` 4303 / 3804 -> 23 /
-#: 20, cache misses 59 -> 11; their arrival rate was doubled with it so
-#: ``max_pending_images`` still rejects (17 / 16 of 80).  Re-recorded
-#: again when a dense request began to tile only its two-conv head and run
-#: the tail once (join depth 5 of 15): dense latency 0.33 -> 0.18 ms, cache
-#: misses 11 -> 13 (two sizes' tails), ``padded_images`` 23 / 20 -> 20 /
-#: 19; the arrival rate went from 10k/s to ~17k/s with it so the bound
-#: still rejects (18 / 20 of 80; at 10k/s it rejected 1 / 3).  Digests
-#: 3a4817093c5f18f7c9ecc8ac0660310c -> ceee1fabd0156bdf55ea54efca059179,
-#: 4c6f7f767c513df6856c9b2829f71a4b -> 4491fbe6db46e3b1578b1cd6273b7d97.
+#: The two ``mixed-size-*`` traces (requests of 1-4 images against a
+#: three-deep queue, which rejects 61 and 66 of 80) were recorded at
+#: 7b5c501, the parent of the commit that deleted dense requests and the
+#: pending-images bound; they replace two ``mixed-*`` traces that carried
+#: dense requests under that bound.
 GOLDEN_DIGESTS = {
     "small_resnet-light-0": "ef55dd9440ed9c4852a77048388105f9",
     "small_resnet-light-1": "7e756cb6296f4508eef24de99b6438de",
@@ -920,8 +769,8 @@ GOLDEN_DIGESTS = {
     "small_vgg-cap4-1": "7e8dbf1590cc6301b231334c5868941c",
     "small_vgg-deadline-0": "faf9da74c08d58e4b713f60e5aa98dec",
     "small_vgg-deadline-1": "5be0560f491de2c34e850d772c4dec6f",
-    "mixed-7": "ceee1fabd0156bdf55ea54efca059179",
-    "mixed-8": "4491fbe6db46e3b1578b1cd6273b7d97",
+    "mixed-size-7": "a6306d24578eec781895ef737d4f4d51",
+    "mixed-size-8": "125ffdda9c027f6b04202d8f19300bda",
 }
 
 
@@ -993,5 +842,3 @@ class TestServerIsTheOneTenantFleet:
         kwargs = {"arrival_time": 0.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Request(id=0, **kwargs)
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            DenseRequest(id=0, image_hw=(32, 32), **kwargs)
