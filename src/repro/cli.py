@@ -561,7 +561,7 @@ def _cmd_fleet_bench(args) -> int:
 def _cmd_compile(args) -> int:
     import numpy as np
 
-    from .compile import default_pipeline
+    from .compile import compile_graph
     from .graph import (
         GraphExecutor, build_inference_graph, build_training_graph,
     )
@@ -576,7 +576,7 @@ def _cmd_compile(args) -> int:
 
     graph = build()
     params = GraphExecutor.parameters_from_model(graph, model)
-    report = default_pipeline().run(graph, params=params)
+    report = compile_graph(graph, params)
     print(report.render())
     if not args.check:
         return 0
@@ -612,7 +612,7 @@ def _lint_build(model, batch: int, inference: bool, compiled: bool,
     mirrors the serving engine (eval-mode batchnorm so folding applies);
     interpreted inference mirrors the uncompiled serve path.  Either way
     the executor's lowered tables go to the SCA4xx verifier."""
-    from .compile import default_pipeline
+    from .compile import compile_graph
     from .graph import (
         GraphExecutor, build_inference_graph, build_training_graph,
     )
@@ -623,7 +623,7 @@ def _lint_build(model, batch: int, inference: bool, compiled: bool,
         graph = build_training_graph(model, batch)
     params = GraphExecutor.parameters_from_model(graph, model)
     if compiled:
-        default_pipeline().run(graph, params=params)
+        compile_graph(graph, params)
     return graph, GraphExecutor(graph, params, dropout_seed=0,
                                 workers=workers)
 

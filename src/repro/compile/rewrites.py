@@ -33,6 +33,7 @@ ops picked in original-position order) and fails loudly on cycles.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,9 +43,18 @@ from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import FoldResult, FusionRule, op_def
 from ..graph.siblings import attr_key, new_op_id, reserialize, stack_siblings
-from .pipeline import CompileContext, Pass, PassResult
 
-__all__ = ["FUSE_OPS", "FOLD_CONSTANTS", "fuse_ops", "fold_constants"]
+__all__ = ["PassResult", "fuse_ops", "fold_constants"]
+
+
+@dataclass
+class PassResult:
+    """What one pass did: a change count plus per-rewrite detail counters
+    (e.g. ``{"conv2d_relu": 8, "conv2d_siblings": 4}``)."""
+
+    name: str
+    changed: int
+    details: Dict[str, int] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +276,9 @@ def _fuse_siblings(graph: Graph, details: Counter) -> int:
     return changed
 
 
-def fuse_ops(graph: Graph, ctx: CompileContext) -> PassResult:
+def fuse_ops(graph: Graph) -> PassResult:
     """Chain fusion, then sibling fusion (chains first so the per-patch
     conv+ReLU pairs become ``conv2d_relu`` siblings before stacking)."""
-    del ctx
     details: Counter = Counter()
     changed = _fuse_chains(graph, details)
     changed += _fuse_siblings(graph, details)
@@ -314,19 +323,22 @@ def _apply_fold(graph: Graph, op: OpNode, result: FoldResult) -> None:
         _gc_tensor(graph, tensor_id)
 
 
-def _fold_op_hooks(graph: Graph, ctx: CompileContext,
-                   details: Counter) -> int:
+def fold_constants(graph: Graph,
+                   params: Optional[Dict[str, np.ndarray]]) -> PassResult:
+    """Apply every ``OpDef.fold`` whose inputs are known: graph constants,
+    and parameter values from ``params`` (read only; may be ``None``)."""
     params_by_tensor: Dict[int, np.ndarray] = {}
-    if ctx.params:
+    if params:
         for tensor in graph.tensors.values():
-            if tensor.kind == "parameter" and tensor.name in ctx.params:
-                params_by_tensor[tensor.id] = ctx.params[tensor.name]
+            if tensor.kind == "parameter" and tensor.name in params:
+                params_by_tensor[tensor.id] = params[tensor.name]
 
     def value_of(tensor_id: int) -> Optional[np.ndarray]:
         if tensor_id in graph.constants:
             return graph.constants[tensor_id]
         return params_by_tensor.get(tensor_id)
 
+    details: Counter = Counter()
     changed = 0
     for op in list(graph.ops):
         definition = op_def(op.op_type)
@@ -339,14 +351,4 @@ def _fold_op_hooks(graph: Graph, ctx: CompileContext,
         _apply_fold(graph, op, result)
         details[f"{source_type}->{result.op_type}"] += 1
         changed += 1
-    return changed
-
-
-def fold_constants(graph: Graph, ctx: CompileContext) -> PassResult:
-    details: Counter = Counter()
-    changed = _fold_op_hooks(graph, ctx, details)
     return PassResult("fold_constants", changed, dict(details))
-
-
-FUSE_OPS = Pass(name="fuse_ops", version=1, fn=fuse_ops)
-FOLD_CONSTANTS = Pass(name="fold_constants", version=1, fn=fold_constants)

@@ -135,11 +135,6 @@ class SplitScheme:
         boundaries = tuple(round(i * total / parts) for i in range(parts))
         return SplitScheme(boundaries)
 
-    @staticmethod
-    def trivial() -> "SplitScheme":
-        """The 1-part (unsplit) scheme."""
-        return SplitScheme((0,))
-
 
 def receptive_interval(spec: WindowSpec, out_start: int,
                        out_stop: int) -> Tuple[int, int]:

@@ -56,17 +56,6 @@ class ArrayDataset:
         indices = np.fromiter((int(i) for i in indices), dtype=np.int64)
         return self.images[indices], self.labels[indices]
 
-    def subset(self, count: int, seed: Optional[int] = None) -> "ArrayDataset":
-        """A random (or leading) subset, e.g. for quick experiments."""
-        if count > len(self):
-            raise ValueError(f"cannot take {count} of {len(self)} samples")
-        if seed is None:
-            chosen = np.arange(count)
-        else:
-            chosen = np.random.default_rng(seed).choice(
-                len(self), size=count, replace=False)
-        return ArrayDataset(self.images[chosen], self.labels[chosen])
-
 
 def _parse_batch_file(path: pathlib.Path) -> Tuple[np.ndarray, np.ndarray]:
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)

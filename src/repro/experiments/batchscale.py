@@ -1,8 +1,8 @@
 """Experiment E8 — Figure 10: maximum trainable batch size and throughput.
 
 For each configuration the maximum batch size is found by replanning the
-training graph at increasing batch sizes until the planned device peak no
-longer fits in GPU memory (binary search over the step grid).  The paper's
+training graph at doubling batch sizes until the planned device peak no
+longer fits in GPU memory, then bisecting over the step grid.  The paper's
 configurations:
 
 - baseline: regular model, no offloading;
@@ -23,6 +23,7 @@ from ..graph import build_training_graph
 from ..hmms import HMMSPlanner
 from ..models import ConvClassifier, resnet18, vgg19
 from ..nn import init
+from ..planned import dyadic_search
 from ..profile import DeviceSpec, P100_NVLINK
 from ..sim import GPUSimulator
 from .tables import format_table
@@ -58,36 +59,32 @@ def max_batch_size(
     """Largest batch (multiple of ``step``, at most ``_BATCH_CEILING``)
     whose plan fits device memory.
 
-    Returns ``(batch, device_peak_bytes)``.  Binary search over the step
-    grid: peak memory grows monotonically with batch size.
+    Returns ``(batch, device_peak_bytes)``.  :func:`dyadic_search` doubles
+    from ``step`` to the largest fit; a binary search over the step grid
+    then narrows the gap to the next doubling (peak memory grows
+    monotonically with batch size).
     """
-    def fits(batch: int) -> Optional[int]:
-        graph = build_training_graph(build_model(), batch)
-        plan = planner.plan(graph)
-        return plan.device_peak if plan.fits(device.memory_capacity) else None
+    def peak_of(batch: int) -> int:
+        return planner.plan(
+            build_training_graph(build_model(), batch)).device_peak
 
-    low, low_peak = 0, 0
-    high = step
-    # Exponential probe upward, then binary search.
-    while high <= _BATCH_CEILING:
-        peak = fits(high)
-        if peak is None:
-            break
-        low, low_peak = high, peak
-        high *= 2
-    lo_batch, hi_batch = low, min(high, _BATCH_CEILING)
+    capacity = device.memory_capacity
+    peaks = dyadic_search(
+        peak_of, capacity, device, cap=_BATCH_CEILING,
+        what=f"a training plan of batch {step}", start=step)
+    lo_batch = max(peaks)
+    lo_peak = peaks[lo_batch]
+    hi_batch = min(2 * lo_batch, _BATCH_CEILING)
     while hi_batch - lo_batch > step:
         mid = (lo_batch + hi_batch) // (2 * step) * step
         if mid <= lo_batch:
             break
-        peak = fits(mid)
-        if peak is None:
+        peak = peak_of(mid)
+        if peak > capacity:
             hi_batch = mid
         else:
-            lo_batch, low_peak = mid, peak
-    if lo_batch == 0:
-        raise ValueError("model does not fit at the minimum batch size")
-    return lo_batch, low_peak
+            lo_batch, lo_peak = mid, peak
+    return lo_batch, lo_peak
 
 
 def run_fig10(

@@ -227,21 +227,6 @@ class Fig11Result:
     topology: str
     points: List[Fig11Point]
 
-    def speedup_at(self, gbit: float) -> float:
-        """Measured speedup at the sweep point nearest ``gbit``.
-
-        The nearest bandwidth must lie within 25% of the larger of the
-        two, so floats that went through parsing or arithmetic still
-        resolve; a genuinely absent point, or an empty sweep, raises
-        ``KeyError``.
-        """
-        nearest = min(self.points, default=None,
-                      key=lambda p: abs(p.bandwidth_gbit - gbit))
-        if nearest is None or abs(nearest.bandwidth_gbit - gbit) \
-                > 0.25 * max(abs(gbit), abs(nearest.bandwidth_gbit)):
-            raise KeyError(f"bandwidth {gbit} not in the sweep")
-        return nearest.measured_speedup
-
     def check(self) -> None:
         """Raise unless every measured step sits in its analytical bracket."""
         for point in self.points:

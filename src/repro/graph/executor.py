@@ -157,7 +157,7 @@ class GraphExecutor:
     ----------
     graph: a graph produced by :func:`repro.graph.build_training_graph` /
         :func:`~repro.graph.build_inference_graph`, optionally rewritten
-        by a :class:`repro.compile.Pipeline`.
+        by :func:`repro.compile.compile_graph`.
     parameters: mapping from parameter tensor *name* to its array; use
         :meth:`parameters_from_model` to extract them in builder order.
     dropout_seed: base seed for dropout masks; each dropout op derives its

@@ -72,9 +72,6 @@ class MemoryPlan:
         """Total device memory the plan requires (both device pools)."""
         return self.device_general_peak + self.device_param_bytes
 
-    def fits(self, capacity: int) -> bool:
-        return self.device_peak <= capacity
-
 
 class HMMSPlanner:
     """Drives steps 3-5 and assembles the :class:`MemoryPlan`.
@@ -313,7 +310,3 @@ class PlanCache:
     def keys(self) -> Tuple[Hashable, ...]:
         """The currently retained keys, oldest first."""
         return tuple(self._entries)
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        """``(hits, misses, size)`` — misses == number of plans built."""
-        return self.hits, self.misses, len(self._entries)

@@ -433,15 +433,14 @@ def _check_transfers(plan, device: DeviceSpec, cost_model: CostModel,
 
     # Replay both link directions as FIFO queues at NVLink bandwidth, in
     # the exact order the simulator issues copies (entry order; offloads
-    # before prefetches within one entry).  Full duplex when the device
-    # has two memory streams, a single shared queue otherwise.
-    duplex = device.num_memory_streams >= 2
+    # before prefetches within one entry).  NVLink is full duplex: one
+    # queue per direction.
     link_free = [0.0, 0.0]
     done: Dict[Tuple[int, str], float] = {}
     for index, entry in enumerate(plan.schedule):
         for kind, tso_ids in (("offload", entry.offload_starts),
                               ("prefetch", entry.prefetch_starts)):
-            link = (0 if kind == "offload" else 1) if duplex else 0
+            link = 0 if kind == "offload" else 1
             for tso_id in tso_ids:
                 if tso_id not in sizes or (tso_id, kind) in done:
                     continue

@@ -5,9 +5,10 @@ HMMS plan and yields a compute-stream timeline.  The
 :class:`MeshSimulator` runs one such replay per device of a
 :class:`~repro.mesh.partition.MeshPlan` (cached — timelines depend on
 the plan and the device spec, never on link bandwidth, so one extraction
-serves a whole Figure-11 sweep), slices each into per-op *segments*, and
-interleaves them with :class:`~repro.mesh.partition.MeshTransfer` events
-scheduled FIFO over the mesh's contended links.
+serves a whole Figure-11 sweep), takes each replay's per-op *segments*
+(``SimResult.segments``), and interleaves them with
+:class:`~repro.mesh.partition.MeshTransfer` events scheduled FIFO over
+the mesh's contended links.
 
 Determinism: the loop pops **all** events sharing a timestamp as one
 batch, applies every state mutation (hop completions, new enqueues)
@@ -60,44 +61,16 @@ class DeviceTimeline:
 
 
 def extract_timeline(assignment: DeviceAssignment) -> DeviceTimeline:
-    """Replay one device's plan and slice the compute stream per op.
-
-    Compute-stream ``op`` events are matched to schedule positions by op
-    name in order (builder names are unique per graph); ``stall`` events
-    accumulate into the next matched op's pre-stall.
-    """
+    """Replay one device's plan; the replay's own per-position segments
+    slice its compute stream."""
     result = GPUSimulator(assignment.spec).run(assignment.plan)
-    graph = assignment.plan.graph
-    names = [graph.ops[entry.op_index].name
-             for entry in assignment.plan.schedule]
-    segments: List[List[float]] = [[0.0, 0.0] for _ in names]
-    position = 0
-    pending = 0.0
-    compute = 0.0
-    for event in result.events:
-        if event.stream != "compute":
-            continue
-        if event.kind == "stall":
-            pending += event.end - event.start
-        elif event.kind == "op":
-            index = position
-            while index < len(names) and names[index] != event.name:
-                index += 1  # zero-duration ops emitted no event
-            if index == len(names):
-                raise RuntimeError(
-                    f"compute event {event.name!r} matches no remaining "
-                    f"schedule position of {graph.name!r}")
-            segments[index][0] = pending
-            segments[index][1] = event.end - event.start
-            compute += event.end - event.start
-            pending = 0.0
-            position = index + 1
+    segments = result.segments
     accounted = sum(pre + dur for pre, dur in segments)
+    compute = sum(dur for _, dur in segments)
     tail = max(0.0, result.total_time - accounted)
     return DeviceTimeline(
-        segments=[(pre, dur) for pre, dur in segments],
-        tail_stall=tail, total=result.total_time, compute=compute,
-        stall=result.total_time - compute)
+        segments=segments, tail_stall=tail, total=result.total_time,
+        compute=compute, stall=result.total_time - compute)
 
 
 @dataclass

@@ -20,14 +20,14 @@ class Parameter(Tensor):
 class Module:
     """Base class for all neural-network modules.
 
-    Assigning a :class:`Parameter`, :class:`Module` or buffer tensor to an
-    attribute registers it, so :meth:`parameters`, :meth:`named_buffers`
-    and :meth:`train`/:meth:`eval` traverse the whole tree automatically.
+    Assigning a :class:`Parameter` or :class:`Module` to an attribute
+    registers it, so :meth:`parameters` and :meth:`train`/:meth:`eval`
+    traverse the whole tree automatically.  Any other tensor (batch
+    norm's running statistics) is a plain attribute.
     """
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
 
@@ -37,21 +37,14 @@ class Module:
     def __setattr__(self, name: str, value: Any) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
-            self._buffers.pop(name, None)
             self._modules.pop(name, None)
         elif isinstance(value, Module):
             self._modules[name] = value
             self._parameters.pop(name, None)
-            self._buffers.pop(name, None)
         else:
             self._parameters.pop(name, None)
             self._modules.pop(name, None)
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, tensor: Tensor) -> None:
-        """Register a non-trainable persistent tensor (e.g. BN running stats)."""
-        self._buffers[name] = tensor
-        object.__setattr__(self, name, tensor)
 
     # ------------------------------------------------------------------
     # Traversal
@@ -64,12 +57,6 @@ class Module:
             yield (f"{prefix}{name}", param)
         for name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        for name, buf in self._buffers.items():
-            yield (f"{prefix}{name}", buf)
-        for name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{name}.")
 
     def modules(self) -> Iterator["Module"]:
         yield self
@@ -90,9 +77,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None
-
-    def num_parameters(self) -> int:
-        return sum(param.size for param in self.parameters())
 
     # ------------------------------------------------------------------
     # Call protocol

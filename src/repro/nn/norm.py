@@ -86,8 +86,8 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.weight = Parameter(init.ones((num_features,)), name="bn.weight")
         self.bias = Parameter(init.zeros((num_features,)), name="bn.bias")
-        self.register_buffer("running_mean", Tensor(init.zeros((num_features,))))
-        self.register_buffer("running_var", Tensor(init.ones((num_features,))))
+        self.running_mean = Tensor(init.zeros((num_features,)))
+        self.running_var = Tensor(init.ones((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:

@@ -3,9 +3,9 @@
 Two decisions live here and nowhere else (``docs/serving.md``):
 
 - **How a forward graph becomes a servable entry.**  :class:`PlanCore`
-  runs ``compile pipeline -> HMMSPlanner.plan -> verify_plan ->
+  runs ``compile_graph -> HMMSPlanner.plan -> verify_plan ->
   inference_latency -> GraphExecutor`` and caches the result under a key
-  that always ends in the pipeline fingerprint (:meth:`PlanCore.entry`
+  that always ends in the compile fingerprint (:meth:`PlanCore.entry`
   is the cache's only writer), so ``plans_verified == cache.misses`` for
   whoever shares the core.
 - **How the largest size that fits a budget is found.**
@@ -25,7 +25,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from .compile import default_pipeline
+from .compile import FINGERPRINT, compile_graph
 from .graph import GraphExecutor
 from .graph.ir import Graph
 from .hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
@@ -57,8 +57,9 @@ class PlanCore:
     device: prices kernels and is what plans are verified against.
     numeric: give every entry a :class:`GraphExecutor` (real outputs);
         simulated latency is charged either way.
-    compile_plans: run the default compile pipeline (chain + sibling
-        fusion, constant folding) over every graph before planning it.
+    compile_plans: run :func:`~repro.compile.compile_graph` (chain +
+        sibling fusion, constant folding) over every graph before
+        planning it.
     cache: a :class:`PlanCache` shared with other cores (a fleet's
         engines); private when omitted.
     """
@@ -68,10 +69,9 @@ class PlanCore:
                  cache: Optional[PlanCache] = None) -> None:
         self.device = device
         self.numeric = numeric
-        self.pipeline = default_pipeline() if compile_plans else None
+        self.compile_plans = compile_plans
         #: Compilation identity closing every cache key.
-        self.fingerprint = self.pipeline.fingerprint if self.pipeline \
-            else "interpreter"
+        self.fingerprint = FINGERPRINT if compile_plans else "interpreter"
         # Offloading has nothing to hide behind in a forward-only graph:
         # 'hmms' degenerates to 'none' there, so 'none' it is.
         self.planner = HMMSPlanner(device=device, scheduler="none")
@@ -97,8 +97,8 @@ class PlanCore:
         outside the cache — a capacity search that must not count as
         traffic probes with this; :meth:`build` starts with it, so the
         graph a search measured is the graph that executes."""
-        if self.pipeline is not None:
-            self.pipeline.run(graph, params=params)
+        if self.compile_plans:
+            compile_graph(graph, params)
         return self.planner.plan(graph)
 
     def build(self, graph: Graph, params: Params) -> PlannedEntry:
@@ -140,9 +140,13 @@ def dyadic_search(peak_of: Callable[[int], int], budget: int,
     means the size is too small to build at all (a window larger than the
     input) and the size is skipped, not counted as a misfit.  Raises
     ``ValueError`` when nothing fits (the last rejection itself when no
-    size could even be measured) and when ``start`` is already past ``cap``
+    size could even be measured), when ``start`` is below 1 (doubling it
+    would never leave it) and when ``start`` is already past ``cap``
     (nothing would be measured, so the budget is not to blame).
     """
+    if start < 1:
+        raise ValueError(
+            f"search start must be >= 1, got {start} ({what})")
     if start > cap:
         raise ValueError(
             f"search start {start} exceeds cap {cap}: nothing to measure "

@@ -32,7 +32,6 @@ class DeviceSpec:
     # substantially faster than their naive FLOP count suggests — the very
     # effect the paper blames for shrinking per-layer offload budgets.
     winograd_gain: float = 4.0
-    num_memory_streams: int = 2
 
     def with_(self, **kwargs) -> "DeviceSpec":
         """Copy with overrides (convenience for sweeps)."""

@@ -110,7 +110,7 @@ class ServingEngine:
         """The forward graph (and its parameters) for ``batch`` images —
         what both the capacity search and the cache hand the core."""
         graph = build_inference_graph(
-            self.model, batch, eval_batchnorm=self.core.pipeline is not None)
+            self.model, batch, eval_batchnorm=self.core.compile_plans)
         return graph, GraphExecutor.parameters_from_model(graph, self.model)
 
     def entry_for(self, batch: int) -> PlannedEntry:

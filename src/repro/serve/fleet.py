@@ -152,10 +152,6 @@ class DeviceLedger:
     def release(self, tenant: str, replica: int) -> None:
         del self._reservations[(tenant, replica)]
 
-    def reservation_of(self, tenant: str) -> int:
-        return sum(nbytes for (owner, _), nbytes
-                   in self._reservations.items() if owner == tenant)
-
 
 # ----------------------------------------------------------------------
 # Wavefront steps

@@ -9,8 +9,7 @@ derived from the deadline so the two never disagree (a flush timer
 longer than the deadline would expire every request it was waiting to
 batch).
 
-The three standard tiers cover the usual spread; tenants may also build
-a custom class from a deadline via :meth:`SLOClass.from_deadline`.
+The three standard tiers cover the usual spread.
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["SLOClass", "INTERACTIVE", "STANDARD", "BATCH", "SLO_CLASSES"]
-
-#: :meth:`SLOClass.from_deadline`'s flush timeout as a share of the
-#: deadline: enough slack to batch, while leaving most of the budget for
-#: queueing and execution.
-_FLUSH_FRACTION = 0.25
-
 
 @dataclass(frozen=True)
 class SLOClass:
@@ -57,14 +50,6 @@ class SLOClass:
                 f"SLO {self.name!r}: flush_timeout {self.flush_timeout} "
                 f"exceeds the deadline {self.deadline} — the batcher would "
                 f"hold requests past the instant they expire")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_deadline(cls, name: str, deadline: float) -> "SLOClass":
-        """Derive a class from a deadline alone: the flush timeout is
-        ``_FLUSH_FRACTION`` of the deadline."""
-        return cls(name=name, deadline=deadline,
-                   flush_timeout=deadline * _FLUSH_FRACTION)
 
     def absolute_deadline(self, arrival_time: float) -> Optional[float]:
         """The absolute expiry instant of a request arriving now."""

@@ -2,11 +2,12 @@
 
 Replays a :class:`~repro.hmms.planner.MemoryPlan` on a model of the
 paper's testbed: one compute stream executing the serialized ops, plus
-``device.num_memory_streams`` memory streams carrying host-device copies
-over NVLink.  Synchronizations follow the plan's semantics exactly:
+two memory streams carrying host-device copies over full-duplex NVLink
+(offloads on one, prefetches on the other).  Synchronizations follow the
+plan's semantics exactly:
 
 - an offload/prefetch is *issued* when its planned op starts executing
-  (it then occupies the earliest-available memory stream);
+  (it then queues behind earlier copies in its own direction);
 - an ``offload_sync`` blocks the compute stream after the op's kernel
   until the copy has drained (this is where eager layer-wise plans stall);
 - a ``prefetch_sync`` blocks before the op until the data is back.
@@ -19,7 +20,7 @@ on the device, and it tracks live device bytes against the capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..hmms.planner import MemoryPlan
 from ..hmms.tso import POOL_DEVICE_GENERAL
@@ -59,6 +60,11 @@ class SimResult:
     offloaded_bytes: int
     peak_live_bytes: int           # device general pool, tracked live
     events: List[TimelineEvent] = field(default_factory=list)
+    #: Per schedule position: (compute-stream stall since the previous
+    #: kernel, kernel seconds).  An op too short to advance the clock
+    #: holds (0, 0) and its stall carries on to the next kernel, so a
+    #: stall after an op's kernel opens the next op's segment.
+    segments: List[Tuple[float, float]] = field(default_factory=list)
 
     def throughput(self, batch_size: int) -> float:
         """Training throughput in samples/second."""
@@ -94,8 +100,7 @@ class GPUSimulator:
     def run(self, plan: MemoryPlan) -> SimResult:
         graph = plan.graph
         device = self.device
-        num_streams = device.num_memory_streams
-        stream_free = [0.0] * num_streams
+        stream_free = [0.0, 0.0]
         transfer_done: Dict[tuple, float] = {}   # (tso id, kind) -> completion
         tso_state: Dict[int, int] = {}
         live_bytes = 0
@@ -104,6 +109,8 @@ class GPUSimulator:
         transfer_time = 0.0
         offloaded_bytes = 0
         events: List[TimelineEvent] = []
+        segments = [(0.0, 0.0)] * len(plan.schedule)
+        pending = 0.0   # compute-stream stall not yet in a segment
         tsos, tso_of = plan.assignment.tsos, plan.assignment.tso_of
         sizes = {tso_id: tso.size for tso_id, tso in tsos.items()}
         unreadable = (self.FREED, self.ON_HOST, self.PREFETCHING)
@@ -114,14 +121,11 @@ class GPUSimulator:
 
         def issue_transfer(tso_id: int, at: float, kind: str) -> float:
             nonlocal transfer_time
-            if num_streams >= 2:
-                # NVLink is full duplex: device-to-host (offload) and
-                # host-to-device (prefetch) each get a dedicated stream and
-                # the full per-direction bandwidth; same-direction copies
-                # serialize behind each other.
-                stream_index = 0 if kind == "offload" else 1
-            else:
-                stream_index = 0
+            # NVLink is full duplex: device-to-host (offload) and
+            # host-to-device (prefetch) each get a dedicated stream and the
+            # full per-direction bandwidth; same-direction copies serialize
+            # behind each other.
+            stream_index = 0 if kind == "offload" else 1
             start = max(stream_free[stream_index], at)
             duration = sizes[tso_id] / device.nvlink_bandwidth
             end = start + duration
@@ -150,7 +154,7 @@ class GPUSimulator:
         # once, when its schedule entry replays.
         durations = [0.0] * len(graph.ops)
         clock = 0.0
-        for entry in plan.schedule:
+        for position, entry in enumerate(plan.schedule):
             op = graph.ops[entry.op_index]
 
             for tso_id in entry.allocs_before:
@@ -180,6 +184,7 @@ class GPUSimulator:
                 if done > clock:
                     emit("compute", "stall", f"wait-prefetch:tso{tso_id}", clock, done)
                     stall_time += done - clock
+                    pending += done - clock
                     clock = done
                 tso_state[tso_id] = self.RESIDENT
 
@@ -199,8 +204,12 @@ class GPUSimulator:
 
             duration = self.cost_model.cost(graph, op).seconds
             durations[entry.op_index] = duration
-            emit("compute", "op", op.name, clock, clock + duration)
-            clock += duration
+            end = clock + duration
+            emit("compute", "op", op.name, clock, end)
+            if end > clock:
+                segments[position] = (pending, end - clock)
+                pending = 0.0
+            clock = end
 
             if entry.workspace_bytes:
                 live_bytes -= entry.workspace_bytes
@@ -211,6 +220,7 @@ class GPUSimulator:
                 if done > clock:
                     emit("compute", "stall", f"wait-offload:tso{tso_id}", clock, done)
                     stall_time += done - clock
+                    pending += done - clock
                     clock = done
                 tso_state[tso_id] = self.ON_HOST
                 release(tso_id)
@@ -232,6 +242,7 @@ class GPUSimulator:
             offloaded_bytes=offloaded_bytes,
             peak_live_bytes=peak_live,
             events=events,
+            segments=segments,
         )
 
     # ------------------------------------------------------------------

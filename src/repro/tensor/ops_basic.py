@@ -42,21 +42,18 @@ class Add(Function):
 
 
 class MatMul(Function):
+    """A 2-D matrix product (``Linear``'s only shape)."""
+
     def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError(
+                f"matmul takes 2-D operands, got shapes {a.shape} and "
+                f"{b.shape}")
         self.a, self.b = a, b
         return a @ b
 
     def backward(self, grad_output: np.ndarray):
-        a, b = self.a, self.b
-        if a.ndim == 2 and b.ndim == 2:
-            return (grad_output @ b.T, a.T @ grad_output)
-        # Batched matmul: contract over batch dims when operands broadcast.
-        grad_a = grad_output @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad_output
-        return (
-            unbroadcast(grad_a, np.shape(a)),
-            unbroadcast(grad_b, np.shape(b)),
-        )
+        return (grad_output @ self.b.T, self.a.T @ grad_output)
 
 
 # ----------------------------------------------------------------------

@@ -49,11 +49,17 @@ def gradcheck(make_output, x0: np.ndarray, rtol: float = 1e-4,
 
 
 def to_float64(model):
-    for param in model.parameters():
-        param.data = param.data.astype(np.float64)
-    for _, buf in model.named_buffers():
-        buf.data = buf.data.astype(np.float64)
+    """Parameters and every other tensor attribute (batch norm's running
+    statistics) of every module, in place."""
+    for module in model.modules():
+        for value in vars(module).values():
+            if isinstance(value, Tensor):
+                value.data = value.data.astype(np.float64)
     return model
+
+
+def num_parameters(model) -> int:
+    return sum(param.size for param in model.parameters())
 
 
 def autograd_step(model, x, y):

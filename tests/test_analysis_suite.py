@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_graph, audit_determinism, verify_lowering
-from repro.compile import CompiledPlan, default_pipeline
+from repro.compile import CompiledPlan, compile_graph
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.executor import GraphExecutor
@@ -49,7 +49,7 @@ def compiled_train():
     model = _model()
     graph = build_training_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
-    default_pipeline().run(graph, params=params)
+    compile_graph(graph, params)
     return graph, params
 
 
@@ -60,7 +60,7 @@ def compiled_eval():
     model = _model("small_resnet")
     graph = build_inference_graph(model, 2, eval_batchnorm=True)
     params = GraphExecutor.parameters_from_model(graph, model)
-    default_pipeline().run(graph, params=params)
+    compile_graph(graph, params)
     return graph, params
 
 
@@ -275,7 +275,7 @@ class TestKillMatrix:
         del graph.constants[mean_id]
         with pytest.raises(KeyError, match=name):
             GraphExecutor(graph, params)
-        default_pipeline().run(graph, params=params)
+        compile_graph(graph, params)
         with pytest.raises(KeyError, match=name):
             CompiledPlan(graph, params)
 
@@ -294,7 +294,7 @@ class TestKillMatrix:
         graph.add_op("head", "relu", [total], [out])
         graph.validate()
         assert not verify_lowering(GraphExecutor(graph, {}))
-        assert default_pipeline().run(graph, params={}).ops_after == 2
+        assert compile_graph(graph, {}).ops_after == 2
         executor = GraphExecutor(graph, {})
         assert not verify_lowering(executor)
         with np.errstate(over="ignore"):

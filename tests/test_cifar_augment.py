@@ -95,11 +95,3 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(np.zeros((2, 8, 8), np.float32),
                          np.zeros(2, np.int64))
-
-    def test_subset(self):
-        dataset = ArrayDataset(np.zeros((10, 3, 4, 4), np.float32),
-                               np.arange(10, dtype=np.int64))
-        sub = dataset.subset(4, seed=1)
-        assert len(sub) == 4
-        with pytest.raises(ValueError):
-            dataset.subset(11)

@@ -627,7 +627,8 @@ class TestInputSmallerThanTheWindows:
         with pytest.raises(ValueError, match="does not fit"):
             inferer.run_unsplit(random_image((16, 16)))
         # Nothing was built, so nothing was counted.
-        assert inferer.cache.snapshot() == (0, 0, 0)
+        assert (inferer.cache.hits, inferer.cache.misses,
+                len(inferer.cache)) == (0, 0, 0)
         assert inferer.plans_verified == 0
 
     def test_single_pass_search_skips_sides_the_windows_reject(self):

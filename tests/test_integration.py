@@ -9,6 +9,8 @@ HMMS flow is consistent with the simulator's safety checker.
 import numpy as np
 import pytest
 
+from conftest import num_parameters
+
 from repro.core import to_split_cnn
 from repro.data import ShapesDataset
 from repro.experiments.training import evaluate, train_classifier
@@ -58,7 +60,7 @@ class TestSplitTraining:
     def test_split_does_not_change_parameter_count(self):
         base = small_vgg(rng=np.random.default_rng(0))
         split = to_split_cnn(base, depth=0.5, num_splits=(2, 2))
-        assert split.num_parameters() == base.num_parameters()
+        assert num_parameters(split) == num_parameters(base)
 
 
 class TestFullPipeline:

@@ -15,11 +15,9 @@ import pytest
 
 from repro.analysis import detect_mesh_hazards
 from repro.core import to_split_cnn
-from repro.experiments import (
-    PAPER_BANDWIDTHS, Fig11Point, Fig11Result, TrainingProfile, run_fig11,
-)
+from repro.experiments import PAPER_BANDWIDTHS, run_fig11
 from repro.experiments.fig11 import _apportion_overhead
-from repro.compile import default_pipeline
+from repro.compile import compile_graph
 from repro.graph import build_inference_graph
 from repro.graph.executor import GraphExecutor, resolve_final_gradients
 from repro.mesh import (
@@ -482,38 +480,9 @@ class TestMeshGoldenDigests:
 
 
 # ----------------------------------------------------------------------
-# satellite 1: speedup_at lookup + overhead apportioning guard
+# Figure 11's overhead apportioning guard
 # ----------------------------------------------------------------------
 class TestFig11Fixes:
-    def _result(self):
-        profile = TrainingProfile(name="m", batch_size=8,
-                                  forward_seconds=0.1,
-                                  backward_seconds=0.2,
-                                  gradient_bytes=1 << 20)
-        points = [
-            Fig11Point(bandwidth_gbit=gbit, analytical_speedup=measured + 1,
-                       measured_speedup=measured, base_step_seconds=1.0,
-                       split_step_seconds=1.0, base_bracket=(0.5, 1.5),
-                       split_bracket=(0.5, 1.5))
-            for gbit, measured in [(0.5, 5.0), (1.0, 4.0), (2.0, 3.0)]]
-        return Fig11Result(baseline=profile, split=profile, devices=4,
-                           topology="ring", points=points)
-
-    def test_exact_lookup(self):
-        assert self._result().speedup_at(1.0) == 4.0
-
-    def test_nearest_within_tolerance(self):
-        # float that went through arithmetic/parsing still resolves
-        assert self._result().speedup_at(1.0000000001) == 4.0
-        assert self._result().speedup_at(0.45) == 5.0
-
-    def test_absent_point_raises(self):
-        with pytest.raises(KeyError):
-            self._result().speedup_at(16.0)
-        with pytest.raises(KeyError):
-            Fig11Result(baseline=None, split=None, devices=4,
-                        topology="ring", points=[]).speedup_at(1.0)
-
     def test_apportion_zero_kernel_guard(self):
         forward, backward = _apportion_overhead(0.0, 0.0, 0.5)
         assert forward == pytest.approx(0.25)
@@ -562,7 +531,7 @@ class TestRunWithInputs:
         expected = GraphExecutor(tail.graph,
                                  tail.params).run_with_inputs(inputs)
         compiled = copy.deepcopy(tail.graph)
-        report = default_pipeline().run(compiled, params=tail.params)
+        report = compile_graph(compiled, tail.params)
         assert report.ops_after < report.ops_before
         actual = GraphExecutor(compiled, tail.params,
                                workers=workers).run_with_inputs(inputs)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import num_parameters
+
 from repro.graph import build_forward_graph
 from repro.models import (
     MODEL_REGISTRY, alexnet, build_model, resnet18, resnet34, resnet50,
@@ -122,23 +124,23 @@ class TestParameterCounts:
     def test_vgg19_parameter_count(self):
         # Canonical VGG-19 (ImageNet, 1000 classes): ~143.7M parameters.
         with init.fast_init():
-            total = vgg19().num_parameters()
+            total = num_parameters(vgg19())
         assert 143_000_000 < total < 145_000_000
 
     def test_resnet18_parameter_count(self):
         # Canonical ResNet-18: ~11.7M parameters.
         with init.fast_init():
-            total = resnet18(dataset="imagenet", num_classes=1000).num_parameters()
+            total = num_parameters(resnet18(dataset="imagenet", num_classes=1000))
         assert 11_000_000 < total < 12_500_000
 
     def test_resnet50_parameter_count(self):
         # Canonical ResNet-50: ~25.6M parameters.
         with init.fast_init():
-            total = resnet50().num_parameters()
+            total = num_parameters(resnet50())
         assert 25_000_000 < total < 26_500_000
 
     def test_alexnet_parameter_count(self):
         # Canonical (torchvision) AlexNet: ~61.1M parameters.
         with init.fast_init():
-            total = alexnet().num_parameters()
+            total = num_parameters(alexnet())
         assert 60_000_000 < total < 62_500_000

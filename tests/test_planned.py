@@ -209,6 +209,21 @@ class TestDyadicSearch:
         # start == cap is still a search of one size.
         assert _search(lambda size: size, start=64) == {64: 64}
 
+    def test_a_start_below_one_raises_instead_of_looping(self):
+        """Regression: ``max_single_pass_side(start=0)`` never returned —
+        ``peak_of(0)``'s ``ValueError`` read as "too small, skip" and
+        ``0 * 2 == 0``."""
+        probed = []
+        for start in (0, -4):
+            with pytest.raises(ValueError, match=f"got {start}"):
+                _search(probed.append, start=start)
+        assert probed == []
+        inferer = PatchInferer(small_vgg(rng=np.random.default_rng(0)),
+                               numeric=False)
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            inferer.max_single_pass_side(start=0)
+        assert inferer.cache.misses == 0
+
     def test_other_errors_are_not_swallowed(self):
         def peak_of(size):
             raise RuntimeError("plan verification failed")

@@ -50,9 +50,11 @@ class TestPlannerBasics:
         assert plan.offload_fraction_used == pytest.approx(expected)
 
     def test_fits(self, vgg_graph):
+        """A plan fits a device of exactly its peak and no smaller one:
+        ``verify_plan``'s capacity check is what decides it."""
         plan = HMMSPlanner(scheduler="hmms").plan(vgg_graph)
-        assert plan.fits(plan.device_peak)
-        assert not plan.fits(plan.device_peak - 1)
+        assert verify_plan(plan, capacity=plan.device_peak).ok
+        assert not verify_plan(plan, capacity=plan.device_peak - 1).ok
 
 
 class TestScheduleInvariants:

@@ -39,7 +39,7 @@ class TestSplitScheme:
         assert scheme.part_sizes(10) == (3, 4, 3)
 
     def test_trivial(self):
-        assert SplitScheme.trivial().num_parts == 1
+        assert SplitScheme((0,)).num_parts == 1
 
     def test_part_range(self):
         scheme = SplitScheme((0, 4, 8))

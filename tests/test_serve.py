@@ -230,7 +230,7 @@ class TestPlanCache:
         cache = PlanCache(capacity=4)
         assert cache.get_or_build("a", lambda: 1) == 1
         assert cache.get_or_build("a", lambda: 2) == 1
-        assert cache.snapshot() == (1, 1, 1)
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
     def test_fifo_eviction(self):
         cache = PlanCache(capacity=2)
@@ -261,7 +261,7 @@ class TestPlanCache:
         assert (cache.hits, cache.misses, cache.evictions, len(cache)) \
             == (0, 0, 0, 0)
         assert cache.get_or_build("a", lambda: 1) == 1
-        assert cache.snapshot() == (0, 1, 1)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
         assert cache.misses == len(cache) + cache.evictions
 
 

@@ -74,7 +74,7 @@ class TestExactCases:
         x = Tensor(rng.standard_normal((1, 2, 10, 10)), dtype=np.float64)
         w = Tensor(rng.standard_normal((2, 2, 3, 3)), dtype=np.float64)
         ref = conv2d(x, w, None, stride=1, padding=1)
-        one = SplitScheme.trivial()
+        one = SplitScheme((0,))
         out = split_conv2d(x, w, None, (1, 1), ((1, 1), (1, 1)), one, one)
         np.testing.assert_allclose(out.numpy(), ref.numpy(), rtol=1e-12)
 

@@ -62,10 +62,15 @@ class TestArithmetic:
         np.testing.assert_allclose(out.numpy(), a @ b)
 
     def test_matmul_batched(self):
+        """Only 2-D products have a backward: a batched operand is
+        rejected, not run forward-only."""
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 2, 3))
         b = rng.standard_normal((5, 3, 4))
-        np.testing.assert_allclose((Tensor(a) @ Tensor(b)).numpy(), a @ b)
+        with pytest.raises(ValueError, match="2-D operands"):
+            Tensor(a) @ Tensor(b)
+        with pytest.raises(ValueError, match="2-D operands"):
+            Tensor(a[0]) @ Tensor(b)
 
 
 class TestBroadcastGradients:
