@@ -61,8 +61,8 @@ def _row(name, model, mode, x, y):
         reference = build_training_graph(model, batch)
         compiled = build_training_graph(model, batch)
     else:
-        reference = build_inference_graph(model, batch, eval_batchnorm=True)
-        compiled = build_inference_graph(model, batch, eval_batchnorm=True)
+        reference = build_inference_graph(model, batch)
+        compiled = build_inference_graph(model, batch)
     params = GraphExecutor.parameters_from_model(reference, model)
     report = compile_graph(compiled, params=params)
 

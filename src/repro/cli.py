@@ -207,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--train", action="store_true",
                           help="compile the training graph "
                                "(default: inference)")
-    compile_.add_argument("--eval-bn", action="store_true",
-                          help="inference: running-stat batch norm "
-                               "(enables BN constant folding)")
     compile_.add_argument("--check", action="store_true",
                           help="execute compiled vs interpreted graphs "
                                "and require byte-identical outputs")
@@ -571,8 +568,7 @@ def _cmd_compile(args) -> int:
     def build():
         if args.train:
             return build_training_graph(model, args.batch)
-        return build_inference_graph(model, args.batch,
-                                     eval_batchnorm=args.eval_bn)
+        return build_inference_graph(model, args.batch)
 
     graph = build()
     params = GraphExecutor.parameters_from_model(graph, model)
@@ -608,17 +604,15 @@ def _cmd_compile(args) -> int:
 
 def _lint_build(model, batch: int, inference: bool, compiled: bool,
                 workers: int):
-    """(graph, executor) for one lint configuration.  Compiled inference
-    mirrors the serving engine (eval-mode batchnorm so folding applies);
-    interpreted inference mirrors the uncompiled serve path.  Either way
-    the executor's lowered tables go to the SCA4xx verifier."""
+    """(graph, executor) for one lint configuration; the executor's
+    lowered tables go to the SCA4xx verifier."""
     from .compile import compile_graph
     from .graph import (
         GraphExecutor, build_inference_graph, build_training_graph,
     )
 
     if inference:
-        graph = build_inference_graph(model, batch, eval_batchnorm=compiled)
+        graph = build_inference_graph(model, batch)
     else:
         graph = build_training_graph(model, batch)
     params = GraphExecutor.parameters_from_model(graph, model)

@@ -3,12 +3,12 @@
 Three rewrites, all driven by declarations on the registry's ``OpDef``
 records rather than hard-coded op lists:
 
-- **Chain fusion** (``OpDef.fusions``) — collapse producer/consumer
-  chains like conv→bias→ReLU or conv→BN(→ReLU) into one fused op.  The
-  fused kernels run the exact member kernels back to back on the same
-  arrays, so values are bit-identical; what is saved is the per-op
-  dispatch, bookkeeping, and the intermediate tensor's graph traffic.  A
-  stacked head fuses one chain per output: the builder's
+- **Chain fusion** (``OpDef.fusions``) — collapse a producer/consumer
+  pair like conv→ReLU into one fused op.  The fused kernels run the
+  exact member kernels back to back on the same arrays, so values are
+  bit-identical; what is saved is the per-op dispatch, bookkeeping, and
+  the intermediate tensor's graph traffic.  A stacked head fuses one
+  pair per output: the builder's
   ``conv2d_siblings`` whose S outputs each feed one ReLU becomes one
   ``conv2d_relu_siblings``.
 - **Sibling fusion** (``OpDef.sibling_fused``) — stack the S per-patch
@@ -74,83 +74,67 @@ def _twin_map(graph: Graph) -> Dict[int, List[OpNode]]:
 # Chain fusion
 # ----------------------------------------------------------------------
 
-def _follow_lane(graph: Graph, head: OpNode, tensor_id: int,
-                 chain: Tuple[str, ...]) -> Optional[List[OpNode]]:
-    """The ops ``chain`` names, following head output ``tensor_id``
-    through single-consumer activations, or ``None``."""
-    lane: List[OpNode] = []
-    current = head
-    for next_type in chain:
-        if current is not head:
-            if len(current.outputs) != 1:
-                return None
-            tensor_id = current.outputs[0]
-        out = graph.tensors[tensor_id]
-        if out.kind != "activation" or out.name in OUTPUT_NAMES:
-            return None
-        consumer_ids = set(out.consumers) - {current.id}
-        if len(consumer_ids) != 1:
-            return None
-        candidate = graph.op_by_id(consumer_ids.pop())
-        if (candidate.op_type != next_type
-                or candidate.phase != "forward"
-                or candidate.inputs.count(out.id) != 1
-                or candidate.inputs[0] != out.id):
-            return None
-        lane.append(candidate)
-        current = candidate
-    return lane
+def _follower(graph: Graph, head: OpNode, tensor_id: int,
+              op_type: str) -> Optional[OpNode]:
+    """The ``op_type`` op that alone consumes head output ``tensor_id``,
+    as its data input, or ``None``."""
+    out = graph.tensors[tensor_id]
+    if out.kind != "activation" or out.name in OUTPUT_NAMES:
+        return None
+    consumer_ids = set(out.consumers) - {head.id}
+    if len(consumer_ids) != 1:
+        return None
+    candidate = graph.op_by_id(consumer_ids.pop())
+    if (candidate.op_type != op_type
+            or candidate.phase != "forward"
+            or candidate.inputs.count(out.id) != 1
+            or candidate.inputs[0] != out.id):
+        return None
+    return candidate
 
 
 def _match_chain(graph: Graph, head: OpNode,
-                 twins: Dict[int, List[OpNode]],
-                 ) -> Optional[Tuple[FusionRule, List[List[OpNode]]]]:
-    """The first declared rule of ``head`` whose chain matches, with one
-    lane of matched ops per head output, if any.
+                 ) -> Optional[Tuple[FusionRule, List[OpNode]]]:
+    """The first declared rule of ``head`` that matches, with the
+    follower of each head output, if any.
 
-    A chain link is legal when the intermediate tensor is a plain
-    activation with *exactly one* consumer — the next member, reading it
-    as its data input.  Saved-for-backward reads and backward-op inputs
-    appear in ``consumers`` too, so any intermediate someone else still
-    needs automatically fails the single-consumer test.  A stacked head
-    (``conv2d_siblings``) matches when each of its S outputs starts a
-    lane.
+    A head output is fusable when it is a plain activation with *exactly
+    one* consumer — the follower, reading it as its data input.
+    Saved-for-backward reads and backward-op inputs appear in
+    ``consumers`` too, so an output someone else still needs
+    automatically fails the single-consumer test.  A stacked head
+    (``conv2d_siblings``) matches when each of its S outputs has a
+    follower.
     """
     definition = op_def(head.op_type)
     if not definition.fusions or head.phase != "forward":
         return None
     for rule in definition.fusions:
-        lanes = [_follow_lane(graph, head, tensor_id, rule.chain)
-                 for tensor_id in head.outputs]
-        if any(lane is None for lane in lanes):
+        followers = [_follower(graph, head, tensor_id, rule.follower)
+                     for tensor_id in head.outputs]
+        if any(follower is None for follower in followers):
             continue
-        chain = [head] + [member for lane in lanes for member in lane]
-        chain_ids = {member.id for member in chain}
-        intermediates = set(head.outputs) | {
-            member.outputs[0] for lane in lanes for member in lane[:-1]}
+        chain_ids = {head.id} | {follower.id for follower in followers}
         if any(tensor_id in op.saved
                for op in graph.ops if op.id not in chain_ids
-               for tensor_id in intermediates):
+               for tensor_id in head.outputs):
             continue
-        if rule.requires is not None \
-                and not rule.requires(graph, chain, twins):
-            continue
-        return rule, lanes
+        return rule, followers
     return None
 
 
 def _apply_chain_fusion(graph: Graph, head: OpNode,
-                        lanes: List[List[OpNode]], fused_type: str,
+                        followers: List[OpNode], fused_type: str,
                         twins: Dict[int, List[OpNode]]) -> None:
-    chain = [head] + [member for lane in lanes for member in lane]
+    chain = [head] + followers
     chain_ids = {member.id for member in chain}
-    final_outs = [graph.tensors[lane[-1].outputs[0]] for lane in lanes]
-    deleted = set(head.outputs) | {
-        member.outputs[0] for lane in lanes for member in lane[:-1]}
+    final_outs = [graph.tensors[follower.outputs[0]]
+                  for follower in followers]
+    deleted = set(head.outputs)
 
     input_ids = list(head.inputs)
     attrs = dict(head.attrs)
-    for member in chain[1:]:
+    for member in followers:
         input_ids.extend(member.inputs[1:])
         for key, value in member.attrs.items():
             attrs.setdefault(key, value)
@@ -162,7 +146,7 @@ def _apply_chain_fusion(graph: Graph, head: OpNode,
 
     fused = OpNode(
         id=new_op_id(graph),
-        name="+".join([head.name] + [m.op_type for m in lanes[0]]),
+        name=f"{head.name}+{followers[0].op_type}",
         op_type=fused_type, inputs=input_ids,
         outputs=[out.id for out in final_outs],
         attrs=attrs, phase="forward", saved=saved,
@@ -204,12 +188,12 @@ def _fuse_chains(graph: Graph, details: Counter) -> int:
     twins = _twin_map(graph)
     index = 0
     while index < len(graph.ops):
-        match = _match_chain(graph, graph.ops[index], twins)
+        match = _match_chain(graph, graph.ops[index])
         if match is None:
             index += 1
             continue
-        rule, lanes = match
-        _apply_chain_fusion(graph, graph.ops[index], lanes, rule.fused,
+        rule, followers = match
+        _apply_chain_fusion(graph, graph.ops[index], followers, rule.fused,
                             twins)
         details[rule.fused] += 1
         changed += 1

@@ -31,5 +31,6 @@ def build_training_graph(model, batch_size: int, **kwargs):
 
 def build_inference_graph(model, batch_size: int, **kwargs):
     """Forward-only serving graph of ``model``: stops at the logits, marks
-    nothing saved for backward, and drops dropout layers."""
+    nothing saved for backward, drops dropout layers, and normalizes with
+    batch norm's running statistics."""
     return build_forward_graph(model, batch_size, inference=True, **kwargs)

@@ -55,23 +55,18 @@ class GraphBuilder:
     def __init__(self, batch_size: int, workspace_cap: int = GIB,
                  memory_efficient_bn: bool = False,
                  patch_order: str = "depth_first",
-                 inference: bool = False,
-                 eval_batchnorm: bool = False) -> None:
+                 inference: bool = False) -> None:
         if patch_order not in ("depth_first", "breadth_first"):
             raise ValueError(
                 f"patch_order must be 'depth_first' or 'breadth_first', "
                 f"got {patch_order!r}"
             )
-        if eval_batchnorm and not inference:
-            raise ValueError("eval_batchnorm requires inference=True: "
-                             "training batch-norm uses batch statistics")
         self.graph = Graph()
         self.batch_size = batch_size
         self.workspace_cap = workspace_cap
         self.memory_efficient_bn = memory_efficient_bn
         self.patch_order = patch_order
         self.inference = inference
-        self.eval_batchnorm = eval_batchnorm
         self._param_cache: dict[int, TensorValue] = {}
         self._const_cache: dict[Any, TensorValue] = {}
         self._name_counts: dict[str, int] = {}
@@ -209,7 +204,7 @@ class GraphBuilder:
     def emit_bn(self, module: BatchNorm2d, value: TensorValue, tag: str = "") -> TensorValue:
         weight = self.param(module, "weight", module.weight.shape)
         bias = self.param(module, "bias", module.bias.shape)
-        if self.eval_batchnorm:
+        if self.inference:
             mean = self.constant(module, "running_mean",
                                  module.running_mean.data)
             var = self.constant(module, "running_var",
@@ -434,7 +429,6 @@ def build_forward_graph(
     workspace_cap: int = GIB,
     patch_order: str = "depth_first",
     inference: bool = False,
-    eval_batchnorm: bool = False,
 ) -> Graph:
     """Build the serialized forward graph for one training step of ``model``.
 
@@ -445,12 +439,11 @@ def build_forward_graph(
     ``inference=True`` builds a serving graph instead: the graph stops at
     the logits (no loss head), no tensor is marked saved for backward, and
     dropout layers vanish — the memory plan for such a graph carries no
-    backward-only state at all.
-
-    ``eval_batchnorm=True`` (inference only) emits ``batchnorm_eval`` ops
-    normalizing with the model's *running* statistics — ``model.eval()``
-    semantics — with the stats as kind-``"constant"`` tensors whose
-    values live in ``graph.constants``.  This is the form the compiler's
+    backward-only state at all.  Its batch norms are ``batchnorm_eval``
+    ops normalizing with the model's *running* statistics — ``model.eval()``
+    semantics, so an image's logits do not depend on its batch — with
+    the stats as kind-``"constant"`` tensors whose values live in
+    ``graph.constants``.  This is the form the compiler's
     constant-folding pass collapses into per-channel affine ops.
     """
     if batch_size < 1:
@@ -461,7 +454,6 @@ def build_forward_graph(
         memory_efficient_bn=bool(getattr(model, "memory_efficient_bn", False)),
         patch_order=patch_order,
         inference=inference,
-        eval_batchnorm=eval_batchnorm,
     )
     graph = builder.graph
     graph.name = model.name

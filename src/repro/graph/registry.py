@@ -86,20 +86,15 @@ SHARE_SUMMATION = "summation"  # summation error terms share the upstream TSO
 class FusionRule:
     """A chain fusion declared on the *head* op's :class:`OpDef`.
 
-    ``chain`` names the op types that must follow the head through
-    single-consumer intermediate activations; matching replaces the whole
-    chain with one ``fused`` op.  A multi-output head (a stacked
-    ``conv2d_siblings``) matches when every output starts such a chain,
-    and the fused op has one output per chain.  ``requires`` (optional)
-    receives ``(graph, chain_ops, twins)`` — ``twins`` maps forward op id
-    to its backward ops — and vetoes the rewrite when the fused kernel
-    could not reproduce the unfused bytes (e.g. conv→BN in training
-    without ``recompute``).
+    ``follower`` names the op type that must be the one consumer of the
+    head's output, a plain activation; matching replaces the pair with
+    one ``fused`` op.  A multi-output head (a stacked ``conv2d_siblings``)
+    matches when every output has such a follower, and the fused op has
+    one output per follower.
     """
 
-    chain: Tuple[str, ...]
+    follower: str
     fused: str
-    requires: Optional[Callable[..., bool]] = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ class OpDef:
     # "generated data" (Figure 1).
     saved: Tuple[Tuple[str, int], ...] = ()
     # --- compiler hooks (consumed by repro.compile) -------------------
-    # Chain fusions this op can head (conv→bn→relu and friends).
+    # Chain fusions this op can head (conv→relu).
     fusions: Tuple[FusionRule, ...] = ()
     # S-ary batched variant fusing independent same-weight siblings
     # (split-CNN patch convolutions) into one stacked kernel call; the
@@ -242,17 +237,6 @@ def _shape_conv_siblings(ins, attrs):
 # ----------------------------------------------------------------------
 # Numeric kernels (consumed by the executor)
 # ----------------------------------------------------------------------
-class _ConvBnContext:
-    """Composite forward context of a fused conv+BN op: the conv and BN
-    backward kernels each unwrap their slot."""
-
-    __slots__ = ("conv", "bn")
-
-    def __init__(self, conv, bn):
-        self.conv = conv
-        self.bn = bn
-
-
 def _sibling_conv_ctx(ctx, op):
     """A per-sibling view of a stacked ``conv2d_siblings`` context.
 
@@ -275,10 +259,7 @@ def _sibling_conv_ctx(ctx, op):
 
 
 def _conv_backward_ctx(ex, op):
-    ctx = ex.forward_context(op)
-    if isinstance(ctx, _ConvBnContext):
-        ctx = ctx.conv
-    return _sibling_conv_ctx(ctx, op)
+    return _sibling_conv_ctx(ex.forward_context(op), op)
 
 
 def _k_conv2d(ex, op):
@@ -297,26 +278,6 @@ def _k_conv2d_relu(ex, op):
                      op.attrs["stride"], op.attrs["padding"])
     ex.save_context(op, fn)
     ex.set_output(op, 0, np.maximum(out, 0.0, out=out))
-
-
-def _k_conv2d_bn(ex, op, relu=False):
-    # inputs: [x, w(, bias), gamma, beta]
-    has_bias = len(op.inputs) == 5
-    conv = _ConvFn()
-    bias = ex.input(op, 2) if has_bias else None
-    out = conv.forward(ex.input(op, 0), ex.input(op, 1), bias,
-                       op.attrs["stride"], op.attrs["padding"])
-    bn = _BatchNormTrain()
-    out = bn.forward(out, ex.input(op, len(op.inputs) - 2),
-                     ex.input(op, len(op.inputs) - 1))
-    ex.save_context(op, _ConvBnContext(conv, bn))
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    ex.set_output(op, 0, out)
-
-
-def _k_conv2d_bn_relu(ex, op):
-    _k_conv2d_bn(ex, op, relu=True)
 
 
 def _k_conv2d_siblings(ex, op, relu=False):
@@ -347,8 +308,6 @@ def _k_conv2d_bwd_data(ex, op):
 def _k_conv2d_bwd_data_siblings(ex, op):
     count = op.attrs["siblings"]
     ctx = ex.forward_context(op)
-    if isinstance(ctx, _ConvBnContext):
-        ctx = ctx.conv
     stacked = np.concatenate([ex.input(op, i) for i in range(count)], axis=0)
     grad = ctx.backward_input(stacked)
     rows = grad.shape[0] // count
@@ -402,10 +361,7 @@ def _k_batchnorm(ex, op):
 
 
 def _k_batchnorm_bwd(ex, op):
-    ctx = ex.forward_context(op)
-    if isinstance(ctx, _ConvBnContext):
-        ctx = ctx.bn
-    grads = ctx.backward(ex.input(op, 0))
+    grads = ex.forward_context(op).backward(ex.input(op, 0))
     ex.set_output(op, 0, grads[0])
     ex.set_output(op, 1, grads[1])
     ex.set_output(op, 2, grads[2])
@@ -829,11 +785,6 @@ def _char_conv_bwd_weight(graph: Graph, op: OpNode):
     return flops, _io_bytes(graph, op)
 
 
-def _char_conv_bn(graph: Graph, op: OpNode):
-    flops, bytes_moved = _char_conv(graph, op)
-    return flops + 5.0 * graph.tensor(op.outputs[0]).num_elements, bytes_moved
-
-
 def _char_conv_siblings(graph: Graph, op: OpNode):
     # _char_conv reads one sibling's tensor (outputs[0] forward /
     # inputs[0] backward); the stacked op does S of those contractions.
@@ -904,17 +855,6 @@ def _char_free(graph: Graph, op: OpNode):
 # ----------------------------------------------------------------------
 # Compiler hooks (consumed by repro.compile)
 # ----------------------------------------------------------------------
-def _bn_fusion_legal(graph, chain_ops, twins):
-    """conv→BN fusion keeps the unfused bytes only when no backward twin
-    reads the conv output tensor — i.e. at inference, or in training with
-    ``recompute`` BN (whose ``batchnorm_bwd`` consumes just the upstream
-    gradient and gamma)."""
-    bn = chain_ops[1]
-    if any(twins.get(member.id) for member in chain_ops):
-        return bool(bn.attrs.get("recompute"))
-    return True
-
-
 def _fold_batchnorm_eval(op, value_of):
     """Fold the inference-constant half of ``batchnorm_eval`` into a
     precomputed per-channel scale: ``bn_affine(x, scale, mean, beta)``.
@@ -979,12 +919,7 @@ _register(OpDef(
     "conv2d", kernel=_k_conv2d, characterize=_char_conv,
     infer_shapes=_shape_conv2d, backward=_bwd_conv2d, efficiency=EFF_CONV,
     saved=(("input", 0),),
-    fusions=(
-        FusionRule(("batchnorm", "relu"), "conv2d_bn_relu",
-                   requires=_bn_fusion_legal),
-        FusionRule(("batchnorm",), "conv2d_bn", requires=_bn_fusion_legal),
-        FusionRule(("relu",), "conv2d_relu"),
-    ),
+    fusions=(FusionRule("relu", "conv2d_relu"),),
     sibling_fused="conv2d_siblings",
 ))
 _register(OpDef(
@@ -993,18 +928,10 @@ _register(OpDef(
     sibling_fused="conv2d_relu_siblings",
 ))
 _register(OpDef(
-    "conv2d_bn", kernel=_k_conv2d_bn, characterize=_char_conv_bn,
-    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
-))
-_register(OpDef(
-    "conv2d_bn_relu", kernel=_k_conv2d_bn_relu, characterize=_char_conv_bn,
-    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
-))
-_register(OpDef(
     "conv2d_siblings", kernel=_k_conv2d_siblings,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
     efficiency=EFF_CONV,
-    fusions=(FusionRule(("relu",), "conv2d_relu_siblings"),),
+    fusions=(FusionRule("relu", "conv2d_relu_siblings"),),
 ))
 _register(OpDef(
     "conv2d_relu_siblings", kernel=_k_conv2d_relu_siblings,

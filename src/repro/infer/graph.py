@@ -9,7 +9,7 @@ patch graph is op-for-op the unsplit graph restricted to a window.
 Graphs stop at the dense feature map (no flatten/classifier head); the
 final tensor is renamed ``"logits"`` so :class:`GraphExecutor`'s output
 plumbing and the compiler's output-preservation contract apply unchanged.
-Batch-norm always uses running statistics (``eval_batchnorm``): eval BN
+Batch-norm uses running statistics, as in every inference graph: eval BN
 is elementwise, which is what keeps per-tile execution exact.
 """
 
@@ -45,8 +45,7 @@ def _emit_layers(builder: GraphBuilder, layers: List[Module],
 def _build(name: str, layers: List[Module], paddings: List[LayerPadding],
            batch: int, in_hw: Tuple[int, int], in_channels: int,
            ) -> Tuple[Graph, GraphBuilder]:
-    builder = GraphBuilder(batch_size=batch, inference=True,
-                           eval_batchnorm=True)
+    builder = GraphBuilder(batch_size=batch, inference=True)
     graph = builder.graph
     graph.name = name
     value = graph.add_tensor(

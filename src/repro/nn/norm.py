@@ -53,23 +53,16 @@ class _BatchNormTrain(Function):
 
 
 class _BatchNormEval(Function):
-    """Inference-mode batch norm: a per-channel affine transform."""
+    """Inference-mode batch norm: a per-channel affine transform.  No run
+    differentiates it, so it has no backward."""
 
     def forward(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                 running_mean: np.ndarray,
                 running_var: np.ndarray) -> np.ndarray:
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        self.scale = (gamma * inv_std).reshape(1, -1, 1, 1)
+        scale = (gamma * inv_std).reshape(1, -1, 1, 1)
         centered = x - running_mean.reshape(1, -1, 1, 1)
-        self.x_hat = centered * inv_std.reshape(1, -1, 1, 1)
-        return self.scale * centered + beta.reshape(1, -1, 1, 1)
-
-    def backward(self, grad_output: np.ndarray):
-        axes = (0, 2, 3)
-        grad_x = grad_output * self.scale
-        grad_gamma = (grad_output * self.x_hat).sum(axis=axes)
-        grad_beta = grad_output.sum(axis=axes)
-        return (grad_x, grad_gamma, grad_beta, None, None)
+        return scale * centered + beta.reshape(1, -1, 1, 1)
 
 
 class BatchNorm2d(Module):

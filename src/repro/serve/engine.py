@@ -47,9 +47,9 @@ class ServingEngine:
     model: the (possibly split-transformed) model to serve.
     device, numeric, compile_plans, cache: the engine's
         :class:`~repro.planned.PlanCore` (documented there).  With
-        ``compile_plans`` graphs are built with ``eval_batchnorm=True``
-        so running-stat normalization folds to per-channel affines; a
-        fleet passes its one ``cache`` to every engine.
+        ``compile_plans`` the graphs' running-stat normalization folds to
+        per-channel affines; a fleet passes its one ``cache`` to every
+        engine.
     batch_cap: upper bound for the capacity search (keeps discovery
         bounded for models far smaller than the device).
     seed: seeds the inputs a ``numeric`` engine generates.
@@ -109,8 +109,7 @@ class ServingEngine:
     def _graph(self, batch: int) -> Tuple[Graph, Dict[str, np.ndarray]]:
         """The forward graph (and its parameters) for ``batch`` images —
         what both the capacity search and the cache hand the core."""
-        graph = build_inference_graph(
-            self.model, batch, eval_batchnorm=self.core.compile_plans)
+        graph = build_inference_graph(self.model, batch)
         return graph, GraphExecutor.parameters_from_model(graph, self.model)
 
     def entry_for(self, batch: int) -> PlannedEntry:

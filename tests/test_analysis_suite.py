@@ -37,7 +37,7 @@ def bn_eval_factory():
     mutations don't leak."""
     def build():
         model = _model("small_resnet")
-        graph = build_inference_graph(model, 2, eval_batchnorm=True)
+        graph = build_inference_graph(model, 2)
         return graph, GraphExecutor.parameters_from_model(graph, model)
     return build
 
@@ -58,7 +58,7 @@ def compiled_eval():
     """(graph, params) for a compiled small_resnet eval graph — BN
     folding creates bn_affine constants for the SCA405 poison test."""
     model = _model("small_resnet")
-    graph = build_inference_graph(model, 2, eval_batchnorm=True)
+    graph = build_inference_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
     compile_graph(graph, params)
     return graph, params

@@ -21,8 +21,8 @@ Two tables are keyed by something the name scan cannot follow, so they
 have their own guards, which run the zoo instead of reading it:
 
 - the registry's op types are strings: every one must appear in a graph
-  built from a zoo model (split or not; training, inference or eval-BN
-  inference; compiled or not);
+  built from a zoo model (split or not; training or inference; compiled
+  or not);
 - autograd ``Function`` subclasses are reached through ``Tensor``'s
   operator bindings and names they share with layers and kernels: every
   one must be applied by an eager training or eval step of a zoo model.
@@ -65,7 +65,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import (
@@ -472,15 +471,14 @@ def test_unrun_entries_name_counted_functions():
 
 def _built_op_types() -> Set[str]:
     """Op types of every graph built from the zoo: model x split
-    {1, 4} x {training, inference, eval-BN inference} x {plain, compiled}."""
+    {1, 4} x {training, inference} x {plain, compiled}."""
     from repro.compile import compile_graph
     from repro.core.transform import build_zoo_model
     from repro.graph import build_inference_graph, build_training_graph
     from repro.graph.executor import GraphExecutor
     from repro.models import MODEL_REGISTRY
 
-    builds = (build_training_graph, build_inference_graph,
-              partial(build_inference_graph, eval_batchnorm=True))
+    builds = (build_training_graph, build_inference_graph)
     built = set()
     for name in MODEL_REGISTRY:
         for split in (1, 4):
@@ -570,7 +568,7 @@ def test_every_autograd_function_is_applied(monkeypatch):
 #: Non-raise lines of src/repro that the run set leaves unexecuted (1,037
 #: before the first deletions it found, 901 after them).  The listing fails
 #: when the count rises above this; lower it when it falls.
-LINE_BUDGET = 873
+LINE_BUDGET = 829
 
 #: ``module:function`` or a whole ``module`` -> why its unexecuted lines
 #: stay.  The listing marks these; they still count against
@@ -579,8 +577,6 @@ _CHECKER = ("a finding branch only a broken plan or graph reaches; the "
             "mutation tests reach it")
 _REPR = "debugging text for a REPL; no program prints it"
 _DROPOUT = "dropout sits in the ImageNet classifiers, which no run trains"
-_EVAL_BN = ("the numeric compiled eval-BN path; no run executes an eval-BN "
-            "graph's kernels, test_compile.py does")
 _RETIRE = ("idle-replica retirement: no run's trace idles a scaled-up "
            "replica; the fleet golden digests do")
 UNRUN: Dict[str, str] = {
@@ -605,13 +601,9 @@ UNRUN: Dict[str, str] = {
     "graph/executor.py:GraphExecutor._run_wavefront":
         "the wavefront executor, kept for the frozen harness (item 2)",
     "graph/registry.py:_k_split_bwd": UNBUILT_OPS["split_bwd"],
-    "graph/registry.py:_k_conv2d_bn": _EVAL_BN,
-    "graph/registry.py:_k_conv2d_bn_relu": _EVAL_BN,
-    "graph/registry.py:_k_batchnorm_eval": _EVAL_BN,
-    "graph/registry.py:_k_bn_affine": _EVAL_BN,
-    "graph/registry.py:_ConvBnContext.__init__": _EVAL_BN,
-    "graph/registry.py:_char_conv_bn": _EVAL_BN,
-    "graph/registry.py:_bn_fusion_legal": _EVAL_BN,
+    "graph/registry.py:_k_bn_affine":
+        "the folded batch norm of a compiled BN model; no run executes "
+        "one numerically, test_compile.py does",
     "graph/registry.py:_k_dropout": _DROPOUT,
     "graph/registry.py:_k_dropout_bwd": _DROPOUT,
     "graph/executor.py:GraphExecutor.dropout_op_seed": _DROPOUT,

@@ -105,7 +105,6 @@ class TestTradeoffs:
         """Checkpoint boundary tensors are offload candidates, so the two
         memory strategies compose."""
         from repro.graph import build_forward_graph
-        from repro.graph.checkpoint import append_checkpointed_backward
         graph = build_forward_graph(model, 64, workspace_cap=0)
         append_checkpointed_backward(graph)
         plan = HMMSPlanner(scheduler="hmms").plan(graph)

@@ -64,7 +64,7 @@ def _outputs_bytes(outputs):
 def _build(model, batch, mode):
     if mode == "train":
         return build_training_graph(model, batch)
-    return build_inference_graph(model, batch, eval_batchnorm=True)
+    return build_inference_graph(model, batch)
 
 
 def _compiled_graph(model, batch, mode):
@@ -150,22 +150,6 @@ class TestCompiledIdentity:
         assert graph.constants
         for tensor_id in graph.constants:
             assert graph.tensor(tensor_id).kind == "constant"
-
-    def test_memory_efficient_bn_fuses_conv_bn_relu(self):
-        rng = np.random.default_rng(0)
-        model = small_resnet(num_classes=4, rng=rng)
-        model.memory_efficient_bn = True
-        x = rng.standard_normal((2, 3, 32, 32))
-        y = np.array([1, 3])
-        reference = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(reference, model)
-        expected = GraphExecutor(reference, params).run(x, y)
-
-        graph = build_training_graph(model, 2)
-        compile_graph(graph, params=params)
-        assert any(op.op_type == "conv2d_bn_relu" for op in graph.ops)
-        actual = CompiledPlan(graph, params).run(x, y)
-        assert _outputs_bytes(expected) == _outputs_bytes(actual)
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +246,8 @@ class TestServingCache:
 class TestCompileCli:
     def test_check_passes(self, capsys):
         from repro.cli import main
-        # small_resnet without --eval-bn compiles batch-stat BN inference,
-        # the only mode whose graphs contain a conv2d_bn op.
+        # small_resnet's inference graph folds its batch norms into
+        # bn_affine ops.
         for argv in (["compile", "small_vgg", "--split", "4", "--check"],
                      ["compile", "small_resnet", "--check"]):
             assert main(argv) == 0

@@ -7,7 +7,7 @@ from repro.graph import build_forward_graph, build_training_graph
 from repro.models import resnet18, resnet50, small_vgg, vgg19
 from repro.nn import init
 from repro.profile import (
-    CostModel, DeviceSpec, P100_NVLINK, analyze_offloadability,
+    CostModel, P100_NVLINK, analyze_offloadability,
 )
 
 

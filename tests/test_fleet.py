@@ -678,14 +678,18 @@ def _fleet_digest(case) -> str:
 #: busy tenants and step boundaries stopped recording empty completions.
 #: The ``two-tenant-*`` rows were recorded at 7b5c501, the parent of the
 #: commit that deleted dense requests; they replace two dense-mix rows.
+#: Every row was re-recorded when inference graphs began to normalize with
+#: running statistics: the stats are constants in the parameter pool, so
+#: ``fleet.ledger.peak_reserved`` rose by 5,376 bytes (8,064 on
+#: ``soak-x2-tight``); the digest without that field is unchanged.
 GOLDEN_FLEET_DIGESTS = {
-    "soak-x0_5": "d79b0394522597231b42a25ac7fe1ac4",
-    "soak-x1": "605c496b01c2c6af7279ab24c342a426",
-    "soak-x2": "f03293451f0aad90ae3b95a3255374a6",
-    "soak-x1-flush": "a5c427a5b19d7a541a6e7746e0c37b70",
-    "soak-x2-tight": "237e9d4e4027fdce45f22fd057ad8e82",
-    "two-tenant-continuous": "a85179fdf9bd31f91e1b280484cee2e2",
-    "two-tenant-flush": "f0bf846d00ca6ebe9ec668c62cebf143",
+    "soak-x0_5": "f5d74f4521e21beb477f8fa0e130fd0f",
+    "soak-x1": "6e19beb99a9cb4915da179d138bc4cbe",
+    "soak-x2": "42930e9e700b9cb5938654285e2963c3",
+    "soak-x1-flush": "38a30f91f72a8766de6c290bf6c6df31",
+    "soak-x2-tight": "5d156069b1703e6a60127611cd1c8115",
+    "two-tenant-continuous": "efa44a88d82bfa2ecbb4dcb7cb923b12",
+    "two-tenant-flush": "bc38468d5381bfbb4bff47be265bfe5d",
 }
 
 

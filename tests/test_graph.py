@@ -1,6 +1,5 @@
 """Tests for the computation-graph IR, builder and backward generation."""
 
-import numpy as np
 import pytest
 
 from repro.core import to_split_cnn

@@ -106,10 +106,8 @@ class TestFullPipeline:
 
     def test_grouped_mode_end_to_end(self):
         """Paper-literal Algorithm 1 (grouped syncs) also replays safely."""
-        from repro.graph import compute_lifetimes
-        from repro.hmms import assign_storage, plan_offload, plan_prefetch
+        from repro.hmms import plan_offload, plan_prefetch
         from repro.hmms.planner import HMMSPlanner as Planner
-        from repro.profile import CostModel
 
         model = small_vgg(rng=np.random.default_rng(0))
         graph = build_training_graph(model, 32)

@@ -118,7 +118,7 @@ class TestStochasticInferenceGraph:
                              eval_unsplit=eval_unsplit)
         x = rng.standard_normal((2, 3, 32, 32))
         eager = model.eval()(Tensor(x, dtype=np.float64)).numpy()
-        graph = build_inference_graph(model, 2, eval_batchnorm=True)
+        graph = build_inference_graph(model, 2)
         params = GraphExecutor.parameters_from_model(graph, model)
         logits = GraphExecutor(graph, params).run(x)["logits"]
         assert logits.tobytes() == eager.tobytes()

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import num_parameters
 
-from repro import nn
 from repro.nn import (
     BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d, Linear,
     MaxPool2d, Module, Parameter, ReLU, Sequential,
@@ -187,22 +186,6 @@ class TestBatchNorm:
             return fresh(t)
 
         gradcheck(fn, rng.standard_normal((4, 3, 3, 3)), rtol=1e-3, atol=1e-5)
-
-    def test_eval_gradcheck(self, rng):
-        from conftest import gradcheck
-        bn = BatchNorm2d(2)
-        bn.running_mean.data = rng.standard_normal(2)
-        bn.running_var.data = rng.uniform(0.5, 2.0, 2)
-        bn.eval()
-
-        def fn(t):
-            fresh = BatchNorm2d(2)
-            fresh.running_mean.data = bn.running_mean.data.astype(np.float64)
-            fresh.running_var.data = bn.running_var.data.astype(np.float64)
-            fresh.eval()
-            return fresh(t)
-
-        gradcheck(fn, rng.standard_normal((3, 2, 4, 4)), rtol=1e-4)
 
     def test_weight_and_bias_get_grads(self, rng):
         bn = BatchNorm2d(2)

@@ -7,7 +7,7 @@ import pytest
 from repro.graph import build_training_graph, compute_lifetimes
 from repro.hmms import assign_storage, plan_layerwise, plan_offload, plan_prefetch
 from repro.hmms.offload import select_offload_candidates
-from repro.models import small_resnet, small_vgg
+from repro.models import small_vgg
 from repro.profile import CostModel, P100_NVLINK
 
 

@@ -49,7 +49,7 @@ def test_table_never_changes_a_byte(name, splits, mode, compiled):
     if mode == "train":
         graph = build_training_graph(model, 2)
     else:
-        graph = build_inference_graph(model, 2, eval_batchnorm=True)
+        graph = build_inference_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
     if compiled:
         compile_graph(graph, params=params)

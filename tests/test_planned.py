@@ -59,7 +59,10 @@ def _engine_digest(engine: ServingEngine) -> str:
 
 ENGINE_GOLDEN = {
     "small_vgg": "d0bc5dd8d7957c2436a013af78fc8492",
-    "small_resnet-split4": "72cb170bfe3595b1f68454531b50d8cf",
+    # Re-recorded when inference graphs began to normalize with running
+    # statistics: the stats are constants, so every bucket's planned peak
+    # rose by 2,688 bytes; latencies and cache counters are unchanged.
+    "small_resnet-split4": "c9caa6a38b3f91546a6a4130c8864a83",
     "vgg11-compiled": "173f2292afce126bbc1dbe4d1b45babe",
 }
 

@@ -10,7 +10,7 @@ from repro.graph import build_inference_graph, build_training_graph, \
     compute_lifetimes
 from repro.hmms import HMMSPlanner, MemoryPlan, assign_storage, plan_offload, \
     plan_prefetch, verify_plan
-from repro.models import small_resnet, small_vgg
+from repro.models import small_vgg
 from repro.profile import CostModel, OpCost, P100_NVLINK, \
     analyze_offloadability
 from repro.sim import GPUSimulator

@@ -1,6 +1,5 @@
 """Unit + property tests for the split-scheme mathematics (paper §3.1)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -6,20 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import to_split_cnn
+from repro.core import build_zoo_model, to_split_cnn
 from repro.graph import (
     GraphExecutor, build_inference_graph, build_training_graph,
 )
 from repro.hmms import (
     POOL_DEVICE_PARAM, HMMSPlanner, PlanCache, verify_plan,
 )
-from repro.models import build_model, small_resnet, small_vgg
-from repro.nn import init
+from repro.models import MODEL_REGISTRY, build_model, small_resnet, small_vgg
+from repro.nn import BatchNorm2d, init
 from repro.serve import (
     AdmissionQueue, BenchConfig, DynamicBatcher,
     OversizeRequestError, Request, Server, ServingEngine, ServingMetrics,
     percentile, poisson_arrivals, run_bench,
 )
+from repro.tensor import Tensor, no_grad
 
 
 def make_engine(**kwargs) -> ServingEngine:
@@ -90,7 +91,52 @@ class TestInferenceGraph:
             kinds = {graph.tensor(t).kind for t in tso.tensor_ids}
             assert not any("gradient" in kind for kind in kinds)
             if tso.pool == POOL_DEVICE_PARAM:
-                assert kinds == {"parameter"}
+                assert kinds <= {"parameter", "constant"}
+
+
+def _with_running_stats(model):
+    """``model`` with running statistics far from the fresh (0, 1): batch
+    statistics and running statistics then normalize differently."""
+    rng = np.random.default_rng(1)
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            module.running_mean.data = rng.standard_normal(
+                module.num_features)
+            module.running_var.data = rng.uniform(0.5, 2.0,
+                                                  module.num_features)
+    return model
+
+
+class TestRunningStatistics:
+    """An inference graph normalizes with running statistics, so an
+    image's logits depend on that image alone."""
+
+    @pytest.mark.parametrize("compile_plans", [False, True])
+    def test_logits_do_not_depend_on_the_batch(self, compile_plans):
+        model = _with_running_stats(small_resnet(rng=np.random.default_rng(0)))
+        engine = ServingEngine(model, numeric=True, batch_cap=8,
+                               compile_plans=compile_plans)
+        images = np.random.default_rng(2).standard_normal((4, 3, 32, 32))
+        alone = engine.entry_for(1).executor.run(images[:1])["logits"]
+        batched = engine.entry_for(4).executor.run(images)["logits"]
+        np.testing.assert_allclose(batched[:1], alone, rtol=0, atol=1e-12)
+
+    def test_graph_logits_are_the_eager_eval_bytes(self):
+        model = _with_running_stats(small_resnet(rng=np.random.default_rng(0)))
+        images = np.random.default_rng(2).standard_normal((4, 3, 32, 32))
+        graph = build_inference_graph(model, 4)
+        params = GraphExecutor.parameters_from_model(graph, model)
+        logits = GraphExecutor(graph, params).run(images)["logits"]
+        model.eval()
+        with no_grad():
+            eager = model(Tensor(images, dtype=np.float64)).numpy()
+        assert logits.tobytes() == eager.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_no_zoo_inference_graph_uses_batch_statistics(self, name):
+        for split in (1, 4):
+            graph = build_inference_graph(build_zoo_model(name, split), 1)
+            assert not any(op.op_type == "batchnorm" for op in graph.ops)
 
 
 # ----------------------------------------------------------------------

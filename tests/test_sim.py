@@ -5,8 +5,7 @@ import pytest
 
 from repro.graph import build_training_graph
 from repro.hmms import HMMSPlanner, verify_plan
-from repro.hmms.planner import OpSchedule
-from repro.models import small_resnet, small_vgg
+from repro.models import small_vgg
 from repro.profile import CostModel, P100_NVLINK
 from repro.sim import (
     GPUSimulator, SimulationError, render_timeline, stall_profile,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheme import SplitScheme, WindowSpec, compute_input_split
+from repro.core.scheme import SplitScheme, WindowSpec
 from repro.core.split_op import plan_split_2d, run_split_op, split_conv2d
 from repro.tensor import Tensor, conv2d, max_pool2d
 
