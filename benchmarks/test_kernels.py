@@ -46,15 +46,26 @@ def test_bench_conv2d_backward(benchmark, conv_inputs):
     assert x.grad is not None
 
 
-def test_bench_conv2d_forward_patch_float64(benchmark):
-    # The patch_infer shape: few channels, many pixels, no padding — the
-    # column buffer's fill, not the GEMM, is most of the call.
+@pytest.mark.parametrize("x_shape,out_channels,pad", [
+    # The patch_infer shapes: few channels, many pixels, no padding.  The
+    # weight is light, so the forward multiplies channel-last columns;
+    # the GEMM is the largest stage of the call, the input transpose and
+    # column copies most of the rest.
+    ((2, 16, 66, 66), 16, 0),
+    ((1, 64, 66, 66), 64, 0),
+    # A deep VGG-11 patch: a heavy 512x512x3x3 weight and 32 pixel rows
+    # keep the channel-major buffer.
+    ((8, 512, 2, 2), 512, 1),
+], ids=["2x16x66x66-16", "1x64x66x66-64", "8x512x2x2-512"])
+def test_bench_conv2d_forward_patch_float64(benchmark, x_shape, out_channels,
+                                            pad):
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, 16, 66, 66))
-    w = rng.standard_normal((16, 16, 3, 3)) * 0.1
-    pad = ((0, 0), (0, 0))
-    out = benchmark(lambda: Conv2d().forward(x, w, None, (1, 1), pad))
-    assert out.shape == (2, 16, 64, 64)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal((out_channels, x_shape[1], 3, 3)) * 0.1
+    padding = ((pad, pad), (pad, pad))
+    out = benchmark(lambda: Conv2d().forward(x, w, None, (1, 1), padding))
+    assert out.shape == (x_shape[0], out_channels) + tuple(
+        side + 2 * pad - 2 for side in x_shape[2:])
 
 
 @pytest.mark.parametrize("need_argmax", [True, False],

@@ -59,19 +59,29 @@ def normalize_padding2d(padding: Union[int, Sequence]) -> Padding2d:
     return (out[0], out[1])  # type: ignore[return-value]
 
 
-def _pad_spatial(x: np.ndarray, padding: Padding2d, value: float = 0.0) -> np.ndarray:
-    """Apply (possibly negative) padding to the last two dims of ``x``."""
+def _crop_spatial(x: np.ndarray, padding: Padding2d):
+    """Crop ``x`` by the negative sides of ``padding``; return the view and
+    the positive sides ``(top, bottom, left, right)`` still to be added."""
     (pt, pb), (pl, pr) = padding
-    crop = (
-        slice(None), slice(None),
-        slice(max(0, -pt), x.shape[2] - max(0, -pb)),
-        slice(max(0, -pl), x.shape[3] - max(0, -pr)),
-    )
-    x = x[crop]
-    pos = ((0, 0), (0, 0), (max(0, pt), max(0, pb)), (max(0, pl), max(0, pr)))
-    if any(any(p) for p in pos):
-        x = np.pad(x, pos, mode="constant", constant_values=value)
-    return np.ascontiguousarray(x)
+    if min(pt, pb, pl, pr) < 0:
+        x = x[:, :, max(0, -pt):x.shape[2] - max(0, -pb),
+              max(0, -pl):x.shape[3] - max(0, -pr)]
+    return x, (max(0, pt), max(0, pb), max(0, pl), max(0, pr))
+
+
+def _pad_spatial(x: np.ndarray, padding: Padding2d, value: float = 0.0) -> np.ndarray:
+    """Apply (possibly negative) padding to the last two dims of ``x``.
+
+    With nothing to pad or crop, a contiguous ``x`` is returned itself.
+    """
+    x, (top, bottom, left, right) = _crop_spatial(x, padding)
+    if not (top or bottom or left or right):
+        return np.ascontiguousarray(x)
+    n, c, h, w = x.shape
+    out = np.full((n, c, top + h + bottom, left + w + right), value,
+                  dtype=x.dtype)
+    out[:, :, top:top + h, left:left + w] = x
+    return out
 
 
 def _unpad_spatial_grad(grad_padded: np.ndarray, in_shape: Tuple[int, ...],
@@ -118,10 +128,35 @@ def _im2col(x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
 
     Copied with a whole output row as the inner run (a reshape of the
     window view copies runs of ``kw`` elements); as ``(C*kh*kw, N*Ho*Wo)``
-    its transpose is the ``(pixels, K)`` operand of the conv GEMMs.
+    its transpose is the ``(pixels, K)`` operand of the weight gradient's
+    GEMM and of a weight-heavy conv's forward.  BLAS packs that transposed
+    operand at about half the speed of a pixel-major one, which is what
+    :func:`_channel_last_cols` builds for a weight-light forward.
     """
     view = _window_view(x, kernel, stride)
     return np.ascontiguousarray(view.transpose(1, 4, 5, 0, 2, 3))
+
+
+def _channel_last_cols(x: np.ndarray, padding: Padding2d, kernel: IntPair,
+                       stride: IntPair):
+    """Pixel-major ``(N*Ho*Wo, kh*kw*C)`` column buffer of ``x`` padded by
+    ``padding``; returns it with ``(N, Ho, Wo)``.
+
+    One copy pads and transposes ``x`` into an ``(N, Hp, Wp, C)`` buffer;
+    a second copies its ``(N, Ho, Wo, kh, kw, C)`` window view, whose
+    inner run is ``C`` contiguous elements.
+    """
+    x, (top, bottom, left, right) = _crop_spatial(x, padding)
+    n, c, h, w = x.shape
+    padded = np.zeros((n, top + h + bottom, left + w + right, c),
+                      dtype=x.dtype)
+    padded[:, top:top + h, left:left + w] = x.transpose(0, 2, 3, 1)
+    view = _window_view(padded.transpose(0, 3, 1, 2), kernel, stride)
+    _, _, ho, wo, kh, kw = view.shape
+    cols = np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype)
+    np.copyto(cols.reshape(n, ho, wo, kh, kw, c),
+              view.transpose(0, 2, 3, 4, 5, 1))
+    return cols, (n, ho, wo)
 
 
 #: OpenBLAS hands a GEMM with ``M*N*K`` at or under this to small-matrix
@@ -143,36 +178,81 @@ def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad
     return (in_size + pad_begin + pad_end - kernel) // stride + 1
 
 
+#: A conv whose weight has at most this many elements (1 MiB of float64)
+#: runs its forward on pixel-major channel-last columns; a heavier one
+#: keeps the channel-major buffer, because permuting its weight would cost
+#: more than its forward at the few pixel rows such layers have.  The
+#: branch depends on the weight shape only: a patch and the unsplit image
+#: take the same one and get the same bytes.
+CHANNEL_LAST_WEIGHT_LIMIT = 1 << 17
+
+
 class Conv2d(Function):
     """2-D cross-correlation (deep-learning 'convolution') via im2col."""
 
+    _xp: Optional[np.ndarray] = None
+
     def forward(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
                 stride: IntPair, padding: Padding2d) -> np.ndarray:
+        """One GEMM with pixels as rows, ``(pixels, K) @ (K, O)``.
+
+        A weight-light conv (at most ``CHANNEL_LAST_WEIGHT_LIMIT``
+        elements) multiplies pixel-major channel-last columns, K ordered
+        ``(kh, kw, C)``, by its weight permuted to ``(O, kh, kw, C)``; a
+        weight-heavy one hands BLAS the transposed view of the
+        channel-major ``_im2col`` buffer, K ordered ``(C, kh, kw)``.
+        Either way a product under the small-matrix gate gets zero pixel
+        rows past it, so a pixel's bytes do not depend on which patch (how
+        many other pixels) it is computed with.
+        """
         self.stride, self.padding = stride, padding
         self.in_shape = x.shape
-        xp = _pad_spatial(x, padding)
-        self.xp = xp
-        o, _, kh, kw = weight.shape
-        cols = _im2col(xp, (kh, kw), stride)
-        n, ho, wo = cols.shape[3:]
+        o = weight.shape[0]
+        kernel = weight.shape[2:]
+        channel_last = weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
+        if channel_last:
+            self.x, self._xp = x, None
+            cols, (n, ho, wo) = _channel_last_cols(x, padding, kernel, stride)
+            w2d = weight.transpose(0, 2, 3, 1).reshape(o, -1)
+        else:
+            self.xp = _pad_spatial(x, padding)
+            cols = _im2col(self.xp, kernel, stride)
+            n, ho, wo = cols.shape[3:]
+            cols = cols.reshape(-1, n * ho * wo).T
+            w2d = weight.reshape(o, -1)
         pixels = n * ho * wo
-        cols = cols.reshape(-1, pixels)
-        blocked = _blocked_gemm_rows(o, cols.shape[0])
+        blocked = _blocked_gemm_rows(o, cols.shape[1])
         if pixels < blocked:
-            # Zero pixel rows past the small-matrix gate, sliced off below.
-            padded = np.zeros((cols.shape[0], blocked), dtype=cols.dtype)
-            padded[:, :pixels] = cols
+            # Zero pixel rows past the small-matrix gate, sliced off below,
+            # in the columns' own memory order: BLAS sees the same operand.
+            padded = np.zeros((blocked, cols.shape[1]), dtype=cols.dtype,
+                              order="C" if channel_last else "F")
+            padded[:pixels] = cols
             cols = padded
         # (N*Ho*Wo, O): pixels stay GEMM rows, so a pixel's bytes do not
         # depend on which patch (how many other pixels) it is computed with.
-        out = np.dot(cols.T, weight.reshape(o, -1).T)[:pixels]
+        out = np.dot(cols, w2d.T)[:pixels]
         del cols                # before the transpose copy: peak memory
-        out = np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+        out = out.reshape(n, ho, wo, o)
+        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
         if bias is not None:
             out += bias.reshape(1, -1, 1, 1)
         self.weight = weight
         self.has_bias = bias is not None
         return out
+
+    @property
+    def xp(self) -> np.ndarray:
+        """The padded NCHW input the backward GEMMs read.  The channel-last
+        forward never builds it, so it is padded from ``x`` on first read."""
+        if self._xp is None:
+            self._xp = _pad_spatial(self.x, self.padding)
+            self.x = None
+        return self._xp
+
+    @xp.setter
+    def xp(self, value: np.ndarray) -> None:
+        self._xp = value
 
     def backward_weight(self, grad_output: np.ndarray) -> np.ndarray:
         o, _, kh, kw = self.weight.shape

@@ -1,27 +1,36 @@
-"""The conv column buffer changes the memory layout of im2col, not the
-GEMM: ``Conv2d.forward`` must return the bytes of the formulation it
-replaced.
+"""The conv column buffers change the memory layout of im2col, not the
+GEMM: ``Conv2d.forward`` must return the bytes of a ``tensordot``
+formulation kept inside this test, one per path.
 
-The reference below *is* that formulation — ``tensordot`` over the
-``(N, C, Ho, Wo, kh, kw)`` window view — kept inside this test.  Both feed
-BLAS the same product with pixels as GEMM rows (M = pixels, N = O,
-K = C*kh*kw); only the pixel operand's storage order differs.
+A weight-heavy conv (more than ``CHANNEL_LAST_WEIGHT_LIMIT`` weight
+elements) equals ``tensordot`` over the channel-major
+``(N, C, Ho, Wo, kh, kw)`` window view, K ordered ``(C, kh, kw)`` — the
+formulation the column buffer replaced.  A weight-light conv equals
+``tensordot`` over the channel-last ``(N, Ho, Wo, kh, kw, C)`` view, K
+ordered ``(kh, kw, C)``.  Each feeds BLAS its path's product with pixels
+as GEMM rows (M = pixels, N = O, K = C*kh*kw); only the pixel operand's
+storage order differs.  The two K orders sum in different orders, so the
+paths' bytes differ from each other (a 1x1 conv excepted), and the branch
+must be a function of the weight shape alone.
 
 One caveat is BLAS's, not ours: on CPUs where OpenBLAS ships small-matrix
-kernels, the reference's operand order ("TN") is the one combination that
-takes a dot-product kernel when pixels * O <= 1200 (and K >= 32), whose
-bits differ from the blocked kernel every larger product — and the column
-layout at every size — goes through.  All 44 zoo shapes are outside that
-corner at batch 1 and 2; the hand-picked cases are chosen outside it too,
-so the matrix holds whichever kernels the host has.
+kernels, the channel-major reference's operand order ("TN") is the one
+combination that takes a dot-product kernel when pixels * O <= 1200 (and
+K >= 32), whose bits differ from the blocked kernel every larger product
+— and the column layouts at every size — goes through.  All 44 zoo
+shapes are outside that corner at batch 1 and 2; the hand-picked cases
+are chosen outside it too, so the matrix holds whichever kernels the host
+has.
 
-The column layout has a corner of its own, and patches do reach it: a
+The column layouts have a corner of their own, and patches do reach it: a
 product with pixels * O * K <= 1_000_000 goes to the small-matrix kernels
 (and a single pixel row to gemv), whose bits differ from the blocked
 kernel's once K >= 576.  ``Conv2d.forward`` pads such a product with zero
 pixel rows past the gate; the scan at the bottom pins both that and where
-the host BLAS puts the gate.
+the host BLAS puts the gate, for both operand orders.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -32,17 +41,37 @@ from repro.models import alexnet, small_vgg, vgg11
 from repro.nn import init
 from repro.tensor import Tensor, conv2d
 from repro.tensor.ops_nn import (
-    Conv2d, _blocked_gemm_rows, _im2col, _pad_spatial, _window_view,
+    CHANNEL_LAST_WEIGHT_LIMIT, Conv2d, _blocked_gemm_rows, _im2col,
+    _pad_spatial, _window_view,
 )
 
 
-def _tensordot_forward(x, weight, bias, stride, padding):
-    view = _window_view(_pad_spatial(x, padding), weight.shape[2:], stride)
-    out = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
+def _finish(out, bias):
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
+
+
+def _tensordot_forward(x, weight, bias, stride, padding):
+    """The channel-major reference: K ordered (C, kh, kw)."""
+    view = _window_view(_pad_spatial(x, padding), weight.shape[2:], stride)
+    return _finish(np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3])),
+                   bias)
+
+
+def _channel_last_forward(x, weight, bias, stride, padding):
+    """The channel-last reference: K ordered (kh, kw, C)."""
+    view = _window_view(_pad_spatial(x, padding), weight.shape[2:], stride)
+    return _finish(np.tensordot(view.transpose(0, 2, 3, 4, 5, 1),
+                                weight.transpose(0, 2, 3, 1),
+                                axes=([3, 4, 5], [1, 2, 3])), bias)
+
+
+def _reference_forward(w_shape):
+    if np.prod(w_shape) <= CHANNEL_LAST_WEIGHT_LIMIT:
+        return _channel_last_forward
+    return _tensordot_forward
 
 
 def _tensordot_backward_weight(x, weight, grad, stride, padding):
@@ -87,6 +116,9 @@ def test_zoo_matrix_is_the_documented_one():
     assert len(ZOO_CASES) == 44
     kernels = {(weight[2], stride[0]) for _, weight, stride, _ in ZOO_CASES}
     assert {(11, 4), (5, 1), (3, 1)} <= kernels
+    light = [w for _, w, _, _ in ZOO_CASES
+             if np.prod(w) <= CHANNEL_LAST_WEIGHT_LIMIT]
+    assert 0 < len(light) < len(ZOO_CASES)      # both paths are pinned
 
 
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding",
@@ -99,11 +131,31 @@ def test_forward_bytes_equal_tensordot_formulation(x_shape, w_shape, stride,
             x = rng.standard_normal((batch,) + x_shape[1:]).astype(dtype)
             weight = rng.standard_normal(w_shape).astype(dtype)
             bias = rng.standard_normal(w_shape[0]).astype(dtype)
-            expected = _tensordot_forward(x, weight, bias, stride, padding)
+            expected = _reference_forward(w_shape)(x, weight, bias, stride,
+                                                   padding)
             actual = Conv2d().forward(x, weight, bias, stride, padding)
             assert actual.dtype == expected.dtype
             assert actual.flags.c_contiguous
             assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.0, -np.inf])
+def test_pad_spatial_is_np_pad(value):
+    """Positive, negative (cropping) and mixed per-side paddings give
+    ``np.pad``'s bytes after the crop, in a contiguous array."""
+    x = np.random.default_rng(0).standard_normal((2, 3, 7, 6))
+    for pt, pb, pl, pr in itertools.product((-2, 0, 1, 3), repeat=4):
+        cropped = x[:, :, max(0, -pt):7 - max(0, -pb),
+                    max(0, -pl):6 - max(0, -pr)]
+        expected = np.pad(cropped, ((0, 0), (0, 0),
+                                    (max(0, pt), max(0, pb)),
+                                    (max(0, pl), max(0, pr))),
+                          mode="constant", constant_values=value)
+        actual = _pad_spatial(x, ((pt, pb), (pl, pr)), value)
+        assert actual.flags.c_contiguous
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes(), (pt, pb, pl, pr)
+    assert _pad_spatial(x, ((0, 0), (0, 0)), value) is x
 
 
 def test_im2col_rejects_what_window_view_rejects():
@@ -200,18 +252,48 @@ def test_tiny_patches_compute_the_big_image_bytes(o, c):
         assert out.tobytes() == big[..., :pixels].tobytes(), pixels
 
 
+@pytest.mark.parametrize("o,c", [(128, 113), (128, 114)])
+def test_branch_is_a_function_of_the_weight_shape(o, c):
+    """Two 3x3 weights straddling ``CHANNEL_LAST_WEIGHT_LIMIT``: each
+    takes its own path at 4096 pixels (its own reference's bytes, not the
+    other's), and 1-, 2- and gate-sized patches compute the first pixels
+    of that row, so no pixel count moves a conv to the other path."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((1, c, 3, 4098))
+    weight = rng.standard_normal((o, c, 3, 3))
+    bias = rng.standard_normal(o)
+    none = ((0, 0), (0, 0))
+    light = weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
+    assert light == (c == 113)
+    own, other = ((_channel_last_forward, _tensordot_forward) if light
+                  else (_tensordot_forward, _channel_last_forward))
+    big = Conv2d().forward(x, weight, bias, (1, 1), none)
+    assert big.tobytes() == own(x, weight, bias, (1, 1), none).tobytes()
+    assert big.tobytes() != other(x, weight, bias, (1, 1), none).tobytes()
+    gate = _blocked_gemm_rows(o, 9 * c)
+    for pixels in (1, 2, gate - 1, gate, gate + 1):
+        patch = np.ascontiguousarray(x[..., :pixels + 2])
+        out = Conv2d().forward(patch, weight, bias, (1, 1), none)
+        assert out.tobytes() == big[..., :pixels].tobytes(), pixels
+
+
 @pytest.mark.parametrize("o,c", SCAN)
 def test_host_blas_gate_is_not_above_ours(o, c):
     """At and above the rows ``Conv2d.forward`` pads to, the raw product's
-    rows must already be the blocked kernel's: a BLAS that moves its
-    small-matrix gate up fails here, loudly, instead of in a digest."""
+    rows must already be the blocked kernel's, in both operand orders —
+    the channel-major buffer's transposed view and the channel-last
+    buffer itself: a BLAS that moves its small-matrix gate up fails here,
+    loudly, instead of in a digest."""
     rng = np.random.default_rng(1)
     k = 9 * c
     cols = rng.standard_normal((k, 4096))
     w2d = rng.standard_normal((o, k))
-    full = np.dot(cols.T, w2d.T)
+    rows = np.ascontiguousarray(cols.T)
     gate, sizes = _gate_sizes(o, k)
-    for pixels in sizes:
-        if pixels >= gate:
-            part = np.dot(np.ascontiguousarray(cols[:, :pixels]).T, w2d.T)
-            assert part.tobytes() == full[:pixels].tobytes(), pixels
+    for operand in (lambda p: np.ascontiguousarray(cols[:, :p]).T,
+                    lambda p: rows[:p]):
+        full = np.dot(operand(4096), w2d.T)
+        for pixels in sizes:
+            if pixels >= gate:
+                part = np.dot(operand(pixels), w2d.T)
+                assert part.tobytes() == full[:pixels].tobytes(), pixels
