@@ -6,11 +6,10 @@ passes' output graphs are identified by :data:`FINGERPRINT`, which every
 serving plan-cache key includes to keep compiled and uncompiled plans
 apart.
 
-Rewrite *rules* are declared on the central registry's ``OpDef`` records
-(``fusions`` / ``sibling_fused`` / ``fold``, see
-:mod:`repro.graph.registry`); the passes in :mod:`repro.compile.rewrites`
-only walk the graph and apply them — the same split between mechanism
-and per-op knowledge the analysis framework uses.
+The rewrites are written directly in :mod:`repro.compile.rewrites`: a
+two-entry conv→ReLU fusion table, the builder's split-layer stacking
+(:func:`repro.graph.siblings.stack_layers`), and the ``batchnorm_eval``
+fold.
 """
 
 from __future__ import annotations

@@ -1,33 +1,30 @@
 """Byte-identity-preserving graph rewrites: fusion and constant folding.
 
-Three rewrites, all driven by declarations on the registry's ``OpDef``
-records rather than hard-coded op lists:
+Three rewrites, each a direct walk over the graph:
 
-- **Chain fusion** (``OpDef.fusions``) — collapse a producer/consumer
-  pair like conv→ReLU into one fused op.  The fused kernels run the
-  exact member kernels back to back on the same arrays, so values are
-  bit-identical; what is saved is the per-op dispatch, bookkeeping, and
-  the intermediate tensor's graph traffic.  A stacked head fuses one
-  pair per output: the builder's
-  ``conv2d_siblings`` whose S outputs each feed one ReLU becomes one
-  ``conv2d_relu_siblings``.
-- **Sibling fusion** (``OpDef.sibling_fused``) — stack the S per-patch
-  convs of a split layer the builder left per patch into one batched op
-  (:mod:`repro.graph.siblings`, which the builder uses for the layers it
-  stacks itself).  Chains go first, so per-patch conv+ReLU pairs become
-  ``conv2d_relu`` siblings before stacking.  A chain layer's
-  ``bwd_weight`` twins stay per-sibling (merging them here would reorder
-  its ``grad_acc`` sum against the interpreted graph) and slice their
-  patch out of the stacked saved context instead.
-- **Constant folding** (``OpDef.fold``) — rewrite an op whose inputs
-  are known at compile time.  The one fold rewrites ``batchnorm_eval``
-  into a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into a
-  constant tensor, eliding the per-step rsqrt.
+- **Chain fusion** — a forward ``conv2d`` (or a stacked
+  ``conv2d_siblings``) whose every output feeds one ReLU becomes one
+  ``conv2d_relu`` (``conv2d_relu_siblings``), per :data:`_RELU_FUSED`.
+  The fused kernels run the exact member kernels back to back on the
+  same arrays, so values are bit-identical; what is saved is the per-op
+  dispatch, bookkeeping, and the intermediate tensor's graph traffic.
+- **Sibling fusion** — stack the S per-patch convs of each split layer
+  the builder left per patch into one batched op (the ``OpDef``'s
+  ``sibling_fused`` type), through the builder's own
+  :func:`~repro.graph.siblings.stack_layers`.  Chains go first, so
+  per-patch conv+ReLU pairs become ``conv2d_relu`` siblings before
+  stacking.  A chain layer's ``bwd_weight`` twins stay per-sibling
+  (merging them here would reorder its ``grad_acc`` sum against the
+  interpreted graph) and slice their patch out of the stacked saved
+  context instead.
+- **Constant folding** — a ``batchnorm_eval`` whose γ and σ² are known
+  becomes a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into
+  a constant tensor, eliding the per-step rsqrt.
 
 Chain fusion places the fused op at the chain head's position, which
 keeps the serialization valid.  Sibling fusion moves work across
-branches, so the pass ends with a stable Kahn re-serialization (ready
-ops picked in original-position order) and fails loudly on cycles.
+branches, so it ends with a stable Kahn re-serialization (ready ops
+picked in original-position order) and fails loudly on cycles.
 """
 
 from __future__ import annotations
@@ -38,13 +35,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.races import ancestor_masks
 from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
-from ..graph.registry import FoldResult, FusionRule, op_def
-from ..graph.siblings import attr_key, new_op_id, reserialize, stack_siblings
+from ..graph.registry import op_def
+from ..graph.siblings import attr_key, new_op_id, stack_layers
+from ..nn.norm import BN_EPS
 
 __all__ = ["PassResult", "fuse_ops", "fold_constants"]
+
+#: Chain fusion: the fused type of a forward conv whose every output
+#: feeds one ReLU (a stacked head fuses one ReLU per output).
+_RELU_FUSED = {"conv2d": "conv2d_relu",
+               "conv2d_siblings": "conv2d_relu_siblings"}
 
 
 @dataclass
@@ -56,10 +58,6 @@ class PassResult:
     changed: int
     details: Dict[str, int] = field(default_factory=dict)
 
-
-# ----------------------------------------------------------------------
-# Shared helpers
-# ----------------------------------------------------------------------
 
 def _twin_map(graph: Graph) -> Dict[int, List[OpNode]]:
     """Forward op id -> the backward ops whose ``forward_of`` names it."""
@@ -74,10 +72,9 @@ def _twin_map(graph: Graph) -> Dict[int, List[OpNode]]:
 # Chain fusion
 # ----------------------------------------------------------------------
 
-def _follower(graph: Graph, head: OpNode, tensor_id: int,
-              op_type: str) -> Optional[OpNode]:
-    """The ``op_type`` op that alone consumes head output ``tensor_id``,
-    as its data input, or ``None``."""
+def _follower(graph: Graph, head: OpNode, tensor_id: int) -> Optional[OpNode]:
+    """The ReLU that alone consumes head output ``tensor_id``, as its
+    data input, or ``None``."""
     out = graph.tensors[tensor_id]
     if out.kind != "activation" or out.name in OUTPUT_NAMES:
         return None
@@ -85,7 +82,7 @@ def _follower(graph: Graph, head: OpNode, tensor_id: int,
     if len(consumer_ids) != 1:
         return None
     candidate = graph.op_by_id(consumer_ids.pop())
-    if (candidate.op_type != op_type
+    if (candidate.op_type != "relu"
             or candidate.phase != "forward"
             or candidate.inputs.count(out.id) != 1
             or candidate.inputs[0] != out.id):
@@ -93,10 +90,8 @@ def _follower(graph: Graph, head: OpNode, tensor_id: int,
     return candidate
 
 
-def _match_chain(graph: Graph, head: OpNode,
-                 ) -> Optional[Tuple[FusionRule, List[OpNode]]]:
-    """The first declared rule of ``head`` that matches, with the
-    follower of each head output, if any.
+def _match_chain(graph: Graph, head: OpNode) -> Optional[List[OpNode]]:
+    """The ReLU follower of each output of a fusable ``head``, or ``None``.
 
     A head output is fusable when it is a plain activation with *exactly
     one* consumer — the follower, reading it as its data input.
@@ -106,21 +101,18 @@ def _match_chain(graph: Graph, head: OpNode,
     (``conv2d_siblings``) matches when each of its S outputs has a
     follower.
     """
-    definition = op_def(head.op_type)
-    if not definition.fusions or head.phase != "forward":
+    if head.op_type not in _RELU_FUSED or head.phase != "forward":
         return None
-    for rule in definition.fusions:
-        followers = [_follower(graph, head, tensor_id, rule.follower)
-                     for tensor_id in head.outputs]
-        if any(follower is None for follower in followers):
-            continue
-        chain_ids = {head.id} | {follower.id for follower in followers}
-        if any(tensor_id in op.saved
-               for op in graph.ops if op.id not in chain_ids
-               for tensor_id in head.outputs):
-            continue
-        return rule, followers
-    return None
+    followers = [_follower(graph, head, tensor_id)
+                 for tensor_id in head.outputs]
+    if any(follower is None for follower in followers):
+        return None
+    chain_ids = {head.id} | {follower.id for follower in followers}
+    if any(tensor_id in op.saved
+           for op in graph.ops if op.id not in chain_ids
+           for tensor_id in head.outputs):
+        return None
+    return followers
 
 
 def _apply_chain_fusion(graph: Graph, head: OpNode,
@@ -188,15 +180,13 @@ def _fuse_chains(graph: Graph, details: Counter) -> int:
     twins = _twin_map(graph)
     index = 0
     while index < len(graph.ops):
-        match = _match_chain(graph, graph.ops[index])
-        if match is None:
-            index += 1
-            continue
-        rule, followers = match
-        _apply_chain_fusion(graph, graph.ops[index], followers, rule.fused,
-                            twins)
-        details[rule.fused] += 1
-        changed += 1
+        head = graph.ops[index]
+        followers = _match_chain(graph, head)
+        if followers is not None:
+            fused_type = _RELU_FUSED[head.op_type]
+            _apply_chain_fusion(graph, head, followers, fused_type, twins)
+            details[fused_type] += 1
+            changed += 1
         index += 1
     return changed
 
@@ -205,59 +195,27 @@ def _fuse_chains(graph: Graph, details: Counter) -> int:
 # Sibling fusion
 # ----------------------------------------------------------------------
 
-def _find_sibling_group(graph: Graph) -> Optional[List[OpNode]]:
-    """The earliest group of ≥2 mutually independent sibling ops.
+def _fuse_siblings(graph: Graph, details: Counter) -> int:
+    """Stack the forward ops of a ``sibling_fused`` type grouped by (type,
+    shared weight and bias, input shape, attrs), in first-member order.
 
-    Siblings share op type, weight (and bias) tensors, input shape, and
-    attrs — exactly the per-patch convs of one Split-CNN layer.  Mutual
-    independence (no member reachable from another) guarantees stacking
-    them into one op cannot create a cycle through their shared node.
+    Forward convs that share a weight are one split layer, whose patches
+    are independent — the rule the builder's ``_one_gemm_patches`` uses
+    too.  A graph that breaks it (one conv applied twice in a chain)
+    stacks into an op that reads its own output, which
+    :meth:`Graph.validate` rejects with ``ValueError``.
     """
-    position = graph.op_positions()
     groups: Dict[Tuple, List[OpNode]] = {}
     for op in graph.ops:
-        if op.phase != "forward" or "siblings" in op.attrs:
-            continue
-        definition = op_def(op.op_type)
-        if definition.sibling_fused is None or len(op.outputs) != 1:
+        if op.phase != "forward" or op_def(op.op_type).sibling_fused is None:
             continue
         key = (op.op_type, tuple(op.inputs[1:]),
                graph.tensors[op.inputs[0]].shape, attr_key(op.attrs))
         groups.setdefault(key, []).append(op)
-    candidates = [sorted(group, key=lambda op: position[op.id])
-                  for group in groups.values() if len(group) >= 2]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda group: position[group[0].id])
-    masks = ancestor_masks(graph)
-    for group in candidates:
-        independent = True
-        for i, early in enumerate(group):
-            for late in group[i + 1:]:
-                if (masks[position[late.id]] >> position[early.id]) & 1:
-                    independent = False
-                    break
-            if not independent:
-                break
-        if independent:
-            return group
-    return None
-
-
-def _fuse_siblings(graph: Graph, details: Counter) -> int:
-    changed = 0
-    while True:
-        group = _find_sibling_group(graph)
-        if group is None:
-            break
-        fused_type = op_def(group[0].op_type).sibling_fused
-        assert fused_type is not None
-        stack_siblings(graph, group, fused_type)
-        details[fused_type] += 1
-        changed += 1
-    if changed:
-        reserialize(graph)
-    return changed
+    layers = [group for group in groups.values() if len(group) >= 2]
+    for group in layers:
+        details[op_def(group[0].op_type).sibling_fused] += 1
+    return stack_layers(graph, layers)
 
 
 def fuse_ops(graph: Graph) -> PassResult:
@@ -273,66 +231,54 @@ def fuse_ops(graph: Graph) -> PassResult:
 # Constant folding
 # ----------------------------------------------------------------------
 
-def _gc_tensor(graph: Graph, tensor_id: int) -> None:
-    tensor = graph.tensors.get(tensor_id)
-    if (tensor is not None and tensor.kind == "constant"
-            and not tensor.consumers and tensor.producer is None):
-        graph.tensors.pop(tensor_id)
-        graph.constants.pop(tensor_id, None)
-
-
-def _apply_fold(graph: Graph, op: OpNode, result: FoldResult) -> None:
-    """Rewrite ``op`` in place per its ``FoldResult`` (same id, outputs,
-    and position — only type, attrs, and inputs change)."""
-    old_inputs = list(op.inputs)
-    new_inputs: List[int] = []
-    for spec in result.inputs:
-        if spec[0] == "tensor":
-            new_inputs.append(spec[1])
-        else:
-            _, name, array = spec
-            array = np.asarray(array)
-            tensor = graph.add_tensor(name, array.shape, kind="constant")
-            graph.constants[tensor.id] = array
-            new_inputs.append(tensor.id)
-    op.op_type = result.op_type
-    op.attrs = dict(result.attrs)
-    op.inputs = new_inputs
-    kept = Counter(new_inputs)
-    for tensor_id in set(old_inputs) | set(new_inputs):
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers if c != op.id]
-        tensor.consumers.extend([op.id] * kept.get(tensor_id, 0))
-    for tensor_id in set(old_inputs) - set(new_inputs):
-        _gc_tensor(graph, tensor_id)
-
-
 def fold_constants(graph: Graph,
                    params: Optional[Dict[str, np.ndarray]]) -> PassResult:
-    """Apply every ``OpDef.fold`` whose inputs are known: graph constants,
-    and parameter values from ``params`` (read only; may be ``None``)."""
-    params_by_tensor: Dict[int, np.ndarray] = {}
-    if params:
-        for tensor in graph.tensors.values():
-            if tensor.kind == "parameter" and tensor.name in params:
-                params_by_tensor[tensor.id] = params[tensor.name]
+    """Rewrite, in place, each ``batchnorm_eval`` whose γ and σ² are known
+    (graph constants, or parameter values from ``params``, read only and
+    possibly ``None``) into ``bn_affine(x, scale, mean, beta)``.
+
+    ``scale`` is computed with the exact expression ``_k_batchnorm_eval``
+    evaluates at run time (same dtype, same operation order), so folding
+    is bit-exact.
+    """
+    params = params or {}
 
     def value_of(tensor_id: int) -> Optional[np.ndarray]:
         if tensor_id in graph.constants:
             return graph.constants[tensor_id]
-        return params_by_tensor.get(tensor_id)
+        tensor = graph.tensors[tensor_id]
+        return params.get(tensor.name) if tensor.kind == "parameter" else None
 
-    details: Counter = Counter()
     changed = 0
-    for op in list(graph.ops):
-        definition = op_def(op.op_type)
-        if definition.fold is None:
+    for op in graph.ops:
+        if op.op_type != "batchnorm_eval":
             continue
-        result = definition.fold(op, value_of)
-        if result is None:
+        old_inputs = op.inputs
+        x, gamma_id, beta, mean, var_id = old_inputs
+        gamma, var = value_of(gamma_id), value_of(var_id)
+        if gamma is None or var is None:
             continue
-        source_type = op.op_type
-        _apply_fold(graph, op, result)
-        details[f"{source_type}->{result.op_type}"] += 1
+        inv_std = 1.0 / np.sqrt(var + op.attrs.get("eps", BN_EPS))
+        scale = gamma * inv_std
+        tensor = graph.add_tensor(f"{op.name}.scale", scale.shape,
+                                  kind="constant")
+        graph.constants[tensor.id] = scale
+        op.op_type = "bn_affine"
+        op.attrs = {"num_features": int(op.attrs.get("num_features",
+                                                     scale.shape[0]))}
+        op.inputs = [x, tensor.id, mean, beta]
+        kept = Counter(op.inputs)
+        for tensor_id in set(old_inputs) | set(op.inputs):
+            tensor = graph.tensors[tensor_id]
+            tensor.consumers = [c for c in tensor.consumers if c != op.id]
+            tensor.consumers.extend([op.id] * kept[tensor_id])
+        for tensor_id in set(old_inputs) - set(op.inputs):
+            # Drop a running statistic only the folded op read.
+            tensor = graph.tensors[tensor_id]
+            if (tensor.kind == "constant" and not tensor.consumers
+                    and tensor.producer is None):
+                graph.tensors.pop(tensor_id)
+                graph.constants.pop(tensor_id, None)
         changed += 1
-    return PassResult("fold_constants", changed, dict(details))
+    details = {"batchnorm_eval->bn_affine": changed} if changed else {}
+    return PassResult("fold_constants", changed, details)

@@ -12,7 +12,7 @@ emitted at the last patch, and needs no chain (``one_gemm`` keeps each
 layer's decision, ``pending`` the earlier patches' operands).  Once the
 expansion is done, such a layer's S forward patch convs and their S
 ``conv2d_bwd_data`` twins are stacked into one op each
-(:func:`~repro.graph.siblings.stack_gated_layers`), so it is one GEMM in
+(:func:`~repro.graph.siblings.stack_layers`), so it is one GEMM in
 every direction; differentiation itself only ever sees per-patch ops.
 
 The residual ``add`` gets special treatment: its error terms all equal the
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .ir import Graph, OpNode, TensorValue
 from .registry import op_def
-from .siblings import stack_gated_layers
+from .siblings import stack_layers
 
 __all__ = ["append_backward_graph", "prune_dead_gradients"]
 
@@ -149,6 +149,6 @@ def append_backward_graph(graph: Graph) -> Graph:
     for op in reversed(forward):
         emitter.emit(op)
     prune_dead_gradients(graph)
-    stack_gated_layers(graph, emitter.one_gemm.values())
+    stack_layers(graph, emitter.one_gemm.values())
     graph.validate()
     return graph

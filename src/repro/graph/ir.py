@@ -221,7 +221,7 @@ class Graph:
             for tensor_id in op.inputs:
                 tensor = self.tensors[tensor_id]
                 if tensor.producer is not None:
-                    if position[tensor.producer] > position[op.id]:
+                    if position[tensor.producer] >= position[op.id]:
                         raise ValueError(
                             f"op {op.name!r} consumes tensor {tensor.name!r} "
                             "before it is produced"

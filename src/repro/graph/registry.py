@@ -31,9 +31,8 @@ field                       reader
                             :func:`~repro.hmms.storage.assign_storage`, the
                             executor's overwrite table, ``SCA406``
 ``stochastic``              the determinism audit and the inference-purity lint
-``fusions`` /               :mod:`repro.compile.rewrites`;
-``sibling_fused`` /         ``sibling_fused`` also :mod:`.siblings` (the
-``fold``                    builder's gated layers)
+``sibling_fused``           :func:`.siblings.stack_layers` (the builder's
+                            one-GEMM layers and the compiler's sibling fusion)
 ==========================  ==================================================
 
 Every op type appearing in a serialized graph — forward and backward —
@@ -62,7 +61,7 @@ from ..tensor.ops_nn import (
 from .ir import Graph, OpNode
 
 __all__ = [
-    "OpDef", "FusionRule", "FoldResult", "REGISTRY", "op_def",
+    "OpDef", "REGISTRY", "op_def",
     "infer_op_shapes",
     "EFF_CONV", "EFF_GEMM", "EFF_MEMORY",
     "SHARE_NONE", "SHARE_ALIAS", "SHARE_SUMMATION",
@@ -81,35 +80,6 @@ EFF_MEMORY = "memory"
 SHARE_NONE = "none"            # ordinary tensor, own TSO
 SHARE_ALIAS = "alias"          # pure view: output always aliases input 0
 SHARE_SUMMATION = "summation"  # summation error terms share the upstream TSO
-
-@dataclass(frozen=True)
-class FusionRule:
-    """A chain fusion declared on the *head* op's :class:`OpDef`.
-
-    ``follower`` names the op type that must be the one consumer of the
-    head's output, a plain activation; matching replaces the pair with
-    one ``fused`` op.  A multi-output head (a stacked ``conv2d_siblings``)
-    matches when every output has such a follower, and the fused op has
-    one output per follower.
-    """
-
-    follower: str
-    fused: str
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    """Replacement spec returned by an :attr:`OpDef.fold` hook.
-
-    ``inputs`` entries are either ``("tensor", tensor_id)`` (keep an
-    existing graph tensor) or ``("const", name, array)`` (materialize a
-    new compile-time constant).
-    """
-
-    op_type: str
-    inputs: Tuple[Tuple[Any, ...], ...]
-    attrs: Dict[str, Any]
-
 
 @dataclass(frozen=True)
 class OpDef:
@@ -140,18 +110,9 @@ class OpDef:
     # ("input"|"output", index) references — the paper's per-layer
     # "generated data" (Figure 1).
     saved: Tuple[Tuple[str, int], ...] = ()
-    # --- compiler hooks (consumed by repro.compile) -------------------
-    # Chain fusions this op can head (conv→relu).
-    fusions: Tuple[FusionRule, ...] = ()
-    # S-ary batched variant fusing independent same-weight siblings
-    # (split-CNN patch convolutions) into one stacked kernel call; the
-    # builder stacks gated layers with it too (graph/siblings.py).
+    # S-ary batched variant that stacks a split layer's patch convs into
+    # one kernel call (graph/siblings.py).
     sibling_fused: Optional[str] = None
-    # Partial constant folding: (op, value_of) -> FoldResult | None,
-    # where value_of(tensor_id) returns the compile-time array of a
-    # constant/parameter input or None if it is not foldable.
-    fold: Optional[Callable[[OpNode, Callable[[int], Any]],
-                            Optional[FoldResult]]] = None
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +213,7 @@ def _sibling_conv_ctx(ctx, op):
     sub = _ConvFn()
     sub.stride, sub.padding = ctx.stride, ctx.padding
     sub.in_shape = (rows,) + tuple(ctx.in_shape[1:])
+    sub.in_dtype = ctx.in_dtype
     sub.xp = ctx.xp[sibling * rows:(sibling + 1) * rows]
     sub.weight = ctx.weight
     sub.has_bias = ctx.has_bias
@@ -599,7 +561,7 @@ def _one_gemm_patches(graph: Graph, op: OpNode) -> List[OpNode]:
     interval.  Where those operands hold no more elements than the weight,
     the GEMM never needs more memory than the chain.  Shapes alone decide.
     The same layers get their forward and ``bwd_data`` stacked once the
-    backward expansion is done (:func:`.siblings.stack_gated_layers`).
+    backward expansion is done (:func:`.siblings.stack_layers`).
     """
     weight = graph.tensor(op.inputs[1])
     if len(weight.consumers) < 2:
@@ -853,34 +815,6 @@ def _char_free(graph: Graph, op: OpNode):
 
 
 # ----------------------------------------------------------------------
-# Compiler hooks (consumed by repro.compile)
-# ----------------------------------------------------------------------
-def _fold_batchnorm_eval(op, value_of):
-    """Fold the inference-constant half of ``batchnorm_eval`` into a
-    precomputed per-channel scale: ``bn_affine(x, scale, mean, beta)``.
-
-    ``scale`` is computed with the exact expression ``_k_batchnorm_eval``
-    evaluates at run time (same dtype, same operation order), so folding
-    is bit-exact.
-    """
-    gamma = value_of(op.inputs[1])
-    var = value_of(op.inputs[4])
-    if gamma is None or var is None:
-        return None
-    eps = op.attrs.get("eps", BN_EPS)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    scale = gamma * inv_std
-    return FoldResult(
-        "bn_affine",
-        (("tensor", op.inputs[0]),
-         ("const", f"{op.name}.scale", scale),
-         ("tensor", op.inputs[3]),
-         ("tensor", op.inputs[2])),
-        {"num_features": int(op.attrs.get("num_features", scale.shape[0]))},
-    )
-
-
-# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
 REGISTRY: Dict[str, OpDef] = {}
@@ -919,7 +853,6 @@ _register(OpDef(
     "conv2d", kernel=_k_conv2d, characterize=_char_conv,
     infer_shapes=_shape_conv2d, backward=_bwd_conv2d, efficiency=EFF_CONV,
     saved=(("input", 0),),
-    fusions=(FusionRule("relu", "conv2d_relu"),),
     sibling_fused="conv2d_siblings",
 ))
 _register(OpDef(
@@ -931,7 +864,6 @@ _register(OpDef(
     "conv2d_siblings", kernel=_k_conv2d_siblings,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
     efficiency=EFF_CONV,
-    fusions=(FusionRule("relu", "conv2d_relu_siblings"),),
 ))
 _register(OpDef(
     "conv2d_relu_siblings", kernel=_k_conv2d_relu_siblings,
@@ -941,7 +873,6 @@ _register(OpDef(
 _register(OpDef(
     "batchnorm_eval", kernel=_k_batchnorm_eval,
     characterize=_char_batchnorm, infer_shapes=_shape_same,
-    fold=_fold_batchnorm_eval,
 ))
 _register(OpDef(
     "bn_affine", kernel=_k_bn_affine,

@@ -12,18 +12,20 @@ weight-gradient GEMM (``attrs["paddings"]``, no ``forward_of``) is not a
 twin and is left alone; any other twin stays per-sibling and slices its
 patch out of the stacked saved context instead.
 
-Two callers share the rewrite:
+Two callers share :func:`stack_layers`:
 
 - :func:`~repro.graph.backward.append_backward_graph` stacks every layer
   whose weight gradient is already one GEMM
   (:func:`~repro.graph.registry._one_gemm_patches`): there the patches hold
   no more elements than the weight, so batching them costs no memory in
   any direction, and the interpreter runs one GEMM per direction;
-- the compiler's sibling fusion (:mod:`repro.compile.rewrites`) stacks the
-  per-patch convs the builder left alone.
+- the compiler's sibling fusion (:mod:`repro.compile.rewrites`) groups
+  the per-patch convs the builder left alone by shared weight and hands
+  every group to it.
 
-Stacking moves work across branches, so each caller ends with
-:func:`reserialize`.
+Both rest on one rule: forward convs sharing a weight are one split
+layer, whose patches never communicate.  Stacking moves work across
+branches, so :func:`stack_layers` ends with :func:`reserialize`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .ir import Graph, OpNode
 from .registry import op_def
 
 __all__ = ["attr_key", "new_op_id", "reserialize", "stack_siblings",
-           "stack_gated_layers"]
+           "stack_layers"]
 
 
 def attr_key(attrs: Dict[str, Any]) -> Tuple:
@@ -188,15 +190,15 @@ def stack_siblings(graph: Graph, group: List[OpNode],
                 op.attrs.update({"sibling": sibling, "siblings": count})
 
 
-def stack_gated_layers(graph: Graph,
-                       layers: Iterable[List[OpNode]]) -> None:
+def stack_layers(graph: Graph, layers: Iterable[List[OpNode]]) -> int:
     """Stack each split layer in ``layers`` (its patch convs in forward
     order; ``[]`` for a layer left per patch), one op per group of patches
-    with equal input shape and attrs, and re-serialize.  A split layer's
-    patches are independent by construction, so no reachability check is
-    needed: a violation would surface as :func:`reserialize`'s cycle
-    error."""
-    stacked = False
+    with equal input shape and attrs, re-serialize, and return the number
+    of stacked ops.  A split layer's patches are independent by
+    construction, so no reachability check is needed: a violation
+    surfaces as :func:`reserialize`'s cycle error or as
+    :meth:`Graph.validate`'s read-before-write error."""
+    stacked = 0
     for patches in layers:
         groups: Dict[Tuple, List[OpNode]] = {}
         for patch in patches:
@@ -207,6 +209,7 @@ def stack_gated_layers(graph: Graph,
             if len(group) >= 2:
                 stack_siblings(graph, group,
                                op_def(group[0].op_type).sibling_fused)
-                stacked = True
+                stacked += 1
     if stacked:
         reserialize(graph)
+    return stacked

@@ -206,7 +206,7 @@ class Conv2d(Function):
         many other pixels) it is computed with.
         """
         self.stride, self.padding = stride, padding
-        self.in_shape = x.shape
+        self.in_shape, self.in_dtype = x.shape, x.dtype
         o = weight.shape[0]
         kernel = weight.shape[2:]
         channel_last = weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
@@ -268,8 +268,13 @@ class Conv2d(Function):
         sh, sw = self.stride
         n, o, ho, wo = grad_output.shape
 
-        # grad wrt input: scatter per kernel offset (col2im).
-        grad_padded = np.zeros_like(self.xp)
+        # grad wrt input: scatter per kernel offset (col2im) into the padded
+        # input's shape, built from ``in_shape`` (not ``xp``: the
+        # channel-last forward pads lazily, and only the weight GEMM needs it).
+        (pt, pb), (pl, pr) = self.padding
+        c, h, w = self.in_shape[1:]
+        grad_padded = np.zeros((n, c, h + pt + pb, w + pl + pr),
+                               dtype=self.in_dtype)
         # (N, Ho, Wo, C, kh, kw)
         grad_cols = np.tensordot(grad_output, weight, axes=([1], [0]))
         grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, Ho, Wo)

@@ -281,8 +281,9 @@ class TestKillMatrix:
 
     def test_sca303_provable_overflow(self):
         """An overflowing op needs all-constant inputs, which no builder
-        emits and the compiler does not evaluate (only ``OpDef.fold``
-        hooks fold): every check passes it and the run returns Inf."""
+        emits and the compiler does not evaluate (its one fold rewrites
+        ``batchnorm_eval``): every check passes it and the run returns
+        Inf."""
         graph = Graph("overflow")
         a = graph.add_tensor("a", (2, 2), kind="constant")
         b = graph.add_tensor("b", (2, 2), kind="constant")

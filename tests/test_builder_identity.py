@@ -27,7 +27,7 @@ import pytest
 from repro.compile import compile_graph
 from repro.core.transform import build_zoo_model, to_split_cnn
 from repro.graph import (
-    build_checkpointed_training_graph, build_inference_graph,
+    GraphExecutor, build_checkpointed_training_graph, build_inference_graph,
     build_training_graph,
 )
 from repro.graph.ir import Graph
@@ -87,6 +87,23 @@ def _zoo_rows(name: str, memory_efficient: bool = False) -> Iterator[str]:
             yield graph_fingerprint(graph)
             yield graph_fingerprint(build_inference_graph(
                 model, BATCH, patch_order=order))
+
+
+def _compiled_rows(name: str) -> Iterator[str]:
+    """Compiled graphs the zoo rows leave unpinned: the compiled twin of
+    the uneven 3x3 split training graph, and the BN-folded (compiled with
+    parameters) inference graph at 2x2 and 3x3, in both patch orders."""
+    for split in (4, 9):
+        model = build_zoo_model(name, split=split, split_depth=0.5)
+        for order in ("depth_first", "breadth_first"):
+            if split == 9:
+                graph = build_training_graph(model, BATCH, patch_order=order)
+                compile_graph(graph)
+                yield graph_fingerprint(graph)
+            graph = build_inference_graph(model, BATCH, patch_order=order)
+            compile_graph(graph,
+                          GraphExecutor.parameters_from_model(graph, model))
+            yield graph_fingerprint(graph)
 
 
 def _split_small_resnet():
@@ -153,6 +170,8 @@ ROWS: Dict[str, Callable[[], Iterator[str]]] = {
                     "resnet34", "resnet50", "small_vgg", "small_resnet")},
     **{f"{name}-me": (lambda name=name: _zoo_rows(name, memory_efficient=True))
        for name in ("resnet18", "resnet34", "resnet50")},
+    **{f"{name}-compiled": (lambda name=name: _compiled_rows(name))
+       for name in ("vgg11", "resnet18", "small_resnet")},
     "checkpointed": _checkpointed_rows,
     "mesh": _mesh_rows,
     "patch_infer": _patch_infer_rows,
@@ -169,6 +188,7 @@ GOLDEN: Dict[str, str] = {
     # New row, recorded when the join depth was introduced (no parent).
     "patch_infer-joined": "582551d6c3001562",
     "resnet18": "6d9d51ecfde18de5",
+    "resnet18-compiled": "c451177ef5560945",
     # Re-recorded: the builder stacks the forward and bwd_data of the 3
     # split layers that take their weight gradient in one GEMM.
     # Re-recorded again: the compiled training twins no longer fuse
@@ -190,8 +210,12 @@ GOLDEN: Dict[str, str] = {
     # training twins.
     "resnet50-me": "f9a0850bd8016273",
     "small_resnet": "74eba390ded735ac",
+    # New rows, recorded at the parent of the one-pass sibling grouping and
+    # the direct ReLU fusion / BN fold (same for the other -compiled rows).
+    "small_resnet-compiled": "888f467716e3f6f0",
     "small_vgg": "e01457cec775a904",
     "vgg11": "9cbcaaf554f445ec",
+    "vgg11-compiled": "a6a701f41e177ec1",
     "vgg16": "fe093275675cd0bb",
     "vgg19": "db9518ef09929ec6",
 }

@@ -151,6 +151,18 @@ class TestCompiledIdentity:
         for tensor_id in graph.constants:
             assert graph.tensor(tensor_id).kind == "constant"
 
+    def test_weight_tied_chain_is_a_typed_error(self):
+        """One conv applied twice in a row shares its weight like a split
+        layer's patches but feeds itself: stacking it would read its own
+        output, so compiling raises instead of returning that graph."""
+        rng = np.random.default_rng(0)
+        conv = Conv2d(3, 3, kernel_size=3, padding=1, rng=rng)
+        model = ConvClassifier(Sequential(conv, ReLU(), conv, ReLU()),
+                               Linear(3 * 8 * 8, 4, rng=rng), input_size=8)
+        graph = build_inference_graph(model, 2)
+        with pytest.raises(ValueError, match="before it is produced"):
+            compile_graph(graph)
+
 
 # ----------------------------------------------------------------------
 # Pass algebra: idempotence and fuse/fold commutativity

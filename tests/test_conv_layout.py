@@ -221,6 +221,26 @@ def test_backward_weight_is_one_kernel_on_every_path(x_shape, w_shape, stride,
     assert stacked.backward_weight(grad).tobytes() == direct.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("padding", [((1, 1), (1, 1)), ((0, 1), (-1, 2))])
+def test_backward_input_leaves_the_lazy_pad_unbuilt(padding, dtype):
+    """``backward_input`` needs only the padded input's shape and dtype,
+    so a weight-light conv's input stays unpadded through it; the gradient
+    is the one the padded context gives."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
+    weight = rng.standard_normal((8, 3, 3, 3))
+    assert weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
+    fn = Conv2d()
+    out = fn.forward(x, weight, None, (1, 1), padding)
+    grad = rng.standard_normal(out.shape)
+    lazy = fn.backward_input(grad)
+    assert fn._xp is None
+    assert lazy.shape == x.shape and lazy.dtype == x.dtype
+    assert fn.xp is not None
+    assert fn.backward_input(grad).tobytes() == lazy.tobytes()
+
+
 # ----------------------------------------------------------------------
 # The small-GEMM gate: a pixel's bytes may not depend on its patch size
 # ----------------------------------------------------------------------

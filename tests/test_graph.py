@@ -62,6 +62,19 @@ class TestIr:
         with pytest.raises(ValueError):
             graph.validate()
 
+    def test_validate_rejects_an_op_reading_its_own_output(self):
+        """Defs precede uses strictly: an op cannot consume what it
+        produces."""
+        graph = Graph("t")
+        a = graph.add_tensor("a", (1,))
+        b = graph.add_tensor("b", (1,))
+        op = graph.add_op("loop", "add", [a, a], [b])
+        graph.validate()
+        op.inputs[1] = b.id
+        b.consumers.append(op.id)
+        with pytest.raises(ValueError, match="before it is produced"):
+            graph.validate()
+
     def test_saved_marks_consumer(self):
         graph = Graph("t")
         a = graph.add_tensor("a", (1,))
