@@ -94,6 +94,7 @@ def test_compile_speedup(benchmark):
                                rng=np.random.default_rng(0)),
                          depth=1.0, num_splits=(2, 2))
     x = rng.standard_normal((2, 3, unsplit.input_size, unsplit.input_size))
+    x = x.astype(np.float32)        # the models' width
     y = rng.integers(0, 10, size=2)
 
     def measure():

@@ -61,7 +61,7 @@ def test_executor_parallel_speedup(benchmark):
         if split is not None:
             model = to_split_cnn(model, depth=0.5, num_splits=split)
         x = rng.standard_normal((batch, 3, model.input_size,
-                                 model.input_size))
+                                 model.input_size)).astype(np.float32)
         y = rng.integers(0, 10, size=batch)
         cases.append((f"{model_name}/{split_name}", model, x, y))
 

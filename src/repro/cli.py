@@ -585,7 +585,7 @@ def _cmd_compile(args) -> int:
     rng = np.random.default_rng(0)
     input_shape = next(t for t in reference.tensors.values()
                        if t.kind == "input").shape
-    x = rng.standard_normal(input_shape)
+    x = rng.standard_normal(input_shape).astype(plan.width, copy=False)
     targets = None
     if args.train:
         logits = next(t for t in reference.tensors.values()

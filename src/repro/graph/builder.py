@@ -37,6 +37,7 @@ from ..nn import (
     Module, ReLU, Sequential,
 )
 from ..nn.norm import BN_EPS
+from ..tensor.tensor import DEFAULT_DTYPE
 from .ir import Graph, TensorValue
 from .registry import infer_op_shapes, op_def
 
@@ -78,6 +79,13 @@ class GraphBuilder:
         count = self._name_counts.get(base, 0)
         self._name_counts[base] = count + 1
         return base if count == 0 else f"{base}#{count}"
+
+    def add_input(self, model: Module, name: str,
+                  shape: Tuple[int, ...]) -> TensorValue:
+        """An input tensor of ``model``'s graph; records the graph's
+        compute width (:func:`model_width`), the one place it is decided."""
+        self.graph.width = model_width(model)
+        return self.graph.add_tensor(name, shape, kind="input")
 
     def param(self, module: Module, attribute: str, shape: Tuple[int, ...]) -> TensorValue:
         """Parameter tensor, cached so split patches share one value."""
@@ -182,7 +190,8 @@ class GraphBuilder:
             "padding": padding, "in_channels": module.in_channels,
             "out_channels": module.out_channels,
         }
-        (out_shape,) = infer_op_shapes("conv2d", [value.shape], attrs)
+        (out_shape,) = infer_op_shapes("conv2d", [value.shape, weight.shape],
+                                       attrs)
         (out,) = self.add_registered_op(
             f"conv{tag}", "conv2d", inputs, attrs,
             out_names=[f"conv{tag}.out"],
@@ -233,6 +242,17 @@ class GraphBuilder:
             out_names=[f"{op_type}{tag}.out"],
         )
         return out
+
+
+def model_width(model: Module) -> np.dtype:
+    """The dtype every kernel of ``model``'s graphs computes in: the one
+    its parameters share (float32 unless the model was converted)."""
+    widths = {param.data.dtype for param in model.parameters()}
+    if len(widths) > 1:
+        raise ValueError(
+            f"model parameters mix dtypes {sorted(map(str, widths))}; "
+            "a graph computes at one width")
+    return widths.pop() if widths else np.dtype(DEFAULT_DTYPE)
 
 
 def _tag(patch: Patch) -> str:
@@ -458,8 +478,7 @@ def build_forward_graph(
     graph = builder.graph
     graph.name = model.name
     side = model.input_size
-    value = graph.add_tensor("input", (batch_size, 3, side, side),
-                             kind="input")
+    value = builder.add_input(model, "input", (batch_size, 3, side, side))
     value = builder.emit(model.features, value)
     value = builder.emit(Flatten(), value)
     value = builder.emit(model.classifier, value)

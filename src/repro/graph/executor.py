@@ -181,6 +181,8 @@ class GraphExecutor:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.graph = graph
+        #: The dtype every input arrives in and every kernel computes in.
+        self.width = graph.width
         self.dropout_seed = dropout_seed
         self.workers = workers
         self.eager_free = eager_free
@@ -346,12 +348,12 @@ class GraphExecutor:
         results arriving from other devices.  Raises on missing, unknown,
         mis-shaped, or mis-typed bindings.
 
-        Every kernel computes in float64, so graph inputs must arrive as
-        float64: a wrong-dtype array (say a float32 patch) raises
-        ``TypeError`` instead of being upcast silently, which would hide
-        the producer's dtype bug — lossless conversion is the *caller's*
-        explicit decision.  Plain Python nested lists still convert
-        (``np.asarray`` yields float64 for float data).
+        Every kernel computes at the graph's width (:attr:`width`, its
+        model's parameter dtype), so graph inputs must arrive at that
+        width: any other dtype (a float64 image for a float32 model)
+        raises ``TypeError`` instead of being converted silently, which
+        would hide the producer's dtype bug — the cast is the *caller's*
+        explicit decision, made once per entry point.
         """
         self.release_intermediates()
         input_ids = set(self._input_ids)
@@ -370,11 +372,11 @@ class GraphExecutor:
                 raise ValueError(
                     f"input {tensor.name!r} shape {array.shape} != "
                     f"graph input {tensor.shape}")
-            if array.dtype != np.float64:
+            if array.dtype != self.width:
                 raise TypeError(
                     f"input {tensor.name!r} dtype {array.dtype} != the "
-                    f"graph input dtype float64; convert explicitly "
-                    f"(silent upcasts hid producer dtype bugs)")
+                    f"graph's width {self.width}; convert explicitly "
+                    f"(silent casts hide producer dtype bugs)")
             self.values[tensor_id] = array
         self.targets = targets
         if self.workers > 1:

@@ -14,6 +14,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..tensor.tensor import DEFAULT_DTYPE
+
 __all__ = ["TensorValue", "OpNode", "Graph", "FLOAT_BYTES"]
 
 FLOAT_BYTES = 4
@@ -81,6 +83,11 @@ class Graph:
         # that are fixed at graph-build/compile time (BN running stats,
         # folded scales).  Executors seed these like parameters.
         self.constants: Dict[int, np.ndarray] = {}
+        #: The float dtype every kernel computes in: its model's
+        #: parameter dtype, recorded by the builder
+        #: (:meth:`~repro.graph.builder.GraphBuilder.add_input`).  Rewrites
+        #: in place (backward, compile) keep it.
+        self.width: np.dtype = np.dtype(DEFAULT_DTYPE)
         self._next_tensor_id = 0
         self._next_op_id = 0
 

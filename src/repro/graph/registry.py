@@ -131,7 +131,12 @@ def _window_hw(in_hw: Shape, kernel, stride, padding) -> Tuple[int, int]:
 
 
 def _shape_conv2d(ins, attrs):
-    n, _, h, w = ins[0]
+    # ins = [x, weight(, bias)]
+    n, channels, h, w = ins[0]
+    if channels != ins[1][1]:
+        raise ValueError(
+            f"conv2d input has {channels} channels, its weight "
+            f"{tuple(ins[1])} expects {ins[1][1]}")
     ho, wo = _window_hw((h, w), attrs["kernel"], attrs["stride"],
                         attrs["padding"])
     return [(n, attrs["out_channels"], ho, wo)]
@@ -191,8 +196,9 @@ def _shape_cross_entropy(ins, attrs):
 
 def _shape_conv_siblings(ins, attrs):
     # ins = [x_0 .. x_{S-1}, weight(, bias)] with identical patch shapes.
-    return [_shape_conv2d([ins[i]], attrs)[0]
-            for i in range(attrs["siblings"])]
+    count = attrs["siblings"]
+    return [_shape_conv2d([ins[i], ins[count]], attrs)[0]
+            for i in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +490,9 @@ def _k_cross_entropy(ex, op):
     if ex.targets is None:
         raise ValueError("graph contains a loss op but no targets given")
     fn = _CeFn()
-    loss = fn.forward(ex.input(op, 0), np.asarray(ex.targets))
-    ex.set_output(op, 0, np.asarray([float(loss)]))
+    logits = ex.input(op, 0)
+    loss = fn.forward(logits, np.asarray(ex.targets))
+    ex.set_output(op, 0, np.asarray([loss], dtype=logits.dtype))
     ex.set_output(op, 1, fn.softmax)
 
 

@@ -42,14 +42,15 @@ def _emit_layers(builder: GraphBuilder, layers: List[Module],
     return value
 
 
-def _build(name: str, layers: List[Module], paddings: List[LayerPadding],
+def _build(model: Module, name: str, layers: List[Module],
+           paddings: List[LayerPadding],
            batch: int, in_hw: Tuple[int, int], in_channels: int,
            ) -> Tuple[Graph, GraphBuilder]:
     builder = GraphBuilder(batch_size=batch, inference=True)
     graph = builder.graph
     graph.name = name
-    value = graph.add_tensor(
-        "input", (batch, in_channels, in_hw[0], in_hw[1]), kind="input")
+    value = builder.add_input(model, "input",
+                              (batch, in_channels, in_hw[0], in_hw[1]))
     value = _emit_layers(builder, layers, paddings, value)
     value.name = "logits"
     graph.validate()
@@ -66,7 +67,7 @@ def build_dense_graph(model: Module, layers: List[Module], batch: int,
         layer.padding if isinstance(layer, WINDOW_TYPES) else None
         for layer in layers
     ]
-    graph, builder = _build(f"{getattr(model, 'name', 'dense')}:dense",
+    graph, builder = _build(model, f"{getattr(model, 'name', 'dense')}:dense",
                             layers, paddings, batch, in_hw, in_channels)
     return graph, params_for_builder(builder, model)
 
@@ -81,7 +82,7 @@ def build_patch_graph(model: Module, layers: List[Module],
             f"variant carries {len(variant.layer_paddings)} layer paddings "
             f"for a body of {len(layers)} layers")
     graph, builder = _build(
-        f"{getattr(model, 'name', 'dense')}:patch{variant.in_shape}",
+        model, f"{getattr(model, 'name', 'dense')}:patch{variant.in_shape}",
         layers[:len(variant.layer_paddings)], list(variant.layer_paddings),
         batch, variant.in_shape, in_channels)
     return graph, params_for_builder(builder, model)

@@ -40,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..graph.builder import model_width
 from ..hmms import PlanCache
 from ..nn import Conv2d, Module
 from ..planned import PlanCore, PlannedEntry, dyadic_bucket, dyadic_search
@@ -284,10 +285,12 @@ class PatchInferer:
             raise ValueError(
                 f"dense input must be (C, H, W) or (N, C, H, W), "
                 f"got shape {x.shape}")
-        if x.dtype != np.float64:
+        width = model_width(self.model)
+        if x.dtype not in (np.float64, width):
             raise TypeError(
-                f"dense input dtype {x.dtype} != executor input dtype "
-                f"float64 (the executor rejects silent upcasts)")
+                f"dense input dtype {x.dtype} is neither float64 nor the "
+                f"model's width {width} (other dtypes are producer bugs, "
+                f"not something to convert silently)")
         if x.shape[1] != self.in_channels:
             raise ValueError(
                 f"dense input has {x.shape[1]} channels, inferer expects "
@@ -318,7 +321,7 @@ class PatchInferer:
             for chunk, entry in self._executions(variants, patch_batch):
                 stacked = np.zeros(
                     (entry.batch, self.in_channels) + chunk[0].in_shape,
-                    dtype=np.float64)
+                    dtype=entry.executor.width)
                 for k, tile in enumerate(chunk):
                     stacked[k] = tile.extract(image)
                 logits = entry.executor.run(stacked)["logits"]
@@ -343,6 +346,7 @@ class PatchInferer:
             raise ValueError("run_unsplit() needs numeric=True")
         x = self._check_input(x)
         entry = self.unsplit_entry((x.shape[2], x.shape[3]), x.shape[0])
-        logits = entry.executor.run(x)["logits"].copy()
+        logits = entry.executor.run(
+            x.astype(entry.executor.width, copy=False))["logits"].copy()
         entry.executor.release_intermediates()
         return logits

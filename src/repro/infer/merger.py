@@ -65,13 +65,15 @@ class BlendMerger:
 
     def merge(self, plan: PatchPlan,
               outputs: Dict[Tuple[int, int], np.ndarray]) -> np.ndarray:
-        """Merge ``{tile index: (C, th, tw) array}`` into ``(C, H, W)``."""
+        """Merge ``{tile index: (C, th, tw) array}`` into ``(C, H, W)``
+        at the tiles' dtype (the blended modes weigh in float64)."""
         missing = [t.index for t in plan.tiles if t.index not in outputs]
         if missing:
             raise ValueError(f"missing tile outputs: {missing}")
-        channels = next(iter(outputs.values())).shape[0]
+        first = next(iter(outputs.values()))
+        channels, dtype = first.shape[0], first.dtype
         if self.mode == "valid":
-            merged = np.empty((channels,) + plan.out_hw, dtype=np.float64)
+            merged = np.empty((channels,) + plan.out_hw, dtype=dtype)
             for tile in plan.tiles:
                 out = outputs[tile.index]
                 if out.shape[1:] != tile.out_shape:
@@ -95,4 +97,4 @@ class BlendMerger:
             (th0, th1), (tw0, tw1) = tile.out_range
             numerator[:, th0:th1, tw0:tw1] += out * weight
             denominator[th0:th1, tw0:tw1] += weight
-        return numerator / denominator
+        return (numerator / denominator).astype(dtype, copy=False)

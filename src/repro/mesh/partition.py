@@ -302,9 +302,8 @@ class MeshPartitioner:
         for (i, j) in grid:
             d = owner[(i, j)]
             b = builder_for(d)
-            t_in = b.graph.add_tensor(
-                f"mesh.patch{i}{j}",
-                (batch, 3, h_sizes[i], w_sizes[j]), kind="input")
+            t_in = b.add_input(model, f"mesh.patch{i}{j}",
+                               (batch, 3, h_sizes[i], w_sizes[j]))
             bindings.setdefault(d, {})[t_in.id] = ("patch", i, j)
             value = b.emit(region.body, t_in, (back.payload, i, j))
             patch_out[(i, j)] = value
@@ -320,8 +319,7 @@ class MeshPartitioner:
             if owner[(i, j)] == tail:
                 join_inputs.append(value)
             else:
-                remote = tb.graph.add_tensor(f"mesh.join{i}{j}", value.shape,
-                                             kind="input")
+                remote = tb.add_input(model, f"mesh.join{i}{j}", value.shape)
                 bindings.setdefault(tail, {})[remote.id] = ("patch_out", i, j)
                 remote_in[(i, j)] = remote.id
                 join_inputs.append(remote)
@@ -397,9 +395,8 @@ class MeshPartitioner:
         for stage, chunk in enumerate(chunks):
             b = GraphBuilder(batch_size=batch, inference=True)
             b.graph.name = f"{model.name}@stage{stage}"
-            t_in = b.graph.add_tensor("input" if stage == 0
-                                      else f"mesh.stage_in{stage}",
-                                      value_shape, kind="input")
+            t_in = b.add_input(model, "input" if stage == 0
+                               else f"mesh.stage_in{stage}", value_shape)
             value = t_in
             for item in chunk:
                 value = b.emit(item, value)
@@ -477,6 +474,7 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
     device's remote-join inputs.  Patches carry the shipped zero-padding
     semantics (the paper's feature abandonment), so the merged logits are
     byte-identical to the single-device split graph for any device count.
+    ``x`` is cast to the graphs' width (their model's parameter dtype).
     """
     if mesh_plan.strategy != "spatial" or mesh_plan.spatial_schemes is None:
         raise ValueError("run_spatial_numeric needs a spatial MeshPlan")
@@ -488,16 +486,17 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
     ordered = sorted(mesh_plan.assignments,
                      key=lambda a: (a.role == "tail", a.device_id))
     for assignment in ordered:
+        executor = GraphExecutor(assignment.graph, assignment.params)
         inputs: Dict[int, np.ndarray] = {}
         for tensor_id, binding in assignment.input_bindings.items():
             if binding[0] == "patch":
                 _, i, j = binding
                 h0, h1 = scheme_h.part_range(i, total_h)
                 w0, w1 = scheme_w.part_range(j, total_w)
-                inputs[tensor_id] = x[:, :, h0:h1, w0:w1]
+                inputs[tensor_id] = x[:, :, h0:h1, w0:w1].astype(
+                    executor.width, copy=False)
             elif binding[0] == "patch_out":
                 inputs[tensor_id] = patch_results[binding[1:]]
-        executor = GraphExecutor(assignment.graph, assignment.params)
         outputs = executor.run_with_inputs(inputs)
         for key, tensor_id in assignment.output_tensors.items():
             # Patch tensors shipped to another device have no local

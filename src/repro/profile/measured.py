@@ -36,7 +36,8 @@ class MeasuredCostModel(CostModel):
     graph: the training graph to profile.
     parameters: parameter arrays (see
         :meth:`GraphExecutor.parameters_from_model`).
-    input_array / targets: one representative batch.
+    input_array / targets: one representative batch (cast to the graph's
+        width, as every entry point casts its input).
     repetitions: timing repetitions per op (paper uses 20).
     device: still used for bandwidth figures (offload budgets) and for
         ops the executor cannot time.
@@ -64,7 +65,8 @@ class MeasuredCostModel(CostModel):
         # (eager_free stays off — the timing loop below re-reads all of
         # them).
         executor = GraphExecutor(graph, parameters, eager_free=False)
-        executor.run(input_array, targets)
+        executor.run(np.asarray(input_array).astype(executor.width,
+                                                    copy=False), targets)
         for op in graph.ops:
             # Execute once to warm caches, then time `repetitions`
             # re-executions, exactly as §4.3 describes.  Only times are

@@ -182,7 +182,8 @@ class ServingEngine:
         input_tensor = next(t for t in entry.graph.tensors.values()
                             if t.kind == "input")
         batch_input = self._rng.standard_normal(input_tensor.shape)
-        logits = entry.executor.run(batch_input)["logits"]
+        logits = entry.executor.run(
+            batch_input.astype(entry.executor.width, copy=False))["logits"]
         self._logits.clear()
         offset = 0
         for request in requests:

@@ -178,10 +178,10 @@ def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad
     return (in_size + pad_begin + pad_end - kernel) // stride + 1
 
 
-#: A conv whose weight has at most this many elements (1 MiB of float64)
-#: runs its forward on pixel-major channel-last columns; a heavier one
-#: keeps the channel-major buffer, because permuting its weight would cost
-#: more than its forward at the few pixel rows such layers have.  The
+#: A conv whose weight has at most this many elements (a count, at any
+#: width) runs its forward on pixel-major channel-last columns; a heavier
+#: one keeps the channel-major buffer, because permuting its weight would
+#: cost more than its forward at the few pixel rows such layers have.  The
 #: branch depends on the weight shape only: a patch and the unsplit image
 #: take the same one and get the same bytes.
 CHANNEL_LAST_WEIGHT_LIMIT = 1 << 17

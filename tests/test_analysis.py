@@ -58,8 +58,8 @@ def _small_vgg_executor_parts():
     graph = build_training_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
     [x] = [t for t in graph.tensors.values() if t.kind == "input"]
-    inputs = (np.random.default_rng(0).standard_normal(x.shape),
-              np.arange(x.shape[0]))
+    inputs = (np.random.default_rng(0).standard_normal(x.shape)
+              .astype(graph.width), np.arange(x.shape[0]))
     return graph, params, inputs
 
 

@@ -104,7 +104,8 @@ def _run(executor):
     training = any(op.phase == "backward" for op in graph.ops)
     targets = np.arange(x.shape[0]) if training else None
     rng = np.random.default_rng(0)
-    return executor.run(rng.standard_normal(x.shape), targets)
+    return executor.run(rng.standard_normal(x.shape).astype(executor.width),
+                        targets)
 
 
 def _training(model):

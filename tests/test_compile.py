@@ -19,9 +19,12 @@ from repro.compile import (
 )
 from repro.core import to_split_cnn
 from repro.graph import GraphExecutor, build_inference_graph, build_training_graph
+from repro.graph.builder import model_width
 from repro.models import ConvClassifier, small_resnet, small_vgg
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential
 from repro.serve import Request, ServingEngine
+
+from conftest import to_float64
 
 
 def _dropout_model(rng):
@@ -37,21 +40,25 @@ def _dropout_model(rng):
 
 
 def _case(name):
-    """(model, x, y) for one matrix entry; fresh weights per call."""
+    """(model, x, y) for one matrix entry; fresh weights per call, ``x``
+    at the model's width (``:f64`` converts the model to float64)."""
     rng = np.random.default_rng(0)
     if name == "dropout":
         model = _dropout_model(rng)
         x = rng.standard_normal((2, 3, 8, 8))
     else:
-        base, _, splits = name.partition(":")
+        base, _, rest = name.partition(":")
+        splits, _, width = rest.partition(":")
         make = {"vgg": small_vgg, "resnet": small_resnet}[base]
         model = make(num_classes=4, rng=rng)
+        if width == "f64":
+            to_float64(model)
         if splits:
             n = int(splits)
             model = to_split_cnn(model, depth=0.5, num_splits=(n, n))
         x = rng.standard_normal((2, 3, 32, 32))
     y = np.array([1, 3])
-    return model, x, y
+    return model, x.astype(model_width(model)), y
 
 
 CASES = ["vgg", "vgg:2", "resnet", "resnet:2", "dropout"]
@@ -108,7 +115,7 @@ def _signature(graph):
 # Byte-identity: compiled plan vs interpreter across the zoo matrix
 # ----------------------------------------------------------------------
 class TestCompiledIdentity:
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CASES + ["resnet:2:f64"])
     @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_compiled_matches_interpreter(self, case, mode, workers):

@@ -245,6 +245,12 @@ def test_backward_input_leaves_the_lazy_pad_unbuilt(padding, dtype):
 # The small-GEMM gate: a pixel's bytes may not depend on its patch size
 # ----------------------------------------------------------------------
 SCAN = [(o, c) for o in (16, 32, 64, 128) for c in (3, 16, 64, 128)]
+#: The scan at both widths: a float64 model's patch identity rests on
+#: dgemm's small-matrix gate, a float32 one's on sgemm's.
+WIDE_SCAN = ([pytest.param(o, c, np.float64, id=f"{o}-{c}")
+              for o, c in SCAN]
+             + [pytest.param(o, c, np.float32, id=f"{o}-{c}-float32")
+                for o, c in SCAN])
 
 
 def _gate_sizes(o, k, limit=4096):
@@ -253,16 +259,16 @@ def _gate_sizes(o, k, limit=4096):
     return gate, sorted(p for p in sizes if 1 <= p <= limit)
 
 
-@pytest.mark.parametrize("o,c", SCAN)
-def test_tiny_patches_compute_the_big_image_bytes(o, c):
+@pytest.mark.parametrize("o,c,dtype", WIDE_SCAN)
+def test_tiny_patches_compute_the_big_image_bytes(o, c, dtype):
     """3x3 convs, K = 27 ... 1152: P output pixels computed alone are the
     first P pixels of a 4096-pixel row, byte for byte, on both sides of
     the gate (measured before the fix: they differ iff P*O*K <= 1e6 with
     K >= 576, and always at P == 1)."""
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((1, c, 3, 4098))
-    weight = rng.standard_normal((o, c, 3, 3))
-    bias = rng.standard_normal(o)
+    x = rng.standard_normal((1, c, 3, 4098)).astype(dtype)
+    weight = rng.standard_normal((o, c, 3, 3)).astype(dtype)
+    bias = rng.standard_normal(o).astype(dtype)
     none = ((0, 0), (0, 0))
     big = Conv2d().forward(x, weight, bias, (1, 1), none)
     _, sizes = _gate_sizes(o, 9 * c)
@@ -297,17 +303,17 @@ def test_branch_is_a_function_of_the_weight_shape(o, c):
         assert out.tobytes() == big[..., :pixels].tobytes(), pixels
 
 
-@pytest.mark.parametrize("o,c", SCAN)
-def test_host_blas_gate_is_not_above_ours(o, c):
+@pytest.mark.parametrize("o,c,dtype", WIDE_SCAN)
+def test_host_blas_gate_is_not_above_ours(o, c, dtype):
     """At and above the rows ``Conv2d.forward`` pads to, the raw product's
     rows must already be the blocked kernel's, in both operand orders —
     the channel-major buffer's transposed view and the channel-last
-    buffer itself: a BLAS that moves its small-matrix gate up fails here,
-    loudly, instead of in a digest."""
+    buffer itself, at both widths: a BLAS that moves its small-matrix
+    gate up fails here, loudly, instead of in a digest."""
     rng = np.random.default_rng(1)
     k = 9 * c
-    cols = rng.standard_normal((k, 4096))
-    w2d = rng.standard_normal((o, k))
+    cols = rng.standard_normal((k, 4096)).astype(dtype)
+    w2d = rng.standard_normal((o, k)).astype(dtype)
     rows = np.ascontiguousarray(cols.T)
     gate, sizes = _gate_sizes(o, k)
     for operand in (lambda p: np.ascontiguousarray(cols[:, :p]).T,

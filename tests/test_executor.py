@@ -69,22 +69,35 @@ class TestExecutorValidation:
             GraphExecutor(graph, params).run(np.zeros((5, 3, 32, 32)))
 
     def test_wrong_input_dtype_rejected(self, rng):
-        """Regression: a float32 patch used to be silently upcast to
-        float64, hiding the producer's dtype bug; the executor (under
-        either of its names) now rejects it."""
+        """An input at any dtype but the graph's width (its model's
+        parameter dtype, float32 by default) is rejected, not converted
+        silently, by the executor under either of its names."""
+        self._check_width_is_enforced(
+            small_vgg(num_classes=3, rng=rng), np.float32, np.float64)
+
+    def test_wrong_input_dtype_rejected_at_float64(self, rng):
+        """The same holds for a model converted to float64: a float32
+        input is rejected rather than upcast."""
+        model = small_vgg(num_classes=3, rng=rng)
+        to_float64(model)
+        self._check_width_is_enforced(model, np.float64, np.float32)
+
+    @staticmethod
+    def _check_width_is_enforced(model, width, other):
         from repro.compile import CompiledPlan
         from repro.graph import build_inference_graph
-        model = small_vgg(num_classes=3, rng=rng)
         graph = build_inference_graph(model, 2)
         params = GraphExecutor.parameters_from_model(graph, model)
-        patch = np.zeros((2, 3, 32, 32), dtype=np.float32)
-        with pytest.raises(TypeError, match="float64"):
+        assert GraphExecutor(graph, params).width == width
+        patch = np.zeros((2, 3, 32, 32), dtype=other)
+        message = f"graph's width {np.dtype(width)}"
+        with pytest.raises(TypeError, match=message):
             GraphExecutor(graph, params).run(patch)
-        with pytest.raises(TypeError, match="float64"):
+        with pytest.raises(TypeError, match=message):
             CompiledPlan(graph, params).run(patch)
-        # The exact-dtype input still runs.
-        out = GraphExecutor(graph, params).run(patch.astype(np.float64))
-        assert "logits" in out
+        # The input at the width still runs, and stays at it.
+        out = GraphExecutor(graph, params).run(patch.astype(width))
+        assert out["logits"].dtype == width
 
     def test_graph_without_input_is_a_typed_error(self):
         """Regression: ``next(...)`` over the input tensors escaped as a
@@ -108,7 +121,8 @@ class TestExecutorValidation:
         graph = build_training_graph(model, 2)
         params = GraphExecutor.parameters_from_model(graph, model)
         executor = GraphExecutor(graph, params)
-        executor.run(rng.standard_normal((2, 3, 32, 32)), np.array([0, 1]))
+        executor.run(rng.standard_normal((2, 3, 32, 32)).astype(np.float32),
+                     np.array([0, 1]))
         forward = graph.ops[1]                # its input was freed eagerly
         with pytest.raises(RuntimeError, match="already freed"):
             executor.input(forward, 0)
@@ -127,7 +141,7 @@ class TestExecutorValidation:
         params = GraphExecutor.parameters_from_model(graph, model)
         with pytest.raises(ValueError):
             GraphExecutor(graph, params).run(
-                np.zeros((2, 3, 32, 32)), targets=None)
+                np.zeros((2, 3, 32, 32), dtype=np.float32), targets=None)
 
 
 class TestMeasuredCostModel:
@@ -202,7 +216,7 @@ class TestFinalGradientResolution:
         rng = np.random.default_rng(3)
         base = small_vgg(num_classes=4, rng=rng)
         model = to_split_cnn(base, depth=0.5, num_splits=(2, 2))
-        x = rng.standard_normal((2, 3, 32, 32))
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
         y = np.array([0, 2])
         return model, x, y
 

@@ -32,7 +32,8 @@ def _dropout_model(rng):
 
 
 def _case(name):
-    """(model, x, y) for one matrix entry; fresh weights per call."""
+    """(model, x, y) for one matrix entry; fresh weights per call, ``x``
+    at the models' float32 width."""
     rng = np.random.default_rng(0)
     if name == "dropout":
         model = _dropout_model(rng)
@@ -46,7 +47,7 @@ def _case(name):
             model = to_split_cnn(model, depth=0.5, num_splits=(n, n))
         x = rng.standard_normal((2, 3, 32, 32))
     y = np.array([1, 3])
-    return model, x, y
+    return model, x.astype(np.float32), y
 
 
 CASES = ["vgg", "vgg:2", "vgg:4", "resnet", "resnet:2", "dropout"]

@@ -27,6 +27,8 @@ from repro.models import alexnet, small_resnet, small_vgg, vgg11
 from repro.nn import Conv2d, MaxPool2d, ReLU, Sequential, init
 from repro.planned import dyadic_bucket
 
+from conftest import to_float64
+
 
 def make_inferer(model_fn=small_vgg, seed=0, **kwargs):
     model = model_fn(rng=np.random.default_rng(seed))
@@ -358,6 +360,24 @@ class TestByteIdentity:
             for overlap in (0, 1, 2):
                 out = inferer.infer(x, grid=grid, overlap=overlap)
                 assert out.tobytes() == ref, (grid, overlap)
+
+    @pytest.mark.parametrize("model_fn,width", [
+        (small_vgg, np.float32),
+        (lambda rng: to_float64(small_vgg(rng=rng)), np.float64)])
+    def test_identity_at_the_model_width(self, model_fn, width):
+        """Both widths end to end: a float32 model streams, merges and
+        answers in float32, a float64 one keeps float64; either way the
+        merge is the unsplit bytes.  The image arrives as float64 or
+        already at the width."""
+        inferer = make_inferer(model_fn)
+        for x in (random_image((64, 64)), random_image((64, 64)).astype(width)):
+            ref = inferer.run_unsplit(x)
+            assert ref.dtype == width
+            for grid in ((2, 2), (3, 3), (4, 4)):
+                for overlap in (0, 1, 2):
+                    out = inferer.infer(x, grid=grid, overlap=overlap)
+                    assert out.dtype == width
+                    assert out.tobytes() == ref.tobytes(), (grid, overlap)
 
     @pytest.mark.parametrize("overlap", [0, 1])
     def test_alexnet_valid_merge_is_byte_identical(self, overlap):
@@ -734,10 +754,17 @@ class TestValidation:
             inferer.run_unsplit(random_image((64, 64)))
 
     def test_wrong_dtype_rejected(self):
+        """float64 or the model's width are accepted; anything else is a
+        producer bug, not something to convert silently."""
         inferer = make_inferer()
-        x = random_image((64, 64)).astype(np.float32)
-        with pytest.raises(TypeError, match="float64"):
+        x = random_image((64, 64)).astype(np.float16)
+        with pytest.raises(TypeError, match="float16"):
             inferer.infer(x)
+        with pytest.raises(TypeError, match="float16"):
+            inferer.run_unsplit(x)
+        f64 = PatchInferer(to_float64(small_vgg(rng=np.random.default_rng(0))))
+        with pytest.raises(TypeError, match="float32"):
+            f64.infer(x.astype(np.float32))
 
     def test_wrong_rank_and_channels_rejected(self):
         inferer = make_inferer()

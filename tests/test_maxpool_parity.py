@@ -115,7 +115,8 @@ def _live(table):
 
 def test_inference_run_holds_no_context():
     _, infer, params = _graphs()
-    x = np.random.default_rng(1).standard_normal((2, 3, 32, 32))
+    x = np.random.default_rng(1).standard_normal((2, 3, 32, 32),
+                                                 dtype=np.float32)
     for eager_free in (True, False):
         executor = GraphExecutor(infer, params, eager_free=eager_free)
         assert not any(executor.needs_context(op) for op in infer.ops)
@@ -127,7 +128,8 @@ def test_inference_run_holds_no_context():
 def test_training_run_still_frees_contexts_at_the_last_twin():
     train, _, params = _graphs()
     rng = np.random.default_rng(1)
-    x, y = rng.standard_normal((2, 3, 32, 32)), np.array([1, 3])
+    x = rng.standard_normal((2, 3, 32, 32), dtype=np.float32)
+    y = np.array([1, 3])
     twinned = {op.forward_of for op in train.ops
                if op.forward_of is not None}
     eager = GraphExecutor(train, params)
@@ -144,7 +146,8 @@ def test_training_run_still_frees_contexts_at_the_last_twin():
 def test_the_maxpool_kernel_asks_the_executor():
     train, infer, params = _graphs()
     rng = np.random.default_rng(1)
-    x, y = rng.standard_normal((2, 3, 32, 32)), np.array([1, 3])
+    x = rng.standard_normal((2, 3, 32, 32), dtype=np.float32)
+    y = np.array([1, 3])
     seen = {}
     forward = MaxPool2d.forward
 
@@ -165,5 +168,4 @@ def test_the_maxpool_kernel_asks_the_executor():
     # Same bytes as the eager model, whose pools all compute the argmax.
     model = small_vgg(num_classes=4, rng=np.random.default_rng(0))
     model.eval()
-    assert logits.tobytes() == model(Tensor(x, dtype=np.float64)) \
-        .numpy().tobytes()
+    assert logits.tobytes() == model(Tensor(x)).numpy().tobytes()

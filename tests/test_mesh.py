@@ -41,7 +41,8 @@ def _small_split(num_splits=(2, 2), depth=0.5):
 
 def run_pipeline_numeric(mesh_plan: MeshPlan,
                          x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Execute a pipeline :class:`MeshPlan` numerically, stage by stage."""
+    """Execute a pipeline :class:`MeshPlan` numerically, stage by stage
+    (``x`` cast to the stages' width, as ``run_spatial_numeric`` casts)."""
     if mesh_plan.strategy != "pipeline":
         raise ValueError("run_pipeline_numeric needs a pipeline MeshPlan")
     value = np.asarray(x)
@@ -50,6 +51,7 @@ def run_pipeline_numeric(mesh_plan: MeshPlan,
                              key=lambda a: a.device_id):
         (tensor_id,) = assignment.input_bindings
         executor = GraphExecutor(assignment.graph, assignment.params)
+        value = value.astype(executor.width, copy=False)
         outputs = executor.run_with_inputs({tensor_id: value})
         ((key, out_id),) = assignment.output_tensors.items()
         if key == ("logits",):
@@ -295,7 +297,7 @@ class TestNumericIdentity:
         graph = build_inference_graph(split, 2)
         executor = GraphExecutor(
             graph, GraphExecutor.parameters_from_model(graph, split))
-        return split, x, executor.run(x)["logits"]
+        return split, x, executor.run(x.astype(graph.width))["logits"]
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
     def test_spatial_merged_bytes_identical(self, reference, devices):
@@ -311,7 +313,7 @@ class TestNumericIdentity:
         graph = build_inference_graph(split, 2)
         executor = GraphExecutor(
             graph, GraphExecutor.parameters_from_model(graph, split))
-        expected = executor.run(x)["logits"]
+        expected = executor.run(x.astype(graph.width))["logits"]
         plan = MeshPartitioner(5).spatial(split, batch=2)
         assert run_spatial_numeric(plan, x)["logits"].tobytes() == \
             expected.tobytes()
@@ -324,7 +326,7 @@ class TestNumericIdentity:
         graph = build_inference_graph(model, 2)
         executor = GraphExecutor(
             graph, GraphExecutor.parameters_from_model(graph, model))
-        expected = executor.run(x)["logits"]
+        expected = executor.run(x.astype(graph.width))["logits"]
         plan = MeshPartitioner(devices).pipeline(model, batch=2)
         assert run_pipeline_numeric(plan, x)["logits"].tobytes() == \
             expected.tobytes()
@@ -526,7 +528,8 @@ class TestRunWithInputs:
         tail = next(a for a in plan.assignments if a.role == "tail")
         rng = np.random.default_rng(0)
         inputs = {tensor_id: rng.standard_normal(
-                      tail.graph.tensors[tensor_id].shape)
+                      tail.graph.tensors[tensor_id].shape).astype(
+                          tail.graph.width)
                   for tensor_id in tail.input_bindings}
         expected = GraphExecutor(tail.graph,
                                  tail.params).run_with_inputs(inputs)

@@ -44,7 +44,7 @@ def test_table_never_changes_a_byte(name, splits, mode, compiled):
     model = MODELS[name](num_classes=4, rng=rng)
     if splits > 1:
         model = to_split_cnn(model, depth=1.0, num_splits=(splits, splits))
-    x = rng.standard_normal((2, 3, 32, 32))
+    x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
     targets = np.array([1, 3]) if mode == "train" else None
     if mode == "train":
         graph = build_training_graph(model, 2)
@@ -85,7 +85,8 @@ def test_kept_values_alias_the_result():
     graph = build_training_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
     executor = GraphExecutor(graph, params, eager_free=False)
-    executor.run(rng.standard_normal((2, 3, 32, 32)), np.array([1, 3]))
+    executor.run(rng.standard_normal((2, 3, 32, 32), dtype=np.float32),
+                 np.array([1, 3]))
     aliased = 0
     for op in graph.ops:
         for index, tensor_id in enumerate(op.inputs):
@@ -132,9 +133,9 @@ def _aliasing_graph():
 def test_forward_values_are_never_overwritten():
     graph, conv, acc, (x, grad_y, h, p) = _aliasing_graph()
     rng = np.random.default_rng(0)
-    params = {"w": rng.standard_normal((3, 2, 3, 3))}
-    inputs = {x.id: rng.standard_normal(x.shape),
-              grad_y.id: rng.standard_normal(grad_y.shape)}
+    params = {"w": rng.standard_normal((3, 2, 3, 3)).astype(graph.width)}
+    inputs = {x.id: rng.standard_normal(x.shape).astype(graph.width),
+              grad_y.id: rng.standard_normal(grad_y.shape).astype(graph.width)}
 
     reference = _without_table(GraphExecutor(graph, params, eager_free=False))
     expected = _bytes(reference.run_with_inputs(inputs))

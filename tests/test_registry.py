@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import to_split_cnn
 from repro.graph import (
-    Graph, GraphExecutor, build_training_graph, infer_op_shapes, op_def,
+    Graph, GraphExecutor, build_forward_graph, build_training_graph,
+    infer_op_shapes, op_def,
 )
 from repro.models import MODEL_REGISTRY, ConvClassifier, small_vgg
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential
@@ -79,6 +80,35 @@ class TestValidateUsesRegistry:
         with pytest.raises(ValueError):
             graph.validate()
 
+    def test_conv_input_channels_must_match_the_weight(self):
+        """A conv whose weight expects 4 input channels, at the builder's
+        3: rejected when the graph is built (it used to validate, compile
+        and fail only inside the GEMM)."""
+        rng = np.random.default_rng(0)
+        model = ConvClassifier(
+            Sequential(Conv2d(4, 4, 3, padding=1, rng=rng), ReLU()),
+            Linear(4 * 8 * 8, 2, rng=rng), name="channels", input_size=8)
+        for inference in (False, True):
+            with pytest.raises(ValueError, match=(
+                    r"conv2d input has 3 channels, its weight "
+                    r"\(4, 4, 3, 3\) expects 4")):
+                build_forward_graph(model, 2, inference=inference)
+
+        graph = Graph("t")
+        x = graph.add_tensor("x", (2, 3, 8, 8), kind="input")
+        weight = graph.add_tensor("w", (4, 4, 3, 3), kind="parameter")
+        y = graph.add_tensor("y", (2, 4, 8, 8))
+        attrs = {"kernel": (3, 3), "stride": (1, 1),
+                 "padding": ((1, 1), (1, 1)), "out_channels": 4}
+        graph.add_op("conv0", "conv2d", [x, weight], [y], attrs=attrs)
+        with pytest.raises(ValueError, match="input has 3 channels"):
+            graph.validate()
+        # The stacked form checks every sibling against the one weight.
+        with pytest.raises(ValueError, match="3 channels"):
+            infer_op_shapes("conv2d_siblings",
+                            [(2, 4, 8, 8), (2, 3, 8, 8), (4, 4, 3, 3)],
+                            dict(attrs, siblings=2))
+
 
 class TestWindowShapeInference:
     """Regression: a window larger than its (padded) input used to infer
@@ -136,7 +166,7 @@ class TestDropoutSeeding:
         model = _dropout_model(rng)
         graph = build_training_graph(model, 2)
         params = GraphExecutor.parameters_from_model(graph, model)
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = rng.standard_normal((2, 3, 8, 8), dtype=np.float32)
         y = np.array([0, 1])
         return graph, params, x, y
 
@@ -176,7 +206,7 @@ def small_executor(rng):
     model = small_vgg(num_classes=4, rng=rng)
     graph = build_training_graph(model, 2)
     params = GraphExecutor.parameters_from_model(graph, model)
-    x = rng.standard_normal((2, 3, 32, 32))
+    x = rng.standard_normal((2, 3, 32, 32), dtype=np.float32)
     y = np.array([1, 3])
     return graph, params, x, y
 

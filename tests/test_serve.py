@@ -22,6 +22,8 @@ from repro.serve import (
 )
 from repro.tensor import Tensor, no_grad
 
+from conftest import to_float64
+
 
 def make_engine(**kwargs) -> ServingEngine:
     """Small engine: CIFAR-scale model, capacity search capped at 8."""
@@ -96,14 +98,15 @@ class TestInferenceGraph:
 
 def _with_running_stats(model):
     """``model`` with running statistics far from the fresh (0, 1): batch
-    statistics and running statistics then normalize differently."""
+    statistics and running statistics then normalize differently.  The
+    statistics keep the model's float32 width."""
     rng = np.random.default_rng(1)
     for module in model.modules():
         if isinstance(module, BatchNorm2d):
             module.running_mean.data = rng.standard_normal(
-                module.num_features)
-            module.running_var.data = rng.uniform(0.5, 2.0,
-                                                  module.num_features)
+                module.num_features).astype(np.float32)
+            module.running_var.data = rng.uniform(
+                0.5, 2.0, module.num_features).astype(np.float32)
     return model
 
 
@@ -113,7 +116,12 @@ class TestRunningStatistics:
 
     @pytest.mark.parametrize("compile_plans", [False, True])
     def test_logits_do_not_depend_on_the_batch(self, compile_plans):
-        model = _with_running_stats(small_resnet(rng=np.random.default_rng(0)))
+        # float64: the classifier's float32 GEMM rounds an image's row
+        # differently at 1 and 4 rows (up to 9.5e-7), which the 1e-12
+        # bound (far below what batch statistics would move) does not
+        # allow.
+        model = to_float64(_with_running_stats(
+            small_resnet(rng=np.random.default_rng(0))))
         engine = ServingEngine(model, numeric=True, batch_cap=8,
                                compile_plans=compile_plans)
         images = np.random.default_rng(2).standard_normal((4, 3, 32, 32))
@@ -123,13 +131,14 @@ class TestRunningStatistics:
 
     def test_graph_logits_are_the_eager_eval_bytes(self):
         model = _with_running_stats(small_resnet(rng=np.random.default_rng(0)))
-        images = np.random.default_rng(2).standard_normal((4, 3, 32, 32))
+        images = np.random.default_rng(2).standard_normal((4, 3, 32, 32),
+                                                          dtype=np.float32)
         graph = build_inference_graph(model, 4)
         params = GraphExecutor.parameters_from_model(graph, model)
         logits = GraphExecutor(graph, params).run(images)["logits"]
         model.eval()
         with no_grad():
-            eager = model(Tensor(images, dtype=np.float64)).numpy()
+            eager = model(Tensor(images)).numpy()
         assert logits.tobytes() == eager.tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
@@ -844,7 +853,7 @@ class TestServerIsTheOneTenantFleet:
         graph = build_inference_graph(engine.model, 4)
         batch_input = np.random.default_rng(3).standard_normal(
             next(t for t in graph.tensors.values()
-                 if t.kind == "input").shape)
+                 if t.kind == "input").shape).astype(graph.width)
         logits = GraphExecutor(
             graph, GraphExecutor.parameters_from_model(graph, engine.model),
         ).run(batch_input)["logits"]

@@ -7,12 +7,15 @@ from repro.analysis import verify_lowering
 from repro.compile import compile_graph
 from repro.core import to_split_cnn
 from repro.graph import (
-    GraphExecutor, build_checkpointed_training_graph, build_training_graph,
+    GraphExecutor, build_checkpointed_training_graph, build_inference_graph,
+    build_training_graph,
 )
 from repro.graph.executor import resolve_final_gradients
 from repro.hmms import POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM, assign_storage
 from repro.models import MODEL_REGISTRY, build_model, small_resnet, small_vgg
 from repro.nn import init
+
+from conftest import to_float64
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +193,63 @@ class TestAccumulateInPlace:
         for op in chains:
             assert assignment.tso_of[op.outputs[0]] in {
                 assignment.tso_of[t] for t in op.inputs}, op.name
+
+
+def _held(name, splits, mode, float64=False):
+    """(graph, executor) after one ``eager_free=False`` step at batch 2:
+    every value the step made is still held."""
+    model = _split(name, splits)
+    if float64:
+        to_float64(model)
+    build = build_training_graph if mode == "train" else \
+        build_inference_graph
+    graph = build(model, 2)
+    executor = GraphExecutor(
+        graph, GraphExecutor.parameters_from_model(graph, model),
+        eager_free=False)
+    [x] = [t for t in graph.tensors.values() if t.kind == "input"]
+    image = np.random.default_rng(0).standard_normal(x.shape)
+    executor.run(image.astype(executor.width),
+                 np.arange(2) if mode == "train" else None)
+    return graph, executor
+
+
+class TestRuntimeWidth:
+    """SCA304's rule at run time: the executor holds each value at the
+    width its tensor declares, so the plan prices the bytes a step
+    really holds (a float32 model; a float64 one holds twice them until
+    graphs declare their width)."""
+
+    @pytest.mark.parametrize("splits", [1, 2])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("name", ["small_resnet", "small_vgg", "vgg11"])
+    def test_values_are_held_at_the_declared_width(self, name, mode,
+                                                   splits):
+        graph, executor = _held(name, splits, mode)
+        assert executor.width == np.float32
+        held = declared = 0
+        for tensor in graph.tensors.values():
+            value = executor.values[tensor.id]
+            assert value is not None, tensor.name     # nothing was freed
+            assert value.dtype.kind == "f", tensor.name
+            assert value.itemsize == tensor.dtype_bytes, tensor.name
+            if tensor.kind not in ("parameter", "constant"):
+                held += value.nbytes
+                declared += tensor.nbytes
+        assert held == declared > 0
+
+    def test_small_vgg_inference_holds_its_declared_bytes(self):
+        graph, executor = _held("small_vgg", 1, "infer")
+        held = sum(executor.values[t.id].nbytes
+                   for t in graph.tensors.values() if t.kind == "activation")
+        assert held == 983_120        # 1,966,240 when kernels ran float64
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_a_float64_model_runs_float64(self, mode):
+        graph, executor = _held("small_vgg", 2, mode, float64=True)
+        assert executor.width == np.float64
+        assert all(executor.values[t.id].dtype == np.float64
+                   for t in graph.tensors.values())
 
 
 class TestSummationSharing:
