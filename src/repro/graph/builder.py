@@ -117,6 +117,11 @@ class GraphBuilder:
         return tensor
 
     def conv_workspace(self, module: Conv2d, out_hw: Tuple[int, int]) -> int:
+        """Bytes of im2col scratch a conv declares: its whole column
+        buffer, capped at ``workspace_cap`` (1x1 convs need none).  Host
+        kernels build their columns in a bounded block
+        (``ops_nn.COLUMN_BLOCK_BYTES``); the IR still prices the capped
+        workspace cuDNN takes on the device."""
         kh, kw = module.kernel_size
         if kh == 1 and kw == 1:
             return 0

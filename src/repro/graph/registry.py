@@ -54,6 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.norm import BN_EPS, _BatchNormTrain
+from ..tensor.ops_basic import blocked_dot
 from ..tensor.ops_nn import (
     Conv2d as _ConvFn, CrossEntropy as _CeFn, Dropout as _DropoutFn,
     MaxPool2d as _MaxPoolFn, conv_output_size, shared_weight_grad,
@@ -304,7 +305,9 @@ def _k_conv2d_bwd_weight(ex, op):
 
 
 def _k_linear(ex, op):
-    out = ex.input(op, 0) @ ex.input(op, 1).T
+    # Eager ``Linear``'s product: one image's logits do not depend on the
+    # batch (bucket) it is served in.
+    out = blocked_dot(ex.input(op, 0), ex.input(op, 1).T)
     if len(op.inputs) > 2:
         out += ex.input(op, 2)
     ex.set_output(op, 0, out)

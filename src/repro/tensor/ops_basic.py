@@ -12,6 +12,40 @@ from .tensor import Tensor, as_tensor
 __all__ = ["add", "matmul"]
 
 
+#: OpenBLAS hands a GEMM with ``M*N*K`` at or under this to small-matrix
+#: kernels (``gemm_small_matrix_permit``), and ``M == 1`` to gemv; both sum
+#: over K in another order than the blocked kernel every larger product
+#: takes, so the same pixel's bytes would differ between a tiny patch and
+#: the unsplit image (measured for K >= 576; ``docs/compiler.md``).
+SMALL_GEMM_MNK = 1_000_000
+
+
+def _blocked_gemm_rows(o: int, k: int) -> int:
+    """Fewest pixel rows that put a ``(rows, k) @ (k, o)`` product on the
+    blocked GEMM kernel."""
+    return max(2, SMALL_GEMM_MNK // (o * k) + 1)
+
+
+def blocked_dot(a: np.ndarray, b: np.ndarray, order: str = "C") -> np.ndarray:
+    """``a @ b`` for a 2-D ``a`` whose rows are pixels or images, each row
+    computed by the blocked GEMM kernel.
+
+    A product under the small-matrix gate gets zero rows past it, laid out
+    in ``order`` (``a``'s own memory order, so BLAS sees the operand it
+    would see unpadded), and sliced off (a copy, so the result does not
+    hold the padded product): a row's bytes do not depend on how many
+    other rows share the call — one image or a batch of four, a tiny
+    patch or the unsplit image.
+    """
+    rows, k = a.shape
+    blocked = _blocked_gemm_rows(b.shape[1], k)
+    if rows >= blocked:
+        return np.dot(a, b)
+    padded = np.zeros((blocked, k), dtype=a.dtype, order=order)
+    padded[:rows] = a
+    return np.dot(padded, b)[:rows].copy()
+
+
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 
@@ -50,7 +84,7 @@ class MatMul(Function):
                 f"matmul takes 2-D operands, got shapes {a.shape} and "
                 f"{b.shape}")
         self.a, self.b = a, b
-        return a @ b
+        return blocked_dot(a, b)
 
     def backward(self, grad_output: np.ndarray):
         return (grad_output @ self.b.T, self.a.T @ grad_output)

@@ -10,12 +10,15 @@ splits chosen outside ``[lb, ub]``.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .autograd import Function
+from .ops_basic import _blocked_gemm_rows, blocked_dot
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -131,46 +134,10 @@ def _im2col(x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
     its transpose is the ``(pixels, K)`` operand of the weight gradient's
     GEMM and of a weight-heavy conv's forward.  BLAS packs that transposed
     operand at about half the speed of a pixel-major one, which is what
-    :func:`_channel_last_cols` builds for a weight-light forward.
+    :func:`_channel_last_conv` builds for a weight-light forward.
     """
     view = _window_view(x, kernel, stride)
     return np.ascontiguousarray(view.transpose(1, 4, 5, 0, 2, 3))
-
-
-def _channel_last_cols(x: np.ndarray, padding: Padding2d, kernel: IntPair,
-                       stride: IntPair):
-    """Pixel-major ``(N*Ho*Wo, kh*kw*C)`` column buffer of ``x`` padded by
-    ``padding``; returns it with ``(N, Ho, Wo)``.
-
-    One copy pads and transposes ``x`` into an ``(N, Hp, Wp, C)`` buffer;
-    a second copies its ``(N, Ho, Wo, kh, kw, C)`` window view, whose
-    inner run is ``C`` contiguous elements.
-    """
-    x, (top, bottom, left, right) = _crop_spatial(x, padding)
-    n, c, h, w = x.shape
-    padded = np.zeros((n, top + h + bottom, left + w + right, c),
-                      dtype=x.dtype)
-    padded[:, top:top + h, left:left + w] = x.transpose(0, 2, 3, 1)
-    view = _window_view(padded.transpose(0, 3, 1, 2), kernel, stride)
-    _, _, ho, wo, kh, kw = view.shape
-    cols = np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype)
-    np.copyto(cols.reshape(n, ho, wo, kh, kw, c),
-              view.transpose(0, 2, 3, 4, 5, 1))
-    return cols, (n, ho, wo)
-
-
-#: OpenBLAS hands a GEMM with ``M*N*K`` at or under this to small-matrix
-#: kernels (``gemm_small_matrix_permit``), and ``M == 1`` to gemv; both sum
-#: over K in another order than the blocked kernel every larger product
-#: takes, so the same pixel's bytes would differ between a tiny patch and
-#: the unsplit image (measured for K >= 576; ``docs/compiler.md``).
-SMALL_GEMM_MNK = 1_000_000
-
-
-def _blocked_gemm_rows(o: int, k: int) -> int:
-    """Fewest pixel rows that put a ``(rows, k) @ (k, o)`` product on the
-    blocked GEMM kernel."""
-    return max(2, SMALL_GEMM_MNK // (o * k) + 1)
 
 
 def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad_end: int) -> int:
@@ -186,6 +153,90 @@ def conv_output_size(in_size: int, kernel: int, stride: int, pad_begin: int, pad
 #: take the same one and get the same bytes.
 CHANNEL_LAST_WEIGHT_LIMIT = 1 << 17
 
+#: Bytes of channel-last columns a weight-light forward builds at once: its
+#: GEMM runs over blocks of whole output rows, each block's columns at most
+#: this big (unless one output row, or the rows that reach the small-GEMM
+#: gate, are bigger).
+COLUMN_BLOCK_BYTES = 1 << 20
+
+#: Per-thread scratch of the channel-last forward: the padded input and the
+#: column block, each grown to the largest request and never handed back,
+#: so a call neither allocates them nor faults in fresh pages.
+_WORKSPACE = threading.local()
+
+
+def _workspace(slot: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized ``shape`` array in this thread's scratch ``slot``,
+    valid until the slot's next request."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = getattr(_WORKSPACE, slot, None)
+    if buffer is None or buffer.size < nbytes:
+        buffer = np.empty(nbytes, dtype=np.uint8)
+        setattr(_WORKSPACE, slot, buffer)
+    return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+def _row_blocks(rows: int, row_pixels: int, k: int, o: int,
+                itemsize: int) -> List[int]:
+    """Boundaries of the runs of output rows that share a column block.
+
+    The runs are as even as possible, each at most ``COLUMN_BLOCK_BYTES``
+    of columns (or one row) and, when there are several, each at least
+    the ``least`` rows that reach the small-GEMM gate: a run may hold
+    ``2 * least - 1`` rows even over budget, and with that allowance an
+    even split into several runs never leaves one below ``least``.
+    """
+    least = -(-_blocked_gemm_rows(o, k) // row_pixels)
+    most = max(COLUMN_BLOCK_BYTES // (row_pixels * k * itemsize),
+               2 * least - 1)
+    count = -(-rows // most)
+    return [rows * i // count for i in range(count + 1)]
+
+
+def _channel_last_conv(x: np.ndarray, weight: np.ndarray, padding: Padding2d,
+                       stride: IntPair) -> np.ndarray:
+    """``(N, Ho, Wo, O)`` product of a weight-light conv, K ordered
+    ``(kh, kw, C)``.
+
+    One copy pads and transposes ``x`` into this thread's ``(N, Hp, Wp, C)``
+    scratch buffer.  Then, per run of whole output rows (:func:`_row_blocks`,
+    possibly spanning images), the window view, inner run ``C`` contiguous
+    elements, is copied into this thread's pixel-major column block, and
+    one GEMM writes that run's rows of the output.  A single run under the
+    small-GEMM gate gets zero pixel rows past it.  Every block is a product
+    the blocked kernel computes, so each pixel gets the bytes of one GEMM
+    over all the columns.
+    """
+    x, (top, bottom, left, right) = _crop_spatial(x, padding)
+    n, c, h, w = x.shape
+    dtype = np.result_type(x, weight)
+    padded = _workspace("padded", (n, top + h + bottom, left + w + right, c),
+                        x.dtype)
+    padded[:, :top] = 0
+    padded[:, top + h:] = 0
+    padded[:, top:top + h, :left] = 0
+    padded[:, top:top + h, left + w:] = 0
+    padded[:, top:top + h, left:left + w] = x.transpose(0, 2, 3, 1)
+    view = _window_view(padded.transpose(0, 3, 1, 2), weight.shape[2:],
+                        stride).transpose(0, 2, 3, 4, 5, 1)
+    _, ho, wo, kh, kw, _ = view.shape
+    o, k = weight.shape[0], kh * kw * c
+    w2d = weight.transpose(0, 2, 3, 1).reshape(o, k)
+    blocked = _blocked_gemm_rows(o, k)
+    out = np.empty((max(n * ho * wo, blocked), o), dtype=dtype)
+    bounds = _row_blocks(n * ho, wo, k, o, dtype.itemsize)
+    for start, stop in zip(bounds, bounds[1:]):
+        pixels = (stop - start) * wo
+        cols = _workspace("cols", (max(pixels, blocked), k), dtype)
+        for image in range(start // ho, (stop - 1) // ho + 1):
+            lo, hi = max(start - image * ho, 0), min(stop - image * ho, ho)
+            first = (image * ho + lo - start) * wo
+            np.copyto(cols[first:first + (hi - lo) * wo].reshape(
+                hi - lo, wo, kh, kw, c), view[image, lo:hi])
+        cols[pixels:] = 0
+        np.dot(cols, w2d.T, out=out[start * wo:start * wo + len(cols)])
+    return out[:n * ho * wo].reshape(n, ho, wo, o)
+
 
 class Conv2d(Function):
     """2-D cross-correlation (deep-learning 'convolution') via im2col."""
@@ -194,46 +245,32 @@ class Conv2d(Function):
 
     def forward(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
                 stride: IntPair, padding: Padding2d) -> np.ndarray:
-        """One GEMM with pixels as rows, ``(pixels, K) @ (K, O)``.
+        """GEMMs with pixels as rows, ``(pixels, K) @ (K, O)``.
 
         A weight-light conv (at most ``CHANNEL_LAST_WEIGHT_LIMIT``
         elements) multiplies pixel-major channel-last columns, K ordered
-        ``(kh, kw, C)``, by its weight permuted to ``(O, kh, kw, C)``; a
-        weight-heavy one hands BLAS the transposed view of the
-        channel-major ``_im2col`` buffer, K ordered ``(C, kh, kw)``.
-        Either way a product under the small-matrix gate gets zero pixel
-        rows past it, so a pixel's bytes do not depend on which patch (how
-        many other pixels) it is computed with.
+        ``(kh, kw, C)`` and built in bounded blocks, by its weight permuted
+        to ``(O, kh, kw, C)`` (:func:`_channel_last_conv`); a weight-heavy
+        one hands BLAS the transposed view of the channel-major ``_im2col``
+        buffer, K ordered ``(C, kh, kw)``.  Either way a product under the
+        small-matrix gate gets zero pixel rows past it, so a pixel's bytes
+        do not depend on which patch (how many other pixels) it is
+        computed with.
         """
         self.stride, self.padding = stride, padding
         self.in_shape, self.in_dtype = x.shape, x.dtype
-        o = weight.shape[0]
-        kernel = weight.shape[2:]
-        channel_last = weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
-        if channel_last:
+        if weight.size <= CHANNEL_LAST_WEIGHT_LIMIT:
             self.x, self._xp = x, None
-            cols, (n, ho, wo) = _channel_last_cols(x, padding, kernel, stride)
-            w2d = weight.transpose(0, 2, 3, 1).reshape(o, -1)
+            out = _channel_last_conv(x, weight, padding, stride)
         else:
             self.xp = _pad_spatial(x, padding)
-            cols = _im2col(self.xp, kernel, stride)
+            cols = _im2col(self.xp, weight.shape[2:], stride)
             n, ho, wo = cols.shape[3:]
-            cols = cols.reshape(-1, n * ho * wo).T
-            w2d = weight.reshape(o, -1)
-        pixels = n * ho * wo
-        blocked = _blocked_gemm_rows(o, cols.shape[1])
-        if pixels < blocked:
-            # Zero pixel rows past the small-matrix gate, sliced off below,
-            # in the columns' own memory order: BLAS sees the same operand.
-            padded = np.zeros((blocked, cols.shape[1]), dtype=cols.dtype,
-                              order="C" if channel_last else "F")
-            padded[:pixels] = cols
-            cols = padded
-        # (N*Ho*Wo, O): pixels stay GEMM rows, so a pixel's bytes do not
-        # depend on which patch (how many other pixels) it is computed with.
-        out = np.dot(cols, w2d.T)[:pixels]
-        del cols                # before the transpose copy: peak memory
-        out = out.reshape(n, ho, wo, o)
+            # The transposed view is Fortran-ordered, so are its gate rows.
+            out = blocked_dot(cols.reshape(-1, n * ho * wo).T,
+                              weight.reshape(weight.shape[0], -1).T, order="F")
+            del cols            # before the transpose copy: peak memory
+            out = out.reshape(n, ho, wo, -1)
         out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
         if bias is not None:
             out += bias.reshape(1, -1, 1, 1)
@@ -407,7 +444,7 @@ class CrossEntropy(Function):
 class Dropout(Function):
     def forward(self, x: np.ndarray, p: float, seed: Optional[int]) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        self.keep = (rng.random(x.shape) >= p).astype(x.dtype)
+        self.keep = rng.random(x.shape) >= p     # bool: the mask's 1 byte
         self.scale = 1.0 / (1.0 - p) if p < 1.0 else 0.0
         return x * self.keep * self.scale
 

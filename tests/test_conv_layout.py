@@ -31,6 +31,8 @@ the host BLAS puts the gate, for both operand orders.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -40,9 +42,10 @@ from repro.graph import build_inference_graph
 from repro.models import alexnet, small_vgg, vgg11
 from repro.nn import init
 from repro.tensor import Tensor, conv2d
+from repro.tensor import ops_nn
 from repro.tensor.ops_nn import (
-    CHANNEL_LAST_WEIGHT_LIMIT, Conv2d, _blocked_gemm_rows, _im2col,
-    _pad_spatial, _window_view,
+    CHANNEL_LAST_WEIGHT_LIMIT, COLUMN_BLOCK_BYTES, Conv2d, _blocked_gemm_rows,
+    _im2col, _pad_spatial, _window_view,
 )
 
 
@@ -323,3 +326,168 @@ def test_host_blas_gate_is_not_above_ours(o, c, dtype):
             if pixels >= gate:
                 part = np.dot(operand(pixels), w2d.T)
                 assert part.tobytes() == full[:pixels].tobytes(), pixels
+
+
+# ----------------------------------------------------------------------
+# Blocked channel-last columns: bounded scratch, the one-GEMM bytes
+# ----------------------------------------------------------------------
+def _one_gemm_forward(x, weight, bias, stride, padding):
+    """The weight-light forward as one GEMM over all its channel-last
+    columns, zero pixel rows past the small-GEMM gate included: the bytes
+    the blocked columns must reproduce."""
+    view = _window_view(_pad_spatial(x, padding), weight.shape[2:], stride)
+    n, c, ho, wo, kh, kw = view.shape
+    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 4, 5, 1)).reshape(
+        n * ho * wo, kh * kw * c)
+    o = weight.shape[0]
+    rows = max(len(cols), _blocked_gemm_rows(o, cols.shape[1]))
+    padded = np.zeros((rows, cols.shape[1]), dtype=cols.dtype)
+    padded[:len(cols)] = cols
+    out = np.dot(padded, weight.transpose(0, 2, 3, 1).reshape(o, -1).T)
+    return _finish(out[:len(cols)].reshape(n, ho, wo, o), bias)
+
+
+def _in_fresh_thread(call):
+    """``call()``'s result and the byte sizes of the column block and the
+    padded input it left in a new thread's (so empty) workspace."""
+    result = {}
+
+    def target():
+        value = call()
+        result["out"] = (value, ops_nn._WORKSPACE.cols.nbytes,
+                         ops_nn._WORKSPACE.padded.nbytes)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return result["out"]
+
+
+BLOCK_CASES = [
+    # many one-image blocks, the even split's unequal runs (66 rows)
+    pytest.param((2, 16, 66, 66), (16, 16, 3, 3), (1, 1), ((1, 1), (1, 1)),
+                 id="blocks"),
+    # 400 rows of 10 pixels: blocks start and stop inside images
+    pytest.param((40, 16, 10, 10), (16, 16, 3, 3), (1, 1), ((1, 1), (1, 1)),
+                 id="multi-image"),
+    # one image, strided, cropped and padded: the tail run's rows
+    pytest.param((1, 32, 129, 67), (24, 32, 3, 3), (2, 2), ((1, -1), (0, 2)),
+                 id="tail"),
+    # K = 576, the gate needs 109 rows of 2 pixels: at float64 two runs of
+    # 150, over budget (113 rows would leave the last run under the gate)
+    pytest.param((1, 64, 302, 4), (8, 64, 3, 3), (1, 1), ((0, 0), (0, 0)),
+                 id="gate-rows"),
+    # one 1024-pixel output row is 4.7 MB of columns: a row a block
+    pytest.param((1, 128, 4, 1026), (8, 128, 3, 3), (1, 1), ((0, 0), (0, 0)),
+                 id="row-over-budget"),
+    # 1 pixel under a 28-row gate: zero rows in its single block
+    pytest.param((1, 64, 1, 1), (64, 64, 3, 3), (1, 1), ((1, 1), (1, 1)),
+                 id="below-gate"),
+    # 2 images of 1 pixel, 1x1 kernel
+    pytest.param((2, 64, 1, 1), (48, 64, 1, 1), (1, 1), ((0, 0), (0, 0)),
+                 id="below-gate-1x1"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", BLOCK_CASES)
+def test_blocked_columns_give_the_one_gemm_bytes(x_shape, w_shape, stride,
+                                                 padding, dtype):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    weight = rng.standard_normal(w_shape).astype(dtype)
+    bias = rng.standard_normal(w_shape[0]).astype(dtype)
+    assert weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
+    expected = _one_gemm_forward(x, weight, bias, stride, padding)
+    actual = Conv2d().forward(x, weight, bias, stride, padding)
+    assert actual.dtype == expected.dtype and actual.flags.c_contiguous
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", BLOCK_CASES)
+def test_column_blocks_are_bounded(x_shape, w_shape, stride, padding, dtype):
+    """No block holds more than ``COLUMN_BLOCK_BYTES`` of columns unless
+    one output row alone does, or the rows that reach the small-GEMM gate
+    (at most ``2 * least - 1``) do; the padded input is the input's."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    weight = rng.standard_normal(w_shape).astype(dtype)
+    out, cols_bytes, padded_bytes = _in_fresh_thread(
+        lambda: Conv2d().forward(x, weight, None, stride, padding))
+    n, o, ho, wo = out.shape
+    k = weight[0].size
+    row = wo * k * x.itemsize
+    gate = _blocked_gemm_rows(o, k)
+    least = -(-gate // wo)
+    assert cols_bytes <= max(COLUMN_BLOCK_BYTES, row, (2 * least - 1) * row,
+                             gate * k * x.itemsize)
+    if n * ho * row > 2 * max(COLUMN_BLOCK_BYTES, (2 * least - 1) * row):
+        assert cols_bytes < n * ho * row            # it did block
+    (pt, pb), (pl, pr) = padding
+    assert padded_bytes == x.itemsize * n * x_shape[1] * (
+        x_shape[2] + pt + pb) * (x_shape[3] + pl + pr)
+
+
+@pytest.mark.parametrize("padding", [((1, 1), (1, 1)), ((0, 0), (0, 0))])
+def test_output_does_not_share_the_workspace(padding):
+    """The output, and what the backward reads, are the call's own: the
+    workspace is overwritten by the thread's next conv."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 16, 20, 20)).astype(np.float32)
+    weight = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    for bias in (None, rng.standard_normal(16).astype(np.float32)):
+        fn = Conv2d()
+        out = fn.forward(x, weight, bias, (1, 1), padding)
+        before = out.tobytes()
+        workspace = (ops_nn._WORKSPACE.cols, ops_nn._WORKSPACE.padded)
+        for buffer in workspace:
+            assert not np.shares_memory(out, buffer)
+            assert not np.shares_memory(fn.xp, buffer)
+        Conv2d().forward(x[::-1].copy(), weight, bias, (1, 1), padding)
+        assert out.tobytes() == before
+
+
+def test_threads_get_the_one_gemm_bytes():
+    """Threads running weight-light convs at once — more threads than
+    cores, switching often — each through its own workspace, get the
+    one-GEMM bytes on every call."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for x_shape, w_shape, stride, padding in (
+            ((2, 16, 66, 66), (16, 16, 3, 3), (1, 1), ((1, 1), (1, 1))),
+            ((40, 16, 10, 10), (16, 16, 3, 3), (1, 1), ((1, 1), (1, 1))),
+            ((1, 64, 1, 1), (64, 64, 3, 3), (1, 1), ((1, 1), (1, 1))),
+            ((3, 8, 33, 31), (32, 8, 3, 3), (2, 2), ((1, -1), (-2, 2)))):
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        weight = rng.standard_normal(w_shape).astype(np.float32)
+        cases.append((x, weight, stride, padding, _one_gemm_forward(
+            x, weight, None, stride, padding).tobytes()))
+    start = threading.Barrier(4)
+    calls, mismatches = [], []
+
+    def worker(order):
+        start.wait()
+        for _ in range(5):
+            for x, weight, stride, padding, expected in order:
+                out = Conv2d().forward(x, weight, None, stride, padding)
+                calls.append(x.shape)
+                if out.tobytes() != expected:
+                    mismatches.append(x.shape)
+
+    threads = [threading.Thread(target=worker, args=(order,))
+               for order in (cases, cases[::-1], cases[1:] + cases[:1],
+                             cases[2:] + cases[:2])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 4 * 5 * len(cases)
+    assert mismatches == []

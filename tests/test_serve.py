@@ -116,18 +116,27 @@ class TestRunningStatistics:
 
     @pytest.mark.parametrize("compile_plans", [False, True])
     def test_logits_do_not_depend_on_the_batch(self, compile_plans):
-        # float64: the classifier's float32 GEMM rounds an image's row
-        # differently at 1 and 4 rows (up to 9.5e-7), which the 1e-12
-        # bound (far below what batch statistics would move) does not
-        # allow.
-        model = to_float64(_with_running_stats(
-            small_resnet(rng=np.random.default_rng(0))))
-        engine = ServingEngine(model, numeric=True, batch_cap=8,
-                               compile_plans=compile_plans)
+        # Both widths, bucket 1 against bucket 4.  The classifier's GEMM
+        # pads its rows past the small-GEMM gate, so at float32 the image's
+        # logits are the same bytes; at float64 the 1e-12 bound is far
+        # below what batch statistics would move.
         images = np.random.default_rng(2).standard_normal((4, 3, 32, 32))
-        alone = engine.entry_for(1).executor.run(images[:1])["logits"]
-        batched = engine.entry_for(4).executor.run(images)["logits"]
-        np.testing.assert_allclose(batched[:1], alone, rtol=0, atol=1e-12)
+        for float64 in (True, False):
+            model = _with_running_stats(
+                small_resnet(rng=np.random.default_rng(0)))
+            if float64:
+                to_float64(model)
+            engine = ServingEngine(model, numeric=True, batch_cap=8,
+                                   compile_plans=compile_plans)
+            x = images.astype(engine.entry_for(1).executor.width)
+            alone = engine.entry_for(1).executor.run(x[:1])["logits"]
+            batched = engine.entry_for(4).executor.run(x)["logits"]
+            if float64:
+                np.testing.assert_allclose(batched[:1], alone, rtol=0,
+                                           atol=1e-12)
+            else:
+                assert alone.dtype == np.float32
+                assert batched[:1].tobytes() == alone.tobytes()
 
     def test_graph_logits_are_the_eager_eval_bytes(self):
         model = _with_running_stats(small_resnet(rng=np.random.default_rng(0)))

@@ -12,8 +12,10 @@ from repro.graph import (
 )
 from repro.graph.executor import resolve_final_gradients
 from repro.hmms import POOL_DEVICE_GENERAL, POOL_DEVICE_PARAM, assign_storage
-from repro.models import MODEL_REGISTRY, build_model, small_resnet, small_vgg
-from repro.nn import init
+from repro.models import (
+    MODEL_REGISTRY, ConvClassifier, build_model, small_resnet, small_vgg,
+)
+from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential, init
 
 from conftest import to_float64
 
@@ -243,6 +245,30 @@ class TestRuntimeWidth:
         held = sum(executor.values[t.id].nbytes
                    for t in graph.tensors.values() if t.kind == "activation")
         assert held == 983_120        # 1,966,240 when kernels ran float64
+
+    def test_dropout_masks_are_held_at_one_byte(self):
+        """A dropout model's training step: the keep-mask is the 1-byte
+        ``bool`` its tensor declares, every other value at its width."""
+        rng = np.random.default_rng(0)
+        model = ConvClassifier(
+            Sequential(Conv2d(3, 4, kernel_size=3, padding=1, rng=rng),
+                       ReLU()),
+            Sequential(Linear(4 * 8 * 8, 16, rng=rng), ReLU(),
+                       Dropout(0.5), Linear(16, 4, rng=rng)),
+            name="dropout-width", input_size=8)
+        graph = build_training_graph(model, 2)
+        executor = GraphExecutor(
+            graph, GraphExecutor.parameters_from_model(graph, model),
+            eager_free=False)
+        x = np.random.default_rng(1).standard_normal((2, 3, 8, 8))
+        executor.run(x.astype(executor.width), np.arange(2))
+        [mask] = [graph.tensors[op.outputs[1]] for op in graph.ops
+                  if op.op_type == "dropout"]
+        assert mask.dtype_bytes == 1
+        assert executor.values[mask.id].dtype == np.bool_
+        for tensor in graph.tensors.values():
+            value = executor.values[tensor.id]
+            assert value.itemsize == tensor.dtype_bytes, tensor.name
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_a_float64_model_runs_float64(self, mode):
