@@ -14,7 +14,7 @@ from repro.models import small_resnet
 from repro.nn import BatchNorm2d, CrossEntropyLoss
 from repro.optim import SGD
 from repro.tensor import Tensor, conv2d
-from repro.tensor.ops_nn import Conv2d, MaxPool2d
+from repro.tensor.ops_nn import Conv2d, MaxPool2d, shared_weight_grad
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +86,11 @@ def test_bench_conv2d_backward_weight_small_k(benchmark):
     # The deepest per-patch VGG-11 shape: 1x1 maps, two GEMM rows of
     # pixels against 512*9 columns.
     rng = np.random.default_rng(0)
-    fn = Conv2d()
-    out = fn.forward(rng.standard_normal((2, 512, 1, 1)),
-                     rng.standard_normal((512, 512, 3, 3)) * 0.1, None,
-                     (1, 1), ((1, 1), (1, 1)))
-    grad = rng.standard_normal(out.shape)
-    grad_w = benchmark(lambda: fn.backward_weight(grad))
+    x = rng.standard_normal((2, 512, 1, 1))
+    grad = rng.standard_normal((2, 512, 1, 1))
+    pad = ((1, 1), (1, 1))
+    (grad_w,) = benchmark(lambda: shared_weight_grad(
+        [x], [grad], [pad], (3, 3), (1, 1), False))
     assert grad_w.shape == (512, 512, 3, 3)
 
 

@@ -2,9 +2,8 @@
 
 :meth:`repro.graph.ir.Graph.validate` already enforces the
 serialization's invariants (defs before uses, registry shape inference,
-in-place targets among the op's inputs), and the executor rejects a
-broken ``forward_of`` twin on its own, so the lint checks only what
-those let through.  Each check keeps its place by a mutation that
+in-place targets among the op's inputs, ``forward_of`` twins that are
+earlier forward ops), so the lint checks only what that lets through.  Each check keeps its place by a mutation that
 ``Graph.validate``, :func:`~repro.analysis.verify_lowering` and a full
 run all pass; its docstring names it.
 

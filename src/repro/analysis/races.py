@@ -44,9 +44,8 @@ def ancestor_masks(graph: Graph) -> List[int]:
     ``masks[p]`` has bit ``q`` set iff the op at position ``q`` is a
     (transitive) dependency of the op at position ``p``.  Dependencies
     that point forward or outside the graph are skipped: ``Graph.validate``
-    rejects a producer serialized after its consumer; the executor
-    rejects a missing ``forward_of`` twin when it is built, and one that
-    is not a forward op when it runs.
+    rejects a producer serialized after its consumer, and a ``forward_of``
+    that does not name an earlier forward op.
     """
     position = graph.op_positions()
     deps = graph.op_dependencies()

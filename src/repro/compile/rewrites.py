@@ -15,8 +15,7 @@ Three rewrites, each a direct walk over the graph:
   per-patch conv+ReLU pairs become ``conv2d_relu`` siblings before
   stacking.  A chain layer's ``bwd_weight`` twins stay per-sibling
   (merging them here would reorder its ``grad_acc`` sum against the
-  interpreted graph) and slice their patch out of the stacked saved
-  context instead.
+  interpreted graph), each reading its own patch's tensors.
 - **Constant folding** — a ``batchnorm_eval`` whose γ and σ² are known
   becomes a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into
   a constant tensor, eliding the per-step rsqrt.

@@ -26,7 +26,8 @@ sharing code with this module.  ``repro.compile.CompiledPlan`` is this
 class under its old name.
 
 Kernels live in :mod:`repro.graph.registry`, one per op type.  Backward
-ops run against the *saved context* of their forward op — the fused
+ops read the tensors they name; a batch-norm or max-pool twin also reads
+the *saved context* of its forward op — the
 :class:`~repro.tensor.autograd.Function` instantiated by the forward
 kernel — so gradients are bit-identical with the autograd engine.
 
@@ -132,9 +133,9 @@ def overwritable_inputs(graph: Graph,
     or wavefront, reads the array afterwards — and ``t`` is produced in
     the backward phase by an op that allocates: not a graph input, not a
     ``free`` / aliasing registry entry (``flatten`` views, ``add_bwd``'s
-    shared error term), and not a forward value, which a saved context
-    may hold outside the graph's edges (``Conv2d.xp`` *is* the conv's
-    input when its padding is zero).
+    shared error term), and not a forward value, which may be a view of
+    another forward value that later ops read (a one-patch ``split``'s
+    output *is* its input).
 
     Shared with the race detector, which counts each such input as a
     write; :func:`repro.analysis.verify_lowering` re-derives it (SCA406).

@@ -205,10 +205,11 @@ class Graph:
     def validate(self) -> None:
         """Sanity-check the serialization.
 
-        Four properties, all failing loudly at graph-build time:
+        Five properties, all failing loudly at graph-build time:
 
         - defs precede uses (the serialized order is executable);
         - an op's ``inplace_of``, when set, is one of its inputs;
+        - an op's ``forward_of``, when set, names an earlier forward op;
         - every op type has a registered :class:`~repro.graph.registry.
           OpDef` (raises :class:`NotImplementedError` otherwise — no op
           can reach the executor, cost model, or HMMS undefined);
@@ -233,6 +234,13 @@ class Graph:
                             f"op {op.name!r} consumes tensor {tensor.name!r} "
                             "before it is produced"
                         )
+            if op.forward_of is not None:
+                twin = position.get(op.forward_of)
+                if (twin is None or twin >= position[op.id]
+                        or self.ops[twin].phase != "forward"):
+                    raise ValueError(
+                        f"op {op.name!r}: forward_of={op.forward_of} does "
+                        "not name an earlier forward op")
             if definition.infer_shapes is None:
                 continue
             inferred = infer_op_shapes(

@@ -39,11 +39,12 @@ Every op type appearing in a serialized graph — forward and backward —
 has exactly one entry in :data:`REGISTRY`; :meth:`Graph.validate` fails
 loudly at graph-build time when an op has no registered definition.
 
-Numeric kernels receive ``(executor, op)``.  Forward kernels of fused ops
-store their :class:`~repro.tensor.autograd.Function` context via
-``executor.save_context`` so the matching backward kernels can reuse it
-through ``executor.forward_context`` instead of re-instantiating and
-re-running the forward — roughly halving IR-executor step time.
+Numeric kernels receive ``(executor, op)``.  The batch-norm and max-pool
+forward kernels store their :class:`~repro.tensor.autograd.Function`
+context via ``executor.save_context`` so the matching backward kernels
+can reuse it through ``executor.forward_context`` instead of
+re-instantiating and re-running the forward.  Conv kernels save nothing:
+each reads only the tensors and attrs its op names.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ import numpy as np
 from ..nn.norm import BN_EPS, _BatchNormTrain
 from ..tensor.ops_basic import blocked_dot
 from ..tensor.ops_nn import (
-    Conv2d as _ConvFn, CrossEntropy as _CeFn, Dropout as _DropoutFn,
-    MaxPool2d as _MaxPoolFn, conv_output_size, shared_weight_grad,
+    CrossEntropy as _CeFn, Dropout as _DropoutFn, MaxPool2d as _MaxPoolFn,
+    conv2d_forward, conv2d_input_grad, conv_output_size, shared_weight_grad,
 )
 from .ir import Graph, OpNode
 
@@ -205,103 +206,64 @@ def _shape_conv_siblings(ins, attrs):
 # ----------------------------------------------------------------------
 # Numeric kernels (consumed by the executor)
 # ----------------------------------------------------------------------
-def _sibling_conv_ctx(ctx, op):
-    """A per-sibling view of a stacked ``conv2d_siblings`` context.
-
-    The stacked forward padded all S inputs batch-concatenated; slicing
-    rows ``[i*n:(i+1)*n]`` of the padded input reproduces the standalone
-    per-patch context exactly (spatial padding is row-independent).
-    """
-    sibling = op.attrs.get("sibling")
-    if sibling is None:
-        return ctx
-    count = op.attrs["siblings"]
-    rows = ctx.xp.shape[0] // count
-    sub = _ConvFn()
-    sub.stride, sub.padding = ctx.stride, ctx.padding
-    sub.in_shape = (rows,) + tuple(ctx.in_shape[1:])
-    sub.in_dtype = ctx.in_dtype
-    sub.xp = ctx.xp[sibling * rows:(sibling + 1) * rows]
-    sub.weight = ctx.weight
-    sub.has_bias = ctx.has_bias
-    return sub
+def _stacked_input(ex, op, count):
+    """``op``'s first ``count`` inputs batch-concatenated (input 0 itself
+    when ``count == 1``)."""
+    if count == 1:
+        return ex.input(op, 0)
+    return np.concatenate([ex.input(op, i) for i in range(count)], axis=0)
 
 
-def _conv_backward_ctx(ex, op):
-    return _sibling_conv_ctx(ex.forward_context(op), op)
+def _set_stacked(ex, op, stacked):
+    """Write batch-concatenated ``stacked`` to ``op``'s outputs in order."""
+    for index, part in enumerate(np.split(stacked, len(op.outputs))):
+        ex.set_output(op, index, part)
 
 
 def _k_conv2d(ex, op):
-    fn = _ConvFn()
-    bias = ex.input(op, 2) if len(op.inputs) > 2 else None
-    out = fn.forward(ex.input(op, 0), ex.input(op, 1), bias,
-                     op.attrs["stride"], op.attrs["padding"])
-    ex.save_context(op, fn)
-    ex.set_output(op, 0, out)
-
-
-def _k_conv2d_relu(ex, op):
-    fn = _ConvFn()
-    bias = ex.input(op, 2) if len(op.inputs) > 2 else None
-    out = fn.forward(ex.input(op, 0), ex.input(op, 1), bias,
-                     op.attrs["stride"], op.attrs["padding"])
-    ex.save_context(op, fn)
-    ex.set_output(op, 0, np.maximum(out, 0.0, out=out))
-
-
-def _k_conv2d_siblings(ex, op, relu=False):
-    count = op.attrs["siblings"]
-    has_bias = len(op.inputs) == count + 2
-    stacked = np.concatenate([ex.input(op, i) for i in range(count)], axis=0)
-    fn = _ConvFn()
-    bias = ex.input(op, count + 1) if has_bias else None
-    out = fn.forward(stacked, ex.input(op, count), bias,
-                     op.attrs["stride"], op.attrs["padding"])
-    ex.save_context(op, fn)
-    if relu:
+    """``conv2d``, ``conv2d_relu`` and their stacked ``_siblings`` forms:
+    inputs ``[x_0 .. x_{S-1}, weight(, bias)]``, outputs ``[y_0 ..
+    y_{S-1}]``, the S patches batch-concatenated into one GEMM (every conv
+    stage is row-independent).  Nothing is saved: the backward kernels
+    read graph tensors."""
+    count = len(op.outputs)
+    bias = ex.input(op, count + 1) if len(op.inputs) > count + 1 else None
+    out = conv2d_forward(_stacked_input(ex, op, count), ex.input(op, count),
+                         bias, op.attrs["stride"], op.attrs["padding"])
+    if op.op_type.startswith("conv2d_relu"):
         np.maximum(out, 0.0, out=out)
-    rows = out.shape[0] // count
-    for i in range(count):
-        ex.set_output(op, i, out[i * rows:(i + 1) * rows])
-
-
-def _k_conv2d_relu_siblings(ex, op):
-    _k_conv2d_siblings(ex, op, relu=True)
+    _set_stacked(ex, op, out)
 
 
 def _k_conv2d_bwd_data(ex, op):
-    ctx = _conv_backward_ctx(ex, op)
-    ex.set_output(op, 0, ctx.backward_input(ex.input(op, 0)))
-
-
-def _k_conv2d_bwd_data_siblings(ex, op):
-    count = op.attrs["siblings"]
-    ctx = ex.forward_context(op)
-    stacked = np.concatenate([ex.input(op, i) for i in range(count)], axis=0)
-    grad = ctx.backward_input(stacked)
-    rows = grad.shape[0] // count
-    for i in range(count):
-        ex.set_output(op, i, grad[i * rows:(i + 1) * rows])
+    """``conv2d_bwd_data`` and its stacked form: inputs ``[grad_0 ..
+    grad_{S-1}, weight]``, outputs the S input gradients, whose tensor
+    gives the input's shape."""
+    count = len(op.outputs)
+    grad = _stacked_input(ex, op, count)
+    in_shape = (grad.shape[0],) + ex.graph.tensor(op.outputs[0]).shape[1:]
+    _set_stacked(ex, op, conv2d_input_grad(
+        grad, ex.input(op, count), in_shape, op.attrs["stride"],
+        op.attrs["padding"]))
 
 
 def _k_conv2d_bwd_weight(ex, op):
-    paddings = op.attrs.get("paddings")
-    if paddings is not None:
-        # A split layer's one GEMM: inputs [grad_0 .. grad_{S-1},
-        # x_0 .. x_{S-1}], read as tensors, not saved contexts.
-        count = len(paddings)
-        grads = shared_weight_grad(
-            [ex.input(op, count + i) for i in range(count)],
-            [ex.input(op, i) for i in range(count)], paddings,
-            op.attrs["kernel"], op.attrs["stride"], len(op.outputs) > 1)
-        for index, grad in enumerate(grads):
-            ex.set_output(op, index, grad)
-        return
-    ctx = _conv_backward_ctx(ex, op)
-    grad_out = ex.input(op, 0)
-    ex.set_output(op, 0, ctx.backward_weight(grad_out))
-    if len(op.outputs) > 1:
-        ex.set_output(op, 1, grad_out.sum(axis=(0, 2, 3)))
+    """One weight-gradient GEMM over inputs ``[grad_0 .. grad_{S-1}, x_0
+    .. x_{S-1}]``: a split layer's ``attrs["paddings"]`` op takes its bias
+    gradient from the GEMM's ones row, a per-patch op (``S = 1``,
+    ``attrs["padding"]``) sums its one output gradient."""
+    one_gemm = "paddings" in op.attrs
+    paddings = op.attrs["paddings"] if one_gemm else (op.attrs["padding"],)
+    count = len(paddings)
+    grads = [ex.input(op, i) for i in range(count)]
+    bias = len(op.outputs) > 1
+    outputs = shared_weight_grad(
+        [ex.input(op, count + i) for i in range(count)], grads, paddings,
+        op.attrs["kernel"], op.attrs["stride"], bias and one_gemm)
+    if bias and not one_gemm:
+        outputs.append(grads[0].sum(axis=(0, 2, 3)))
+    for index, grad in enumerate(outputs):
+        ex.set_output(op, index, grad)
 
 
 def _k_linear(ex, op):
@@ -866,17 +828,17 @@ _register(OpDef(
     sibling_fused="conv2d_siblings",
 ))
 _register(OpDef(
-    "conv2d_relu", kernel=_k_conv2d_relu, characterize=_char_conv,
+    "conv2d_relu", kernel=_k_conv2d, characterize=_char_conv,
     infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
     sibling_fused="conv2d_relu_siblings",
 ))
 _register(OpDef(
-    "conv2d_siblings", kernel=_k_conv2d_siblings,
+    "conv2d_siblings", kernel=_k_conv2d,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
     efficiency=EFF_CONV,
 ))
 _register(OpDef(
-    "conv2d_relu_siblings", kernel=_k_conv2d_relu_siblings,
+    "conv2d_relu_siblings", kernel=_k_conv2d,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
     efficiency=EFF_CONV,
 ))
@@ -952,7 +914,7 @@ _register(OpDef(
     efficiency=EFF_CONV,
 ))
 _register(OpDef(
-    "conv2d_bwd_data_siblings", kernel=_k_conv2d_bwd_data_siblings,
+    "conv2d_bwd_data_siblings", kernel=_k_conv2d_bwd_data,
     characterize=_char_conv_siblings, efficiency=EFF_CONV,
 ))
 _register(OpDef(

@@ -9,8 +9,8 @@ stage — im2col, tensordot, bias broadcast, and both backward contractions
 amortizes the im2col/GEMM overhead S ways.  Backward ``conv2d_bwd_data``
 twins are merged the same way.  A layer the backward expansion gave one
 weight-gradient GEMM (``attrs["paddings"]``, no ``forward_of``) is not a
-twin and is left alone; any other twin stays per-sibling and slices its
-patch out of the stacked saved context instead.
+twin and is left alone; any other twin stays per-sibling and reads its
+patch's own tensors, as before stacking.
 
 Two callers share :func:`stack_layers`:
 
@@ -93,7 +93,6 @@ def _merge_bwd_data(graph: Graph, data_ops: List[OpNode],
     count = len(data_ops)
     weight_id = data_ops[0].inputs[1]
     attrs = dict(data_ops[0].attrs)
-    attrs.pop("sibling", None)
     attrs["siblings"] = count
     merged = OpNode(
         id=new_op_id(graph), name=f"{fused.name}.bwd_data",
@@ -165,29 +164,22 @@ def stack_siblings(graph: Graph, group: List[OpNode],
     trailing = group_ids - {first.id}
     graph.ops = [op for op in graph.ops if op.id not in trailing]
 
-    # Backward twins: retarget to the fused op and stamp each one's patch
-    # index so its kernel can slice the stacked saved context.
+    # Backward twins: retarget to the fused op (their kernels read graph
+    # tensors, so nothing else changes) and merge a complete set of
+    # bwd_data twins.
     member_index = {member.id: i for i, member in enumerate(group)}
     data_twins: Dict[int, List[OpNode]] = {}
     for op in graph.ops:
-        if op.forward_of is None:
-            continue
         sibling = member_index.get(op.forward_of)
         if sibling is None:
             continue
         op.forward_of = fused.id
         if op.op_type == "conv2d_bwd_data":
             data_twins.setdefault(sibling, []).append(op)
-        else:
-            op.attrs.update({"sibling": sibling, "siblings": count})
     if len(data_twins) == count \
             and all(len(ops) == 1 for ops in data_twins.values()):
         _merge_bwd_data(
             graph, [data_twins[i][0] for i in range(count)], fused)
-    else:
-        for sibling, ops in data_twins.items():
-            for op in ops:
-                op.attrs.update({"sibling": sibling, "siblings": count})
 
 
 def stack_layers(graph: Graph, layers: Iterable[List[OpNode]]) -> int:

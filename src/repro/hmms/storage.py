@@ -107,7 +107,7 @@ class StorageAssignment:
                 try:
                     read_ids.extend(graph.op_by_id(op.forward_of).saved)
                 except KeyError:
-                    pass           # dangling forward_of; the executor rejects it
+                    pass           # dangling forward_of; Graph.validate rejects it
             seen: set = set()
             for tensor_id in read_ids:
                 if tensor_id in seen:

@@ -238,93 +238,58 @@ def _channel_last_conv(x: np.ndarray, weight: np.ndarray, padding: Padding2d,
     return out[:n * ho * wo].reshape(n, ho, wo, o)
 
 
-class Conv2d(Function):
-    """2-D cross-correlation (deep-learning 'convolution') via im2col."""
+def conv2d_forward(x: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray], stride: IntPair,
+                   padding: Padding2d) -> np.ndarray:
+    """2-D cross-correlation (deep-learning 'convolution') as GEMMs with
+    pixels as rows, ``(pixels, K) @ (K, O)``.
 
-    _xp: Optional[np.ndarray] = None
+    A weight-light conv (at most ``CHANNEL_LAST_WEIGHT_LIMIT`` elements)
+    multiplies pixel-major channel-last columns, K ordered ``(kh, kw, C)``
+    and built in bounded blocks, by its weight permuted to
+    ``(O, kh, kw, C)`` (:func:`_channel_last_conv`); a weight-heavy one
+    hands BLAS the transposed view of the channel-major ``_im2col``
+    buffer, K ordered ``(C, kh, kw)``.  Either way a product under the
+    small-matrix gate gets zero pixel rows past it, so a pixel's bytes do
+    not depend on which patch (how many other pixels) it is computed with.
+    """
+    if weight.size <= CHANNEL_LAST_WEIGHT_LIMIT:
+        out = _channel_last_conv(x, weight, padding, stride)
+    else:
+        cols = _im2col(_pad_spatial(x, padding), weight.shape[2:], stride)
+        n, ho, wo = cols.shape[3:]
+        # The transposed view is Fortran-ordered, so are its gate rows.
+        out = blocked_dot(cols.reshape(-1, n * ho * wo).T,
+                          weight.reshape(weight.shape[0], -1).T, order="F")
+        del cols            # before the transpose copy: peak memory
+        out = out.reshape(n, ho, wo, -1)
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
 
-    def forward(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
-                stride: IntPair, padding: Padding2d) -> np.ndarray:
-        """GEMMs with pixels as rows, ``(pixels, K) @ (K, O)``.
 
-        A weight-light conv (at most ``CHANNEL_LAST_WEIGHT_LIMIT``
-        elements) multiplies pixel-major channel-last columns, K ordered
-        ``(kh, kw, C)`` and built in bounded blocks, by its weight permuted
-        to ``(O, kh, kw, C)`` (:func:`_channel_last_conv`); a weight-heavy
-        one hands BLAS the transposed view of the channel-major ``_im2col``
-        buffer, K ordered ``(C, kh, kw)``.  Either way a product under the
-        small-matrix gate gets zero pixel rows past it, so a pixel's bytes
-        do not depend on which patch (how many other pixels) it is
-        computed with.
-        """
-        self.stride, self.padding = stride, padding
-        self.in_shape, self.in_dtype = x.shape, x.dtype
-        if weight.size <= CHANNEL_LAST_WEIGHT_LIMIT:
-            self.x, self._xp = x, None
-            out = _channel_last_conv(x, weight, padding, stride)
-        else:
-            self.xp = _pad_spatial(x, padding)
-            cols = _im2col(self.xp, weight.shape[2:], stride)
-            n, ho, wo = cols.shape[3:]
-            # The transposed view is Fortran-ordered, so are its gate rows.
-            out = blocked_dot(cols.reshape(-1, n * ho * wo).T,
-                              weight.reshape(weight.shape[0], -1).T, order="F")
-            del cols            # before the transpose copy: peak memory
-            out = out.reshape(n, ho, wo, -1)
-        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        self.weight = weight
-        self.has_bias = bias is not None
-        return out
-
-    @property
-    def xp(self) -> np.ndarray:
-        """The padded NCHW input the backward GEMMs read.  The channel-last
-        forward never builds it, so it is padded from ``x`` on first read."""
-        if self._xp is None:
-            self._xp = _pad_spatial(self.x, self.padding)
-            self.x = None
-        return self._xp
-
-    @xp.setter
-    def xp(self, value: np.ndarray) -> None:
-        self._xp = value
-
-    def backward_weight(self, grad_output: np.ndarray) -> np.ndarray:
-        o, _, kh, kw = self.weight.shape
-        cols = _im2col(self.xp, (kh, kw), self.stride)
-        # grad wrt weight: (O, N*Ho*Wo) @ (N*Ho*Wo, C*kh*kw).
-        grad = grad_output.transpose(1, 0, 2, 3).reshape(o, -1)
-        return (grad @ cols.reshape(-1, grad.shape[1]).T).reshape(
-            self.weight.shape)
-
-    def backward_input(self, grad_output: np.ndarray) -> np.ndarray:
-        weight = self.weight
-        kh, kw = weight.shape[2], weight.shape[3]
-        sh, sw = self.stride
-        n, o, ho, wo = grad_output.shape
-
-        # grad wrt input: scatter per kernel offset (col2im) into the padded
-        # input's shape, built from ``in_shape`` (not ``xp``: the
-        # channel-last forward pads lazily, and only the weight GEMM needs it).
-        (pt, pb), (pl, pr) = self.padding
-        c, h, w = self.in_shape[1:]
-        grad_padded = np.zeros((n, c, h + pt + pb, w + pl + pr),
-                               dtype=self.in_dtype)
-        # (N, Ho, Wo, C, kh, kw)
-        grad_cols = np.tensordot(grad_output, weight, axes=([1], [0]))
-        grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, Ho, Wo)
-        for i in range(kh):
-            for j in range(kw):
-                grad_padded[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += grad_cols[:, :, i, j]
-        return _unpad_spatial_grad(grad_padded, self.in_shape, self.padding)
-
-    def backward(self, grad_output: np.ndarray):
-        grad_weight = self.backward_weight(grad_output)
-        grad_bias = grad_output.sum(axis=(0, 2, 3)) if self.has_bias else None
-        grad_input = self.backward_input(grad_output)
-        return (grad_input, grad_weight, grad_bias, None, None)
+def conv2d_input_grad(grad_output: np.ndarray, weight: np.ndarray,
+                      in_shape: Tuple[int, ...], stride: IntPair,
+                      padding: Padding2d) -> np.ndarray:
+    """Gradient of a conv w.r.t. its ``in_shape`` input: one ``tensordot``
+    of the output gradient with the weight, scattered per kernel offset
+    (col2im) into the padded input's shape, then cropped.  Shapes are all
+    it needs of the input."""
+    kh, kw = weight.shape[2], weight.shape[3]
+    sh, sw = stride
+    n, o, ho, wo = grad_output.shape
+    (pt, pb), (pl, pr) = padding
+    c, h, w = in_shape[1:]
+    grad_padded = np.zeros((n, c, h + pt + pb, w + pl + pr),
+                           dtype=grad_output.dtype)
+    # (N, Ho, Wo, C, kh, kw)
+    grad_cols = np.tensordot(grad_output, weight, axes=([1], [0]))
+    grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, Ho, Wo)
+    for i in range(kh):
+        for j in range(kw):
+            grad_padded[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += grad_cols[:, :, i, j]
+    return _unpad_spatial_grad(grad_padded, in_shape, padding)
 
 
 def shared_weight_grad(xs: Sequence[np.ndarray],
@@ -332,7 +297,9 @@ def shared_weight_grad(xs: Sequence[np.ndarray],
                        paddings: Sequence[Padding2d], kernel: IntPair,
                        stride: IntPair, bias: bool) -> List[np.ndarray]:
     """Weight (and bias) gradient of one conv weight applied to several
-    inputs — a split layer's patches — as one GEMM.
+    inputs — a split layer's patches — as one GEMM; every conv weight
+    gradient is this call, a single input (eager, or one patch's graph
+    op) its ``S = 1`` case.
 
     Every input's im2col columns and output gradient are laid side by
     side along the pixel axis; with ``bias`` a row of ones under the
@@ -362,6 +329,29 @@ def shared_weight_grad(xs: Sequence[np.ndarray],
     return [weight_grad, product[:, k]] if bias else [weight_grad]
 
 
+class Conv2d(Function):
+    """Autograd binding of :func:`conv2d_forward`: its backward calls
+    :func:`shared_weight_grad` over the one input and
+    :func:`conv2d_input_grad`, the functions the graph's conv kernels
+    call, so eager and graph gradients are the same bytes."""
+
+    def forward(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
+                stride: IntPair, padding: Padding2d) -> np.ndarray:
+        self.x, self.weight = x, weight
+        self.stride, self.padding = stride, padding
+        self.has_bias = bias is not None
+        return conv2d_forward(x, weight, bias, stride, padding)
+
+    def backward(self, grad_output: np.ndarray):
+        (grad_weight,) = shared_weight_grad(
+            [self.x], [grad_output], [self.padding], self.weight.shape[2:],
+            self.stride, False)
+        grad_bias = grad_output.sum(axis=(0, 2, 3)) if self.has_bias else None
+        grad_input = conv2d_input_grad(grad_output, self.weight, self.x.shape,
+                                       self.stride, self.padding)
+        return (grad_input, grad_weight, grad_bias, None, None)
+
+
 class MaxPool2d(Function):
     def forward(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
                 padding: Padding2d, need_argmax: bool = True) -> np.ndarray:
@@ -373,9 +363,9 @@ class MaxPool2d(Function):
         """
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.in_shape = x.shape
-        xp = _pad_spatial(x, padding, value=-np.inf)
-        self.padded_shape = xp.shape
-        view = _window_view(xp, kernel, stride)
+        padded = _pad_spatial(x, padding, value=-np.inf)
+        self.padded_shape = padded.shape
+        view = _window_view(padded, kernel, stride)
         offsets = [view[..., i, j]
                    for i in range(kernel[0]) for j in range(kernel[1])]
         out = offsets[0].copy()

@@ -211,7 +211,8 @@ class TestLintMutations:
         """Deleted code: ``run`` raises for the twin whose forward op no
         longer saves what it reads."""
         graph, params, inputs = _small_vgg_executor_parts()
-        saver = next(op for op in graph.forward_ops() if op.saved)
+        saver = next(op for op in graph.forward_ops()
+                     if op.op_type == "maxpool2d")
         target = next(op.id for op in graph.forward_ops()
                       if op.id != saver.id)
         for op in graph.backward_ops():
@@ -222,21 +223,19 @@ class TestLintMutations:
             GraphExecutor(graph, params).run(*inputs)
 
     def test_sca005_dangling_forward_of(self):
-        """Deleted code: building the executor raises."""
-        graph, params, _ = _small_vgg_executor_parts()
+        """Deleted code: ``Graph.validate`` raises."""
+        graph = _zoo_graph("small_vgg")
         graph.backward_ops()[0].forward_of = 10_000
-        graph.validate()
-        with pytest.raises(KeyError):
-            GraphExecutor(graph, params)
+        with pytest.raises(ValueError, match="earlier forward op"):
+            graph.validate()
 
     def test_sca005_forward_of_must_point_at_forward_op(self):
-        """Deleted code: ``run`` raises."""
-        graph, params, inputs = _small_vgg_executor_parts()
+        """Deleted code: ``Graph.validate`` raises."""
+        graph = _zoo_graph("small_vgg")
         backward = graph.backward_ops()
         backward[-1].forward_of = backward[0].id
-        graph.validate()
-        with pytest.raises(RuntimeError, match="needs the saved context"):
-            GraphExecutor(graph, params).run(*inputs)
+        with pytest.raises(ValueError, match="earlier forward op"):
+            graph.validate()
 
     def test_sca005_dangling_inplace_of(self):
         """Deleted code: ``Graph.validate`` raises (``analyze_graph``

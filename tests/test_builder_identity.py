@@ -187,37 +187,51 @@ GOLDEN: Dict[str, str] = {
     "patch_infer": "75266a6c7b0d2fe5",
     # New row, recorded when the join depth was introduced (no parent).
     "patch_infer-joined": "582551d6c3001562",
-    "resnet18": "6d9d51ecfde18de5",
-    "resnet18-compiled": "c451177ef5560945",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet18": "fae944449b02c80e",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet18-compiled": "690bc3d733a58a0c",
     # Re-recorded: the builder stacks the forward and bwd_data of the 3
     # split layers that take their weight gradient in one GEMM.
     # Re-recorded again: the compiled training twins no longer fuse
     # conv->BN(->ReLU) (the fusion is gone); every other graph is equal.
-    "resnet18-me": "49f8c2287d878b65",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet18-me": "38390634322e7937",
     # Re-recorded: the builder stacks the forward and bwd_data of the 1
     # split layer that takes its weight gradient in one GEMM.
-    "resnet34": "2b2da221ca501327",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet34": "742ab917c8b4989b",
     # Re-recorded: the builder stacks the forward and bwd_data of 8 of the
     # 9 one-GEMM split layers; the ninth (stride 2) pads each patch
     # differently, so no two patches stack.
     # Re-recorded again: no conv->BN(->ReLU) fusion in the compiled
     # training twins.
-    "resnet34-me": "20bd90296986b8c6",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet34-me": "72bc52dc57131357",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
-    "resnet50": "8649e6517a743be7",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet50": "5dcce35019a06e89",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
     # Re-recorded again: no conv->BN(->ReLU) fusion in the compiled
     # training twins.
-    "resnet50-me": "f9a0850bd8016273",
-    "small_resnet": "74eba390ded735ac",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "resnet50-me": "c2b213be8e401c32",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "small_resnet": "938ce5caaaae2886",
     # New rows, recorded at the parent of the one-pass sibling grouping and
     # the direct ReLU fusion / BN fold (same for the other -compiled rows).
-    "small_resnet-compiled": "888f467716e3f6f0",
-    "small_vgg": "e01457cec775a904",
-    "vgg11": "9cbcaaf554f445ec",
-    "vgg11-compiled": "a6a701f41e177ec1",
-    "vgg16": "fe093275675cd0bb",
-    "vgg19": "db9518ef09929ec6",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "small_resnet-compiled": "f3892bb29e2f7c77",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "small_vgg": "ca7ede1742739c27",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "vgg11": "55aedaba45913b52",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "vgg11-compiled": "f5ad8845575d2721",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "vgg16": "9e6c3423dddef888",
+    # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
+    "vgg19": "dfe8fa6473fa5c20",
 }
 
 

@@ -39,13 +39,15 @@ import pytest
 
 from repro.core import to_split_cnn
 from repro.graph import build_inference_graph
+from repro.graph.ir import OpNode
+from repro.graph.registry import op_def
 from repro.models import alexnet, small_vgg, vgg11
 from repro.nn import init
 from repro.tensor import Tensor, conv2d
 from repro.tensor import ops_nn
 from repro.tensor.ops_nn import (
     CHANNEL_LAST_WEIGHT_LIMIT, COLUMN_BLOCK_BYTES, Conv2d, _blocked_gemm_rows,
-    _im2col, _pad_spatial, _window_view,
+    _im2col, _pad_spatial, _window_view, conv2d_forward, shared_weight_grad,
 )
 
 
@@ -186,7 +188,7 @@ def test_im2col_is_the_window_view_channel_major():
 ] + EXTRA_CASES)
 def test_backward_weight_is_one_kernel_on_every_path(x_shape, w_shape, stride,
                                                      padding):
-    """``backward_weight`` is held to *cross-path* identity only.
+    """The weight gradient is held to *cross-path* identity only.
 
     Its GEMM is the old product with the pixel operand read through a
     transposed view, and BLAS rounds that differently on small products
@@ -194,16 +196,17 @@ def test_backward_weight_is_one_kernel_on_every_path(x_shape, w_shape, stride,
     pinned to the ``tensordot`` formulation — closeness to it is.  What
     must hold exactly is that every path gets the same bits, and that
     holds by construction: eager autograd, the interpreter, the compiled
-    plan (per-sibling slices of a stacked context) and the mesh-spatial
-    strategy all call this one method.
+    plan (per-sibling twins of a stacked forward) and the mesh-spatial
+    strategy all call ``shared_weight_grad``, one input being its
+    ``S = 1`` case.
     """
     rng = np.random.default_rng(1)
     x = rng.standard_normal(x_shape)
     weight = rng.standard_normal(w_shape)
-    fn = Conv2d()
-    out = fn.forward(x, weight, None, stride, padding)
+    out = conv2d_forward(x, weight, None, stride, padding)
     grad = rng.standard_normal(out.shape)
-    direct = fn.backward_weight(grad)
+    (direct,) = shared_weight_grad([x], [grad], [padding], w_shape[2:],
+                                   stride, False)
     assert direct.shape == w_shape
 
     reference = _tensordot_backward_weight(x, weight, grad, stride, padding)
@@ -215,33 +218,34 @@ def test_backward_weight_is_one_kernel_on_every_path(x_shape, w_shape, stride,
            padding=padding).backward(grad)
     assert w_tensor.grad.tobytes() == direct.tobytes()
 
-    # A sibling-stacked context sliced per patch (what the compiled plan
-    # does) is the standalone context.
-    stacked = Conv2d()
-    stacked.forward(np.concatenate([x, x[::-1]]), weight, None, stride,
-                    padding)
-    stacked.xp = stacked.xp[:x_shape[0]]
-    assert stacked.backward_weight(grad).tobytes() == direct.tobytes()
+    # The interpreter's per-patch twin, and the same twin once the compiler
+    # stacked its forward with a sibling: it reads the patch's own input.
+    attrs = {"kernel": w_shape[2:], "stride": stride, "padding": padding}
+    tensors = _Tensors({0: x, 1: x[::-1].copy(), 2: weight, 5: grad})
+    twin = OpNode(id=1, name="conv.bwd_weight", op_type="conv2d_bwd_weight",
+                  inputs=[5, 0], outputs=[6], attrs=attrs, phase="backward",
+                  forward_of=0)
+    op_def(twin.op_type).kernel(tensors, twin)
+    assert tensors.values.pop(6).tobytes() == direct.tobytes()
+    stacked = OpNode(id=0, name="conv(x2)", op_type="conv2d_siblings",
+                     inputs=[0, 1, 2], outputs=[3, 4],
+                     attrs={**attrs, "siblings": 2})
+    op_def(stacked.op_type).kernel(tensors, stacked)
+    op_def(twin.op_type).kernel(tensors, twin)
+    assert tensors.values[6].tobytes() == direct.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("padding", [((1, 1), (1, 1)), ((0, 1), (-1, 2))])
-def test_backward_input_leaves_the_lazy_pad_unbuilt(padding, dtype):
-    """``backward_input`` needs only the padded input's shape and dtype,
-    so a weight-light conv's input stays unpadded through it; the gradient
-    is the one the padded context gives."""
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
-    weight = rng.standard_normal((8, 3, 3, 3))
-    assert weight.size <= CHANNEL_LAST_WEIGHT_LIMIT
-    fn = Conv2d()
-    out = fn.forward(x, weight, None, (1, 1), padding)
-    grad = rng.standard_normal(out.shape)
-    lazy = fn.backward_input(grad)
-    assert fn._xp is None
-    assert lazy.shape == x.shape and lazy.dtype == x.dtype
-    assert fn.xp is not None
-    assert fn.backward_input(grad).tobytes() == lazy.tobytes()
+class _Tensors:
+    """The executor calls a conv kernel makes: graph tensors by id."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def input(self, op, index):
+        return self.values[op.inputs[index]]
+
+    def set_output(self, op, index, value):
+        self.values[op.outputs[index]] = value
 
 
 # ----------------------------------------------------------------------
@@ -432,19 +436,17 @@ def test_column_blocks_are_bounded(x_shape, w_shape, stride, padding, dtype):
 
 @pytest.mark.parametrize("padding", [((1, 1), (1, 1)), ((0, 0), (0, 0))])
 def test_output_does_not_share_the_workspace(padding):
-    """The output, and what the backward reads, are the call's own: the
-    workspace is overwritten by the thread's next conv."""
+    """The output is the call's own: the workspace is overwritten by the
+    thread's next conv."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 16, 20, 20)).astype(np.float32)
     weight = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
     for bias in (None, rng.standard_normal(16).astype(np.float32)):
-        fn = Conv2d()
-        out = fn.forward(x, weight, bias, (1, 1), padding)
+        out = Conv2d().forward(x, weight, bias, (1, 1), padding)
         before = out.tobytes()
         workspace = (ops_nn._WORKSPACE.cols, ops_nn._WORKSPACE.padded)
         for buffer in workspace:
             assert not np.shares_memory(out, buffer)
-            assert not np.shares_memory(fn.xp, buffer)
         Conv2d().forward(x[::-1].copy(), weight, bias, (1, 1), padding)
         assert out.tobytes() == before
 

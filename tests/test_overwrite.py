@@ -100,13 +100,12 @@ def test_kept_values_alias_the_result():
 # The forward-phase rule, pinned on a hand-built graph
 # ----------------------------------------------------------------------
 def _aliasing_graph():
-    """A zero-padding conv whose saved ``xp`` *is* its input ``h``, and a
-    1x1 ``split`` — not an aliasing registry entry — whose output ``p`` is
-    a view of the same array.  ``p``'s only consumer is a ``grad_acc``:
-    sole-consumer and alias rules alone would let it accumulate into
-    ``p``, i.e. into the activation the conv's weight gradient reads
-    back out of the saved context."""
-    graph = Graph("xp-aliases-input")
+    """A 1x1 ``split`` — not an aliasing registry entry — whose output
+    ``p`` is a view of its input ``h``, which a conv's weight gradient
+    reads.  ``p``'s only consumer is a ``grad_acc``: sole-consumer and
+    alias rules alone would let it accumulate into ``p``, i.e. into the
+    activation the weight gradient reads."""
+    graph = Graph("split-aliases-input")
     x = graph.add_tensor("x", (1, 2, 6, 6), kind="input")
     grad_y = graph.add_tensor("grad_y", (1, 3, 4, 4), kind="input")
     weight = graph.add_tensor("w", (3, 2, 3, 3), kind="parameter")
@@ -119,19 +118,19 @@ def _aliasing_graph():
     graph.add_op("relu_h", "relu", [x], [h])
     graph.add_op("part", "split", [h], [p],
                  attrs={"scheme_h": [0], "scheme_w": [0]})
-    conv = graph.add_op(
-        "conv", "conv2d", [h, weight], [y],
-        attrs={"stride": (1, 1), "padding": ((0, 0), (0, 0)),
-               "kernel": (3, 3), "out_channels": 3})
+    attrs = {"stride": (1, 1), "padding": ((0, 0), (0, 0)),
+             "kernel": (3, 3), "out_channels": 3}
+    conv = graph.add_op("conv", "conv2d", [h, weight], [y], attrs=attrs)
     graph.add_op("relu_q", "relu", [x], [q])
     acc = graph.add_op("sum", "grad_acc", [p, q], [total])
-    graph.add_op("conv.bwd_weight", "conv2d_bwd_weight", [grad_y, h],
-                 [grad_w], phase="backward", forward_of=conv.id)
-    return graph, conv, acc, (x, grad_y, h, p)
+    bwd = graph.add_op("conv.bwd_weight", "conv2d_bwd_weight", [grad_y, h],
+                       [grad_w], attrs=dict(attrs), phase="backward",
+                       forward_of=conv.id)
+    return graph, bwd, acc, (x, grad_y, h, p)
 
 
 def test_forward_values_are_never_overwritten():
-    graph, conv, acc, (x, grad_y, h, p) = _aliasing_graph()
+    graph, bwd, acc, (x, grad_y, h, p) = _aliasing_graph()
     rng = np.random.default_rng(0)
     params = {"w": rng.standard_normal((3, 2, 3, 3)).astype(graph.width)}
     inputs = {x.id: rng.standard_normal(x.shape).astype(graph.width),
@@ -139,10 +138,9 @@ def test_forward_values_are_never_overwritten():
 
     reference = _without_table(GraphExecutor(graph, params, eager_free=False))
     expected = _bytes(reference.run_with_inputs(inputs))
-    # The premise: three names, one array.
+    # The premise: two names, one array, and the gradient reads ``h``.
     assert np.shares_memory(reference.values[p.id], reference.values[h.id])
-    assert np.shares_memory(reference._contexts[conv.id].xp,
-                            reference.values[h.id])
+    assert bwd.inputs[1] == h.id
 
     for workers in (1, 2):
         executor = GraphExecutor(graph, params, workers=workers)

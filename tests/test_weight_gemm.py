@@ -30,7 +30,7 @@ from repro.models import (
 )
 from repro.nn import CrossEntropyLoss, init
 from repro.tensor import Tensor
-from repro.tensor.ops_nn import Conv2d, shared_weight_grad
+from repro.tensor.ops_nn import conv2d_forward, shared_weight_grad
 
 REFERENCE_RTOL = 1e-9
 
@@ -135,15 +135,15 @@ class TestGate:
     def test_one_gemm_reads_tensors_not_contexts(self):
         model = split_vgg11()
         graph = build_training_graph(model, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, model))
+        params = GraphExecutor.parameters_from_model(graph, model)
+        executor = GraphExecutor(graph, params)
         read = set()
         for op in one_gemm_ops(graph):
             assert op.forward_of is None
             assert len(op.inputs) == 2 * len(op.attrs["paddings"])
             read.update(op.inputs)
-        # A batched layer's stacked forward keeps its context for its one
-        # stacked bwd_data twin alone.
+        # A batched layer's stacked forward has one twin, its stacked
+        # bwd_data, which reads graph tensors like every conv backward.
         stacked = [op for op in graph.forward_ops()
                    if op.op_type == "conv2d_siblings"]
         assert len(stacked) == 6
@@ -153,6 +153,44 @@ class TestGate:
             (twin,) = [other for other in graph.ops
                        if other.forward_of == op.id]
             assert twin.op_type == "conv2d_bwd_data_siblings"
+        compiled = build_training_graph(model, 2)
+        compile_graph(compiled, params=params)
+        x, y = batch_of(model, 2, seed=7)
+        for plan in (graph, compiled):
+            assert_conv_backward_reads_only_graph_tensors(plan, params, x, y)
+
+
+def assert_conv_backward_reads_only_graph_tensors(graph, params, x, y):
+    """After an ``eager_free=False`` run no conv forward holds a saved
+    context, and every conv backward op re-run with no context at all
+    writes the bytes it wrote in the run."""
+    executor = GraphExecutor(graph, params, eager_free=False)
+    written = {}
+    run_op = executor.execute_op
+
+    def recording(op):
+        run_op(op)
+        if is_conv_backward(op):
+            written[op.id] = [executor.values[t].tobytes()
+                              for t in op.outputs]
+
+    executor.execute_op = recording
+    executor.run(x.astype(executor.width), y)
+    convs = [op for op in graph.forward_ops()
+             if op.op_type.startswith("conv2d")]
+    assert convs and all(executor._contexts[op.id] is None for op in convs)
+    executor._contexts = [None] * len(executor._contexts)
+    backward = [op for op in graph.ops if is_conv_backward(op)]
+    assert sorted(written) == sorted(op.id for op in backward)
+    for op in backward:
+        run_op(op)
+        assert [executor.values[t].tobytes()
+                for t in op.outputs] == written[op.id], op.name
+
+
+def is_conv_backward(op):
+    return op.phase == "backward" and op.op_type.startswith("conv2d_bwd")
+
 
 class TestCost:
     def test_flops_equal_the_per_patch_ops_replaced(self):
@@ -188,10 +226,11 @@ class TestKernel:
         paddings = [((1, 0), (1, 1)), ((0, 0), (2, 1)), ((-1, 0), (0, -1))]
         grads, weight_grad, bias_grad = [], 0.0, 0.0
         for x, padding in zip(xs, paddings):
-            conv = Conv2d()
-            out = conv.forward(x, weight, None, (1, 1), padding)
+            out = conv2d_forward(x, weight, None, (1, 1), padding)
             grads.append(rng.standard_normal(out.shape))
-            weight_grad = weight_grad + conv.backward_weight(grads[-1])
+            (patch,) = shared_weight_grad([x], grads[-1:], [padding], (3, 3),
+                                          (1, 1), False)
+            weight_grad = weight_grad + patch
             bias_grad = bias_grad + grads[-1].sum(axis=(0, 2, 3))
         got = shared_weight_grad(xs, grads, paddings, (3, 3), (1, 1), bias)
         assert len(got) == (2 if bias else 1)
