@@ -2,9 +2,9 @@
 
 Entry points:
 
-- :func:`compile_graph` — fuse (chain + sibling), then fold constants,
-  over a graph in place; returns a :class:`CompileReport` whose
-  fingerprint is :data:`FINGERPRINT`.
+- :func:`compile_graph` — fuse (chain, sibling, ReLU backward), then fold
+  constants, over a graph in place; returns a :class:`CompileReport`
+  whose fingerprint is :data:`FINGERPRINT`.
 - ``CompiledPlan`` — the old name of
   :class:`repro.graph.GraphExecutor`, which lowers every graph (compiled
   or plain) to flat tables and runs it; kept as a plain binding for

@@ -1,15 +1,16 @@
 """The compiler's entry point over serialized graphs.
 
-:func:`compile_graph` runs chain + sibling fusion, then constant
-folding, over a graph in place and reports what each pass did.  The
-passes' output graphs are identified by :data:`FINGERPRINT`, which every
-serving plan-cache key includes to keep compiled and uncompiled plans
-apart.
+:func:`compile_graph` runs chain, sibling and ReLU backward fusion, then
+constant folding, over a graph in place and reports what each pass did.
+The passes' output graphs are identified by :data:`FINGERPRINT`, which
+every serving plan-cache key includes to keep compiled and uncompiled
+plans apart.
 
 The rewrites are written directly in :mod:`repro.compile.rewrites`: a
 two-entry conv→ReLU fusion table, the builder's split-layer stacking
-(:func:`repro.graph.siblings.stack_layers`), and the ``batchnorm_eval``
-fold.
+(:func:`repro.graph.siblings.stack_layers`), a three-entry table folding
+``relu_bwd`` into the backward op producing its gradient, and the
+``batchnorm_eval`` fold.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .rewrites import PassResult, fold_constants, fuse_ops
 __all__ = ["FINGERPRINT", "CompileReport", "compile_graph"]
 
 #: Compilation identity of :func:`compile_graph`'s output graphs (the
-#: digest of ``fuse_ops@1|fold_constants@1`` it was born as).  Change it
-#: whenever those graphs change: serving plan caches key on it.
+#: digest of ``fuse_ops@1|fold_constants@1`` it was born as).  Serving
+#: plan caches key on it, and the only compiled graphs they hold are
+#: inference graphs: change it whenever a compiled *inference* graph
+#: changes, not for a rewrite that moves training graphs alone.
 FINGERPRINT = "2e105fded4f4"
 
 

@@ -1,6 +1,6 @@
 """Byte-identity-preserving graph rewrites: fusion and constant folding.
 
-Three rewrites, each a direct walk over the graph:
+Four rewrites, each a direct walk over the graph:
 
 - **Chain fusion** — a forward ``conv2d`` (or a stacked
   ``conv2d_siblings``) whose every output feeds one ReLU becomes one
@@ -16,14 +16,21 @@ Three rewrites, each a direct walk over the graph:
   stacking.  A chain layer's ``bwd_weight`` twins stay per-sibling
   (merging them here would reorder its ``grad_acc`` sum against the
   interpreted graph), each reading its own patch's tensors.
+- **ReLU backward fusion** — a ``maxpool2d_bwd``, ``conv2d_bwd_data`` or
+  stacked ``conv2d_bwd_data_siblings`` whose every output is a gradient
+  read only by one ``relu_bwd`` takes those masks in, per
+  :data:`_RELU_BWD_FUSED`.  The fused kernel runs the producer's kernel
+  and then ``relu_bwd``'s exact expression, so values are bit-identical.
+  Stacking goes first, so a stacked ``bwd_data`` takes all S masks.
 - **Constant folding** — a ``batchnorm_eval`` whose γ and σ² are known
   becomes a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into
   a constant tensor, eliding the per-step rsqrt.
 
-Chain fusion places the fused op at the chain head's position, which
-keeps the serialization valid.  Sibling fusion moves work across
-branches, so it ends with a stable Kahn re-serialization (ready ops
-picked in original-position order) and fails loudly on cycles.
+Chain and ReLU backward fusion place the fused op at the head's (the
+producer's) position, which keeps the serialization valid.  Sibling
+fusion moves work across branches, so it ends with a stable Kahn
+re-serialization (ready ops picked in original-position order) and
+fails loudly on cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import op_def
-from ..graph.siblings import attr_key, new_op_id, stack_layers
+from ..graph.siblings import attr_key, new_op_id, stack_layers, take_inputs
 from ..nn.norm import BN_EPS
 
 __all__ = ["PassResult", "fuse_ops", "fold_constants"]
@@ -46,6 +53,12 @@ __all__ = ["PassResult", "fuse_ops", "fold_constants"]
 #: feeds one ReLU (a stacked head fuses one ReLU per output).
 _RELU_FUSED = {"conv2d": "conv2d_relu",
                "conv2d_siblings": "conv2d_relu_siblings"}
+
+#: ReLU backward fusion: the fused type of a backward op whose every
+#: output is a gradient that only one ``relu_bwd`` reads.
+_RELU_BWD_FUSED = {"maxpool2d_bwd": "maxpool2d_bwd_relu",
+                   "conv2d_bwd_data": "conv2d_bwd_data_relu",
+                   "conv2d_bwd_data_siblings": "conv2d_bwd_data_relu_siblings"}
 
 
 @dataclass
@@ -146,12 +159,7 @@ def _apply_chain_fusion(graph: Graph, head: OpNode,
 
     for tensor_id in deleted:
         graph.tensors.pop(tensor_id)
-    need = Counter(input_ids)
-    for tensor_id in need:
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in chain_ids]
-        tensor.consumers.extend([fused.id] * need[tensor_id])
+    take_inputs(graph, fused, chain_ids)
     for out in final_outs:
         out.producer = fused.id
         out.consumers = [c for c in out.consumers if c not in chain_ids]
@@ -217,12 +225,68 @@ def _fuse_siblings(graph: Graph, details: Counter) -> int:
     return stack_layers(graph, layers)
 
 
+# ----------------------------------------------------------------------
+# ReLU backward fusion
+# ----------------------------------------------------------------------
+
+def _mask_of(graph: Graph, tensor_id: int) -> Optional[OpNode]:
+    """The ``relu_bwd`` that alone consumes gradient ``tensor_id``, as its
+    gradient input, or ``None``."""
+    consumers = graph.tensors[tensor_id].consumers
+    if len(consumers) == 1:
+        mask = graph.op_by_id(consumers[0])
+        if mask.op_type == "relu_bwd" and mask.inputs[0] == tensor_id:
+            return mask
+    return None
+
+
+def _fuse_relu_backward(graph: Graph, details: Counter) -> int:
+    """Fold each ``relu_bwd`` into the op producing its gradient, per
+    :data:`_RELU_BWD_FUSED`, when every output of that op feeds one.
+
+    The fused op takes the ReLU outputs as trailing inputs, writes the
+    masked gradients and sits at the producer's position; the pre-mask
+    gradients are deleted.
+    """
+    changed = 0
+    for producer in list(graph.ops):
+        fused_type = _RELU_BWD_FUSED.get(producer.op_type)
+        if fused_type is None:
+            continue
+        masks = [_mask_of(graph, tensor_id) for tensor_id in producer.outputs]
+        if any(mask is None for mask in masks):
+            continue
+        fused = OpNode(
+            id=new_op_id(graph), name=f"{producer.name}+relu_bwd",
+            op_type=fused_type,
+            inputs=producer.inputs + [mask.inputs[1] for mask in masks],
+            outputs=[mask.outputs[0] for mask in masks],
+            attrs=dict(producer.attrs), phase="backward",
+            workspace_bytes=producer.workspace_bytes,
+            forward_of=producer.forward_of,
+        )
+        old_ids = {producer.id} | {mask.id for mask in masks}
+        take_inputs(graph, fused, old_ids)
+        for tensor_id in producer.outputs:
+            graph.tensors.pop(tensor_id)
+        for tensor_id in fused.outputs:
+            graph.tensors[tensor_id].producer = fused.id
+        graph.ops[graph.ops.index(producer)] = fused
+        graph.ops = [op for op in graph.ops if op.id not in old_ids]
+        details[fused_type] += 1
+        changed += 1
+    return changed
+
+
 def fuse_ops(graph: Graph) -> PassResult:
     """Chain fusion, then sibling fusion (chains first so the per-patch
-    conv+ReLU pairs become ``conv2d_relu`` siblings before stacking)."""
+    conv+ReLU pairs become ``conv2d_relu`` siblings before stacking), then
+    ReLU backward fusion (after stacking, so a stacked ``bwd_data`` takes
+    all S masks)."""
     details: Counter = Counter()
     changed = _fuse_chains(graph, details)
     changed += _fuse_siblings(graph, details)
+    changed += _fuse_relu_backward(graph, details)
     return PassResult("fuse_ops", changed, dict(details))
 
 

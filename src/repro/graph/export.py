@@ -22,9 +22,9 @@ __all__ = ["to_networkx", "to_dot", "GraphStats", "graph_stats"]
 
 MEMORY_BOUND_TYPES = frozenset({
     "relu", "relu_bwd", "batchnorm", "batchnorm_bwd", "batchnorm_eval",
-    "bn_affine", "maxpool2d", "maxpool2d_bwd", "add", "grad_acc",
-    "dropout", "dropout_bwd", "split", "split_bwd", "concat", "concat_bwd",
-    "gap", "gap_bwd",
+    "bn_affine", "maxpool2d", "maxpool2d_bwd", "maxpool2d_bwd_relu", "add",
+    "grad_acc", "dropout", "dropout_bwd", "split", "split_bwd", "concat",
+    "concat_bwd", "gap", "gap_bwd",
 })
 
 

@@ -326,9 +326,28 @@ def _k_relu(ex, op):
     ex.set_output(op, 0, np.maximum(ex.input(op, 0), 0.0))
 
 
+def _relu_mask(grad_out, out):
+    """ReLU's backward: the gradient where the ReLU output is positive."""
+    return np.where(out > 0, grad_out, 0.0)
+
+
 def _k_relu_bwd(ex, op):
-    grad_out, out = ex.input(op, 0), ex.input(op, 1)
-    ex.set_output(op, 0, np.where(out > 0, grad_out, 0.0))
+    ex.set_output(op, 0, _relu_mask(ex.input(op, 0), ex.input(op, 1)))
+
+
+def _relu_masked(kernel):
+    """The kernel of a backward op the compiler fused with the
+    ``relu_bwd`` of each of its outputs: ``kernel`` runs on the
+    producer's inputs, then output ``i`` is masked by the ReLU output that
+    is trailing input ``i`` — the unfused ops' exact expressions, so the
+    bytes are the interpreter's."""
+    def fused(ex, op):
+        kernel(ex, op)
+        first = len(op.inputs) - len(op.outputs)
+        for index, tensor_id in enumerate(op.outputs):
+            ex.set_output(op, index, _relu_mask(
+                ex.values[tensor_id], ex.input(op, first + index)))
+    return fused
 
 
 def _k_maxpool2d(ex, op):
@@ -773,6 +792,16 @@ def _char_pool_bwd(graph: Graph, op: OpNode):
     return float(grad_in.num_elements), _io_bytes(graph, op)
 
 
+def _char_relu_masked(producer):
+    """A ReLU-masked backward op: the producer's FLOPs plus one per masked
+    element, and the bytes of every tensor it reads or writes."""
+    def rule(graph: Graph, op: OpNode):
+        flops, _ = producer(graph, op)
+        masked = sum(graph.tensor(t).num_elements for t in op.outputs)
+        return flops + masked, float(_io_bytes(graph, op))
+    return rule
+
+
 def _char_copy(graph: Graph, op: OpNode):
     moved = _tensor_bytes(graph, op.outputs) * 2.0  # read + write
     return 0.0, moved
@@ -961,4 +990,20 @@ _register(OpDef(
 ))
 _register(OpDef(
     "cross_entropy_bwd", kernel=_k_cross_entropy_bwd, characterize=_char_small,
+))
+
+# Backward op types fused with the relu_bwd of each output (the compiler's
+# ReLU backward fusion): inputs are the producer's, then one ReLU output
+# per output.
+_register(OpDef(
+    "maxpool2d_bwd_relu", kernel=_relu_masked(_k_pool_bwd),
+    characterize=_char_relu_masked(_char_pool_bwd),
+))
+_register(OpDef(
+    "conv2d_bwd_data_relu", kernel=_relu_masked(_k_conv2d_bwd_data),
+    characterize=_char_relu_masked(_char_conv), efficiency=EFF_CONV,
+))
+_register(OpDef(
+    "conv2d_bwd_data_relu_siblings", kernel=_relu_masked(_k_conv2d_bwd_data),
+    characterize=_char_relu_masked(_char_conv_siblings), efficiency=EFF_CONV,
 ))

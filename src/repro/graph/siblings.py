@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from .ir import Graph, OpNode
 from .registry import op_def
 
-__all__ = ["attr_key", "new_op_id", "reserialize", "stack_siblings",
-           "stack_layers"]
+__all__ = ["attr_key", "new_op_id", "take_inputs", "reserialize",
+           "stack_siblings", "stack_layers"]
 
 
 def attr_key(attrs: Dict[str, Any]) -> Tuple:
@@ -53,6 +53,17 @@ def new_op_id(graph: Graph) -> int:
     op_id = graph._next_op_id
     graph._next_op_id += 1
     return op_id
+
+
+def take_inputs(graph: Graph, op: OpNode, replaced: Set[int]) -> None:
+    """Record ``op`` as the consumer of each of its inputs, once per read,
+    in place of the ops in ``replaced``."""
+    need = Counter(op.inputs)
+    for tensor_id in need:
+        tensor = graph.tensors[tensor_id]
+        tensor.consumers = [c for c in tensor.consumers
+                            if c not in replaced]
+        tensor.consumers.extend([op.id] * need[tensor_id])
 
 
 def reserialize(graph: Graph) -> None:
@@ -103,12 +114,7 @@ def _merge_bwd_data(graph: Graph, data_ops: List[OpNode],
         workspace_bytes=sum(op.workspace_bytes for op in data_ops),
     )
     old_ids = {op.id for op in data_ops}
-    need = Counter(merged.inputs)
-    for tensor_id in need:
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in old_ids]
-        tensor.consumers.extend([merged.id] * need[tensor_id])
+    take_inputs(graph, merged, old_ids)
     for tensor_id in merged.outputs:
         graph.tensors[tensor_id].producer = merged.id
     first_position = graph.ops.index(data_ops[0])
@@ -143,12 +149,7 @@ def stack_siblings(graph: Graph, group: List[OpNode],
     )
 
     group_ids = {member.id for member in group}
-    need = Counter(input_ids)
-    for tensor_id in need:
-        tensor = graph.tensors[tensor_id]
-        tensor.consumers = [c for c in tensor.consumers
-                            if c not in group_ids]
-        tensor.consumers.extend([fused.id] * need[tensor_id])
+    take_inputs(graph, fused, group_ids)
     for tensor_id in output_ids:
         tensor = graph.tensors[tensor_id]
         tensor.producer = fused.id

@@ -179,7 +179,8 @@ ROWS: Dict[str, Callable[[], Iterator[str]]] = {
 }
 
 GOLDEN: Dict[str, str] = {
-    "alexnet": "dd2d64659ddac04f",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "alexnet": "900ba8aa857736be",
     "checkpointed": "8551d043dfb34df7",
     # Re-recorded: spatial and pipeline device graphs are inference
     # graphs, whose batch norms use running statistics (batchnorm_eval).
@@ -188,50 +189,64 @@ GOLDEN: Dict[str, str] = {
     # New row, recorded when the join depth was introduced (no parent).
     "patch_infer-joined": "582551d6c3001562",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet18": "fae944449b02c80e",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet18": "20c21479681cb739",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet18-compiled": "690bc3d733a58a0c",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet18-compiled": "add747b62b7bb3cd",
     # Re-recorded: the builder stacks the forward and bwd_data of the 3
     # split layers that take their weight gradient in one GEMM.
     # Re-recorded again: the compiled training twins no longer fuse
     # conv->BN(->ReLU) (the fusion is gone); every other graph is equal.
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet18-me": "38390634322e7937",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet18-me": "04a9bbf905337ba8",
     # Re-recorded: the builder stacks the forward and bwd_data of the 1
     # split layer that takes its weight gradient in one GEMM.
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet34": "742ab917c8b4989b",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet34": "94160ade714cffbe",
     # Re-recorded: the builder stacks the forward and bwd_data of 8 of the
     # 9 one-GEMM split layers; the ninth (stride 2) pads each patch
     # differently, so no two patches stack.
     # Re-recorded again: no conv->BN(->ReLU) fusion in the compiled
     # training twins.
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet34-me": "72bc52dc57131357",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet34-me": "dd4476257682c6b8",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet50": "5dcce35019a06e89",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet50": "820cc7602b406621",
     # Re-recorded: 1 split layer takes its weight gradient in one GEMM.
     # Re-recorded again: no conv->BN(->ReLU) fusion in the compiled
     # training twins.
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "resnet50-me": "c2b213be8e401c32",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "resnet50-me": "d7fddaa558e9605e",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "small_resnet": "938ce5caaaae2886",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "small_resnet": "6abd2a23cc0ea8f5",
     # New rows, recorded at the parent of the one-pass sibling grouping and
     # the direct ReLU fusion / BN fold (same for the other -compiled rows).
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "small_resnet-compiled": "f3892bb29e2f7c77",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "small_resnet-compiled": "579a31f4639ec566",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "small_vgg": "ca7ede1742739c27",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "small_vgg": "52aca5c0659caef5",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "vgg11": "55aedaba45913b52",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "vgg11": "cbb67d05e220e05e",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "vgg11-compiled": "f5ad8845575d2721",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "vgg11-compiled": "dd820247404e4e01",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "vgg16": "9e6c3423dddef888",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "vgg16": "507073e8c823746f",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
-    "vgg19": "dfe8fa6473fa5c20",
+    # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
+    "vgg19": "a92a68082584b437",
 }
 
 

@@ -10,6 +10,8 @@ graphs must stay clean under the static analyzer and key serving plan
 caches by the compile fingerprint.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,10 @@ from repro.compile import (
 from repro.core import to_split_cnn
 from repro.graph import GraphExecutor, build_inference_graph, build_training_graph
 from repro.graph.builder import model_width
-from repro.models import ConvClassifier, small_resnet, small_vgg
+from repro.graph.export import MEMORY_BOUND_TYPES
+from repro.graph.ir import OpNode
+from repro.graph.registry import op_def
+from repro.models import ConvClassifier, small_resnet, small_vgg, vgg11
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential
 from repro.serve import Request, ServingEngine
 
@@ -169,6 +174,88 @@ class TestCompiledIdentity:
         graph = build_inference_graph(model, 2)
         with pytest.raises(ValueError, match="before it is produced"):
             compile_graph(graph)
+
+
+# ----------------------------------------------------------------------
+# ReLU backward fusion
+# ----------------------------------------------------------------------
+#: Fused type -> the producer whose kernel and price it extends.
+PRODUCERS = {"maxpool2d_bwd_relu": "maxpool2d_bwd",
+             "conv2d_bwd_data_relu": "conv2d_bwd_data",
+             "conv2d_bwd_data_relu_siblings": "conv2d_bwd_data_siblings"}
+
+
+def _op_types(graph):
+    return Counter(op.op_type for op in graph.ops)
+
+
+def _mask_producers(graph):
+    """The producer type of each ``relu_bwd``'s gradient input."""
+    return Counter(graph.op_by_id(graph.tensor(op.inputs[0]).producer).op_type
+                   for op in graph.ops if op.op_type == "relu_bwd")
+
+
+def _compiled_vgg11_2x2():
+    model = to_split_cnn(vgg11(num_classes=10, rng=np.random.default_rng(0)),
+                         depth=1.0, num_splits=(2, 2))
+    graph = build_training_graph(model, 2)
+    compile_graph(graph)
+    return graph
+
+
+class TestReluBackwardFusion:
+    def test_split_vgg_training_graphs_hold_no_relu_bwd(self):
+        types = _op_types(_compiled_vgg11_2x2())
+        assert types["relu_bwd"] == 0
+        assert types["maxpool2d_bwd_relu"] == 17
+        assert types["conv2d_bwd_data_relu_siblings"] == 3
+        model, x, _ = _case("vgg:2")
+        graph, _ = _compiled_graph(model, x.shape[0], "train")
+        assert _op_types(graph)["relu_bwd"] == 0
+
+    def test_resnet_keeps_accumulated_and_shared_gradients_unfused(self):
+        model, x, _ = _case("resnet")
+        graph, _ = _compiled_graph(model, x.shape[0], "train")
+        assert _op_types(graph)["conv2d_bwd_data_relu"] == 3
+        assert _mask_producers(graph) == {"grad_acc": 3, "gap_bwd": 1}
+
+        # A second reader of one fusable gradient keeps its mask apart.
+        graph = _build(model, x.shape[0], "train")
+        mask = next(op for op in graph.ops if op.op_type == "relu_bwd"
+                    and graph.op_by_id(graph.tensor(op.inputs[0]).producer)
+                    .op_type == "conv2d_bwd_data")
+        grad, out = (graph.tensor(t) for t in mask.inputs)
+        graph.add_op("probe", "relu_bwd", [grad, out],
+                     [graph.add_tensor("probe", grad.shape)],
+                     phase="backward")
+        compile_graph(graph)
+        assert _op_types(graph)["conv2d_bwd_data_relu"] == 2
+        assert graph.op_by_id(mask.id) is mask
+        assert graph.op_by_id(grad.producer).op_type == "conv2d_bwd_data"
+
+    def test_cost_is_the_producers_plus_the_mask(self):
+        model, x, _ = _case("vgg")
+        graphs = [_compiled_graph(model, x.shape[0], "train")[0],
+                  _compiled_vgg11_2x2()]
+        fused = [(graph, op) for graph in graphs for op in graph.ops
+                 if op.op_type in PRODUCERS]
+        assert {op.op_type for _, op in fused} == set(PRODUCERS)
+        for graph, op in fused:
+            producer = OpNode(
+                id=op.id, name=op.name, op_type=PRODUCERS[op.op_type],
+                inputs=op.inputs[:len(op.inputs) - len(op.outputs)],
+                outputs=op.outputs, attrs=op.attrs, phase=op.phase,
+                forward_of=op.forward_of)
+            flops, _ = op_def(producer.op_type).characterize(graph, producer)
+            masked = sum(graph.tensor(t).num_elements for t in op.outputs)
+            moved = sum(graph.tensor(t).nbytes
+                        for t in op.inputs + op.outputs)
+            assert op_def(op.op_type).characterize(graph, op) \
+                == (flops + masked, moved)
+            assert op_def(op.op_type).efficiency \
+                == op_def(producer.op_type).efficiency
+            assert (op.op_type in MEMORY_BOUND_TYPES) \
+                == (producer.op_type in MEMORY_BOUND_TYPES)
 
 
 # ----------------------------------------------------------------------
