@@ -14,7 +14,9 @@ from repro.models import small_resnet
 from repro.nn import BatchNorm2d, CrossEntropyLoss
 from repro.optim import SGD
 from repro.tensor import Tensor, conv2d
-from repro.tensor.ops_nn import Conv2d, MaxPool2d, shared_weight_grad
+from repro.tensor.ops_nn import (
+    Conv2d, max_pool2d_forward, max_pool2d_input_grad, shared_weight_grad,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +70,24 @@ def test_bench_conv2d_forward_patch_float64(benchmark, x_shape, out_channels,
         side + 2 * pad - 2 for side in x_shape[2:])
 
 
-@pytest.mark.parametrize("need_argmax", [True, False],
-                         ids=["argmax", "no-argmax"])
-def test_bench_maxpool2d_forward_patch_float64(benchmark, need_argmax):
-    # The patch_infer pool shape.  An inference graph has no backward
-    # twin to read the argmax, so its kernel runs the second form.
+def test_bench_maxpool2d_forward_patch_float64(benchmark):
+    # The patch_infer pool shape: the running maximum only.
     x = np.random.default_rng(0).standard_normal((2, 16, 84, 84))
     pad = ((0, 0), (0, 0))
-    fn = MaxPool2d()
-    out = benchmark(lambda: fn.forward(x, (2, 2), (2, 2), pad,
-                                       need_argmax=need_argmax))
+    out = benchmark(lambda: max_pool2d_forward(x, (2, 2), (2, 2), pad))
     assert out.shape == (2, 16, 42, 42)
-    assert hasattr(fn, "argmax") == need_argmax
+
+
+def test_bench_maxpool2d_input_grad_patch_float64(benchmark):
+    # The same pool's backward: it recomputes the running maximum and the
+    # first-max index from ``x``, then scatters the gradient there.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 16, 84, 84))
+    grad = rng.standard_normal((2, 16, 42, 42))
+    pad = ((0, 0), (0, 0))
+    out = benchmark(lambda: max_pool2d_input_grad(x, grad, (2, 2), (2, 2),
+                                                  pad))
+    assert out.shape == x.shape
 
 
 def test_bench_conv2d_backward_weight_small_k(benchmark):

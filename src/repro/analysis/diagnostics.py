@@ -126,9 +126,9 @@ _SPECS = [
         "value (parameter, constant, run output, or final gradient)."),
     DiagnosticSpec(
         "SCA404", "twin-retarget-mismatch", SEV_ERROR, PASS_LOWERING,
-        "A backward op's precomputed forward reference, saved-context "
-        "refcount, or per-op seed pair disagrees with the source graph — "
-        "e.g. a fused op whose backward twins were not retargeted."),
+        "A backward op's precomputed forward reference, or any op's "
+        "seed pair, disagrees with the source graph — e.g. a fused op "
+        "whose backward twins were not retargeted."),
     DiagnosticSpec(
         "SCA405", "constant-table-mismatch", SEV_ERROR, PASS_LOWERING,
         "A persistent value the plan seeds at build time (parameter or "
@@ -138,8 +138,8 @@ _SPECS = [
         "SCA406", "unsafe-overwrite", SEV_ERROR, PASS_LOWERING,
         "The plan lets an op overwrite an input that is not provably dead: "
         "the tensor has another consumer, is pinned or a graph input, or "
-        "is produced by a forward or aliasing op whose array something "
-        "else still references."),
+        "is produced by a forward op (its value may be a view of one later "
+        "ops read) or by an aliasing op."),
 ]
 
 CODES: Dict[str, DiagnosticSpec] = {spec.code: spec for spec in _SPECS}

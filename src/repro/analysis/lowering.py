@@ -25,8 +25,8 @@ Codes:
 - ``SCA402`` — wavefront arrays disagree with the re-derived DAG;
 - ``SCA403`` — eager-free refcounts disagree, or a pinned value
   (parameter/constant/run output/final gradient) would be freed;
-- ``SCA404`` — seed pairs, forward-twin references, or saved-context
-  counts disagree with the graph;
+- ``SCA404`` — seed pairs or forward-twin references disagree with the
+  graph;
 - ``SCA405`` — the persistent-value table is missing, inconsistent, or
   seeds a non-persistent tensor;
 - ``SCA406`` — the overwrite table lets an op write into an input that is
@@ -235,8 +235,8 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                 reason = (f"is not read by this op alone (consumers "
                           f"{sorted(consumers.get(tensor_id, ()))})")
             elif producer is None or producer.phase != "backward":
-                reason = ("is a graph input or forward value a saved "
-                          "context may still reference")
+                reason = ("is a graph input or forward value, which may "
+                          "be a view of a value later ops read")
             elif (op_def(producer.op_type).free
                   or op_def(producer.op_type).sharing != SHARE_NONE):
                 reason = (f"is produced by aliasing op "
@@ -249,8 +249,7 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                 f"{getattr(tensor, 'name', '?')!r}, which {reason}",
                 op_ids=(op.id,), tensor_id=tensor_id))
 
-    # --- SCA404: seeds, twin references, saved-context counts ---------
-    twin_counts: Dict[int, int] = {}
+    # --- SCA404: seeds, twin references -------------------------------
     for op in ops:
         want_seed = (plan.dropout_seed, op.attrs.get("seed", op.id))
         if plan._seeds[op.id] != want_seed:
@@ -268,8 +267,6 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                     f"forward reference to op id {fwd.id}",
                     op_ids=(op.id,)))
         else:
-            twin_counts[op.forward_of] = twin_counts.get(op.forward_of,
-                                                         0) + 1
             target = by_id.get(op.forward_of)
             if fwd is None or target is None or fwd.id != op.forward_of:
                 lowered_id = None if fwd is None else fwd.id
@@ -279,16 +276,6 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                     f"{op.forward_of} but lowers a reference to "
                     f"{lowered_id} — twin not retargeted",
                     op_ids=(op.id,)))
-    for op in ops:
-        want = twin_counts.get(op.id, 0)
-        got = plan._ctx_template[op.id]
-        if got != want:
-            findings.append(Diagnostic(
-                "SCA404",
-                f"op {op.name!r} lowers a saved-context refcount of "
-                f"{got}; {want} backward twin(s) reference it",
-                op_ids=(op.id,)))
-
     # --- SCA405: persistent-value table -------------------------------
     for tensor in graph.tensors.values():
         value = (plan._base_values[tensor.id]

@@ -166,9 +166,8 @@ def _use_after_free(graph: Graph, position: Dict[int, int],
     The free plan drops tensor ``t`` after all counted consumers
     ``C(t)`` retire.  A reader ``r ∉ C(t)`` is safe only when some
     ``c ∈ C(t)`` has ``r`` happens-before ``c`` — then the value
-    provably still exists when ``r`` runs.  (Saved-for-backward reads
-    are retained separately via the executor's per-twin context
-    counter, so only direct input reads are checked.)
+    provably still exists when ``r`` runs.  (Every kernel reads only
+    the tensors its op names, so direct input reads are all there is.)
     """
     counted: Dict[int, Set[int]] = {}
     for op_id, tensor_ids in consumed_by_op.items():

@@ -17,19 +17,22 @@ There is one executor.  A graph rewritten by :mod:`repro.compile` and a
 graph straight from the builder are lowered the same way at construction
 time: kernels bound once per op (``_steps``; :meth:`execute_op` is the
 single per-op seam every run loop, timing loop and tracer goes through),
-values and saved contexts in dense lists indexed by tensor / op id, the
-eager-free refcounts, the overwrite table, dropout seed pairs,
-forward-twin references and the wavefront dependency counts as dense
-per-run templates.  :func:`repro.analysis.verify_lowering` re-derives
-every one of those tables from raw graph structure (SCA401-406) without
-sharing code with this module.  ``repro.compile.CompiledPlan`` is this
+values in a dense list indexed by tensor id, the eager-free refcounts,
+the overwrite table, dropout seed pairs, forward-twin references and the
+wavefront dependency counts as dense per-run templates.
+:func:`repro.analysis.verify_lowering` re-derives every one of those
+tables from raw graph structure (SCA401-406) without sharing code with
+this module.  ``repro.compile.CompiledPlan`` is this
 class under its old name.
 
-Kernels live in :mod:`repro.graph.registry`, one per op type.  Backward
-ops read the tensors they name; a batch-norm or max-pool twin also reads
-the *saved context* of its forward op — the
-:class:`~repro.tensor.autograd.Function` instantiated by the forward
-kernel — so gradients are bit-identical with the autograd engine.
+Kernels live in :mod:`repro.graph.registry`, one per op type.  Every
+kernel reads only the tensors and attrs its op names — a batch-norm or
+max-pool twin recomputes its statistics or first-max index from the
+forward input it names — so the values list is all the executor holds,
+and gradients are bit-identical with the autograd engine, which calls
+the same functions.  A graph whose backward does not name what its
+kernel needs (in-place ABN's ``recompute`` batch norm, a planning model)
+is rejected at construction.
 
 **Wavefront parallelism** — ``workers=N`` replaces the serialized walk
 with a ready-queue scheduler over the op dependency DAG
@@ -43,13 +46,9 @@ the structural tail of its ``grad_acc`` chain, never a tensor-id maximum.
 
 **Eager value release** — with ``eager_free`` (the default) a value is
 dropped when its last consumer retires (:func:`~repro.graph.liveness.
-compute_free_plan`) and a saved context when the last backward twin of
-its forward op has run, so peak memory tracks the graph's liveness
+compute_free_plan`), so the bytes held track the graph's liveness
 profile.  ``eager_free=False`` keeps everything until the next run (the
 §4.3 loop re-times individual ops after a run and needs them all).
-A context no backward twin will read — every one in an inference graph —
-is never kept at all (:meth:`GraphExecutor.needs_context`, structural
-like the overwrite table below).
 
 **Overwrite table** — the same liveness facts say when an input's
 *array* is dead: :func:`overwritable_inputs` lists, per op, the inputs it
@@ -61,7 +60,6 @@ every run and the §4.3 timing loop execute the same kernels.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -168,9 +166,8 @@ class GraphExecutor:
         walks the ops serially; ``N > 1`` executes every
         dependency-satisfied op concurrently with bit-identical results.
     eager_free: drop each intermediate value after its last consumer op
-        retires (and each saved context after its last backward twin).
-        ``False`` keeps everything live until the next :meth:`run` or
-        :meth:`release_intermediates`.
+        retires.  ``False`` keeps everything live until the next
+        :meth:`run` or :meth:`release_intermediates`.
 
     To reject a broken graph before running it, call
     ``repro.analysis.analyze_graph(graph).raise_if_failed()`` first.
@@ -181,6 +178,14 @@ class GraphExecutor:
                  eager_free: bool = True) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        for op in graph.ops:
+            if op.op_type == "batchnorm_bwd" and op.attrs.get("recompute"):
+                raise ValueError(
+                    f"op {op.name!r} is in-place ABN's batch-norm backward: "
+                    "it names neither its forward's input nor its output, "
+                    "so the normalized input cannot be recomputed; a "
+                    "memory-efficient model's training graph is for "
+                    "planning only")
         self.graph = graph
         #: The dtype every input arrives in and every kernel computes in.
         self.width = graph.width
@@ -222,8 +227,6 @@ class GraphExecutor:
         #: an ``eager_free=False`` run an input its consumer overwrote
         #: (:meth:`may_overwrite`) aliases that consumer's result.
         self.values: List[Optional[np.ndarray]] = list(base)
-        #: Dense by forward op id: the saved ``Function`` contexts.
-        self._contexts: List[Any] = [None] * num_ops
 
         self._input_ids = [t.id for t in graph.tensors.values()
                            if t.kind == "input"]
@@ -264,10 +267,6 @@ class GraphExecutor:
         self._consumed: List[Tuple[int, ...]] = [()] * num_ops
         for op_id, tensor_ids in consumed_by_op.items():
             self._consumed[op_id] = tuple(tensor_ids)
-        self._ctx_template: List[int] = [0] * num_ops
-        for op_id, twins in Counter(op.forward_of for op in graph.ops
-                                    if op.forward_of is not None).items():
-            self._ctx_template[op_id] = twins
         #: Dense by op id: the input tensors the op may overwrite.
         self._overwrite: List[Tuple[int, ...]] = [()] * num_ops
         for op_id, tensor_ids in overwritable_inputs(graph, counts).items():
@@ -321,10 +320,9 @@ class GraphExecutor:
 
         Repeated :meth:`run` calls (the §4.3 profiling loop) would
         otherwise keep the outputs and, without ``eager_free``, every
-        activation, gradient and forward context of the last step live.
+        activation and gradient of the last step live.
         """
         self.values = list(self._base_values)
-        self._contexts = [None] * len(self._contexts)
 
     def run(self, input_array: np.ndarray,
             targets: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
@@ -395,33 +393,26 @@ class GraphExecutor:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _retire(self, op: OpNode, counts: List[int],
-                ctx_left: List[int]) -> None:
-        """Free the values and the context made dead by ``op`` completing.
+    def _retire(self, op: OpNode, counts: List[int]) -> None:
+        """Free the values made dead by ``op`` completing.
 
-        ``counts``/``ctx_left`` are the run's copies of the refcount
-        templates.  Callers serialize calls (the wavefront holds its
-        scheduler lock), so plain list updates are safe.
+        ``counts`` is the run's copy of the refcount template.  Callers
+        serialize calls (the wavefront holds its scheduler lock), so plain
+        list updates are safe.
         """
         values = self.values
         for tensor_id in self._consumed[op.id]:
             counts[tensor_id] -= 1
             if counts[tensor_id] == 0:
                 values[tensor_id] = None
-        forward_id = op.forward_of
-        if forward_id is not None:
-            ctx_left[forward_id] -= 1
-            if ctx_left[forward_id] == 0:
-                self._contexts[forward_id] = None
 
     def _run_serial(self) -> None:
         execute, eager_free = self.execute_op, self.eager_free
         counts = list(self._counts_template)
-        ctx_left = list(self._ctx_template)
         for _, op in self._steps:
             execute(op)
             if eager_free:
-                self._retire(op, counts, ctx_left)
+                self._retire(op, counts)
 
     def _run_wavefront(self) -> None:
         """Ready-queue execution of the op DAG on a thread pool.
@@ -435,7 +426,6 @@ class GraphExecutor:
         execute = self.execute_op
         remaining = list(self._remaining_template)
         counts = list(self._counts_template)
-        ctx_left = list(self._ctx_template)
         lock = threading.Lock()
         done = threading.Event()
         failures: List[BaseException] = []
@@ -446,7 +436,7 @@ class GraphExecutor:
             ready_next: List[OpNode] = []
             with lock:
                 if self.eager_free:
-                    self._retire(op, counts, ctx_left)
+                    self._retire(op, counts)
                 for dep_id in self._dependents[op.id]:
                     remaining[dep_id] -= 1
                     if remaining[dep_id] == 0:
@@ -518,28 +508,6 @@ class GraphExecutor:
             raise ValueError(f"op {op.name!r} has no forward twin "
                              f"(forward_of={op.forward_of})")
         return forward
-
-    def needs_context(self, op: OpNode) -> bool:
-        """Will a backward twin read the context ``op`` saves?  Never in
-        an inference graph; a kernel asks before computing what only
-        ``backward`` uses."""
-        return self._ctx_template[op.id] > 0
-
-    def save_context(self, op: OpNode, fn: Any) -> None:
-        """Cache a forward op's ``Function`` for its backward twins;
-        with no twin to read (or free) it, nothing is kept."""
-        if self.needs_context(op):
-            self._contexts[op.id] = fn
-
-    def forward_context(self, op: OpNode) -> Any:
-        """The ``Function`` context saved when ``op``'s forward op ran."""
-        forward = self.forward_op(op)
-        ctx = self._contexts[forward.id]
-        if ctx is None:
-            raise RuntimeError(
-                f"op {op.name!r} needs the saved context of "
-                f"{forward.name!r}, which has not run or was already freed")
-        return ctx
 
     def dropout_op_seed(self, op: OpNode) -> Tuple[int, int]:
         """Per-op dropout seed pair: distinct layers, distinct masks."""

@@ -165,7 +165,7 @@ class Graph:
 
         Maps each op id to the set of op ids that must run before it: the
         producers of its input tensors plus, for backward ops, the forward
-        op whose saved kernel context they consume (``forward_of``).  Any
+        op they differentiate (``forward_of``).  Any
         execution order that respects these edges — including concurrent
         execution of ops whose edges are satisfied — computes the same
         values as the serialized order.

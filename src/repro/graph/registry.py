@@ -39,12 +39,12 @@ Every op type appearing in a serialized graph — forward and backward —
 has exactly one entry in :data:`REGISTRY`; :meth:`Graph.validate` fails
 loudly at graph-build time when an op has no registered definition.
 
-Numeric kernels receive ``(executor, op)``.  The batch-norm and max-pool
-forward kernels store their :class:`~repro.tensor.autograd.Function`
-context via ``executor.save_context`` so the matching backward kernels
-can reuse it through ``executor.forward_context`` instead of
-re-instantiating and re-running the forward.  Conv kernels save nothing:
-each reads only the tensors and attrs its op names.
+Numeric kernels receive ``(executor, op)`` and read only the tensors and
+attrs their op names: a batch-norm or max-pool backward recomputes the
+statistics or the first-max index from the forward input it names
+(:func:`~repro.nn.norm.batchnorm_grad`,
+:func:`~repro.tensor.ops_nn.max_pool2d_input_grad`), so the executor
+holds no bytes the graph does not declare.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.norm import BN_EPS, _BatchNormTrain
+from ..nn.norm import BN_EPS, batchnorm_forward, batchnorm_grad
 from ..tensor.ops_basic import blocked_dot
 from ..tensor.ops_nn import (
-    CrossEntropy as _CeFn, Dropout as _DropoutFn, MaxPool2d as _MaxPoolFn,
-    conv2d_forward, conv2d_input_grad, conv_output_size, shared_weight_grad,
+    CrossEntropy as _CeFn, Dropout as _DropoutFn, conv2d_forward,
+    conv2d_input_grad, conv_output_size, max_pool2d_forward,
+    max_pool2d_input_grad, shared_weight_grad,
 )
 from .ir import Graph, OpNode
 
@@ -287,17 +288,16 @@ def _k_linear_bwd_weight(ex, op):
 
 
 def _k_batchnorm(ex, op):
-    fn = _BatchNormTrain()
-    out = fn.forward(ex.input(op, 0), ex.input(op, 1), ex.input(op, 2))
-    ex.save_context(op, fn)
+    out, _, _ = batchnorm_forward(ex.input(op, 0), ex.input(op, 1),
+                                  ex.input(op, 2))
     ex.set_output(op, 0, out)
 
 
 def _k_batchnorm_bwd(ex, op):
-    grads = ex.forward_context(op).backward(ex.input(op, 0))
-    ex.set_output(op, 0, grads[0])
-    ex.set_output(op, 1, grads[1])
-    ex.set_output(op, 2, grads[2])
+    # inputs: [grad_out, x, gamma]
+    grads = batchnorm_grad(ex.input(op, 1), ex.input(op, 2), ex.input(op, 0))
+    for index, grad in enumerate(grads):
+        ex.set_output(op, index, grad)
 
 
 def _k_batchnorm_eval(ex, op):
@@ -351,15 +351,16 @@ def _relu_masked(kernel):
 
 
 def _k_maxpool2d(ex, op):
-    fn = _MaxPoolFn()
-    out = fn.forward(ex.input(op, 0), op.attrs["kernel"], op.attrs["stride"],
-                     op.attrs["padding"], need_argmax=ex.needs_context(op))
-    ex.save_context(op, fn)
-    ex.set_output(op, 0, out)
+    ex.set_output(op, 0, max_pool2d_forward(
+        ex.input(op, 0), op.attrs["kernel"], op.attrs["stride"],
+        op.attrs["padding"]))
 
 
 def _k_pool_bwd(ex, op):
-    ex.set_output(op, 0, ex.forward_context(op).backward(ex.input(op, 0))[0])
+    # inputs: [grad_out, x]; attrs are the forward's.
+    ex.set_output(op, 0, max_pool2d_input_grad(
+        ex.input(op, 1), ex.input(op, 0), op.attrs["kernel"],
+        op.attrs["stride"], op.attrs["padding"]))
 
 
 def _k_gap(ex, op):
@@ -573,8 +574,9 @@ def _one_gemm_spec(em, op, patches, grad_out, x):
     the ``add_op`` arguments of its one weight-gradient op (else ``None``).
 
     Inputs are ``[grad_0 .. grad_{S-1}, x_0 .. x_{S-1}]`` in forward patch
-    order and ``attrs["paddings"]`` each patch's padding.  The op reads
-    tensors, not saved contexts, so it has no ``forward_of`` twin link.
+    order and ``attrs["paddings"]`` each patch's padding.  It
+    differentiates ``S`` forward ops, so it has no ``forward_of`` twin
+    link.
     """
     weight_id = op.inputs[1]
     pending = em.pending.setdefault(weight_id, {})
@@ -763,6 +765,8 @@ def _char_batchnorm(graph: Graph, op: OpNode):
 
 
 def _char_batchnorm_bwd(graph: Graph, op: OpNode):
+    # Priced as cuDNN's backward, which reads the statistics its forward
+    # saved; the numeric kernel recomputes them from ``x`` instead.
     size = graph.tensor(op.outputs[0]).nbytes
     passes = 3.0
     if op.attrs.get("recompute"):

@@ -83,8 +83,8 @@ class StorageAssignment:
 
         - every graph input is a read of its tensor's TSO;
         - a backward op additionally reads the TSOs of its forward op's
-          ``saved`` tensors (the kernel may pull them from the saved
-          context rather than an explicit input);
+          ``saved`` tensors — a conservative superset, since every kernel
+          reads only the tensors its op names;
         - every output is a write of its TSO, *except* pure aliases: a
           zero-cost view (``SHARE_ALIAS``) or summation error term
           (``SHARE_SUMMATION``) whose output was actually mapped onto its

@@ -1,4 +1,5 @@
-"""Batch normalization (2-D) with a fused forward/backward kernel."""
+"""Batch normalization (2-D): the training forward and its gradient as
+plain functions (the graph kernels call them too) and the eager layer."""
 
 from __future__ import annotations
 
@@ -10,11 +11,48 @@ from ..tensor.tensor import as_tensor
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["BatchNorm2d", "BN_EPS"]
+__all__ = ["BatchNorm2d", "BN_EPS", "batchnorm_forward", "batchnorm_grad"]
 
 # Batch norm's epsilon, read by the eager layer and by the graph kernels
 # (which also record it in ``batchnorm_eval``'s attrs).
 BN_EPS = 1e-5
+
+
+_AXES = (0, 2, 3)
+
+
+def _normalize(x: np.ndarray):
+    """(mean, var, inv_std, x_hat) of ``x`` over (N, H, W) per channel —
+    the one set of expressions the forward and the gradient share."""
+    mu = x.mean(axis=_AXES, keepdims=True)
+    var = x.var(axis=_AXES, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    return mu, var, inv_std, (x - mu) * inv_std
+
+
+def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Training-mode batch norm: ``(out, mean, var)``, the batch
+    statistics per channel."""
+    mu, var, _, x_hat = _normalize(x)
+    out = gamma.reshape(1, -1, 1, 1) * x_hat + beta.reshape(1, -1, 1, 1)
+    return out, mu.reshape(-1), var.reshape(-1)
+
+
+def batchnorm_grad(x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray):
+    """``(grad_x, grad_gamma, grad_beta)`` of :func:`batchnorm_forward`.
+    The statistics and ``x_hat`` are recomputed from ``x`` with the
+    forward's own expressions, so they are the forward's bytes."""
+    _, _, inv_std, x_hat = _normalize(x)
+    m = float(x.shape[0] * x.shape[2] * x.shape[3])
+    grad_beta = grad_out.sum(axis=_AXES)
+    grad_gamma = (grad_out * x_hat).sum(axis=_AXES)
+    term = (
+        grad_out
+        - grad_beta.reshape(1, -1, 1, 1) / m
+        - x_hat * grad_gamma.reshape(1, -1, 1, 1) / m
+    )
+    grad_x = gamma.reshape(1, -1, 1, 1) * inv_std * term
+    return grad_x, grad_gamma, grad_beta
 
 
 class _BatchNormTrain(Function):
@@ -22,34 +60,14 @@ class _BatchNormTrain(Function):
 
     def forward(self, x: np.ndarray, gamma: np.ndarray,
                 beta: np.ndarray) -> np.ndarray:
-        axes = (0, 2, 3)
-        mu = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (x - mu) * inv_std
-        self.x_hat = x_hat
-        self.inv_std = inv_std
-        self.gamma = gamma
-        self.count = x.shape[0] * x.shape[2] * x.shape[3]
-        # Expose batch statistics so the module can update running averages.
-        self.batch_mean = mu.reshape(-1)
-        self.batch_var = var.reshape(-1)
-        return gamma.reshape(1, -1, 1, 1) * x_hat + beta.reshape(1, -1, 1, 1)
+        self.x, self.gamma = x, gamma
+        # Batch statistics, read by the module to update running averages.
+        out, self.batch_mean, self.batch_var = batchnorm_forward(x, gamma,
+                                                                 beta)
+        return out
 
     def backward(self, grad_output: np.ndarray):
-        axes = (0, 2, 3)
-        x_hat, inv_std = self.x_hat, self.inv_std
-        m = float(self.count)
-        grad_beta = grad_output.sum(axis=axes)
-        grad_gamma = (grad_output * x_hat).sum(axis=axes)
-        gamma_b = self.gamma.reshape(1, -1, 1, 1)
-        term = (
-            grad_output
-            - grad_beta.reshape(1, -1, 1, 1) / m
-            - x_hat * grad_gamma.reshape(1, -1, 1, 1) / m
-        )
-        grad_x = gamma_b * inv_std * term
-        return (grad_x, grad_gamma, grad_beta)
+        return batchnorm_grad(self.x, self.gamma, grad_output)
 
 
 class _BatchNormEval(Function):
@@ -87,7 +105,7 @@ class BatchNorm2d(Module):
             fn = _BatchNormTrain()
             out = _apply_function(fn, as_tensor(x), self.weight, self.bias)
             m = self.momentum
-            n = fn.count
+            n = x.shape[0] * x.shape[2] * x.shape[3]
             unbias = n / max(1.0, (n - 1.0))
             self.running_mean.data = (
                 (1.0 - m) * self.running_mean.data + m * fn.batch_mean

@@ -61,9 +61,8 @@ class MeasuredCostModel(CostModel):
 
     # ------------------------------------------------------------------
     def _measure(self, graph: Graph, parameters, input_array, targets) -> None:
-        # One full run materializes every value and forward context
-        # (eager_free stays off — the timing loop below re-reads all of
-        # them).
+        # One full run materializes every value (eager_free stays off —
+        # the timing loop below re-reads all of them).
         executor = GraphExecutor(graph, parameters, eager_free=False)
         executor.run(np.asarray(input_array).astype(executor.width,
                                                     copy=False), targets)

@@ -352,53 +352,71 @@ class Conv2d(Function):
         return (grad_input, grad_weight, grad_bias, None, None)
 
 
-class MaxPool2d(Function):
-    def forward(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
-                padding: Padding2d, need_argmax: bool = True) -> np.ndarray:
-        """Running maximum over the ``kh*kw`` window offsets, each a
-        strided slice of the window view — no ``(…, kh*kw)`` copy.
+def _pool_windows(x: np.ndarray, kernel: IntPair, stride: IntPair,
+                  padding: Padding2d):
+    """``(padded shape, offsets, running max)`` of a max-pool: each of the
+    ``kh*kw`` window offsets is a strided slice of the ``-inf``-padded
+    window view — no ``(…, kh*kw)`` copy."""
+    padded = _pad_spatial(x, padding, value=-np.inf)
+    view = _window_view(padded, kernel, stride)
+    offsets = [view[..., i, j]
+               for i in range(kernel[0]) for j in range(kernel[1])]
+    out = offsets[0].copy()
+    for candidate in offsets[1:]:
+        # (candidate, best): a tie keeps ``best``, the first maximum
+        # (+-0.0 included), and a NaN sticks — ``argmax``'s rules.
+        np.maximum(candidate, out, out=out)
+    return padded.shape, offsets, out
 
-        ``need_argmax=False`` (an executor op no backward twin reads)
-        skips the argmax ``backward`` scatters by.
-        """
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-        self.in_shape = x.shape
-        padded = _pad_spatial(x, padding, value=-np.inf)
-        self.padded_shape = padded.shape
-        view = _window_view(padded, kernel, stride)
-        offsets = [view[..., i, j]
-                   for i in range(kernel[0]) for j in range(kernel[1])]
-        out = offsets[0].copy()
-        for candidate in offsets[1:]:
-            # (candidate, best): a tie keeps ``best``, the first maximum
-            # (+-0.0 included), and a NaN sticks — ``argmax``'s rules.
-            np.maximum(candidate, out, out=out)
-        if need_argmax:
-            # The first offset holding the maximum (the first NaN of a NaN
-            # window): scan backwards, so the earliest match is written last.
-            self.argmax = np.empty(out.shape, dtype=np.int64)
-            nan = np.isnan(out)
-            any_nan = nan.any()
-            for index in range(len(offsets) - 1, -1, -1):
-                hit = offsets[index] == out
-                if any_nan:
-                    hit |= nan & np.isnan(offsets[index])
-                np.putmask(self.argmax, hit, index)
-        return out
+
+def max_pool2d_forward(x: np.ndarray, kernel: IntPair, stride: IntPair,
+                       padding: Padding2d) -> np.ndarray:
+    """Running maximum over the window offsets; computes no index."""
+    return _pool_windows(x, kernel, stride, padding)[2]
+
+
+def max_pool2d_input_grad(x: np.ndarray, grad_output: np.ndarray,
+                          kernel: IntPair, stride: IntPair,
+                          padding: Padding2d) -> np.ndarray:
+    """Scatter ``grad_output`` to the first maximum of each window of
+    ``x``, recomputing the running maximum and its index from ``x``."""
+    padded_shape, offsets, out = _pool_windows(x, kernel, stride, padding)
+    # The first offset holding the maximum (the first NaN of a NaN
+    # window): scan backwards, so the earliest match is written last.
+    argmax = np.empty(out.shape, dtype=np.int64)
+    nan = np.isnan(out)
+    any_nan = nan.any()
+    for index in range(len(offsets) - 1, -1, -1):
+        hit = offsets[index] == out
+        if any_nan:
+            hit |= nan & np.isnan(offsets[index])
+        np.putmask(argmax, hit, index)
+    kw = kernel[1]
+    sh, sw = stride
+    n, c, ho, wo = grad_output.shape
+    grad_padded = np.zeros(padded_shape, dtype=grad_output.dtype)
+    rows = np.arange(ho).reshape(1, 1, ho, 1) * sh + argmax // kw
+    cols = np.arange(wo).reshape(1, 1, 1, wo) * sw + argmax % kw
+    n_idx = np.arange(n).reshape(n, 1, 1, 1)
+    c_idx = np.arange(c).reshape(1, c, 1, 1)
+    np.add.at(grad_padded, (n_idx, c_idx, rows, cols), grad_output)
+    return _unpad_spatial_grad(grad_padded, x.shape, padding)
+
+
+class MaxPool2d(Function):
+    """Autograd binding of :func:`max_pool2d_forward`; its backward is
+    :func:`max_pool2d_input_grad`, the graph's kernel too."""
+
+    def forward(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
+                padding: Padding2d) -> np.ndarray:
+        self.x, self.kernel, self.stride, self.padding = (x, kernel, stride,
+                                                          padding)
+        return max_pool2d_forward(x, kernel, stride, padding)
 
     def backward(self, grad_output: np.ndarray):
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        n, c, ho, wo = grad_output.shape
-        grad_padded = np.zeros(self.padded_shape, dtype=grad_output.dtype)
-        ih, iw = self.argmax // kw, self.argmax % kw
-        rows = np.arange(ho).reshape(1, 1, ho, 1) * sh + ih
-        cols = np.arange(wo).reshape(1, 1, 1, wo) * sw + iw
-        n_idx = np.arange(n).reshape(n, 1, 1, 1)
-        c_idx = np.arange(c).reshape(1, c, 1, 1)
-        np.add.at(grad_padded, (n_idx, c_idx, rows, cols), grad_output)
-        grad_input = _unpad_spatial_grad(grad_padded, self.in_shape, self.padding)
-        return (grad_input, None, None, None)
+        return (max_pool2d_input_grad(self.x, grad_output, self.kernel,
+                                      self.stride, self.padding),
+                None, None, None)
 
 
 class ReLU(Function):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph import build_training_graph
 from repro.graph.executor import GraphExecutor
+from repro.graph.ir import OpNode
 from repro.nn import CrossEntropyLoss
 from repro.tensor import Tensor
 
@@ -81,6 +82,60 @@ def executor_step(model, x, y, patch_order="depth_first", **executor_kwargs):
                if t.kind == "parameter"]
     grads = [outputs[f"grad({t.name})"] for t in ordered]
     return float(outputs["loss"][0]), grads, graph
+
+
+def held_bytes(executor):
+    """``(held, declared)`` bytes of an executor, parameters and
+    constants aside: ``held`` counts its values plus every other array it
+    reaches through its attributes, ``declared`` the bytes the graph
+    declares for the values it holds.  Equal when the executor keeps
+    nothing outside the graph's tensors."""
+    persistent = {id(a) for a in executor._base_values if a is not None}
+    seen = set(persistent)
+    held = declared = 0
+    for tensor_id, value in enumerate(executor.values):
+        if value is None or id(value) in persistent:
+            continue
+        seen.add(id(value))
+        held += value.nbytes
+        declared += executor.graph.tensors[tensor_id].nbytes
+    skip = ("graph", "values", "_base_values", "targets")
+    stack = [v for k, v in vars(executor).items() if k not in skip]
+    walked = set()
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (int, float, str, OpNode)) or item is None \
+                or callable(item) or id(item) in walked:
+            continue
+        walked.add(id(item))
+        if isinstance(item, np.ndarray):
+            if id(item) not in seen:
+                seen.add(id(item))
+                held += item.nbytes
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.append(vars(item))
+    return held, declared
+
+
+def trace_held_bytes(executor, x, y):
+    """Run one step and return ``[(op, before, after)]``: the
+    :func:`held_bytes` pair just before and just after each kernel,
+    seen through the ``execute_op`` seam."""
+    trace = []
+    run_op = executor.execute_op
+
+    def recording(op):
+        before = held_bytes(executor)
+        run_op(op)
+        trace.append((op, before, held_bytes(executor)))
+
+    executor.execute_op = recording
+    executor.run(x.astype(executor.width), y)
+    return trace
 
 
 @pytest.fixture

@@ -389,13 +389,14 @@ class TestLoweringMutations:
         findings = _only_code(verify_lowering(plan), "SCA404")
         assert any(f.op_ids == (op.id,) for f in findings)
 
-    def test_sca404_wrong_context_count(self, compiled_train):
+    def test_sca404_forward_op_lowers_a_twin_reference(self,
+                                                       compiled_train):
         plan = _plan(compiled_train)
-        fid = next(op.forward_of for op in plan.graph.ops
-                   if op.forward_of is not None)
-        plan._ctx_template[fid] += 1
+        forward = next(op for op in plan.graph.ops if op.forward_of is None)
+        plan._fwd[forward.id] = plan.graph.ops[0]
         findings = _only_code(verify_lowering(plan), "SCA404")
-        assert any(f.op_ids == (fid,) for f in findings)
+        assert any(f.op_ids == (forward.id,) and "no forward_of link"
+                   in f.message for f in findings)
 
     def test_sca405_missing_parameter_value(self, compiled_train):
         plan = _plan(compiled_train)

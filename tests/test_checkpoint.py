@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import build_training_graph
+from repro.graph import GraphExecutor, build_training_graph
 from repro.graph.checkpoint import (
     append_checkpointed_backward, build_checkpointed_training_graph,
 )
@@ -11,6 +11,8 @@ from repro.hmms import HMMSPlanner
 from repro.models import small_resnet, small_vgg
 from repro.profile import CostModel
 from repro.sim import GPUSimulator
+
+from conftest import trace_held_bytes
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,29 @@ class TestTradeoffs:
         # ... but less than a full second forward pass on top of everything.
         assert cost.total_time(checkpointed) < \
             cost.total_time(plain) + 2 * cost.total_time(plain, "forward")
+
+    def test_executor_holds_fewer_bytes_after_the_forward(self):
+        """The executor keeps what the plan keeps: after small_resnet's
+        last forward op (batch 2, float32, eager free) the checkpointed
+        graph holds fewer bytes than the plain one, and each holds exactly
+        the declared bytes of its values — no batch-norm or max-pool
+        state of the checkpointed trunk stays live beside them."""
+        image = np.random.default_rng(0).standard_normal((2, 3, 32, 32))
+        held = {}
+        for build in (build_training_graph,
+                      build_checkpointed_training_graph):
+            model = small_resnet(rng=np.random.default_rng(0))
+            graph = build(model, 2)
+            executor = GraphExecutor(
+                graph, GraphExecutor.parameters_from_model(graph, model))
+            trace = trace_held_bytes(executor, image, np.arange(2))
+            first = next(op for op in graph.ops if op.phase == "backward")
+            [held[build]] = [before for op, before, _ in trace
+                             if op is first]
+        plain = held[build_training_graph]
+        checkpointed = held[build_checkpointed_training_graph]
+        assert plain[0] == plain[1] and checkpointed[0] == checkpointed[1]
+        assert checkpointed[0] < plain[0]
 
     def test_saved_bytes_shrink(self, checkpointed, plain):
         saved_plain = sum(t.nbytes for t in plain.saved_tensors())

@@ -9,7 +9,8 @@ from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.graph.executor import GraphExecutor
 from repro.hmms import HMMSPlanner
-from repro.models import small_resnet, small_vgg
+from repro.models import resnet18, small_resnet, small_vgg
+from repro.nn import init
 from repro.profile.measured import MeasuredCostModel
 
 
@@ -130,10 +131,27 @@ class TestExecutorValidation:
             executor.execute_op(forward)
         with pytest.raises(ValueError, match="no forward twin"):
             executor.forward_op(forward)
+        # A backward op reads only tensors its op names: a re-run after
+        # its gradient input was freed hits the same guard.
         backward = next(op for op in graph.ops
                         if op.forward_of == graph.ops[0].id)
-        with pytest.raises(RuntimeError, match="saved context"):
-            executor.forward_context(backward)
+        with pytest.raises(RuntimeError, match="already freed"):
+            executor.execute_op(backward)
+
+    def test_memory_efficient_batchnorm_is_rejected(self):
+        """In-place ABN's batch-norm backward names neither its forward's
+        input nor its output, so no kernel can recompute the normalized
+        input: the graph is planned, never run."""
+        with init.fast_init():
+            model = resnet18(dataset="cifar", memory_efficient=True)
+        graph = build_training_graph(model, 2)
+        params = GraphExecutor.parameters_from_model(graph, model)
+        [first] = [op for op in graph.ops if op.op_type == "batchnorm_bwd"
+                   and op.attrs["recompute"]][:1]
+        with pytest.raises(ValueError, match="in-place ABN") as info:
+            GraphExecutor(graph, params)
+        assert repr(first.name) in str(info.value)
+        assert HMMSPlanner(scheduler="none").plan(graph).graph is graph
 
     def test_loss_requires_targets(self, rng):
         model = small_vgg(num_classes=3, rng=rng)

@@ -141,12 +141,11 @@ class TestEagerFree:
         keep_out = keep.run(x, y)
         # Same numbers either way...
         assert _outputs_bytes(eager_out) == _outputs_bytes(keep_out)
-        # ...but the eager run retired consumed intermediates and spent
-        # contexts on the fly instead of holding one whole step.
+        # ...but the eager run retired consumed intermediates on the fly
+        # instead of holding one whole step.
         def live(table):
             return sum(entry is not None for entry in table)
         assert live(eager.values) < live(keep.values)
-        assert not live(eager._contexts) and live(keep._contexts)
         # Outputs and parameters survive the freeing.
         for tensor_id in eager._pinned:
             assert eager.values[tensor_id] is not None

@@ -1,29 +1,35 @@
-"""``MaxPool2d.forward`` is a running maximum over window offsets; it must
-return the bytes (and, when asked, the argmax) of the formulation it
+"""``max_pool2d_forward`` is a running maximum over window offsets, and
+``max_pool2d_input_grad`` recomputes the first-max index from ``x`` and
+scatters to it; both must return the bytes of the formulation they
 replaced.
 
 The reference below *is* that formulation — reshape the window view to
-``(..., kh*kw)`` (a copy), ``argmax``, ``take_along_axis`` — kept inside
-this test.  Its tie and NaN rules are ``argmax``'s: the first maximum wins
-(``-0.0`` before ``+0.0`` stays ``-0.0``), the first NaN of a window wins
-over everything.  A strict-``>`` masked update passes every NaN-free case
-and fails every NaN one (a later NaN is never picked), so NaN windows and
+``(..., kh*kw)`` (a copy), ``argmax``, ``take_along_axis``, then add each
+output gradient at its window's ``argmax`` — kept inside this test.  Its
+tie and NaN rules are ``argmax``'s: the first maximum wins (``-0.0``
+before ``+0.0`` stays ``-0.0``), the first NaN of a window wins over
+everything.  A strict-``>`` masked update passes every NaN-free case and
+fails every NaN one (a later NaN is never picked), so NaN windows and
 signed-zero ties are drawn on purpose.
 
-Also here: who decides that the argmax is dead.  The executor knows which
-forward ops have a backward twin; an inference graph has none, keeps no
-context, and its max-pools compute no argmax.
+Also here: an inference max-pool computes no index.  Only a backward op
+calls ``max_pool2d_input_grad``, and the executor keeps nothing beside
+the values its graph declares.
 """
 
 import numpy as np
 import pytest
 
 from repro.graph import (
-    GraphExecutor, build_inference_graph, build_training_graph,
+    GraphExecutor, build_inference_graph, build_training_graph, registry,
 )
 from repro.models import small_vgg
 from repro.tensor import Tensor, max_pool2d
-from repro.tensor.ops_nn import MaxPool2d, _pad_spatial, _window_view
+from repro.tensor.ops_nn import (
+    _pad_spatial, _window_view, max_pool2d_forward, max_pool2d_input_grad,
+)
+
+from conftest import held_bytes
 
 
 def _reference(x, kernel, stride, padding):
@@ -34,6 +40,24 @@ def _reference(x, kernel, stride, padding):
     argmax = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
     return np.ascontiguousarray(out), argmax
+
+
+def _reference_grad(x, grad_out, kernel, stride, padding, argmax):
+    """Add each output gradient at its window's ``argmax``, in C order;
+    a maximum on the padding (an all-padding window) reaches no input."""
+    (top, _), (left, _) = padding
+    n, c, ho, wo = grad_out.shape
+    rows = (np.arange(ho).reshape(ho, 1) * stride[0]
+            + argmax // kernel[1] - top)
+    cols = (np.arange(wo).reshape(1, wo) * stride[1]
+            + argmax % kernel[1] - left)
+    inside = ((rows >= 0) & (rows < x.shape[2])
+              & (cols >= 0) & (cols < x.shape[3]))
+    batch, channel = np.indices(grad_out.shape)[:2]
+    grad = np.zeros(x.shape, dtype=grad_out.dtype)
+    np.add.at(grad, (batch[inside], channel[inside], rows[inside],
+                     cols[inside]), grad_out[inside])
+    return grad
 
 
 def _draw(rng, kind):
@@ -67,29 +91,31 @@ def test_bytes_and_argmax_equal_the_reshape_formulation(kind):
         expected, argmax = _reference(x, kernel, stride, padding)
         case = (x.shape, kernel, stride, padding)
 
-        with_argmax = MaxPool2d()
-        out = with_argmax.forward(x, kernel, stride, padding)
+        out = max_pool2d_forward(x, kernel, stride, padding)
         assert out.flags.c_contiguous and out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes(), case
-        assert with_argmax.argmax.dtype == argmax.dtype
-        assert np.array_equal(with_argmax.argmax, argmax), case
 
-        without = MaxPool2d()
-        out = without.forward(x, kernel, stride, padding, need_argmax=False)
-        assert out.flags.c_contiguous
-        assert out.tobytes() == expected.tobytes(), case
-        assert not hasattr(without, "argmax")
+        grad_out = rng.standard_normal(out.shape)
+        grad = max_pool2d_input_grad(x, grad_out, kernel, stride, padding)
+        want = _reference_grad(x, grad_out, kernel, stride, padding, argmax)
+        assert grad.shape == x.shape and grad.dtype == want.dtype
+        assert grad.tobytes() == want.tobytes(), case
 
 
 def test_neg_inf_pad_never_wins_and_all_pad_windows_stay_neg_inf():
     x = np.full((1, 1, 4, 4), -1e300)
-    fn = MaxPool2d()
-    out = fn.forward(x, (2, 2), (2, 2), ((2, 0), (0, 2)))
-    expected, argmax = _reference(x, (2, 2), (2, 2), ((2, 0), (0, 2)))
+    args = ((2, 2), (2, 2), ((2, 0), (0, 2)))
+    out = max_pool2d_forward(x, *args)
+    expected, argmax = _reference(x, *args)
     assert out.tobytes() == expected.tobytes()
-    assert np.array_equal(fn.argmax, argmax)
     assert np.isneginf(out[0, 0, 0]).all()          # a window of padding
     assert (out[0, 0, 1:, :2] == -1e300).all()
+    grad_out = np.arange(1.0, 1.0 + out.size).reshape(out.shape)
+    grad = max_pool2d_input_grad(x, grad_out, *args)
+    assert grad.tobytes() == _reference_grad(x, grad_out, *args,
+                                             argmax).tobytes()
+    # The all-padding windows' gradients reach no input.
+    assert grad.sum() == grad_out[0, 0, 1:, :2].sum()
 
 
 def test_gradient_scatters_to_the_first_maximum():
@@ -99,7 +125,7 @@ def test_gradient_scatters_to_the_first_maximum():
 
 
 # ----------------------------------------------------------------------
-# The executor says when a context is dead on arrival
+# An inference max-pool computes no index
 # ----------------------------------------------------------------------
 def _graphs():
     model = small_vgg(num_classes=4, rng=np.random.default_rng(0))
@@ -109,63 +135,38 @@ def _graphs():
     return train, infer, params
 
 
-def _live(table):
-    return sum(entry is not None for entry in table)
-
-
 def test_inference_run_holds_no_context():
     _, infer, params = _graphs()
     x = np.random.default_rng(1).standard_normal((2, 3, 32, 32),
                                                  dtype=np.float32)
     for eager_free in (True, False):
         executor = GraphExecutor(infer, params, eager_free=eager_free)
-        assert not any(executor.needs_context(op) for op in infer.ops)
         executor.run(x)
-        # Before release_intermediates: nothing was pinned to begin with.
-        assert _live(executor._contexts) == 0
+        held, declared = held_bytes(executor)
+        assert held == declared > 0
 
 
-def test_training_run_still_frees_contexts_at_the_last_twin():
-    train, _, params = _graphs()
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 3, 32, 32), dtype=np.float32)
-    y = np.array([1, 3])
-    twinned = {op.forward_of for op in train.ops
-               if op.forward_of is not None}
-    eager = GraphExecutor(train, params)
-    keep = GraphExecutor(train, params, eager_free=False)
-    assert {op.id for op in train.ops if eager.needs_context(op)} == twinned
-    eager.run(x, y)
-    keep.run(x, y)
-    assert _live(eager._contexts) == 0
-    kept = {op_id for op_id, ctx in enumerate(keep._contexts)
-            if ctx is not None}
-    assert kept and kept <= twinned
-
-
-def test_the_maxpool_kernel_asks_the_executor():
+def test_an_inference_maxpool_computes_no_index():
     train, infer, params = _graphs()
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 32, 32), dtype=np.float32)
     y = np.array([1, 3])
-    seen = {}
-    forward = MaxPool2d.forward
+    calls = []
 
-    def spy(self, *args, need_argmax=True):
-        seen.setdefault(need_argmax, 0)
-        seen[need_argmax] += 1
-        return forward(self, *args, need_argmax=need_argmax)
+    def spy(*args):
+        calls.append(args)
+        return max_pool2d_input_grad(*args)
 
     pools = sum(op.op_type == "maxpool2d" for op in infer.ops)
-    assert pools
+    twins = sum(op.op_type == "maxpool2d_bwd" for op in train.ops)
+    assert pools and twins
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MaxPool2d, "forward", spy)
+        patch.setattr(registry, "max_pool2d_input_grad", spy)
         logits = GraphExecutor(infer, params).run(x)["logits"]
-        assert seen == {False: pools}
-        seen.clear()
+        assert calls == []
         GraphExecutor(train, params).run(x, y)
-        assert seen == {True: pools}
-    # Same bytes as the eager model, whose pools all compute the argmax.
+        assert len(calls) == twins
+    # Same bytes as the eager model.
     model = small_vgg(num_classes=4, rng=np.random.default_rng(0))
     model.eval()
     assert logits.tobytes() == model(Tensor(x)).numpy().tobytes()

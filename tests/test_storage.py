@@ -17,7 +17,7 @@ from repro.models import (
 )
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential, init
 
-from conftest import to_float64
+from conftest import to_float64, trace_held_bytes
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,26 @@ class TestRuntimeWidth:
                 held += value.nbytes
                 declared += tensor.nbytes
         assert held == declared > 0
+
+    @pytest.mark.parametrize("splits", [1, 2])
+    @pytest.mark.parametrize("name", ["small_resnet", "small_vgg"])
+    def test_every_step_holds_only_declared_bytes(self, name, splits):
+        """Batch norm (small_resnet) and max-pool (small_vgg) backward
+        recompute what they need from the tensors they name: before and
+        after every kernel of an eager-free training step, the bytes the
+        executor reaches equal the declared bytes of the values it
+        holds."""
+        model = _split(name, splits)
+        graph = build_training_graph(model, 2)
+        executor = GraphExecutor(
+            graph, GraphExecutor.parameters_from_model(graph, model))
+        [x] = [t for t in graph.tensors.values() if t.kind == "input"]
+        image = np.random.default_rng(0).standard_normal(x.shape)
+        trace = trace_held_bytes(executor, image, np.arange(2))
+        assert [op for op, _, _ in trace] == graph.ops
+        for op, before, after in trace:
+            assert before[0] == before[1] > 0, op.name
+            assert after[0] == after[1], op.name
 
     def test_small_vgg_inference_holds_its_declared_bytes(self):
         graph, executor = _held("small_vgg", 1, "infer")

@@ -32,6 +32,8 @@ from repro.nn import CrossEntropyLoss, init
 from repro.tensor import Tensor
 from repro.tensor.ops_nn import conv2d_forward, shared_weight_grad
 
+from conftest import held_bytes
+
 REFERENCE_RTOL = 1e-9
 
 
@@ -136,7 +138,6 @@ class TestGate:
         model = split_vgg11()
         graph = build_training_graph(model, 2)
         params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params)
         read = set()
         for op in one_gemm_ops(graph):
             assert op.forward_of is None
@@ -149,7 +150,6 @@ class TestGate:
         assert len(stacked) == 6
         for op in stacked:
             assert set(op.inputs[:4]) <= read, op.name
-            assert executor._ctx_template[op.id] == 1, op.name
             (twin,) = [other for other in graph.ops
                        if other.forward_of == op.id]
             assert twin.op_type == "conv2d_bwd_data_siblings"
@@ -161,8 +161,8 @@ class TestGate:
 
 
 def assert_conv_backward_reads_only_graph_tensors(graph, params, x, y):
-    """After an ``eager_free=False`` run no conv forward holds a saved
-    context, and every conv backward op re-run with no context at all
+    """After an ``eager_free=False`` run the executor holds only the
+    declared bytes of its values, and every conv backward op re-run
     writes the bytes it wrote in the run."""
     executor = GraphExecutor(graph, params, eager_free=False)
     written = {}
@@ -176,10 +176,8 @@ def assert_conv_backward_reads_only_graph_tensors(graph, params, x, y):
 
     executor.execute_op = recording
     executor.run(x.astype(executor.width), y)
-    convs = [op for op in graph.forward_ops()
-             if op.op_type.startswith("conv2d")]
-    assert convs and all(executor._contexts[op.id] is None for op in convs)
-    executor._contexts = [None] * len(executor._contexts)
+    held, declared = held_bytes(executor)
+    assert held == declared > 0
     backward = [op for op in graph.ops if is_conv_backward(op)]
     assert sorted(written) == sorted(op.id for op in backward)
     for op in backward:
@@ -332,8 +330,8 @@ class TestStacking:
 
     @pytest.mark.parametrize("factory,kwargs,depth", [
         (vgg11, {"num_classes": 10}, 1.0),
-        (partial(build_model, "resnet18"), {"memory_efficient": True}, 0.5),
-    ], ids=["vgg11-2x2", "resnet18-me-2x2"])
+        (partial(build_model, "resnet18"), {}, 0.5),
+    ], ids=["vgg11-2x2", "resnet18-2x2"])
     def test_matches_eager_autograd(self, factory, kwargs, depth):
         model = float64_model(factory, (2, 2), depth=depth, **kwargs)
         graph = build_training_graph(model, 2)
