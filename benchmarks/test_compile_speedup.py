@@ -8,7 +8,7 @@ batched im2col call.  Both graphs run on the one executor
 the rewrites'.  The training row's builder graph already stacks the
 split layers whose patches hold no more elements than their weight (the
 forward, data- and weight-gradient GEMMs of VGG-11's conv2-7 at batch
-2), so that row measures chain fusion plus the compiler's stacking of
+2), so that row measures ReLU folding plus the compiler's stacking of
 the rest.  Interpreter and compiled steps alternate within every
 timing round.  This benchmark times one IR step of VGG-11 (CIFAR head)
 three ways — unsplit inference, split-2x2 inference, split-2x2 training

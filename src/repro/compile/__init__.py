@@ -2,7 +2,7 @@
 
 Entry points:
 
-- :func:`compile_graph` — fuse (chain, sibling, ReLU backward), then fold
+- :func:`compile_graph` — stack split layers, fold ReLUs, then fold
   constants, over a graph in place; returns a :class:`CompileReport`
   whose fingerprint is :data:`FINGERPRINT`.
 - ``CompiledPlan`` — the old name of

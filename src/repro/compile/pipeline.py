@@ -1,15 +1,14 @@
 """The compiler's entry point over serialized graphs.
 
-:func:`compile_graph` runs chain, sibling and ReLU backward fusion, then
-constant folding, over a graph in place and reports what each pass did.
-The passes' output graphs are identified by :data:`FINGERPRINT`, which
-every serving plan-cache key includes to keep compiled and uncompiled
-plans apart.
+:func:`compile_graph` stacks split layers, folds ReLUs into their
+producers, then folds constants, over a graph in place and reports what
+each pass did.  The passes' output graphs are identified by
+:data:`FINGERPRINT`, which every serving plan-cache key includes to keep
+compiled and uncompiled plans apart.
 
-The rewrites are written directly in :mod:`repro.compile.rewrites`: a
-two-entry conv→ReLU fusion table, the builder's split-layer stacking
-(:func:`repro.graph.siblings.stack_layers`), a three-entry table folding
-``relu_bwd`` into the backward op producing its gradient, and the
+The rewrites are written directly in :mod:`repro.compile.rewrites`: the
+builder's split-layer stacking (:func:`repro.graph.siblings.stack_layers`),
+one ReLU fold driven by the registry's ``relu_fused`` types, and the
 ``batchnorm_eval`` fold.
 """
 
@@ -26,11 +25,11 @@ from .rewrites import PassResult, fold_constants, fuse_ops
 __all__ = ["FINGERPRINT", "CompileReport", "compile_graph"]
 
 #: Compilation identity of :func:`compile_graph`'s output graphs (the
-#: digest of ``fuse_ops@1|fold_constants@1`` it was born as).  Serving
-#: plan caches key on it, and the only compiled graphs they hold are
-#: inference graphs: change it whenever a compiled *inference* graph
-#: changes, not for a rewrite that moves training graphs alone.
-FINGERPRINT = "2e105fded4f4"
+#: digest of ``fuse_ops@2|fold_constants@1``).  Serving plan caches key
+#: on it, and the only compiled graphs they hold are inference graphs:
+#: change it whenever a compiled *inference* graph changes, not for a
+#: rewrite that moves training graphs alone.
+FINGERPRINT = "aa56545d2eeb"
 
 
 @dataclass

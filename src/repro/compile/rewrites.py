@@ -1,64 +1,45 @@
 """Byte-identity-preserving graph rewrites: fusion and constant folding.
 
-Four rewrites, each a direct walk over the graph:
+Three rewrites, each a direct walk over the graph:
 
-- **Chain fusion** — a forward ``conv2d`` (or a stacked
-  ``conv2d_siblings``) whose every output feeds one ReLU becomes one
-  ``conv2d_relu`` (``conv2d_relu_siblings``), per :data:`_RELU_FUSED`.
-  The fused kernels run the exact member kernels back to back on the
-  same arrays, so values are bit-identical; what is saved is the per-op
-  dispatch, bookkeeping, and the intermediate tensor's graph traffic.
 - **Sibling fusion** — stack the S per-patch convs of each split layer
   the builder left per patch into one batched op (the ``OpDef``'s
   ``sibling_fused`` type), through the builder's own
-  :func:`~repro.graph.siblings.stack_layers`.  Chains go first, so
-  per-patch conv+ReLU pairs become ``conv2d_relu`` siblings before
-  stacking.  A chain layer's ``bwd_weight`` twins stay per-sibling
-  (merging them here would reorder its ``grad_acc`` sum against the
-  interpreted graph), each reading its own patch's tensors.
-- **ReLU backward fusion** — a ``maxpool2d_bwd``, ``conv2d_bwd_data`` or
-  stacked ``conv2d_bwd_data_siblings`` whose every output is a gradient
-  read only by one ``relu_bwd`` takes those masks in, per
-  :data:`_RELU_BWD_FUSED`.  The fused kernel runs the producer's kernel
-  and then ``relu_bwd``'s exact expression, so values are bit-identical.
-  Stacking goes first, so a stacked ``bwd_data`` takes all S masks.
+  :func:`~repro.graph.siblings.stack_layers`.  A stacked layer's
+  ``bwd_weight`` twins stay per-sibling (merging them here would reorder
+  its ``grad_acc`` sum against the interpreted graph), each reading its
+  own patch's tensors.
+- **ReLU folding** — an op whose type names a ``relu_fused`` type, and
+  whose every output is read only by one ReLU (``relu`` forward,
+  ``relu_bwd`` backward) as its input 0, becomes one op of that type with
+  the ReLUs.  The fused kernel runs the producer's kernel and then each
+  ReLU's exact expression, so values are bit-identical; what is saved is
+  the per-op dispatch, bookkeeping, and the intermediate tensors.  It
+  runs after stacking, so a stacked op folds all S ReLUs.
 - **Constant folding** — a ``batchnorm_eval`` whose γ and σ² are known
   becomes a ``bn_affine`` whose scale ``γ/√(σ²+ε)`` is precomputed into
   a constant tensor, eliding the per-step rsqrt.
 
-Chain and ReLU backward fusion place the fused op at the head's (the
-producer's) position, which keeps the serialization valid.  Sibling
-fusion moves work across branches, so it ends with a stable Kahn
-re-serialization (ready ops picked in original-position order) and
-fails loudly on cycles.
+The ReLU fold places the fused op at the producer's position, which
+keeps the serialization valid.  Sibling fusion moves work across
+branches, so it ends with a stable Kahn re-serialization (ready ops
+picked in original-position order) and fails loudly on cycles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..graph.executor import OUTPUT_NAMES
 from ..graph.ir import Graph, OpNode
 from ..graph.registry import op_def
 from ..graph.siblings import attr_key, new_op_id, stack_layers, take_inputs
 from ..nn.norm import BN_EPS
 
 __all__ = ["PassResult", "fuse_ops", "fold_constants"]
-
-#: Chain fusion: the fused type of a forward conv whose every output
-#: feeds one ReLU (a stacked head fuses one ReLU per output).
-_RELU_FUSED = {"conv2d": "conv2d_relu",
-               "conv2d_siblings": "conv2d_relu_siblings"}
-
-#: ReLU backward fusion: the fused type of a backward op whose every
-#: output is a gradient that only one ``relu_bwd`` reads.
-_RELU_BWD_FUSED = {"maxpool2d_bwd": "maxpool2d_bwd_relu",
-                   "conv2d_bwd_data": "conv2d_bwd_data_relu",
-                   "conv2d_bwd_data_siblings": "conv2d_bwd_data_relu_siblings"}
 
 
 @dataclass
@@ -71,137 +52,6 @@ class PassResult:
     details: Dict[str, int] = field(default_factory=dict)
 
 
-def _twin_map(graph: Graph) -> Dict[int, List[OpNode]]:
-    """Forward op id -> the backward ops whose ``forward_of`` names it."""
-    twins: Dict[int, List[OpNode]] = {}
-    for op in graph.ops:
-        if op.forward_of is not None:
-            twins.setdefault(op.forward_of, []).append(op)
-    return twins
-
-
-# ----------------------------------------------------------------------
-# Chain fusion
-# ----------------------------------------------------------------------
-
-def _follower(graph: Graph, head: OpNode, tensor_id: int) -> Optional[OpNode]:
-    """The ReLU that alone consumes head output ``tensor_id``, as its
-    data input, or ``None``."""
-    out = graph.tensors[tensor_id]
-    if out.kind != "activation" or out.name in OUTPUT_NAMES:
-        return None
-    consumer_ids = set(out.consumers) - {head.id}
-    if len(consumer_ids) != 1:
-        return None
-    candidate = graph.op_by_id(consumer_ids.pop())
-    if (candidate.op_type != "relu"
-            or candidate.phase != "forward"
-            or candidate.inputs.count(out.id) != 1
-            or candidate.inputs[0] != out.id):
-        return None
-    return candidate
-
-
-def _match_chain(graph: Graph, head: OpNode) -> Optional[List[OpNode]]:
-    """The ReLU follower of each output of a fusable ``head``, or ``None``.
-
-    A head output is fusable when it is a plain activation with *exactly
-    one* consumer — the follower, reading it as its data input.
-    Saved-for-backward reads and backward-op inputs appear in
-    ``consumers`` too, so an output someone else still needs
-    automatically fails the single-consumer test.  A stacked head
-    (``conv2d_siblings``) matches when each of its S outputs has a
-    follower.
-    """
-    if head.op_type not in _RELU_FUSED or head.phase != "forward":
-        return None
-    followers = [_follower(graph, head, tensor_id)
-                 for tensor_id in head.outputs]
-    if any(follower is None for follower in followers):
-        return None
-    chain_ids = {head.id} | {follower.id for follower in followers}
-    if any(tensor_id in op.saved
-           for op in graph.ops if op.id not in chain_ids
-           for tensor_id in head.outputs):
-        return None
-    return followers
-
-
-def _apply_chain_fusion(graph: Graph, head: OpNode,
-                        followers: List[OpNode], fused_type: str,
-                        twins: Dict[int, List[OpNode]]) -> None:
-    chain = [head] + followers
-    chain_ids = {member.id for member in chain}
-    final_outs = [graph.tensors[follower.outputs[0]]
-                  for follower in followers]
-    deleted = set(head.outputs)
-
-    input_ids = list(head.inputs)
-    attrs = dict(head.attrs)
-    for member in followers:
-        input_ids.extend(member.inputs[1:])
-        for key, value in member.attrs.items():
-            attrs.setdefault(key, value)
-    saved: List[int] = []
-    for member in chain:
-        for tensor_id in member.saved:
-            if tensor_id not in deleted and tensor_id not in saved:
-                saved.append(tensor_id)
-
-    fused = OpNode(
-        id=new_op_id(graph),
-        name=f"{head.name}+{followers[0].op_type}",
-        op_type=fused_type, inputs=input_ids,
-        outputs=[out.id for out in final_outs],
-        attrs=attrs, phase="forward", saved=saved,
-        workspace_bytes=head.workspace_bytes,
-    )
-
-    for tensor_id in deleted:
-        graph.tensors.pop(tensor_id)
-    take_inputs(graph, fused, chain_ids)
-    for out in final_outs:
-        out.producer = fused.id
-        out.consumers = [c for c in out.consumers if c not in chain_ids]
-    for tensor_id in saved:
-        tensor = graph.tensors[tensor_id]
-        if fused.id not in tensor.consumers:
-            tensor.consumers.append(fused.id)
-
-    head_position = graph.ops.index(head)
-    graph.ops[head_position] = fused
-    trailing = chain_ids - {head.id}
-    graph.ops = [op for op in graph.ops if op.id not in trailing]
-
-    merged_twins: List[OpNode] = []
-    for member in chain:
-        for twin in twins.pop(member.id, []):
-            twin.forward_of = fused.id
-            merged_twins.append(twin)
-    if merged_twins:
-        twins[fused.id] = merged_twins
-
-
-def _fuse_chains(graph: Graph, details: Counter) -> int:
-    changed = 0
-    twins = _twin_map(graph)
-    index = 0
-    while index < len(graph.ops):
-        head = graph.ops[index]
-        followers = _match_chain(graph, head)
-        if followers is not None:
-            fused_type = _RELU_FUSED[head.op_type]
-            _apply_chain_fusion(graph, head, followers, fused_type, twins)
-            details[fused_type] += 1
-            changed += 1
-        index += 1
-    return changed
-
-
-# ----------------------------------------------------------------------
-# Sibling fusion
-# ----------------------------------------------------------------------
-
 def _fuse_siblings(graph: Graph, details: Counter) -> int:
     """Stack the forward ops of a ``sibling_fused`` type grouped by (type,
     shared weight and bias, input shape, attrs), in first-member order.
@@ -209,8 +59,8 @@ def _fuse_siblings(graph: Graph, details: Counter) -> int:
     Forward convs that share a weight are one split layer, whose patches
     are independent — the rule the builder's ``_one_gemm_patches`` uses
     too.  A graph that breaks it (one conv applied twice in a chain)
-    stacks into an op that reads its own output, which
-    :meth:`Graph.validate` rejects with ``ValueError``.
+    stacks into an op that depends on its own output, which
+    :func:`~repro.graph.siblings.reserialize` rejects with ``ValueError``.
     """
     groups: Dict[Tuple, List[OpNode]] = {}
     for op in graph.ops:
@@ -225,68 +75,89 @@ def _fuse_siblings(graph: Graph, details: Counter) -> int:
     return stack_layers(graph, layers)
 
 
-# ----------------------------------------------------------------------
-# ReLU backward fusion
-# ----------------------------------------------------------------------
-
-def _mask_of(graph: Graph, tensor_id: int) -> Optional[OpNode]:
-    """The ``relu_bwd`` that alone consumes gradient ``tensor_id``, as its
-    gradient input, or ``None``."""
+def _sole_relu(graph: Graph, ops: Dict[int, OpNode], tensor_id: int,
+               relu_type: str) -> Optional[OpNode]:
+    """The ``relu_type`` op (of ``ops``, by id) that is the one reader of
+    ``tensor_id``, as its input 0, or ``None``.  Saving a tensor makes the
+    saver a reader too, so a tensor anyone else needs fails the test."""
     consumers = graph.tensors[tensor_id].consumers
     if len(consumers) == 1:
-        mask = graph.op_by_id(consumers[0])
-        if mask.op_type == "relu_bwd" and mask.inputs[0] == tensor_id:
-            return mask
+        relu = ops[consumers[0]]
+        if relu.op_type == relu_type and relu.inputs[0] == tensor_id:
+            return relu
     return None
 
 
-def _fuse_relu_backward(graph: Graph, details: Counter) -> int:
-    """Fold each ``relu_bwd`` into the op producing its gradient, per
-    :data:`_RELU_BWD_FUSED`, when every output of that op feeds one.
+def _fold_relus(graph: Graph, details: Counter) -> int:
+    """Fold into each producer with a ``relu_fused`` type the ReLUs that
+    alone read its outputs, in one walk.
 
-    The fused op takes the ReLU outputs as trailing inputs, writes the
-    masked gradients and sits at the producer's position; the pre-mask
-    gradients are deleted.
+    The fused op sits at the producer's position; its inputs are the
+    producer's then each ReLU's other inputs, its outputs the ReLUs',
+    its ``saved`` the members' union, and twins of a member become its
+    twins.  The tensors the ReLUs consumed are deleted.
     """
-    changed = 0
-    for producer in list(graph.ops):
-        fused_type = _RELU_BWD_FUSED.get(producer.op_type)
+    ops = {op.id: op for op in graph.ops}
+    twins: Dict[int, List[OpNode]] = {}
+    for op in graph.ops:
+        if op.forward_of is not None:
+            twins.setdefault(op.forward_of, []).append(op)
+    fused_at: Dict[int, OpNode] = {}
+    folded: Set[int] = set()
+    for producer in graph.ops:
+        fused_type = op_def(producer.op_type).relu_fused
         if fused_type is None:
             continue
-        masks = [_mask_of(graph, tensor_id) for tensor_id in producer.outputs]
-        if any(mask is None for mask in masks):
+        relu_type = "relu" if producer.phase == "forward" else "relu_bwd"
+        relus = [_sole_relu(graph, ops, tensor_id, relu_type)
+                 for tensor_id in producer.outputs]
+        if any(relu is None for relu in relus):
             continue
+        members = [producer] + relus
+        attrs = dict(producer.attrs)
+        saved: List[int] = []
+        for member in members:
+            for key, value in member.attrs.items():
+                attrs.setdefault(key, value)
+            saved.extend(t for t in member.saved if t not in saved)
         fused = OpNode(
-            id=new_op_id(graph), name=f"{producer.name}+relu_bwd",
+            id=new_op_id(graph), name=f"{producer.name}+{relu_type}",
             op_type=fused_type,
-            inputs=producer.inputs + [mask.inputs[1] for mask in masks],
-            outputs=[mask.outputs[0] for mask in masks],
-            attrs=dict(producer.attrs), phase="backward",
+            inputs=producer.inputs + [t for relu in relus
+                                      for t in relu.inputs[1:]],
+            outputs=[relu.outputs[0] for relu in relus],
+            attrs=attrs, phase=producer.phase, saved=saved,
             workspace_bytes=producer.workspace_bytes,
             forward_of=producer.forward_of,
         )
-        old_ids = {producer.id} | {mask.id for mask in masks}
-        take_inputs(graph, fused, old_ids)
+        member_ids = {member.id for member in members}
+        take_inputs(graph, fused, member_ids)
         for tensor_id in producer.outputs:
             graph.tensors.pop(tensor_id)
         for tensor_id in fused.outputs:
-            graph.tensors[tensor_id].producer = fused.id
-        graph.ops[graph.ops.index(producer)] = fused
-        graph.ops = [op for op in graph.ops if op.id not in old_ids]
+            out = graph.tensors[tensor_id]
+            out.producer = fused.id
+            out.consumers = [c for c in out.consumers if c not in member_ids]
+        for tensor_id in saved:
+            if fused.id not in graph.tensors[tensor_id].consumers:
+                graph.tensors[tensor_id].consumers.append(fused.id)
+        for member in members:
+            for twin in twins.get(member.id, ()):
+                twin.forward_of = fused.id
+        fused_at[producer.id] = fused
+        folded.update(relu.id for relu in relus)
         details[fused_type] += 1
-        changed += 1
-    return changed
+    graph.ops = [fused_at.get(op.id, op) for op in graph.ops
+                 if op.id not in folded]
+    return len(fused_at)
 
 
 def fuse_ops(graph: Graph) -> PassResult:
-    """Chain fusion, then sibling fusion (chains first so the per-patch
-    conv+ReLU pairs become ``conv2d_relu`` siblings before stacking), then
-    ReLU backward fusion (after stacking, so a stacked ``bwd_data`` takes
-    all S masks)."""
+    """Stack split layers, then fold ReLUs (after stacking, so a stacked
+    op folds all S ReLUs of its outputs)."""
     details: Counter = Counter()
-    changed = _fuse_chains(graph, details)
-    changed += _fuse_siblings(graph, details)
-    changed += _fuse_relu_backward(graph, details)
+    changed = _fuse_siblings(graph, details)
+    changed += _fold_relus(graph, details)
     return PassResult("fuse_ops", changed, dict(details))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from .ir import Graph
+from .registry import EFF_MEMORY, REGISTRY
 
 # networkx is imported inside the two functions that use it: every
 # process loads this module through ``repro.graph``, few of them export.
@@ -20,12 +21,11 @@ if TYPE_CHECKING:
 
 __all__ = ["to_networkx", "to_dot", "GraphStats", "graph_stats"]
 
-MEMORY_BOUND_TYPES = frozenset({
-    "relu", "relu_bwd", "batchnorm", "batchnorm_bwd", "batchnorm_eval",
-    "bn_affine", "maxpool2d", "maxpool2d_bwd", "maxpool2d_bwd_relu", "add",
-    "grad_acc", "dropout", "dropout_bwd", "split", "split_bwd", "concat",
-    "concat_bwd", "gap", "gap_bwd",
-})
+#: The op types the cost model prices on the bandwidth roof (views and
+#: aliased error terms are free, not memory-bound).
+MEMORY_BOUND_TYPES = frozenset(
+    op_type for op_type, definition in REGISTRY.items()
+    if definition.efficiency == EFF_MEMORY and not definition.free)
 
 
 def to_networkx(graph: Graph) -> nx.DiGraph:

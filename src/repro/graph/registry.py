@@ -20,8 +20,8 @@ field                       reader
 ``backward``                :func:`~repro.graph.backward.append_backward_graph`
                             and the checkpointing pass.  ``None`` on backward
                             types and on the fused conv types: only per-patch
-                            graphs are differentiated, and fusion or stacking
-                            retargets the existing twins afterwards
+                            graphs are differentiated, and stacking or the
+                            ReLU fold retargets the existing twins afterwards
 ``characterize`` /          :class:`~repro.profile.cost.CostModel` (roofline
 ``efficiency`` / ``free``   flops + bytes + efficiency class)
 ``saved``                   :class:`~repro.graph.builder.GraphBuilder` (the
@@ -33,6 +33,8 @@ field                       reader
 ``stochastic``              the determinism audit and the inference-purity lint
 ``sibling_fused``           :func:`.siblings.stack_layers` (the builder's
                             one-GEMM layers and the compiler's sibling fusion)
+``relu_fused``              the compiler's ReLU fold; each such type's own
+                            ``OpDef`` is derived from its producer's here
 ==========================  ==================================================
 
 Every op type appearing in a serialized graph — forward and backward —
@@ -116,6 +118,10 @@ class OpDef:
     # S-ary batched variant that stacks a split layer's patch convs into
     # one kernel call (graph/siblings.py).
     sibling_fused: Optional[str] = None
+    # This op fused with the ReLU reading each of its outputs (``relu``
+    # after a forward op, ``relu_bwd`` after a backward one): the
+    # compiler's ReLU fold.  Its OpDef is derived by :func:`_relu_folded`.
+    relu_fused: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +228,15 @@ def _set_stacked(ex, op, stacked):
 
 
 def _k_conv2d(ex, op):
-    """``conv2d``, ``conv2d_relu`` and their stacked ``_siblings`` forms:
-    inputs ``[x_0 .. x_{S-1}, weight(, bias)]``, outputs ``[y_0 ..
-    y_{S-1}]``, the S patches batch-concatenated into one GEMM (every conv
-    stage is row-independent).  Nothing is saved: the backward kernels
-    read graph tensors."""
+    """``conv2d`` and its stacked ``_siblings`` form: inputs ``[x_0 ..
+    x_{S-1}, weight(, bias)]``, outputs ``[y_0 .. y_{S-1}]``, the S
+    patches batch-concatenated into one GEMM (every conv stage is
+    row-independent).  Nothing is saved: the backward kernels read graph
+    tensors."""
     count = len(op.outputs)
     bias = ex.input(op, count + 1) if len(op.inputs) > count + 1 else None
     out = conv2d_forward(_stacked_input(ex, op, count), ex.input(op, count),
                          bias, op.attrs["stride"], op.attrs["padding"])
-    if op.op_type.startswith("conv2d_relu"):
-        np.maximum(out, 0.0, out=out)
     _set_stacked(ex, op, out)
 
 
@@ -333,21 +337,6 @@ def _relu_mask(grad_out, out):
 
 def _k_relu_bwd(ex, op):
     ex.set_output(op, 0, _relu_mask(ex.input(op, 0), ex.input(op, 1)))
-
-
-def _relu_masked(kernel):
-    """The kernel of a backward op the compiler fused with the
-    ``relu_bwd`` of each of its outputs: ``kernel`` runs on the
-    producer's inputs, then output ``i`` is masked by the ReLU output that
-    is trailing input ``i`` — the unfused ops' exact expressions, so the
-    bytes are the interpreter's."""
-    def fused(ex, op):
-        kernel(ex, op)
-        first = len(op.inputs) - len(op.outputs)
-        for index, tensor_id in enumerate(op.outputs):
-            ex.set_output(op, index, _relu_mask(
-                ex.values[tensor_id], ex.input(op, first + index)))
-    return fused
 
 
 def _k_maxpool2d(ex, op):
@@ -796,16 +785,6 @@ def _char_pool_bwd(graph: Graph, op: OpNode):
     return float(grad_in.num_elements), _io_bytes(graph, op)
 
 
-def _char_relu_masked(producer):
-    """A ReLU-masked backward op: the producer's FLOPs plus one per masked
-    element, and the bytes of every tensor it reads or writes."""
-    def rule(graph: Graph, op: OpNode):
-        flops, _ = producer(graph, op)
-        masked = sum(graph.tensor(t).num_elements for t in op.outputs)
-        return flops + masked, float(_io_bytes(graph, op))
-    return rule
-
-
 def _char_copy(graph: Graph, op: OpNode):
     moved = _tensor_bytes(graph, op.outputs) * 2.0  # read + write
     return 0.0, moved
@@ -858,22 +837,12 @@ _register(OpDef(
     "conv2d", kernel=_k_conv2d, characterize=_char_conv,
     infer_shapes=_shape_conv2d, backward=_bwd_conv2d, efficiency=EFF_CONV,
     saved=(("input", 0),),
-    sibling_fused="conv2d_siblings",
-))
-_register(OpDef(
-    "conv2d_relu", kernel=_k_conv2d, characterize=_char_conv,
-    infer_shapes=_shape_conv2d, efficiency=EFF_CONV,
-    sibling_fused="conv2d_relu_siblings",
+    sibling_fused="conv2d_siblings", relu_fused="conv2d_relu",
 ))
 _register(OpDef(
     "conv2d_siblings", kernel=_k_conv2d,
     characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
-    efficiency=EFF_CONV,
-))
-_register(OpDef(
-    "conv2d_relu_siblings", kernel=_k_conv2d,
-    characterize=_char_conv_siblings, infer_shapes=_shape_conv_siblings,
-    efficiency=EFF_CONV,
+    efficiency=EFF_CONV, relu_fused="conv2d_relu_siblings",
 ))
 _register(OpDef(
     "batchnorm_eval", kernel=_k_batchnorm_eval,
@@ -939,7 +908,7 @@ _register(OpDef(
 # Backward op types -----------------------------------------------------
 _register(OpDef(
     "conv2d_bwd_data", kernel=_k_conv2d_bwd_data, characterize=_char_conv,
-    efficiency=EFF_CONV,
+    efficiency=EFF_CONV, relu_fused="conv2d_bwd_data_relu",
 ))
 _register(OpDef(
     "conv2d_bwd_weight", kernel=_k_conv2d_bwd_weight,
@@ -949,6 +918,7 @@ _register(OpDef(
 _register(OpDef(
     "conv2d_bwd_data_siblings", kernel=_k_conv2d_bwd_data,
     characterize=_char_conv_siblings, efficiency=EFF_CONV,
+    relu_fused="conv2d_bwd_data_relu_siblings",
 ))
 _register(OpDef(
     "linear_bwd_data", kernel=_k_linear_bwd_data, characterize=_char_linear,
@@ -967,6 +937,7 @@ _register(OpDef(
 ))
 _register(OpDef(
     "maxpool2d_bwd", kernel=_k_pool_bwd, characterize=_char_pool_bwd,
+    relu_fused="maxpool2d_bwd_relu",
 ))
 _register(OpDef(
     "gap_bwd", kernel=_k_gap_bwd, characterize=_char_small,
@@ -996,18 +967,42 @@ _register(OpDef(
     "cross_entropy_bwd", kernel=_k_cross_entropy_bwd, characterize=_char_small,
 ))
 
-# Backward op types fused with the relu_bwd of each output (the compiler's
-# ReLU backward fusion): inputs are the producer's, then one ReLU output
-# per output.
-_register(OpDef(
-    "maxpool2d_bwd_relu", kernel=_relu_masked(_k_pool_bwd),
-    characterize=_char_relu_masked(_char_pool_bwd),
-))
-_register(OpDef(
-    "conv2d_bwd_data_relu", kernel=_relu_masked(_k_conv2d_bwd_data),
-    characterize=_char_relu_masked(_char_conv), efficiency=EFF_CONV,
-))
-_register(OpDef(
-    "conv2d_bwd_data_relu_siblings", kernel=_relu_masked(_k_conv2d_bwd_data),
-    characterize=_char_relu_masked(_char_conv_siblings), efficiency=EFF_CONV,
-))
+
+def _relu_folded(producer: OpDef) -> OpDef:
+    """The definition of ``producer.relu_fused``: the producer's kernel,
+    then the exact expression of the ReLU reading each output, so the
+    bytes are the interpreter's; shapes and efficiency are the
+    producer's.  A forward type (one with shape inference) applies
+    ``relu`` in place and is priced as the producer.  A backward type
+    masks output ``i`` by the ReLU output that is trailing input ``i``
+    (``relu_bwd``) and is priced as the producer plus one FLOP per masked
+    element, on the bytes of every tensor it reads or writes."""
+    kernel, price = producer.kernel, producer.characterize
+    if producer.infer_shapes is not None:
+        def fused(ex, op):
+            kernel(ex, op)
+            for tensor_id in op.outputs:
+                np.maximum(ex.values[tensor_id], 0.0,
+                           out=ex.values[tensor_id])
+        characterize = price
+    else:
+        def fused(ex, op):
+            kernel(ex, op)
+            first = len(op.inputs) - len(op.outputs)
+            for index, tensor_id in enumerate(op.outputs):
+                ex.set_output(op, index, _relu_mask(
+                    ex.values[tensor_id], ex.input(op, first + index)))
+
+        def characterize(graph: Graph, op: OpNode):
+            flops, _ = price(graph, op)
+            masked = sum(graph.tensor(t).num_elements for t in op.outputs)
+            return flops + masked, float(_io_bytes(graph, op))
+    return OpDef(producer.relu_fused, kernel=fused,
+                 characterize=characterize,
+                 infer_shapes=producer.infer_shapes,
+                 efficiency=producer.efficiency)
+
+
+# ReLU-fused types, one per producer naming one (the compiler's ReLU fold).
+for _producer in [d for d in REGISTRY.values() if d.relu_fused]:
+    _register(_relu_folded(_producer))

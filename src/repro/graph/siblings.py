@@ -148,6 +148,8 @@ def stack_siblings(graph: Graph, group: List[OpNode],
         workspace_bytes=sum(member.workspace_bytes for member in group),
     )
 
+    # A conv saves only its input, so take_inputs records the fused op as
+    # the reader of every saved tensor.
     group_ids = {member.id for member in group}
     take_inputs(graph, fused, group_ids)
     for tensor_id in output_ids:
@@ -155,10 +157,6 @@ def stack_siblings(graph: Graph, group: List[OpNode],
         tensor.producer = fused.id
         tensor.consumers = [c for c in tensor.consumers
                             if c not in group_ids]
-    for tensor_id in saved:
-        tensor = graph.tensors[tensor_id]
-        if fused.id not in tensor.consumers:
-            tensor.consumers.append(fused.id)
 
     first_position = graph.ops.index(first)
     graph.ops[first_position] = fused

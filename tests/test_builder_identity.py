@@ -234,19 +234,29 @@ GOLDEN: Dict[str, str] = {
     "small_resnet-compiled": "579a31f4639ec566",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
     # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
-    "small_vgg": "52aca5c0659caef5",
+    # Re-recorded: split convs stack before their ReLUs fold, so compiled
+    # twins are renamed (conv.p00(x4)+relu); op types and uncompiled equal.
+    "small_vgg": "b173229d23076569",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
     # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
-    "vgg11": "cbb67d05e220e05e",
+    # Re-recorded: split convs stack before their ReLUs fold, so compiled
+    # twins are renamed (conv.p00(x4)+relu); op types and uncompiled equal.
+    "vgg11": "2d13b87932bd1a0b",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
     # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
-    "vgg11-compiled": "dd820247404e4e01",
+    # Re-recorded: split convs stack before their ReLUs fold, so compiled
+    # twins are renamed (conv.p00(x4)+relu); op types and uncompiled equal.
+    "vgg11-compiled": "c0ae08d2245ab1e2",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
     # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
-    "vgg16": "507073e8c823746f",
+    # Re-recorded: split convs stack before their ReLUs fold, so compiled
+    # twins are renamed (conv.p00(x4)+relu); op types and uncompiled equal.
+    "vgg16": "08e48d6e861bfa60",
     # Re-recorded: backward twins drop sibling/siblings, else parent-equal.
     # Re-recorded: compiled training twins fold relu_bwd; else parent-equal.
-    "vgg19": "a92a68082584b437",
+    # Re-recorded: split convs stack before their ReLUs fold, so compiled
+    # twins are renamed (conv.p00(x4)+relu); op types and uncompiled equal.
+    "vgg19": "043599c57a90eb9f",
 }
 
 

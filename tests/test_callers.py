@@ -568,7 +568,7 @@ def test_every_autograd_function_is_applied(monkeypatch):
 #: Non-raise lines of src/repro that the run set leaves unexecuted (1,037
 #: before the first deletions it found, 901 after them).  The listing fails
 #: when the count rises above this; lower it when it falls.
-LINE_BUDGET = 818
+LINE_BUDGET = 815
 
 #: ``module:function`` or a whole ``module`` -> why its unexecuted lines
 #: stay.  The listing marks these; they still count against
@@ -601,6 +601,10 @@ UNRUN: Dict[str, str] = {
     "graph/executor.py:GraphExecutor._run_wavefront":
         "the wavefront executor, kept for the frozen harness (item 2)",
     "graph/registry.py:_k_split_bwd": UNBUILT_OPS["split_bwd"],
+    "compile/rewrites.py:fold_constants":
+        "a batch norm whose gamma or variance has no value: every caller "
+        "passes the model's parameters; test_builder_identity.py compiles "
+        "without them",
     "graph/registry.py:_k_bn_affine":
         "the folded batch norm of a compiled BN model; no run executes "
         "one numerically, test_compile.py does",

@@ -165,14 +165,15 @@ class TestCompiledIdentity:
 
     def test_weight_tied_chain_is_a_typed_error(self):
         """One conv applied twice in a row shares its weight like a split
-        layer's patches but feeds itself: stacking it would read its own
-        output, so compiling raises instead of returning that graph."""
+        layer's patches but feeds itself: stacking it would make it depend
+        on its own output, so compiling raises instead of returning that
+        graph."""
         rng = np.random.default_rng(0)
         conv = Conv2d(3, 3, kernel_size=3, padding=1, rng=rng)
         model = ConvClassifier(Sequential(conv, ReLU(), conv, ReLU()),
                                Linear(3 * 8 * 8, 4, rng=rng), input_size=8)
         graph = build_inference_graph(model, 2)
-        with pytest.raises(ValueError, match="before it is produced"):
+        with pytest.raises(ValueError, match="in a dependency cycle"):
             compile_graph(graph)
 
 
@@ -258,6 +259,68 @@ class TestReluBackwardFusion:
                 == (producer.op_type in MEMORY_BOUND_TYPES)
 
 
+#: Forward fused type -> the producer it extends (priced as that alone).
+FORWARD_PRODUCERS = {"conv2d_relu": "conv2d",
+                     "conv2d_relu_siblings": "conv2d_siblings"}
+
+
+def _relu_read_conv(graph):
+    """A ``conv2d`` whose one output only a ``relu`` reads."""
+    return next(op for op in graph.ops if op.op_type == "conv2d"
+                and [graph.op_by_id(c).op_type
+                     for c in graph.tensor(op.outputs[0]).consumers]
+                == ["relu"])
+
+
+class TestReluForwardFold:
+    def test_forward_cost_is_the_producers(self):
+        model, x, _ = _case("vgg")
+        graphs = [_compiled_graph(model, x.shape[0], "infer")[0],
+                  _compiled_vgg11_2x2()]
+        fused = [(graph, op) for graph in graphs for op in graph.ops
+                 if op.op_type in FORWARD_PRODUCERS]
+        assert {op.op_type for _, op in fused} == set(FORWARD_PRODUCERS)
+        for graph, op in fused:
+            producer = OpNode(
+                id=op.id, name=op.name, op_type=FORWARD_PRODUCERS[op.op_type],
+                inputs=op.inputs, outputs=op.outputs, attrs=op.attrs,
+                phase=op.phase)
+            assert op_def(op.op_type).characterize(graph, op) \
+                == op_def(producer.op_type).characterize(graph, producer)
+            assert op_def(op.op_type).efficiency \
+                == op_def(producer.op_type).efficiency
+            assert (op.op_type in MEMORY_BOUND_TYPES) \
+                == (producer.op_type in MEMORY_BOUND_TYPES)
+
+    def _fused_count_with(self, add_probe):
+        model, x, _ = _case("vgg")
+        graph = _build(model, x.shape[0], "infer")
+        conv = _relu_read_conv(graph)
+        if add_probe is not None:
+            add_probe(graph, graph.tensor(conv.outputs[0]))
+        compile_graph(graph)
+        return (_op_types(graph)["conv2d_relu"],
+                any(op is conv for op in graph.ops))
+
+    def test_a_second_reader_keeps_the_conv_unfused(self):
+        unprobed, kept = self._fused_count_with(None)
+        assert not kept
+        probed, kept = self._fused_count_with(
+            lambda graph, out: graph.add_op(
+                "probe", "relu", [out], [graph.add_tensor("probe", out.shape)]))
+        assert (probed, kept) == (unprobed - 1, True)
+
+    def test_a_saved_conv_output_stays_unfused(self):
+        unprobed, _ = self._fused_count_with(None)
+
+        def saver(graph, out):
+            tail = graph.ops[-1]
+            graph.add_op("probe", "relu", [graph.tensor(tail.outputs[0])],
+                         [graph.add_tensor("probe", graph.tensor(
+                             tail.outputs[0]).shape)], saved=[out])
+        assert self._fused_count_with(saver) == (unprobed - 1, True)
+
+
 # ----------------------------------------------------------------------
 # Pass algebra: idempotence and fuse/fold commutativity
 # ----------------------------------------------------------------------
@@ -290,7 +353,7 @@ class TestPassAlgebra:
     def test_fingerprint_is_pinned(self):
         """Serving caches and stored plan keys read this string: it
         changes only when ``compile_graph``'s output graphs do."""
-        assert FINGERPRINT == "2e105fded4f4"
+        assert FINGERPRINT == "aa56545d2eeb"
         model, x, _ = _case("vgg")
         graph = _build(model, x.shape[0], "infer")
         assert f"(pipeline {FINGERPRINT})" in compile_graph(graph).render()

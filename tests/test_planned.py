@@ -63,7 +63,9 @@ ENGINE_GOLDEN = {
     # statistics: the stats are constants, so every bucket's planned peak
     # rose by 2,688 bytes; latencies and cache counters are unchanged.
     "small_resnet-split4": "c9caa6a38b3f91546a6a4130c8864a83",
-    "vgg11-compiled": "173f2292afce126bbc1dbe4d1b45babe",
+    # Re-pinned when compile.FINGERPRINT moved to "aa56545d2eeb": its cache
+    # keys carry it; with the old constant the digest is the old one.
+    "vgg11-compiled": "921a5c60f867d455d0d3dbcd56caac45",
 }
 
 
